@@ -24,15 +24,8 @@ import click
 
 from .errors import RegimeError, ScarfError
 from .potential import PotentialParams, Regime
-from .spectrum import (
-    Edge,
-    band_edge_energies,
-    bound_energy,
-    enumerate_residue_sets,
-    free_particle_edges,
-    spectrum_lines,
-)
-from .verify import run_verification
+from .spectrum import Edge, enumerate_residue_sets, spectrum_line, spectrum_lines
+from .verify import level_report, params_entry, run_verification
 from .wavefunction import build_wavefunction, sample_wavefunction
 
 EXIT_OK = 0
@@ -115,12 +108,8 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        click.echo(f"error: cannot write {out_path}: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    with open(out_path, "w", newline="") as fh:
+        fh.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -147,23 +136,23 @@ def resolve_config(ctx: click.Context, values: dict, config_path: str | None) ->
     """flags > config file > declared defaults."""
     if config_path is None:
         return values
-    try:
-        with open(config_path) as fh:
+    with open(config_path) as fh:
+        try:
             file_cfg = json.load(fh)
-    except OSError as exc:
-        click.echo(f"error: cannot read config {config_path}: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    except json.JSONDecodeError as exc:
-        click.echo(f"error: malformed config {config_path}: {exc}", err=True)
-        sys.exit(EXIT_BAD_CONFIG)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed config {config_path}: {exc}") from None
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"config {config_path} must hold a JSON object")
+    options = {param.name: param for param in ctx.command.params}
     merged = dict(values)
     for key, file_val in file_cfg.items():
         if key not in merged:
-            click.echo(f"error: unknown config key {key!r}", err=True)
-            sys.exit(EXIT_BAD_CONFIG)
-        source = ctx.get_parameter_source(_param_name(key))
-        if source is not click.core.ParameterSource.COMMANDLINE:
-            merged[key] = file_val
+            raise ValueError(f"unknown config key {key!r}")
+        name = _param_name(key)
+        if ctx.get_parameter_source(name) is not click.core.ParameterSource.COMMANDLINE:
+            # parsed as the same text given as the flag would be
+            merged[key] = (None if file_val is None
+                           else options[name].type_cast_value(ctx, str(file_val)))
     return merged
 
 
@@ -176,29 +165,33 @@ def _param_name(key: str) -> str:
 
 def make_params(s: float | None, a: float, m: float) -> PotentialParams:
     if s is None:
-        click.echo("error: --s is required", err=True)
-        sys.exit(EXIT_BAD_CONFIG)
-    try:
-        params = PotentialParams(s=s, a=a, m=m)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_CONFIG)
-    return params
+        raise ValueError("--s is required")
+    return PotentialParams(s=s, a=a, m=m)
 
 
-def _params_entry(params: PotentialParams) -> dict:
-    return {"s": params.s, "a": params.a, "m": params.m, "v0": params.v0}
-
-
-def _edge_json(edge: Edge):
-    return None if edge is Edge.NOT_APPLICABLE else edge.value
+def _line(params: PotentialParams, n: int, edge: str | None):
+    """The level chosen by --n and --edge (no --edge for bound levels)."""
+    return spectrum_line(params, n, Edge(edge or Edge.NOT_APPLICABLE))
 
 
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
 
-@click.group()
+class _Group(click.Group):
+    """Maps errors to exit codes, once for every subcommand: I/O failures
+    exit 3; invalid parameters, configurations and levels exit 2, and so
+    does arithmetic that leaves the float range for the given parameters."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (OSError, ScarfError, ValueError, ArithmeticError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_IO if isinstance(exc, OSError) else EXIT_BAD_CONFIG)
+
+
+@click.group(cls=_Group)
 def main():
     """Spectra and eigenfunctions of the Scarf potential, with built-in
     numerical verification."""
@@ -210,25 +203,12 @@ def main():
 
 
 def _spectrum_payload(params: PotentialParams, n_max: int) -> dict:
+    if n_max < 0:
+        raise ValueError("--n-max must be >= 0")
     logger.info("spectrum: s=%g a=%g m=%g regime=%s n_max=%d",
                 params.s, params.a, params.m, params.regime.value, n_max)
     lines = spectrum_lines(params, n_max)
-    payload = {
-        "params": _params_entry(params),
-        "regime": params.regime.value,
-        "levels": [
-            {
-                "n": ln.n,
-                "edge": _edge_json(ln.edge),
-                "lambda": ln.lam,
-                "energy": ln.energy,
-                "nu1": ln.nu1,
-                "nu2": ln.nu2,
-            }
-            for ln in lines
-        ],
-        "checks": [],
-    }
+    payload = level_report(params, lines, [])
     if params.regime in (Regime.BANDS, Regime.FREE_PARTICLE):
         widths = []
         gaps = []
@@ -248,7 +228,7 @@ def _emit_spectrum(payload: dict, fmt: str, out_path: str | None) -> None:
         _emit(json_dumps(payload) + "\n", out_path)
     else:
         rows = [dict(level, edge=level["edge"] or "") for level in payload["levels"]]
-        _emit(csv_lines(["n", "edge", "lambda", "energy", "nu1", "nu2"], rows), out_path)
+        _emit(csv_lines(list(rows[0]), rows), out_path)
 
 
 @main.command()
@@ -262,9 +242,6 @@ def spectrum(ctx, s, a, m, fmt, out_path, config_path, n_max):
     cfg = resolve_config(ctx, {"s": s, "a": a, "m": m, "format": fmt,
                                "out": out_path, "n_max": n_max}, config_path)
     params = make_params(cfg["s"], cfg["a"], cfg["m"])
-    if cfg["n_max"] < 0:
-        click.echo("error: --n-max must be >= 0", err=True)
-        sys.exit(EXIT_BAD_CONFIG)
     _emit_spectrum(_spectrum_payload(params, cfg["n_max"]), cfg["format"], cfg["out"])
 
 
@@ -278,9 +255,7 @@ def bands(ctx, s, a, m, fmt, out_path, config_path, n_max):
                                "out": out_path, "n_max": n_max}, config_path)
     params = make_params(cfg["s"], cfg["a"], cfg["m"])
     if params.regime is not Regime.BANDS:
-        click.echo(f"error: s = {params.s} is not in the band regime (0 < s < 1/2)",
-                   err=True)
-        sys.exit(EXIT_BAD_CONFIG)
+        raise RegimeError(f"s = {params.s} is not in the band regime (0 < s < 1/2)")
     _emit_spectrum(_spectrum_payload(params, cfg["n_max"]), cfg["format"], cfg["out"])
 
 
@@ -298,54 +273,17 @@ def wavefunction(ctx, s, a, m, fmt, out_path, config_path, level_n, edge, sample
                                "out": out_path, "n": level_n, "edge": edge,
                                "samples": samples}, config_path)
     params = make_params(cfg["s"], cfg["a"], cfg["m"])
-    if cfg["n"] < 0 or cfg["samples"] < 2:
-        click.echo("error: need --n >= 0 and --samples >= 2", err=True)
-        sys.exit(EXIT_BAD_CONFIG)
-    try:
-        line = _select_line(params, cfg["n"], cfg["edge"])
-        spec = build_wavefunction(params, line)
-        cols = sample_wavefunction(spec, cfg["samples"])
-    except (ScarfError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_CONFIG)
+    line = _line(params, cfg["n"], cfg["edge"])
+    cols = sample_wavefunction(build_wavefunction(params, line), cfg["samples"])
     if cfg["format"] == "json":
-        payload = {
-            "params": _params_entry(params),
-            "regime": params.regime.value,
-            "levels": [{
-                "n": line.n,
-                "edge": _edge_json(line.edge),
-                "lambda": line.lam,
-                "energy": line.energy,
-                "nu1": line.nu1,
-                "nu2": line.nu2,
-            }],
-            "checks": [],
-            "samples": {name: list(map(float, arr)) for name, arr in cols.items()},
-        }
+        payload = level_report(params, [line], [])
+        payload["samples"] = {name: list(map(float, arr)) for name, arr in cols.items()}
         _emit(json_dumps(payload) + "\n", cfg["out"])
     else:
         names = ["x", "V", "psi", "psi_squared"]
         rows = [{name: float(cols[name][i]) for name in names}
                 for i in range(len(cols["x"]))]
         _emit(csv_lines(names, rows), cfg["out"])
-
-
-def _select_line(params: PotentialParams, n: int, edge: str | None):
-    regime = params.regime
-    if regime is Regime.BOUND_STATES:
-        if edge is not None:
-            raise RegimeError("bound levels take no --edge")
-        return bound_energy(params, n)
-    if regime is Regime.BANDS:
-        lower, upper = band_edge_energies(params, n)
-    elif regime is Regime.FREE_PARTICLE:
-        lower, upper = free_particle_edges(params, n)
-    else:
-        raise RegimeError(f"unsupported coupling s = {params.s}")
-    if edge is None:
-        raise RegimeError("band regime needs --edge lower|upper")
-    return lower if edge == "lower" else upper
 
 
 @main.command()
@@ -364,13 +302,8 @@ def verify(ctx, s, a, m, fmt, out_path, config_path, n_max, oracle, tol):
                                "oracle": oracle, "tol": tol}, config_path)
     params = make_params(cfg["s"], cfg["a"], cfg["m"])
     if cfg["n_max"] < 0 or cfg["tol"] <= 0:
-        click.echo("error: need --n-max >= 0 and --tol > 0", err=True)
-        sys.exit(EXIT_BAD_CONFIG)
-    try:
-        report = run_verification(params, cfg["n_max"], cfg["oracle"], cfg["tol"])
-    except (RegimeError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_CONFIG)
+        raise ValueError("need --n-max >= 0 and --tol > 0")
+    report = run_verification(params, cfg["n_max"], cfg["oracle"], cfg["tol"])
     if cfg["format"] == "json":
         _emit(json_dumps(report) + "\n", cfg["out"])
     else:
@@ -400,19 +333,8 @@ def table1(ctx, s, a, m, fmt, out_path, config_path, lam, level_n, edge):
     lam_val = cfg["lambda"]
     if lam_val is None:
         if cfg["n"] is None:
-            click.echo("error: give --lambda or --n (with --edge in the band regime)",
-                       err=True)
-            sys.exit(EXIT_BAD_CONFIG)
-        try:
-            lam_val = _select_line(params, cfg["n"], cfg["edge"]).lam
-        except (ScarfError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_BAD_CONFIG)
-    try:
-        sets = enumerate_residue_sets(params.s, lam_val)
-    except (ScarfError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_CONFIG)
+            raise ValueError("give --lambda or --n (with --edge in the band regime)")
+        lam_val = _line(params, cfg["n"], cfg["edge"]).lam
     rows = [
         {
             "set": rs.set_id,
@@ -423,11 +345,11 @@ def table1(ctx, s, a, m, fmt, out_path, config_path, lam, level_n, edge):
             "valid": rs.valid,
             "remark": "valid" if rs.valid else f"not valid ({rs.rejection_reason})",
         }
-        for rs in sets
+        for rs in enumerate_residue_sets(params.s, lam_val)
     ]
     if cfg["format"] == "json":
         payload = {
-            "params": _params_entry(params),
+            "params": params_entry(params),
             "regime": params.regime.value,
             "lambda": lam_val,
             "sets": rows,

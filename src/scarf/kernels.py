@@ -6,17 +6,13 @@ The inner loop of the oracle integrates
 
 with an adaptive Dormand-Prince 5(4) stepper, thousands of times per
 spectrum scan.  The stepper below is written as plain scalar Python so it
-can be compiled with numba's @njit; setting the environment variable
-SCARF_NO_NUMBA=1 (before import) selects the uncompiled pure-Python path
-instead.  Both paths execute the same source.
-
-benchmarks/shooting_benchmark.py compares the two paths.
+can be compiled with numba's @njit when numba imports; otherwise the same
+source runs uncompiled.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 __all__ = [
     "NUMBA_ENABLED",
@@ -196,21 +192,13 @@ def _shoot_halfcell_impl(pot_coeff, two_m_e, omega, x0, u0, v0, x_end,
     return u, v, runmax, nstep, status
 
 
-def _numba_wanted() -> bool:
-    flag = os.environ.get("SCARF_NO_NUMBA", "").strip().lower()
-    return flag not in {"1", "true", "yes", "on"}
-
-
 shoot_halfcell_py = _shoot_halfcell_impl
-_shoot_halfcell_jit = None
 
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        _shoot_halfcell_jit = njit(cache=True)(_shoot_halfcell_impl)
-    except ImportError:
-        _shoot_halfcell_jit = None
-
-NUMBA_ENABLED = _shoot_halfcell_jit is not None
-shoot_halfcell = _shoot_halfcell_jit if NUMBA_ENABLED else shoot_halfcell_py
+try:
+    from numba import njit
+except ImportError:
+    NUMBA_ENABLED = False
+    shoot_halfcell = shoot_halfcell_py
+else:
+    NUMBA_ENABLED = True
+    shoot_halfcell = njit(cache=True)(_shoot_halfcell_impl)

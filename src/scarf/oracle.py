@@ -33,7 +33,7 @@ from scipy.optimize import brentq
 
 from . import kernels
 from .errors import BracketError, NumericError, RegimeError
-from .potential import PotentialParams, Regime
+from .potential import PotentialParams, Regime, evaluate_potential
 from .spectrum import Edge, SpectrumLine, spectrum_lines
 
 logger = logging.getLogger(__name__)
@@ -192,17 +192,9 @@ def find_eigen(params: PotentialParams, bracket: tuple[float, float],
     root is re-solved with delta/2 to measure start-offset sensitivity.
     """
     e_lo, e_hi = bracket
-    f_lo = shoot(params, e_lo, cfg)
-    f_hi = shoot(params, e_hi, cfg)
-    if f_lo == 0.0:
-        energy = e_lo
-    elif f_hi == 0.0:
-        energy = e_hi
-    elif np.sign(f_lo) == np.sign(f_hi):
+    energy = _bracketed_root(params, cfg, e_lo, e_hi)
+    if energy is None:
         raise BracketError(f"no sign change on bracket {bracket}")
-    else:
-        energy = brentq(lambda e: shoot(params, e, cfg), e_lo, e_hi,
-                        rtol=_BRENTQ_RTOL, xtol=1e-30)
     residual = abs(shoot(params, energy, cfg))
     sensitivity = 0.0
     flagged = False
@@ -225,18 +217,26 @@ def _solve_near(params: PotentialParams, cfg: ShootingConfig, energy: float) -> 
     """Re-find a known root with a perturbed config, bracketing tightly
     around it (the shift is far below 1e-6 relative by construction)."""
     for width in (1e-6, 1e-4, 1e-2):
-        lo = energy * (1.0 - width)
-        hi = energy * (1.0 + width)
-        f_lo = shoot(params, lo, cfg)
-        f_hi = shoot(params, hi, cfg)
-        if f_lo == 0.0:
-            return lo
-        if f_hi == 0.0:
-            return hi
-        if np.sign(f_lo) != np.sign(f_hi):
-            return float(brentq(lambda e: shoot(params, e, cfg), lo, hi,
-                                rtol=_BRENTQ_RTOL, xtol=1e-30))
+        root = _bracketed_root(params, cfg, energy * (1.0 - width), energy * (1.0 + width))
+        if root is not None:
+            return root
     raise BracketError(f"could not re-bracket root near E={energy}")
+
+
+def _bracketed_root(params: PotentialParams, cfg: ShootingConfig,
+                    lo: float, hi: float) -> float | None:
+    """Root of the matching function on [lo, hi]: an endpoint where it is
+    exactly zero, else a Brent solve; None when the signs agree."""
+    f_lo = shoot(params, lo, cfg)
+    f_hi = shoot(params, hi, cfg)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if np.sign(f_lo) == np.sign(f_hi):
+        return None
+    return float(brentq(lambda e: shoot(params, e, cfg), lo, hi,
+                        rtol=_BRENTQ_RTOL, xtol=1e-30))
 
 
 def _families(regime: Regime) -> list[tuple[Exponent, MatchKind]]:
@@ -356,9 +356,7 @@ def fd_bound_spectrum(params: PotentialParams, grid_points: int = 4000,
 
 def _fd_levels(params: PotentialParams, n_grid: int, k: int) -> np.ndarray:
     h = params.a / n_grid
-    x = np.arange(1, n_grid) * h
-    sn = np.sin(np.pi * x / params.a)
-    v = -(0.25 - params.s**2) * np.pi**2 / (2.0 * params.m * params.a**2 * sn * sn)
+    v = evaluate_potential(params, np.arange(1, n_grid) * h)
     inv = 1.0 / (2.0 * params.m * h * h)
     diag = 2.0 * inv + v
     off = np.full(n_grid - 2, -inv)

@@ -15,15 +15,14 @@ can degenerate at the negative parameter values this problem produces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConstructionError, JacobiDegeneracyError, RegimeError, RootFindingError
-from .potential import Regime, classify_regime
-from .spectrum import Edge
+from .potential import Regime
+from .spectrum import Edge, level_parameters
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,22 +51,6 @@ class PolySpec:
         return npoly.polyder(self.coeffs, order)
 
 
-def lambda_for(s: float, n: int, edge: Edge) -> float:
-    """lambda of level (n, edge) in the regime implied by s."""
-    regime = classify_regime(s)
-    if regime is Regime.BOUND_STATES:
-        if edge is not Edge.NOT_APPLICABLE:
-            raise RegimeError("bound levels carry no edge tag")
-        return n + 0.5 + s
-    if regime is Regime.BANDS or regime is Regime.FREE_PARTICLE:
-        if edge is Edge.LOWER:
-            return n + 0.5 - s
-        if edge is Edge.UPPER:
-            return n + 0.5 + s
-        raise RegimeError("band levels need edge=LOWER or edge=UPPER")
-    raise RegimeError(f"unsupported coupling s = {s}")
-
-
 def build_poly(s: float, n: int, edge: Edge = Edge.NOT_APPLICABLE) -> PolySpec:
     """Construct P_n by the downward two-term recurrence, monic.
 
@@ -81,7 +64,7 @@ def build_poly(s: float, n: int, edge: Edge = Edge.NOT_APPLICABLE) -> PolySpec:
     """
     if n < 0:
         raise ValueError("degree n must be non-negative")
-    lam = lambda_for(s, n, edge)
+    lam = level_parameters(s, n, edge)[0]
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     for k in range(n - 2, -1, -2):

@@ -157,55 +157,67 @@ def enumerate_residue_sets(s: float, lam: float) -> list[ResidueSet]:
     return sets
 
 
-def _line(params: PotentialParams, n: int, lam: float, regime: Regime,
-          edge: Edge, nu: float, d1: float) -> SpectrumLine:
+def level_parameters(s: float, n: int, edge: Edge) -> tuple[float, float, float]:
+    """(lambda, nu, d1) of level (n, edge) in the regime implied by s.
+
+    Bound levels (edge NOT_APPLICABLE) and upper band edges take the
+    d1 = (1 - 2s)/2 branch, lower band edges d1 = (1 + 2s)/2; the sum rule
+    with b1 = b1' = (1 - lambda)/2 then gives
+
+        lower edge          : lambda = n + 1/2 - s,  nu = -n + s - 1/2
+        upper edge, bound   : lambda = n + 1/2 + s,  nu = -n - s - 1/2
+
+    At s = 1/2 these are the free-particle edges lambda = n and n + 1.
+    """
+    regime = classify_regime(s)
+    if regime is Regime.UNSUPPORTED:
+        raise RegimeError(f"unsupported coupling s = {s}")
+    if regime is Regime.BOUND_STATES:
+        if edge is not Edge.NOT_APPLICABLE:
+            raise RegimeError("bound levels carry no edge tag")
+    elif edge is Edge.NOT_APPLICABLE:
+        raise RegimeError("band levels need edge=LOWER or edge=UPPER")
+    if edge is Edge.LOWER:
+        return n + 0.5 - s, -n + s - 0.5, (1.0 + 2.0 * s) / 2.0
+    return n + 0.5 + s, -n - s - 0.5, (1.0 - 2.0 * s) / 2.0
+
+
+def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
+    """The closed-form level (n, edge) of params: edge NOT_APPLICABLE in the
+    bound regime, LOWER or UPPER in the band and free-particle regimes."""
+    _check_level_index(n)
+    lam, nu, d1 = level_parameters(params.s, n, edge)
     energy = math.pi**2 * lam**2 / (2.0 * params.m * params.a**2)
     return SpectrumLine(
-        n=n, regime=regime, edge=edge, lam=lam, energy=energy,
+        n=n, regime=params.regime, edge=edge, lam=lam, energy=energy,
         nu1=nu, nu2=nu, b1=(1.0 - lam) / 2.0, d1=d1,
     )
 
 
 def band_edge_energies(params: PotentialParams, n: int) -> tuple[SpectrumLine, SpectrumLine]:
-    """Lower and upper edges of the n-th band:
-
-        E-  : lambda = n + 1/2 - s   (d1 = (1 + 2s)/2, nu = -n + s - 1/2)
-        E+  : lambda = n + 1/2 + s   (d1 = (1 - 2s)/2, nu = -n - s - 1/2)
-    """
-    _check_level_index(n)
+    """Lower and upper edges of the n-th band, lambda = n + 1/2 -+ s."""
     if params.regime is not Regime.BANDS:
         raise RegimeError(f"band edges require 0 < s < 1/2, got s = {params.s}")
-    s = params.s
-    lower = _line(params, n, n + 0.5 - s, Regime.BANDS, Edge.LOWER,
-                  -n + s - 0.5, (1.0 + 2.0 * s) / 2.0)
-    upper = _line(params, n, n + 0.5 + s, Regime.BANDS, Edge.UPPER,
-                  -n - s - 0.5, (1.0 - 2.0 * s) / 2.0)
-    return lower, upper
+    return spectrum_line(params, n, Edge.LOWER), spectrum_line(params, n, Edge.UPPER)
 
 
 def bound_energy(params: PotentialParams, n: int) -> SpectrumLine:
-    """Bound level n:  lambda = n + 1/2 + s, nu = -n - s - 1/2.
+    """Bound level n:  lambda = n + 1/2 + s.
 
     Equivalent well-depth form: E = (pi^2/2ma^2)(1/2 + n + sqrt(1/4 -
     2 m v0 a^2 / pi^2))^2 with the stored v0.
     """
-    _check_level_index(n)
     if params.regime is not Regime.BOUND_STATES:
         raise RegimeError(f"bound levels require s > 1/2, got s = {params.s}")
-    s = params.s
-    return _line(params, n, n + 0.5 + s, Regime.BOUND_STATES, Edge.NOT_APPLICABLE,
-                 -n - s - 0.5, (1.0 - 2.0 * s) / 2.0)
+    return spectrum_line(params, n, Edge.NOT_APPLICABLE)
 
 
 def free_particle_edges(params: PotentialParams, n: int) -> tuple[SpectrumLine, SpectrumLine]:
     """s = 1/2 limit of the band edges: lambda = n and n + 1, so adjacent
     bands touch (E+_n = E-_{n+1}) and every gap closes."""
-    _check_level_index(n)
     if params.regime is not Regime.FREE_PARTICLE:
         raise RegimeError(f"free-particle path requires s = 1/2, got s = {params.s}")
-    lower = _line(params, n, float(n), Regime.FREE_PARTICLE, Edge.LOWER, float(-n), 1.0)
-    upper = _line(params, n, float(n + 1), Regime.FREE_PARTICLE, Edge.UPPER, float(-(n + 1)), 0.0)
-    return lower, upper
+    return spectrum_line(params, n, Edge.LOWER), spectrum_line(params, n, Edge.UPPER)
 
 
 def lambda_of_energy(params: PotentialParams, energy: float) -> float:
@@ -228,17 +240,12 @@ def spectrum_lines(params: PotentialParams, n_max: int) -> list[SpectrumLine]:
     regime = params.regime
     if regime is Regime.BOUND_STATES:
         return [bound_energy(params, n) for n in range(n_max + 1)]
+    lines = [spectrum_line(params, n, edge)
+             for n in range(n_max + 1) for edge in (Edge.LOWER, Edge.UPPER)]
     if regime is Regime.BANDS:
-        lines = []
-        for n in range(n_max + 1):
-            lines.extend(band_edge_energies(params, n))
         return sorted(lines, key=lambda ln: ln.energy)
-    if regime is Regime.FREE_PARTICLE:
-        lines = []
-        for n in range(n_max + 1):
-            lines.extend(free_particle_edges(params, n))
-        return sorted(lines, key=lambda ln: (ln.energy, ln.edge.value))
-    raise RegimeError(f"unsupported coupling s = {params.s}")
+    # free particle: E+_n = E-_{n+1}, and the lower edge is listed first
+    return sorted(lines, key=lambda ln: (ln.energy, ln.edge.value))
 
 
 def _check_level_index(n: int) -> None:

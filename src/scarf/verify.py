@@ -12,10 +12,9 @@ diffable and the CLI exit code is just "did every check pass".
 from __future__ import annotations
 
 import logging
-import math
 
-from .errors import RegimeError
-from .oracle import OracleResult, fd_bound_spectrum, scan_spectrum, ShootingConfig
+from .errors import RegimeError, ScarfError
+from .oracle import OracleResult, fd_bound_spectrum, scan_spectrum
 from .potential import PotentialParams, Regime
 from .qmf import ChiFunction, chi_parity_defect, residue_report, verify_riccati
 from .spectrum import Edge, SpectrumLine, spectrum_lines
@@ -67,37 +66,51 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     if want_fd:
         fd_levels = fd_bound_spectrum(params, grid_points=_FD_GRID, k_levels=n_max + 1)
 
-    levels = []
     checks = []
     for ln in lines:
-        levels.append(_level_entry(ln))
         if ln.energy <= 0.0:
             continue  # free-particle fold at E=0 has no normalizable state
         checks.extend(_level_checks(params, ln, scan, fd_levels, tol, want_shooting, want_fd))
 
     n_failed = sum(1 for c in checks if not c["pass"])
+    report = level_report(params, lines, checks)
+    report["summary"] = {
+        "n_checks": len(checks),
+        "n_failed": n_failed,
+        "all_pass": n_failed == 0,
+    }
+    return report
+
+
+def params_entry(params: PotentialParams) -> dict:
+    """The "params" entry of every report."""
+    return {"s": params.s, "a": params.a, "m": params.m, "v0": params.v0}
+
+
+def level_report(params: PotentialParams, lines: list[SpectrumLine],
+                 checks: list[dict]) -> dict:
+    """The fields every level report starts with: params, regime, one
+    entry per level, and the check entries."""
     return {
-        "params": {"s": params.s, "a": params.a, "m": params.m, "v0": params.v0},
-        "regime": regime.value,
-        "levels": levels,
+        "params": params_entry(params),
+        "regime": params.regime.value,
+        "levels": [
+            {
+                "n": ln.n,
+                "edge": _edge_json(ln.edge),
+                "lambda": ln.lam,
+                "energy": ln.energy,
+                "nu1": ln.nu1,
+                "nu2": ln.nu2,
+            }
+            for ln in lines
+        ],
         "checks": checks,
-        "summary": {
-            "n_checks": len(checks),
-            "n_failed": n_failed,
-            "all_pass": n_failed == 0,
-        },
     }
 
 
-def _level_entry(ln: SpectrumLine) -> dict:
-    return {
-        "n": ln.n,
-        "edge": None if ln.edge is Edge.NOT_APPLICABLE else ln.edge.value,
-        "lambda": ln.lam,
-        "energy": ln.energy,
-        "nu1": ln.nu1,
-        "nu2": ln.nu2,
-    }
+def _edge_json(edge: Edge) -> str | None:
+    return None if edge is Edge.NOT_APPLICABLE else edge.value
 
 
 def _check(ln: SpectrumLine, name: str, value: float, threshold: float,
@@ -106,7 +119,7 @@ def _check(ln: SpectrumLine, name: str, value: float, threshold: float,
     observed carries the raw measured quantity where one exists."""
     return {
         "n": ln.n,
-        "edge": None if ln.edge is Edge.NOT_APPLICABLE else ln.edge.value,
+        "edge": _edge_json(ln.edge),
         "name": name,
         "value": value,
         "threshold": threshold,
@@ -138,13 +151,26 @@ def _level_checks(params, ln, scan, fd_levels, tol, want_shooting, want_fd) -> l
         out.append(_check(ln, "oracle_fd_rel_err", rel, max(tol, FD_FLOOR),
                           observed=float(fd_levels[ln.n])))
 
+    try:
+        _probe_checks(params, ln, out)
+    except ScarfError as exc:
+        logger.error("level (n=%d, %s): probe raised %s: %s",
+                     ln.n, ln.edge.value, type(exc).__name__, exc)
+        out.append(_check(ln, "probe_error", 1.0, 0.0))
+    return out
+
+
+def _probe_checks(params, ln, out: list[dict]) -> None:
+    """Append the residue, residual and structure checks of one level.
+
+    Entries are appended as they are measured, so those taken before a
+    probe raises stay in the report."""
     wf = build_wavefunction(params, ln)
     chi = ChiFunction.from_wavefunction(wf)
 
     rep = residue_report(chi)
-    b1_closed = (1.0 - ln.lam) / 2.0
     out.append(_check(ln, "residue_sum_rule_defect", rep.sum_rule_defect, 1e-9))
-    out.append(_check(ln, "b1_vs_closed_form", abs(rep.b1_measured - b1_closed), 1e-10,
+    out.append(_check(ln, "b1_vs_closed_form", abs(rep.b1_measured - ln.b1), 1e-10,
                       observed=rep.b1_measured.real))
     out.append(_check(ln, "b1_parity", abs(rep.b1_measured - rep.b1_prime_measured), 1e-10))
     out.append(_check(ln, "d1_vs_closed_form", abs(rep.d1_measured - ln.d1), 1e-10,
@@ -167,4 +193,3 @@ def _level_checks(params, ln, scan, fd_levels, tol, want_shooting, want_fd) -> l
     exponent = boundary_exponent(wf)
     out.append(_check(ln, "boundary_exponent_defect",
                       abs(exponent - wf.boundary_power), 1e-3, observed=exponent))
-    return out

@@ -25,8 +25,8 @@ from scipy.integrate import quad
 
 from .errors import ConsistencyError, NumericError
 from .polynomials import PolySpec, build_poly
-from .potential import PotentialParams, Regime, is_lattice_point, reduce_to_cell
-from .spectrum import Edge, SpectrumLine
+from .potential import PotentialParams, evaluate_potential, is_lattice_point, reduce_to_cell
+from .spectrum import SpectrumLine
 
 _NORM_ABS_TOL = 1e-12
 _NODE_ZERO_TOL = 1e-13
@@ -249,9 +249,7 @@ def schrodinger_residual(spec: WavefunctionSpec, n_points: int = 200,
     xs = np.linspace(margin * p.a, (1.0 - margin) * p.a, n_points)
     psi = eval_psi(spec, xs)
     dd = eval_psi_dd(spec, xs)
-    sn = np.sin(np.pi * xs / p.a)
-    v = -(0.25 - p.s**2) * np.pi**2 / (2.0 * p.m * p.a**2 * sn * sn)
-    res = -dd / (2.0 * p.m) + (v - spec.line.energy) * psi
+    res = -dd / (2.0 * p.m) + (evaluate_potential(p, xs) - spec.line.energy) * psi
     scale = abs(spec.line.energy) * np.abs(psi).max()
     return float(np.abs(res).max()), float(scale)
 
@@ -264,7 +262,5 @@ def sample_wavefunction(spec: WavefunctionSpec, samples: int) -> dict[str, np.nd
     p = spec.params
     offset = p.a / (10.0 * samples)
     xs = np.linspace(offset, p.a - offset, samples)
-    sn = np.sin(np.pi * xs / p.a)
-    v = -(0.25 - p.s**2) * np.pi**2 / (2.0 * p.m * p.a**2 * sn * sn)
     psi = eval_psi(spec, xs)
-    return {"x": xs, "V": v, "psi": psi, "psi_squared": psi**2}
+    return {"x": xs, "V": evaluate_potential(p, xs), "psi": psi, "psi_squared": psi**2}

@@ -2,7 +2,7 @@
 
 Each test prints a single PASS/FAIL line (visible with pytest -s; the -v
 test names mirror the criteria).  Runtime budgets assume the compiled
-kernel; they are skipped when SCARF_NO_NUMBA disables it.
+kernel; they are skipped when numba is not installed.
 """
 
 import math

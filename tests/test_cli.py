@@ -1,9 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scarf.cli import format_float, json_dumps, main
 
@@ -101,6 +104,16 @@ class TestSpectrumCommand:
         cfg.write_text(json.dumps({"s": 2.0, "bogus": 1}))
         assert invoke(runner, ["spectrum", "--config", str(cfg)]).exit_code == 2
 
+    def test_config_values_are_type_checked(self, runner, tmp_path):
+        cfg = tmp_path / "run.json"
+        for bad in ([2.0], {"s": "two"}, {"s": 2.0, "format": "xml"},
+                    {"s": 2.0, "n_max": 2.5}):
+            cfg.write_text(json.dumps(bad))
+            assert invoke(runner, ["spectrum", "--config", str(cfg)]).exit_code == 2
+        cfg.write_text(json.dumps({"s": "2"}))  # converted as the flag would be
+        assert (invoke(runner, ["spectrum", "--config", str(cfg)]).output
+                == invoke(runner, ["spectrum", "--s", "2"]).output)
+
     def test_config_precedence_for_renamed_params(self, runner, tmp_path):
         # --n maps to a renamed click parameter; the flag must still win
         cfg = tmp_path / "run.json"
@@ -188,6 +201,21 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert json.loads(result.stdout)["summary"]["all_pass"] is True
 
+    def test_probe_error_is_a_failing_check(self):
+        # count_nodes cannot resolve the s=8 ground state; the report must
+        # still be written, with the failure as a check entry
+        cmd = [sys.executable, "-m", "scarf.cli", "verify", "--s", "8",
+               "--n-max", "0", "--oracle", "fd"]
+        run = subprocess.run(cmd, capture_output=True)
+        assert run.returncode == 1
+        payload = json.loads(run.stdout)
+        errors = [c for c in payload["checks"] if c["name"] == "probe_error"]
+        assert len(errors) == 1
+        assert errors[0]["pass"] is False and math.isfinite(errors[0]["value"])
+        assert payload["summary"]["all_pass"] is False
+        assert b"NumericError" in run.stderr
+        assert b"Traceback" not in run.stderr
+
     def test_csv_report(self, runner):
         result = invoke(runner, ["verify", "--s", "2", "--n-max", "0",
                                  "--oracle", "shooting", "--format", "csv"])
@@ -269,3 +297,42 @@ class TestDeterminism:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+
+class TestNoTracebacks:
+    """Every input ends in a report (exit 0) or a typed error (exit 2)."""
+
+    COUPLINGS = st.one_of(
+        st.sampled_from([0.5, 0.0, -1.0, float("nan"), float("inf"), 2.0, 0.4]),
+        st.floats(min_value=0.01, max_value=10.0),
+        st.floats(min_value=-1.0, max_value=1e300),
+    )
+    EDGES = st.sampled_from([None, "lower", "upper"])
+
+    @staticmethod
+    def check(args):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 2), (args, result.output, result.exception)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(["spectrum", "bands", "wavefunction", "table1"]),
+           s=COUPLINGS, n=st.integers(0, 12), edge=EDGES,
+           fmt=st.sampled_from(["json", "csv"]))
+    def test_level_commands(self, command, s, n, edge, fmt):
+        args = [command, f"--s={s!r}", "--format", fmt]
+        if command in ("spectrum", "bands"):
+            args += ["--n-max", str(n)]
+        else:
+            args += ["--n", str(n)]
+            if edge is not None:
+                args += ["--edge", edge]
+            if command == "wavefunction":
+                args += ["--samples", "64"]
+        self.check(args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=COUPLINGS, lam=st.floats(allow_nan=True, allow_infinity=True))
+    def test_table1_lambda(self, s, lam):
+        self.check(["table1", f"--s={s!r}", f"--lambda={lam!r}"])
