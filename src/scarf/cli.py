@@ -33,7 +33,8 @@ EXIT_CHECKS_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_IO = 3
 
-logger = logging.getLogger(__name__)
+# named, not __name__, so that `python -m scarf.cli` logs under "scarf" too
+logger = logging.getLogger("scarf.cli")
 
 
 # --------------------------------------------------------------------------
@@ -197,9 +198,16 @@ def main():
     numerical verification."""
     level = os.environ.get("SCARF_LOG", "error").strip().lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(stream=sys.stderr,
-                        level=levels.get(level, logging.ERROR),
-                        format="%(levelname)s %(name)s: %(message)s")
+    # a handler bound to the current stderr replaces the one of an earlier
+    # call in this process (click's CliRunner swaps sys.stderr per call)
+    package_logger = logging.getLogger("scarf")
+    for old in [h for h in package_logger.handlers if h.get_name() == "scarf.cli"]:
+        package_logger.removeHandler(old)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name("scarf.cli")
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package_logger.addHandler(handler)
+    package_logger.setLevel(levels.get(level, logging.ERROR))
 
 
 def _spectrum_payload(params: PotentialParams, n_max: int) -> dict:

@@ -4,10 +4,10 @@ The inner loop of the oracle integrates
 
     u''(x) = (pot_coeff / sin^2(omega x) - two_m_e) u(x)
 
-with an adaptive Dormand-Prince 5(4) stepper, thousands of times per
-spectrum scan.  The stepper below is written as plain scalar Python so it
-can be compiled with numba's @njit when numba imports; otherwise the same
-source runs uncompiled.
+with an adaptive Dormand-Prince 5(4) stepper in plain scalar Python.  It
+also counts the sign changes of u over its accepted steps; by Sturm
+oscillation that count is the number of eigenvalues of a shooting family
+below the trial energy, which the oracle bisects on to bracket each root.
 """
 
 from __future__ import annotations
@@ -17,11 +17,14 @@ import math
 __all__ = [
     "NUMBA_ENABLED",
     "shoot_halfcell",
-    "shoot_halfcell_py",
     "STATUS_OK",
     "STATUS_MAX_STEPS",
     "STATUS_STEP_UNDERFLOW",
 ]
+
+# There is one kernel and it is not compiled.  The constant stays because
+# the benchmark's environment stamp reads it.
+NUMBA_ENABLED = False
 
 STATUS_OK = 0
 STATUS_MAX_STEPS = 1
@@ -50,8 +53,8 @@ _E6 = 11.0 / 84.0 - 187.0 / 2100.0
 _E7 = -1.0 / 40.0
 
 
-def _shoot_halfcell_impl(pot_coeff, two_m_e, omega, x0, u0, v0, x_end,
-                         rtol, atol, max_steps):
+def shoot_halfcell(pot_coeff, two_m_e, omega, x0, u0, v0, x_end,
+                   rtol, atol, max_steps):
     """Integrate (u, u') from x0 to x_end; see module docstring for the ODE.
 
     Parameters
@@ -75,9 +78,11 @@ def _shoot_halfcell_impl(pot_coeff, two_m_e, omega, x0, u0, v0, x_end,
 
     Returns
     -------
-    (u_end, v_end, running_max_abs_u, steps_taken, status)
+    (u_end, v_end, running_max_abs_u, steps_taken, status, sign_changes)
         The state is renormalized in flight if |u| grows past 1e250, so
         callers must quote matching values relative to running_max_abs_u.
+        sign_changes counts the accepted steps across which u changes
+        sign, i.e. the zeros of u on (x0, x_end].
     """
     x = x0
     u = u0
@@ -89,6 +94,7 @@ def _shoot_halfcell_impl(pot_coeff, two_m_e, omega, x0, u0, v0, x_end,
         h = 0.1 * x0
     nstep = 0
     status = STATUS_OK
+    sign_changes = 0
     while x < x_end:
         if nstep >= max_steps:
             status = STATUS_MAX_STEPS
@@ -161,6 +167,8 @@ def _shoot_halfcell_impl(pot_coeff, two_m_e, omega, x0, u0, v0, x_end,
         err = math.sqrt(0.5 * (ru * ru + rv * rv))
 
         if err <= 1.0:
+            if (un < 0.0) != (u < 0.0):
+                sign_changes += 1
             x = x6
             u = un
             v = vn
@@ -189,16 +197,4 @@ def _shoot_halfcell_impl(pot_coeff, two_m_e, omega, x0, u0, v0, x_end,
             status = STATUS_STEP_UNDERFLOW
             break
         nstep += 1
-    return u, v, runmax, nstep, status
-
-
-shoot_halfcell_py = _shoot_halfcell_impl
-
-try:
-    from numba import njit
-except ImportError:
-    NUMBA_ENABLED = False
-    shoot_halfcell = shoot_halfcell_py
-else:
-    NUMBA_ENABLED = True
-    shoot_halfcell = njit(cache=True)(_shoot_halfcell_impl)
+    return u, v, runmax, nstep, status, sign_changes

@@ -22,6 +22,7 @@ The bound regime admits only the + exponent.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -50,9 +51,11 @@ _CSC2_SERIES = (
 
 ENERGY_RTOL = 1e-10           # contract tolerance for reported eigenvalues
 _BRENTQ_RTOL = 1e-14          # solve tighter than the contract
-_SCAN_STEP_FACTOR = 0.05      # dE = 0.05 * pi^2/(2 m a^2), below min level spacing
-_DEDUP_RTOL = 1e-8
+_SCAN_STEP_FACTOR = 0.05      # bracket lattice dE = 0.05 * pi^2/(2 m a^2)
 _CLASSIFY_RTOL = 1e-6
+_RTOL = 1e-13                 # integrator per-step tolerance
+_MAX_STEPS = 1_000_000        # integrator cap on accepted + rejected steps
+_SERIES_ORDER = 16            # Frobenius start summed through x^16
 
 
 class Exponent(Enum):
@@ -72,25 +75,18 @@ class ShootingConfig:
     """Configuration of one shooting family.
 
     delta is the start offset from the wall; None resolves to 1e-3 * a.
-    The Frobenius series is summed through x^series_order, which makes the
-    start state accurate to machine precision at that delta, so halving
-    delta moves reported energies by well under 1e-9 relative.
+    The Frobenius series is summed through x^16, which makes the start
+    state accurate to machine precision at that delta, so halving delta
+    moves reported energies by well under 1e-9 relative.
     """
 
     exponent: Exponent = Exponent.PLUS
     match: MatchKind = MatchKind.SLOPE_AT_MID
     delta: float | None = None
-    rtol: float = 1e-13
-    max_steps: int = 1_000_000
-    series_order: int = 16
 
     def __post_init__(self):
         if self.delta is not None and self.delta <= 0.0:
             raise ValueError("delta must be positive")
-        if self.rtol <= 0.0:
-            raise ValueError("integrator tolerance must be positive")
-        if self.series_order < 2 or self.series_order % 2:
-            raise ValueError("series_order must be an even integer >= 2")
 
     def resolve_delta(self, a: float) -> float:
         delta = 1e-3 * a if self.delta is None else self.delta
@@ -120,17 +116,13 @@ class OracleResult:
     flagged: bool = False
 
 
-def frobenius_exponent(s: float, exponent: Exponent) -> float:
-    return 0.5 + s if exponent is Exponent.PLUS else 0.5 - s
-
-
 def frobenius_start(params: PotentialParams, energy: float, mu: float,
-                    delta: float, series_order: int = 16) -> tuple[float, float]:
+                    delta: float) -> tuple[float, float]:
     """Series solution u = x^mu sum(c_k x^k) of u'' = 2m(V - E)u near x = 0.
 
     2m(V - E) = C/x^2 + sum_j w_{2j} x^(2j) with C = -(1/4 - s^2); the
     recurrence c_k = sum_j w_{2j} c_{k-2-2j} / (k (k + 2 mu - 1)) follows
-    from matching powers.  Truncated at x^series_order the start state is
+    from matching powers.  Truncated at x^16 the start state is
     exact to machine precision for delta = 1e-3 a and energies well beyond
     the verification range.
     """
@@ -140,7 +132,7 @@ def frobenius_start(params: PotentialParams, energy: float, mu: float,
          for j in range(len(_CSC2_SERIES))]
     w[0] -= 2.0 * m * energy
     coeff = {0: 1.0}
-    for k in range(2, series_order + 1, 2):
+    for k in range(2, _SERIES_ORDER + 1, 2):
         acc = 0.0
         for j, wj in enumerate(w):
             kk = k - 2 - 2 * j
@@ -160,27 +152,36 @@ def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
     (per cfg.match) divided by the running maximum of |psi|, so the value
     is scale-free and overflow cannot bias the root location.
     """
-    regime = params.regime
-    if regime is Regime.BOUND_STATES and cfg.exponent is Exponent.MINUS:
+    return shoot_and_count(params, energy, cfg)[0]
+
+
+def shoot_and_count(params: PotentialParams, energy: float,
+                    cfg: ShootingConfig) -> tuple[float, int]:
+    """The matching value of shoot and N(E), the number of the family's
+    eigenvalues below E, from one integration.
+
+    By Sturm oscillation N(E) is the number of zeros of psi on
+    (delta, a/2), plus one for the slope match when psi psi' < 0 at a/2.
+    """
+    if params.regime is Regime.BOUND_STATES and cfg.exponent is Exponent.MINUS:
         raise RegimeError("bound regime admits only the 1/2 + s exponent")
-    if regime is Regime.UNSUPPORTED:
-        raise RegimeError(f"unsupported coupling s = {params.s}")
     delta = cfg.resolve_delta(params.a)
-    mu = frobenius_exponent(params.s, cfg.exponent)
-    u0, v0 = frobenius_start(params, energy, mu, delta, cfg.series_order)
+    mu = 0.5 + params.s if cfg.exponent is Exponent.PLUS else 0.5 - params.s
+    u0, v0 = frobenius_start(params, energy, mu, delta)
     pot_coeff = -(0.25 - params.s**2) * math.pi**2 / params.a**2
-    u, v, runmax, nstep, status = kernels.shoot_halfcell(
+    u, v, runmax, nstep, status, zeros = kernels.shoot_halfcell(
         pot_coeff, 2.0 * params.m * energy, math.pi / params.a,
-        delta, u0, v0, params.a / 2.0, cfg.rtol, 1e-280, cfg.max_steps,
+        delta, u0, v0, params.a / 2.0, _RTOL, 1e-280, _MAX_STEPS,
     )
     if status == kernels.STATUS_MAX_STEPS:
-        raise NumericError(f"integrator exceeded {cfg.max_steps} steps at E={energy}")
+        raise NumericError(f"integrator exceeded {_MAX_STEPS} steps at E={energy}")
     if status == kernels.STATUS_STEP_UNDERFLOW:
         raise NumericError(f"integrator step underflow at E={energy}")
     if runmax == 0.0:
         raise NumericError("degenerate trajectory: psi identically zero")
-    out = u if cfg.match is MatchKind.VALUE_AT_MID else v
-    return float(out / runmax)
+    if cfg.match is MatchKind.VALUE_AT_MID:
+        return float(u / runmax), zeros
+    return float(v / runmax), zeros + ((u < 0.0 < v) or (v < 0.0 < u))
 
 
 def find_eigen(params: PotentialParams, bracket: tuple[float, float],
@@ -246,23 +247,23 @@ def _families(regime: Regime) -> list[tuple[Exponent, MatchKind]]:
     return [(ex, mk) for ex in (Exponent.PLUS, Exponent.MINUS) for mk in matches]
 
 
-def scan_spectrum(params: PotentialParams, e_max: float,
-                  cfg_base: ShootingConfig | None = None) -> list[OracleResult]:
+def scan_spectrum(params: PotentialParams, e_max: float) -> list[OracleResult]:
     """All shooting eigenvalues up to e_max, across every family of the
     regime, sorted by energy.
 
-    Per family the matching function is sampled on an energy grid with
-    step 0.05 pi^2/(2 m a^2) (finer than any level spacing for s >= 0.05),
-    each sign change is bracketed and solved, and duplicate roots within a
-    family are merged at 1e-8 relative.  Results from different families
-    are kept separate even when degenerate (the free-particle limit
-    produces coinciding edges from distinct families on purpose).
+    Brackets are cells of an energy lattice with step 0.05 pi^2/(2 m a^2).
+    Per family, bisection on the lattice index finds each cell where the
+    count N(E) of shoot_and_count rises (within one family levels are at
+    least 4 pi^2/(2 m a^2), i.e. 80 cells, apart), and find_eigen solves
+    it.  A cell whose lower point shoots to exactly 0.0 is not a bracket:
+    that is the free-particle fold at E = 0.  Results from different
+    families are kept separate even when degenerate (the free-particle
+    limit produces coinciding edges from distinct families on purpose).
     Classification tags each result with the nearest closed-form (n, edge)
     within 1e-6 relative, else None.
     """
     if e_max <= 0.0:
         raise ValueError("e_max must be positive")
-    cfg_base = cfg_base or ShootingConfig()
     step = _SCAN_STEP_FACTOR * math.pi**2 / (2.0 * params.m * params.a**2)
     grid = np.arange(0.0, e_max + step, step)
     if grid[-1] > e_max:
@@ -270,24 +271,17 @@ def scan_spectrum(params: PotentialParams, e_max: float,
     levels = _closed_form_levels(params, e_max)
     results: list[OracleResult] = []
     for exponent, match in _families(params.regime):
-        cfg = replace(cfg_base, exponent=exponent, match=match)
+        cfg = ShootingConfig(exponent=exponent, match=match)
         family_roots: list[OracleResult] = []
-        values = [shoot(params, float(e), cfg) for e in grid]
-        for i in range(len(grid) - 1):
-            lo, hi = values[i], values[i + 1]
-            if lo == 0.0 or np.sign(lo) == np.sign(hi):
-                continue
+        for i in _rising_cells(params, grid, cfg):
             try:
                 res = find_eigen(params, (float(grid[i]), float(grid[i + 1])), cfg)
             except (BracketError, NumericError) as exc:
                 logger.warning("family (%s, %s) failed on bracket %d: %s",
                                exponent.value, match.value, i, exc)
                 continue
-            if res.energy > e_max:
-                continue
-            if family_roots and _close(res.energy, family_roots[-1].energy):
-                continue
-            family_roots.append(res)
+            if res.energy <= e_max:
+                family_roots.append(res)
         logger.debug("family (%s, %s): %d roots below E=%g",
                      exponent.value, match.value, len(family_roots), e_max)
         results.extend(family_roots)
@@ -295,8 +289,24 @@ def scan_spectrum(params: PotentialParams, e_max: float,
     return [_classify(res, levels) for res in results]
 
 
-def _close(e1: float, e2: float) -> bool:
-    return abs(e1 - e2) <= _DEDUP_RTOL * max(abs(e1), abs(e2))
+def _rising_cells(params: PotentialParams, grid: np.ndarray,
+                  cfg: ShootingConfig) -> list[int]:
+    """Ascending indices i where the node count changes between grid[i]
+    and grid[i + 1], found by bisection on the index, less the cells whose
+    lower point shoots to exactly 0.0."""
+    @functools.cache
+    def sample(i: int) -> tuple[float, int]:
+        return shoot_and_count(params, float(grid[i]), cfg)
+
+    def cells(lo: int, hi: int) -> list[int]:
+        if sample(lo)[1] == sample(hi)[1]:
+            return []
+        if hi - lo == 1:
+            return [lo]
+        mid = (lo + hi) // 2
+        return cells(lo, mid) + cells(mid, hi)
+
+    return [i for i in cells(0, len(grid) - 1) if sample(i)[0] != 0.0]
 
 
 def _closed_form_levels(params: PotentialParams, e_max: float) -> list[SpectrumLine]:

@@ -58,7 +58,15 @@ class PotentialParams:
             raise ValueError(f"period a must be a positive finite real, got {self.a}")
         if not (math.isfinite(self.m) and self.m > 0.0):
             raise ValueError(f"mass m must be a positive finite real, got {self.m}")
-        v0 = (0.25 - self.s * self.s) * math.pi**2 / (2.0 * self.m * self.a**2)
+        try:
+            denom = 2.0 * self.m * self.a**2
+            unit = math.pi**2 / denom
+            v0 = (0.25 - self.s * self.s) * math.pi**2 / denom
+        except ArithmeticError:  # a**2 overflows, or 2 m a^2 underflows to 0
+            unit = v0 = math.nan
+        if not (0.0 < unit < math.inf and math.isfinite(v0)):
+            raise ValueError(f"s={self.s}, a={self.a}, m={self.m}: pi^2/(2 m a^2) "
+                             "or v0 leaves the float range")
         object.__setattr__(self, "v0", v0)
 
     @property

@@ -16,7 +16,7 @@ psi -> 0 at every lattice point in both regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -42,8 +42,7 @@ class Parity(Enum):
 class WavefunctionSpec:
     """Everything needed to evaluate one normalized eigenfunction.
 
-    norm is fixed by int_0^a psi^2 dx = 1; cell_index shifts evaluation to
-    another period cell (the state is built once per cell shape).
+    norm is fixed by int_0^a psi^2 dx = 1.
     """
 
     line: SpectrumLine
@@ -51,7 +50,6 @@ class WavefunctionSpec:
     params: PotentialParams
     b1: float
     norm: float
-    cell_index: int = 0
 
     @property
     def boundary_power(self) -> float:
@@ -59,8 +57,7 @@ class WavefunctionSpec:
         return self.line.lam - self.line.n
 
 
-def build_wavefunction(params: PotentialParams, line: SpectrumLine,
-                       cell_index: int = 0) -> WavefunctionSpec:
+def build_wavefunction(params: PotentialParams, line: SpectrumLine) -> WavefunctionSpec:
     """Assemble and L2-normalize the eigenfunction of a spectrum line.
 
     The line must have been produced for the same params: regime, lambda,
@@ -77,8 +74,7 @@ def build_wavefunction(params: PotentialParams, line: SpectrumLine,
     if abs(poly.lam - line.lam) > 1e-12 * max(1.0, line.lam):
         raise ConsistencyError("line lambda inconsistent with (s, n, edge)")
     spec = WavefunctionSpec(line=line, poly=poly, params=params,
-                            b1=(1.0 - line.lam) / 2.0, norm=1.0,
-                            cell_index=cell_index)
+                            b1=(1.0 - line.lam) / 2.0, norm=1.0)
     norm_sq, err = quad(lambda x: _eval_raw(spec, np.asarray(x)) ** 2,
                         0.0, params.a,
                         points=[0.05 * params.a, 0.5 * params.a, 0.95 * params.a],
@@ -87,9 +83,7 @@ def build_wavefunction(params: PotentialParams, line: SpectrumLine,
         raise NumericError(f"normalization integral failed: {norm_sq}")
     if err > 1e-9 * norm_sq + 1e-12:
         raise NumericError(f"normalization quadrature error too large: {err}")
-    return WavefunctionSpec(line=line, poly=poly, params=params,
-                            b1=spec.b1, norm=1.0 / math.sqrt(norm_sq),
-                            cell_index=cell_index)
+    return replace(spec, norm=1.0 / math.sqrt(norm_sq))
 
 
 def _eval_raw(spec: WavefunctionSpec, x):
@@ -163,9 +157,9 @@ def count_nodes(spec: WavefunctionSpec, samples: int = 512) -> int:
     """Number of interior sign changes of psi over one open cell.
 
     Samples a uniform open grid, drops values indistinguishable from zero
-    (below 1e-13 of the grid max), and confirms each remaining sign change
-    by bisection.  Two adjacent near-zero samples mean the grid cannot
-    resolve the crossing and a NumericError asks for more resolution.
+    (below 1e-13 of the grid max), and counts the sign changes of the
+    rest.  Two adjacent near-zero samples mean the grid cannot resolve the
+    crossing and a NumericError asks for more resolution.
     """
     if samples < 64:
         raise ValueError("samples must be >= 64")
@@ -178,25 +172,8 @@ def count_nodes(spec: WavefunctionSpec, samples: int = 512) -> int:
     small = np.abs(vals) <= _NODE_ZERO_TOL * vmax
     if np.any(small[:-1] & small[1:]):
         raise NumericError("adjacent near-zero samples: increase resolution")
-    keep = ~small
-    xs_k = xs[keep]
-    vals_k = vals[keep]
-    signs = np.sign(vals_k)
-    nodes = 0
-    for i in np.nonzero(signs[:-1] != signs[1:])[0]:
-        lo, hi = xs_k[i], xs_k[i + 1]
-        flo = vals_k[i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = eval_psi(spec, mid)
-            if fm == 0.0 or hi - lo < 1e-14 * a:
-                break
-            if np.sign(fm) == np.sign(flo):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        nodes += 1
-    return nodes
+    signs = np.sign(vals[~small])
+    return int(np.count_nonzero(signs[:-1] != signs[1:]))
 
 
 def boundary_exponent(spec: WavefunctionSpec, n_points: int = 32) -> float:

@@ -11,9 +11,3 @@ def bound_params():
 @pytest.fixture(scope="session")
 def band_params():
     return scarf.PotentialParams(s=0.4, a=1.0, m=1.0)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernel(bound_params):
-    # absorb one-time JIT compilation so timed assertions see steady state
-    scarf.shoot(bound_params, 10.0, scarf.ShootingConfig())

@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single PASS/FAIL line (visible with pytest -s; the -v
-test names mirror the criteria).  Runtime budgets assume the compiled
-kernel; they are skipped when numba is not installed.
+test names mirror the criteria).  Criteria 1 and 2 also assert a runtime
+budget for their shooting scans.
 """
 
 import math
@@ -14,7 +14,6 @@ import pytest
 
 import scarf
 from scarf import ChiFunction, Edge, Exponent, MatchKind, ShootingConfig
-from scarf.kernels import NUMBA_ENABLED
 from scarf.oracle import predicted_family
 from scarf.qmf import chi_parity_defect
 
@@ -67,10 +66,7 @@ def test_criterion_1_bound_spectrum_vs_oracles(bound_params, bound_scan):
     ok = worst_shoot <= 1e-8 and worst_fd <= 1e-4
     report("1 (bound spectrum, s=2)", ok,
            f"shooting<= {worst_shoot:.2e}, fd<= {worst_fd:.2e}, {elapsed:.1f}s")
-    if NUMBA_ENABLED:
-        assert elapsed < 10.0
-    else:
-        pytest.skip("runtime budget assumes the JIT kernel")
+    assert elapsed < 10.0
 
 
 def test_criterion_2_band_edges_vs_scan(band_params, band_scan):
@@ -88,10 +84,7 @@ def test_criterion_2_band_edges_vs_scan(band_params, band_scan):
             worst = max(worst, abs(res.energy - line.energy) / line.energy)
     report("2 (band edges, s=0.4)", worst <= 1e-8,
            f"worst rel err {worst:.2e}, six edges, {elapsed:.1f}s")
-    if NUMBA_ENABLED:
-        assert elapsed < 20.0
-    else:
-        pytest.skip("runtime budget assumes the JIT kernel")
+    assert elapsed < 20.0
 
 
 def test_criterion_3_residue_table_reproduction():

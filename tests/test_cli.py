@@ -70,6 +70,12 @@ class TestSpectrumCommand:
         assert len(lines) == 4 and lines[3] == ""  # 2 rows + trailing LF
         assert lines[1].startswith("0,,2.5,30.842513753404244,")
 
+    def test_parameters_outside_float_range_exit_2(self, runner):
+        result = runner.invoke(main, ["spectrum", "--s", "2", "--m", "1e-320",
+                                      "--format", "csv"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
     def test_invalid_s_exits_2(self, runner):
         for bad in ("-1", "0", "nan"):
             result = invoke(runner, ["spectrum", "--s", bad])
@@ -279,6 +285,13 @@ class TestLogging:
         json.loads(run.stdout)  # data stream stays clean
         assert b"spectrum: s=2" in run.stderr
 
+    def test_each_invocation_logs_to_its_stderr(self):
+        args = ["verify", "--s", "8", "--n-max", "0", "--oracle", "fd"]
+        for _ in range(2):
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 1
+            assert "NumericError" in result.stderr
+
     def test_quiet_by_default(self, runner):
         result = invoke(runner, ["spectrum", "--s", "2", "--n-max", "0"])
         assert result.stderr == ""
@@ -300,7 +313,8 @@ class TestDeterminism:
 
 
 class TestNoTracebacks:
-    """Every input ends in a report (exit 0) or a typed error (exit 2)."""
+    """Every input ends in a report (exit 0, or 1 when verify finds failing
+    checks) or a typed error (exit 2)."""
 
     COUPLINGS = st.one_of(
         st.sampled_from([0.5, 0.0, -1.0, float("nan"), float("inf"), 2.0, 0.4]),
@@ -336,3 +350,15 @@ class TestNoTracebacks:
     @given(s=COUPLINGS, lam=st.floats(allow_nan=True, allow_infinity=True))
     def test_table1_lambda(self, s, lam):
         self.check(["table1", f"--s={s!r}", f"--lambda={lam!r}"])
+
+    @pytest.mark.parametrize("n_max", [0, 1])
+    @pytest.mark.parametrize("s, a, m", [
+        ("0.05", "1", "1"), ("0.23", "1", "1"), ("0.4999", "1", "1"),
+        ("0.5", "1", "1"), ("0.5001", "1", "1"), ("8", "1", "1"), ("12", "1", "1"),
+        ("2.37", "2.5", "0.7"),
+    ])
+    def test_verify(self, s, a, m, n_max):
+        args = ["verify", "--s", s, "--a", a, "--m", m, "--n-max", str(n_max)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 1, 2), (args, result.output, result.exception)
+        assert result.exception is None or isinstance(result.exception, SystemExit)

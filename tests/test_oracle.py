@@ -1,10 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
 import scarf
-from scarf import BracketError, Edge, Exponent, MatchKind, RegimeError, ShootingConfig
-from scarf.kernels import NUMBA_ENABLED, shoot_halfcell, shoot_halfcell_py
+from scarf import (
+    BracketError,
+    Edge,
+    Exponent,
+    MatchKind,
+    NumericError,
+    RegimeError,
+    ShootingConfig,
+)
+from scarf.kernels import shoot_halfcell
+from scarf.oracle import _classify, _closed_form_levels, _families, shoot_and_count
 
 HALF_PI_SQ = math.pi**2 / 2.0
 
@@ -35,10 +45,6 @@ class TestShoot:
     def test_config_validation(self, bound_params):
         with pytest.raises(ValueError):
             ShootingConfig(delta=-1.0)
-        with pytest.raises(ValueError):
-            ShootingConfig(rtol=0.0)
-        with pytest.raises(ValueError):
-            ShootingConfig(series_order=3)
         with pytest.raises(ValueError):
             # delta must stay below a/100
             scarf.shoot(bound_params, 10.0, ShootingConfig(delta=0.02))
@@ -113,6 +119,64 @@ class TestScanSpectrum:
         with pytest.raises(ValueError):
             scarf.scan_spectrum(bound_params, -1.0)
 
+    @pytest.mark.parametrize("s", [2.0, 0.4, 0.5])
+    def test_equals_full_sign_sweep(self, s):
+        params = scarf.PotentialParams(s=s)
+        assert scarf.scan_spectrum(params, 60.0) == sweep_scan(params, 60.0)
+
+
+def sweep_scan(params, e_max):
+    """Reference scan: shoot every point of the bracket lattice, solve each
+    sign change, merge roots within 1e-8 relative per family."""
+    step = 0.05 * math.pi**2 / (2.0 * params.m * params.a**2)
+    grid = np.arange(0.0, e_max + step, step)
+    if grid[-1] > e_max:
+        grid[-1] = e_max
+    results = []
+    for exponent, match in _families(params.regime):
+        cfg = ShootingConfig(exponent=exponent, match=match)
+        roots = []
+        values = [scarf.shoot(params, float(e), cfg) for e in grid]
+        for i in range(len(grid) - 1):
+            lo, hi = values[i], values[i + 1]
+            if lo == 0.0 or np.sign(lo) == np.sign(hi):
+                continue
+            try:
+                res = scarf.find_eigen(params, (float(grid[i]), float(grid[i + 1])), cfg)
+            except (BracketError, NumericError):
+                continue
+            if res.energy > e_max:
+                continue
+            if roots and abs(res.energy - roots[-1].energy) <= 1e-8 * res.energy:
+                continue
+            roots.append(res)
+        results.extend(roots)
+    results.sort(key=lambda r: r.energy)
+    levels = _closed_form_levels(params, e_max)
+    return [_classify(res, levels) for res in results]
+
+
+class TestNodeCount:
+    @pytest.mark.parametrize("s", [2.0, 0.4, 0.5])
+    def test_counts_levels_below(self, s):
+        # N(E) is the number of the family's closed-form levels below E
+        params = scarf.PotentialParams(s=s)
+        lines = scarf.spectrum_lines(params, 3)
+        for exponent, match in _families(params.regime):
+            cfg = ShootingConfig(exponent=exponent, match=match)
+
+            def count(energy):
+                return shoot_and_count(params, energy, cfg)[1]
+
+            assert count(0.0) == 0
+            family = sorted(ln.energy for ln in lines
+                            if scarf.predicted_family(ln) == (exponent, match))
+            for k, energy in enumerate(family):
+                if energy == 0.0:
+                    continue  # the free-particle fold sits at E = 0
+                below, above = count(energy * (1.0 - 1e-6)), count(energy * (1.0 + 1e-6))
+                assert (below, above) == (k, k + 1), (exponent, match, energy)
+
 
 class TestFiniteDifference:
     def test_first_two_levels(self, bound_params):
@@ -176,20 +240,8 @@ class TestFiniteDifference:
 class TestKernelPaths:
     def test_non_finite_energy_terminates(self):
         # NaN propagation must end in step underflow, never a spin to max_steps
-        u, v, m, n, status = shoot_halfcell_py(
+        u, v, m, n, status, zeros = shoot_halfcell(
             -37.0, float("inf"), math.pi, 1e-3, 1e-7, 2.5e-4, 0.5,
             1e-13, 1e-280, 100_000)
         assert status == 2
         assert n < 1000
-
-    def test_python_fallback_matches_jit(self, bound_params):
-        if not NUMBA_ENABLED:
-            pytest.skip("numba disabled; single path only")
-        args = (-(0.25 - 4.0) * math.pi**2, 60.0, math.pi, 1e-3,
-                2.45e-8, 6.1e-5, 0.5, 1e-13, 1e-280, 1_000_000)
-        u1, v1, m1, n1, s1 = shoot_halfcell(*args)
-        u2, v2, m2, n2, s2 = shoot_halfcell_py(*args)
-        assert s1 == s2 == 0
-        assert u1 == pytest.approx(u2, rel=1e-10)
-        assert v1 == pytest.approx(v2, rel=1e-10)
-        assert m1 == pytest.approx(m2, rel=1e-10)

@@ -46,6 +46,9 @@ class TestParams:
     @pytest.mark.parametrize("kwargs", [
         {"s": 0.0}, {"s": -2.0}, {"s": float("nan")},
         {"s": 1.0, "a": 0.0}, {"s": 1.0, "m": -1.0},
+        {"s": 2.0, "a": 1e-200},   # a^2 underflows to 0
+        {"s": 1e155},              # v0 = -inf
+        {"s": 2.0, "m": 1e-320},   # pi^2/(2 m a^2) = inf
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
