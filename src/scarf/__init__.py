@@ -15,7 +15,6 @@ from .errors import (
     JacobiDegeneracyError,
     NumericError,
     RegimeError,
-    RootFindingError,
     ScarfError,
     SingularityError,
 )
@@ -101,5 +100,5 @@ __all__ = [
     "run_verification",
     "ScarfError", "SingularityError", "RegimeError", "DegenerateRegimeError",
     "ConsistencyError", "ConstructionError", "JacobiDegeneracyError",
-    "RootFindingError", "BracketError", "ContourError", "NumericError",
+    "BracketError", "ContourError", "NumericError",
 ]

@@ -94,7 +94,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return repr(value)  # shortest round-trip representation
+        return repr(float(value))  # shortest round-trip, also for np.float64
     return str(value)
 
 

@@ -29,10 +29,6 @@ class JacobiDegeneracyError(ScarfError):
     """Jacobi three-term recurrence degenerated for exceptional parameters."""
 
 
-class RootFindingError(ScarfError):
-    """Root finder failed to converge or produced an inconsistent result."""
-
-
 class BracketError(ScarfError):
     """Matching function does not change sign on the supplied bracket."""
 

@@ -16,11 +16,13 @@ can degenerate at the negative parameter values this problem produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import eigvalsh_tridiagonal
 
-from .errors import ConstructionError, JacobiDegeneracyError, RegimeError, RootFindingError
+from .errors import ConstructionError, JacobiDegeneracyError, RegimeError
 from .potential import Regime
 from .spectrum import Edge, level_parameters
 
@@ -41,14 +43,37 @@ class PolySpec:
     edge: Edge
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        self.coeffs.setflags(write=False)
+        derivs = [npoly.polyder(np.asarray(self.coeffs, dtype=float), k) for k in range(3)]
+        for c in derivs:
+            c.setflags(write=False)
+        object.__setattr__(self, "coeffs", derivs[0])
+        object.__setattr__(self, "_derivs", derivs)
 
     def __call__(self, y):
         return npoly.polyval(y, self.coeffs)
 
     def derivative(self, order: int = 1) -> np.ndarray:
-        return npoly.polyder(self.coeffs, order)
+        """Coefficients of P^(order), order 0, 1 or 2."""
+        return self._derivs[order]
+
+    @cached_property
+    def roots(self) -> tuple[float, ...]:
+        """The n real roots, ascending, solved once on first use.
+
+        sin^n(theta) P_n(cot theta) = C_n^kappa(t) / C_n^kappa(1) with t =
+        cos(theta) and kappa = lam - n, so the roots are y_k = t_k / sqrt(1 -
+        t_k^2) over the zeros t_k of C_n^kappa: the eigenvalues of its Jacobi
+        matrix (Golub-Welsch), written in a form that stays finite at kappa = 0.
+        """
+        if self.n == 0:
+            return ()
+        kappa = self.lam - self.n
+        k = np.arange(2.0, self.n)
+        off = np.sqrt(np.concatenate((
+            [0.5 / (1.0 + kappa)],
+            k * (k + 2.0 * kappa - 1.0) / (4.0 * (k + kappa) * (k + kappa - 1.0)))))
+        t = eigvalsh_tridiagonal(np.zeros(self.n), off[: self.n - 1])
+        return tuple(float(y) for y in t / np.sqrt((1.0 - t) * (1.0 + t)))
 
 
 def build_poly(s: float, n: int, edge: Edge = Edge.NOT_APPLICABLE) -> PolySpec:
@@ -134,50 +159,25 @@ def phase_stripped_jacobi(n: int, nu: float, y):
     return val.real if isinstance(val, np.ndarray) else complex(val).real
 
 
-def real_roots(poly: PolySpec, imag_tol: float = 1e-8, polish_steps: int = 1) -> list[float]:
-    """All real roots of P_n, ascending, via companion-matrix eigenvalues
-    plus a Newton polish.  For valid eigen-polynomials every moving pole is
-    real, so the count equals n."""
-    if poly.n == 0:
-        return []
-    if poly.n == 1:
-        return [0.0]
-    roots = np.roots(poly.coeffs[::-1])
-    dcoef = poly.derivative()
-    out = []
-    for r in roots:
-        for _ in range(polish_steps):
-            d = npoly.polyval(r, dcoef)
-            if d != 0:
-                r = r - npoly.polyval(r, poly.coeffs) / d
-        if not np.isfinite(r):
-            raise RootFindingError(f"non-finite root for degree-{poly.n} polynomial")
-        if abs(r.imag) <= imag_tol * (1.0 + abs(r.real)):
-            out.append(float(r.real))
-    out.sort()
-    residuals = [abs(poly(r)) for r in out]
-    scale = max(1.0, float(np.abs(poly.coeffs).max()))
-    if any(res > 1e-6 * scale for res in residuals):
-        raise RootFindingError(f"root polish did not converge: residuals {residuals}")
-    return out
+def real_roots(poly: PolySpec) -> list[float]:
+    """All real roots of P_n, ascending: the n moving poles."""
+    return list(poly.roots)
 
 
-def ode_residual(poly: PolySpec, ys=None) -> float:
+_RESIDUAL_GRID = 5.0 * np.cos(np.pi * (np.arange(64) + 0.5) / 64.0)  # Chebyshev points
+_RESIDUAL_GRID.setflags(write=False)
+
+
+def ode_residual(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
     """Max absolute residual of the defining ODE on a Chebyshev grid,
     normalized by nothing (caller compares against max |P| on the grid)."""
-    if ys is None:
-        ys = 5.0 * np.cos(np.pi * (np.arange(64) + 0.5) / 64.0)
     ys = np.asarray(ys, dtype=float)
-    p = poly(ys)
-    p1 = npoly.polyval(ys, poly.derivative(1))
-    p2 = npoly.polyval(ys, poly.derivative(2)) if poly.n >= 2 else np.zeros_like(ys)
+    p, p1, p2 = (npoly.polyval(ys, poly.derivative(k)) for k in range(3))
     lam, n = poly.lam, poly.n
     res = (ys**2 + 1.0) * p2 + (2.0 - 2.0 * lam) * ys * p1 + n * (2.0 * lam - n - 1.0) * p
     return float(np.abs(res).max())
 
 
-def poly_scale(poly: PolySpec, ys=None) -> float:
+def poly_scale(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
     """max |P| on the residual grid, the natural residual normalization."""
-    if ys is None:
-        ys = 5.0 * np.cos(np.pi * (np.arange(64) + 0.5) / 64.0)
     return float(np.abs(poly(np.asarray(ys, dtype=float))).max())

@@ -56,17 +56,13 @@ class ChiFunction:
 
     def __call__(self, y):
         y = np.asarray(y, dtype=complex)
-        p = npoly.polyval(y, self.poly.coeffs)
-        p1 = npoly.polyval(y, self.poly.derivative(1))
+        p, p1 = (npoly.polyval(y, self.poly.derivative(k)) for k in range(2))
         return 2.0 * self.b1 * y / (y * y + 1.0) + p1 / p
 
     def derivative(self, y):
         """chi'(y) differentiated analytically (no numerical step)."""
         y = np.asarray(y, dtype=complex)
-        p = npoly.polyval(y, self.poly.coeffs)
-        p1 = npoly.polyval(y, self.poly.derivative(1))
-        p2 = (npoly.polyval(y, self.poly.derivative(2))
-              if self.poly.n >= 2 else np.zeros_like(y))
+        p, p1, p2 = (npoly.polyval(y, self.poly.derivative(k)) for k in range(3))
         rational = 2.0 * self.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2
         return rational + (p2 * p - p1 * p1) / (p * p)
 

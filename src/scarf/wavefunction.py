@@ -11,24 +11,31 @@ in (cs, sn).  This trig form stays bounded arbitrarily close to the walls
 where cot itself overflows.  The boundary exponent lambda - n equals
 1/2 + s for bound and upper-edge states and 1/2 - s for lower edges, so
 psi -> 0 at every lattice point in both regimes.
+
+With kappa = lambda - n the sum is C_n^kappa(cs) / C_n^kappa(1), P_n being
+monic: the Gegenbauer form of Cooper, Khare and Sukhatme, Phys. Rep. 251
+(1995) 267.  Its norm and Legendre duplication give int_0^a psi^2 dx in
+closed form, finite at kappa = 0:
+
+    a 2^(2 kappa - 1) n! Gamma(kappa + 1/2)^2 / (pi (n + kappa) Gamma(n + 2 kappa))
+
+for n >= 1, and a Gamma(kappa + 1/2) / (sqrt(pi) Gamma(kappa + 1)) for n = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
 
 from .errors import ConsistencyError, NumericError
 from .polynomials import PolySpec, build_poly
 from .potential import PotentialParams, evaluate_potential, is_lattice_point, reduce_to_cell
 from .spectrum import SpectrumLine
 
-_NORM_ABS_TOL = 1e-12
 _NODE_ZERO_TOL = 1e-13
 _PARITY_TOL = 1e-10
 
@@ -73,17 +80,18 @@ def build_wavefunction(params: PotentialParams, line: SpectrumLine) -> Wavefunct
     poly = build_poly(params.s, line.n, line.edge)
     if abs(poly.lam - line.lam) > 1e-12 * max(1.0, line.lam):
         raise ConsistencyError("line lambda inconsistent with (s, n, edge)")
-    spec = WavefunctionSpec(line=line, poly=poly, params=params,
-                            b1=(1.0 - line.lam) / 2.0, norm=1.0)
-    norm_sq, err = quad(lambda x: _eval_raw(spec, np.asarray(x)) ** 2,
-                        0.0, params.a,
-                        points=[0.05 * params.a, 0.5 * params.a, 0.95 * params.a],
-                        epsabs=_NORM_ABS_TOL, epsrel=1e-12, limit=400)
-    if not (norm_sq > 0.0 and math.isfinite(norm_sq)):
-        raise NumericError(f"normalization integral failed: {norm_sq}")
-    if err > 1e-9 * norm_sq + 1e-12:
-        raise NumericError(f"normalization quadrature error too large: {err}")
-    return replace(spec, norm=1.0 / math.sqrt(norm_sq))
+    norm = 1.0 / math.sqrt(_raw_norm_sq(params.a, line.n, line.lam - line.n))
+    return WavefunctionSpec(line=line, poly=poly, params=params,
+                            b1=(1.0 - line.lam) / 2.0, norm=norm)
+
+
+def _raw_norm_sq(a: float, n: int, kappa: float) -> float:
+    """int_0^a psi_raw^2 dx by the closed form of the module docstring."""
+    g = math.lgamma(kappa + 0.5)
+    if n == 0:
+        return a * math.exp(g - math.lgamma(kappa + 1.0)) / math.sqrt(math.pi)
+    return a * math.exp((2.0 * kappa - 1.0) * math.log(2.0) + math.lgamma(n + 1.0) + 2.0 * g
+                        - math.lgamma(n + 2.0 * kappa)) / (math.pi * (n + kappa))
 
 
 def _eval_raw(spec: WavefunctionSpec, x):
@@ -140,9 +148,7 @@ def eval_psi_dd(spec: WavefunctionSpec, x):
     u = cs / sn
     lam = spec.line.lam
     w = np.pi / a
-    p = npoly.polyval(u, spec.poly.coeffs)
-    p1 = npoly.polyval(u, spec.poly.derivative(1))
-    p2 = npoly.polyval(u, spec.poly.derivative(2)) if spec.poly.n >= 2 else np.zeros_like(u)
+    p, p1, p2 = (npoly.polyval(u, spec.poly.derivative(k)) for k in range(3))
     dd = w * w * (
         lam * (lam - 1.0) * sn ** (lam - 2.0) * cs * cs * p
         - lam * sn**lam * p

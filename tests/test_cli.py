@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -228,6 +230,18 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         header = result.output.splitlines()[0]
         assert header == "n,edge,name,value,threshold,pass,observed"
+
+    def test_csv_floats_parse(self, runner):
+        # the FD levels are numpy floats; their cells must read as numbers
+        result = invoke(runner, ["verify", "--s", "2", "--n-max", "0",
+                                 "--format", "csv"])
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert "oracle_fd_rel_err" in {row["name"] for row in rows}
+        for row in rows:
+            float(row["value"])
+            float(row["threshold"])
+            if row["observed"]:
+                float(row["observed"])
 
     def test_report_carries_observed_quantities(self, runner):
         result = invoke(runner, ["verify", "--s", "2", "--n-max", "0",

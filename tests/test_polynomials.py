@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 import scarf
 from scarf import Edge
@@ -119,6 +120,24 @@ class TestRealRoots:
         (0.1, Edge.UPPER), (3.0, Edge.NOT_APPLICABLE),
     ])
     def test_root_count_equals_degree(self, s, edge):
-        for n in range(9):
+        for n in range(41):
             poly = scarf.build_poly(s, n, edge)
-            assert len(scarf.real_roots(poly)) == n
+            roots = scarf.real_roots(poly)
+            assert len(roots) == n
+            assert all(np.isfinite(roots)) and roots == sorted(roots)
+            if 2 <= n <= 12:
+                ref = _companion_roots(poly.coeffs)
+                assert np.all(np.abs(np.array(roots) - ref)
+                              <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def _companion_roots(coeffs):
+    """Reference roots: companion-matrix eigenvalues, one Newton step each."""
+    dcoef = npoly.polyder(coeffs)
+    out = []
+    for r in np.roots(coeffs[::-1]):
+        d = npoly.polyval(r, dcoef)
+        if d != 0:
+            r = r - npoly.polyval(r, coeffs) / d
+        out.append(r.real)
+    return np.sort(out)

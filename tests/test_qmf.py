@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import scarf
-from scarf import ChiFunction, ContourError, Edge
+from scarf import ChiFunction, ContourError, Edge, Parity
 from scarf.qmf import chi_parity_defect
+from scarf.spectrum import spectrum_line
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +144,28 @@ class TestReport:
                 lo, hi = scarf.fixed_pole_residue_candidates(line.lam)
                 assert b1.real == pytest.approx(lo, abs=1e-10)
                 assert abs(b1.real - hi) > 0.01
+
+
+class TestHighDegree:
+    @pytest.mark.parametrize("s,n,edge", [
+        (2.0, 21, Edge.NOT_APPLICABLE), (2.0, 22, Edge.NOT_APPLICABLE),
+        (2.0, 23, Edge.NOT_APPLICABLE), (2.0, 24, Edge.NOT_APPLICABLE),
+        (0.4, 18, Edge.UPPER), (0.4, 19, Edge.UPPER),
+    ])
+    def test_verify_probes_pass(self, s, n, edge):
+        # the probes of scarf verify, at its thresholds
+        params = scarf.PotentialParams(s=s)
+        line = spectrum_line(params, n, edge)
+        wf = scarf.build_wavefunction(params, line)
+        chi = ChiFunction.from_wavefunction(wf)
+        rep = scarf.residue_report(chi)
+        assert rep.sum_rule_defect <= 1e-9
+        assert abs(rep.b1_measured - line.b1) <= 1e-10
+        assert abs(rep.b1_measured - rep.b1_prime_measured) <= 1e-10
+        assert abs(rep.d1_measured - line.d1) <= 1e-10
+        assert rep.moving_pole_count == n
+        assert chi_parity_defect(chi) <= 1e-12
+        assert scarf.verify_riccati(chi) <= 1e-10 * (1.0 + line.lam**2)
+        assert scarf.count_nodes(wf) == n
+        assert scarf.parity(wf) is (Parity.EVEN if n % 2 == 0 else Parity.ODD)
+        assert abs(scarf.boundary_exponent(wf) - wf.boundary_power) <= 1e-3

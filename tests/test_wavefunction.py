@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -54,12 +56,22 @@ class TestBuildAndEval:
         assert list(flags) == [True, False]
 
     def test_normalization(self, bound_ground, band_states):
+        # the closed-form norm against adaptive quadrature, through n = 12
+        # in every regime, including the lambda = 0 fold at s = 1/2
         from scipy.integrate import quad
-        for wf in [bound_ground] + list(band_states.values()):
-            total, _ = quad(lambda x: scarf.eval_psi(wf, x) ** 2, 0.0, 1.0,
-                            points=[0.05, 0.5, 0.95], limit=400,
+        states = [bound_ground] + list(band_states.values())
+        for params in (scarf.PotentialParams(s=2.0), scarf.PotentialParams(s=0.4),
+                       scarf.PotentialParams(s=0.5),
+                       scarf.PotentialParams(s=2.37, a=2.5, m=0.7)):
+            states.extend(scarf.build_wavefunction(params, line)
+                          for line in scarf.spectrum_lines(params, 12))
+        assert len(states) == 5 + 13 * 6
+        for wf in states:
+            a = wf.params.a
+            total, _ = quad(lambda x: scarf.eval_psi(wf, x) ** 2, 0.0, a,
+                            points=[0.05 * a, 0.5 * a, 0.95 * a], limit=400,
                             epsabs=1e-13, epsrel=1e-13)
-            assert total == pytest.approx(1.0, abs=1e-9)
+            assert abs(total - 1.0) <= 1e-12, (wf.line, total)
 
     def test_consistency_guard(self, bound_params, band_params):
         line = scarf.bound_energy(bound_params, 0)
@@ -151,3 +163,12 @@ class TestSampling:
         assert np.allclose(cols["psi_squared"], cols["psi"] ** 2)
         peak = np.argmax(cols["psi"])
         assert cols["x"][peak] == pytest.approx(0.5, abs=2e-3)
+
+
+class TestImport:
+    def test_import_leaves_out_scipy_integrate(self):
+        # the norm is closed-form, so nothing in the package needs quadrature
+        code = "import sys, scarf; print('scipy.integrate' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.strip() == "False"
