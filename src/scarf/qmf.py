@@ -12,11 +12,18 @@ chi, and the Riccati equation
 
     chi^2 + chi' + (lambda^2 - 1)/(y^2+1)^2 + (1/4 - s^2)/(y^2+1) = 0.
 
-Trapezoid sums on circles are spectrally accurate for these analytic
-integrands; the rectangle used for the moving-pole count is discretized
-with composite Gauss-Legendre panels per side (a uniform rule on a contour
-with corners converges only algebraically and cannot reach the 1e-6
-integer-count contract).
+Every contour is an ellipse z(theta) = c + alpha e^(i theta) + beta
+e^(-i theta), with semi-axes rx = alpha + beta along the real axis and
+ry = alpha - beta across it, sampled by the N-point trapezoid rule in
+theta.  For these analytic integrands that rule converges geometrically
+(Trefethen and Weideman, SIAM Review 56 (2014) 385), at the rate set by
+how far the ellipse can shrink in its confocal family before it meets a
+pole.  On the residue circles (rx = ry) every other pole stays at least
+half a radius from the contour.  The moving-pole count needs a flat ellipse that holds the real roots and
+stays clear of +-i; its inner poles lie a distance of about ry/rx in
+theta from the contour, so N is the smallest power of two >= max(256,
+32 rx/ry): at least 32 such distances, an error near e^-32.  A contour
+with corners would converge only algebraically.
 
 Conventions: in the original momentum variable p = -i q the moving-pole
 residue reads -i hbar; after the variable changes used here it is +1, the
@@ -27,7 +34,6 @@ outside this package's scope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,10 @@ from .wavefunction import WavefunctionSpec
 
 _D0_TOL = 1e-10
 _COUNT_TOL = 1e-6
+_MIN_NODES = 256
+_FIXED_RADIUS = 0.4  # circles around +-i for b1 and b1'
+_COUNT_HALF_HEIGHT = 0.5  # semi-minor axis of the moving-pole ellipse
+_PROBE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -79,17 +89,28 @@ class ResidueReport:
     d1_measured: complex
     moving_pole_count: int
     sum_rule_defect: float
-    riccati_residual: float
 
 
-def contour_residue(chi: ChiFunction, center: complex, radius: float,
-                    samples: int = 256) -> complex:
+def _ellipse(center: complex, rx: float, ry: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid nodes z_k on the ellipse of the module docstring and
+    factors w_k = z'(theta_k) / i, so that mean(f(z) * w) approximates
+    (1/2 pi i) times the closed integral of f dz."""
+    nodes = _MIN_NODES
+    while nodes < 32.0 * rx / ry:
+        nodes *= 2
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    e = np.exp(1j * theta)
+    alpha, beta = 0.5 * (rx + ry), 0.5 * (rx - ry)
+    back = beta * e.conj()
+    return center + alpha * e + back, alpha * e - back
+
+
+def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex:
     """(1/2 pi i) closed circle integral of chi around one pole.
 
     The circle must isolate the target: any other pole within 1.5x the
-    radius is a contour error.  samples must be a power of two, >= 64.
+    radius is a contour error.
     """
-    _check_samples(samples)
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     for pole in chi.pole_locations():
@@ -98,35 +119,27 @@ def contour_residue(chi: ChiFunction, center: complex, radius: float,
             raise ContourError(
                 f"pole at {pole} within 1.5x radius of contour at {center}"
             )
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    ring = radius * np.exp(1j * theta)
-    return complex(np.mean(chi(center + ring) * ring))
+    z, w = _ellipse(center, radius, radius)
+    return complex(np.mean(chi(z) * w))
 
 
-def residue_at_infinity(chi: ChiFunction, radius: float | None = None,
-                        samples: int = 256) -> complex:
-    """d1 from a circle enclosing every finite pole.
+def residue_at_infinity(chi: ChiFunction) -> complex:
+    """d1 from a circle of radius 10 (1 + max|pole|), enclosing every
+    finite pole.
 
     Equals the sum of all finite residues; doubling the radius must
     reproduce it to 1e-9, and the circle average (the Laurent constant d0)
     must vanish to 1e-10, otherwise the assumed rational structure fails.
     """
-    _check_samples(samples)
-    max_pole = max(abs(p) for p in chi.pole_locations())
-    min_radius = 10.0 * (1.0 + max_pole)
-    if radius is None:
-        radius = min_radius
-    elif radius < min_radius:
-        raise ValueError(f"radius must be >= {min_radius} to enclose all poles")
-    theta = 2.0 * np.pi * np.arange(samples) / samples
+    radius = 10.0 * (1.0 + max(abs(p) for p in chi.pole_locations()))
     values = []
     for r in (radius, 2.0 * radius):
-        ring = r * np.exp(1j * theta)
-        vals = chi(ring)
+        z, w = _ellipse(0.0, r, r)
+        vals = chi(z)
         d0 = complex(np.mean(vals))
         if abs(d0) > _D0_TOL:
             raise NumericError(f"Laurent constant d0 = {d0} exceeds {_D0_TOL}")
-        values.append(complex(np.mean(vals * ring)))
+        values.append(complex(np.mean(vals * w)))
     if abs(values[0] - values[1]) > 1e-9 * (1.0 + abs(values[0])):
         raise NumericError(
             f"residue at infinity did not converge: {values[0]} vs {values[1]}"
@@ -134,88 +147,54 @@ def residue_at_infinity(chi: ChiFunction, radius: float | None = None,
     return values[0]
 
 
-def count_moving_poles(chi: ChiFunction, half_width: float | None = None,
-                       samples: int = 256) -> int:
-    """Number of moving poles on the real segment, by the argument
-    principle applied to the polynomial factor alone.
+def count_moving_poles(chi: ChiFunction) -> int:
+    """Number of moving poles on the real axis, by the argument principle
+    applied to the polynomial factor alone.
 
-    Rectangle [-Y, Y] x [-i/2, +i/2]; the half-height stays clear of the
-    fixed poles (irrelevant for P'/P but keeps the contour geometry tied
-    to the singularity layout).  Each side uses composite Gauss-Legendre
-    panels totalling `samples` nodes.
+    The ellipse has semi-axes 2 (1 + max|root|) + 1 along the real axis
+    and 1/2 across it: it holds every root and stays clear of the fixed
+    poles (irrelevant for P'/P, but it keeps the contour tied to the
+    singularity layout).
     """
-    _check_samples(samples)
-    roots = real_roots(chi.poly)
-    max_root = max((abs(r) for r in roots), default=0.0)
-    min_width = 2.0 * (1.0 + max_root)
-    if half_width is None:
-        half_width = min_width + 1.0
-    elif half_width <= min_width:
-        raise ValueError(f"half_width must exceed {min_width}")
-    dcoef = chi.poly.derivative(1)
-
-    def f(z):
-        return npoly.polyval(z, dcoef) / npoly.polyval(z, chi.poly.coeffs)
-
-    y = half_width
-    h = 0.5
-    corners = [-y - 1j * h, y - 1j * h, y + 1j * h, -y + 1j * h]
-    panels = 8
-    order = samples // panels
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    total = 0.0 + 0.0j
-    for i in range(4):
-        za, zb = corners[i], corners[(i + 1) % 4]
-        for p in range(panels):
-            pa = za + (zb - za) * (p / panels)
-            pb = za + (zb - za) * ((p + 1) / panels)
-            mid = 0.5 * (pa + pb)
-            half = 0.5 * (pb - pa)
-            total += np.sum(weights * f(mid + half * nodes)) * half
-    count = total / (2j * np.pi)
+    max_root = max((abs(r) for r in real_roots(chi.poly)), default=0.0)
+    z, w = _ellipse(0.0, 2.0 * (1.0 + max_root) + 1.0, _COUNT_HALF_HEIGHT)
+    p, p1 = (npoly.polyval(z, chi.poly.derivative(k)) for k in range(2))
+    count = complex(np.mean(p1 / p * w))
     nearest = round(count.real)
     if abs(count - nearest) > _COUNT_TOL:
         raise ContourError(f"argument-principle count {count} is not an integer")
     return int(nearest)
 
 
-def verify_riccati(chi: ChiFunction, grid=None, lam: float | None = None,
-                   s: float | None = None) -> float:
-    """Max |chi^2 + chi' + (lam^2-1)/(y^2+1)^2 + (1/4-s^2)/(y^2+1)| on a
-    real grid that keeps a margin >= 0.05 from every pole.
+def verify_riccati(chi: ChiFunction, lam: float | None = None) -> float:
+    """Max |chi^2 + chi' + (lam^2-1)/(y^2+1)^2 + (1/4-s^2)/(y^2+1)| on the
+    probe grid.
 
     Passing a different lam than the state's own is the intended negative
     control: the residual then reports the eigenvalue mismatch instead of
     vanishing.
     """
     lam = chi.lam if lam is None else lam
-    s = chi.s if s is None else s
-    if grid is None:
-        grid = _default_riccati_grid(chi)
-    ys = np.asarray(grid, dtype=float)
-    for pole in real_roots(chi.poly):
-        if np.any(np.abs(ys - pole) < 0.05):
-            raise ValueError("grid violates the 0.05 pole margin")
+    ys = _probe_grid(chi)
     val = chi(ys)
     dval = chi.derivative(ys)
     res = (val * val + dval
            + (lam**2 - 1.0) / (ys**2 + 1.0) ** 2
-           + (0.25 - s**2) / (ys**2 + 1.0))
+           + (0.25 - chi.s**2) / (ys**2 + 1.0))
     return float(np.abs(res).max())
 
 
-def _default_riccati_grid(chi: ChiFunction, n_points: int = 64) -> np.ndarray:
-    ys = np.linspace(-5.0, 5.0, n_points)
+def _probe_grid(chi: ChiFunction) -> np.ndarray:
+    """64 points on [-5, 5], less those within 0.06 of a moving pole."""
+    ys = np.linspace(-5.0, 5.0, _PROBE_POINTS)
     for pole in real_roots(chi.poly):
         ys = ys[np.abs(ys - pole) >= 0.06]
     return ys
 
 
-def chi_parity_defect(chi: ChiFunction, grid=None) -> float:
+def chi_parity_defect(chi: ChiFunction) -> float:
     """max |chi(-y) + chi(y)| / max |chi| on the probe grid (chi is odd)."""
-    if grid is None:
-        grid = _default_riccati_grid(chi)
-    ys = np.asarray(grid, dtype=float)
+    ys = _probe_grid(chi)
     plus = chi(ys)
     minus = chi(-ys)
     scale = np.abs(plus).max()
@@ -225,24 +204,16 @@ def chi_parity_defect(chi: ChiFunction, grid=None) -> float:
     return float(np.abs(minus + plus).max() / scale)
 
 
-def residue_report(chi: ChiFunction, fixed_radius: float = 0.4,
-                   samples: int = 256) -> ResidueReport:
+def residue_report(chi: ChiFunction) -> ResidueReport:
     """Measure all residues of a state and its sum-rule defect."""
-    b1 = contour_residue(chi, 1j, fixed_radius, samples)
-    b1p = contour_residue(chi, -1j, fixed_radius, samples)
-    d1 = residue_at_infinity(chi, samples=samples)
-    count = count_moving_poles(chi, samples=samples)
-    defect = abs(b1 + b1p + count - d1)
+    b1 = contour_residue(chi, 1j, _FIXED_RADIUS)
+    b1p = contour_residue(chi, -1j, _FIXED_RADIUS)
+    d1 = residue_at_infinity(chi)
+    count = count_moving_poles(chi)
     return ResidueReport(
         b1_measured=b1,
         b1_prime_measured=b1p,
         d1_measured=d1,
         moving_pole_count=count,
-        sum_rule_defect=float(defect),
-        riccati_residual=verify_riccati(chi),
+        sum_rule_defect=float(abs(b1 + b1p + count - d1)),
     )
-
-
-def _check_samples(samples: int) -> None:
-    if samples < 64 or samples & (samples - 1):
-        raise ValueError("samples must be a power of two, >= 64")

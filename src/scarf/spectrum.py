@@ -188,6 +188,8 @@ def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
     _check_level_index(n)
     lam, nu, d1 = level_parameters(params.s, n, edge)
     energy = math.pi**2 * lam**2 / (2.0 * params.m * params.a**2)
+    if not math.isfinite(energy):
+        raise ValueError(f"energy of level (n={n}, {edge.value}) leaves the float range")
     return SpectrumLine(
         n=n, regime=params.regime, edge=edge, lam=lam, energy=energy,
         nu1=nu, nu2=nu, b1=(1.0 - lam) / 2.0, d1=d1,

@@ -12,6 +12,7 @@ diffable and the CLI exit code is just "did every check pass".
 from __future__ import annotations
 
 import logging
+import math
 
 from .errors import RegimeError, ScarfError
 from .oracle import OracleResult, fd_bound_spectrum, scan_spectrum
@@ -43,6 +44,8 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     The shooting threshold is tol; the FD threshold is floored at its own
     discretization accuracy (1e-4 at the default grids).
     """
+    if n_max < 0 or not (0.0 < tol < math.inf):
+        raise ValueError(f"need n_max >= 0 and a finite tol > 0, got {n_max}, {tol}")
     if oracle not in ("shooting", "fd", "both"):
         raise ValueError(f"unknown oracle kind {oracle!r}")
     regime = params.regime

@@ -38,6 +38,11 @@ from .spectrum import SpectrumLine
 
 _NODE_ZERO_TOL = 1e-13
 _PARITY_TOL = 1e-10
+_NODE_SAMPLES = 512
+_PARITY_SAMPLES = 128
+_EXPONENT_POINTS = 32
+_RESIDUAL_POINTS = 200
+_RESIDUAL_MARGIN = 1e-3  # fraction of a left out at each wall
 
 
 class Parity(Enum):
@@ -159,38 +164,37 @@ def eval_psi_dd(spec: WavefunctionSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def count_nodes(spec: WavefunctionSpec, samples: int = 512) -> int:
+def count_nodes(spec: WavefunctionSpec) -> int:
     """Number of interior sign changes of psi over one open cell.
 
-    Samples a uniform open grid, drops values indistinguishable from zero
-    (below 1e-13 of the grid max), and counts the sign changes of the
-    rest.  Two adjacent near-zero samples mean the grid cannot resolve the
-    crossing and a NumericError asks for more resolution.
+    Samples a uniform open grid of 512 points, drops values
+    indistinguishable from zero (below 1e-13 of the grid max), and counts
+    the sign changes of the rest.  Two adjacent near-zero samples mean the
+    grid cannot resolve the crossing, a NumericError.
     """
-    if samples < 64:
-        raise ValueError("samples must be >= 64")
     a = spec.params.a
-    xs = a * np.arange(1, samples + 1) / (samples + 1.0)
+    xs = a * np.arange(1, _NODE_SAMPLES + 1) / (_NODE_SAMPLES + 1.0)
     vals = eval_psi(spec, xs)
     vmax = np.abs(vals).max()
     if vmax == 0.0:
         raise NumericError("psi vanished on the whole sampling grid")
     small = np.abs(vals) <= _NODE_ZERO_TOL * vmax
     if np.any(small[:-1] & small[1:]):
-        raise NumericError("adjacent near-zero samples: increase resolution")
+        raise NumericError("adjacent near-zero samples: a crossing is not resolved")
     signs = np.sign(vals[~small])
     return int(np.count_nonzero(signs[:-1] != signs[1:]))
 
 
-def boundary_exponent(spec: WavefunctionSpec, n_points: int = 32) -> float:
-    """Least-squares slope of log psi vs log x on x in [1e-5 a, 1e-3 a].
+def boundary_exponent(spec: WavefunctionSpec) -> float:
+    """Least-squares slope of log psi vs log x at 32 points of x in
+    [1e-5 a, 1e-3 a].
 
     The window auto-shrinks (moves up a decade) once if psi underflows in
     it; a still-degenerate window raises NumericError.
     """
     a = spec.params.a
     for lo, hi in ((1e-5 * a, 1e-3 * a), (1e-4 * a, 1e-2 * a)):
-        xs = np.geomspace(lo, hi, n_points)
+        xs = np.geomspace(lo, hi, _EXPONENT_POINTS)
         vals = np.abs(eval_psi(spec, xs))
         if np.all(vals > 0.0) and np.all(np.isfinite(np.log(vals))):
             slope = np.polyfit(np.log(xs), np.log(vals), 1)[0]
@@ -198,14 +202,14 @@ def boundary_exponent(spec: WavefunctionSpec, n_points: int = 32) -> float:
     raise NumericError("psi underflowed in every boundary-fit window")
 
 
-def parity(spec: WavefunctionSpec, samples: int = 128) -> Parity:
+def parity(spec: WavefunctionSpec) -> Parity:
     """Parity about the cell midpoint a/2; Even iff n is even.
 
     Measured, not assumed: the symmetric and antisymmetric defects are
-    compared against 1e-10 max|psi| on a probe grid.
+    compared against 1e-10 max|psi| on 128 points each side.
     """
     a = spec.params.a
-    us = a * (np.arange(1, samples + 1)) / (2.0 * (samples + 1.0))
+    us = a * (np.arange(1, _PARITY_SAMPLES + 1)) / (2.0 * (_PARITY_SAMPLES + 1.0))
     left = eval_psi(spec, a / 2.0 - us)
     right = eval_psi(spec, a / 2.0 + us)
     scale = max(np.abs(left).max(), np.abs(right).max())
@@ -220,16 +224,16 @@ def parity(spec: WavefunctionSpec, samples: int = 128) -> Parity:
     )
 
 
-def schrodinger_residual(spec: WavefunctionSpec, n_points: int = 200,
-                         margin: float = 1e-3) -> tuple[float, float]:
+def schrodinger_residual(spec: WavefunctionSpec) -> tuple[float, float]:
     """(max residual, tolerance scale) of the Schrodinger equation.
 
-    Residual -psi''/(2m) + (V - E) psi on n_points interior points
-    excluding a margin*a strip at each wall; scale is |E| max|psi| on the
-    grid, the natural comparison for relative statements.
+    Residual -psi''/(2m) + (V - E) psi on 200 interior points excluding a
+    1e-3 a strip at each wall; scale is |E| max|psi| on the grid, the
+    natural comparison for relative statements.
     """
     p = spec.params
-    xs = np.linspace(margin * p.a, (1.0 - margin) * p.a, n_points)
+    xs = np.linspace(_RESIDUAL_MARGIN * p.a, (1.0 - _RESIDUAL_MARGIN) * p.a,
+                     _RESIDUAL_POINTS)
     psi = eval_psi(spec, xs)
     dd = eval_psi_dd(spec, xs)
     res = -dd / (2.0 * p.m) + (evaluate_potential(p, xs) - spec.line.energy) * psi

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from scarf import PotentialParams, run_verification
 from scarf.cli import format_float, json_dumps, main
 
 
@@ -73,10 +74,12 @@ class TestSpectrumCommand:
         assert lines[1].startswith("0,,2.5,30.842513753404244,")
 
     def test_parameters_outside_float_range_exit_2(self, runner):
-        result = runner.invoke(main, ["spectrum", "--s", "2", "--m", "1e-320",
-                                      "--format", "csv"])
-        assert result.exit_code == 2
-        assert result.stdout == ""
+        # at m = 1e-306 v0 and the energy unit are finite, E_12 is not
+        for m in ("1e-320", "1e-306"):
+            result = runner.invoke(main, ["spectrum", "--s", "2", "--m", m,
+                                          "--n-max", "12", "--format", "csv"])
+            assert result.exit_code == 2
+            assert result.stdout == ""
 
     def test_invalid_s_exits_2(self, runner):
         for bad in ("-1", "0", "nan"):
@@ -198,6 +201,16 @@ class TestVerifyCommand:
         failing = [c for c in payload["checks"] if not c["pass"]]
         assert failing and all("value" in c for c in failing)
         assert "FAILED" in result.stderr
+
+    def test_non_finite_tol_exits_2(self, runner):
+        for bad in ("inf", "nan"):
+            for fmt in ("json", "csv"):
+                result = runner.invoke(main, ["verify", "--s", "2", "--n-max", "0",
+                                              "--tol", bad, "--format", fmt])
+                assert result.exit_code == 2, (bad, fmt, result.output)
+                assert result.stdout == ""
+        with pytest.raises(ValueError):
+            run_verification(PotentialParams(s=2.0), 0, tol=math.inf)
 
     def test_fd_oracle_rejected_in_band_regime(self, runner):
         result = invoke(runner, ["verify", "--s", "0.4", "--oracle", "fd"])
@@ -336,6 +349,13 @@ class TestNoTracebacks:
         st.floats(min_value=-1.0, max_value=1e300),
     )
     EDGES = st.sampled_from([None, "lower", "upper"])
+    SCALES = st.one_of(
+        st.sampled_from([1.0, 0.0, -1.0, float("nan"), float("inf"),
+                         1e-320, 1e-306, 1e200]),
+        st.floats(min_value=1e-320, max_value=1e300),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    LEVEL_COMMANDS = st.sampled_from(["spectrum", "bands", "wavefunction", "table1"])
 
     @staticmethod
     def check(args):
@@ -345,8 +365,7 @@ class TestNoTracebacks:
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(command=st.sampled_from(["spectrum", "bands", "wavefunction", "table1"]),
-           s=COUPLINGS, n=st.integers(0, 12), edge=EDGES,
+    @given(command=LEVEL_COMMANDS, s=COUPLINGS, n=st.integers(0, 12), edge=EDGES,
            fmt=st.sampled_from(["json", "csv"]))
     def test_level_commands(self, command, s, n, edge, fmt):
         args = [command, f"--s={s!r}", "--format", fmt]
@@ -359,6 +378,32 @@ class TestNoTracebacks:
             if command == "wavefunction":
                 args += ["--samples", "64"]
         self.check(args)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(command=LEVEL_COMMANDS, s=st.sampled_from([2.0, 0.4, 0.5]),
+           a=SCALES, m=SCALES, n=st.integers(0, 12), fmt=st.sampled_from(["json", "csv"]))
+    def test_scales(self, command, s, a, m, n, fmt):
+        args = [command, f"--s={s!r}", f"--a={a!r}", f"--m={m!r}", "--format", fmt]
+        args += ["--n-max" if command in ("spectrum", "bands") else "--n", str(n)]
+        if command in ("wavefunction", "table1") and s <= 0.5:
+            args += ["--edge", "lower"]
+        self.check(args)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(command=LEVEL_COMMANDS, s=COUPLINGS, a=SCALES, m=SCALES,
+           n=st.integers(0, 12), edge=EDGES, fmt=st.sampled_from(["json", "csv"]))
+    def test_config_file(self, command, s, a, m, n, edge, fmt):
+        cfg = {"s": s, "a": a, "m": m, "format": fmt}
+        if command in ("spectrum", "bands"):
+            cfg["n_max"] = n
+        else:
+            cfg.update(n=n, edge=edge)
+        with CliRunner().isolated_filesystem():
+            with open("cfg.json", "w") as fh:
+                json.dump(cfg, fh)  # nan and inf as NaN and Infinity
+            self.check([command, "--config", "cfg.json"])
 
     @settings(max_examples=60, deadline=None)
     @given(s=COUPLINGS, lam=st.floats(allow_nan=True, allow_infinity=True))

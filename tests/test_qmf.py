@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import scarf
@@ -40,12 +39,6 @@ class TestContourResidue:
         with pytest.raises(ContourError):
             scarf.contour_residue(lower1_chi, 1j, 0.8)
 
-    def test_sample_validation(self, bound_chi):
-        with pytest.raises(ValueError):
-            scarf.contour_residue(bound_chi, 1j, 0.3, samples=100)
-        with pytest.raises(ValueError):
-            scarf.contour_residue(bound_chi, 1j, 0.3, samples=32)
-
 
 class TestResidueAtInfinity:
     def test_bound_ground(self, bound_chi):
@@ -63,10 +56,6 @@ class TestResidueAtInfinity:
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(band_params, hi))
         # d1 = 2 b1 + n = (1 - 1.9) + 1 = 0.1 = (1 - 2s)/2
         assert scarf.residue_at_infinity(chi).real == pytest.approx(0.1, abs=1e-10)
-
-    def test_radius_validation(self, bound_chi):
-        with pytest.raises(ValueError):
-            scarf.residue_at_infinity(bound_chi, radius=2.0)
 
 
 class TestMovingPoleCount:
@@ -86,6 +75,18 @@ class TestMovingPoleCount:
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
         assert scarf.count_moving_poles(chi) == n
 
+    @pytest.mark.parametrize("s,edge", [
+        (0.05, Edge.LOWER), (0.05, Edge.UPPER),
+        (0.4, Edge.LOWER), (0.4, Edge.UPPER),
+        (0.5, Edge.LOWER), (0.5, Edge.UPPER),
+        (2.0, Edge.NOT_APPLICABLE), (8.0, Edge.NOT_APPLICABLE),
+    ])
+    def test_count_through_n40(self, s, edge):
+        params = scarf.PotentialParams(s=s)
+        for n in range(41):
+            wf = scarf.build_wavefunction(params, spectrum_line(params, n, edge))
+            assert scarf.count_moving_poles(ChiFunction.from_wavefunction(wf)) == n
+
 
 class TestRiccati:
     def test_valid_states_null_the_equation(self, bound_chi, lower1_chi):
@@ -96,10 +97,6 @@ class TestRiccati:
         # negative control: a wrong eigenvalue must light up the residual
         assert scarf.verify_riccati(bound_chi, lam=2.6) >= 1e-3
 
-    def test_grid_margin_enforced(self, lower1_chi):
-        with pytest.raises(ValueError):
-            scarf.verify_riccati(lower1_chi, grid=np.array([0.01]))
-
 
 class TestReport:
     def test_full_report_bound(self, bound_chi):
@@ -108,7 +105,7 @@ class TestReport:
         assert rep.b1_measured == pytest.approx(-0.75, abs=1e-10)
         assert rep.b1_prime_measured == pytest.approx(rep.b1_measured, abs=1e-10)
         assert rep.moving_pole_count == 0
-        assert rep.riccati_residual <= 1e-10 * (1.0 + 2.5**2)
+        assert scarf.verify_riccati(bound_chi) <= 1e-10 * (1.0 + 2.5**2)
 
     def test_chi_is_odd(self, bound_chi, lower1_chi):
         assert chi_parity_defect(bound_chi) <= 1e-12
@@ -151,6 +148,8 @@ class TestHighDegree:
         (2.0, 21, Edge.NOT_APPLICABLE), (2.0, 22, Edge.NOT_APPLICABLE),
         (2.0, 23, Edge.NOT_APPLICABLE), (2.0, 24, Edge.NOT_APPLICABLE),
         (0.4, 18, Edge.UPPER), (0.4, 19, Edge.UPPER),
+        (0.4, 13, Edge.LOWER), (0.4, 24, Edge.LOWER), (0.4, 40, Edge.LOWER),
+        (2.0, 34, Edge.NOT_APPLICABLE), (0.05, 24, Edge.LOWER), (0.5, 24, Edge.UPPER),
     ])
     def test_verify_probes_pass(self, s, n, edge):
         # the probes of scarf verify, at its thresholds

@@ -187,3 +187,24 @@ class TestLambdaOfEnergy:
         for e in (0.0, -1.0):
             with pytest.raises(ValueError):
                 scarf.lambda_of_energy(bound_params, e)
+
+
+class TestScaling:
+    """E m a^2 depends on s and the level alone: (a, m) only set the unit."""
+
+    @pytest.mark.parametrize("s", [2.0, 0.4])
+    @pytest.mark.parametrize("a, m", [(2.5, 0.7), (0.3, 4.0)])
+    def test_energy_times_m_a2_is_invariant(self, s, a, m):
+        ref = {(ln.n, ln.edge): ln.energy
+               for ln in scarf.spectrum_lines(scarf.PotentialParams(s=s), 2)}
+        params = scarf.PotentialParams(s=s, a=a, m=m)
+        lines = scarf.spectrum_lines(params, 2)
+        for ln in lines:
+            assert ln.energy * m * a**2 == pytest.approx(ref[ln.n, ln.edge], rel=1e-14)
+        found = {}
+        for res in scarf.scan_spectrum(params, 1.02 * max(ln.energy for ln in lines)):
+            if res.classification in ref:
+                found[res.classification] = res.energy * m * a**2
+        assert found.keys() == ref.keys()
+        for level, energy in found.items():
+            assert energy == pytest.approx(ref[level], rel=1e-10)

@@ -118,10 +118,6 @@ class TestStructure:
         assert scarf.count_nodes(scarf.build_wavefunction(band_params, lo8)) == 8
         assert scarf.count_nodes(scarf.build_wavefunction(band_params, hi8)) == 8
 
-    def test_count_nodes_validates_samples(self, bound_ground):
-        with pytest.raises(ValueError):
-            scarf.count_nodes(bound_ground, samples=32)
-
     def test_parity(self, bound_params):
         for n in range(4):
             wf = scarf.build_wavefunction(bound_params, scarf.bound_energy(bound_params, n))
