@@ -12,7 +12,6 @@ from .errors import (
     ConstructionError,
     ContourError,
     DegenerateRegimeError,
-    JacobiDegeneracyError,
     NumericError,
     RegimeError,
     ScarfError,
@@ -43,8 +42,6 @@ from .spectrum import (
 from .polynomials import (
     PolySpec,
     build_poly,
-    jacobi_eval,
-    jacobi_parameters,
     real_roots,
 )
 from .wavefunction import (
@@ -89,7 +86,7 @@ __all__ = [
     "infinity_residue_candidates", "admissible_d1", "enumerate_residue_sets",
     "band_edge_energies", "bound_energy", "free_particle_edges",
     "lambda_of_energy", "spectrum_lines",
-    "PolySpec", "build_poly", "jacobi_parameters", "jacobi_eval", "real_roots",
+    "PolySpec", "build_poly", "real_roots",
     "WavefunctionSpec", "Parity", "build_wavefunction", "eval_psi",
     "count_nodes", "boundary_exponent", "parity", "schrodinger_residual",
     "sample_wavefunction",
@@ -99,6 +96,6 @@ __all__ = [
     "count_moving_poles", "verify_riccati", "residue_report",
     "run_verification",
     "ScarfError", "SingularityError", "RegimeError", "DegenerateRegimeError",
-    "ConsistencyError", "ConstructionError", "JacobiDegeneracyError",
+    "ConsistencyError", "ConstructionError",
     "BracketError", "ContourError", "NumericError",
 ]

@@ -25,10 +25,6 @@ class ConstructionError(ScarfError):
     """Polynomial recurrence broke down (zero pivot)."""
 
 
-class JacobiDegeneracyError(ScarfError):
-    """Jacobi three-term recurrence degenerated for exceptional parameters."""
-
-
 class BracketError(ScarfError):
     """Matching function does not change sign on the supplied bracket."""
 

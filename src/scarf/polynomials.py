@@ -6,11 +6,12 @@ Every eigenfunction factors as psi(y) = (y^2+1)^(b1 - 1/2) P_n(y) with b1 =
     (y^2 + 1) P'' + (2 - 2 lambda) y P' + n (2 lambda - n - 1) P = 0,
 
 which covers both band-edge cases (lambda = n + 1/2 -+ s) and the bound
-case (lambda = n + 1/2 + s).  The primary construction is the two-term
+case (lambda = n + 1/2 + s).  The construction is the two-term
 coefficient recurrence of this ODE, which is unconditionally well defined
-here; the Jacobi identification P_n^(nu,nu)(-iy) with nu = -lambda is kept
-only as an independent cross-check, because standard Jacobi normalizations
-can degenerate at the negative parameter values this problem produces.
+here.  The Jacobi identification P_n^(nu,nu)(-iy) with nu = -lambda is not
+used: standard Jacobi normalizations can degenerate at the negative
+parameter values this problem produces, and the tests keep it only as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .errors import ConstructionError, JacobiDegeneracyError, RegimeError
-from .potential import Regime
+from .errors import ConstructionError
 from .spectrum import Edge, level_parameters
 
 
@@ -102,82 +102,6 @@ def build_poly(s: float, n: int, edge: Edge = Edge.NOT_APPLICABLE) -> PolySpec:
     return PolySpec(n=n, coeffs=coeffs, lam=lam, s=s, edge=edge)
 
 
-def jacobi_parameters(s: float, n: int, regime: Regime, edge: Edge) -> tuple[float, float]:
-    """Symmetric Jacobi parameters (nu, nu) of the eigen-polynomial:
-
-        band upper edge / bound level : nu = -n - s - 1/2
-        band lower edge               : nu = -n + s - 1/2
-    """
-    if regime is Regime.BOUND_STATES:
-        if edge is not Edge.NOT_APPLICABLE:
-            raise RegimeError("bound levels carry no edge tag")
-        nu = -n - s - 0.5
-    elif regime in (Regime.BANDS, Regime.FREE_PARTICLE):
-        if edge is Edge.UPPER:
-            nu = -n - s - 0.5
-        elif edge is Edge.LOWER:
-            nu = -n + s - 0.5
-        else:
-            raise RegimeError("band levels need edge=LOWER or edge=UPPER")
-    else:
-        raise RegimeError(f"unsupported regime {regime}")
-    return (nu, nu)
-
-
-def jacobi_eval(n: int, alpha: float, beta: float, t):
-    """Jacobi polynomial P_n^(alpha,beta)(t) by the degree recurrence.
-
-    Valid for general real parameters and complex argument.  Used only to
-    cross-check build_poly via P_n(-iy); raises JacobiDegeneracyError when
-    a recurrence denominator vanishes (exceptional negative parameters),
-    in which case the cross-check is skipped.
-    """
-    if n < 0:
-        raise ValueError("degree n must be non-negative")
-    if n == 0:
-        return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-    pkm1 = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-    pk = (alpha + 1.0) + (alpha + beta + 2.0) * (t - 1.0) / 2.0
-    for k in range(2, n + 1):
-        c1 = 2.0 * k * (k + alpha + beta) * (2.0 * k + alpha + beta - 2.0)
-        if c1 == 0.0:
-            raise JacobiDegeneracyError(
-                f"degenerate Jacobi recurrence at degree {k} for "
-                f"alpha={alpha}, beta={beta}"
-            )
-        c2 = (2.0 * k + alpha + beta - 1.0) * (alpha * alpha - beta * beta)
-        c3 = ((2.0 * k + alpha + beta - 1.0) * (2.0 * k + alpha + beta)
-              * (2.0 * k + alpha + beta - 2.0))
-        c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
-        pk, pkm1 = ((c2 + c3 * t) * pk - c4 * pkm1) / c1, pk
-    return pk
-
-
-def phase_stripped_jacobi(n: int, nu: float, y):
-    """i^n P_n^(nu,nu)(-iy), real for real y with symmetric parameters."""
-    val = (1j**n) * jacobi_eval(n, nu, nu, -1j * np.asarray(y, dtype=complex))
-    return val.real if isinstance(val, np.ndarray) else complex(val).real
-
-
 def real_roots(poly: PolySpec) -> list[float]:
     """All real roots of P_n, ascending: the n moving poles."""
     return list(poly.roots)
-
-
-_RESIDUAL_GRID = 5.0 * np.cos(np.pi * (np.arange(64) + 0.5) / 64.0)  # Chebyshev points
-_RESIDUAL_GRID.setflags(write=False)
-
-
-def ode_residual(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
-    """Max absolute residual of the defining ODE on a Chebyshev grid,
-    normalized by nothing (caller compares against max |P| on the grid)."""
-    ys = np.asarray(ys, dtype=float)
-    p, p1, p2 = (npoly.polyval(ys, poly.derivative(k)) for k in range(3))
-    lam, n = poly.lam, poly.n
-    res = (ys**2 + 1.0) * p2 + (2.0 - 2.0 * lam) * ys * p1 + n * (2.0 * lam - n - 1.0) * p
-    return float(np.abs(res).max())
-
-
-def poly_scale(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
-    """max |P| on the residual grid, the natural residual normalization."""
-    return float(np.abs(poly(np.asarray(ys, dtype=float))).max())

@@ -1,21 +1,23 @@
 """Assembly, normalization, and sampling of eigenfunctions.
 
-In the cot variable every eigenfunction is psi(y) = (y^2+1)^(b1-1/2) P_n(y)
-with b1 = (1-lambda)/2, i.e. (y^2+1)^(-lambda/2) P_n(y).  Back in x, with
-sn = sin(pi x / a) and cs = cos(pi x / a),
+With theta = pi x / a and kappa = lambda - n, every eigenfunction is the
+Gegenbauer form of Cooper, Khare and Sukhatme, Phys. Rep. 251 (1995) 267:
 
-    psi(x) = sn^(lambda - n) * sum_k c_k cs^k sn^(n-k)
+    psi(x) = sin^kappa(theta) R_n^kappa(cos theta),    R_n^kappa = C_n^kappa / C_n^kappa(1),
 
-because (y^2+1)^(-lambda/2) = sn^lambda and sn^n P_n(cot) is a polynomial
-in (cs, sn).  This trig form stays bounded arbitrarily close to the walls
-where cot itself overflows.  The boundary exponent lambda - n equals
-1/2 + s for bound and upper-edge states and 1/2 - s for lower edges, so
-psi -> 0 at every lattice point in both regimes.
+which is sin^lambda(theta) P_n(cot theta) with P_n monic.  The boundary
+exponent kappa equals 1/2 + s for bound and upper-edge states and 1/2 - s
+for lower edges, so psi -> 0 at every lattice point in both regimes.  R is
+evaluated by the normalised three-term recurrence (DLMF 18.9.1)
 
-With kappa = lambda - n the sum is C_n^kappa(cs) / C_n^kappa(1), P_n being
-monic: the Gegenbauer form of Cooper, Khare and Sukhatme, Phys. Rep. 251
-(1995) 267.  Its norm and Legendre duplication give int_0^a psi^2 dx in
-closed form, finite at kappa = 0:
+    R_0 = 1,  R_1 = t,  R_{k+1} = (2 (k + kappa) t R_k - k R_{k-1}) / (k + 2 kappa),
+
+finite at kappa = 0 (the s = 1/2 lower edges), and differentiated by
+dR_n^kappa/dt = n (n + 2 kappa) / (2 kappa + 1) R_{n-1}^(kappa+1) (DLMF
+18.9.19).  The node count and boundary fit read R and log sin directly, so
+they neither threshold zeros nor underflow in the sin^kappa tails.  The norm
+of C_n^kappa and Legendre duplication give int_0^a psi^2 dx in closed form,
+finite at kappa = 0:
 
     a 2^(2 kappa - 1) n! Gamma(kappa + 1/2)^2 / (pi (n + kappa) Gamma(n + 2 kappa))
 
@@ -29,14 +31,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ConsistencyError, NumericError
 from .polynomials import PolySpec, build_poly
 from .potential import PotentialParams, evaluate_potential, is_lattice_point, reduce_to_cell
 from .spectrum import SpectrumLine
 
-_NODE_ZERO_TOL = 1e-13
 _PARITY_TOL = 1e-10
 _NODE_SAMPLES = 512
 _PARITY_SAMPLES = 128
@@ -99,107 +99,90 @@ def _raw_norm_sq(a: float, n: int, kappa: float) -> float:
                         - math.lgamma(n + 2.0 * kappa)) / (math.pi * (n + kappa))
 
 
-def _eval_raw(spec: WavefunctionSpec, x):
-    """Unnormalized psi via the overflow-free trig-polynomial form."""
+def _ratio(n: int, kappa: float, t):
+    """R_n^kappa(t) = C_n^kappa(t) / C_n^kappa(1) by the recurrence of the
+    module docstring."""
+    prev, cur = np.ones_like(t), t
+    if n == 0:
+        return prev
+    for k in range(1, n):
+        prev, cur = cur, (2.0 * (k + kappa) * t * cur - k * prev) / (k + 2.0 * kappa)
+    return cur
+
+
+def _angle(spec: WavefunctionSpec, x):
+    """theta = pi x / a with x reduced to the cell [0, a)."""
     a = spec.params.a
-    r = reduce_to_cell(x, a)
-    z = np.pi * r / a
-    sn = np.sin(z)
-    cs = np.cos(z)
-    n = spec.poly.n
-    trig_poly = np.zeros_like(sn)
-    for k in range(n + 1):
-        ck = spec.poly.coeffs[k]
-        if ck != 0.0:
-            trig_poly = trig_poly + ck * cs**k * sn ** (n - k)
-    return sn ** (spec.line.lam - n) * trig_poly
+    return np.pi * reduce_to_cell(np.asarray(x, dtype=float), a) / a
 
 
-def eval_psi(spec: WavefunctionSpec, x, return_boundary: bool = False):
+def eval_psi(spec: WavefunctionSpec, x):
     """Normalized psi(x); scalar in, scalar out (arrays likewise).
 
     Lattice points evaluate to exactly 0.0: psi extends continuously to
-    zero at the walls in both regimes (boundary exponent > 0).  With
-    return_boundary=True the result is (value, flag) where flag marks the
-    points that hit a lattice wall.
+    zero at the walls in both regimes (boundary exponent > 0).
     """
     x = np.asarray(x, dtype=float)
-    lattice = is_lattice_point(x, spec.params.a)
-    if x.ndim == 0:
-        value = 0.0 if lattice else float(spec.norm * _eval_raw(spec, x))
-        return (value, bool(lattice)) if return_boundary else value
-    out = np.where(lattice, 0.0,
-                   spec.norm * _eval_raw(spec, np.where(lattice, 0.5 * spec.params.a, x)))
-    return (out, lattice) if return_boundary else out
+    z = _angle(spec, x)
+    n, kappa = spec.line.n, spec.boundary_power
+    out = np.where(is_lattice_point(x, spec.params.a), 0.0,
+                   spec.norm * np.sin(z) ** kappa * _ratio(n, kappa, np.cos(z)))
+    return float(out) if out.ndim == 0 else out
 
 
 def eval_psi_dd(spec: WavefunctionSpec, x):
-    """Analytic second derivative of psi, for residual checks.
+    """Second derivative of psi, for residual checks.
 
-    Differentiates psi = sn^lambda P(cot) twice in z = pi x / a:
+    With S = sin theta, C = cos theta, t = C and R' = dR/dt, twice in theta:
 
-        psi'' = w^2 [ lam(lam-1) sn^(lam-2) cs^2 P - lam sn^lam P
-                      - (2 lam - 2) sn^(lam-3) cs P' + sn^(lam-4) P'' ]
+        d2/dtheta2 [S^k R] = S^(k-2) [k (k-1) R - k^2 S^2 R - (2k+1) S^2 C R' + S^4 R'']
 
-    Uses cot directly, so keep x away from walls by a margin (the residual
-    grid excludes 1e-3 a); elsewhere prefer eval_psi.
+    R' and R'' come from the derivative identity of the module docstring,
+    not from the Gegenbauer ODE, so the Schrodinger residual stays an
+    independent check.  Unbounded at the walls for most kappa < 2; the
+    residual grid keeps 1e-3 a away from them.
     """
-    x = np.asarray(x, dtype=float)
-    a = spec.params.a
-    r = reduce_to_cell(x, a)
-    z = np.pi * r / a
-    sn = np.sin(z)
-    cs = np.cos(z)
-    u = cs / sn
-    lam = spec.line.lam
-    w = np.pi / a
-    p, p1, p2 = (npoly.polyval(u, spec.poly.derivative(k)) for k in range(3))
-    dd = w * w * (
-        lam * (lam - 1.0) * sn ** (lam - 2.0) * cs * cs * p
-        - lam * sn**lam * p
-        - (2.0 * lam - 2.0) * sn ** (lam - 3.0) * cs * p1
-        + sn ** (lam - 4.0) * p2
-    )
-    out = spec.norm * dd
+    z = _angle(spec, x)
+    sn, t = np.sin(z), np.cos(z)
+    n, k = spec.line.n, spec.boundary_power
+    r = _ratio(n, k, t)
+    d1 = n * (n + 2.0 * k) / (2.0 * k + 1.0)
+    r1 = d1 * _ratio(n - 1, k + 1.0, t) if n >= 1 else 0.0
+    d2 = d1 * (n - 1) * (n + 2.0 * k + 1.0) / (2.0 * k + 3.0)
+    r2 = d2 * _ratio(n - 2, k + 2.0, t) if n >= 2 else 0.0
+    s2 = sn * sn
+    w = np.pi / spec.params.a
+    out = spec.norm * w * w * sn ** (k - 2.0) * (
+        k * (k - 1.0) * r - k * k * s2 * r - (2.0 * k + 1.0) * s2 * t * r1 + s2 * s2 * r2)
     return float(out) if out.ndim == 0 else out
 
 
 def count_nodes(spec: WavefunctionSpec) -> int:
     """Number of interior sign changes of psi over one open cell.
 
-    Samples a uniform open grid of 512 points, drops values
-    indistinguishable from zero (below 1e-13 of the grid max), and counts
-    the sign changes of the rest.  Two adjacent near-zero samples mean the
-    grid cannot resolve the crossing, a NumericError.
+    sign(psi) = sign(R_n^kappa(cos theta)) inside the cell, so this counts
+    the sign changes of R on a uniform open grid of 512 points, skipping
+    samples that are exactly zero.
     """
-    a = spec.params.a
-    xs = a * np.arange(1, _NODE_SAMPLES + 1) / (_NODE_SAMPLES + 1.0)
-    vals = eval_psi(spec, xs)
-    vmax = np.abs(vals).max()
-    if vmax == 0.0:
-        raise NumericError("psi vanished on the whole sampling grid")
-    small = np.abs(vals) <= _NODE_ZERO_TOL * vmax
-    if np.any(small[:-1] & small[1:]):
-        raise NumericError("adjacent near-zero samples: a crossing is not resolved")
-    signs = np.sign(vals[~small])
+    z = np.pi * np.arange(1, _NODE_SAMPLES + 1) / (_NODE_SAMPLES + 1.0)
+    signs = np.sign(_ratio(spec.line.n, spec.boundary_power, np.cos(z)))
+    signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[:-1] != signs[1:]))
 
 
 def boundary_exponent(spec: WavefunctionSpec) -> float:
-    """Least-squares slope of log psi vs log x at 32 points of x in
-    [1e-5 a, 1e-3 a].
+    """Least-squares slope of log|psi| vs log x at 32 points of x in
+    [1e-5, 1e-3] a / (n + 1).
 
-    The window auto-shrinks (moves up a decade) once if psi underflows in
-    it; a still-degenerate window raises NumericError.
+    log|psi| is fitted as kappa log sin(theta) + log|R| (the norm only
+    shifts it), which cannot underflow; the window shrinks with n so that
+    R's own curvature stays far below the 1e-3 check tolerance.
     """
-    a = spec.params.a
-    for lo, hi in ((1e-5 * a, 1e-3 * a), (1e-4 * a, 1e-2 * a)):
-        xs = np.geomspace(lo, hi, _EXPONENT_POINTS)
-        vals = np.abs(eval_psi(spec, xs))
-        if np.all(vals > 0.0) and np.all(np.isfinite(np.log(vals))):
-            slope = np.polyfit(np.log(xs), np.log(vals), 1)[0]
-            return float(slope)
-    raise NumericError("psi underflowed in every boundary-fit window")
+    a, n, kappa = spec.params.a, spec.line.n, spec.boundary_power
+    xs = np.geomspace(1e-5 * a / (n + 1), 1e-3 * a / (n + 1), _EXPONENT_POINTS)
+    z = _angle(spec, xs)
+    logs = kappa * np.log(np.sin(z)) + np.log(np.abs(_ratio(n, kappa, np.cos(z))))
+    return float(np.polyfit(np.log(xs), logs, 1)[0])
 
 
 def parity(spec: WavefunctionSpec) -> Parity:

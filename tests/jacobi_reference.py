@@ -1,0 +1,93 @@
+"""Independent references for P_n, used only by the tests.
+
+P_n is, up to a constant, i^n P_n^(nu,nu)(-iy), the symmetric Jacobi
+polynomial with nu = -lambda; the package builds it by its own two-term
+recurrence instead.  The Jacobi degree recurrence and the defining ODE
+residual below check that construction from outside it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from scarf import Edge, PolySpec, Regime, RegimeError, ScarfError
+
+
+class JacobiDegeneracyError(ScarfError):
+    """Jacobi three-term recurrence degenerated for exceptional parameters."""
+
+
+def jacobi_parameters(s: float, n: int, regime: Regime, edge: Edge) -> tuple[float, float]:
+    """Symmetric Jacobi parameters (nu, nu) of the eigen-polynomial:
+
+        band upper edge / bound level : nu = -n - s - 1/2
+        band lower edge               : nu = -n + s - 1/2
+    """
+    if regime is Regime.BOUND_STATES:
+        if edge is not Edge.NOT_APPLICABLE:
+            raise RegimeError("bound levels carry no edge tag")
+        nu = -n - s - 0.5
+    elif regime in (Regime.BANDS, Regime.FREE_PARTICLE):
+        if edge is Edge.UPPER:
+            nu = -n - s - 0.5
+        elif edge is Edge.LOWER:
+            nu = -n + s - 0.5
+        else:
+            raise RegimeError("band levels need edge=LOWER or edge=UPPER")
+    else:
+        raise RegimeError(f"unsupported regime {regime}")
+    return (nu, nu)
+
+
+def jacobi_eval(n: int, alpha: float, beta: float, t):
+    """Jacobi polynomial P_n^(alpha,beta)(t) by the degree recurrence.
+
+    Valid for general real parameters and complex argument; raises
+    JacobiDegeneracyError when a recurrence denominator vanishes
+    (exceptional negative parameters).
+    """
+    if n < 0:
+        raise ValueError("degree n must be non-negative")
+    if n == 0:
+        return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    pkm1 = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    pk = (alpha + 1.0) + (alpha + beta + 2.0) * (t - 1.0) / 2.0
+    for k in range(2, n + 1):
+        c1 = 2.0 * k * (k + alpha + beta) * (2.0 * k + alpha + beta - 2.0)
+        if c1 == 0.0:
+            raise JacobiDegeneracyError(
+                f"degenerate Jacobi recurrence at degree {k} for "
+                f"alpha={alpha}, beta={beta}"
+            )
+        c2 = (2.0 * k + alpha + beta - 1.0) * (alpha * alpha - beta * beta)
+        c3 = ((2.0 * k + alpha + beta - 1.0) * (2.0 * k + alpha + beta)
+              * (2.0 * k + alpha + beta - 2.0))
+        c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
+        pk, pkm1 = ((c2 + c3 * t) * pk - c4 * pkm1) / c1, pk
+    return pk
+
+
+def phase_stripped_jacobi(n: int, nu: float, y):
+    """i^n P_n^(nu,nu)(-iy), real for real y with symmetric parameters."""
+    val = (1j**n) * jacobi_eval(n, nu, nu, -1j * np.asarray(y, dtype=complex))
+    return val.real if isinstance(val, np.ndarray) else complex(val).real
+
+
+_RESIDUAL_GRID = 5.0 * np.cos(np.pi * (np.arange(64) + 0.5) / 64.0)  # Chebyshev points
+_RESIDUAL_GRID.setflags(write=False)
+
+
+def ode_residual(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
+    """Max absolute residual of the defining ODE on a Chebyshev grid,
+    normalized by nothing (caller compares against max |P| on the grid)."""
+    ys = np.asarray(ys, dtype=float)
+    p, p1, p2 = (npoly.polyval(ys, poly.derivative(k)) for k in range(3))
+    lam, n = poly.lam, poly.n
+    res = (ys**2 + 1.0) * p2 + (2.0 - 2.0 * lam) * ys * p1 + n * (2.0 * lam - n - 1.0) * p
+    return float(np.abs(res).max())
+
+
+def poly_scale(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
+    """max |P| on the residual grid, the natural residual normalization."""
+    return float(np.abs(poly(np.asarray(ys, dtype=float))).max())

@@ -10,8 +10,28 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scarf import PotentialParams, run_verification
+from scarf import NumericError, PotentialParams, run_verification
 from scarf.cli import format_float, json_dumps, main
+
+
+# Runs the CLI with scarf.verify's node-count probe replaced by one that
+# raises NumericError, so the probe-error path has a trigger.
+_FAILING_NODE_PROBE = """
+import sys
+import scarf.verify
+from scarf.cli import main
+from scarf.errors import NumericError
+
+def count_nodes(wf):
+    raise NumericError("node count not resolved")
+
+scarf.verify.count_nodes = count_nodes
+main(sys.argv[1:])
+"""
+
+
+def _raise_numeric_error(wf):
+    raise NumericError("node count not resolved")
 
 
 @pytest.fixture()
@@ -223,9 +243,9 @@ class TestVerifyCommand:
         assert json.loads(result.stdout)["summary"]["all_pass"] is True
 
     def test_probe_error_is_a_failing_check(self):
-        # count_nodes cannot resolve the s=8 ground state; the report must
-        # still be written, with the failure as a check entry
-        cmd = [sys.executable, "-m", "scarf.cli", "verify", "--s", "8",
+        # a probe that raises must not stop the report: it is written, with
+        # the failure as a check entry
+        cmd = [sys.executable, "-c", _FAILING_NODE_PROBE, "verify", "--s", "8",
                "--n-max", "0", "--oracle", "fd"]
         run = subprocess.run(cmd, capture_output=True)
         assert run.returncode == 1
@@ -236,6 +256,12 @@ class TestVerifyCommand:
         assert payload["summary"]["all_pass"] is False
         assert b"NumericError" in run.stderr
         assert b"Traceback" not in run.stderr
+
+    def test_large_coupling_passes(self, runner):
+        # the sin^(s+1/2) tails of s = 8 leave every probe resolvable
+        result = invoke(runner, ["verify", "--s", "8", "--n-max", "2"])
+        assert result.exit_code == 0, result.stderr
+        assert json.loads(result.stdout)["summary"]["all_pass"] is True
 
     def test_csv_report(self, runner):
         result = invoke(runner, ["verify", "--s", "2", "--n-max", "0",
@@ -312,7 +338,8 @@ class TestLogging:
         json.loads(run.stdout)  # data stream stays clean
         assert b"spectrum: s=2" in run.stderr
 
-    def test_each_invocation_logs_to_its_stderr(self):
+    def test_each_invocation_logs_to_its_stderr(self, monkeypatch):
+        monkeypatch.setattr("scarf.verify.count_nodes", _raise_numeric_error)
         args = ["verify", "--s", "8", "--n-max", "0", "--oracle", "fd"]
         for _ in range(2):
             result = CliRunner().invoke(main, args)

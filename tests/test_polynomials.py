@@ -6,8 +6,15 @@ from numpy.polynomial import polynomial as npoly
 
 import scarf
 from scarf import Edge
-from scarf.polynomials import ode_residual, phase_stripped_jacobi, poly_scale
 from scarf.potential import Regime
+
+from jacobi_reference import (
+    jacobi_eval,
+    jacobi_parameters,
+    ode_residual,
+    phase_stripped_jacobi,
+    poly_scale,
+)
 
 
 class TestBuildPoly:
@@ -54,27 +61,27 @@ class TestBuildPoly:
 
 class TestJacobiParameters:
     def test_examples(self):
-        assert scarf.jacobi_parameters(0.4, 0, Regime.BANDS, Edge.UPPER) == (-0.9, -0.9)
-        assert scarf.jacobi_parameters(2.0, 0, Regime.BOUND_STATES,
-                                       Edge.NOT_APPLICABLE) == (-2.5, -2.5)
+        assert jacobi_parameters(0.4, 0, Regime.BANDS, Edge.UPPER) == (-0.9, -0.9)
+        assert jacobi_parameters(2.0, 0, Regime.BOUND_STATES,
+                                 Edge.NOT_APPLICABLE) == (-2.5, -2.5)
         # lower edge: nu = -n + s - 1/2
-        nu1, nu2 = scarf.jacobi_parameters(0.4, 1, Regime.BANDS, Edge.LOWER)
+        nu1, nu2 = jacobi_parameters(0.4, 1, Regime.BANDS, Edge.LOWER)
         assert nu1 == nu2 == pytest.approx(-1.1, rel=1e-15)
 
     def test_matches_spectrum_lines(self, bound_params, band_params):
         for params in (bound_params, band_params):
             for ln in scarf.spectrum_lines(params, 3):
-                nu1, nu2 = scarf.jacobi_parameters(params.s, ln.n, ln.regime, ln.edge)
+                nu1, nu2 = jacobi_parameters(params.s, ln.n, ln.regime, ln.edge)
                 assert (nu1, nu2) == (pytest.approx(ln.nu1), pytest.approx(ln.nu2))
 
 
 class TestJacobiEval:
     def test_degree_zero(self):
-        assert scarf.jacobi_eval(0, -0.3, 1.2, 0.7) == 1.0
+        assert jacobi_eval(0, -0.3, 1.2, 0.7) == 1.0
 
     def test_degree_one_symmetric(self):
         for alpha, t in ((-0.9, 0.3), (2.0, -1.5), (-2.5, 0.01)):
-            assert scarf.jacobi_eval(1, alpha, alpha, t) == pytest.approx(
+            assert jacobi_eval(1, alpha, alpha, t) == pytest.approx(
                 (alpha + 1.0) * t, rel=1e-14)
 
     def test_proportional_to_recurrence_poly(self):
@@ -88,7 +95,7 @@ class TestJacobiEval:
         ]
         for s, n, edge, regime in cases:
             poly = scarf.build_poly(s, n, edge)
-            nu, _ = scarf.jacobi_parameters(s, n, regime, edge)
+            nu, _ = jacobi_parameters(s, n, regime, edge)
             ys = np.array([0.5, 1.0, 2.0])
             ours = poly(ys)
             jac = phase_stripped_jacobi(n, nu, ys)
@@ -99,7 +106,7 @@ class TestJacobiEval:
         # with symmetric parameters, i^n P_n(-iy) has vanishing imaginary part
         for n, nu in ((3, -3.9), (5, -5.5 - 0.4), (4, -6.5)):
             ys = np.linspace(-4, 4, 17)
-            val = (1j**n) * scarf.jacobi_eval(n, nu, nu, -1j * ys.astype(complex))
+            val = (1j**n) * jacobi_eval(n, nu, nu, -1j * ys.astype(complex))
             assert np.abs(val.imag).max() <= 1e-12 * max(1.0, np.abs(val.real).max())
 
 
