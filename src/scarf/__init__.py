@@ -62,7 +62,6 @@ from .oracle import (
     ShootingConfig,
     fd_bound_spectrum,
     find_eigen,
-    predicted_family,
     scan_spectrum,
     shoot,
 )
@@ -75,7 +74,7 @@ from .qmf import (
     residue_report,
     verify_riccati,
 )
-from .verify import run_verification
+from .verify import predicted_family, run_verification
 
 __version__ = "0.1.0"
 

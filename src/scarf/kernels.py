@@ -1,8 +1,8 @@
 """Hot numeric kernel for the shooting oracle.
 
-The inner loop of the oracle integrates
+The inner loop of the oracle integrates the dimensionless equation
 
-    u''(x) = (pot_coeff / sin^2(omega x) - two_m_e) u(x)
+    u''(z) = (pot_coeff / sin^2(z) - lam2) u(z),    z = pi x / a,
 
 with an adaptive Dormand-Prince 5(4) stepper in plain scalar Python.  It
 also counts the sign changes of u over its accepted steps; by Sturm
@@ -53,23 +53,20 @@ _E6 = 11.0 / 84.0 - 187.0 / 2100.0
 _E7 = -1.0 / 40.0
 
 
-def shoot_halfcell(pot_coeff, two_m_e, omega, x0, u0, v0, x_end,
+def shoot_halfcell(pot_coeff, lam2, x0, u0, v0, x_end,
                    rtol, atol, max_steps):
     """Integrate (u, u') from x0 to x_end; see module docstring for the ODE.
 
     Parameters
     ----------
     pot_coeff : float
-        Coefficient of 1/sin^2(omega x) in 2m V(x), i.e.
-        -(1/4 - s^2) pi^2 / a^2.
-    two_m_e : float
-        2 m E.
-    omega : float
-        pi / a.
+        Coefficient of 1/sin^2(z), i.e. -(1/4 - s^2).
+    lam2 : float
+        lambda^2 = E / (pi^2 / (2 m a^2)).
     x0, u0, v0 : float
-        Start abscissa and state (u, u') there.
+        Start point in z and state (u, u_z) there.
     x_end : float
-        End abscissa (the cell midpoint for the matching oracle).
+        End point in z (the cell midpoint pi/2 for the matching oracle).
     rtol, atol : float
         Per-step error control; atol should be tiny so control is
         effectively relative (the overall scale of u is arbitrary).
@@ -104,48 +101,48 @@ def shoot_halfcell(pot_coeff, two_m_e, omega, x0, u0, v0, x_end,
             h = x_end - x
             final = True
 
-        sx = math.sin(omega * x)
-        g1 = pot_coeff / (sx * sx) - two_m_e
+        sx = math.sin(x)
+        g1 = pot_coeff / (sx * sx) - lam2
         ku1 = v
         kv1 = g1 * u
 
         x2 = x + _C2 * h
         u2 = u + h * (_A21 * ku1)
         v2 = v + h * (_A21 * kv1)
-        sx = math.sin(omega * x2)
-        g2 = pot_coeff / (sx * sx) - two_m_e
+        sx = math.sin(x2)
+        g2 = pot_coeff / (sx * sx) - lam2
         ku2 = v2
         kv2 = g2 * u2
 
         x3 = x + _C3 * h
         u3 = u + h * (_A31 * ku1 + _A32 * ku2)
         v3 = v + h * (_A31 * kv1 + _A32 * kv2)
-        sx = math.sin(omega * x3)
-        g3 = pot_coeff / (sx * sx) - two_m_e
+        sx = math.sin(x3)
+        g3 = pot_coeff / (sx * sx) - lam2
         ku3 = v3
         kv3 = g3 * u3
 
         x4 = x + _C4 * h
         u4 = u + h * (_A41 * ku1 + _A42 * ku2 + _A43 * ku3)
         v4 = v + h * (_A41 * kv1 + _A42 * kv2 + _A43 * kv3)
-        sx = math.sin(omega * x4)
-        g4 = pot_coeff / (sx * sx) - two_m_e
+        sx = math.sin(x4)
+        g4 = pot_coeff / (sx * sx) - lam2
         ku4 = v4
         kv4 = g4 * u4
 
         x5 = x + _C5 * h
         u5 = u + h * (_A51 * ku1 + _A52 * ku2 + _A53 * ku3 + _A54 * ku4)
         v5 = v + h * (_A51 * kv1 + _A52 * kv2 + _A53 * kv3 + _A54 * kv4)
-        sx = math.sin(omega * x5)
-        g5 = pot_coeff / (sx * sx) - two_m_e
+        sx = math.sin(x5)
+        g5 = pot_coeff / (sx * sx) - lam2
         ku5 = v5
         kv5 = g5 * u5
 
         x6 = x + h
         u6 = u + h * (_A61 * ku1 + _A62 * ku2 + _A63 * ku3 + _A64 * ku4 + _A65 * ku5)
         v6 = v + h * (_A61 * kv1 + _A62 * kv2 + _A63 * kv3 + _A64 * kv4 + _A65 * kv5)
-        sx = math.sin(omega * x6)
-        g6 = pot_coeff / (sx * sx) - two_m_e
+        sx = math.sin(x6)
+        g6 = pot_coeff / (sx * sx) - lam2
         ku6 = v6
         kv6 = g6 * u6
 

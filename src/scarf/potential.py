@@ -59,9 +59,8 @@ class PotentialParams:
         if not (math.isfinite(self.m) and self.m > 0.0):
             raise ValueError(f"mass m must be a positive finite real, got {self.m}")
         try:
-            denom = 2.0 * self.m * self.a**2
-            unit = math.pi**2 / denom
-            v0 = (0.25 - self.s * self.s) * math.pi**2 / denom
+            unit = self.energy_unit
+            v0 = (0.25 - self.s * self.s) * math.pi**2 / (2.0 * self.m * self.a**2)
         except ArithmeticError:  # a**2 overflows, or 2 m a^2 underflows to 0
             unit = v0 = math.nan
         if not (0.0 < unit < math.inf and math.isfinite(v0)):
@@ -72,6 +71,11 @@ class PotentialParams:
     @property
     def regime(self) -> Regime:
         return classify_regime(self.s)
+
+    @property
+    def energy_unit(self) -> float:
+        """pi^2/(2 m a^2): a level of parameter lambda has E = lambda^2 times this."""
+        return math.pi**2 / (2.0 * self.m * self.a**2)
 
     def well_depth_coupling(self) -> float:
         """Recover s from the stored v0; must agree with self.s to 1e-12."""

@@ -15,7 +15,7 @@ import logging
 import math
 
 from .errors import RegimeError, ScarfError
-from .oracle import OracleResult, fd_bound_spectrum, scan_spectrum
+from .oracle import Exponent, MatchKind, OracleResult, fd_bound_spectrum, scan_spectrum
 from .potential import PotentialParams, Regime
 from .qmf import ChiFunction, chi_parity_defect, residue_report, verify_riccati
 from .spectrum import Edge, SpectrumLine, spectrum_lines
@@ -31,7 +31,6 @@ from .wavefunction import (
 logger = logging.getLogger(__name__)
 
 FD_FLOOR = 1e-4  # Richardson-extrapolated FD accuracy at the default grid
-_FD_GRID = 4000
 
 
 def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
@@ -61,13 +60,13 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     logger.info("verify: s=%g regime=%s n_max=%d oracle=%s tol=%g",
                 params.s, regime.value, n_max, oracle, tol)
     lines = spectrum_lines(params, n_max)
-    e_max = max(ln.energy for ln in lines) * 1.02 + 1.0
+    e_max = max(ln.energy for ln in lines) * 1.02 + 0.2 * params.energy_unit
     scan: list[OracleResult] = []
     if want_shooting:
         scan = scan_spectrum(params, e_max)
     fd_levels: list[float] = []
     if want_fd:
-        fd_levels = fd_bound_spectrum(params, grid_points=_FD_GRID, k_levels=n_max + 1)
+        fd_levels = fd_bound_spectrum(params, k_levels=n_max + 1)
 
     checks = []
     for ln in lines:
@@ -112,6 +111,19 @@ def level_report(params: PotentialParams, lines: list[SpectrumLine],
     }
 
 
+def predicted_family(line: SpectrumLine) -> tuple[Exponent, MatchKind]:
+    """Which shooting family must find a given closed-form level.
+
+    Lower edges carry the 1/2 - s exponent, upper edges and bound levels
+    the 1/2 + s one; even-n states are even about a/2 (slope match), odd-n
+    states odd (value match).  Within its family the level has Sturm
+    index n // 2.
+    """
+    exponent = Exponent.MINUS if line.edge is Edge.LOWER else Exponent.PLUS
+    match = MatchKind.SLOPE_AT_MID if line.n % 2 == 0 else MatchKind.VALUE_AT_MID
+    return exponent, match
+
+
 def _edge_json(edge: Edge) -> str | None:
     return None if edge is Edge.NOT_APPLICABLE else edge.value
 
@@ -135,7 +147,8 @@ def _level_checks(params, ln, scan, fd_levels, tol, want_shooting, want_fd) -> l
     out = []
 
     if want_shooting:
-        matched = [r for r in scan if r.classification == (ln.n, ln.edge)]
+        key = (*predicted_family(ln), ln.n // 2)
+        matched = [r for r in scan if (r.exponent, r.match, r.index) == key]
         if len(matched) == 1:
             rel = abs(matched[0].energy - ln.energy) / ln.energy
             out.append(_check(ln, "oracle_shooting_rel_err", rel, tol,

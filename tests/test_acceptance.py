@@ -14,7 +14,7 @@ import pytest
 
 import scarf
 from scarf import ChiFunction, Edge, Exponent, MatchKind, ShootingConfig
-from scarf.oracle import predicted_family
+from scarf.verify import predicted_family
 from scarf.qmf import chi_parity_defect
 
 HALF_PI_SQ = math.pi**2 / 2.0
@@ -30,7 +30,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 def bound_scan(bound_params):
     t0 = time.perf_counter()
     scan = scarf.scan_spectrum(bound_params, 155.0)
-    fd = scarf.fd_bound_spectrum(bound_params, grid_points=4000, k_levels=4)
+    fd = scarf.fd_bound_spectrum(bound_params, k_levels=4)
     return scan, fd, time.perf_counter() - t0
 
 
@@ -78,7 +78,7 @@ def test_criterion_2_band_edges_vs_scan(band_params, band_scan):
                        if abs(r.energy - line.energy) / line.energy <= 1e-8]
             assert len(matches) == 1, f"edge (n={n}, {line.edge.value}) matches {len(matches)}"
             res = matches[0]
-            assert res.classification == (line.n, line.edge)
+            assert res.index == line.n // 2
             assert (res.exponent, res.match) == predicted_family(line), \
                 f"family mismatch for (n={n}, {line.edge.value})"
             worst = max(worst, abs(res.energy - line.energy) / line.energy)
@@ -167,10 +167,10 @@ def test_criterion_6_gap_closure():
                                 match=MatchKind.VALUE_AT_MID if n % 2 == 0
                                 else MatchKind.SLOPE_AT_MID)
         e_up = scarf.find_eigen(params, (upper.energy * 0.999, upper.energy * 1.001),
-                                up_cfg, compute_sensitivity=False).energy
+                                up_cfg).energy
         e_lo = scarf.find_eigen(params, (lower_next.energy * 0.999,
                                          lower_next.energy * 1.001),
-                                lo_cfg, compute_sensitivity=False).energy
+                                lo_cfg).energy
         measured_gap = e_lo - e_up
         exact_gap = lower_next.energy - upper.energy
         if abs(measured_gap - exact_gap) > 1e-6:

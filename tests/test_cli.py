@@ -263,6 +263,16 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.stderr
         assert json.loads(result.stdout)["summary"]["all_pass"] is True
 
+    @pytest.mark.parametrize("s, a, m", [
+        ("2", "1e100", "1"), ("2", "1e-100", "1"), ("0.4", "1e-100", "1"),
+        ("0.4", "1e100", "1e-30"),
+    ])
+    def test_extreme_scales_pass(self, runner, s, a, m):
+        # the oracles solve for lambda^2, so a and m only set the unit
+        result = invoke(runner, ["verify", "--s", s, "--a", a, "--m", m, "--n-max", "2"])
+        assert result.exit_code == 0, result.stderr
+        assert json.loads(result.stdout)["summary"]["all_pass"] is True
+
     def test_csv_report(self, runner):
         result = invoke(runner, ["verify", "--s", "2", "--n-max", "0",
                                  "--oracle", "shooting", "--format", "csv"])

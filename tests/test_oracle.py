@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 import scarf
 from scarf import (
     BracketError,
-    Edge,
     Exponent,
     MatchKind,
     NumericError,
@@ -14,7 +14,7 @@ from scarf import (
     ShootingConfig,
 )
 from scarf.kernels import shoot_halfcell
-from scarf.oracle import _classify, _closed_form_levels, _families, shoot_and_count
+from scarf.oracle import _families, _fd_levels, shoot_and_count
 
 HALF_PI_SQ = math.pi**2 / 2.0
 
@@ -49,6 +49,12 @@ class TestShoot:
             # delta must stay below a/100
             scarf.shoot(bound_params, 10.0, ShootingConfig(delta=0.02))
 
+    def test_large_coupling_start_is_finite(self):
+        # the start state carries no delta^(1/2 + s) factor to underflow
+        p = scarf.PotentialParams(s=100.0)
+        val = scarf.shoot(p, scarf.bound_energy(p, 0).energy, ShootingConfig(delta=5e-4))
+        assert math.isfinite(val)
+
 
 class TestFindEigen:
     def test_bound_ground(self, bound_params):
@@ -57,8 +63,7 @@ class TestFindEigen:
         assert res.energy == pytest.approx(30.8425138, abs=5e-8)
         assert res.energy == pytest.approx(HALF_PI_SQ * 6.25, rel=1e-10)
         assert res.bracket[0] <= res.energy <= res.bracket[1]
-        assert res.residual <= 1e-10
-        assert not res.flagged
+        assert res.delta_sensitivity <= 1e-9
 
     def test_band_upper_even(self, band_params):
         cfg = ShootingConfig(exponent=Exponent.PLUS, match=MatchKind.SLOPE_AT_MID)
@@ -84,7 +89,6 @@ class TestFindEigen:
         ]:
             res = scarf.find_eigen(params, bracket, cfg)
             assert res.delta_sensitivity <= 1e-9
-            assert not res.flagged
 
 
 class TestScanSpectrum:
@@ -93,41 +97,64 @@ class TestScanSpectrum:
         energies = [r.energy for r in scan]
         assert energies == pytest.approx(
             [HALF_PI_SQ * 6.25, HALF_PI_SQ * 12.25, HALF_PI_SQ * 20.25], rel=1e-9)
-        assert [r.classification for r in scan] == [
-            (0, Edge.NOT_APPLICABLE), (1, Edge.NOT_APPLICABLE), (2, Edge.NOT_APPLICABLE)]
+        assert [(r.match, r.index) for r in scan] == [
+            (MatchKind.SLOPE_AT_MID, 0), (MatchKind.VALUE_AT_MID, 0),
+            (MatchKind.SLOPE_AT_MID, 1)]
 
     def test_band_scan_and_family_disjointness(self, band_params):
         scan = scarf.scan_spectrum(band_params, 20.0)
         assert [r.energy for r in scan] == pytest.approx(
             [0.04934802, 3.99718978, 5.97111066, 17.81463594], abs=5e-7)
-        for res in scan:
-            n, edge = res.classification
-            line = dict(
-                (( ln.n, ln.edge), ln) for ln in scarf.spectrum_lines(band_params, 2)
-            )[(n, edge)]
-            assert (res.exponent, res.match) == scarf.predicted_family(line)
+        assert [(r.exponent, r.match, r.index) for r in scan] == [
+            (Exponent.MINUS, MatchKind.SLOPE_AT_MID, 0),
+            (Exponent.PLUS, MatchKind.SLOPE_AT_MID, 0),
+            (Exponent.MINUS, MatchKind.VALUE_AT_MID, 0),
+            (Exponent.PLUS, MatchKind.VALUE_AT_MID, 0)]
 
     def test_free_particle_degenerate_pairs(self):
         p = scarf.PotentialParams(s=0.5)
         scan = scarf.scan_spectrum(p, 20.0)
         energies = [round(r.energy / HALF_PI_SQ, 6) for r in scan]
         assert energies == [1.0, 1.0, 4.0, 4.0]
-        assert {r.classification for r in scan} == {
-            (0, Edge.UPPER), (1, Edge.LOWER), (1, Edge.UPPER), (2, Edge.LOWER)}
+        # (0, upper), (1, lower), (1, upper) and (2, lower); the E = 0 root
+        # of (2, lower)'s family is dropped but keeps index 0
+        assert {(r.exponent, r.match, r.index) for r in scan} == {
+            (Exponent.PLUS, MatchKind.SLOPE_AT_MID, 0),
+            (Exponent.MINUS, MatchKind.VALUE_AT_MID, 0),
+            (Exponent.PLUS, MatchKind.VALUE_AT_MID, 0),
+            (Exponent.MINUS, MatchKind.SLOPE_AT_MID, 1)}
 
     def test_rejects_bad_e_max(self, bound_params):
         with pytest.raises(ValueError):
             scarf.scan_spectrum(bound_params, -1.0)
 
     @pytest.mark.parametrize("s", [2.0, 0.4, 0.5])
-    def test_equals_full_sign_sweep(self, s):
+    def test_sturm_index_is_half_the_level(self, s):
+        # a level (n, edge) is the (n // 2)-th of its family, also at s = 1/2,
+        # where the lower edges' family has its dropped root at E = 0
         params = scarf.PotentialParams(s=s)
-        assert scarf.scan_spectrum(params, 60.0) == sweep_scan(params, 60.0)
+        lines = [ln for ln in scarf.spectrum_lines(params, 4) if 0.0 < ln.energy <= 110.0]
+        scan = scarf.scan_spectrum(params, 110.0)
+        assert len(scan) == len(lines)
+        for res in scan:
+            line, = [ln for ln in lines
+                     if scarf.predicted_family(ln) == (res.exponent, res.match)
+                     and abs(res.energy - ln.energy) <= 1e-8 * ln.energy]
+            assert res.index == line.n // 2
+
+    @pytest.mark.parametrize("s", [2.0, 0.4, 0.5])
+    def test_equals_full_sign_sweep(self, s):
+        # at a = pi, m = 1/2 the energy unit is 1, so both scans see the
+        # same lattice and the results must agree bit for bit
+        params = scarf.PotentialParams(s=s, a=math.pi, m=0.5)
+        e_max = 60.0 / HALF_PI_SQ
+        assert scarf.scan_spectrum(params, e_max) == sweep_scan(params, e_max)
 
 
 def sweep_scan(params, e_max):
     """Reference scan: shoot every point of the bracket lattice, solve each
-    sign change, merge roots within 1e-8 relative per family."""
+    sign change, merge roots within 1e-8 relative per family, and label
+    each root with the node count at its cell's lower point."""
     step = 0.05 * math.pi**2 / (2.0 * params.m * params.a**2)
     grid = np.arange(0.0, e_max + step, step)
     if grid[-1] > e_max:
@@ -145,6 +172,7 @@ def sweep_scan(params, e_max):
                 res = scarf.find_eigen(params, (float(grid[i]), float(grid[i + 1])), cfg)
             except (BracketError, NumericError):
                 continue
+            res = replace(res, index=shoot_and_count(params, float(grid[i]), cfg)[1])
             if res.energy > e_max:
                 continue
             if roots and abs(res.energy - roots[-1].energy) <= 1e-8 * res.energy:
@@ -152,8 +180,7 @@ def sweep_scan(params, e_max):
             roots.append(res)
         results.extend(roots)
     results.sort(key=lambda r: r.energy)
-    levels = _closed_form_levels(params, e_max)
-    return [_classify(res, levels) for res in results]
+    return results
 
 
 class TestNodeCount:
@@ -180,7 +207,7 @@ class TestNodeCount:
 
 class TestFiniteDifference:
     def test_first_two_levels(self, bound_params):
-        levels = scarf.fd_bound_spectrum(bound_params, grid_points=4000, k_levels=2)
+        levels = scarf.fd_bound_spectrum(bound_params, k_levels=2)
         exact = [HALF_PI_SQ * 6.25, HALF_PI_SQ * 12.25]
         for got, ref in zip(levels, exact):
             assert got == pytest.approx(ref, rel=1e-4)
@@ -189,51 +216,46 @@ class TestFiniteDifference:
         # raw discretization error is O(h^2): strictly monotone in N
         # (the Richardson-extrapolated public result already sits at the
         # eigensolver noise floor, where monotonicity has no meaning)
-        from scarf.oracle import _fd_levels
-        exact = HALF_PI_SQ * 6.25
-        err = [abs(_fd_levels(bound_params, n, 1)[0] - exact)
+        err = [abs(_fd_levels(bound_params.s, n, 1)[0] - 6.25)
                for n in (500, 1000, 2000, 4000)]
         assert err[0] > err[1] > err[2] > err[3]
         assert err[0] / err[3] == pytest.approx(64.0, rel=0.05)
 
     def test_shallow_well(self):
         p = scarf.PotentialParams(s=0.9)
-        levels = scarf.fd_bound_spectrum(p, grid_points=4000, k_levels=1)
+        levels = scarf.fd_bound_spectrum(p, k_levels=1)
         assert levels[0] == pytest.approx(HALF_PI_SQ * 1.96, rel=1e-4)
         assert levels[0] == pytest.approx(9.6722, abs=5e-4)
 
     def test_regime_and_parameter_guards(self, band_params, bound_params):
         with pytest.raises(RegimeError):
             scarf.fd_bound_spectrum(band_params)
-        with pytest.raises(ValueError):
-            scarf.fd_bound_spectrum(bound_params, grid_points=100)
-        with pytest.raises(ValueError):
-            scarf.fd_bound_spectrum(bound_params, grid_points=400, k_levels=200)
+        for k_levels in (0, 1001):
+            with pytest.raises(ValueError):
+                scarf.fd_bound_spectrum(bound_params, k_levels=k_levels)
 
     def test_nontrivial_units_propagate(self):
         # a != 1, m != 1 must thread every 2m and 1/a factor consistently
         p = scarf.PotentialParams(s=1.3, a=0.7, m=2.5)
         closed = scarf.bound_energy(p, 1).energy
         cfg = ShootingConfig(match=MatchKind.VALUE_AT_MID)
-        res = scarf.find_eigen(p, (closed * 0.9, closed * 1.1), cfg,
-                               compute_sensitivity=False)
+        res = scarf.find_eigen(p, (closed * 0.9, closed * 1.1), cfg)
         assert res.energy == pytest.approx(closed, rel=1e-10)
-        fd = scarf.fd_bound_spectrum(p, grid_points=2000, k_levels=2)
+        fd = scarf.fd_bound_spectrum(p, k_levels=2)
         assert fd[1] == pytest.approx(closed, rel=1e-4)
         pb = scarf.PotentialParams(s=0.23, a=1.9, m=0.6)
         lo = scarf.band_edge_energies(pb, 0)[0]
         cfg_lo = ShootingConfig(exponent=Exponent.MINUS, match=MatchKind.SLOPE_AT_MID)
-        res_lo = scarf.find_eigen(pb, (lo.energy * 0.5, lo.energy * 1.5), cfg_lo,
-                                  compute_sensitivity=False)
+        res_lo = scarf.find_eigen(pb, (lo.energy * 0.5, lo.energy * 1.5), cfg_lo)
         assert res_lo.energy == pytest.approx(lo.energy, rel=1e-9)
 
     def test_cross_consistency_with_shooting(self, bound_params):
-        fd = scarf.fd_bound_spectrum(bound_params, grid_points=4000, k_levels=2)
+        fd = scarf.fd_bound_spectrum(bound_params, k_levels=2)
         cfgs = [ShootingConfig(match=MatchKind.SLOPE_AT_MID),
                 ShootingConfig(match=MatchKind.VALUE_AT_MID)]
         brackets = [(25.0, 35.0), (55.0, 65.0)]
         for level, cfg, bracket in zip(fd, cfgs, brackets):
-            shot = scarf.find_eigen(bound_params, bracket, cfg, compute_sensitivity=False)
+            shot = scarf.find_eigen(bound_params, bracket, cfg)
             assert abs(shot.energy - level) / shot.energy <= 1e-4
 
 
@@ -241,7 +263,7 @@ class TestKernelPaths:
     def test_non_finite_energy_terminates(self):
         # NaN propagation must end in step underflow, never a spin to max_steps
         u, v, m, n, status, zeros = shoot_halfcell(
-            -37.0, float("inf"), math.pi, 1e-3, 1e-7, 2.5e-4, 0.5,
+            -3.75, float("inf"), 1e-3 * math.pi, 1.0, 800.0, math.pi / 2.0,
             1e-13, 1e-280, 100_000)
         assert status == 2
         assert n < 1000

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -189,22 +190,39 @@ class TestLambdaOfEnergy:
                 scarf.lambda_of_energy(bound_params, e)
 
 
+@functools.cache
+def oracle_levels(s, a=1.0, m=1.0):
+    """E m a^2 of the shooting roots through n = 2, keyed by (exponent,
+    match, Sturm index), and of the FD levels in the bound regime."""
+    params = scarf.PotentialParams(s=s, a=a, m=m)
+    e_max = 1.02 * max(ln.energy for ln in scarf.spectrum_lines(params, 2))
+    shot = {(r.exponent, r.match, r.index): r.energy * m * a**2
+            for r in scarf.scan_spectrum(params, e_max)}
+    fd = []
+    if s > 0.5:
+        fd = [e * m * a**2 for e in scarf.fd_bound_spectrum(params, k_levels=3)]
+    return shot, fd
+
+
 class TestScaling:
     """E m a^2 depends on s and the level alone: (a, m) only set the unit."""
 
     @pytest.mark.parametrize("s", [2.0, 0.4])
-    @pytest.mark.parametrize("a, m", [(2.5, 0.7), (0.3, 4.0)])
+    @pytest.mark.parametrize("a, m", [(2.5, 0.7), (0.3, 4.0), (1e100, 1.0), (1e-100, 1.0)])
     def test_energy_times_m_a2_is_invariant(self, s, a, m):
-        ref = {(ln.n, ln.edge): ln.energy
-               for ln in scarf.spectrum_lines(scarf.PotentialParams(s=s), 2)}
-        params = scarf.PotentialParams(s=s, a=a, m=m)
-        lines = scarf.spectrum_lines(params, 2)
-        for ln in lines:
+        unit_lines = scarf.spectrum_lines(scarf.PotentialParams(s=s), 2)
+        ref = {(ln.n, ln.edge): ln.energy for ln in unit_lines}
+        for ln in scarf.spectrum_lines(scarf.PotentialParams(s=s, a=a, m=m), 2):
             assert ln.energy * m * a**2 == pytest.approx(ref[ln.n, ln.edge], rel=1e-14)
-        found = {}
-        for res in scarf.scan_spectrum(params, 1.02 * max(ln.energy for ln in lines)):
-            if res.classification in ref:
-                found[res.classification] = res.energy * m * a**2
-        assert found.keys() == ref.keys()
-        for level, energy in found.items():
-            assert energy == pytest.approx(ref[level], rel=1e-10)
+        ref_shot, ref_fd = oracle_levels(s)
+        shot, fd = oracle_levels(s, a, m)
+        # at unit scale the shooting oracle finds every level, by Sturm index
+        closed = {(*scarf.predicted_family(ln), ln.n // 2): ln.energy for ln in unit_lines}
+        assert ref_shot.keys() == closed.keys()
+        for key, energy in ref_shot.items():
+            assert energy == pytest.approx(closed[key], rel=1e-10)
+        assert shot.keys() == ref_shot.keys()
+        for key, energy in shot.items():
+            assert energy == pytest.approx(ref_shot[key], rel=1e-14)
+        assert fd == pytest.approx(ref_fd, rel=1e-14)
+        assert len(fd) == (3 if s > 0.5 else 0)
