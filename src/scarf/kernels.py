@@ -4,31 +4,29 @@ The inner loop of the oracle integrates the dimensionless equation
 
     u''(z) = (pot_coeff / sin^2(z) - lam2) u(z),    z = pi x / a,
 
-with an adaptive Dormand-Prince 5(4) stepper in plain scalar Python.  It
-also counts the sign changes of u over its accepted steps; by Sturm
-oscillation that count is the number of eigenvalues of a shooting family
-below the trial energy, which the oracle bisects on to bracket each root.
+with an adaptive Dormand-Prince 5(4) stepper in plain scalar Python, from
+a start point near the wall to the cell midpoint pi/2.  It also counts
+the sign changes of u over its accepted steps; by Sturm oscillation that
+count is the number of eigenvalues of a shooting family below the trial
+energy, which the oracle bisects on to bracket each root.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "shoot_halfcell",
-    "STATUS_OK",
-    "STATUS_MAX_STEPS",
-    "STATUS_STEP_UNDERFLOW",
-]
+from .errors import NumericError
+
+__all__ = ["NUMBA_ENABLED", "shoot_halfcell"]
 
 # There is one kernel and it is not compiled.  The constant stays because
 # the benchmark's environment stamp reads it.
 NUMBA_ENABLED = False
 
-STATUS_OK = 0
-STATUS_MAX_STEPS = 1
-STATUS_STEP_UNDERFLOW = 2
+_Z_END = math.pi / 2.0     # the cell midpoint, where the oracle matches
+_RTOL = 1e-13              # per-step relative tolerance
+_ATOL = 1e-280             # tiny, so control is effectively relative
+_MAX_STEPS = 1_000_000     # cap on accepted + rejected steps
 
 # Dormand-Prince 5(4) tableau.
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
@@ -53,9 +51,8 @@ _E6 = 11.0 / 84.0 - 187.0 / 2100.0
 _E7 = -1.0 / 40.0
 
 
-def shoot_halfcell(pot_coeff, lam2, x0, u0, v0, x_end,
-                   rtol, atol, max_steps):
-    """Integrate (u, u') from x0 to x_end; see module docstring for the ODE.
+def shoot_halfcell(pot_coeff, lam2, x0, u0, v0):
+    """Integrate (u, u') from x0 to pi/2; see module docstring for the ODE.
 
     Parameters
     ----------
@@ -65,40 +62,34 @@ def shoot_halfcell(pot_coeff, lam2, x0, u0, v0, x_end,
         lambda^2 = E / (pi^2 / (2 m a^2)).
     x0, u0, v0 : float
         Start point in z and state (u, u_z) there.
-    x_end : float
-        End point in z (the cell midpoint pi/2 for the matching oracle).
-    rtol, atol : float
-        Per-step error control; atol should be tiny so control is
-        effectively relative (the overall scale of u is arbitrary).
-    max_steps : int
-        Hard cap on accepted + rejected steps.
 
     Returns
     -------
-    (u_end, v_end, running_max_abs_u, steps_taken, status, sign_changes)
+    (u_end, v_end, running_max_abs_u, steps_taken, sign_changes)
         The state is renormalized in flight if |u| grows past 1e250, so
         callers must quote matching values relative to running_max_abs_u.
         sign_changes counts the accepted steps across which u changes
-        sign, i.e. the zeros of u on (x0, x_end].
+        sign, i.e. the zeros of u on (x0, pi/2].
+
+    Raises NumericError at the step cap, on step-size underflow (where a
+    NaN state ends within a few dozen steps) or when u is identically zero.
     """
     x = x0
     u = u0
     v = v0
     runmax = abs(u)
-    span = x_end - x0
+    span = _Z_END - x0
     h = span * 1e-3
     if h > 0.1 * x0:
         h = 0.1 * x0
     nstep = 0
-    status = STATUS_OK
     sign_changes = 0
-    while x < x_end:
-        if nstep >= max_steps:
-            status = STATUS_MAX_STEPS
-            break
+    while x < _Z_END:
+        if nstep >= _MAX_STEPS:
+            raise NumericError(f"integrator exceeded {_MAX_STEPS} steps at lam2={lam2}")
         final = False
-        if h >= x_end - x:
-            h = x_end - x
+        if h >= _Z_END - x:
+            h = _Z_END - x
             final = True
 
         sx = math.sin(x)
@@ -155,10 +146,10 @@ def shoot_halfcell(pot_coeff, lam2, x0, u0, v0, x_end,
         ev = h * (_E1 * kv1 + _E3 * kv3 + _E4 * kv4 + _E5 * kv5 + _E6 * kv6 + _E7 * kv7)
         au = abs(u)
         aun = abs(un)
-        scu = atol + rtol * (au if au > aun else aun)
+        scu = _ATOL + _RTOL * (au if au > aun else aun)
         av = abs(v)
         avn = abs(vn)
-        scv = atol + rtol * (av if av > avn else avn)
+        scv = _ATOL + _RTOL * (av if av > avn else avn)
         ru = eu / scu
         rv = ev / scv
         err = math.sqrt(0.5 * (ru * ru + rv * rv))
@@ -190,8 +181,10 @@ def shoot_halfcell(pot_coeff, lam2, x0, u0, v0, x_end,
             elif fac < 0.2:
                 fac = 0.2
         h *= fac
-        if h < 2e-16 * x_end:
-            status = STATUS_STEP_UNDERFLOW
-            break
+        if h < 2e-16 * _Z_END:
+            raise NumericError(
+                f"integrator step underflow after {nstep} steps at lam2={lam2}")
         nstep += 1
-    return u, v, runmax, nstep, status, sign_changes
+    if runmax == 0.0:
+        raise NumericError("degenerate trajectory: psi identically zero")
+    return u, v, runmax, nstep, sign_changes

@@ -29,6 +29,10 @@ into four shooting families:
 The bound regime admits only the + exponent.  Within a family, Sturm
 oscillation labels the roots: the eigenvalue with index k is the one
 with k eigenvalues of the family below it.
+
+Each integration is made once per process: _shot caches it on (s,
+exponent, start offset, lambda^2), which both match kinds share.  scipy
+is imported only where the Brent polish and the FD oracle run.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from . import kernels
 from .errors import BracketError, NumericError, RegimeError
@@ -61,8 +63,7 @@ _CSC2_SERIES = (
 
 _BRENTQ_RTOL = 1e-14          # relative tolerance of the root polish
 _SCAN_STEP = 0.05             # bracket lattice step in lambda^2
-_RTOL = 1e-13                 # integrator per-step tolerance
-_MAX_STEPS = 1_000_000        # integrator cap on accepted + rejected steps
+_SHOT_CACHE = 4096            # integrations kept by _shot
 _SERIES_ORDER = 16            # Frobenius start summed through z^16
 _FD_POINTS = 4000             # FD cells N on (0, pi); Richardson pairs N and 2N
 
@@ -172,23 +173,22 @@ def shoot_and_count(params: PotentialParams, energy: float,
     """
     if params.regime is Regime.BOUND_STATES and cfg.exponent is Exponent.MINUS:
         raise RegimeError("bound regime admits only the 1/2 + s exponent")
-    delta = _z_offset(params, cfg)
-    lam2 = energy / params.energy_unit
-    mu = 0.5 + params.s if cfg.exponent is Exponent.PLUS else 0.5 - params.s
-    u0, v0 = frobenius_start(params.s, lam2, mu, delta)
-    u, v, runmax, nstep, status, zeros = kernels.shoot_halfcell(
-        -(0.25 - params.s**2), lam2, delta, u0, v0, math.pi / 2.0,
-        _RTOL, 1e-280, _MAX_STEPS,
-    )
-    if status == kernels.STATUS_MAX_STEPS:
-        raise NumericError(f"integrator exceeded {_MAX_STEPS} steps at E={energy}")
-    if status == kernels.STATUS_STEP_UNDERFLOW:
-        raise NumericError(f"integrator step underflow at E={energy}")
-    if runmax == 0.0:
-        raise NumericError("degenerate trajectory: psi identically zero")
+    u, v, runmax, zeros = _shot(params.s, cfg.exponent, _z_offset(params, cfg),
+                                energy / params.energy_unit)
     if cfg.match is MatchKind.VALUE_AT_MID:
         return float(u / runmax), zeros
     return float(v / runmax), zeros + ((u < 0.0 < v) or (v < 0.0 < u))
+
+
+@functools.lru_cache(maxsize=_SHOT_CACHE)
+def _shot(s: float, exponent: Exponent, delta: float,
+          lam2: float) -> tuple[float, float, float, int]:
+    """(u, u_z, max |u|, zeros of u) at z = pi/2 from the Frobenius start at
+    z = delta: one kernel call, made once per process for each argument set."""
+    mu = 0.5 + s if exponent is Exponent.PLUS else 0.5 - s
+    u0, v0 = frobenius_start(s, lam2, mu, delta)
+    u, v, runmax, _, zeros = kernels.shoot_halfcell(-(0.25 - s**2), lam2, delta, u0, v0)
+    return u, v, runmax, zeros
 
 
 def find_eigen(params: PotentialParams, bracket: tuple[float, float],
@@ -246,6 +246,7 @@ def _bracketed_root(params: PotentialParams, cfg: ShootingConfig,
         return hi
     if np.sign(f_lo) == np.sign(f_hi):
         return None
+    from scipy.optimize import brentq
     return float(brentq(lambda e: shoot(params, e, cfg), lo, hi,
                         rtol=_BRENTQ_RTOL, xtol=1e-30))
 
@@ -307,7 +308,6 @@ def _rising_cells(params: PotentialParams, grid: np.ndarray,
     """Ascending (i, N(grid[i])) for the cells where the node count
     changes between grid[i] and grid[i + 1], found by bisection on the
     index, less the cells whose lower point shoots to exactly 0.0."""
-    @functools.cache
     def sample(i: int) -> tuple[float, int]:
         return shoot_and_count(params, float(grid[i]), cfg)
 
@@ -342,6 +342,7 @@ def fd_bound_spectrum(params: PotentialParams, k_levels: int = 4) -> list[float]
 
 def _fd_levels(s: float, n_grid: int, k: int) -> np.ndarray:
     """The k lowest lambda^2 of -u_zz + C/sin^2(z) u on n_grid cells."""
+    from scipy.linalg import eigh_tridiagonal
     h = math.pi / n_grid
     z = np.arange(1, n_grid) * h
     diag = 2.0 / (h * h) - (0.25 - s * s) / np.sin(z) ** 2

@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConstructionError
 from .spectrum import Edge, level_parameters
@@ -63,7 +62,8 @@ class PolySpec:
         sin^n(theta) P_n(cot theta) = C_n^kappa(t) / C_n^kappa(1) with t =
         cos(theta) and kappa = lam - n, so the roots are y_k = t_k / sqrt(1 -
         t_k^2) over the zeros t_k of C_n^kappa: the eigenvalues of its Jacobi
-        matrix (Golub-Welsch), written in a form that stays finite at kappa = 0.
+        matrix (Golub-Welsch), written in a form that stays finite at kappa = 0,
+        from numpy's dense symmetric solver (which reads the lower triangle).
         """
         if self.n == 0:
             return ()
@@ -72,7 +72,7 @@ class PolySpec:
         off = np.sqrt(np.concatenate((
             [0.5 / (1.0 + kappa)],
             k * (k + 2.0 * kappa - 1.0) / (4.0 * (k + kappa) * (k + kappa - 1.0)))))
-        t = eigvalsh_tridiagonal(np.zeros(self.n), off[: self.n - 1])
+        t = np.linalg.eigvalsh(np.diag(off[: self.n - 1], -1))
         return tuple(float(y) for y in t / np.sqrt((1.0 - t) * (1.0 + t)))
 
 

@@ -3,13 +3,16 @@
 P_n is, up to a constant, i^n P_n^(nu,nu)(-iy), the symmetric Jacobi
 polynomial with nu = -lambda; the package builds it by its own two-term
 recurrence instead.  The Jacobi degree recurrence and the defining ODE
-residual below check that construction from outside it.
+residual below check that construction from outside it, and
+tridiagonal_roots takes P_n's roots from scipy's tridiagonal eigensolver
+where the package uses numpy's dense one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import eigvalsh_tridiagonal
 
 from scarf import Edge, PolySpec, Regime, RegimeError, ScarfError
 
@@ -91,3 +94,20 @@ def ode_residual(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
 def poly_scale(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
     """max |P| on the residual grid, the natural residual normalization."""
     return float(np.abs(poly(np.asarray(ys, dtype=float))).max())
+
+
+def tridiagonal_roots(poly: PolySpec) -> np.ndarray:
+    """Roots y = t / sqrt(1 - t^2) of P_n over the zeros t of C_n^kappa,
+    kappa = lam - n: the eigenvalues of the monic Gegenbauer Jacobi matrix,
+    whose squared couplings are k (k + 2 kappa - 1) / (4 (k + kappa) (k +
+    kappa - 1)), with k = 1 taken as its limit 1 / (2 (1 + kappa)), which
+    holds at kappa = 0 too."""
+    if poly.n == 0:
+        return np.zeros(0)
+    kappa = poly.lam - poly.n
+    k = np.arange(2.0, poly.n)
+    beta = np.concatenate((
+        [0.5 / (1.0 + kappa)],
+        k * (k + 2.0 * kappa - 1.0) / (4.0 * (k + kappa) * (k + kappa - 1.0))))
+    t = eigvalsh_tridiagonal(np.zeros(poly.n), np.sqrt(beta[: poly.n - 1]))
+    return t / np.sqrt((1.0 - t) * (1.0 + t))

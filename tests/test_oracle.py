@@ -14,7 +14,7 @@ from scarf import (
     ShootingConfig,
 )
 from scarf.kernels import shoot_halfcell
-from scarf.oracle import _families, _fd_levels, shoot_and_count
+from scarf.oracle import _families, _fd_levels, _shot, shoot_and_count
 
 HALF_PI_SQ = math.pi**2 / 2.0
 
@@ -259,11 +259,27 @@ class TestFiniteDifference:
             assert abs(shot.energy - level) / shot.energy <= 1e-4
 
 
+class TestShotCache:
+    @pytest.mark.parametrize("s", [2.0, 0.4])
+    def test_each_integration_runs_once(self, s, monkeypatch):
+        # the node-count scan, the bracket end checks, Brent's end values and
+        # the delta/2 re-solve share every integration of a verify run
+        _shot.cache_clear()
+        seen = []
+
+        def record(*args):
+            seen.append(args)
+            return shoot_halfcell(*args)
+
+        monkeypatch.setattr(scarf.kernels, "shoot_halfcell", record)
+        scarf.run_verification(scarf.PotentialParams(s), 2)
+        assert seen
+        assert len(set(seen)) == len(seen)
+
+
 class TestKernelPaths:
     def test_non_finite_energy_terminates(self):
-        # NaN propagation must end in step underflow, never a spin to max_steps
-        u, v, m, n, status, zeros = shoot_halfcell(
-            -3.75, float("inf"), 1e-3 * math.pi, 1.0, 800.0, math.pi / 2.0,
-            1e-13, 1e-280, 100_000)
-        assert status == 2
-        assert n < 1000
+        # NaN propagation must end in step underflow, never a spin to the cap
+        with pytest.raises(NumericError, match=r"step underflow after \d{1,3} steps") as err:
+            shoot_halfcell(-3.75, float("inf"), 1e-3 * math.pi, 1.0, 800.0)
+        assert "exceeded" not in str(err.value)

@@ -14,6 +14,7 @@ from jacobi_reference import (
     ode_residual,
     phase_stripped_jacobi,
     poly_scale,
+    tridiagonal_roots,
 )
 
 
@@ -125,13 +126,21 @@ class TestRealRoots:
     @pytest.mark.parametrize("s,edge", [
         (0.4, Edge.UPPER), (0.4, Edge.LOWER), (2.0, Edge.NOT_APPLICABLE),
         (0.1, Edge.UPPER), (3.0, Edge.NOT_APPLICABLE),
+        # with 0.4 and 2.0 above, the probe-matrix couplings
+        (0.05, Edge.LOWER), (0.05, Edge.UPPER), (0.4999, Edge.LOWER),
+        (0.4999, Edge.UPPER), (0.5, Edge.LOWER), (0.5, Edge.UPPER),
+        (8.0, Edge.NOT_APPLICABLE), (30.0, Edge.NOT_APPLICABLE),
+        (100.0, Edge.NOT_APPLICABLE),
     ])
     def test_root_count_equals_degree(self, s, edge):
-        for n in range(41):
+        for n in range(101):
             poly = scarf.build_poly(s, n, edge)
             roots = scarf.real_roots(poly)
             assert len(roots) == n
             assert all(np.isfinite(roots)) and roots == sorted(roots)
+            # the dense solver agrees with scipy's tridiagonal one
+            ref = tridiagonal_roots(poly)
+            assert np.all(np.abs(np.array(roots) - ref) <= 1e-14 * np.abs(ref))
             if 2 <= n <= 12:
                 ref = _companion_roots(poly.coeffs)
                 assert np.all(np.abs(np.array(roots) - ref)

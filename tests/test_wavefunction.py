@@ -212,9 +212,25 @@ class TestSampling:
 
 
 class TestImport:
-    def test_import_leaves_out_scipy_integrate(self):
-        # the norm is closed-form, so nothing in the package needs quadrature
-        code = "import sys, scarf; print('scipy.integrate' in sys.modules)"
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert run.stdout.strip() == "False"
+    def test_import_leaves_out_scipy_integrate(self, tmp_path):
+        # only the verify oracles (Brent polish, FD eigensolver) load scipy:
+        # neither importing the package nor a level command does, each run
+        # in a fresh interpreter
+        commands = [
+            [],
+            ["spectrum", "--s", "2"],
+            ["bands", "--s", "0.4"],
+            ["wavefunction", "--s", "0.4", "--n", "2", "--edge", "lower"],
+            ["table1", "--s", "2", "--n", "1"],
+        ]
+        for k, args in enumerate(commands):
+            out = tmp_path / f"out{k}"
+            code = "import sys, scarf\n"
+            if args:
+                code += ("from scarf.cli import main\n"
+                         f"main.main({args + ['--out', str(out)]!r}, standalone_mode=False)\n")
+            code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                 text=True, check=True)
+            assert run.stdout.strip() == "[]", args
+            assert not args or out.stat().st_size > 0
