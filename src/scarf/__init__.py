@@ -9,7 +9,6 @@ integration probe verify every result numerically.
 from .errors import (
     BracketError,
     ConsistencyError,
-    ConstructionError,
     ContourError,
     DegenerateRegimeError,
     NumericError,
@@ -95,6 +94,5 @@ __all__ = [
     "count_moving_poles", "verify_riccati", "residue_report",
     "run_verification",
     "ScarfError", "SingularityError", "RegimeError", "DegenerateRegimeError",
-    "ConsistencyError", "ConstructionError",
-    "BracketError", "ContourError", "NumericError",
+    "ConsistencyError", "BracketError", "ContourError", "NumericError",
 ]

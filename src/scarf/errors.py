@@ -21,10 +21,6 @@ class ConsistencyError(ScarfError):
     """Inputs that must describe the same physical state disagree."""
 
 
-class ConstructionError(ScarfError):
-    """Polynomial recurrence broke down (zero pivot)."""
-
-
 class BracketError(ScarfError):
     """Matching function does not change sign on the supplied bracket."""
 

@@ -5,7 +5,10 @@ For a constructed eigenstate the momentum function in the cot variable is
     chi(y) = 2 b1 y / (y^2 + 1) + P'(y) / P(y)
 
 with simple poles at y = +-i (residue b1 each) and at the n real roots of
-P (residue +1 each).  This module measures those residues numerically by
+P (residue +1 each).  P'/P and its slope come from the Gegenbauer form of
+P, by the recurrence psi uses (polynomials.gegenbauer_ratios): monomial
+coefficients would fail the Riccati check from n of about 40 and overflow
+by n = 500.  This module measures those residues numerically by
 contour integration and checks the structural claims the closed forms rest
 on: the sum rule b1 + b1' + n = d1, vanishing analytic part, odd parity of
 chi, and the Riccati equation
@@ -37,10 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ContourError, NumericError
-from .polynomials import PolySpec, real_roots
+from .polynomials import PolySpec, gegenbauer_ratios, real_roots
 from .wavefunction import WavefunctionSpec
 
 _D0_TOL = 1e-10
@@ -62,22 +64,48 @@ class ChiFunction:
 
     @classmethod
     def from_wavefunction(cls, spec: WavefunctionSpec) -> "ChiFunction":
-        return cls(b1=spec.b1, poly=spec.poly, lam=spec.line.lam, s=spec.params.s)
+        return cls(b1=spec.line.b1, poly=spec.poly, lam=spec.line.lam, s=spec.params.s)
 
     def __call__(self, y):
         y = np.asarray(y, dtype=complex)
-        p, p1 = (npoly.polyval(y, self.poly.derivative(k)) for k in range(2))
-        return 2.0 * self.b1 * y / (y * y + 1.0) + p1 / p
+        return 2.0 * self.b1 * y / (y * y + 1.0) + log_derivative(self.poly, y)
 
     def derivative(self, y):
         """chi'(y) differentiated analytically (no numerical step)."""
         y = np.asarray(y, dtype=complex)
-        p, p1, p2 = (npoly.polyval(y, self.poly.derivative(k)) for k in range(3))
         rational = 2.0 * self.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2
-        return rational + (p2 * p - p1 * p1) / (p * p)
+        return rational + log_derivative(self.poly, y, slope=True)[1]
 
     def pole_locations(self) -> list[complex]:
         return [1j, -1j] + [complex(r) for r in real_roots(self.poly)]
+
+
+def log_derivative(poly: PolySpec, y, slope: bool = False):
+    """P'(y)/P(y) at complex y from one pass of gegenbauer_ratios, and
+    with slope=True the pair (P'/P, its y-derivative).
+
+    With h = sqrt(1 + y^2), t = y/h, rho = R_{n-1}(t)/R_n(t) and the
+    contiguous relation (1 - t^2) R_k' = k (R_{k-1} - t R_k):
+
+        P'/P     = n rho / h,
+        (P'/P)'  = n [(R'_{n-1} - rho R'_n) / (R_n h^4) - rho y / h^3].
+
+    Both are even in h, so either branch of the root serves, and t stays
+    bounded on every contour here.  The slope comes from the contiguous
+    relation, not from the ODE that P solves, so the Riccati residual
+    stays an independent check.
+    """
+    n = poly.n
+    h = np.sqrt(1.0 + y * y)
+    t = y / h
+    r, r1, r2 = gegenbauer_ratios(n, poly.lam - n, t)
+    rho = r1 / r
+    if not slope:
+        return n * rho / h
+    h2 = h * h
+    dr = n * h2 * (r1 - t * r)
+    dr1 = (n - 1) * h2 * (r2 - t * r1)
+    return n * rho / h, n * ((dr1 - rho * dr) / (r * h2 * h2) - rho * y / (h2 * h))
 
 
 @dataclass(frozen=True)
@@ -158,8 +186,7 @@ def count_moving_poles(chi: ChiFunction) -> int:
     """
     max_root = max((abs(r) for r in real_roots(chi.poly)), default=0.0)
     z, w = _ellipse(0.0, 2.0 * (1.0 + max_root) + 1.0, _COUNT_HALF_HEIGHT)
-    p, p1 = (npoly.polyval(z, chi.poly.derivative(k)) for k in range(2))
-    count = complex(np.mean(p1 / p * w))
+    count = complex(np.mean(log_derivative(chi.poly, z) * w))
     nearest = round(count.real)
     if abs(count - nearest) > _COUNT_TOL:
         raise ContourError(f"argument-principle count {count} is not an integer")
@@ -185,10 +212,15 @@ def verify_riccati(chi: ChiFunction, lam: float | None = None) -> float:
 
 
 def _probe_grid(chi: ChiFunction) -> np.ndarray:
-    """64 points on [-5, 5], less those within 0.06 of a moving pole."""
+    """64 points on [-5, 5], less those within 0.06 of a moving pole.
+
+    At high degree (from n = 394 at s = 2) the poles can leave no point;
+    that is a NumericError, not an empty grid."""
     ys = np.linspace(-5.0, 5.0, _PROBE_POINTS)
     for pole in real_roots(chi.poly):
         ys = ys[np.abs(ys - pole) >= 0.06]
+    if ys.size == 0:
+        raise NumericError(f"no probe point lies 0.06 clear of the {chi.poly.n} moving poles")
     return ys
 
 

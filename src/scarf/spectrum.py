@@ -44,8 +44,8 @@ class ResidueSet:
 
     n_value is d1 - b1 - b1' for the given lambda; the combination is
     valid only when that is a non-negative integer (the polynomial degree).
-    The analytic part of chi is a constant forced to zero by parity; it is
-    recorded here once rather than per row.
+    No row carries the analytic part of chi: it is a constant, and parity
+    forces it to zero (C = d0 = 0).
     """
 
     set_id: int
@@ -56,8 +56,6 @@ class ResidueSet:
     lam: float
     valid: bool
     rejection_reason: str | None = None
-
-    analytic_part: float = 0.0  # parity forces C = d0 = 0
 
     def __post_init__(self):
         if self.b1 != self.b1_prime:

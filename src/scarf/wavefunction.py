@@ -7,13 +7,10 @@ Gegenbauer form of Cooper, Khare and Sukhatme, Phys. Rep. 251 (1995) 267:
 
 which is sin^lambda(theta) P_n(cot theta) with P_n monic.  The boundary
 exponent kappa equals 1/2 + s for bound and upper-edge states and 1/2 - s
-for lower edges, so psi -> 0 at every lattice point in both regimes.  R is
-evaluated by the normalised three-term recurrence (DLMF 18.9.1)
-
-    R_0 = 1,  R_1 = t,  R_{k+1} = (2 (k + kappa) t R_k - k R_{k-1}) / (k + 2 kappa),
-
-finite at kappa = 0 (the s = 1/2 lower edges), and differentiated by
-dR_n^kappa/dt = n (n + 2 kappa) / (2 kappa + 1) R_{n-1}^(kappa+1) (DLMF
+for lower edges, so psi -> 0 at every lattice point in both regimes.  R comes
+from polynomials.gegenbauer_ratios, the normalised three-term recurrence
+(DLMF 18.9.1) that also gives the momentum function, and is differentiated
+by dR_n^kappa/dt = n (n + 2 kappa) / (2 kappa + 1) R_{n-1}^(kappa+1) (DLMF
 18.9.19).  The node count and boundary fit read R and log sin directly, so
 they neither threshold zeros nor underflow in the sin^kappa tails.  The norm
 of C_n^kappa and Legendre duplication give int_0^a psi^2 dx in closed form,
@@ -33,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConsistencyError, NumericError
-from .polynomials import PolySpec, build_poly
+from .polynomials import PolySpec, build_poly, gegenbauer_ratios
 from .potential import PotentialParams, evaluate_potential, is_lattice_point, reduce_to_cell
 from .spectrum import SpectrumLine
 
@@ -60,7 +57,6 @@ class WavefunctionSpec:
     line: SpectrumLine
     poly: PolySpec
     params: PotentialParams
-    b1: float
     norm: float
 
     @property
@@ -86,8 +82,7 @@ def build_wavefunction(params: PotentialParams, line: SpectrumLine) -> Wavefunct
     if abs(poly.lam - line.lam) > 1e-12 * max(1.0, line.lam):
         raise ConsistencyError("line lambda inconsistent with (s, n, edge)")
     norm = 1.0 / math.sqrt(_raw_norm_sq(params.a, line.n, line.lam - line.n))
-    return WavefunctionSpec(line=line, poly=poly, params=params,
-                            b1=(1.0 - line.lam) / 2.0, norm=norm)
+    return WavefunctionSpec(line=line, poly=poly, params=params, norm=norm)
 
 
 def _raw_norm_sq(a: float, n: int, kappa: float) -> float:
@@ -97,17 +92,6 @@ def _raw_norm_sq(a: float, n: int, kappa: float) -> float:
         return a * math.exp(g - math.lgamma(kappa + 1.0)) / math.sqrt(math.pi)
     return a * math.exp((2.0 * kappa - 1.0) * math.log(2.0) + math.lgamma(n + 1.0) + 2.0 * g
                         - math.lgamma(n + 2.0 * kappa)) / (math.pi * (n + kappa))
-
-
-def _ratio(n: int, kappa: float, t):
-    """R_n^kappa(t) = C_n^kappa(t) / C_n^kappa(1) by the recurrence of the
-    module docstring."""
-    prev, cur = np.ones_like(t), t
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, (2.0 * (k + kappa) * t * cur - k * prev) / (k + 2.0 * kappa)
-    return cur
 
 
 def _angle(spec: WavefunctionSpec, x):
@@ -126,7 +110,7 @@ def eval_psi(spec: WavefunctionSpec, x):
     z = _angle(spec, x)
     n, kappa = spec.line.n, spec.boundary_power
     out = np.where(is_lattice_point(x, spec.params.a), 0.0,
-                   spec.norm * np.sin(z) ** kappa * _ratio(n, kappa, np.cos(z)))
+                   spec.norm * np.sin(z) ** kappa * gegenbauer_ratios(n, kappa, np.cos(z))[0])
     return float(out) if out.ndim == 0 else out
 
 
@@ -145,11 +129,11 @@ def eval_psi_dd(spec: WavefunctionSpec, x):
     z = _angle(spec, x)
     sn, t = np.sin(z), np.cos(z)
     n, k = spec.line.n, spec.boundary_power
-    r = _ratio(n, k, t)
+    r = gegenbauer_ratios(n, k, t)[0]
     d1 = n * (n + 2.0 * k) / (2.0 * k + 1.0)
-    r1 = d1 * _ratio(n - 1, k + 1.0, t) if n >= 1 else 0.0
+    r1 = d1 * gegenbauer_ratios(n - 1, k + 1.0, t)[0] if n >= 1 else 0.0
     d2 = d1 * (n - 1) * (n + 2.0 * k + 1.0) / (2.0 * k + 3.0)
-    r2 = d2 * _ratio(n - 2, k + 2.0, t) if n >= 2 else 0.0
+    r2 = d2 * gegenbauer_ratios(n - 2, k + 2.0, t)[0] if n >= 2 else 0.0
     s2 = sn * sn
     w = np.pi / spec.params.a
     out = spec.norm * w * w * sn ** (k - 2.0) * (
@@ -165,7 +149,7 @@ def count_nodes(spec: WavefunctionSpec) -> int:
     samples that are exactly zero.
     """
     z = np.pi * np.arange(1, _NODE_SAMPLES + 1) / (_NODE_SAMPLES + 1.0)
-    signs = np.sign(_ratio(spec.line.n, spec.boundary_power, np.cos(z)))
+    signs = np.sign(gegenbauer_ratios(spec.line.n, spec.boundary_power, np.cos(z))[0])
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[:-1] != signs[1:]))
 
@@ -181,7 +165,8 @@ def boundary_exponent(spec: WavefunctionSpec) -> float:
     a, n, kappa = spec.params.a, spec.line.n, spec.boundary_power
     xs = np.geomspace(1e-5 * a / (n + 1), 1e-3 * a / (n + 1), _EXPONENT_POINTS)
     z = _angle(spec, xs)
-    logs = kappa * np.log(np.sin(z)) + np.log(np.abs(_ratio(n, kappa, np.cos(z))))
+    r = gegenbauer_ratios(n, kappa, np.cos(z))[0]
+    logs = kappa * np.log(np.sin(z)) + np.log(np.abs(r))
     return float(np.polyfit(np.log(xs), logs, 1)[0])
 
 

@@ -1,11 +1,12 @@
 """Independent references for P_n, used only by the tests.
 
-P_n is, up to a constant, i^n P_n^(nu,nu)(-iy), the symmetric Jacobi
-polynomial with nu = -lambda; the package builds it by its own two-term
-recurrence instead.  The Jacobi degree recurrence and the defining ODE
-residual below check that construction from outside it, and
-tridiagonal_roots takes P_n's roots from scipy's tridiagonal eigensolver
-where the package uses numpy's dense one.
+The package evaluates P_n only in its Gegenbauer form.  Here P_n is built
+instead from its monomial coefficients (monomial_coeffs, the two-term
+recurrence of its ODE), and is, up to a constant, i^n P_n^(nu,nu)(-iy),
+the symmetric Jacobi polynomial with nu = -lambda.  The Jacobi degree
+recurrence and the defining ODE residual below check the monomial form
+from outside it, and tridiagonal_roots takes P_n's roots from scipy's
+tridiagonal eigensolver where the package uses numpy's dense one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,25 @@ from scarf import Edge, PolySpec, Regime, RegimeError, ScarfError
 
 class JacobiDegeneracyError(ScarfError):
     """Jacobi three-term recurrence degenerated for exceptional parameters."""
+
+
+def monomial_coeffs(poly: PolySpec) -> np.ndarray:
+    """Ascending monomial coefficients of P_n, monic, by the downward
+    two-term recurrence of its ODE:
+
+        c_k = -(k+2)(k+1) c_{k+2} / [(k - n)(k - (2 lambda - 1 - n))]
+
+    The pivot vanishes only at k = n, where the recurrence starts.
+    Entries of parity opposite to n are exactly zero.  A reference for
+    small n only: P'/P evaluated from these coefficients fails the
+    Riccati check from n of about 40 and overflows at n = 500.
+    """
+    n, lam = poly.n, poly.lam
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+    for k in range(n - 2, -1, -2):
+        coeffs[k] = -(k + 2) * (k + 1) * coeffs[k + 2] / ((k - n) * (k - (2.0 * lam - 1.0 - n)))
+    return coeffs
 
 
 def jacobi_parameters(s: float, n: int, regime: Regime, edge: Edge) -> tuple[float, float]:
@@ -85,7 +105,8 @@ def ode_residual(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
     """Max absolute residual of the defining ODE on a Chebyshev grid,
     normalized by nothing (caller compares against max |P| on the grid)."""
     ys = np.asarray(ys, dtype=float)
-    p, p1, p2 = (npoly.polyval(ys, poly.derivative(k)) for k in range(3))
+    c = monomial_coeffs(poly)
+    p, p1, p2 = (npoly.polyval(ys, npoly.polyder(c, k)) for k in range(3))
     lam, n = poly.lam, poly.n
     res = (ys**2 + 1.0) * p2 + (2.0 - 2.0 * lam) * ys * p1 + n * (2.0 * lam - n - 1.0) * p
     return float(np.abs(res).max())
@@ -93,7 +114,7 @@ def ode_residual(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
 
 def poly_scale(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
     """max |P| on the residual grid, the natural residual normalization."""
-    return float(np.abs(poly(np.asarray(ys, dtype=float))).max())
+    return float(np.abs(npoly.polyval(np.asarray(ys, dtype=float), monomial_coeffs(poly))).max())
 
 
 def tridiagonal_roots(poly: PolySpec) -> np.ndarray:

@@ -7,10 +7,12 @@ from numpy.polynomial import polynomial as npoly
 import scarf
 from scarf import Edge
 from scarf.potential import Regime
+from scarf.qmf import log_derivative
 
 from jacobi_reference import (
     jacobi_eval,
     jacobi_parameters,
+    monomial_coeffs,
     ode_residual,
     phase_stripped_jacobi,
     poly_scale,
@@ -19,45 +21,49 @@ from jacobi_reference import (
 
 
 class TestBuildPoly:
+    """P_n's monomial reference, built on the package's levels."""
+
     def test_degree_zero_is_constant(self):
         for s, edge in ((2.0, Edge.NOT_APPLICABLE), (0.4, Edge.LOWER), (0.4, Edge.UPPER)):
             poly = scarf.build_poly(s, 0, edge)
-            assert list(poly.coeffs) == [1.0]
+            assert list(monomial_coeffs(poly)) == [1.0]
 
     def test_degree_one_is_y(self):
         for s, edge in ((2.0, Edge.NOT_APPLICABLE), (0.4, Edge.LOWER), (0.4, Edge.UPPER)):
             poly = scarf.build_poly(s, 1, edge)
-            assert list(poly.coeffs) == [0.0, 1.0]
+            assert list(monomial_coeffs(poly)) == [0.0, 1.0]
 
     def test_degree_two_upper_edge_constant(self):
         # downward recurrence gives c0 = -1/(2(1+s))
-        poly = scarf.build_poly(0.4, 2, Edge.UPPER)
-        assert poly.coeffs[0] == pytest.approx(-1.0 / 2.8, rel=1e-15)
-        assert poly.coeffs[1] == 0.0
-        assert poly.coeffs[2] == 1.0
+        coeffs = monomial_coeffs(scarf.build_poly(0.4, 2, Edge.UPPER))
+        assert coeffs[0] == pytest.approx(-1.0 / 2.8, rel=1e-15)
+        assert coeffs[1] == 0.0
+        assert coeffs[2] == 1.0
 
     @given(st.floats(min_value=0.05, max_value=0.45), st.integers(0, 8),
            st.sampled_from([Edge.LOWER, Edge.UPPER]))
     @settings(max_examples=60)
     def test_band_poly_structure(self, s, n, edge):
         poly = scarf.build_poly(s, n, edge)
-        assert poly.coeffs[n] == 1.0  # monic
+        coeffs = monomial_coeffs(poly)
+        assert coeffs[n] == 1.0  # monic
         for k in range(n + 1):
             if (n - k) % 2 == 1:
-                assert poly.coeffs[k] == 0.0  # definite parity
+                assert coeffs[k] == 0.0  # definite parity
         assert ode_residual(poly) <= 1e-10 * poly_scale(poly)
 
     @given(st.floats(min_value=0.55, max_value=4.0), st.integers(0, 8))
     @settings(max_examples=60)
     def test_bound_poly_structure(self, s, n):
         poly = scarf.build_poly(s, n, Edge.NOT_APPLICABLE)
-        assert poly.coeffs[n] == 1.0
+        assert monomial_coeffs(poly)[n] == 1.0
         assert ode_residual(poly) <= 1e-10 * poly_scale(poly)
 
     def test_parity_identity(self):
-        poly = scarf.build_poly(2.0, 5, Edge.NOT_APPLICABLE)
+        coeffs = monomial_coeffs(scarf.build_poly(2.0, 5, Edge.NOT_APPLICABLE))
         ys = np.linspace(-3, 3, 13)
-        assert np.allclose(poly(-ys), (-1) ** 5 * poly(ys), rtol=0, atol=0)
+        assert np.allclose(npoly.polyval(-ys, coeffs), (-1) ** 5 * npoly.polyval(ys, coeffs),
+                           rtol=0, atol=0)
 
 
 class TestJacobiParameters:
@@ -98,7 +104,7 @@ class TestJacobiEval:
             poly = scarf.build_poly(s, n, edge)
             nu, _ = jacobi_parameters(s, n, regime, edge)
             ys = np.array([0.5, 1.0, 2.0])
-            ours = poly(ys)
+            ours = npoly.polyval(ys, monomial_coeffs(poly))
             jac = phase_stripped_jacobi(n, nu, ys)
             ratios = ours / jac
             assert np.allclose(ratios, ratios[0], rtol=1e-10)
@@ -141,10 +147,23 @@ class TestRealRoots:
             # the dense solver agrees with scipy's tridiagonal one
             ref = tridiagonal_roots(poly)
             assert np.all(np.abs(np.array(roots) - ref) <= 1e-14 * np.abs(ref))
-            if 2 <= n <= 12:
-                ref = _companion_roots(poly.coeffs)
-                assert np.all(np.abs(np.array(roots) - ref)
-                              <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+            if n <= 12:
+                coeffs = monomial_coeffs(poly)
+                if n >= 2:
+                    ref = _companion_roots(coeffs)
+                    assert np.all(np.abs(np.array(roots) - ref)
+                                  <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+                # the Gegenbauer P'/P and its slope against the monomial ones
+                p, p1, p2 = (npoly.polyval(_COMPLEX_YS, npoly.polyder(coeffs, k))
+                             for k in range(3))
+                value, slope = log_derivative(poly, _COMPLEX_YS, slope=True)
+                for ours, ref in ((value, p1 / p), (slope, (p2 * p - p1 * p1) / (p * p))):
+                    assert np.all(np.abs(ours - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+# off the real axis, at +-i's distance and beyond, in all four quadrants
+_COMPLEX_YS = np.array([0.3 + 0.7j, -1.2 + 0.2j, 2.5 - 1.5j, 0.1 - 3.0j, 4.0 + 0.5j,
+                        -0.7 - 0.4j, 10.0 + 10.0j, 0.5 + 1.2j, -20.0 + 1e-3j])
 
 
 def _companion_roots(coeffs):

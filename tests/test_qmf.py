@@ -1,9 +1,10 @@
 import pytest
 
 import scarf
-from scarf import ChiFunction, ContourError, Edge, Parity
+from scarf import ChiFunction, ContourError, Edge, NumericError, Parity
 from scarf.qmf import chi_parity_defect
 from scarf.spectrum import spectrum_line
+from scarf.verify import _level_checks
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +169,18 @@ class TestHighDegree:
         assert scarf.count_nodes(wf) == n
         assert scarf.parity(wf) is (Parity.EVEN if n % 2 == 0 else Parity.ODD)
         assert abs(scarf.boundary_exponent(wf) - wf.boundary_power) <= 1e-3
+
+    def test_probe_grid_without_points_is_a_probe_error(self):
+        # at s = 2, n = 500 the moving poles clear every point of the real
+        # probe grid: a typed error, reported by verify as a probe_error
+        params = scarf.PotentialParams(s=2.0)
+        line = spectrum_line(params, 500, Edge.NOT_APPLICABLE)
+        chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
+        for probe in (scarf.verify_riccati, chi_parity_defect):
+            with pytest.raises(NumericError, match="no probe point"):
+                probe(chi)
+        checks = _level_checks(params, line, [], [], 1e-8, False, False)
+        assert [c["name"] for c in checks] == [
+            "residue_sum_rule_defect", "b1_vs_closed_form", "b1_parity",
+            "d1_vs_closed_form", "moving_pole_count_defect", "probe_error"]
+        assert [c["pass"] for c in checks] == [True] * 5 + [False]

@@ -7,6 +7,7 @@ import pytest
 
 import scarf
 from scarf import ConsistencyError, Edge, Parity
+from scarf.qmf import chi_parity_defect
 
 
 @pytest.fixture(scope="module")
@@ -172,8 +173,8 @@ def _matrix_states(s):
 
 
 class TestProbeMatrix:
-    """verify's node, parity, boundary-exponent and residual probes, at
-    verify's thresholds, through n = 100 and s = 100."""
+    """verify's node, parity, boundary-exponent, residual and momentum-
+    function probes, at verify's thresholds, through n = 100 and s = 100."""
 
     @pytest.mark.parametrize("s", _MATRIX_COUPLINGS)
     def test_probes_pass(self, s):
@@ -183,6 +184,16 @@ class TestProbeMatrix:
             expected = Parity.EVEN if line.n % 2 == 0 else Parity.ODD
             assert scarf.parity(wf) is expected, line
             assert abs(scarf.boundary_exponent(wf) - wf.boundary_power) <= 1e-3, line
+            chi = scarf.ChiFunction.from_wavefunction(wf)
+            rep = scarf.residue_report(chi)
+            assert rep.sum_rule_defect <= 1e-9, line
+            assert abs(rep.b1_measured - line.b1) <= 1e-10, line
+            assert abs(rep.b1_measured - rep.b1_prime_measured) <= 1e-10, line
+            assert abs(rep.d1_measured - line.d1) <= 1e-10, line
+            assert rep.moving_pole_count == line.n, line
+            assert chi_parity_defect(chi) <= 1e-12, line
+            riccati = scarf.verify_riccati(chi)
+            assert riccati <= 1e-10 * (1.0 + line.lam**2), (line, riccati)
             if (s, line.n, line.edge) == (0.4999, 0, Edge.LOWER):
                 continue  # the strict xfail test_residual_scale_at_vanishing_energy
             res, scale = scarf.schrodinger_residual(wf)
@@ -215,7 +226,8 @@ class TestImport:
     def test_import_leaves_out_scipy_integrate(self, tmp_path):
         # only the verify oracles (Brent polish, FD eigensolver) load scipy:
         # neither importing the package nor a level command does, each run
-        # in a fresh interpreter
+        # in a fresh interpreter; P_n is evaluated in Gegenbauer form only,
+        # so numpy.polynomial stays unloaded too
         commands = [
             [],
             ["spectrum", "--s", "2"],
@@ -229,7 +241,8 @@ class TestImport:
             if args:
                 code += ("from scarf.cli import main\n"
                          f"main.main({args + ['--out', str(out)]!r}, standalone_mode=False)\n")
-            code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            code += ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                     " or m.startswith('numpy.polynomial')))")
             run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                  text=True, check=True)
             assert run.stdout.strip() == "[]", args
