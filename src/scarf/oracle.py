@@ -31,8 +31,9 @@ oscillation labels the roots: the eigenvalue with index k is the one
 with k eigenvalues of the family below it.
 
 Each integration is made once per process: _shot caches it on (s,
-exponent, start offset, lambda^2), which both match kinds share.  scipy
-is imported only where the Brent polish and the FD oracle run.
+exponent, start offset, lambda^2), which both match kinds share.  Roots
+are polished by brentq, a port of SciPy's Brent solver, so scipy is
+imported only where the FD oracle runs.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ _CSC2_SERIES = (
 )
 
 _BRENTQ_RTOL = 1e-14          # relative tolerance of the root polish
+_BRENTQ_XTOL = 1e-30          # absolute tolerance of the root polish
+_BRENTQ_ITER = 100            # iteration cap of the root polish
 _SCAN_STEP = 0.05             # bracket lattice step in lambda^2
 _SHOT_CACHE = 4096            # integrations kept by _shot
 _SERIES_ORDER = 16            # Frobenius start summed through z^16
@@ -236,19 +239,62 @@ def _solve_near(params: PotentialParams, cfg: ShootingConfig, energy: float) -> 
 
 def _bracketed_root(params: PotentialParams, cfg: ShootingConfig,
                     lo: float, hi: float) -> float | None:
-    """Root of the matching function on [lo, hi]: an endpoint where it is
-    exactly zero, else a Brent solve; None when the signs agree."""
+    """Root of the matching function on [lo, hi] by brentq; None when
+    its signs at the ends agree and neither is zero."""
     f_lo = shoot(params, lo, cfg)
     f_hi = shoot(params, hi, cfg)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
+    if f_lo != 0.0 and f_hi != 0.0 and np.sign(f_lo) == np.sign(f_hi):
         return None
-    from scipy.optimize import brentq
-    return float(brentq(lambda e: shoot(params, e, cfg), lo, hi,
-                        rtol=_BRENTQ_RTOL, xtol=1e-30))
+    return brentq(lambda e: shoot(params, e, cfg), lo, hi, f_lo, f_hi)
+
+
+def brentq(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of f in [lo, hi], where f(lo) = f_lo and f(hi) = f_hi differ
+    in sign, by Brent's method (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4).
+
+    A line-for-line port of SciPy's brentq.c, so roots agree with
+    scipy.optimize.brentq bit for bit: secant or inverse quadratic steps
+    while they shrink the bracket fast enough, bisection otherwise, until
+    the bracket is below 2 delta, delta = (xtol + rtol |x|)/2.  Raises
+    NumericError on a NaN value or after _BRENTQ_ITER iterations.
+    """
+    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    for _ in range(_BRENTQ_ITER):
+        if math.isnan(fcur) or math.isnan(fpre):
+            raise NumericError(f"NaN matching value near E={xcur}")
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENTQ_XTOL + _BRENTQ_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)          # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)                  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry                               # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise NumericError(f"Brent polish did not converge in {_BRENTQ_ITER} iterations")
 
 
 def _families(regime: Regime) -> list[tuple[Exponent, MatchKind]]:

@@ -14,7 +14,15 @@ from scarf import (
     ShootingConfig,
 )
 from scarf.kernels import shoot_halfcell
-from scarf.oracle import _families, _fd_levels, _shot, shoot_and_count
+from scarf.oracle import (
+    _BRENTQ_RTOL,
+    _BRENTQ_XTOL,
+    _families,
+    _fd_levels,
+    _shot,
+    brentq,
+    shoot_and_count,
+)
 
 HALF_PI_SQ = math.pi**2 / 2.0
 
@@ -275,6 +283,58 @@ class TestShotCache:
         scarf.run_verification(scarf.PotentialParams(s), 2)
         assert seen
         assert len(set(seen)) == len(seen)
+
+
+def scipy_brentq(f, lo, hi):
+    """The reference the port follows, used only by the tests."""
+    from scipy.optimize import brentq as reference
+    return reference(f, lo, hi, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL)
+
+
+class TestBrent:
+    @pytest.mark.parametrize("s", [0.05, 0.4, 0.4999, 2.0, 8.0])
+    def test_scan_brackets_match_scipy(self, s, monkeypatch):
+        # every polish of a scan, the delta/2 re-solves included, lands on
+        # scipy's root bit for bit
+        polished = []
+
+        def both(f, lo, hi, f_lo, f_hi):
+            root = brentq(f, lo, hi, f_lo, f_hi)
+            polished.append((root, scipy_brentq(f, lo, hi)))
+            return root
+
+        monkeypatch.setattr(scarf.oracle, "brentq", both)
+        p = scarf.PotentialParams(s)
+        scan = scarf.scan_spectrum(p, (s + 3.0) ** 2 * p.energy_unit)
+        assert len(polished) >= 2 * len(scan) > 0
+        assert all(root == ref for root, ref in polished)
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x * x - 1.0, 0.0, 2.0),                 # interpolate and extrapolate
+        (lambda x: math.tan(x) - x, 4.4, 4.6),             # steep, near the pole at 3 pi/2
+        (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0),  # a step: bisection only
+    ])
+    def test_analytic_functions_match_scipy(self, f, lo, hi):
+        assert brentq(f, lo, hi, f(lo), f(hi)) == scipy_brentq(f, lo, hi)
+
+    def test_zero_endpoint_is_the_root(self):
+        def never(x):
+            raise AssertionError("no evaluation needed")
+
+        assert brentq(never, 1.0, 2.0, 0.0, 3.0) == 1.0
+        assert brentq(never, 1.0, 2.0, -3.0, 0.0) == 2.0
+
+    def test_nan_value_is_numeric_error(self):
+        with pytest.raises(NumericError, match="NaN"):
+            brentq(lambda x: math.nan, 0.0, 2.0, -1.0, 1.0)
+
+    def test_iteration_cap_fails_the_level(self, monkeypatch):
+        # a polish that runs out of iterations is a failing check, not a traceback
+        monkeypatch.setattr(scarf.oracle, "_BRENTQ_ITER", 2)
+        report = scarf.run_verification(scarf.PotentialParams(2.0), 0)
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == ["oracle_shooting_match_count"]
+        assert not report["summary"]["all_pass"]
 
 
 class TestKernelPaths:

@@ -224,25 +224,31 @@ class TestSampling:
 
 class TestImport:
     def test_import_leaves_out_scipy_integrate(self, tmp_path):
-        # only the verify oracles (Brent polish, FD eigensolver) load scipy:
-        # neither importing the package nor a level command does, each run
-        # in a fresh interpreter; P_n is evaluated in Gegenbauer form only,
-        # so numpy.polynomial stays unloaded too
+        # only the FD eigensolver loads scipy (scipy.linalg, which pulls in
+        # numpy.polynomial): neither importing the package, nor a level
+        # command, nor a verify without the FD oracle does, each run in a
+        # fresh interpreter, since P_n is evaluated in Gegenbauer form only;
+        # the Brent polish is the package's own, so scipy.optimize stays
+        # unloaded even with the FD oracle
+        none = ("scipy", "numpy.polynomial")
         commands = [
-            [],
-            ["spectrum", "--s", "2"],
-            ["bands", "--s", "0.4"],
-            ["wavefunction", "--s", "0.4", "--n", "2", "--edge", "lower"],
-            ["table1", "--s", "2", "--n", "1"],
+            ([], none),
+            (["spectrum", "--s", "2"], none),
+            (["bands", "--s", "0.4"], none),
+            (["wavefunction", "--s", "0.4", "--n", "2", "--edge", "lower"], none),
+            (["table1", "--s", "2", "--n", "1"], none),
+            (["verify", "--s", "0.4", "--n-max", "1"], none),
+            (["verify", "--s", "2", "--n-max", "1", "--oracle", "shooting"], none),
+            (["verify", "--s", "2", "--n-max", "1", "--oracle", "both"], ("scipy.optimize",)),
         ]
-        for k, args in enumerate(commands):
+        for k, (args, banned) in enumerate(commands):
             out = tmp_path / f"out{k}"
             code = "import sys, scarf\n"
             if args:
                 code += ("from scarf.cli import main\n"
                          f"main.main({args + ['--out', str(out)]!r}, standalone_mode=False)\n")
-            code += ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-                     " or m.startswith('numpy.polynomial')))")
+            code += (f"print(sorted(m for m in sys.modules for b in {banned!r}"
+                     " if m == b or m.startswith(b + '.')))")
             run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                  text=True, check=True)
             assert run.stdout.strip() == "[]", args
