@@ -59,7 +59,7 @@ from .oracle import (
     MatchKind,
     OracleResult,
     ShootingConfig,
-    fd_bound_spectrum,
+    collocation_spectrum,
     find_eigen,
     scan_spectrum,
     shoot,
@@ -89,7 +89,7 @@ __all__ = [
     "count_nodes", "boundary_exponent", "parity", "schrodinger_residual",
     "sample_wavefunction",
     "ShootingConfig", "OracleResult", "Exponent", "MatchKind", "shoot",
-    "find_eigen", "scan_spectrum", "fd_bound_spectrum", "predicted_family",
+    "find_eigen", "scan_spectrum", "collocation_spectrum", "predicted_family",
     "ChiFunction", "ResidueReport", "contour_residue", "residue_at_infinity",
     "count_moving_poles", "verify_riccati", "residue_report",
     "run_verification",

@@ -298,7 +298,8 @@ def wavefunction(ctx, s, a, m, fmt, out_path, config_path, level_n, edge, sample
 @common_options
 @click.option("--n-max", type=int, default=2, show_default=True)
 @click.option("--oracle", type=click.Choice(["shooting", "fd", "both"]),
-              default="both", show_default=True)
+              default="both", show_default=True,
+              help="fd is the Chebyshev-collocation oracle.")
 @click.option("--tol", type=float, default=1e-8, show_default=True,
               help="Relative tolerance for oracle-energy agreement.")
 @click.pass_context

@@ -16,8 +16,8 @@ closed-form spectra can be cross-checked:
 * a shooting method that starts just off the inverse-square wall with a
   Frobenius-series state and matches a parity condition at the cell
   midpoint (both regimes), and
-* a finite-difference Dirichlet eigensolver on one cell with Richardson
-  extrapolation (bound regime only).
+* a Chebyshev collocation of the same equation on one cell, solved by
+  numpy's dense eigvals (both regimes).
 
 Near a wall the indicial exponents are mu = 1/2 +- s, so admissible
 solutions behave as z^(1/2+s) (always) and, in the band regime only,
@@ -32,8 +32,8 @@ with k eigenvalues of the family below it.
 
 Each integration is made once per process: _shot caches it on (s,
 exponent, start offset, lambda^2), which both match kinds share.  Roots
-are polished by brentq, a port of SciPy's Brent solver, so scipy is
-imported only where the FD oracle runs.
+are polished by brentq, a port of SciPy's Brent solver, so no oracle
+imports scipy.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ _BRENTQ_ITER = 100            # iteration cap of the root polish
 _SCAN_STEP = 0.05             # bracket lattice step in lambda^2
 _SHOT_CACHE = 4096            # integrations kept by _shot
 _SERIES_ORDER = 16            # Frobenius start summed through z^16
-_FD_POINTS = 4000             # FD cells N on (0, pi); Richardson pairs N and 2N
+_COLLOCATION_MAX = 3000       # largest collocation grid size N
+_COLLOCATION_FIRST = 8        # levels of the first collocation grid
+_U_FORM_S = 2.0               # above this s the collocation drops the w-form
 
 
 class Exponent(Enum):
@@ -112,11 +114,12 @@ class ShootingConfig:
 class OracleResult:
     """One numerically found eigenvalue of one shooting family.
 
-    delta_sensitivity is the relative move of the energy when the start
-    offset is halved.  index is the Sturm index that scan_spectrum gives
-    the root: the family's count N(E) at the lower end of the root's
-    lattice cell, so the root is the family's eigenvalue number index
-    (from 0).  find_eigen alone leaves it None.
+    delta_sensitivity is the move of the energy when the start offset is
+    halved, relative to its energy scale (PotentialParams.energy_scale).
+    index is the Sturm index that scan_spectrum gives the root: the
+    family's count N(E) at the lower end of the root's lattice cell, so
+    the root is the family's eigenvalue number index (from 0).
+    find_eigen alone leaves it None.
     """
 
     energy: float
@@ -212,7 +215,7 @@ def find_eigen(params: PotentialParams, bracket: tuple[float, float],
     return OracleResult(
         energy=float(lam2 * unit), bracket=(float(bracket[0]), float(bracket[1])),
         exponent=cfg.exponent, match=cfg.match,
-        delta_sensitivity=float(abs(lam2 - lam2_half) / abs(lam2)),
+        delta_sensitivity=float(abs(lam2 - lam2_half) / ref.energy_scale(lam2)),
     )
 
 
@@ -368,30 +371,75 @@ def _rising_cells(params: PotentialParams, grid: np.ndarray,
     return [(i, sample(i)[1]) for i in cells(0, len(grid) - 1) if sample(i)[0] != 0.0]
 
 
-def fd_bound_spectrum(params: PotentialParams, k_levels: int = 4) -> list[float]:
-    """The k_levels lowest bound levels from a symmetric tridiagonal
-    discretization.
+def collocation_spectrum(params: PotentialParams,
+                         k_levels: int = 4) -> dict[Exponent, list[float]]:
+    """The k_levels lowest levels of each wall exponent the regime admits,
+    by Chebyshev collocation in z; entry n of a list is level n.  PLUS
+    holds the bound levels or upper band edges, MINUS the lower edges.
 
-    Second-order central differences for lambda^2 on the open cell
-    (0, pi) with hard Dirichlet walls, solved at 4000 and 8000 cells and
-    Richardson-extrapolated (eigenvalue error is O(h^2), so
-    lambda^2 = (4 L_{2N} - L_N) / 3), then scaled to E.
+    Rounding grows with the grid, so level j comes from a grid sized for
+    about 2j levels: with one grid for all, the lowest lower edge, whose
+    lambda^2 vanishes as s -> 1/2, would be off by about 2e-7 of the
+    energy floor at k_levels = 500.
     """
-    if params.regime is not Regime.BOUND_STATES:
-        raise RegimeError("finite-difference oracle requires the bound regime (s > 1/2)")
-    if k_levels < 1 or k_levels > _FD_POINTS // 4:
-        raise ValueError(f"k_levels={k_levels} out of range for N={_FD_POINTS}")
-    l_n = _fd_levels(params.s, _FD_POINTS, k_levels)
-    l_2n = _fd_levels(params.s, 2 * _FD_POINTS, k_levels)
-    return [(4.0 * b - a) / 3.0 * params.energy_unit for a, b in zip(l_n, l_2n)]
+    if k_levels < 1 or _grid_size(params.s, k_levels) > _COLLOCATION_MAX:
+        raise ValueError(f"k_levels={k_levels} at s={params.s} needs a collocation "
+                         f"grid larger than N={_COLLOCATION_MAX}")
+    levels = {}
+    for exponent in dict.fromkeys(ex for ex, _ in _families(params.regime)):
+        mu = 0.5 + params.s if exponent is Exponent.PLUS else 0.5 - params.s
+        lam2: list[float] = []
+        while len(lam2) < k_levels:
+            want = min(k_levels, max(_COLLOCATION_FIRST, 2 * len(lam2)))
+            lam2 += _collocate(params.s, mu, want)[len(lam2):]
+        levels[exponent] = [v * params.energy_unit for v in lam2]
+    return levels
 
 
-def _fd_levels(s: float, n_grid: int, k: int) -> np.ndarray:
-    """The k lowest lambda^2 of -u_zz + C/sin^2(z) u on n_grid cells."""
-    from scipy.linalg import eigh_tridiagonal
-    h = math.pi / n_grid
-    z = np.arange(1, n_grid) * h
-    diag = 2.0 / (h * h) - (0.25 - s * s) / np.sin(z) ** 2
-    off = np.full(n_grid - 2, -1.0 / (h * h))
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                            eigvals_only=True)
+def _collocate(s: float, mu: float, k: int) -> list[float]:
+    """The k lowest lambda^2 with u ~ z^mu at both walls, from one dense
+    eigenproblem (Trefethen, Spectral Methods in MATLAB, SIAM 2000).
+
+    Up to s = 2 it collocates w = u / sin^mu(z), which solves
+    w_zz + 2 mu cot(z) w_z + (lambda^2 - mu^2) w = 0 with w_z = 0 at both
+    walls; the two Neumann rows give the boundary values, which are
+    eliminated.  Above s = 2 that matrix is too far from normal, and u
+    itself is collocated with u = 0 at the walls (below s = 1 that would
+    converge only algebraically).  The grid is in z: in cos z the w-operator
+    is triangular on polynomials and would return the closed forms.
+    """
+    n = _grid_size(s, k)
+    z, d1 = _chebyshev(n)
+    d2 = d1 @ d1
+    inner = slice(1, n)
+    if s > _U_FORM_S:
+        op = -d2[inner, inner]
+        op[np.diag_indices(n - 1)] += (s * s - 0.25) / np.sin(z[inner]) ** 2
+        shift = 0.0
+    else:
+        walls = [0, n]
+        op = -d2[inner] - (2.0 * mu / np.tan(z[inner]))[:, None] * d1[inner]
+        boundary = np.linalg.solve(d1[np.ix_(walls, walls)], -d1[walls, inner])
+        op = op[:, inner] + op[:, walls] @ boundary
+        shift = mu * mu
+    return (np.sort(np.linalg.eigvals(op).real)[:k] + shift).tolist()
+
+
+def _grid_size(s: float, k: int) -> int:
+    """Collocation grid size N for the k lowest levels: it grows with k
+    and with sqrt(s (2k + 1)), the widest wavenumber of level k in the
+    near-harmonic well of large s."""
+    return 32 + 2 * k + math.ceil(3.0 * math.sqrt(s * (2 * k + 1)))
+
+
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Lobatto points z_j = pi (1 - cos(j pi / n)) / 2, j = 0..n,
+    and the first-derivative matrix on them, with point differences in
+    product form so that none cancels near a wall."""
+    j = np.arange(n + 1)
+    half = np.pi * j / (2.0 * n)
+    dx = 2.0 * np.sin(half[:, None] + half) * np.sin(half - half[:, None])
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    d = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    return np.pi * np.sin(half) ** 2, -(2.0 / np.pi) * d

@@ -22,6 +22,11 @@ from .errors import SingularityError
 # Lattice points are detected within this fraction of the period.
 LATTICE_TOL = 1e-12
 
+# Floor of the energy scale of relative checks, in energy units: lambda^2
+# vanishes on the lowest lower band edge as s -> 1/2, and a relative check
+# taken against it would measure rounding, not the level.
+LAMBDA2_FLOOR = 1e-3
+
 
 class Regime(Enum):
     """Coupling regime, a total function of s."""
@@ -76,6 +81,11 @@ class PotentialParams:
     def energy_unit(self) -> float:
         """pi^2/(2 m a^2): a level of parameter lambda has E = lambda^2 times this."""
         return math.pi**2 / (2.0 * self.m * self.a**2)
+
+    def energy_scale(self, energy: float) -> float:
+        """max(|E|, LAMBDA2_FLOOR energy units): the scale of every relative
+        energy check."""
+        return max(abs(energy), LAMBDA2_FLOOR * self.energy_unit)
 
     def well_depth_coupling(self) -> float:
         """Recover s from the stored v0; must agree with self.s to 1e-12."""

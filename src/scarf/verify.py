@@ -1,8 +1,8 @@
 """End-to-end verification: closed forms vs oracles vs structural checks.
 
 Builds the machine-readable report behind `scarf verify`.  Every level up
-to n_max is checked on five fronts: oracle energies (shooting and, in the
-bound regime, finite differences), contour-measured residues and the sum
+to n_max is checked on five fronts: oracle energies (shooting and
+Chebyshev collocation), contour-measured residues and the sum
 rule, the Riccati residual of the momentum function, the Schrodinger
 residual of the assembled eigenfunction, and the node/parity/boundary
 structure.  Check entries carry (value, threshold, pass) so a report is
@@ -15,7 +15,7 @@ import logging
 import math
 
 from .errors import RegimeError, ScarfError
-from .oracle import Exponent, MatchKind, OracleResult, fd_bound_spectrum, scan_spectrum
+from .oracle import Exponent, MatchKind, OracleResult, collocation_spectrum, scan_spectrum
 from .potential import PotentialParams, Regime
 from .qmf import ChiFunction, chi_parity_defect, residue_report, verify_riccati
 from .spectrum import Edge, SpectrumLine, spectrum_lines
@@ -30,18 +30,15 @@ from .wavefunction import (
 
 logger = logging.getLogger(__name__)
 
-FD_FLOOR = 1e-4  # Richardson-extrapolated FD accuracy at the default grid
-
 
 def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
                      tol: float = 1e-8) -> dict:
     """Assemble the full verification report.
 
-    oracle is one of "shooting", "fd", "both".  The finite-difference
-    oracle exists only for the bound regime; requesting it alone elsewhere
-    is a RegimeError, while "both" silently reduces to shooting there.
-    The shooting threshold is tol; the FD threshold is floored at its own
-    discretization accuracy (1e-4 at the default grids).
+    oracle is one of "shooting", "fd" (the collocation oracle, whose
+    entries keep the name oracle_fd_rel_err), "both".  Both oracles run in
+    every regime, and tol is the threshold of both.  Relative energy
+    errors are taken against PotentialParams.energy_scale.
     """
     if n_max < 0 or not (0.0 < tol < math.inf):
         raise ValueError(f"need n_max >= 0 and a finite tol > 0, got {n_max}, {tol}")
@@ -52,10 +49,6 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
         raise RegimeError(f"unsupported coupling s = {params.s}")
     want_shooting = oracle in ("shooting", "both")
     want_fd = oracle in ("fd", "both")
-    if want_fd and regime is not Regime.BOUND_STATES:
-        if oracle == "fd":
-            raise RegimeError("finite-difference oracle requires the bound regime")
-        want_fd = False
 
     logger.info("verify: s=%g regime=%s n_max=%d oracle=%s tol=%g",
                 params.s, regime.value, n_max, oracle, tol)
@@ -64,15 +57,15 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     scan: list[OracleResult] = []
     if want_shooting:
         scan = scan_spectrum(params, e_max)
-    fd_levels: list[float] = []
+    collocated: dict[Exponent, list[float]] = {}
     if want_fd:
-        fd_levels = fd_bound_spectrum(params, k_levels=n_max + 1)
+        collocated = collocation_spectrum(params, k_levels=n_max + 1)
 
     checks = []
     for ln in lines:
         if ln.energy <= 0.0:
             continue  # free-particle fold at E=0 has no normalizable state
-        checks.extend(_level_checks(params, ln, scan, fd_levels, tol, want_shooting, want_fd))
+        checks.extend(_level_checks(params, ln, scan, collocated, tol, want_shooting))
 
     n_failed = sum(1 for c in checks if not c["pass"])
     report = level_report(params, lines, checks)
@@ -143,14 +136,14 @@ def _check(ln: SpectrumLine, name: str, value: float, threshold: float,
     }
 
 
-def _level_checks(params, ln, scan, fd_levels, tol, want_shooting, want_fd) -> list[dict]:
+def _level_checks(params, ln, scan, collocated, tol, want_shooting) -> list[dict]:
     out = []
 
     if want_shooting:
         key = (*predicted_family(ln), ln.n // 2)
         matched = [r for r in scan if (r.exponent, r.match, r.index) == key]
         if len(matched) == 1:
-            rel = abs(matched[0].energy - ln.energy) / ln.energy
+            rel = abs(matched[0].energy - ln.energy) / params.energy_scale(ln.energy)
             out.append(_check(ln, "oracle_shooting_rel_err", rel, tol,
                               observed=matched[0].energy))
             out.append(_check(ln, "oracle_delta_sensitivity",
@@ -162,10 +155,10 @@ def _level_checks(params, ln, scan, fd_levels, tol, want_shooting, want_fd) -> l
                               float(abs(len(matched) - 1)), 0.0,
                               observed=float(len(matched))))
 
-    if want_fd and ln.n < len(fd_levels):
-        rel = abs(fd_levels[ln.n] - ln.energy) / ln.energy
-        out.append(_check(ln, "oracle_fd_rel_err", rel, max(tol, FD_FLOOR),
-                          observed=float(fd_levels[ln.n])))
+    if collocated:
+        level = collocated[predicted_family(ln)[0]][ln.n]
+        rel = abs(level - ln.energy) / params.energy_scale(ln.energy)
+        out.append(_check(ln, "oracle_fd_rel_err", rel, tol, observed=level))
 
     try:
         _probe_checks(params, ln, out)

@@ -196,8 +196,9 @@ def schrodinger_residual(spec: WavefunctionSpec) -> tuple[float, float]:
     """(max residual, tolerance scale) of the Schrodinger equation.
 
     Residual -psi''/(2m) + (V - E) psi on 200 interior points excluding a
-    1e-3 a strip at each wall; scale is |E| max|psi| on the grid, the
-    natural comparison for relative statements.
+    1e-3 a strip at each wall; scale is max|psi| on the grid times the
+    energy scale of PotentialParams.energy_scale, the natural comparison
+    for relative statements.
     """
     p = spec.params
     xs = np.linspace(_RESIDUAL_MARGIN * p.a, (1.0 - _RESIDUAL_MARGIN) * p.a,
@@ -205,7 +206,7 @@ def schrodinger_residual(spec: WavefunctionSpec) -> tuple[float, float]:
     psi = eval_psi(spec, xs)
     dd = eval_psi_dd(spec, xs)
     res = -dd / (2.0 * p.m) + (evaluate_potential(p, xs) - spec.line.energy) * psi
-    scale = abs(spec.line.energy) * np.abs(psi).max()
+    scale = p.energy_scale(spec.line.energy) * np.abs(psi).max()
     return float(np.abs(res).max()), float(scale)
 
 

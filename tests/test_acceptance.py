@@ -30,15 +30,16 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 def bound_scan(bound_params):
     t0 = time.perf_counter()
     scan = scarf.scan_spectrum(bound_params, 155.0)
-    fd = scarf.fd_bound_spectrum(bound_params, k_levels=4)
-    return scan, fd, time.perf_counter() - t0
+    collocated = scarf.collocation_spectrum(bound_params, k_levels=4)[Exponent.PLUS]
+    return scan, collocated, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def band_scan(band_params):
     t0 = time.perf_counter()
     scan = scarf.scan_spectrum(band_params, 42.0)
-    return scan, time.perf_counter() - t0
+    collocated = scarf.collocation_spectrum(band_params, k_levels=3)
+    return scan, collocated, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -53,25 +54,26 @@ def all_states(bound_params, band_params):
 
 
 def test_criterion_1_bound_spectrum_vs_oracles(bound_params, bound_scan):
-    scan, fd, elapsed = bound_scan
+    scan, collocated, elapsed = bound_scan
     worst_shoot = 0.0
-    worst_fd = 0.0
+    worst_colloc = 0.0
     for n in range(4):
         exact = HALF_PI_SQ * (n + 2.5) ** 2
         matches = [r for r in scan
                    if abs(r.energy - exact) / exact <= 1e-8]
         assert len(matches) == 1, f"level {n}: {len(matches)} scan matches"
         worst_shoot = max(worst_shoot, abs(matches[0].energy - exact) / exact)
-        worst_fd = max(worst_fd, abs(fd[n] - exact) / exact)
-    ok = worst_shoot <= 1e-8 and worst_fd <= 1e-4
+        worst_colloc = max(worst_colloc, abs(collocated[n] - exact) / exact)
+    ok = worst_shoot <= 1e-8 and worst_colloc <= 1e-10
     report("1 (bound spectrum, s=2)", ok,
-           f"shooting<= {worst_shoot:.2e}, fd<= {worst_fd:.2e}, {elapsed:.1f}s")
+           f"shooting<= {worst_shoot:.2e}, collocation<= {worst_colloc:.2e}, {elapsed:.1f}s")
     assert elapsed < 10.0
 
 
 def test_criterion_2_band_edges_vs_scan(band_params, band_scan):
-    scan, elapsed = band_scan
+    scan, collocated, elapsed = band_scan
     worst = 0.0
+    worst_colloc = 0.0
     for n in range(3):
         for line in scarf.band_edge_energies(band_params, n):
             matches = [r for r in scan
@@ -82,8 +84,11 @@ def test_criterion_2_band_edges_vs_scan(band_params, band_scan):
             assert (res.exponent, res.match) == predicted_family(line), \
                 f"family mismatch for (n={n}, {line.edge.value})"
             worst = max(worst, abs(res.energy - line.energy) / line.energy)
-    report("2 (band edges, s=0.4)", worst <= 1e-8,
-           f"worst rel err {worst:.2e}, six edges, {elapsed:.1f}s")
+            level = collocated[predicted_family(line)[0]][n]
+            worst_colloc = max(worst_colloc, abs(level - line.energy) / line.energy)
+    report("2 (band edges, s=0.4)", worst <= 1e-8 and worst_colloc <= 1e-10,
+           f"shooting<= {worst:.2e}, collocation<= {worst_colloc:.2e}, six edges, "
+           f"{elapsed:.1f}s")
     assert elapsed < 20.0
 
 

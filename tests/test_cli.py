@@ -232,9 +232,12 @@ class TestVerifyCommand:
         with pytest.raises(ValueError):
             run_verification(PotentialParams(s=2.0), 0, tol=math.inf)
 
-    def test_fd_oracle_rejected_in_band_regime(self, runner):
+    def test_fd_oracle_runs_in_band_regime(self, runner):
         result = invoke(runner, ["verify", "--s", "0.4", "--oracle", "fd"])
-        assert result.exit_code == 2
+        assert result.exit_code == 0
+        checks = json.loads(result.output)["checks"]
+        edges = {(c["n"], c["edge"]) for c in checks if c["name"] == "oracle_fd_rel_err"}
+        assert edges == {(n, edge) for n in range(3) for edge in ("lower", "upper")}
 
     def test_free_particle_regime(self, runner):
         result = invoke(runner, ["verify", "--s", "0.5", "--n-max", "1",
@@ -281,7 +284,7 @@ class TestVerifyCommand:
         assert header == "n,edge,name,value,threshold,pass,observed"
 
     def test_csv_floats_parse(self, runner):
-        # the FD levels are numpy floats; their cells must read as numbers
+        # every cell, the collocation entry's included, must read as a number
         result = invoke(runner, ["verify", "--s", "2", "--n-max", "0",
                                  "--format", "csv"])
         rows = list(csv.DictReader(io.StringIO(result.output)))
@@ -299,7 +302,7 @@ class TestVerifyCommand:
         assert checks["oracle_shooting_rel_err"]["observed"] == pytest.approx(
             30.8425138, abs=5e-8)
         assert checks["oracle_fd_rel_err"]["observed"] == pytest.approx(
-            30.8425138, rel=1e-4)
+            30.8425138, abs=5e-8)
         assert checks["node_count_defect"]["observed"] == 0.0
         assert checks["boundary_exponent_defect"]["observed"] == pytest.approx(
             2.5, abs=1e-3)

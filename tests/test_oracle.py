@@ -13,16 +13,19 @@ from scarf import (
     RegimeError,
     ShootingConfig,
 )
+from scarf import Edge, oracle
 from scarf.kernels import shoot_halfcell
 from scarf.oracle import (
     _BRENTQ_RTOL,
     _BRENTQ_XTOL,
     _families,
-    _fd_levels,
     _shot,
     brentq,
     shoot_and_count,
 )
+from scarf.spectrum import spectrum_line
+
+from fd_reference import fd_bound_spectrum, fd_levels
 
 HALF_PI_SQ = math.pi**2 / 2.0
 
@@ -214,33 +217,64 @@ class TestNodeCount:
 
 
 class TestFiniteDifference:
+    """The collocation oracle against the closed forms and against the
+    finite-difference reference of tests/fd_reference.py."""
+
     def test_first_two_levels(self, bound_params):
-        levels = scarf.fd_bound_spectrum(bound_params, k_levels=2)
+        levels = scarf.collocation_spectrum(bound_params, k_levels=2)
+        assert list(levels) == [Exponent.PLUS]
         exact = [HALF_PI_SQ * 6.25, HALF_PI_SQ * 12.25]
-        for got, ref in zip(levels, exact):
-            assert got == pytest.approx(ref, rel=1e-4)
+        assert levels[Exponent.PLUS] == pytest.approx(exact, rel=1e-12)
+        assert fd_bound_spectrum(bound_params, k_levels=2) == pytest.approx(exact, rel=1e-4)
+
+    @pytest.mark.parametrize("s", [0.6, 0.9, 1.3, 2.0, 8.0, 30.0])
+    def test_reference_and_closed_forms(self, s):
+        params = scarf.PotentialParams(s=s)
+        levels = scarf.collocation_spectrum(params, k_levels=6)[Exponent.PLUS]
+        exact = [scarf.bound_energy(params, n).energy for n in range(6)]
+        assert levels == pytest.approx(exact, rel=1e-12)
+        assert levels == pytest.approx(fd_bound_spectrum(params, k_levels=6), rel=1e-4)
 
     def test_convergence_with_grid(self, bound_params):
-        # raw discretization error is O(h^2): strictly monotone in N
-        # (the Richardson-extrapolated public result already sits at the
-        # eigensolver noise floor, where monotonicity has no meaning)
-        err = [abs(_fd_levels(bound_params.s, n, 1)[0] - 6.25)
+        # the reference's raw discretization error is O(h^2): strictly
+        # monotone in N (its Richardson-extrapolated result already sits at
+        # the eigensolver noise floor, where monotonicity has no meaning)
+        err = [abs(fd_levels(bound_params.s, n, 1)[0] - 6.25)
                for n in (500, 1000, 2000, 4000)]
         assert err[0] > err[1] > err[2] > err[3]
         assert err[0] / err[3] == pytest.approx(64.0, rel=0.05)
 
     def test_shallow_well(self):
         p = scarf.PotentialParams(s=0.9)
-        levels = scarf.fd_bound_spectrum(p, k_levels=1)
-        assert levels[0] == pytest.approx(HALF_PI_SQ * 1.96, rel=1e-4)
-        assert levels[0] == pytest.approx(9.6722, abs=5e-4)
+        level = scarf.collocation_spectrum(p, k_levels=1)[Exponent.PLUS][0]
+        assert level == pytest.approx(HALF_PI_SQ * 1.96, rel=1e-12)
+        assert level == pytest.approx(9.6722, abs=5e-4)
+
+    @pytest.mark.parametrize("s, k", [(0.4, 100), (2.0, 100), (8.0, 100), (0.4999, 300)])
+    def test_high_levels(self, s, k):
+        # at s = 0.4999 the lowest lower edge, lambda^2 = 1e-8, comes from
+        # a small grid: on the grid of the 300th level it is off by 9e-8 of
+        # the energy scale
+        params = scarf.PotentialParams(s=s)
+        for exponent, family in scarf.collocation_spectrum(params, k_levels=k).items():
+            edge = Edge.NOT_APPLICABLE if s > 0.5 else (
+                Edge.UPPER if exponent is Exponent.PLUS else Edge.LOWER)
+            for n, level in enumerate(family):
+                exact = spectrum_line(params, n, edge).energy
+                assert abs(level - exact) <= 1e-9 * params.energy_scale(exact), (exponent, n)
 
     def test_regime_and_parameter_guards(self, band_params, bound_params):
+        # both regimes: lower band edges carry the 1/2 - s exponent
+        levels = scarf.collocation_spectrum(band_params, k_levels=2)
+        lower, upper = zip(*(scarf.band_edge_energies(band_params, n) for n in range(2)))
+        assert levels[Exponent.MINUS] == pytest.approx([ln.energy for ln in lower], rel=1e-10)
+        assert levels[Exponent.PLUS] == pytest.approx([ln.energy for ln in upper], rel=1e-10)
         with pytest.raises(RegimeError):
-            scarf.fd_bound_spectrum(band_params)
-        for k_levels in (0, 1001):
+            fd_bound_spectrum(band_params)
+        for params, k_levels in ((bound_params, 0), (bound_params, 2000),
+                                 (scarf.PotentialParams(s=1e6), 1)):
             with pytest.raises(ValueError):
-                scarf.fd_bound_spectrum(bound_params, k_levels=k_levels)
+                scarf.collocation_spectrum(params, k_levels=k_levels)
 
     def test_nontrivial_units_propagate(self):
         # a != 1, m != 1 must thread every 2m and 1/a factor consistently
@@ -249,22 +283,88 @@ class TestFiniteDifference:
         cfg = ShootingConfig(match=MatchKind.VALUE_AT_MID)
         res = scarf.find_eigen(p, (closed * 0.9, closed * 1.1), cfg)
         assert res.energy == pytest.approx(closed, rel=1e-10)
-        fd = scarf.fd_bound_spectrum(p, k_levels=2)
-        assert fd[1] == pytest.approx(closed, rel=1e-4)
+        levels = scarf.collocation_spectrum(p, k_levels=2)[Exponent.PLUS]
+        assert levels[1] == pytest.approx(closed, rel=1e-12)
         pb = scarf.PotentialParams(s=0.23, a=1.9, m=0.6)
         lo = scarf.band_edge_energies(pb, 0)[0]
         cfg_lo = ShootingConfig(exponent=Exponent.MINUS, match=MatchKind.SLOPE_AT_MID)
         res_lo = scarf.find_eigen(pb, (lo.energy * 0.5, lo.energy * 1.5), cfg_lo)
         assert res_lo.energy == pytest.approx(lo.energy, rel=1e-9)
+        level_lo = scarf.collocation_spectrum(pb, k_levels=1)[Exponent.MINUS][0]
+        assert level_lo == pytest.approx(lo.energy, rel=1e-10)
 
     def test_cross_consistency_with_shooting(self, bound_params):
-        fd = scarf.fd_bound_spectrum(bound_params, k_levels=2)
+        levels = scarf.collocation_spectrum(bound_params, k_levels=2)[Exponent.PLUS]
         cfgs = [ShootingConfig(match=MatchKind.SLOPE_AT_MID),
                 ShootingConfig(match=MatchKind.VALUE_AT_MID)]
         brackets = [(25.0, 35.0), (55.0, 65.0)]
-        for level, cfg, bracket in zip(fd, cfgs, brackets):
+        for level, cfg, bracket in zip(levels, cfgs, brackets):
             shot = scarf.find_eigen(bound_params, bracket, cfg)
-            assert abs(shot.energy - level) / shot.energy <= 1e-4
+            assert abs(shot.energy - level) / shot.energy <= 1e-10
+
+
+def collocation_entries(params, n_max=2):
+    """The oracle_fd_rel_err entries of a verify run with a tolerance of
+    1e-10, between the collocation's accuracy and the mutants' shifts."""
+    report = scarf.run_verification(params, n_max, oracle="fd", tol=1e-10)
+    return {(c["n"], c["edge"]): c["pass"] for c in report["checks"]
+            if c["name"] == "oracle_fd_rel_err"}
+
+
+class TestCollocationMutants:
+    """Each mutation of the collocation oracle fails its check."""
+
+    @pytest.mark.parametrize("s, exponent, n, edge", [
+        (2.0, Exponent.PLUS, 1, None), (0.4, Exponent.MINUS, 0, "lower"),
+        (0.4, Exponent.PLUS, 2, "upper"),
+    ])
+    def test_one_level_shifted_by_1e9(self, s, exponent, n, edge, monkeypatch):
+        params = scarf.PotentialParams(s=s)
+        entries = collocation_entries(params)
+        assert len(entries) == (3 if s > 0.5 else 6) and all(entries.values())
+        honest = scarf.collocation_spectrum
+
+        def shifted(*args, **kwargs):
+            levels = honest(*args, **kwargs)
+            levels[exponent][n] *= 1.0 + 1e-9
+            return levels
+
+        monkeypatch.setattr(scarf.verify, "collocation_spectrum", shifted)
+        entries = collocation_entries(params)
+        assert [key for key, ok in entries.items() if not ok] == [(n, edge)]
+
+    @pytest.mark.parametrize("s", [0.6, 1.3, 2.0])
+    def test_exponent_sign_swapped(self, s, monkeypatch):
+        # mu = 1/2 - s in the bound regime, where only 1/2 + s is admissible
+        honest = oracle._collocate
+        monkeypatch.setattr(oracle, "_collocate",
+                            lambda s, mu, k: honest(s, 1.0 - mu, k))
+        entries = collocation_entries(scarf.PotentialParams(s=s))
+        assert len(entries) == 3 and not any(entries.values())
+
+
+class TestEnergyFloor:
+    """Relative energy checks read max(|E|, 1e-3 energy units)."""
+
+    @pytest.mark.parametrize("a, m", [(1.0, 1.0), (2.5, 0.7), (0.3, 4.0)])
+    def test_vanishing_lower_edge_passes(self, a, m):
+        report = scarf.run_verification(scarf.PotentialParams(0.4999, a, m), 2)
+        assert report["summary"]["all_pass"], [c for c in report["checks"] if not c["pass"]]
+
+    def test_energy_mutants_still_fail(self, band_params, monkeypatch):
+        # lambda^2 >= 0.01 at s = 0.4, above the floor: a 1e-6 error in a
+        # closed-form energy still reads 1e-6 on both oracle checks of every
+        # level
+        honest = scarf.verify.spectrum_lines
+        monkeypatch.setattr(scarf.verify, "spectrum_lines", lambda params, n_max: [
+            replace(ln, energy=ln.energy * (1.0 + 1e-6)) for ln in honest(params, n_max)])
+        monkeypatch.setattr(scarf.verify, "_probe_checks", lambda params, ln, out: None)
+        checks = scarf.run_verification(band_params, 3)["checks"]
+        oracle_checks = [c for c in checks
+                         if c["name"] in ("oracle_shooting_rel_err", "oracle_fd_rel_err")]
+        assert len(oracle_checks) == 16
+        assert not any(c["pass"] for c in oracle_checks)
+        assert [c["value"] for c in oracle_checks] == pytest.approx([1e-6] * 16, rel=1e-3)
 
 
 class TestShotCache:

@@ -179,7 +179,7 @@ class TestHighDegree:
         for probe in (scarf.verify_riccati, chi_parity_defect):
             with pytest.raises(NumericError, match="no probe point"):
                 probe(chi)
-        checks = _level_checks(params, line, [], [], 1e-8, False, False)
+        checks = _level_checks(params, line, [], {}, 1e-8, False)
         assert [c["name"] for c in checks] == [
             "residue_sum_rule_defect", "b1_vs_closed_form", "b1_parity",
             "d1_vs_closed_form", "moving_pole_count_defect", "probe_error"]

@@ -193,15 +193,14 @@ class TestLambdaOfEnergy:
 @functools.cache
 def oracle_levels(s, a=1.0, m=1.0):
     """E m a^2 of the shooting roots through n = 2, keyed by (exponent,
-    match, Sturm index), and of the FD levels in the bound regime."""
+    match, Sturm index), and of the collocation levels, keyed by exponent."""
     params = scarf.PotentialParams(s=s, a=a, m=m)
     e_max = 1.02 * max(ln.energy for ln in scarf.spectrum_lines(params, 2))
     shot = {(r.exponent, r.match, r.index): r.energy * m * a**2
             for r in scarf.scan_spectrum(params, e_max)}
-    fd = []
-    if s > 0.5:
-        fd = [e * m * a**2 for e in scarf.fd_bound_spectrum(params, k_levels=3)]
-    return shot, fd
+    collocated = {ex: [e * m * a**2 for e in levels]
+                  for ex, levels in scarf.collocation_spectrum(params, k_levels=3).items()}
+    return shot, collocated
 
 
 class TestScaling:
@@ -214,8 +213,8 @@ class TestScaling:
         ref = {(ln.n, ln.edge): ln.energy for ln in unit_lines}
         for ln in scarf.spectrum_lines(scarf.PotentialParams(s=s, a=a, m=m), 2):
             assert ln.energy * m * a**2 == pytest.approx(ref[ln.n, ln.edge], rel=1e-14)
-        ref_shot, ref_fd = oracle_levels(s)
-        shot, fd = oracle_levels(s, a, m)
+        ref_shot, ref_collocated = oracle_levels(s)
+        shot, collocated = oracle_levels(s, a, m)
         # at unit scale the shooting oracle finds every level, by Sturm index
         closed = {(*scarf.predicted_family(ln), ln.n // 2): ln.energy for ln in unit_lines}
         assert ref_shot.keys() == closed.keys()
@@ -224,5 +223,8 @@ class TestScaling:
         assert shot.keys() == ref_shot.keys()
         for key, energy in shot.items():
             assert energy == pytest.approx(ref_shot[key], rel=1e-14)
-        assert fd == pytest.approx(ref_fd, rel=1e-14)
-        assert len(fd) == (3 if s > 0.5 else 0)
+        assert collocated.keys() == ref_collocated.keys()
+        for ex, levels in collocated.items():
+            assert levels == pytest.approx(ref_collocated[ex], rel=1e-14)
+            assert len(levels) == 3
+        assert len(collocated) == (1 if s > 0.5 else 2)

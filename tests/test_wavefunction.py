@@ -1,12 +1,13 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import scarf
-from scarf import ConsistencyError, Edge, Parity
+from scarf import ConsistencyError, Parity
 from scarf.qmf import chi_parity_defect
 
 
@@ -194,19 +195,27 @@ class TestProbeMatrix:
             assert chi_parity_defect(chi) <= 1e-12, line
             riccati = scarf.verify_riccati(chi)
             assert riccati <= 1e-10 * (1.0 + line.lam**2), (line, riccati)
-            if (s, line.n, line.edge) == (0.4999, 0, Edge.LOWER):
-                continue  # the strict xfail test_residual_scale_at_vanishing_energy
             res, scale = scarf.schrodinger_residual(wf)
             assert res <= 1e-8 * scale, (line, res / scale)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the residual's scale |E| max|psi| vanishes as E -> 0: at s = 0.4999, "
-        "lower edge, n = 0, E is 4.9e-8 and the residual reads 5.4e-5 of the scale"))
     def test_residual_scale_at_vanishing_energy(self):
+        # at s = 0.4999, lower edge, n = 0, E is 4.9e-8 energy units; against
+        # |E| max|psi| the residual would read 5.4e-5, against the floored
+        # energy scale it reads about 5e-10
         params = scarf.PotentialParams(s=0.4999)
         wf = scarf.build_wavefunction(params, scarf.band_edge_energies(params, 0)[0])
         res, scale = scarf.schrodinger_residual(wf)
         assert res <= 1e-8 * scale
+
+    def test_energy_mutants_fail(self, band_params):
+        # lambda^2 >= 0.01 at s = 0.4, above the energy floor: a closed-form
+        # energy off by 1e-6 relative still reads 1e-6 on the residual
+        for n in range(4):
+            for line in scarf.band_edge_energies(band_params, n):
+                wf = scarf.build_wavefunction(band_params, line)
+                mutant = replace(wf, line=replace(line, energy=line.energy * (1.0 + 1e-6)))
+                res, scale = scarf.schrodinger_residual(mutant)
+                assert res / scale == pytest.approx(1e-6, rel=0.05), line
 
 
 class TestSampling:
@@ -223,13 +232,12 @@ class TestSampling:
 
 
 class TestImport:
-    def test_import_leaves_out_scipy_integrate(self, tmp_path):
-        # only the FD eigensolver loads scipy (scipy.linalg, which pulls in
-        # numpy.polynomial): neither importing the package, nor a level
-        # command, nor a verify without the FD oracle does, each run in a
-        # fresh interpreter, since P_n is evaluated in Gegenbauer form only;
-        # the Brent polish is the package's own, so scipy.optimize stays
-        # unloaded even with the FD oracle
+    def test_no_command_loads_scipy(self, tmp_path):
+        # no scipy module and no numpy.polynomial module is loaded by
+        # importing the package, by a level command or by verify with any
+        # oracle, each run in a fresh interpreter: P_n is evaluated in
+        # Gegenbauer form only, the Brent polish is the package's own and
+        # the collocation oracle uses numpy's eigvals
         none = ("scipy", "numpy.polynomial")
         commands = [
             ([], none),
@@ -239,7 +247,9 @@ class TestImport:
             (["table1", "--s", "2", "--n", "1"], none),
             (["verify", "--s", "0.4", "--n-max", "1"], none),
             (["verify", "--s", "2", "--n-max", "1", "--oracle", "shooting"], none),
-            (["verify", "--s", "2", "--n-max", "1", "--oracle", "both"], ("scipy.optimize",)),
+            (["verify", "--s", "2", "--n-max", "1", "--oracle", "both"], none),
+            (["verify", "--s", "2", "--n-max", "1", "--oracle", "fd"], none),
+            (["verify", "--s", "0.4", "--n-max", "1", "--oracle", "fd"], none),
         ]
         for k, (args, banned) in enumerate(commands):
             out = tmp_path / f"out{k}"
