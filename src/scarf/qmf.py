@@ -214,14 +214,19 @@ def verify_riccati(chi: ChiFunction, lam: float | None = None) -> float:
 def _probe_grid(chi: ChiFunction) -> np.ndarray:
     """64 points on [-5, 5], less those within 0.06 of a moving pole.
 
-    At high degree (from n = 394 at s = 2) the poles can leave no point;
-    that is a NumericError, not an empty grid."""
+    At high degree the poles thin that grid out (from n = 394 at s = 2 they
+    clear it), so when fewer than a quarter of its points are left the
+    probes take the midpoints in theta = arccot y between consecutive
+    poles instead, each as far from its two poles as the spacing allows."""
+    poles = real_roots(chi.poly)
     ys = np.linspace(-5.0, 5.0, _PROBE_POINTS)
-    for pole in real_roots(chi.poly):
+    for pole in poles:
         ys = ys[np.abs(ys - pole) >= 0.06]
-    if ys.size == 0:
-        raise NumericError(f"no probe point lies 0.06 clear of the {chi.poly.n} moving poles")
-    return ys
+    if ys.size >= _PROBE_POINTS // 4:
+        return ys
+    theta = np.arctan2(1.0, np.sort(poles))
+    mid = 0.5 * (theta[1:] + theta[:-1])
+    return np.cos(mid) / np.sin(mid)
 
 
 def chi_parity_defect(chi: ChiFunction) -> float:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from scarf import (
     RegimeError,
     ShootingConfig,
 )
-from scarf import Edge, oracle
+from scarf import Edge, kernels, oracle
 from scarf.kernels import shoot_halfcell
 from scarf.oracle import (
     _BRENTQ_RTOL,
@@ -384,6 +385,23 @@ class TestShotCache:
         assert seen
         assert len(set(seen)) == len(seen)
 
+    @pytest.mark.parametrize("s, max_calls, max_steps", [(2.0, 44, 15_000), (0.4, 108, 18_500)])
+    def test_kernel_calls_and_steps_bounded(self, s, max_calls, max_steps, monkeypatch):
+        # the eighth-order kernel takes 6,374 and 12,201 steps here; the
+        # fifth-order one it replaced took 59,348 and 74,385
+        _shot.cache_clear()
+        steps = []
+
+        def record(*args):
+            out = shoot_halfcell(*args)
+            steps.append(out[3])
+            return out
+
+        monkeypatch.setattr(scarf.kernels, "shoot_halfcell", record)
+        scarf.run_verification(scarf.PotentialParams(s), 2)
+        assert 0 < len(steps) <= max_calls
+        assert sum(steps) <= max_steps
+
 
 def scipy_brentq(f, lo, hi):
     """The reference the port follows, used only by the tests."""
@@ -443,3 +461,57 @@ class TestKernelPaths:
         with pytest.raises(NumericError, match=r"step underflow after \d{1,3} steps") as err:
             shoot_halfcell(-3.75, float("inf"), 1e-3 * math.pi, 1.0, 800.0)
         assert "exceeded" not in str(err.value)
+
+
+class TestDop853:
+    """The kernel against SciPy's DOP853, a test-only reference."""
+
+    def test_tableau_matches_scipy(self):
+        # every coefficient equals SciPy's double, and no other one is defined
+        from scipy.integrate._ivp import dop853_coefficients as ref
+        expected = {}
+        for i in range(2, 13):
+            if i < 12:
+                expected[f"_C{i}"] = ref.C[i - 1]
+            for j in range(1, i):
+                if ref.A[i - 1, j - 1] != 0.0:
+                    expected[f"_A{i}_{j}"] = ref.A[i - 1, j - 1]
+        for j in range(1, 13):
+            for name, row in (("_B", ref.B), ("_E5_", ref.E5)):
+                if row[j - 1] != 0.0:
+                    expected[f"{name}{j}"] = row[j - 1]
+            if ref.E3[j - 1] != ref.B[j - 1]:
+                expected[f"_E3_{j}"] = ref.E3[j - 1]
+        tableau = {name: value for name, value in vars(kernels).items()
+                   if re.fullmatch(r"_(A\d+_\d+|B\d+|C\d+|E[35]_\d+)", name)}
+        assert tableau == expected
+        assert len(expected) == 79
+        # stages 12 and 13 sit at x + h; stage 13 enters neither the
+        # solution nor the error, so it can be the next step's stage 1
+        assert ref.C[11] == ref.C[12] == 1.0
+        assert ref.E3[12] == ref.E5[12] == 0.0
+        assert ref.N_STAGES == 12
+
+    @pytest.mark.parametrize("s, lam2, exponent", [
+        (2.0, 6.3, Exponent.PLUS), (2.0, 150.0, Exponent.PLUS), (8.0, 150.0, Exponent.PLUS),
+        (0.4, 0.3, Exponent.MINUS), (0.4, 40.7, Exponent.MINUS), (0.4, 40.7, Exponent.PLUS),
+    ])
+    def test_matches_solve_ivp(self, s, lam2, exponent):
+        from scipy.integrate import solve_ivp
+        c = -(0.25 - s * s)
+        z0 = 1e-3 * math.pi
+        mu = 0.5 + s if exponent is Exponent.PLUS else 0.5 - s
+        u0, v0 = oracle.frobenius_start(s, lam2, mu, z0)
+        u, v, runmax, steps, zeros = shoot_halfcell(c, lam2, z0, u0, v0)
+
+        def rhs(z, y):
+            return [y[1], (c / math.sin(z) ** 2 - lam2) * y[0]]
+
+        ref = solve_ivp(rhs, (z0, math.pi / 2.0), [u0, v0], method="DOP853",
+                        rtol=1e-13, atol=1e-280, dense_output=True)
+        assert ref.success
+        assert abs(u - ref.y[0, -1]) <= 1e-9 * runmax
+        assert abs(v - ref.y[1, -1]) <= 1e-9 * runmax * math.sqrt(1.0 + lam2)
+        dense = ref.sol(np.linspace(z0, math.pi / 2.0, 20_001))[0]
+        assert zeros == np.count_nonzero(np.diff(np.sign(dense)) != 0)
+        assert 0 < steps < 1000

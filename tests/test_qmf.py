@@ -1,8 +1,8 @@
 import pytest
 
 import scarf
-from scarf import ChiFunction, ContourError, Edge, NumericError, Parity
-from scarf.qmf import chi_parity_defect
+from scarf import ChiFunction, ContourError, Edge, Parity
+from scarf.qmf import _probe_grid, chi_parity_defect
 from scarf.spectrum import spectrum_line
 from scarf.verify import _level_checks
 
@@ -170,17 +170,23 @@ class TestHighDegree:
         assert scarf.parity(wf) is (Parity.EVEN if n % 2 == 0 else Parity.ODD)
         assert abs(scarf.boundary_exponent(wf) - wf.boundary_power) <= 1e-3
 
-    def test_probe_grid_without_points_is_a_probe_error(self):
-        # at s = 2, n = 500 the moving poles clear every point of the real
-        # probe grid: a typed error, reported by verify as a probe_error
-        params = scarf.PotentialParams(s=2.0)
-        line = spectrum_line(params, 500, Edge.NOT_APPLICABLE)
+    @pytest.mark.parametrize("s, n, edge", [
+        (2.0, 393, Edge.NOT_APPLICABLE), (2.0, 394, Edge.NOT_APPLICABLE),
+        (2.0, 500, Edge.NOT_APPLICABLE), (0.4, 500, Edge.LOWER), (30.0, 500, Edge.NOT_APPLICABLE),
+    ])
+    def test_probe_grid_keeps_points_at_high_degree(self, s, n, edge):
+        # the moving poles clear the fixed real grid here (none of its 64
+        # points is left at s = 2, n = 394 and 500); the probes move to the
+        # theta-midpoints between poles and pass at verify's thresholds
+        params = scarf.PotentialParams(s=s)
+        line = spectrum_line(params, n, edge)
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
-        for probe in (scarf.verify_riccati, chi_parity_defect):
-            with pytest.raises(NumericError, match="no probe point"):
-                probe(chi)
+        assert _probe_grid(chi).size == n - 1
         checks = _level_checks(params, line, [], {}, 1e-8, False)
         assert [c["name"] for c in checks] == [
             "residue_sum_rule_defect", "b1_vs_closed_form", "b1_parity",
-            "d1_vs_closed_form", "moving_pole_count_defect", "probe_error"]
-        assert [c["pass"] for c in checks] == [True] * 5 + [False]
+            "d1_vs_closed_form", "moving_pole_count_defect", "chi_parity_defect",
+            "riccati_residual", "schrodinger_rel_residual", "node_count_defect",
+            "parity_defect", "boundary_exponent_defect"]
+        probes = [c for c in checks if c["name"] in ("chi_parity_defect", "riccati_residual")]
+        assert all(c["pass"] for c in probes), probes
