@@ -114,29 +114,16 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 # --------------------------------------------------------------------------
-# shared options and config-file precedence
+# subcommands: shared flags, config-file precedence, emission
 # --------------------------------------------------------------------------
 
-def common_options(fn):
-    fn = click.option("--config", "config_path", type=str, default=None,
-                      help="JSON config file; flags override its values.")(fn)
-    fn = click.option("--out", "out_path", type=str, default=None,
-                      help="Write data to PATH instead of stdout.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                      default="json", show_default=True)(fn)
-    fn = click.option("--m", type=float, default=1.0, show_default=True,
-                      help="Particle mass.")(fn)
-    fn = click.option("--a", type=float, default=1.0, show_default=True,
-                      help="Potential period.")(fn)
-    fn = click.option("--s", type=float, required=False, default=None,
-                      help="Coupling parameter (required, here or in --config).")(fn)
-    return fn
-
-
-def resolve_config(ctx: click.Context, values: dict, config_path: str | None) -> dict:
-    """flags > config file > declared defaults."""
+def resolve_config(ctx: click.Context) -> dict:
+    """The command's parameters after --config: flags > config file >
+    declared defaults.  The config keys are the parameter names."""
+    cfg = dict(ctx.params)
+    config_path = cfg.pop("config")
     if config_path is None:
-        return values
+        return cfg
     with open(config_path) as fh:
         try:
             file_cfg = json.load(fh)
@@ -145,29 +132,14 @@ def resolve_config(ctx: click.Context, values: dict, config_path: str | None) ->
     if not isinstance(file_cfg, dict):
         raise ValueError(f"config {config_path} must hold a JSON object")
     options = {param.name: param for param in ctx.command.params}
-    merged = dict(values)
     for key, file_val in file_cfg.items():
-        if key not in merged:
+        if key not in cfg:
             raise ValueError(f"unknown config key {key!r}")
-        name = _param_name(key)
-        if ctx.get_parameter_source(name) is not click.core.ParameterSource.COMMANDLINE:
+        if ctx.get_parameter_source(key) is not click.core.ParameterSource.COMMANDLINE:
             # parsed as the same text given as the flag would be
-            merged[key] = (None if file_val is None
-                           else options[name].type_cast_value(ctx, str(file_val)))
-    return merged
-
-
-_PARAM_ALIASES = {"out": "out_path", "format": "fmt", "n": "level_n", "lambda": "lam"}
-
-
-def _param_name(key: str) -> str:
-    return _PARAM_ALIASES.get(key, key)
-
-
-def make_params(s: float | None, a: float, m: float) -> PotentialParams:
-    if s is None:
-        raise ValueError("--s is required")
-    return PotentialParams(s=s, a=a, m=m)
+            cfg[key] = (None if file_val is None
+                        else options[key].type_cast_value(ctx, str(file_val)))
+    return cfg
 
 
 def _line(params: PotentialParams, n: int, edge: str | None):
@@ -175,21 +147,24 @@ def _line(params: PotentialParams, n: int, edge: str | None):
     return spectrum_line(params, n, Edge(edge or Edge.NOT_APPLICABLE))
 
 
-# --------------------------------------------------------------------------
-# commands
-# --------------------------------------------------------------------------
-
 class _Group(click.Group):
-    """Maps errors to exit codes, once for every subcommand: I/O failures
-    exit 3; invalid parameters, configurations and levels exit 2, and so
-    does arithmetic that leaves the float range for the given parameters."""
+    """Maps outcomes to exit codes, once for every subcommand: a written
+    verify report with failing checks exits 1; I/O failures exit 3;
+    invalid parameters, configurations and levels exit 2, and so does
+    arithmetic that leaves the float range for the given parameters."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            payload = super().invoke(ctx)
         except (OSError, ScarfError, ValueError, ArithmeticError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_IO if isinstance(exc, OSError) else EXIT_BAD_CONFIG)
+        summary = payload.get("summary")
+        if summary is not None and not summary["all_pass"]:
+            click.echo(f"verification FAILED: {summary['n_failed']} check(s) above "
+                       "tolerance", err=True)
+            sys.exit(EXIT_CHECKS_FAILED)
+        return payload
 
 
 @click.group(cls=_Group)
@@ -210,7 +185,60 @@ def main():
     package_logger.setLevel(levels.get(level, logging.ERROR))
 
 
-def _spectrum_payload(params: PotentialParams, n_max: int) -> dict:
+_SHARED_OPTIONS = (
+    click.option("--s", type=float, default=None,
+                 help="Coupling parameter (required, here or in --config)."),
+    click.option("--a", type=float, default=1.0, show_default=True,
+                 help="Potential period."),
+    click.option("--m", type=float, default=1.0, show_default=True,
+                 help="Particle mass."),
+    click.option("--format", type=click.Choice(["json", "csv"]), default="json",
+                 show_default=True),
+    click.option("--out", type=str, default=None,
+                 help="Write data to PATH instead of stdout."),
+    click.option("--config", type=str, default=None,
+                 help="JSON config file; flags override its values."),
+)
+
+
+def subcommand(*options):
+    """Registers body(params, cfg) as a subcommand of main, with the shared
+    flags followed by options.
+
+    cfg holds every parameter after --config.  The body returns (payload,
+    csv_header, csv_rows); the command writes the JSON payload or the CSV
+    rows, whichever --format names, to --out or stdout and returns the
+    payload.  csv_rows may be lazy: only the CSV format reads it.  body
+    itself is returned unchanged, so one body can call another.
+    """
+    def register(body):
+        def command(**_):
+            cfg = resolve_config(click.get_current_context())
+            if cfg["s"] is None:
+                raise ValueError("--s is required")
+            params = PotentialParams(s=cfg["s"], a=cfg["a"], m=cfg["m"])
+            payload, header, rows = body(params, cfg)
+            _emit(json_dumps(payload) + "\n" if cfg["format"] == "json"
+                  else csv_lines(header, rows), cfg["out"])
+            return payload
+
+        for option in reversed(_SHARED_OPTIONS + options):
+            command = option(command)
+        main.command(body.__name__, help=body.__doc__)(command)
+        return body
+    return register
+
+
+# --------------------------------------------------------------------------
+# commands
+# --------------------------------------------------------------------------
+
+@subcommand(click.option("--n-max", type=int, default=3, show_default=True,
+                         help="Highest level/band index."))
+def spectrum(params, cfg):
+    """Closed-form spectrum for n = 0..n_max (both edges in the band
+    regime, plus band widths and gaps)."""
+    n_max = cfg["n_max"]
     if n_max < 0:
         raise ValueError("--n-max must be >= 0")
     logger.info("spectrum: s=%g a=%g m=%g regime=%s n_max=%d",
@@ -218,153 +246,77 @@ def _spectrum_payload(params: PotentialParams, n_max: int) -> dict:
     lines = spectrum_lines(params, n_max)
     payload = level_report(params, lines, [])
     if params.regime in (Regime.BANDS, Regime.FREE_PARTICLE):
-        widths = []
-        gaps = []
-        for n in range(n_max + 1):
-            lo = next(ln for ln in lines if ln.n == n and ln.edge is Edge.LOWER)
-            hi = next(ln for ln in lines if ln.n == n and ln.edge is Edge.UPPER)
-            widths.append({"n": n, "width": hi.energy - lo.energy})
-            if n < n_max:
-                nxt = next(ln for ln in lines if ln.n == n + 1 and ln.edge is Edge.LOWER)
-                gaps.append({"n": n, "gap": nxt.energy - hi.energy})
-        payload["bands"] = {"widths": widths, "gaps": gaps}
-    return payload
+        energy = {(ln.n, ln.edge): ln.energy for ln in lines}
+        payload["bands"] = {
+            "widths": [{"n": n, "width": energy[n, Edge.UPPER] - energy[n, Edge.LOWER]}
+                       for n in range(n_max + 1)],
+            "gaps": [{"n": n, "gap": energy[n + 1, Edge.LOWER] - energy[n, Edge.UPPER]}
+                     for n in range(n_max)],
+        }
+    return payload, list(payload["levels"][0]), payload["levels"]
 
 
-def _emit_spectrum(payload: dict, fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        _emit(json_dumps(payload) + "\n", out_path)
-    else:
-        rows = [dict(level, edge=level["edge"] or "") for level in payload["levels"]]
-        _emit(csv_lines(list(rows[0]), rows), out_path)
-
-
-@main.command()
-@common_options
-@click.option("--n-max", type=int, default=3, show_default=True,
-              help="Highest level/band index.")
-@click.pass_context
-def spectrum(ctx, s, a, m, fmt, out_path, config_path, n_max):
-    """Closed-form spectrum for n = 0..n_max (both edges in the band
-    regime, plus band widths and gaps)."""
-    cfg = resolve_config(ctx, {"s": s, "a": a, "m": m, "format": fmt,
-                               "out": out_path, "n_max": n_max}, config_path)
-    params = make_params(cfg["s"], cfg["a"], cfg["m"])
-    _emit_spectrum(_spectrum_payload(params, cfg["n_max"]), cfg["format"], cfg["out"])
-
-
-@main.command()
-@common_options
-@click.option("--n-max", type=int, default=3, show_default=True)
-@click.pass_context
-def bands(ctx, s, a, m, fmt, out_path, config_path, n_max):
+@subcommand(click.option("--n-max", type=int, default=3, show_default=True))
+def bands(params, cfg):
     """Spectrum restricted to the band regime (0 < s < 1/2)."""
-    cfg = resolve_config(ctx, {"s": s, "a": a, "m": m, "format": fmt,
-                               "out": out_path, "n_max": n_max}, config_path)
-    params = make_params(cfg["s"], cfg["a"], cfg["m"])
     if params.regime is not Regime.BANDS:
         raise RegimeError(f"s = {params.s} is not in the band regime (0 < s < 1/2)")
-    _emit_spectrum(_spectrum_payload(params, cfg["n_max"]), cfg["format"], cfg["out"])
+    return spectrum(params, cfg)
 
 
-@main.command()
-@common_options
-@click.option("--n", "level_n", type=int, default=0, show_default=True,
-              help="Level/band index.")
-@click.option("--edge", type=click.Choice(["lower", "upper"]), default=None,
-              help="Band edge (band regime only).")
-@click.option("--samples", type=int, default=512, show_default=True)
-@click.pass_context
-def wavefunction(ctx, s, a, m, fmt, out_path, config_path, level_n, edge, samples):
+@subcommand(
+    click.option("--n", type=int, default=0, show_default=True,
+                 help="Level/band index."),
+    click.option("--edge", type=click.Choice(["lower", "upper"]), default=None,
+                 help="Band edge (band regime only)."),
+    click.option("--samples", type=int, default=512, show_default=True),
+)
+def wavefunction(params, cfg):
     """Sample one normalized eigenfunction: columns x, V, psi, psi_squared."""
-    cfg = resolve_config(ctx, {"s": s, "a": a, "m": m, "format": fmt,
-                               "out": out_path, "n": level_n, "edge": edge,
-                               "samples": samples}, config_path)
-    params = make_params(cfg["s"], cfg["a"], cfg["m"])
     line = _line(params, cfg["n"], cfg["edge"])
     cols = sample_wavefunction(build_wavefunction(params, line), cfg["samples"])
-    if cfg["format"] == "json":
-        payload = level_report(params, [line], [])
-        payload["samples"] = {name: list(map(float, arr)) for name, arr in cols.items()}
-        _emit(json_dumps(payload) + "\n", cfg["out"])
-    else:
-        names = ["x", "V", "psi", "psi_squared"]
-        rows = [{name: float(cols[name][i]) for name in names}
-                for i in range(len(cols["x"]))]
-        _emit(csv_lines(names, rows), cfg["out"])
+    payload = level_report(params, [line], [])
+    samples = payload["samples"] = {name: list(map(float, arr)) for name, arr in cols.items()}
+    return payload, list(samples), (dict(zip(samples, row)) for row in zip(*samples.values()))
 
 
-@main.command()
-@common_options
-@click.option("--n-max", type=int, default=2, show_default=True)
-@click.option("--oracle", type=click.Choice(["shooting", "fd", "both"]),
-              default="both", show_default=True,
-              help="fd is the Chebyshev-collocation oracle.")
-@click.option("--tol", type=float, default=1e-8, show_default=True,
-              help="Relative tolerance for oracle-energy agreement.")
-@click.pass_context
-def verify(ctx, s, a, m, fmt, out_path, config_path, n_max, oracle, tol):
+@subcommand(
+    click.option("--n-max", type=int, default=2, show_default=True),
+    click.option("--oracle", type=click.Choice(["shooting", "fd", "both"]),
+                 default="both", show_default=True,
+                 help="fd is the Chebyshev-collocation oracle."),
+    click.option("--tol", type=float, default=1e-8, show_default=True,
+                 help="Relative tolerance for oracle-energy agreement."),
+)
+def verify(params, cfg):
     """Run every closed-form level through the oracles and structural
     checks; exit 0 only if all checks pass."""
-    cfg = resolve_config(ctx, {"s": s, "a": a, "m": m, "format": fmt,
-                               "out": out_path, "n_max": n_max,
-                               "oracle": oracle, "tol": tol}, config_path)
-    params = make_params(cfg["s"], cfg["a"], cfg["m"])
     report = run_verification(params, cfg["n_max"], cfg["oracle"], cfg["tol"])
-    if cfg["format"] == "json":
-        _emit(json_dumps(report) + "\n", cfg["out"])
-    else:
-        rows = [dict(c, edge=c["edge"] or "") for c in report["checks"]]
-        _emit(csv_lines(["n", "edge", "name", "value", "threshold", "pass", "observed"],
-                        rows), cfg["out"])
-    if not report["summary"]["all_pass"]:
-        n_failed = report["summary"]["n_failed"]
-        click.echo(f"verification FAILED: {n_failed} check(s) above tolerance", err=True)
-        sys.exit(EXIT_CHECKS_FAILED)
+    return (report, ["n", "edge", "name", "value", "threshold", "pass", "observed"],
+            report["checks"])
 
 
-@main.command()
-@common_options
-@click.option("--lambda", "lam", type=float, default=None,
-              help="Dimensionless energy parameter (else derive from --n/--edge).")
-@click.option("--n", "level_n", type=int, default=None, help="Level index.")
-@click.option("--edge", type=click.Choice(["lower", "upper"]), default=None)
-@click.pass_context
-def table1(ctx, s, a, m, fmt, out_path, config_path, lam, level_n, edge):
+@subcommand(
+    click.option("--lambda", type=float, default=None,
+                 help="Dimensionless energy parameter (else derive from --n/--edge)."),
+    click.option("--n", type=int, default=None, help="Level index."),
+    click.option("--edge", type=click.Choice(["lower", "upper"]), default=None),
+)
+def table1(params, cfg):
     """Enumerate all residue combinations at a given lambda with their
     validity verdicts."""
-    cfg = resolve_config(ctx, {"s": s, "a": a, "m": m, "format": fmt,
-                               "out": out_path, "lambda": lam, "n": level_n,
-                               "edge": edge}, config_path)
-    params = make_params(cfg["s"], cfg["a"], cfg["m"])
-    lam_val = cfg["lambda"]
-    if lam_val is None:
+    lam = cfg["lambda"]
+    if lam is None:
         if cfg["n"] is None:
             raise ValueError("give --lambda or --n (with --edge in the band regime)")
-        lam_val = _line(params, cfg["n"], cfg["edge"]).lam
-    rows = [
-        {
-            "set": rs.set_id,
-            "b1": rs.b1,
-            "b1_prime": rs.b1_prime,
-            "d1": rs.d1,
-            "n": rs.n_value,
-            "valid": rs.valid,
-            "remark": "valid" if rs.valid else f"not valid ({rs.rejection_reason})",
-        }
-        for rs in enumerate_residue_sets(params.s, lam_val)
-    ]
-    if cfg["format"] == "json":
-        payload = {
-            "params": params_entry(params),
-            "regime": params.regime.value,
-            "lambda": lam_val,
-            "sets": rows,
-        }
-        _emit(json_dumps(payload) + "\n", cfg["out"])
-    else:
-        _emit(csv_lines(["set", "b1", "b1_prime", "d1", "n", "valid", "remark"], rows),
-              cfg["out"])
+        lam = _line(params, cfg["n"], cfg["edge"]).lam
+    rows = [{"set": rs.set_id, "b1": rs.b1, "b1_prime": rs.b1_prime, "d1": rs.d1,
+             "n": rs.n_value, "valid": rs.valid,
+             "remark": "valid" if rs.valid else f"not valid ({rs.rejection_reason})"}
+            for rs in enumerate_residue_sets(params.s, lam)]
+    payload = {"params": params_entry(params), "regime": params.regime.value,
+               "lambda": lam, "sets": rows}
+    return payload, ["set", "b1", "b1_prime", "d1", "n", "valid", "remark"], rows
 
 
 if __name__ == "__main__":

@@ -158,24 +158,16 @@ def frobenius_start(s: float, lam2: float, mu: float,
     return series, dseries
 
 
-def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
-    """Matching value of one shooting family at trial energy E.
+def shoot(params: PotentialParams, energy: float,
+          cfg: ShootingConfig) -> tuple[float, int]:
+    """Matching value of one shooting family at trial energy E, and N(E),
+    the number of the family's eigenvalues below E, from one integration.
 
-    Integrates from the start offset to the cell midpoint and returns
+    Integrates from the start offset to the cell midpoint.  The value is
     u(pi/2) or u_z(pi/2) (per cfg.match) divided by the running maximum of
-    |u|, so the value is scale-free and overflow cannot bias the root
-    location.
-    """
-    return shoot_and_count(params, energy, cfg)[0]
-
-
-def shoot_and_count(params: PotentialParams, energy: float,
-                    cfg: ShootingConfig) -> tuple[float, int]:
-    """The matching value of shoot and N(E), the number of the family's
-    eigenvalues below E, from one integration.
-
-    By Sturm oscillation N(E) is the number of zeros of u on
-    (delta, pi/2), plus one for the slope match when u u_z < 0 at pi/2.
+    |u|, so it is scale-free and overflow cannot bias the root location.
+    By Sturm oscillation N(E) is the number of zeros of u on (delta, pi/2),
+    plus one for the slope match when u u_z < 0 at pi/2.
     """
     if params.regime is Regime.BOUND_STATES and cfg.exponent is Exponent.MINUS:
         raise RegimeError("bound regime admits only the 1/2 + s exponent")
@@ -244,11 +236,11 @@ def _bracketed_root(params: PotentialParams, cfg: ShootingConfig,
                     lo: float, hi: float) -> float | None:
     """Root of the matching function on [lo, hi] by brentq; None when
     its signs at the ends agree and neither is zero."""
-    f_lo = shoot(params, lo, cfg)
-    f_hi = shoot(params, hi, cfg)
+    f_lo = shoot(params, lo, cfg)[0]
+    f_hi = shoot(params, hi, cfg)[0]
     if f_lo != 0.0 and f_hi != 0.0 and np.sign(f_lo) == np.sign(f_hi):
         return None
-    return brentq(lambda e: shoot(params, e, cfg), lo, hi, f_lo, f_hi)
+    return brentq(lambda e: shoot(params, e, cfg)[0], lo, hi, f_lo, f_hi)
 
 
 def brentq(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -313,8 +305,8 @@ def scan_spectrum(params: PotentialParams, e_max: float) -> list[OracleResult]:
 
     Brackets are cells of a lambda^2 lattice with step 0.05.  Per family,
     bisection on the lattice index finds each cell where the count N(E)
-    of shoot_and_count rises (within one family levels are at least 4
-    apart in lambda^2, i.e. 80 cells), and find_eigen solves it; the
+    of shoot rises (within one family levels are at least 4 apart in
+    lambda^2, i.e. 80 cells), and find_eigen solves it; the
     count at the cell's lower point is the root's index.  A cell whose
     lower point shoots to exactly 0.0 is not a bracket: that is the
     free-particle fold at E = 0, which keeps index 0.  Results from
@@ -358,7 +350,7 @@ def _rising_cells(params: PotentialParams, grid: np.ndarray,
     changes between grid[i] and grid[i + 1], found by bisection on the
     index, less the cells whose lower point shoots to exactly 0.0."""
     def sample(i: int) -> tuple[float, int]:
-        return shoot_and_count(params, float(grid[i]), cfg)
+        return shoot(params, float(grid[i]), cfg)
 
     def cells(lo: int, hi: int) -> list[int]:
         if sample(lo)[1] == sample(hi)[1]:

@@ -145,11 +145,14 @@ def count_nodes(spec: WavefunctionSpec) -> int:
     """Number of interior sign changes of psi over one open cell.
 
     sign(psi) = sign(R_n^kappa(cos theta)) inside the cell, so this counts
-    the sign changes of R on a uniform open grid of 512 points, skipping
-    samples that are exactly zero.
+    the sign changes of R on a uniform open grid of max(512, 8 (n + 1))
+    points, skipping samples that are exactly zero.  With about eight
+    samples per node, two nodes do not fall between neighbouring samples.
     """
-    z = np.pi * np.arange(1, _NODE_SAMPLES + 1) / (_NODE_SAMPLES + 1.0)
-    signs = np.sign(gegenbauer_ratios(spec.line.n, spec.boundary_power, np.cos(z))[0])
+    n = spec.line.n
+    samples = max(_NODE_SAMPLES, 8 * (n + 1))
+    z = np.pi * np.arange(1, samples + 1) / (samples + 1.0)
+    signs = np.sign(gegenbauer_ratios(n, spec.boundary_power, np.cos(z))[0])
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[:-1] != signs[1:]))
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -152,6 +153,34 @@ class TestSpectrumCommand:
         result = invoke(runner, ["wavefunction", "--config", str(cfg),
                                  "--n", "1", "--samples", "16"])
         assert json.loads(result.output)["levels"][0]["n"] == 1
+
+    def test_config_keys_are_the_flag_names(self, runner, tmp_path):
+        cfg = tmp_path / "run.json"
+        out = tmp_path / "out.json"
+
+        def run(command, values, *flags):
+            cfg.write_text(json.dumps(values))
+            return invoke(runner, [command, "--config", str(cfg), *flags])
+
+        result = run("table1", {"s": 0.4, "lambda": 0.9})
+        assert json.loads(result.output)["lambda"] == 0.9
+        result = run("wavefunction", {"s": 0.4, "n": 1, "edge": "upper"}, "--samples", "16")
+        level = json.loads(result.output)["levels"][0]
+        assert (level["n"], level["edge"]) == (1, "upper")
+        result = run("spectrum", {"s": 2.0, "out": str(out)})
+        assert result.output == "" and json.loads(out.read_text())["regime"] == "bound_states"
+        result = run("spectrum", {"s": 2.0, "format": "csv"})
+        assert result.output.startswith("n,edge,lambda,energy,")
+
+    @pytest.mark.parametrize("key", ["config", "config_path", "out_path", "fmt",
+                                     "level_n", "lam"])
+    def test_parameter_names_other_than_flags_are_unknown_keys(self, runner, tmp_path, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"s": 0.4, "lambda": 0.9, key: 1}))
+        result = runner.invoke(main, ["table1", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert f"unknown config key {key!r}" in result.stderr
+        assert result.stdout == ""
 
 
 class TestWavefunctionCommand:
@@ -377,6 +406,39 @@ class TestDeterminism:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+
+class TestOutputBytes:
+    """SHA-256 of stdout for commands whose output comes from Python float
+    arithmetic alone, so the digests hold on any numpy build.  Any change to
+    these bytes is a change to the CLI's reports."""
+
+    DIGESTS = {
+        "spectrum --s 2":
+            "c58c6e966fd2fa4f078f1d3b6216da78205b2369431f0e611dfaf9eb69db0100",
+        "spectrum --s 2 --format csv":
+            "732662f68f53c03ef2527b88316e2c3f9f04442a8dc63ebe86a945c51baeb823",
+        "spectrum --s 0.4":
+            "6c6383f516e993207d4cc3c0d539bdd7ac50f610d2bca83cbe661143c9893555",
+        "spectrum --s 0.4 --format csv":
+            "caac4d5dd264ecde69b006a51e5d18915c3ce49200d872e67eadb8575246a363",
+        "spectrum --s 0.5":
+            "94662259a83ff6be08b28cd38d86c5f49cfec806c68915be7d2f8445a385e901",
+        "spectrum --s 0.5 --format csv":
+            "206b5aab2fbe70b14f56b01795b4528db7623e650f071e5fadbf9aabcb21829f",
+        "bands --s 0.4 --format csv":
+            "caac4d5dd264ecde69b006a51e5d18915c3ce49200d872e67eadb8575246a363",
+        "table1 --s 0.4 --lambda 0.9":
+            "08ddad0d66aea5a6863facfd8fd38c211aa5300d44a31997dc549d9794bf0028",
+        "table1 --s 0.4 --lambda 0.9 --format csv":
+            "2c50b50a922c4dcc450f86ab0a490eac18ac7575592c9ca4228f28842b5ba232",
+    }
+
+    @pytest.mark.parametrize("args", list(DIGESTS))
+    def test_stdout_digest(self, runner, args):
+        result = invoke(runner, args.split())
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == self.DIGESTS[args]
 
 
 class TestNoTracebacks:

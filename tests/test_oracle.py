@@ -22,7 +22,6 @@ from scarf.oracle import (
     _families,
     _shot,
     brentq,
-    shoot_and_count,
 )
 from scarf.spectrum import spectrum_line
 
@@ -34,18 +33,18 @@ HALF_PI_SQ = math.pi**2 / 2.0
 class TestShoot:
     def test_eigenvalue_nulls_matching_function(self, bound_params):
         cfg = ShootingConfig(exponent=Exponent.PLUS, match=MatchKind.SLOPE_AT_MID)
-        val = scarf.shoot(bound_params, HALF_PI_SQ * 6.25, cfg)
+        val = scarf.shoot(bound_params, HALF_PI_SQ * 6.25, cfg)[0]
         assert abs(val) <= 1e-8
 
     def test_band_lower_edge_nulls(self, band_params):
         cfg = ShootingConfig(exponent=Exponent.MINUS, match=MatchKind.SLOPE_AT_MID)
-        val = scarf.shoot(band_params, HALF_PI_SQ * 0.01, cfg)
+        val = scarf.shoot(band_params, HALF_PI_SQ * 0.01, cfg)[0]
         assert abs(val) <= 1e-8
 
     def test_off_eigenvalue_brackets_ground_state(self, bound_params):
         cfg = ShootingConfig(exponent=Exponent.PLUS, match=MatchKind.SLOPE_AT_MID)
-        low = scarf.shoot(bound_params, 20.0, cfg)
-        high = scarf.shoot(bound_params, 40.0, cfg)
+        low = scarf.shoot(bound_params, 20.0, cfg)[0]
+        high = scarf.shoot(bound_params, 40.0, cfg)[0]
         assert low != 0.0 and high != 0.0
         assert math.copysign(1.0, low) != math.copysign(1.0, high)
 
@@ -64,7 +63,7 @@ class TestShoot:
     def test_large_coupling_start_is_finite(self):
         # the start state carries no delta^(1/2 + s) factor to underflow
         p = scarf.PotentialParams(s=100.0)
-        val = scarf.shoot(p, scarf.bound_energy(p, 0).energy, ShootingConfig(delta=5e-4))
+        val = scarf.shoot(p, scarf.bound_energy(p, 0).energy, ShootingConfig(delta=5e-4))[0]
         assert math.isfinite(val)
 
 
@@ -175,7 +174,7 @@ def sweep_scan(params, e_max):
     for exponent, match in _families(params.regime):
         cfg = ShootingConfig(exponent=exponent, match=match)
         roots = []
-        values = [scarf.shoot(params, float(e), cfg) for e in grid]
+        values = [scarf.shoot(params, float(e), cfg)[0] for e in grid]
         for i in range(len(grid) - 1):
             lo, hi = values[i], values[i + 1]
             if lo == 0.0 or np.sign(lo) == np.sign(hi):
@@ -184,7 +183,7 @@ def sweep_scan(params, e_max):
                 res = scarf.find_eigen(params, (float(grid[i]), float(grid[i + 1])), cfg)
             except (BracketError, NumericError):
                 continue
-            res = replace(res, index=shoot_and_count(params, float(grid[i]), cfg)[1])
+            res = replace(res, index=scarf.shoot(params, float(grid[i]), cfg)[1])
             if res.energy > e_max:
                 continue
             if roots and abs(res.energy - roots[-1].energy) <= 1e-8 * res.energy:
@@ -205,7 +204,7 @@ class TestNodeCount:
             cfg = ShootingConfig(exponent=exponent, match=match)
 
             def count(energy):
-                return shoot_and_count(params, energy, cfg)[1]
+                return scarf.shoot(params, energy, cfg)[1]
 
             assert count(0.0) == 0
             family = sorted(ln.energy for ln in lines

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import scarf
-from scarf import ConsistencyError, Parity
+from scarf import ConsistencyError, Edge, Parity
 from scarf.qmf import chi_parity_defect
+from scarf.spectrum import spectrum_line
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +130,13 @@ class TestStructure:
         lo8, hi8 = scarf.band_edge_energies(band_params, 8)
         assert scarf.count_nodes(scarf.build_wavefunction(band_params, lo8)) == 8
         assert scarf.count_nodes(scarf.build_wavefunction(band_params, hi8)) == 8
+
+    @pytest.mark.parametrize("s, edge", [(0.4, Edge.LOWER), (30.0, Edge.NOT_APPLICABLE)])
+    def test_node_count_at_n500(self, s, edge):
+        # 512 fixed samples read 498 and 474 here: nodes fell between them
+        params = scarf.PotentialParams(s=s)
+        wf = scarf.build_wavefunction(params, spectrum_line(params, 500, edge))
+        assert scarf.count_nodes(wf) == 500
 
     def test_parity(self, bound_params):
         for n in range(4):
