@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import NumericError, SingularityError
 
 # Lattice points are detected within this fraction of the period.
 LATTICE_TOL = 1e-12
@@ -120,7 +120,8 @@ def evaluate_potential(params: PotentialParams, x):
 
     Raises SingularityError if any point is within LATTICE_TOL * a of a
     lattice point: the potential diverges there and callers that need
-    grids must offset, never clamp.
+    grids must offset, never clamp.  Raises NumericError if V overflows
+    elsewhere (extreme a and m), without a numpy warning.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -129,7 +130,10 @@ def evaluate_potential(params: PotentialParams, x):
         raise SingularityError("potential diverges at lattice points x = k*a")
     r = reduce_to_cell(x, params.a)
     sn = np.sin(np.pi * r / params.a)
-    val = -(0.25 - params.s**2) * np.pi**2 / (2.0 * params.m * params.a**2 * sn * sn)
+    with np.errstate(all="ignore"):
+        val = -(0.25 - params.s**2) * np.pi**2 / (2.0 * params.m * params.a**2 * sn * sn)
+    if not np.all(np.isfinite(val)):
+        raise NumericError(f"V(x) is not finite for a = {params.a!r}, m = {params.m!r}")
     return float(val) if val.ndim == 0 else val
 
 

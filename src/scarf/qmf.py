@@ -22,11 +22,14 @@ theta.  For these analytic integrands that rule converges geometrically
 (Trefethen and Weideman, SIAM Review 56 (2014) 385), at the rate set by
 how far the ellipse can shrink in its confocal family before it meets a
 pole.  On the residue circles (rx = ry) every other pole stays at least
-half a radius from the contour.  The moving-pole count needs a flat ellipse that holds the real roots and
-stays clear of +-i; its inner poles lie a distance of about ry/rx in
-theta from the contour, so N is the smallest power of two >= max(256,
-32 rx/ry): at least 32 such distances, an error near e^-32.  A contour
-with corners would converge only algebraically.
+half a radius from the contour.  The moving-pole count needs a flat
+ellipse that holds the real roots and stays clear of +-i; its inner poles
+lie a distance of about ry/rx in theta from the contour, so N is the
+smallest power of two >= max(256, 32 rx/ry): at least 32 such distances,
+an error near e^-32.  A contour with corners would converge only
+algebraically.  The five contours of one state (two residue circles, two
+circles at infinity, the moving-pole ellipse) share one pass of the
+recurrence over all their nodes, as do chi and chi' on the probe grid.
 
 Conventions: in the original momentum variable p = -i q the moving-pole
 residue reads -i hbar; after the variable changes used here it is +1, the
@@ -38,6 +41,7 @@ outside this package's scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,13 +72,11 @@ class ChiFunction:
 
     def __call__(self, y):
         y = np.asarray(y, dtype=complex)
-        return 2.0 * self.b1 * y / (y * y + 1.0) + log_derivative(self.poly, y)
+        return self.fixed_part(y) + log_derivative(self.poly, y)
 
-    def derivative(self, y):
-        """chi'(y) differentiated analytically (no numerical step)."""
-        y = np.asarray(y, dtype=complex)
-        rational = 2.0 * self.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2
-        return rational + log_derivative(self.poly, y, slope=True)[1]
+    def fixed_part(self, y):
+        """2 b1 y / (y^2 + 1), the part of chi with the poles at +-i."""
+        return 2.0 * self.b1 * y / (y * y + 1.0)
 
     def pole_locations(self) -> list[complex]:
         return [1j, -1j] + [complex(r) for r in real_roots(self.poly)]
@@ -119,6 +121,14 @@ class ResidueReport:
     sum_rule_defect: float
 
 
+@lru_cache(maxsize=None)
+def _unit_circle(nodes: int) -> np.ndarray:
+    """e^(i theta_k) at the N trapezoid nodes, made once per N, read-only."""
+    e = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
+    e.flags.writeable = False
+    return e
+
+
 def _ellipse(center: complex, rx: float, ry: float) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid nodes z_k on the ellipse of the module docstring and
     factors w_k = z'(theta_k) / i, so that mean(f(z) * w) approximates
@@ -126,11 +136,29 @@ def _ellipse(center: complex, rx: float, ry: float) -> tuple[np.ndarray, np.ndar
     nodes = _MIN_NODES
     while nodes < 32.0 * rx / ry:
         nodes *= 2
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    e = np.exp(1j * theta)
+    e = _unit_circle(nodes)
     alpha, beta = 0.5 * (rx + ry), 0.5 * (rx - ry)
     back = beta * e.conj()
     return center + alpha * e + back, alpha * e - back
+
+
+def _sweep(chi: ChiFunction, contours: list) -> list[tuple[np.ndarray, complex]]:
+    """(f(z), (1/2 pi i) closed integral of f dz) on each contour (z, w, whole), f
+    being chi if whole, else P'/P: one log_derivative pass over all their nodes,
+    elementwise in numpy, so each value is the one a pass per contour gives."""
+    nodes = np.concatenate([c[0] for c in contours])
+    parts = np.split(log_derivative(chi.poly, nodes), np.cumsum([c[0].size for c in contours])[:-1])
+    values = [chi.fixed_part(z) + p if whole else p for (z, _, whole), p in zip(contours, parts)]
+    return [(f, complex(np.mean(f * w))) for f, (_, w, _) in zip(values, contours)]
+
+
+def _residue_circle(chi: ChiFunction, center: complex, radius: float) -> tuple:
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    for pole in chi.pole_locations():
+        if radius * 1e-9 < abs(pole - center) < 1.5 * radius:
+            raise ContourError(f"pole at {pole} within 1.5x radius of contour at {center}")
+    return (*_ellipse(center, radius, radius), True)
 
 
 def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex:
@@ -139,16 +167,23 @@ def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex
     The circle must isolate the target: any other pole within 1.5x the
     radius is a contour error.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    for pole in chi.pole_locations():
-        dist = abs(pole - center)
-        if dist > radius * 1e-9 and dist < 1.5 * radius:
-            raise ContourError(
-                f"pole at {pole} within 1.5x radius of contour at {center}"
-            )
-    z, w = _ellipse(center, radius, radius)
-    return complex(np.mean(chi(z) * w))
+    return _sweep(chi, [_residue_circle(chi, center, radius)])[0][1]
+
+
+def _infinity_circles(chi: ChiFunction) -> list[tuple]:
+    radius = 10.0 * (1.0 + max(abs(p) for p in chi.pole_locations()))
+    return [(*_ellipse(0.0, r, r), True) for r in (radius, 2.0 * radius)]
+
+
+def _infinity_residue(circles: list[tuple[np.ndarray, complex]]) -> complex:
+    for vals, _ in circles:
+        d0 = complex(np.mean(vals))
+        if abs(d0) > _D0_TOL:
+            raise NumericError(f"Laurent constant d0 = {d0} exceeds {_D0_TOL}")
+    (_, d1), (_, doubled) = circles
+    if abs(d1 - doubled) > 1e-9 * (1.0 + abs(d1)):
+        raise NumericError(f"residue at infinity did not converge: {d1} vs {doubled}")
+    return d1
 
 
 def residue_at_infinity(chi: ChiFunction) -> complex:
@@ -159,20 +194,19 @@ def residue_at_infinity(chi: ChiFunction) -> complex:
     reproduce it to 1e-9, and the circle average (the Laurent constant d0)
     must vanish to 1e-10, otherwise the assumed rational structure fails.
     """
-    radius = 10.0 * (1.0 + max(abs(p) for p in chi.pole_locations()))
-    values = []
-    for r in (radius, 2.0 * radius):
-        z, w = _ellipse(0.0, r, r)
-        vals = chi(z)
-        d0 = complex(np.mean(vals))
-        if abs(d0) > _D0_TOL:
-            raise NumericError(f"Laurent constant d0 = {d0} exceeds {_D0_TOL}")
-        values.append(complex(np.mean(vals * w)))
-    if abs(values[0] - values[1]) > 1e-9 * (1.0 + abs(values[0])):
-        raise NumericError(
-            f"residue at infinity did not converge: {values[0]} vs {values[1]}"
-        )
-    return values[0]
+    return _infinity_residue(_sweep(chi, _infinity_circles(chi)))
+
+
+def _count_ellipse(chi: ChiFunction) -> tuple:
+    max_root = max((abs(r) for r in real_roots(chi.poly)), default=0.0)
+    return (*_ellipse(0.0, 2.0 * (1.0 + max_root) + 1.0, _COUNT_HALF_HEIGHT), False)
+
+
+def _pole_count(count: complex) -> int:
+    nearest = round(count.real)
+    if abs(count - nearest) > _COUNT_TOL:
+        raise ContourError(f"argument-principle count {count} is not an integer")
+    return int(nearest)
 
 
 def count_moving_poles(chi: ChiFunction) -> int:
@@ -184,27 +218,23 @@ def count_moving_poles(chi: ChiFunction) -> int:
     poles (irrelevant for P'/P, but it keeps the contour tied to the
     singularity layout).
     """
-    max_root = max((abs(r) for r in real_roots(chi.poly)), default=0.0)
-    z, w = _ellipse(0.0, 2.0 * (1.0 + max_root) + 1.0, _COUNT_HALF_HEIGHT)
-    count = complex(np.mean(log_derivative(chi.poly, z) * w))
-    nearest = round(count.real)
-    if abs(count - nearest) > _COUNT_TOL:
-        raise ContourError(f"argument-principle count {count} is not an integer")
-    return int(nearest)
+    return _pole_count(_sweep(chi, [_count_ellipse(chi)])[0][1])
 
 
 def verify_riccati(chi: ChiFunction, lam: float | None = None) -> float:
     """Max |chi^2 + chi' + (lam^2-1)/(y^2+1)^2 + (1/4-s^2)/(y^2+1)| on the
     probe grid.
 
-    Passing a different lam than the state's own is the intended negative
-    control: the residual then reports the eigenvalue mismatch instead of
-    vanishing.
+    chi' is differentiated analytically (no numerical step).  Passing a
+    different lam than the state's own is the intended negative control:
+    the residual then reports the eigenvalue mismatch instead of vanishing.
     """
     lam = chi.lam if lam is None else lam
     ys = _probe_grid(chi)
-    val = chi(ys)
-    dval = chi.derivative(ys)
+    y = ys.astype(complex)
+    value, slope = log_derivative(chi.poly, y, slope=True)
+    val = chi.fixed_part(y) + value
+    dval = 2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2 + slope
     res = (val * val + dval
            + (lam**2 - 1.0) / (ys**2 + 1.0) ** 2
            + (0.25 - chi.s**2) / (ys**2 + 1.0))
@@ -220,8 +250,7 @@ def _probe_grid(chi: ChiFunction) -> np.ndarray:
     poles instead, each as far from its two poles as the spacing allows."""
     poles = real_roots(chi.poly)
     ys = np.linspace(-5.0, 5.0, _PROBE_POINTS)
-    for pole in poles:
-        ys = ys[np.abs(ys - pole) >= 0.06]
+    ys = ys[np.all(np.abs(ys[:, None] - np.asarray(poles)) >= 0.06, axis=1)]
     if ys.size >= _PROBE_POINTS // 4:
         return ys
     theta = np.arctan2(1.0, np.sort(poles))
@@ -232,8 +261,7 @@ def _probe_grid(chi: ChiFunction) -> np.ndarray:
 def chi_parity_defect(chi: ChiFunction) -> float:
     """max |chi(-y) + chi(y)| / max |chi| on the probe grid (chi is odd)."""
     ys = _probe_grid(chi)
-    plus = chi(ys)
-    minus = chi(-ys)
+    plus, minus = np.split(chi(np.concatenate((ys, -ys))), 2)
     scale = np.abs(plus).max()
     if scale == 0.0:
         # chi vanishes identically for the free-particle lambda = 1 state
@@ -242,15 +270,9 @@ def chi_parity_defect(chi: ChiFunction) -> float:
 
 
 def residue_report(chi: ChiFunction) -> ResidueReport:
-    """Measure all residues of a state and its sum-rule defect."""
-    b1 = contour_residue(chi, 1j, _FIXED_RADIUS)
-    b1p = contour_residue(chi, -1j, _FIXED_RADIUS)
-    d1 = residue_at_infinity(chi)
-    count = count_moving_poles(chi)
-    return ResidueReport(
-        b1_measured=b1,
-        b1_prime_measured=b1p,
-        d1_measured=d1,
-        moving_pole_count=count,
-        sum_rule_defect=float(abs(b1 + b1p + count - d1)),
-    )
+    """Measure all residues of a state and its sum-rule defect in one pass."""
+    (_, b1), (_, b1p), *infinity, (_, moving) = _sweep(chi, [
+        _residue_circle(chi, 1j, _FIXED_RADIUS), _residue_circle(chi, -1j, _FIXED_RADIUS),
+        *_infinity_circles(chi), _count_ellipse(chi)])
+    d1, count = _infinity_residue(infinity), _pole_count(moving)
+    return ResidueReport(b1, b1p, d1, count, float(abs(b1 + b1p + count - d1)))

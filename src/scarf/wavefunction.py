@@ -114,8 +114,8 @@ def eval_psi(spec: WavefunctionSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def eval_psi_dd(spec: WavefunctionSpec, x):
-    """Second derivative of psi, for residual checks.
+def eval_psi_dd(spec: WavefunctionSpec, x) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, psi'') away from the walls from one R_n, for residual checks.
 
     With S = sin theta, C = cos theta, t = C and R' = dR/dt, twice in theta:
 
@@ -138,7 +138,7 @@ def eval_psi_dd(spec: WavefunctionSpec, x):
     w = np.pi / spec.params.a
     out = spec.norm * w * w * sn ** (k - 2.0) * (
         k * (k - 1.0) * r - k * k * s2 * r - (2.0 * k + 1.0) * s2 * t * r1 + s2 * s2 * r2)
-    return float(out) if out.ndim == 0 else out
+    return spec.norm * sn ** k * r, out
 
 
 def count_nodes(spec: WavefunctionSpec) -> int:
@@ -181,8 +181,7 @@ def parity(spec: WavefunctionSpec) -> Parity:
     """
     a = spec.params.a
     us = a * (np.arange(1, _PARITY_SAMPLES + 1)) / (2.0 * (_PARITY_SAMPLES + 1.0))
-    left = eval_psi(spec, a / 2.0 - us)
-    right = eval_psi(spec, a / 2.0 + us)
+    left, right = np.split(eval_psi(spec, np.concatenate((a / 2.0 - us, a / 2.0 + us))), 2)
     scale = max(np.abs(left).max(), np.abs(right).max())
     even_defect = np.abs(right - left).max()
     odd_defect = np.abs(right + left).max()
@@ -206,8 +205,7 @@ def schrodinger_residual(spec: WavefunctionSpec) -> tuple[float, float]:
     p = spec.params
     xs = np.linspace(_RESIDUAL_MARGIN * p.a, (1.0 - _RESIDUAL_MARGIN) * p.a,
                      _RESIDUAL_POINTS)
-    psi = eval_psi(spec, xs)
-    dd = eval_psi_dd(spec, xs)
+    psi, dd = eval_psi_dd(spec, xs)
     res = -dd / (2.0 * p.m) + (evaluate_potential(p, xs) - spec.line.energy) * psi
     scale = p.energy_scale(spec.line.energy) * np.abs(psi).max()
     return float(np.abs(res).max()), float(scale)

@@ -217,6 +217,19 @@ class TestWavefunctionCommand:
     def test_band_needs_edge(self, runner):
         assert invoke(runner, ["wavefunction", "--s", "0.4", "--n", "0"]).exit_code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_potential_exits_2(self, fmt):
+        # V overflows near the walls at m = 1e-305: both formats write
+        # nothing and exit 2 with one error line and no numpy warning
+        cmd = [sys.executable, "-m", "scarf.cli", "wavefunction", "--s", "2",
+               "--m", "1e-305", "--samples", "64", "--format", fmt]
+        run = subprocess.run(cmd, capture_output=True)
+        assert run.returncode == 2
+        assert run.stdout == b""
+        lines = run.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert "not finite" in lines[0]
+
     def test_json_samples(self, runner):
         result = invoke(runner, ["wavefunction", "--s", "0.4", "--n", "0",
                                  "--edge", "upper", "--samples", "16"])

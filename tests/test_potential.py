@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scarf
-from scarf import Regime, SingularityError
+from scarf import NumericError, Regime, SingularityError
 from scarf.potential import is_lattice_point, reduce_to_cell
 
 
@@ -80,6 +81,15 @@ class TestEvaluatePotential:
         for x in (0.0, 1.0, -3.0, 1e-13):
             with pytest.raises(SingularityError):
                 scarf.evaluate_potential(bound_params, x)
+
+    def test_overflow_raises_without_warning(self):
+        # near the walls V overflows at m = 1e-305; the midpoint stays finite
+        p = scarf.PotentialParams(s=2.0, m=1e-305)
+        assert math.isfinite(scarf.evaluate_potential(p, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="not finite"):
+                scarf.evaluate_potential(p, np.array([0.5, 1e-6]))
 
     def test_periodicity_exact_on_dyadic_points(self, bound_params):
         # dyadic x keeps x + k*a exactly representable, so reduction must

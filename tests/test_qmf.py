@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 import scarf
 from scarf import ChiFunction, ContourError, Edge, Parity
-from scarf.qmf import _probe_grid, chi_parity_defect
+from scarf.polynomials import gegenbauer_ratios
+from scarf.qmf import _FIXED_RADIUS, _probe_grid, chi_parity_defect, log_derivative
 from scarf.spectrum import spectrum_line
 from scarf.verify import _level_checks
 
@@ -190,3 +192,96 @@ class TestHighDegree:
             "parity_defect", "boundary_exponent_defect"]
         probes = [c for c in checks if c["name"] in ("chi_parity_defect", "riccati_residual")]
         assert all(c["pass"] for c in probes), probes
+
+
+def _chi_per_array(chi, ys):
+    """chi and chi' on one array, each from its own log_derivative pass."""
+    y = np.asarray(ys, dtype=complex)
+    value = 2.0 * chi.b1 * y / (y * y + 1.0) + log_derivative(chi.poly, y)
+    slope = (2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2
+             + log_derivative(chi.poly, y, slope=True)[1])
+    return value, slope
+
+
+def _riccati_per_array(chi):
+    ys = _probe_grid(chi)
+    val, dval = _chi_per_array(chi, ys)
+    res = (val * val + dval + (chi.lam**2 - 1.0) / (ys**2 + 1.0) ** 2
+           + (0.25 - chi.s**2) / (ys**2 + 1.0))
+    return float(np.abs(res).max())
+
+
+def _probe_grid_per_pole(chi):
+    """The probe grid with its pole filter applied one pole at a time."""
+    poles = scarf.real_roots(chi.poly)
+    ys = np.linspace(-5.0, 5.0, 64)
+    for pole in poles:
+        ys = ys[np.abs(ys - pole) >= 0.06]
+    if ys.size >= 16:
+        return ys
+    theta = np.arctan2(1.0, np.sort(poles))
+    mid = 0.5 * (theta[1:] + theta[:-1])
+    return np.cos(mid) / np.sin(mid)
+
+
+def _chi_parity_per_array(chi):
+    ys = _probe_grid(chi)
+    plus, minus = _chi_per_array(chi, ys)[0], _chi_per_array(chi, -ys)[0]
+    scale = np.abs(plus).max()
+    return 0.0 if scale == 0.0 else float(np.abs(minus + plus).max() / scale)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("s, edge", [
+        (2.0, Edge.NOT_APPLICABLE), (30.0, Edge.NOT_APPLICABLE),
+        (0.4, Edge.LOWER), (0.4, Edge.UPPER),
+    ])
+    def test_shared_pass_equals_each_probe_alone(self, s, edge):
+        # evaluating several contours or grids in one pass must not move a bit
+        params = scarf.PotentialParams(s=s)
+        for n in range(25):
+            wf = scarf.build_wavefunction(params, spectrum_line(params, n, edge))
+            chi = ChiFunction.from_wavefunction(wf)
+            rep = scarf.residue_report(chi)
+            assert rep.b1_measured == scarf.contour_residue(chi, 1j, _FIXED_RADIUS)
+            assert rep.b1_prime_measured == scarf.contour_residue(chi, -1j, _FIXED_RADIUS)
+            assert rep.d1_measured == scarf.residue_at_infinity(chi)
+            assert rep.moving_pole_count == scarf.count_moving_poles(chi)
+            assert np.array_equal(_probe_grid(chi), _probe_grid_per_pole(chi))
+            assert scarf.verify_riccati(chi) == _riccati_per_array(chi)
+            assert chi_parity_defect(chi) == _chi_parity_per_array(chi)
+
+    @pytest.mark.parametrize("s, n, edge", [
+        (2.0, 2, Edge.NOT_APPLICABLE), (2.0, 7, Edge.NOT_APPLICABLE),
+        (0.4, 3, Edge.LOWER), (0.4, 4, Edge.UPPER),
+    ])
+    def test_recurrence_passes_per_state(self, s, n, edge, monkeypatch):
+        # one pass of the Gegenbauer recurrence per probe, three for the
+        # Schrodinger residual (R_n and its two derivatives): nine a state
+        calls = []
+
+        def counted(*args):
+            calls.append(args[:2])
+            return gegenbauer_ratios(*args)
+
+        monkeypatch.setattr(scarf.qmf, "gegenbauer_ratios", counted)
+        monkeypatch.setattr(scarf.wavefunction, "gegenbauer_ratios", counted)
+        params = scarf.PotentialParams(s=s)
+        line = spectrum_line(params, n, edge)
+        wf = scarf.build_wavefunction(params, line)
+        chi = ChiFunction.from_wavefunction(wf)
+
+        def passes(probe, arg):
+            calls.clear()
+            probe(arg)
+            return len(calls)
+
+        assert passes(scarf.residue_report, chi) <= 1
+        assert passes(scarf.verify_riccati, chi) <= 1
+        assert passes(chi_parity_defect, chi) <= 1
+        assert passes(scarf.parity, wf) <= 1
+        assert passes(scarf.schrodinger_residual, wf) <= 3
+        calls.clear()
+        checks = _level_checks(params, line, [], {}, 1e-8, False)
+        assert all(c["pass"] for c in checks)
+        assert 0 < len(calls) <= 9

@@ -165,7 +165,9 @@ class TestStructure:
             fd = (scarf.eval_psi(bound_ground, x0 - h)
                   - 2.0 * scarf.eval_psi(bound_ground, x0)
                   + scarf.eval_psi(bound_ground, x0 + h)) / h**2
-            assert eval_psi_dd(bound_ground, x0) == pytest.approx(fd, rel=1e-5)
+            psi, dd = eval_psi_dd(bound_ground, x0)
+            assert psi == scarf.eval_psi(bound_ground, x0)
+            assert dd == pytest.approx(fd, rel=1e-5)
 
 
 _MATRIX_COUPLINGS = (0.05, 0.4, 0.4999, 0.5, 2.0, 8.0, 30.0, 100.0)
