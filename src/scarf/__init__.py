@@ -56,7 +56,6 @@ from .wavefunction import (
 )
 from .oracle import (
     Exponent,
-    MatchKind,
     OracleResult,
     ShootingConfig,
     collocation_spectrum,
@@ -88,7 +87,7 @@ __all__ = [
     "WavefunctionSpec", "Parity", "build_wavefunction", "eval_psi",
     "count_nodes", "boundary_exponent", "parity", "schrodinger_residual",
     "sample_wavefunction",
-    "ShootingConfig", "OracleResult", "Exponent", "MatchKind", "shoot",
+    "ShootingConfig", "OracleResult", "Exponent", "shoot",
     "find_eigen", "scan_spectrum", "collocation_spectrum", "predicted_family",
     "ChiFunction", "ResidueReport", "contour_residue", "residue_at_infinity",
     "count_moving_poles", "verify_riccati", "residue_report",

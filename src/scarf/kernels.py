@@ -132,7 +132,8 @@ def shoot_halfcell(pot_coeff, lam2, x0, u0, v0):
     -------
     (u_end, v_end, running_max_abs_u, steps_taken, sign_changes)
         The state is renormalized in flight if |u| grows past 1e250, so
-        callers must quote matching values relative to running_max_abs_u.
+        callers must read only its scale-free quantities, such as the
+        angle of (u, u') or u relative to running_max_abs_u.
         sign_changes counts the accepted steps across which u changes
         sign, i.e. the zeros of u on (x0, pi/2].
 

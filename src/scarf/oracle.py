@@ -14,26 +14,25 @@ and the unit is 1.  Two independent methods are provided so the
 closed-form spectra can be cross-checked:
 
 * a shooting method that starts just off the inverse-square wall with a
-  Frobenius-series state and matches a parity condition at the cell
-  midpoint (both regimes), and
+  Frobenius-series state and reads the Pruefer phase of the solution at
+  the cell midpoint (both regimes), and
 * a Chebyshev collocation of the same equation on one cell, solved by
   numpy's dense eigvals (both regimes).
 
 Near a wall the indicial exponents are mu = 1/2 +- s, so admissible
 solutions behave as z^(1/2+s) (always) and, in the band regime only,
-z^(1/2-s).  Symmetry of the cell about z = pi/2 turns the eigenproblem
-into four shooting families:
-
-    exponent (+ or -)  x  match (u(pi/2) = 0 or u'(pi/2) = 0)
-
-The bound regime admits only the + exponent.  Within a family, Sturm
-oscillation labels the roots: the eigenvalue with index k is the one
-with k eigenvalues of the family below it.
+z^(1/2-s).  The bound regime admits only the + exponent, so there are
+two shooting families, one per exponent.  Each family is read through
+its Pruefer phase theta(E) at the cell midpoint (Pryce, Numerical
+Solution of Sturm-Liouville Problems, OUP 1993, ch. 5), which rises
+with E.  By the symmetry of the cell about z = pi/2, the family's level
+n is an even state (u'(pi/2) = 0) for even n and an odd one (u(pi/2) =
+0) for odd n, and either way it sits at theta = (n + 1) pi/2; so the
+integer part of 2 theta/pi counts the family's levels below E.
 
 Each integration is made once per process: _shot caches it on (s,
-exponent, start offset, lambda^2), which both match kinds share.  Roots
-are polished by brentq, a port of SciPy's Brent solver, so no oracle
-imports scipy.
+exponent, start offset, lambda^2).  Roots are polished by brentq, a port
+of SciPy's Brent solver, so no oracle imports scipy.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ _CSC2_SERIES = (
 _BRENTQ_RTOL = 1e-14          # relative tolerance of the root polish
 _BRENTQ_XTOL = 1e-30          # absolute tolerance of the root polish
 _BRENTQ_ITER = 100            # iteration cap of the root polish
-_SCAN_STEP = 0.05             # bracket lattice step in lambda^2
+_REBRACKET = 1e-6             # delta/2 re-solve bracket, in energy scales
 _SHOT_CACHE = 4096            # integrations kept by _shot
 _SERIES_ORDER = 16            # Frobenius start summed through z^16
 _COLLOCATION_MAX = 3000       # largest collocation grid size N
@@ -80,14 +79,9 @@ class Exponent(Enum):
     MINUS = "minus"
 
 
-class MatchKind(Enum):
-    VALUE_AT_MID = "value_at_mid"   # psi(a/2) = 0, odd states
-    SLOPE_AT_MID = "slope_at_mid"   # psi'(a/2) = 0, even states
-
-
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Configuration of one shooting family.
+    """Configuration of one shooting family: its wall exponent.
 
     delta is the start offset from the wall in x; None resolves to
     1e-3 * a.  The Frobenius series is summed through z^16, which makes
@@ -96,7 +90,6 @@ class ShootingConfig:
     """
 
     exponent: Exponent = Exponent.PLUS
-    match: MatchKind = MatchKind.SLOPE_AT_MID
     delta: float | None = None
 
     def __post_init__(self):
@@ -112,22 +105,16 @@ class ShootingConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """One numerically found eigenvalue of one shooting family.
+    """Level n of one shooting family: the root of theta(E) = (n + 1) pi/2.
 
     delta_sensitivity is the move of the energy when the start offset is
     halved, relative to its energy scale (PotentialParams.energy_scale).
-    index is the Sturm index that scan_spectrum gives the root: the
-    family's count N(E) at the lower end of the root's lattice cell, so
-    the root is the family's eigenvalue number index (from 0).
-    find_eigen alone leaves it None.
     """
 
     energy: float
-    bracket: tuple[float, float]
     exponent: Exponent
-    match: MatchKind
+    n: int
     delta_sensitivity: float
-    index: int | None = None
 
 
 def frobenius_start(s: float, lam2: float, mu: float,
@@ -158,55 +145,58 @@ def frobenius_start(s: float, lam2: float, mu: float,
     return series, dseries
 
 
-def shoot(params: PotentialParams, energy: float,
-          cfg: ShootingConfig) -> tuple[float, int]:
-    """Matching value of one shooting family at trial energy E, and N(E),
-    the number of the family's eigenvalues below E, from one integration.
+def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
+    """Pruefer phase theta of one shooting family at trial energy E.
 
-    Integrates from the start offset to the cell midpoint.  The value is
-    u(pi/2) or u_z(pi/2) (per cfg.match) divided by the running maximum of
-    |u|, so it is scale-free and overflow cannot bias the root location.
-    By Sturm oscillation N(E) is the number of zeros of u on (delta, pi/2),
-    plus one for the slope match when u u_z < 0 at pi/2.
+    Integrates from the start offset to the cell midpoint and reads the
+    angle of (u, u_z/S), S = max(lambda, 1), from the end state and the
+    count of zeros of u on the way: theta = pi zeros + atan2(|u|, sigma
+    u_z/S), sigma = (-1)^zeros.  atan2 of |u| is in [0, pi], so a zero
+    of u at exactly pi/2, which the kernel does not count, still gives
+    theta its full pi.
     """
     if params.regime is Regime.BOUND_STATES and cfg.exponent is Exponent.MINUS:
         raise RegimeError("bound regime admits only the 1/2 + s exponent")
-    u, v, runmax, zeros = _shot(params.s, cfg.exponent, _z_offset(params, cfg),
-                                energy / params.energy_unit)
-    if cfg.match is MatchKind.VALUE_AT_MID:
-        return float(u / runmax), zeros
-    return float(v / runmax), zeros + ((u < 0.0 < v) or (v < 0.0 < u))
+    lam2 = energy / params.energy_unit
+    u, v, zeros = _shot(params.s, cfg.exponent, _z_offset(params, cfg), lam2)
+    sigma = -1.0 if zeros % 2 else 1.0
+    return math.pi * zeros + math.atan2(abs(u), sigma * v / math.sqrt(max(lam2, 1.0)))
 
 
 @functools.lru_cache(maxsize=_SHOT_CACHE)
 def _shot(s: float, exponent: Exponent, delta: float,
-          lam2: float) -> tuple[float, float, float, int]:
-    """(u, u_z, max |u|, zeros of u) at z = pi/2 from the Frobenius start at
+          lam2: float) -> tuple[float, float, int]:
+    """(u, u_z, zeros of u) at z = pi/2 from the Frobenius start at
     z = delta: one kernel call, made once per process for each argument set."""
     mu = 0.5 + s if exponent is Exponent.PLUS else 0.5 - s
     u0, v0 = frobenius_start(s, lam2, mu, delta)
-    u, v, runmax, _, zeros = kernels.shoot_halfcell(-(0.25 - s**2), lam2, delta, u0, v0)
-    return u, v, runmax, zeros
+    u, v, _, _, zeros = kernels.shoot_halfcell(-(0.25 - s**2), lam2, delta, u0, v0)
+    return u, v, zeros
 
 
 def find_eigen(params: PotentialParams, bracket: tuple[float, float],
                cfg: ShootingConfig) -> OracleResult:
-    """Root of the matching function inside a sign-changing bracket.
+    """The one level of cfg's family inside an energy bracket.
 
-    Bracketing Brent solve in lambda^2 (bisection plus
-    secant/inverse-quadratic polish) to 1e-14 relative, then the root is
-    re-solved with delta/2 to measure start-offset sensitivity.
+    Raises BracketError unless the bracket crosses exactly one level
+    phase (n + 1) pi/2.  The root is polished by brentq on theta minus
+    that phase to 1e-14 relative in lambda^2, then re-solved with delta/2
+    on a bracket of _REBRACKET energy scales around it, to measure the
+    start-offset sensitivity.
     """
     ref = _reference(params)
     ref_cfg = replace(cfg, delta=_z_offset(params, cfg))
     unit = params.energy_unit
-    lam2 = _bracketed_root(ref, ref_cfg, bracket[0] / unit, bracket[1] / unit)
-    if lam2 is None:
-        raise BracketError(f"no sign change on bracket {bracket}")
-    lam2_half = _solve_near(ref, replace(ref_cfg, delta=ref_cfg.delta / 2.0), lam2)
+    lo, hi = bracket[0] / unit, bracket[1] / unit
+    n = _level_count(ref, lo, ref_cfg)
+    if _level_count(ref, hi, ref_cfg) != n + 1:
+        raise BracketError(f"bracket {bracket} does not cross exactly one level")
+    lam2 = _crossing(ref, ref_cfg, n, lo, hi)
+    width = _REBRACKET * ref.energy_scale(lam2)
+    lam2_half = _crossing(ref, replace(ref_cfg, delta=ref_cfg.delta / 2.0), n,
+                          lam2 - width, lam2 + width)
     return OracleResult(
-        energy=float(lam2 * unit), bracket=(float(bracket[0]), float(bracket[1])),
-        exponent=cfg.exponent, match=cfg.match,
+        energy=float(lam2 * unit), exponent=cfg.exponent, n=n,
         delta_sensitivity=float(abs(lam2 - lam2_half) / ref.energy_scale(lam2)),
     )
 
@@ -222,25 +212,27 @@ def _z_offset(params: PotentialParams, cfg: ShootingConfig) -> float:
     return cfg.resolve_delta(params.a) * (math.pi / params.a)
 
 
-def _solve_near(params: PotentialParams, cfg: ShootingConfig, energy: float) -> float:
-    """Re-find a known root with a perturbed config, bracketing tightly
-    around it (the shift is far below 1e-6 relative by construction)."""
-    for width in (1e-6, 1e-4, 1e-2):
-        root = _bracketed_root(params, cfg, energy * (1.0 - width), energy * (1.0 + width))
-        if root is not None:
-            return root
-    raise BracketError(f"could not re-bracket root near E={energy}")
+def _phase(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
+    """2 theta / pi: level n of the family sits where it equals n + 1."""
+    return 2.0 * shoot(params, energy, cfg) / math.pi
 
 
-def _bracketed_root(params: PotentialParams, cfg: ShootingConfig,
-                    lo: float, hi: float) -> float | None:
-    """Root of the matching function on [lo, hi] by brentq; None when
-    its signs at the ends agree and neither is zero."""
-    f_lo = shoot(params, lo, cfg)[0]
-    f_hi = shoot(params, hi, cfg)[0]
-    if f_lo != 0.0 and f_hi != 0.0 and np.sign(f_lo) == np.sign(f_hi):
-        return None
-    return brentq(lambda e: shoot(params, e, cfg)[0], lo, hi, f_lo, f_hi)
+def _level_count(params: PotentialParams, energy: float, cfg: ShootingConfig) -> int:
+    """The number of the family's levels at or below E."""
+    return math.floor(_phase(params, energy, cfg))
+
+
+def _crossing(params: PotentialParams, cfg: ShootingConfig, n: int,
+              lo: float, hi: float) -> float:
+    """The energy in [lo, hi] where the family's phase reaches level n, by
+    brentq; BracketError unless lo is below that level and hi not."""
+    def mismatch(energy: float) -> float:
+        return _phase(params, energy, cfg) - (n + 1)
+
+    f_lo, f_hi = mismatch(lo), mismatch(hi)
+    if not f_lo < 0.0 <= f_hi:
+        raise BracketError(f"level {n} is not crossed on [{lo}, {hi}]")
+    return brentq(mismatch, lo, hi, f_lo, f_hi)
 
 
 def brentq(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -292,75 +284,59 @@ def brentq(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     raise NumericError(f"Brent polish did not converge in {_BRENTQ_ITER} iterations")
 
 
-def _families(regime: Regime) -> list[tuple[Exponent, MatchKind]]:
-    matches = (MatchKind.SLOPE_AT_MID, MatchKind.VALUE_AT_MID)
+def _exponents(regime: Regime) -> list[Exponent]:
     if regime is Regime.BOUND_STATES:
-        return [(Exponent.PLUS, mk) for mk in matches]
-    return [(ex, mk) for ex in (Exponent.PLUS, Exponent.MINUS) for mk in matches]
+        return [Exponent.PLUS]
+    return [Exponent.PLUS, Exponent.MINUS]
 
 
 def scan_spectrum(params: PotentialParams, e_max: float) -> list[OracleResult]:
-    """All shooting eigenvalues up to e_max, across every family of the
-    regime, sorted by energy.
+    """Every shooting level with 0 < E <= e_max, across the families of
+    the regime, sorted by energy.
 
-    Brackets are cells of a lambda^2 lattice with step 0.05.  Per family,
-    bisection on the lattice index finds each cell where the count N(E)
-    of shoot rises (within one family levels are at least 4 apart in
-    lambda^2, i.e. 80 cells), and find_eigen solves it; the
-    count at the cell's lower point is the root's index.  A cell whose
-    lower point shoots to exactly 0.0 is not a bracket: that is the
-    free-particle fold at E = 0, which keeps index 0.  Results from
-    different families are kept separate even when degenerate (the
-    free-particle limit produces coinciding edges from distinct families
-    on purpose).
+    Per family, bisection in lambda^2 on [0, e_max] splits the range
+    until each part crosses one level phase (n + 1) pi/2, and find_eigen
+    solves each part.  At s = 1/2 the lower edges' family has theta =
+    pi/2 at E = 0 exactly, so that free-particle fold lies outside
+    (0, e_max].  Results from different families are kept separate even
+    when degenerate (the free-particle limit produces coinciding edges
+    from distinct families on purpose).
     """
     if e_max <= 0.0:
         raise ValueError("e_max must be positive")
     ref = _reference(params)
     unit = params.energy_unit
-    lam2_max = e_max / unit
-    grid = np.arange(0.0, lam2_max + _SCAN_STEP, _SCAN_STEP)
-    if grid[-1] > lam2_max:
-        grid[-1] = lam2_max
     results: list[OracleResult] = []
-    for exponent, match in _families(params.regime):
-        cfg = ShootingConfig(exponent=exponent, match=match)
-        family_roots: list[OracleResult] = []
-        for i, index in _rising_cells(ref, grid, cfg):
+    for exponent in _exponents(params.regime):
+        cfg = ShootingConfig(exponent=exponent)
+        cells = _level_cells(ref, cfg, e_max / unit)
+        logger.debug("family %s: %d levels in (0, %g]", exponent.value, len(cells), e_max)
+        for lo, hi in cells:
             try:
-                res = find_eigen(ref, (float(grid[i]), float(grid[i + 1])), cfg)
+                res = find_eigen(ref, (lo, hi), cfg)
             except (BracketError, NumericError) as exc:
-                logger.warning("family (%s, %s) failed on bracket %d: %s",
-                               exponent.value, match.value, i, exc)
+                logger.warning("family %s failed on bracket (%g, %g): %s",
+                               exponent.value, lo, hi, exc)
                 continue
-            res = replace(res, energy=res.energy * unit, index=index,
-                          bracket=(res.bracket[0] * unit, res.bracket[1] * unit))
-            if res.energy <= e_max:
-                family_roots.append(res)
-        logger.debug("family (%s, %s): %d roots below E=%g",
-                     exponent.value, match.value, len(family_roots), e_max)
-        results.extend(family_roots)
+            results.append(replace(res, energy=res.energy * unit))
     results.sort(key=lambda r: r.energy)
     return results
 
 
-def _rising_cells(params: PotentialParams, grid: np.ndarray,
-                  cfg: ShootingConfig) -> list[tuple[int, int]]:
-    """Ascending (i, N(grid[i])) for the cells where the node count
-    changes between grid[i] and grid[i + 1], found by bisection on the
-    index, less the cells whose lower point shoots to exactly 0.0."""
-    def sample(i: int) -> tuple[float, int]:
-        return shoot(params, float(grid[i]), cfg)
-
-    def cells(lo: int, hi: int) -> list[int]:
-        if sample(lo)[1] == sample(hi)[1]:
+def _level_cells(params: PotentialParams, cfg: ShootingConfig,
+                 e_max: float) -> list[tuple[float, float]]:
+    """Ascending parts (a, b] of (0, e_max] that each hold one level of
+    the family, found by bisection on the level count."""
+    def cells(lo: float, n_lo: int, hi: float, n_hi: int) -> list[tuple[float, float]]:
+        if n_hi <= n_lo:
             return []
-        if hi - lo == 1:
-            return [lo]
-        mid = (lo + hi) // 2
-        return cells(lo, mid) + cells(mid, hi)
+        if n_hi == n_lo + 1:
+            return [(lo, hi)]
+        mid = 0.5 * (lo + hi)
+        n_mid = _level_count(params, mid, cfg)
+        return cells(lo, n_lo, mid, n_mid) + cells(mid, n_mid, hi, n_hi)
 
-    return [(i, sample(i)[1]) for i in cells(0, len(grid) - 1) if sample(i)[0] != 0.0]
+    return cells(0.0, _level_count(params, 0.0, cfg), e_max, _level_count(params, e_max, cfg))
 
 
 def collocation_spectrum(params: PotentialParams,
@@ -378,7 +354,7 @@ def collocation_spectrum(params: PotentialParams,
         raise ValueError(f"k_levels={k_levels} at s={params.s} needs a collocation "
                          f"grid larger than N={_COLLOCATION_MAX}")
     levels = {}
-    for exponent in dict.fromkeys(ex for ex, _ in _families(params.regime)):
+    for exponent in _exponents(params.regime):
         mu = 0.5 + params.s if exponent is Exponent.PLUS else 0.5 - params.s
         lam2: list[float] = []
         while len(lam2) < k_levels:

@@ -15,7 +15,7 @@ import logging
 import math
 
 from .errors import RegimeError, ScarfError
-from .oracle import Exponent, MatchKind, OracleResult, collocation_spectrum, scan_spectrum
+from .oracle import Exponent, OracleResult, collocation_spectrum, scan_spectrum
 from .potential import PotentialParams, Regime
 from .qmf import ChiFunction, chi_parity_defect, residue_report, verify_riccati
 from .spectrum import Edge, SpectrumLine, spectrum_lines
@@ -104,17 +104,12 @@ def level_report(params: PotentialParams, lines: list[SpectrumLine],
     }
 
 
-def predicted_family(line: SpectrumLine) -> tuple[Exponent, MatchKind]:
-    """Which shooting family must find a given closed-form level.
-
-    Lower edges carry the 1/2 - s exponent, upper edges and bound levels
-    the 1/2 + s one; even-n states are even about a/2 (slope match), odd-n
-    states odd (value match).  Within its family the level has Sturm
-    index n // 2.
+def predicted_family(line: SpectrumLine) -> Exponent:
+    """The wall exponent of the shooting family that must find a given
+    closed-form level, as that family's level n: lower edges carry the
+    1/2 - s exponent, upper edges and bound levels the 1/2 + s one.
     """
-    exponent = Exponent.MINUS if line.edge is Edge.LOWER else Exponent.PLUS
-    match = MatchKind.SLOPE_AT_MID if line.n % 2 == 0 else MatchKind.VALUE_AT_MID
-    return exponent, match
+    return Exponent.MINUS if line.edge is Edge.LOWER else Exponent.PLUS
 
 
 def _edge_json(edge: Edge) -> str | None:
@@ -140,8 +135,8 @@ def _level_checks(params, ln, scan, collocated, tol, want_shooting) -> list[dict
     out = []
 
     if want_shooting:
-        key = (*predicted_family(ln), ln.n // 2)
-        matched = [r for r in scan if (r.exponent, r.match, r.index) == key]
+        key = (predicted_family(ln), ln.n)
+        matched = [r for r in scan if (r.exponent, r.n) == key]
         if len(matched) == 1:
             rel = abs(matched[0].energy - ln.energy) / params.energy_scale(ln.energy)
             out.append(_check(ln, "oracle_shooting_rel_err", rel, tol,
@@ -156,7 +151,7 @@ def _level_checks(params, ln, scan, collocated, tol, want_shooting) -> list[dict
                               observed=float(len(matched))))
 
     if collocated:
-        level = collocated[predicted_family(ln)[0]][ln.n]
+        level = collocated[predicted_family(ln)][ln.n]
         rel = abs(level - ln.energy) / params.energy_scale(ln.energy)
         out.append(_check(ln, "oracle_fd_rel_err", rel, tol, observed=level))
 

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import scarf
-from scarf import ChiFunction, Edge, Exponent, MatchKind, ShootingConfig
+from scarf import ChiFunction, Exponent, ShootingConfig
 from scarf.verify import predicted_family
 from scarf.qmf import chi_parity_defect
 
@@ -80,11 +80,10 @@ def test_criterion_2_band_edges_vs_scan(band_params, band_scan):
                        if abs(r.energy - line.energy) / line.energy <= 1e-8]
             assert len(matches) == 1, f"edge (n={n}, {line.edge.value}) matches {len(matches)}"
             res = matches[0]
-            assert res.index == line.n // 2
-            assert (res.exponent, res.match) == predicted_family(line), \
-                f"family mismatch for (n={n}, {line.edge.value})"
+            assert (res.exponent, res.n) == (predicted_family(line), line.n), \
+                f"label mismatch for (n={n}, {line.edge.value})"
             worst = max(worst, abs(res.energy - line.energy) / line.energy)
-            level = collocated[predicted_family(line)[0]][n]
+            level = collocated[predicted_family(line)][n]
             worst_colloc = max(worst_colloc, abs(level - line.energy) / line.energy)
     report("2 (band edges, s=0.4)", worst <= 1e-8 and worst_colloc <= 1e-10,
            f"shooting<= {worst:.2e}, collocation<= {worst_colloc:.2e}, six edges, "
@@ -165,12 +164,8 @@ def test_criterion_6_gap_closure():
     for n in (0, 1):
         _, upper = scarf.band_edge_energies(params, n)
         lower_next, _ = scarf.band_edge_energies(params, n + 1)
-        up_cfg = ShootingConfig(exponent=Exponent.PLUS,
-                                match=MatchKind.SLOPE_AT_MID if n % 2 == 0
-                                else MatchKind.VALUE_AT_MID)
-        lo_cfg = ShootingConfig(exponent=Exponent.MINUS,
-                                match=MatchKind.VALUE_AT_MID if n % 2 == 0
-                                else MatchKind.SLOPE_AT_MID)
+        up_cfg = ShootingConfig(exponent=Exponent.PLUS)
+        lo_cfg = ShootingConfig(exponent=Exponent.MINUS)
         e_up = scarf.find_eigen(params, (upper.energy * 0.999, upper.energy * 1.001),
                                 up_cfg).energy
         e_lo = scarf.find_eigen(params, (lower_next.energy * 0.999,

@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scarf
 from scarf import (
     BracketError,
     Exponent,
-    MatchKind,
     NumericError,
     RegimeError,
     ShootingConfig,
@@ -19,34 +20,43 @@ from scarf.kernels import shoot_halfcell
 from scarf.oracle import (
     _BRENTQ_RTOL,
     _BRENTQ_XTOL,
-    _families,
+    _exponents,
     _shot,
     brentq,
 )
 from scarf.spectrum import spectrum_line
+from scarf.verify import predicted_family
 
 from fd_reference import fd_bound_spectrum, fd_levels
 
 HALF_PI_SQ = math.pi**2 / 2.0
+HALF_PI = math.pi / 2.0
 
 
 class TestShoot:
     def test_eigenvalue_nulls_matching_function(self, bound_params):
-        cfg = ShootingConfig(exponent=Exponent.PLUS, match=MatchKind.SLOPE_AT_MID)
-        val = scarf.shoot(bound_params, HALF_PI_SQ * 6.25, cfg)[0]
-        assert abs(val) <= 1e-8
+        # level n sits at theta = (n + 1) pi/2: the ground state at pi/2
+        cfg = ShootingConfig(exponent=Exponent.PLUS)
+        assert abs(scarf.shoot(bound_params, HALF_PI_SQ * 6.25, cfg) - HALF_PI) <= 1e-8
+        assert abs(scarf.shoot(bound_params, HALF_PI_SQ * 12.25, cfg) - math.pi) <= 1e-8
 
     def test_band_lower_edge_nulls(self, band_params):
-        cfg = ShootingConfig(exponent=Exponent.MINUS, match=MatchKind.SLOPE_AT_MID)
-        val = scarf.shoot(band_params, HALF_PI_SQ * 0.01, cfg)[0]
-        assert abs(val) <= 1e-8
+        cfg = ShootingConfig(exponent=Exponent.MINUS)
+        assert abs(scarf.shoot(band_params, HALF_PI_SQ * 0.01, cfg) - HALF_PI) <= 1e-8
 
     def test_off_eigenvalue_brackets_ground_state(self, bound_params):
-        cfg = ShootingConfig(exponent=Exponent.PLUS, match=MatchKind.SLOPE_AT_MID)
-        low = scarf.shoot(bound_params, 20.0, cfg)[0]
-        high = scarf.shoot(bound_params, 40.0, cfg)[0]
-        assert low != 0.0 and high != 0.0
-        assert math.copysign(1.0, low) != math.copysign(1.0, high)
+        cfg = ShootingConfig(exponent=Exponent.PLUS)
+        low = scarf.shoot(bound_params, 20.0, cfg)
+        high = scarf.shoot(bound_params, 40.0, cfg)
+        assert 0.0 < low < HALF_PI < high < math.pi
+
+    def test_phase_is_continuous_at_a_midpoint_zero(self, bound_params):
+        # the odd level n = 1 has u(pi/2) = 0: theta passes pi without a jump
+        cfg = ShootingConfig(exponent=Exponent.PLUS)
+        level = HALF_PI_SQ * 12.25
+        below, above = (scarf.shoot(bound_params, level * (1.0 + d), cfg) for d in (-1e-9, 1e-9))
+        assert below < math.pi <= above
+        assert above - below <= 1e-7
 
     def test_minus_exponent_rejected_for_bound(self, bound_params):
         cfg = ShootingConfig(exponent=Exponent.MINUS)
@@ -63,40 +73,41 @@ class TestShoot:
     def test_large_coupling_start_is_finite(self):
         # the start state carries no delta^(1/2 + s) factor to underflow
         p = scarf.PotentialParams(s=100.0)
-        val = scarf.shoot(p, scarf.bound_energy(p, 0).energy, ShootingConfig(delta=5e-4))[0]
-        assert math.isfinite(val)
+        val = scarf.shoot(p, scarf.bound_energy(p, 0).energy, ShootingConfig(delta=5e-4))
+        assert val == pytest.approx(HALF_PI, abs=1e-8)
 
 
 class TestFindEigen:
     def test_bound_ground(self, bound_params):
-        cfg = ShootingConfig(match=MatchKind.SLOPE_AT_MID)
-        res = scarf.find_eigen(bound_params, (25.0, 35.0), cfg)
+        res = scarf.find_eigen(bound_params, (25.0, 35.0), ShootingConfig())
         assert res.energy == pytest.approx(30.8425138, abs=5e-8)
         assert res.energy == pytest.approx(HALF_PI_SQ * 6.25, rel=1e-10)
-        assert res.bracket[0] <= res.energy <= res.bracket[1]
+        assert (res.exponent, res.n) == (Exponent.PLUS, 0)
         assert res.delta_sensitivity <= 1e-9
 
     def test_band_upper_even(self, band_params):
-        cfg = ShootingConfig(exponent=Exponent.PLUS, match=MatchKind.SLOPE_AT_MID)
+        cfg = ShootingConfig(exponent=Exponent.PLUS)
         res = scarf.find_eigen(band_params, (3.5, 4.5), cfg)
         assert res.energy == pytest.approx(HALF_PI_SQ * 0.81, rel=1e-8)
+        assert res.n == 0
 
     def test_band_lower_odd(self, band_params):
-        cfg = ShootingConfig(exponent=Exponent.MINUS, match=MatchKind.VALUE_AT_MID)
+        cfg = ShootingConfig(exponent=Exponent.MINUS)
         res = scarf.find_eigen(band_params, (5.5, 6.5), cfg)
         assert res.energy == pytest.approx(5.9711107, abs=5e-8)
+        assert res.n == 1
 
     def test_no_sign_change_raises(self, bound_params):
-        cfg = ShootingConfig(match=MatchKind.SLOPE_AT_MID)
-        with pytest.raises(BracketError):
-            scarf.find_eigen(bound_params, (40.0, 50.0), cfg)
+        # a bracket must cross exactly one level: none and two both raise
+        for bracket in ((40.0, 50.0), (25.0, 65.0)):
+            with pytest.raises(BracketError):
+                scarf.find_eigen(bound_params, bracket, ShootingConfig())
 
     def test_delta_robustness(self, bound_params, band_params):
         # halving the start offset moves energies by under 1e-9 relative
         for params, bracket, cfg in [
-            (bound_params, (25.0, 35.0), ShootingConfig(match=MatchKind.SLOPE_AT_MID)),
-            (band_params, (0.02, 0.2),
-             ShootingConfig(exponent=Exponent.MINUS, match=MatchKind.SLOPE_AT_MID)),
+            (bound_params, (25.0, 35.0), ShootingConfig()),
+            (band_params, (0.02, 0.2), ShootingConfig(exponent=Exponent.MINUS)),
         ]:
             res = scarf.find_eigen(params, bracket, cfg)
             assert res.delta_sensitivity <= 1e-9
@@ -108,112 +119,108 @@ class TestScanSpectrum:
         energies = [r.energy for r in scan]
         assert energies == pytest.approx(
             [HALF_PI_SQ * 6.25, HALF_PI_SQ * 12.25, HALF_PI_SQ * 20.25], rel=1e-9)
-        assert [(r.match, r.index) for r in scan] == [
-            (MatchKind.SLOPE_AT_MID, 0), (MatchKind.VALUE_AT_MID, 0),
-            (MatchKind.SLOPE_AT_MID, 1)]
+        assert [r.n for r in scan] == [0, 1, 2]
 
     def test_band_scan_and_family_disjointness(self, band_params):
         scan = scarf.scan_spectrum(band_params, 20.0)
         assert [r.energy for r in scan] == pytest.approx(
             [0.04934802, 3.99718978, 5.97111066, 17.81463594], abs=5e-7)
-        assert [(r.exponent, r.match, r.index) for r in scan] == [
-            (Exponent.MINUS, MatchKind.SLOPE_AT_MID, 0),
-            (Exponent.PLUS, MatchKind.SLOPE_AT_MID, 0),
-            (Exponent.MINUS, MatchKind.VALUE_AT_MID, 0),
-            (Exponent.PLUS, MatchKind.VALUE_AT_MID, 0)]
+        assert [(r.exponent, r.n) for r in scan] == [
+            (Exponent.MINUS, 0), (Exponent.PLUS, 0), (Exponent.MINUS, 1), (Exponent.PLUS, 1)]
 
     def test_free_particle_degenerate_pairs(self):
         p = scarf.PotentialParams(s=0.5)
         scan = scarf.scan_spectrum(p, 20.0)
         energies = [round(r.energy / HALF_PI_SQ, 6) for r in scan]
         assert energies == [1.0, 1.0, 4.0, 4.0]
-        # (0, upper), (1, lower), (1, upper) and (2, lower); the E = 0 root
-        # of (2, lower)'s family is dropped but keeps index 0
-        assert {(r.exponent, r.match, r.index) for r in scan} == {
-            (Exponent.PLUS, MatchKind.SLOPE_AT_MID, 0),
-            (Exponent.MINUS, MatchKind.VALUE_AT_MID, 0),
-            (Exponent.PLUS, MatchKind.VALUE_AT_MID, 0),
-            (Exponent.MINUS, MatchKind.SLOPE_AT_MID, 1)}
+        # (0, upper), (1, lower), (1, upper) and (2, lower); the lower
+        # edges' theta is pi/2 at E = 0, so their level 0 is not in (0, e_max]
+        assert {(r.exponent, r.n) for r in scan} == {
+            (Exponent.PLUS, 0), (Exponent.MINUS, 1), (Exponent.PLUS, 1), (Exponent.MINUS, 2)}
 
     def test_rejects_bad_e_max(self, bound_params):
         with pytest.raises(ValueError):
             scarf.scan_spectrum(bound_params, -1.0)
 
     @pytest.mark.parametrize("s", [2.0, 0.4, 0.5])
-    def test_sturm_index_is_half_the_level(self, s):
-        # a level (n, edge) is the (n // 2)-th of its family, also at s = 1/2,
-        # where the lower edges' family has its dropped root at E = 0
+    def test_label_is_the_level(self, s):
+        # a level (n, edge) is level n of its exponent's family, also at
+        # s = 1/2, where the lower edges' level 0 sits at E = 0
         params = scarf.PotentialParams(s=s)
         lines = [ln for ln in scarf.spectrum_lines(params, 4) if 0.0 < ln.energy <= 110.0]
         scan = scarf.scan_spectrum(params, 110.0)
         assert len(scan) == len(lines)
         for res in scan:
             line, = [ln for ln in lines
-                     if scarf.predicted_family(ln) == (res.exponent, res.match)
+                     if predicted_family(ln) is res.exponent
                      and abs(res.energy - ln.energy) <= 1e-8 * ln.energy]
-            assert res.index == line.n // 2
+            assert res.n == line.n
 
     @pytest.mark.parametrize("s", [2.0, 0.4, 0.5])
     def test_equals_full_sign_sweep(self, s):
-        # at a = pi, m = 1/2 the energy unit is 1, so both scans see the
-        # same lattice and the results must agree bit for bit
-        params = scarf.PotentialParams(s=s, a=math.pi, m=0.5)
-        e_max = 60.0 / HALF_PI_SQ
-        assert scarf.scan_spectrum(params, e_max) == sweep_scan(params, e_max)
+        # the bisection finds the same levels as a sweep of the whole
+        # lattice; each solves its own bracket, so Brent stops at a
+        # different point inside its 1e-14 tolerance
+        params = scarf.PotentialParams(s=s)
+        e_max = 60.0
+        scan = {(r.exponent, r.n): r.energy for r in scarf.scan_spectrum(params, e_max)}
+        swept = sweep_scan(params, e_max)
+        assert scan.keys() == swept.keys() and scan
+        for key, energy in swept.items():
+            assert abs(scan[key] - energy) <= 1e-13 * params.energy_scale(energy), key
+
+    @settings(max_examples=20, deadline=None)
+    @given(s=st.floats(min_value=0.05, max_value=10.0), n_max=st.integers(0, 2))
+    def test_one_result_per_closed_form_level(self, s, n_max):
+        params = scarf.PotentialParams(s=s)
+        e_max = 1.02 * max(ln.energy for ln in scarf.spectrum_lines(params, n_max))
+        closed = {(predicted_family(ln), ln.n): ln.energy
+                  for ln in scarf.spectrum_lines(params, n_max + 2) if 0.0 < ln.energy <= e_max}
+        scan = scarf.scan_spectrum(params, e_max)
+        assert len(scan) == len(closed)
+        for res in scan:
+            energy = closed[res.exponent, res.n]
+            assert abs(res.energy - energy) <= 1e-10 * params.energy_scale(energy)
 
 
 def sweep_scan(params, e_max):
-    """Reference scan: shoot every point of the bracket lattice, solve each
-    sign change, merge roots within 1e-8 relative per family, and label
-    each root with the node count at its cell's lower point."""
-    step = 0.05 * math.pi**2 / (2.0 * params.m * params.a**2)
+    """Reference scan: shoot theta at every point of a lattice with step
+    0.05 in lambda^2 and solve each cell where floor(2 theta/pi), the
+    family's level count, steps up.  Energies keyed by (exponent, n)."""
+    step = 0.05 * params.energy_unit
     grid = np.arange(0.0, e_max + step, step)
-    if grid[-1] > e_max:
-        grid[-1] = e_max
-    results = []
-    for exponent, match in _families(params.regime):
-        cfg = ShootingConfig(exponent=exponent, match=match)
-        roots = []
-        values = [scarf.shoot(params, float(e), cfg)[0] for e in grid]
+    grid[-1] = min(grid[-1], e_max)
+    levels = {}
+    for exponent in _exponents(params.regime):
+        cfg = ShootingConfig(exponent=exponent)
+        counts = [math.floor(2.0 * scarf.shoot(params, float(e), cfg) / math.pi) for e in grid]
         for i in range(len(grid) - 1):
-            lo, hi = values[i], values[i + 1]
-            if lo == 0.0 or np.sign(lo) == np.sign(hi):
-                continue
-            try:
+            if counts[i + 1] > counts[i]:
                 res = scarf.find_eigen(params, (float(grid[i]), float(grid[i + 1])), cfg)
-            except (BracketError, NumericError):
-                continue
-            res = replace(res, index=scarf.shoot(params, float(grid[i]), cfg)[1])
-            if res.energy > e_max:
-                continue
-            if roots and abs(res.energy - roots[-1].energy) <= 1e-8 * res.energy:
-                continue
-            roots.append(res)
-        results.extend(roots)
-    results.sort(key=lambda r: r.energy)
-    return results
+                levels[exponent, res.n] = res.energy
+    return levels
 
 
 class TestNodeCount:
     @pytest.mark.parametrize("s", [2.0, 0.4, 0.5])
     def test_counts_levels_below(self, s):
-        # N(E) is the number of the family's closed-form levels below E
+        # floor(2 theta/pi) is the number of the family's closed-form
+        # levels at or below E
         params = scarf.PotentialParams(s=s)
         lines = scarf.spectrum_lines(params, 3)
-        for exponent, match in _families(params.regime):
-            cfg = ShootingConfig(exponent=exponent, match=match)
+        for exponent in _exponents(params.regime):
+            cfg = ShootingConfig(exponent=exponent)
 
             def count(energy):
-                return scarf.shoot(params, energy, cfg)[1]
+                return math.floor(2.0 * scarf.shoot(params, energy, cfg) / math.pi)
 
-            assert count(0.0) == 0
-            family = sorted(ln.energy for ln in lines
-                            if scarf.predicted_family(ln) == (exponent, match))
-            for k, energy in enumerate(family):
-                if energy == 0.0:
+            family = [ln for ln in lines if predicted_family(ln) is exponent]
+            assert count(0.0) == sum(ln.energy == 0.0 for ln in family)
+            for ln in family:
+                if ln.energy == 0.0:
                     continue  # the free-particle fold sits at E = 0
-                below, above = count(energy * (1.0 - 1e-6)), count(energy * (1.0 + 1e-6))
-                assert (below, above) == (k, k + 1), (exponent, match, energy)
+                below, above = count(ln.energy * (1.0 - 1e-6)), count(ln.energy * (1.0 + 1e-6))
+                assert (below, above) == (ln.n, ln.n + 1), (exponent, ln.n)
 
 
 class TestFiniteDifference:
@@ -280,14 +287,13 @@ class TestFiniteDifference:
         # a != 1, m != 1 must thread every 2m and 1/a factor consistently
         p = scarf.PotentialParams(s=1.3, a=0.7, m=2.5)
         closed = scarf.bound_energy(p, 1).energy
-        cfg = ShootingConfig(match=MatchKind.VALUE_AT_MID)
-        res = scarf.find_eigen(p, (closed * 0.9, closed * 1.1), cfg)
+        res = scarf.find_eigen(p, (closed * 0.9, closed * 1.1), ShootingConfig())
         assert res.energy == pytest.approx(closed, rel=1e-10)
         levels = scarf.collocation_spectrum(p, k_levels=2)[Exponent.PLUS]
         assert levels[1] == pytest.approx(closed, rel=1e-12)
         pb = scarf.PotentialParams(s=0.23, a=1.9, m=0.6)
         lo = scarf.band_edge_energies(pb, 0)[0]
-        cfg_lo = ShootingConfig(exponent=Exponent.MINUS, match=MatchKind.SLOPE_AT_MID)
+        cfg_lo = ShootingConfig(exponent=Exponent.MINUS)
         res_lo = scarf.find_eigen(pb, (lo.energy * 0.5, lo.energy * 1.5), cfg_lo)
         assert res_lo.energy == pytest.approx(lo.energy, rel=1e-9)
         level_lo = scarf.collocation_spectrum(pb, k_levels=1)[Exponent.MINUS][0]
@@ -295,11 +301,9 @@ class TestFiniteDifference:
 
     def test_cross_consistency_with_shooting(self, bound_params):
         levels = scarf.collocation_spectrum(bound_params, k_levels=2)[Exponent.PLUS]
-        cfgs = [ShootingConfig(match=MatchKind.SLOPE_AT_MID),
-                ShootingConfig(match=MatchKind.VALUE_AT_MID)]
         brackets = [(25.0, 35.0), (55.0, 65.0)]
-        for level, cfg, bracket in zip(levels, cfgs, brackets):
-            shot = scarf.find_eigen(bound_params, bracket, cfg)
+        for level, bracket in zip(levels, brackets):
+            shot = scarf.find_eigen(bound_params, bracket, ShootingConfig())
             assert abs(shot.energy - level) / shot.energy <= 1e-10
 
 
@@ -348,8 +352,12 @@ class TestEnergyFloor:
 
     @pytest.mark.parametrize("a, m", [(1.0, 1.0), (2.5, 0.7), (0.3, 4.0)])
     def test_vanishing_lower_edge_passes(self, a, m):
-        report = scarf.run_verification(scarf.PotentialParams(0.4999, a, m), 2)
-        assert report["summary"]["all_pass"], [c for c in report["checks"] if not c["pass"]]
+        # lambda^2 of the lowest lower edge is 1e-8, 1e-14 and 1e-16; the
+        # delta/2 re-solve brackets it in units of the energy scale
+        for s in (0.4999, 0.4999999, 0.49999999):
+            report = scarf.run_verification(scarf.PotentialParams(s, a, m), 2)
+            assert report["summary"]["all_pass"], \
+                (s, [c for c in report["checks"] if not c["pass"]])
 
     def test_energy_mutants_still_fail(self, band_params, monkeypatch):
         # lambda^2 >= 0.01 at s = 0.4, above the floor: a 1e-6 error in a
@@ -370,7 +378,7 @@ class TestEnergyFloor:
 class TestShotCache:
     @pytest.mark.parametrize("s", [2.0, 0.4])
     def test_each_integration_runs_once(self, s, monkeypatch):
-        # the node-count scan, the bracket end checks, Brent's end values and
+        # the phase bisection, the bracket end checks, Brent's end values and
         # the delta/2 re-solve share every integration of a verify run
         _shot.cache_clear()
         seen = []
@@ -384,10 +392,12 @@ class TestShotCache:
         assert seen
         assert len(set(seen)) == len(seen)
 
-    @pytest.mark.parametrize("s, max_calls, max_steps", [(2.0, 44, 15_000), (0.4, 108, 18_500)])
+    @pytest.mark.parametrize("s, max_calls, max_steps", [(2.0, 38, 5_600), (0.4, 76, 8_800)])
     def test_kernel_calls_and_steps_bounded(self, s, max_calls, max_steps, monkeypatch):
-        # the eighth-order kernel takes 6,374 and 12,201 steps here; the
-        # fifth-order one it replaced took 59,348 and 74,385
+        # the phase bisection makes 37 and 73 calls of 5,384 and 8,403
+        # steps here; the lambda^2 lattice scan made 44 and 106 calls of
+        # 6,374 and 12,201, and with the fifth-order kernel 59,348 and
+        # 74,385 steps
         _shot.cache_clear()
         steps = []
 
