@@ -67,13 +67,21 @@ class PolySpec:
 
 
 def gegenbauer_ratios(n: int, kappa: float, t):
-    """(R_n, R_{n-1}, R_{n-2}) of R_k^kappa(t) in one pass of the
-    recurrence of the module docstring; terms of negative degree are 0."""
+    """(R_n, R_{n-1}, R_{n-2}) of R_k^kappa(t), arrays of t's shape, in one
+    pass of the recurrence of the module docstring; terms of negative
+    degree are 0.
+
+    Each step works in place and multiplies by 1/(k + 2 kappa): numpy
+    divides a complex array by a real scalar as a full complex division."""
     if n == 0:
-        return np.ones_like(t), 0.0, 0.0
-    older, prev, cur = 0.0, np.ones_like(t), t
+        return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
+    older, prev, cur = np.zeros_like(t), np.ones_like(t), t
     for k in range(1, n):
-        older, prev, cur = prev, cur, (2.0 * (k + kappa) * t * cur - k * prev) / (k + 2.0 * kappa)
+        nxt = t * cur
+        nxt *= 2.0 * (k + kappa)
+        nxt -= k * prev
+        nxt *= 1.0 / (k + 2.0 * kappa)
+        older, prev, cur = prev, cur, nxt
     return cur, prev, older
 
 

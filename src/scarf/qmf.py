@@ -27,9 +27,10 @@ ellipse that holds the real roots and stays clear of +-i; its inner poles
 lie a distance of about ry/rx in theta from the contour, so N is the
 smallest power of two >= max(256, 32 rx/ry): at least 32 such distances,
 an error near e^-32.  A contour with corners would converge only
-algebraically.  The five contours of one state (two residue circles, two
-circles at infinity, the moving-pole ellipse) share one pass of the
-recurrence over all their nodes, as do chi and chi' on the probe grid.
+algebraically.  Each ChiFunction caches one pass of the recurrence, made
+on first use, over the nodes of the five contours of residue_report (two
+residue circles, two circles at infinity, the moving-pole ellipse) and
+over the probe grid and its mirror; chi' is formed on the probe grid alone.
 
 Conventions: in the original momentum variable p = -i q the moving-pole
 residue reads -i hbar; after the variable changes used here it is +1, the
@@ -41,7 +42,7 @@ outside this package's scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,10 +82,23 @@ class ChiFunction:
     def pole_locations(self) -> list[complex]:
         return [1j, -1j] + [complex(r) for r in real_roots(self.poly)]
 
+    @cached_property
+    def probes(self) -> tuple[list[tuple[np.ndarray, complex]], np.ndarray, tuple]:
+        """The state's one recurrence pass, made on first use: the contour
+        results of residue_report's five contours, the probe grid ys, and
+        (chi(ys), chi'(ys), chi(-ys)), all from one _sweep.  The cache
+        lives and dies with this object."""
+        ys = _probe_grid(self)
+        contours, grid = _sweep(self, [
+            _residue_circle(self, 1j, _FIXED_RADIUS), _residue_circle(self, -1j, _FIXED_RADIUS),
+            *_infinity_circles(self), _count_ellipse(self)], ys)
+        return contours, ys, grid
 
-def log_derivative(poly: PolySpec, y, slope: bool = False):
+
+def log_derivative(poly: PolySpec, y, slope: bool | slice = False):
     """P'(y)/P(y) at complex y from one pass of gegenbauer_ratios, and
-    with slope=True the pair (P'/P, its y-derivative).
+    with slope=True the pair (P'/P, its y-derivative); a slice for slope
+    forms the derivative on y[slope] alone.
 
     With h = sqrt(1 + y^2), t = y/h, rho = R_{n-1}(t)/R_n(t) and the
     contiguous relation (1 - t^2) R_k' = k (R_{k-1} - t R_k):
@@ -102,12 +116,15 @@ def log_derivative(poly: PolySpec, y, slope: bool = False):
     t = y / h
     r, r1, r2 = gegenbauer_ratios(n, poly.lam - n, t)
     rho = r1 / r
+    value = n * rho / h
     if not slope:
-        return n * rho / h
+        return value
+    k = slice(None) if slope is True else slope
+    y, h, t, r, r1, r2, rho = (v[k] for v in (y, h, t, r, r1, r2, rho))
     h2 = h * h
     dr = n * h2 * (r1 - t * r)
     dr1 = (n - 1) * h2 * (r2 - t * r1)
-    return n * rho / h, n * ((dr1 - rho * dr) / (r * h2 * h2) - rho * y / (h2 * h))
+    return value, n * ((dr1 - rho * dr) / (r * h2 * h2) - rho * y / (h2 * h))
 
 
 @dataclass(frozen=True)
@@ -142,14 +159,25 @@ def _ellipse(center: complex, rx: float, ry: float) -> tuple[np.ndarray, np.ndar
     return center + alpha * e + back, alpha * e - back
 
 
-def _sweep(chi: ChiFunction, contours: list) -> list[tuple[np.ndarray, complex]]:
-    """(f(z), (1/2 pi i) closed integral of f dz) on each contour (z, w, whole), f
-    being chi if whole, else P'/P: one log_derivative pass over all their nodes,
-    elementwise in numpy, so each value is the one a pass per contour gives."""
-    nodes = np.concatenate([c[0] for c in contours])
-    parts = np.split(log_derivative(chi.poly, nodes), np.cumsum([c[0].size for c in contours])[:-1])
+def _sweep(chi: ChiFunction, contours: list, ys: np.ndarray = np.empty(0)) -> tuple:
+    """One log_derivative pass over the nodes of every contour (z, w, whole)
+    and of a real probe grid ys and its mirror -ys.
+
+    Returns [(f(z), (1/2 pi i) closed integral of f dz)] per contour, f
+    being chi if whole, else P'/P, and (chi(ys), chi'(ys), chi(-ys)), with
+    chi' formed on ys alone.  Elementwise in numpy, so each value is the
+    one a pass per contour or grid gives."""
+    sizes = [c[0].size for c in contours] + [ys.size, ys.size]
+    nodes = np.concatenate([c[0] for c in contours] + [ys, -ys], dtype=complex)
+    at = sum(sizes[:-2])
+    value, slope = log_derivative(chi.poly, nodes, slope=slice(at, at + ys.size))
+    *parts, plus, minus = np.split(value, np.cumsum(sizes)[:-1])
+    y, mirror = np.split(nodes[at:], 2)
+    grid = (chi.fixed_part(y) + plus,
+            2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2 + slope,
+            chi.fixed_part(mirror) + minus)
     values = [chi.fixed_part(z) + p if whole else p for (z, _, whole), p in zip(contours, parts)]
-    return [(f, complex(np.mean(f * w))) for f, (_, w, _) in zip(values, contours)]
+    return [(f, complex(np.mean(f * w))) for f, (_, w, _) in zip(values, contours)], grid
 
 
 def _residue_circle(chi: ChiFunction, center: complex, radius: float) -> tuple:
@@ -167,7 +195,7 @@ def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex
     The circle must isolate the target: any other pole within 1.5x the
     radius is a contour error.
     """
-    return _sweep(chi, [_residue_circle(chi, center, radius)])[0][1]
+    return _sweep(chi, [_residue_circle(chi, center, radius)])[0][0][1]
 
 
 def _infinity_circles(chi: ChiFunction) -> list[tuple]:
@@ -194,7 +222,7 @@ def residue_at_infinity(chi: ChiFunction) -> complex:
     reproduce it to 1e-9, and the circle average (the Laurent constant d0)
     must vanish to 1e-10, otherwise the assumed rational structure fails.
     """
-    return _infinity_residue(_sweep(chi, _infinity_circles(chi)))
+    return _infinity_residue(_sweep(chi, _infinity_circles(chi))[0])
 
 
 def _count_ellipse(chi: ChiFunction) -> tuple:
@@ -218,7 +246,7 @@ def count_moving_poles(chi: ChiFunction) -> int:
     poles (irrelevant for P'/P, but it keeps the contour tied to the
     singularity layout).
     """
-    return _pole_count(_sweep(chi, [_count_ellipse(chi)])[0][1])
+    return _pole_count(_sweep(chi, [_count_ellipse(chi)])[0][0][1])
 
 
 def verify_riccati(chi: ChiFunction, lam: float | None = None) -> float:
@@ -230,11 +258,7 @@ def verify_riccati(chi: ChiFunction, lam: float | None = None) -> float:
     the residual then reports the eigenvalue mismatch instead of vanishing.
     """
     lam = chi.lam if lam is None else lam
-    ys = _probe_grid(chi)
-    y = ys.astype(complex)
-    value, slope = log_derivative(chi.poly, y, slope=True)
-    val = chi.fixed_part(y) + value
-    dval = 2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2 + slope
+    _, ys, (val, dval, _) = chi.probes
     res = (val * val + dval
            + (lam**2 - 1.0) / (ys**2 + 1.0) ** 2
            + (0.25 - chi.s**2) / (ys**2 + 1.0))
@@ -260,8 +284,7 @@ def _probe_grid(chi: ChiFunction) -> np.ndarray:
 
 def chi_parity_defect(chi: ChiFunction) -> float:
     """max |chi(-y) + chi(y)| / max |chi| on the probe grid (chi is odd)."""
-    ys = _probe_grid(chi)
-    plus, minus = np.split(chi(np.concatenate((ys, -ys))), 2)
+    _, _, (plus, _, minus) = chi.probes
     scale = np.abs(plus).max()
     if scale == 0.0:
         # chi vanishes identically for the free-particle lambda = 1 state
@@ -270,9 +293,7 @@ def chi_parity_defect(chi: ChiFunction) -> float:
 
 
 def residue_report(chi: ChiFunction) -> ResidueReport:
-    """Measure all residues of a state and its sum-rule defect in one pass."""
-    (_, b1), (_, b1p), *infinity, (_, moving) = _sweep(chi, [
-        _residue_circle(chi, 1j, _FIXED_RADIUS), _residue_circle(chi, -1j, _FIXED_RADIUS),
-        *_infinity_circles(chi), _count_ellipse(chi)])
+    """Measure all residues of a state and its sum-rule defect from its one pass."""
+    (_, b1), (_, b1p), *infinity, (_, moving) = chi.probes[0]
     d1, count = _infinity_residue(infinity), _pole_count(moving)
     return ResidueReport(b1, b1p, d1, count, float(abs(b1 + b1p + count - d1)))

@@ -9,12 +9,17 @@ which is sin^lambda(theta) P_n(cot theta) with P_n monic.  The boundary
 exponent kappa equals 1/2 + s for bound and upper-edge states and 1/2 - s
 for lower edges, so psi -> 0 at every lattice point in both regimes.  R comes
 from polynomials.gegenbauer_ratios, the normalised three-term recurrence
-(DLMF 18.9.1) that also gives the momentum function, and is differentiated
-by dR_n^kappa/dt = n (n + 2 kappa) / (2 kappa + 1) R_{n-1}^(kappa+1) (DLMF
-18.9.19).  The node count and boundary fit read R and log sin directly, so
-they neither threshold zeros nor underflow in the sin^kappa tails.  The norm
-of C_n^kappa and Legendre duplication give int_0^a psi^2 dx in closed form,
-finite at kappa = 0:
+(DLMF 18.9.1) that also gives the momentum function.
+
+The structure probes work on the unit cell in z = theta, with u = sin^kappa(z)
+R_n(cos z) = psi / norm, so their values depend on (s, n, edge) alone; a and m
+enter only the energies and sample_wavefunction's physical columns.  Each spec
+caches one recurrence pass over the z-grids of all four probes, made on first
+use.  u_zz reads R_n, R_{n-1} and R_{n-2} of that pass through the contiguous
+relation (1 - t^2) R_k' = k (R_{k-1} - t R_k).  The node count and boundary
+fit read R and log sin directly, so they neither threshold zeros nor
+underflow in the sin^kappa tails.  The norm of C_n^kappa and Legendre
+duplication give int_0^a psi^2 dx in closed form, finite at kappa = 0:
 
     a 2^(2 kappa - 1) n! Gamma(kappa + 1/2)^2 / (pi (n + kappa) Gamma(n + 2 kappa))
 
@@ -26,12 +31,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsistencyError, NumericError
 from .polynomials import PolySpec, build_poly, gegenbauer_ratios
-from .potential import PotentialParams, evaluate_potential, is_lattice_point, reduce_to_cell
+from .potential import (
+    LAMBDA2_FLOOR,
+    PotentialParams,
+    evaluate_potential,
+    is_lattice_point,
+    reduce_to_cell,
+)
 from .spectrum import SpectrumLine
 
 _PARITY_TOL = 1e-10
@@ -39,7 +51,7 @@ _NODE_SAMPLES = 512
 _PARITY_SAMPLES = 128
 _EXPONENT_POINTS = 32
 _RESIDUAL_POINTS = 200
-_RESIDUAL_MARGIN = 1e-3  # fraction of a left out at each wall
+_RESIDUAL_MARGIN = 1e-3  # fraction of the cell left out at each wall
 
 
 class Parity(Enum):
@@ -63,6 +75,28 @@ class WavefunctionSpec:
     def boundary_power(self) -> float:
         """Exponent of psi ~ x^mu at the cell walls: lambda - n."""
         return self.line.lam - self.line.n
+
+    @cached_property
+    def cell(self) -> dict[str, np.ndarray]:
+        """Rows z, sin z, cos z, R_n, R_{n-1}, R_{n-2} at cos z on the grid of
+        each structure probe, from one gegenbauer_ratios pass over all of
+        them, made on first use.  The cache lives and dies with the spec."""
+        n = self.line.n
+        nodes = max(_NODE_SAMPLES, 8 * (n + 1))
+        half = np.pi * np.arange(1, _PARITY_SAMPLES + 1) / (2.0 * (_PARITY_SAMPLES + 1.0))
+        grids = {
+            "residual": np.linspace(_RESIDUAL_MARGIN * np.pi, (1.0 - _RESIDUAL_MARGIN) * np.pi,
+                                    _RESIDUAL_POINTS),
+            "nodes": np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
+            "parity": np.concatenate((np.pi / 2.0 - half, np.pi / 2.0 + half)),
+            "exponent": np.geomspace(1e-5 * np.pi / (n + 1), 1e-3 * np.pi / (n + 1),
+                                     _EXPONENT_POINTS),
+        }
+        z = np.concatenate(list(grids.values()))
+        t = np.cos(z)
+        rows = np.stack((z, np.sin(z), t, *gegenbauer_ratios(n, self.boundary_power, t)))
+        parts = np.split(rows, np.cumsum([g.size for g in grids.values()])[:-1], axis=1)
+        return dict(zip(grids, parts))
 
 
 def build_wavefunction(params: PotentialParams, line: SpectrumLine) -> WavefunctionSpec:
@@ -94,94 +128,57 @@ def _raw_norm_sq(a: float, n: int, kappa: float) -> float:
                         - math.lgamma(n + 2.0 * kappa)) / (math.pi * (n + kappa))
 
 
-def _angle(spec: WavefunctionSpec, x):
-    """theta = pi x / a with x reduced to the cell [0, a)."""
-    a = spec.params.a
-    return np.pi * reduce_to_cell(np.asarray(x, dtype=float), a) / a
-
-
 def eval_psi(spec: WavefunctionSpec, x):
     """Normalized psi(x); scalar in, scalar out (arrays likewise).
 
     Lattice points evaluate to exactly 0.0: psi extends continuously to
     zero at the walls in both regimes (boundary exponent > 0).
     """
-    x = np.asarray(x, dtype=float)
-    z = _angle(spec, x)
+    x, a = np.asarray(x, dtype=float), spec.params.a
+    z = np.pi * reduce_to_cell(x, a) / a
     n, kappa = spec.line.n, spec.boundary_power
-    out = np.where(is_lattice_point(x, spec.params.a), 0.0,
+    out = np.where(is_lattice_point(x, a), 0.0,
                    spec.norm * np.sin(z) ** kappa * gegenbauer_ratios(n, kappa, np.cos(z))[0])
     return float(out) if out.ndim == 0 else out
-
-
-def eval_psi_dd(spec: WavefunctionSpec, x) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, psi'') away from the walls from one R_n, for residual checks.
-
-    With S = sin theta, C = cos theta, t = C and R' = dR/dt, twice in theta:
-
-        d2/dtheta2 [S^k R] = S^(k-2) [k (k-1) R - k^2 S^2 R - (2k+1) S^2 C R' + S^4 R'']
-
-    R' and R'' come from the derivative identity of the module docstring,
-    not from the Gegenbauer ODE, so the Schrodinger residual stays an
-    independent check.  Unbounded at the walls for most kappa < 2; the
-    residual grid keeps 1e-3 a away from them.
-    """
-    z = _angle(spec, x)
-    sn, t = np.sin(z), np.cos(z)
-    n, k = spec.line.n, spec.boundary_power
-    r = gegenbauer_ratios(n, k, t)[0]
-    d1 = n * (n + 2.0 * k) / (2.0 * k + 1.0)
-    r1 = d1 * gegenbauer_ratios(n - 1, k + 1.0, t)[0] if n >= 1 else 0.0
-    d2 = d1 * (n - 1) * (n + 2.0 * k + 1.0) / (2.0 * k + 3.0)
-    r2 = d2 * gegenbauer_ratios(n - 2, k + 2.0, t)[0] if n >= 2 else 0.0
-    s2 = sn * sn
-    w = np.pi / spec.params.a
-    out = spec.norm * w * w * sn ** (k - 2.0) * (
-        k * (k - 1.0) * r - k * k * s2 * r - (2.0 * k + 1.0) * s2 * t * r1 + s2 * s2 * r2)
-    return spec.norm * sn ** k * r, out
 
 
 def count_nodes(spec: WavefunctionSpec) -> int:
     """Number of interior sign changes of psi over one open cell.
 
-    sign(psi) = sign(R_n^kappa(cos theta)) inside the cell, so this counts
-    the sign changes of R on a uniform open grid of max(512, 8 (n + 1))
-    points, skipping samples that are exactly zero.  With about eight
-    samples per node, two nodes do not fall between neighbouring samples.
+    sign(psi) = sign(R_n^kappa(cos z)) inside the cell, so this counts the
+    sign changes of R on a uniform open grid of max(512, 8 (n + 1)) points
+    of z, skipping samples that are exactly zero.  With about eight samples
+    per node, two nodes do not fall between neighbouring samples.
     """
-    n = spec.line.n
-    samples = max(_NODE_SAMPLES, 8 * (n + 1))
-    z = np.pi * np.arange(1, samples + 1) / (samples + 1.0)
-    signs = np.sign(gegenbauer_ratios(n, spec.boundary_power, np.cos(z))[0])
+    signs = np.sign(spec.cell["nodes"][3])
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[:-1] != signs[1:]))
 
 
 def boundary_exponent(spec: WavefunctionSpec) -> float:
-    """Least-squares slope of log|psi| vs log x at 32 points of x in
-    [1e-5, 1e-3] a / (n + 1).
+    """Least-squares slope of log|u| vs log z at 32 points of z in
+    [1e-5, 1e-3] pi / (n + 1), in closed form.
 
-    log|psi| is fitted as kappa log sin(theta) + log|R| (the norm only
-    shifts it), which cannot underflow; the window shrinks with n so that
-    R's own curvature stays far below the 1e-3 check tolerance.
+    log|u| is fitted as kappa log sin z + log|R|, which cannot underflow;
+    the window shrinks with n so that R's own curvature stays far below the
+    1e-3 check tolerance.
     """
-    a, n, kappa = spec.params.a, spec.line.n, spec.boundary_power
-    xs = np.geomspace(1e-5 * a / (n + 1), 1e-3 * a / (n + 1), _EXPONENT_POINTS)
-    z = _angle(spec, xs)
-    r = gegenbauer_ratios(n, kappa, np.cos(z))[0]
-    logs = kappa * np.log(np.sin(z)) + np.log(np.abs(r))
-    return float(np.polyfit(np.log(xs), logs, 1)[0])
+    z, sn, _, r, _, _ = spec.cell["exponent"]
+    dz = np.log(z)
+    dz -= dz.mean()
+    du = spec.boundary_power * np.log(sn) + np.log(np.abs(r))
+    du -= du.mean()
+    return float(np.dot(dz, du) / np.dot(dz, dz))
 
 
 def parity(spec: WavefunctionSpec) -> Parity:
-    """Parity about the cell midpoint a/2; Even iff n is even.
+    """Parity about the cell midpoint; Even iff n is even.
 
-    Measured, not assumed: the symmetric and antisymmetric defects are
-    compared against 1e-10 max|psi| on 128 points each side.
+    Measured, not assumed: the symmetric and antisymmetric defects of u
+    are compared against 1e-10 max|u| on 128 points each side of z = pi/2.
     """
-    a = spec.params.a
-    us = a * (np.arange(1, _PARITY_SAMPLES + 1)) / (2.0 * (_PARITY_SAMPLES + 1.0))
-    left, right = np.split(eval_psi(spec, np.concatenate((a / 2.0 - us, a / 2.0 + us))), 2)
+    _, sn, _, r, _, _ = spec.cell["parity"]
+    left, right = np.split(sn ** spec.boundary_power * r, 2)
     scale = max(np.abs(left).max(), np.abs(right).max())
     even_defect = np.abs(right - left).max()
     odd_defect = np.abs(right + left).max()
@@ -194,20 +191,46 @@ def parity(spec: WavefunctionSpec) -> Parity:
     )
 
 
-def schrodinger_residual(spec: WavefunctionSpec) -> tuple[float, float]:
-    """(max residual, tolerance scale) of the Schrodinger equation.
+def _curvature(spec: WavefunctionSpec) -> tuple[np.ndarray, ...]:
+    """(S^(k-2), S^2, R, D) on the residual grid, from the cached pass, with
+    S = sin z, t = cos z, R' = dR/dt and
 
-    Residual -psi''/(2m) + (V - E) psi on 200 interior points excluding a
-    1e-3 a strip at each wall; scale is max|psi| on the grid times the
-    energy scale of PotentialParams.energy_scale, the natural comparison
-    for relative statements.
+        u = S^(k-2) S^2 R,    u_zz = S^(k-2) [k (k-1) R - D],
+        D = k^2 S^2 R + (2k+1) t S^2 R' - S^4 R'',
+        S^2 R_n'  = n (R_{n-1} - t R_n),
+        S^4 R_n'' = n (S^2 R_{n-1}' - S^2 R_n - t S^2 R_n') + 2 t S^2 R_n',
+
+    the last two from the contiguous relation, not from the Gegenbauer ODE,
+    so the Schrodinger residual stays an independent check.  S^2 is formed
+    as (1 - t)(1 + t), true to the rounded t at which R was evaluated;
+    sin^2 z is off from it by about 1e-16 / S^2 relative, which near the
+    walls would show in the residual.  Unbounded at the walls for most
+    kappa < 2; the residual grid keeps 1e-3 pi away.
     """
-    p = spec.params
-    xs = np.linspace(_RESIDUAL_MARGIN * p.a, (1.0 - _RESIDUAL_MARGIN) * p.a,
-                     _RESIDUAL_POINTS)
-    psi, dd = eval_psi_dd(spec, xs)
-    res = -dd / (2.0 * p.m) + (evaluate_potential(p, xs) - spec.line.energy) * psi
-    scale = p.energy_scale(spec.line.energy) * np.abs(psi).max()
+    _, sn, t, r, r1, r2 = spec.cell["residual"]
+    n, k = spec.line.n, spec.boundary_power
+    s2 = (1.0 - t) * (1.0 + t)
+    d1 = n * (r1 - t * r)
+    d2 = n * ((n - 1) * (r2 - t * r1) - s2 * r - t * d1) + 2.0 * t * d1
+    return sn ** (k - 2.0), s2, r, k * k * s2 * r + (2.0 * k + 1.0) * t * d1 - d2
+
+
+def schrodinger_residual(spec: WavefunctionSpec) -> tuple[float, float]:
+    """(max residual, tolerance scale) of the Schrodinger equation in z.
+
+    With e = E / (pi^2 / (2 m a^2)) the equation for u reads
+    -u_zz + ((s^2 - 1/4) / sin^2 z - e) u = 0, evaluated as
+    S^(k-2) [(s^2 - 1/4 - k (k-1)) R + D - e S^2 R] so that the two wall
+    terms, each of order S^(k-2), cancel before rounding.  The residual is
+    taken on 200 points of z in [1e-3, 1 - 1e-3] pi; scale is max(|e|,
+    LAMBDA2_FLOOR) max|u| on that grid, the energy scale of
+    PotentialParams.energy_scale in energy units.
+    """
+    p, k = spec.params, spec.boundary_power
+    e = spec.line.energy / p.energy_unit
+    sk2, s2, r, d = _curvature(spec)
+    res = sk2 * ((p.s * p.s - 0.25 - k * (k - 1.0)) * r + d - e * s2 * r)
+    scale = max(abs(e), LAMBDA2_FLOOR) * np.abs(sk2 * s2 * r).max()
     return float(np.abs(res).max()), float(scale)
 
 

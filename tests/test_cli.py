@@ -318,6 +318,16 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.stderr
         assert json.loads(result.stdout)["summary"]["all_pass"] is True
 
+    @pytest.mark.parametrize("scale", [
+        ["--a", "1e-140"], ["--a", "1e140"], ["--a", "1e150", "--m", "1e-300"],
+    ])
+    def test_probes_see_only_s(self, scale):
+        # the structure probes work in z = pi x / a; in x, psi'' ~ (pi / a)^2
+        # overflowed, divided by zero or underflowed at these scales
+        cmd = [sys.executable, "-m", "scarf.cli", "verify", "--s", "2", "--n-max", "1", *scale]
+        run = subprocess.run(cmd, capture_output=True)
+        assert (run.returncode, run.stderr) == (0, b"")
+
     def test_csv_report(self, runner):
         result = invoke(runner, ["verify", "--s", "2", "--n-max", "0",
                                  "--oracle", "shooting", "--format", "csv"])
@@ -473,9 +483,9 @@ class TestNoTracebacks:
     LEVEL_COMMANDS = st.sampled_from(["spectrum", "bands", "wavefunction", "table1"])
 
     @staticmethod
-    def check(args):
+    def check(args, codes=(0, 2)):
         result = CliRunner().invoke(main, args)
-        assert result.exit_code in (0, 2), (args, result.output, result.exception)
+        assert result.exit_code in codes, (args, result.output, result.exception)
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     @settings(max_examples=150, deadline=None,
@@ -499,11 +509,13 @@ class TestNoTracebacks:
     @given(command=LEVEL_COMMANDS, s=st.sampled_from([2.0, 0.4, 0.5]),
            a=SCALES, m=SCALES, n=st.integers(0, 12), fmt=st.sampled_from(["json", "csv"]))
     def test_scales(self, command, s, a, m, n, fmt):
-        args = [command, f"--s={s!r}", f"--a={a!r}", f"--m={m!r}", "--format", fmt]
+        scale = [f"--s={s!r}", f"--a={a!r}", f"--m={m!r}", "--format", fmt]
+        args = [command, *scale]
         args += ["--n-max" if command in ("spectrum", "bands") else "--n", str(n)]
         if command in ("wavefunction", "table1") and s <= 0.5:
             args += ["--edge", "lower"]
         self.check(args)
+        self.check(["verify", *scale, "--oracle", "fd", "--n-max", str(n % 3)], (0, 1, 2))
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

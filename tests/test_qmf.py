@@ -231,6 +231,20 @@ def _chi_parity_per_array(chi):
     return 0.0 if scale == 0.0 else float(np.abs(minus + plus).max() / scale)
 
 
+@pytest.fixture()
+def recurrence_calls(monkeypatch):
+    """(n, kappa) of every gegenbauer_ratios pass the probes make."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return gegenbauer_ratios(*args)
+
+    monkeypatch.setattr(scarf.qmf, "gegenbauer_ratios", counted)
+    monkeypatch.setattr(scarf.wavefunction, "gegenbauer_ratios", counted)
+    return calls
+
+
 class TestOnePass:
     @pytest.mark.parametrize("s, edge", [
         (2.0, Edge.NOT_APPLICABLE), (30.0, Edge.NOT_APPLICABLE),
@@ -255,17 +269,10 @@ class TestOnePass:
         (2.0, 2, Edge.NOT_APPLICABLE), (2.0, 7, Edge.NOT_APPLICABLE),
         (0.4, 3, Edge.LOWER), (0.4, 4, Edge.UPPER),
     ])
-    def test_recurrence_passes_per_state(self, s, n, edge, monkeypatch):
-        # one pass of the Gegenbauer recurrence per probe, three for the
-        # Schrodinger residual (R_n and its two derivatives): nine a state
-        calls = []
-
-        def counted(*args):
-            calls.append(args[:2])
-            return gegenbauer_ratios(*args)
-
-        monkeypatch.setattr(scarf.qmf, "gegenbauer_ratios", counted)
-        monkeypatch.setattr(scarf.wavefunction, "gegenbauer_ratios", counted)
+    def test_recurrence_passes_per_state(self, s, n, edge, recurrence_calls):
+        # two passes of the Gegenbauer recurrence per state: the first psi
+        # probe and the first chi probe make one each, every later probe none
+        calls = recurrence_calls
         params = scarf.PotentialParams(s=s)
         line = spectrum_line(params, n, edge)
         wf = scarf.build_wavefunction(params, line)
@@ -276,12 +283,23 @@ class TestOnePass:
             probe(arg)
             return len(calls)
 
-        assert passes(scarf.residue_report, chi) <= 1
-        assert passes(scarf.verify_riccati, chi) <= 1
-        assert passes(chi_parity_defect, chi) <= 1
-        assert passes(scarf.parity, wf) <= 1
-        assert passes(scarf.schrodinger_residual, wf) <= 3
+        assert passes(scarf.residue_report, chi) == 1
+        assert passes(scarf.verify_riccati, chi) == 0
+        assert passes(chi_parity_defect, chi) == 0
+        assert passes(scarf.parity, wf) == 1
+        for probe in (scarf.schrodinger_residual, scarf.count_nodes, scarf.boundary_exponent):
+            assert passes(probe, wf) == 0
         calls.clear()
         checks = _level_checks(params, line, [], {}, 1e-8, False)
         assert all(c["pass"] for c in checks)
-        assert 0 < len(calls) <= 9
+        assert len(calls) == 2
+
+    def test_no_cache_crosses_objects(self, recurrence_calls):
+        # two specs of one line, and a chi of each, make a pass apiece
+        params = scarf.PotentialParams(s=2.0)
+        line = spectrum_line(params, 3, Edge.NOT_APPLICABLE)
+        for _ in range(2):
+            wf = scarf.build_wavefunction(params, line)
+            scarf.count_nodes(wf)
+            scarf.verify_riccati(ChiFunction.from_wavefunction(wf))
+        assert len(recurrence_calls) == 4

@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import scarf
 from scarf import ConsistencyError, Edge, Parity
 from scarf.qmf import chi_parity_defect
 from scarf.spectrum import spectrum_line
+from scarf.verify import _level_checks
 
 
 @pytest.fixture(scope="module")
@@ -158,16 +161,25 @@ class TestStructure:
             res, scale = scarf.schrodinger_residual(wf)
             assert res <= 1e-8 * scale
 
-    def test_analytic_second_derivative_vs_finite_difference(self, bound_ground):
-        from scarf.wavefunction import eval_psi_dd
+    def test_analytic_second_derivative_vs_finite_difference(self):
+        # u_zz of the residual grid against a central difference of psi at
+        # x = a z / pi, where psi'' = norm (pi / a)^2 u_zz
+        from scarf.wavefunction import _curvature
         h = 1e-5
-        for x0 in (0.2, 0.37, 0.5, 0.81):
-            fd = (scarf.eval_psi(bound_ground, x0 - h)
-                  - 2.0 * scarf.eval_psi(bound_ground, x0)
-                  + scarf.eval_psi(bound_ground, x0 + h)) / h**2
-            psi, dd = eval_psi_dd(bound_ground, x0)
-            assert psi == scarf.eval_psi(bound_ground, x0)
-            assert dd == pytest.approx(fd, rel=1e-5)
+        for s, n, edge in [(2.0, 0, Edge.NOT_APPLICABLE), (2.0, 3, Edge.NOT_APPLICABLE),
+                           (0.4, 2, Edge.LOWER)]:
+            params = scarf.PotentialParams(s=s)
+            wf = scarf.build_wavefunction(params, spectrum_line(params, n, edge))
+            sk2, s2, r, d = _curvature(wf)
+            k = wf.boundary_power
+            u, u_zz = sk2 * s2 * r, sk2 * (k * (k - 1.0) * r - d)
+            z = wf.cell["residual"][0]
+            for i in (40, 74, 100, 161):  # x near 0.2, 0.37, 0.5, 0.81
+                x0 = z[i] / np.pi
+                fd = (scarf.eval_psi(wf, x0 - h) - 2.0 * scarf.eval_psi(wf, x0)
+                      + scarf.eval_psi(wf, x0 + h)) / h**2
+                assert wf.norm * u[i] == pytest.approx(scarf.eval_psi(wf, x0), rel=1e-12)
+                assert wf.norm * np.pi**2 * u_zz[i] == pytest.approx(fd, rel=1e-5), (s, n, i)
 
 
 _MATRIX_COUPLINGS = (0.05, 0.4, 0.4999, 0.5, 2.0, 8.0, 30.0, 100.0)
@@ -226,6 +238,35 @@ class TestProbeMatrix:
                 mutant = replace(wf, line=replace(line, energy=line.energy * (1.0 + 1e-6)))
                 res, scale = scarf.schrodinger_residual(mutant)
                 assert res / scale == pytest.approx(1e-6, rel=0.05), line
+
+
+def _probe_checks(s, a=1.0, m=1.0):
+    params = scarf.PotentialParams(s, a, m)
+    return [c for line in scarf.spectrum_lines(params, 2)
+            for c in _level_checks(params, line, [], {}, 1e-8, False)]
+
+
+class TestScaleInvariance:
+    """The probes work in z = pi x / a and y = cot z, so a and m reach them
+    only through E / (pi^2 / (2 m a^2)), which the residual alone reads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.sampled_from([2.0, 0.4]), a=st.floats(1e-320, 1e300), m=st.floats(1e-320, 1e300))
+    @example(s=2.0, a=1e-140, m=1.0)
+    @example(s=2.0, a=1e140, m=1.0)
+    @example(s=2.0, a=1e150, m=1e-300)
+    def test_probe_values_depend_on_s_alone(self, s, a, m):
+        try:
+            checks = _probe_checks(s, a, m)
+        except ValueError:  # a and m the input checks refuse
+            assume(False)
+        reference = _probe_checks(s)
+        assert [c["name"] for c in checks] == [c["name"] for c in reference]
+        for got, want in zip(checks, reference):
+            if got["name"] == "schrodinger_rel_residual":
+                assert abs(got["value"] - want["value"]) <= 1e-15, (got, want)
+                got, want = dict(got, value=None), dict(want, value=None)
+            assert got == want
 
 
 class TestSampling:
