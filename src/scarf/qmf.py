@@ -19,18 +19,23 @@ Every contour is an ellipse z(theta) = c + alpha e^(i theta) + beta
 e^(-i theta), with semi-axes rx = alpha + beta along the real axis and
 ry = alpha - beta across it, sampled by the N-point trapezoid rule in
 theta.  For these analytic integrands that rule converges geometrically
-(Trefethen and Weideman, SIAM Review 56 (2014) 385), at the rate set by
-how far the ellipse can shrink in its confocal family before it meets a
-pole.  On the residue circles (rx = ry) every other pole stays at least
-half a radius from the contour.  The moving-pole count needs a flat
-ellipse that holds the real roots and stays clear of +-i; its inner poles
-lie a distance of about ry/rx in theta from the contour, so N is the
-smallest power of two >= max(256, 32 rx/ry): at least 32 such distances,
-an error near e^-32.  A contour with corners would converge only
-algebraically.  Each ChiFunction caches one pass of the recurrence, made
-on first use, over the nodes of the five contours of residue_report (two
-residue circles, two circles at infinity, the moving-pole ellipse) and
-over the probe grid and its mirror; chi' is formed on the probe grid alone.
+(Trefethen and Weideman, SIAM Review 56 (2014) 385), as e^(-N eta) with
+eta the clearance rate of the contour from its nearest pole, so every
+contour takes the smallest power of two N >= 32 with N eta >= 32, an error
+near e^-32.  On a residue circle eta = ln(d / r), d being the distance from
+its center to the nearest other pole; the ContourError rule d >= 1.5 r
+floors it at ln 1.5.  The circles at infinity have eta = ln(r / max|pole|)
+>= ln 10.  The moving-pole count needs a flat ellipse, with rx = 1 +
+max|root| and ry = 1/2, that holds the real roots and stays clear of +-i;
+its foci lie beyond every root, and a pole on the focal segment sits
+atanh(ry / rx) from the contour in theta, the ellipse's confocal rate.  A
+contour with corners would converge only algebraically.  The residue
+circles, the unit-circle nodes and the probe line are built once per
+process, read-only.  Each ChiFunction caches one pass of the recurrence,
+made on first use, over the nodes of the five contours of residue_report
+(two residue circles, two circles at infinity, the moving-pole ellipse)
+and over the probe grid and its mirror; chi' is formed on the probe grid
+alone, and chi's fixed part once over all the nodes.
 
 Conventions: in the original momentum variable p = -i q the moving-pole
 residue reads -i hbar; after the variable changes used here it is +1, the
@@ -41,6 +46,7 @@ outside this package's scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -52,10 +58,10 @@ from .wavefunction import WavefunctionSpec
 
 _D0_TOL = 1e-10
 _COUNT_TOL = 1e-6
-_MIN_NODES = 256
 _FIXED_RADIUS = 0.4  # circles around +-i for b1 and b1'
 _COUNT_HALF_HEIGHT = 0.5  # semi-minor axis of the moving-pole ellipse
-_PROBE_POINTS = 64
+_PROBE_LINE = np.linspace(-5.0, 5.0, 64)
+_PROBE_LINE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -146,13 +152,19 @@ def _unit_circle(nodes: int) -> np.ndarray:
     return e
 
 
-def _ellipse(center: complex, rx: float, ry: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid nodes z_k on the ellipse of the module docstring and
-    factors w_k = z'(theta_k) / i, so that mean(f(z) * w) approximates
-    (1/2 pi i) times the closed integral of f dz."""
-    nodes = _MIN_NODES
-    while nodes < 32.0 * rx / ry:
+def _node_count(eta: float) -> int:
+    """The smallest power of two N >= 32 with N eta >= 32, for a contour
+    of clearance rate eta > 0 (module docstring)."""
+    nodes = 32
+    while nodes * eta < 32.0:
         nodes *= 2
+    return nodes
+
+
+def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The N = nodes trapezoid nodes z_k on the ellipse of the module
+    docstring and factors w_k = z'(theta_k) / i, so that mean(f(z) * w)
+    approximates (1/2 pi i) times the closed integral of f dz."""
     e = _unit_circle(nodes)
     alpha, beta = 0.5 * (rx + ry), 0.5 * (rx - ry)
     back = beta * e.conj()
@@ -167,26 +179,40 @@ def _sweep(chi: ChiFunction, contours: list, ys: np.ndarray = np.empty(0)) -> tu
     being chi if whole, else P'/P, and (chi(ys), chi'(ys), chi(-ys)), with
     chi' formed on ys alone.  Elementwise in numpy, so each value is the
     one a pass per contour or grid gives."""
-    sizes = [c[0].size for c in contours] + [ys.size, ys.size]
     nodes = np.concatenate([c[0] for c in contours] + [ys, -ys], dtype=complex)
-    at = sum(sizes[:-2])
-    value, slope = log_derivative(chi.poly, nodes, slope=slice(at, at + ys.size))
-    *parts, plus, minus = np.split(value, np.cumsum(sizes)[:-1])
-    y, mirror = np.split(nodes[at:], 2)
-    grid = (chi.fixed_part(y) + plus,
-            2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2 + slope,
-            chi.fixed_part(mirror) + minus)
-    values = [chi.fixed_part(z) + p if whole else p for (z, _, whole), p in zip(contours, parts)]
-    return [(f, complex(np.mean(f * w))) for f, (_, w, _) in zip(values, contours)], grid
+    at = nodes.size - 2 * ys.size
+    mid = at + ys.size
+    value, slope = log_derivative(chi.poly, nodes, slope=slice(at, mid))
+    whole = value + chi.fixed_part(nodes)
+    results, start = [], 0
+    for z, w, is_whole in contours:
+        stop = start + z.size
+        f = (whole if is_whole else value)[start:stop]
+        results.append((f, complex((f * w).sum() / z.size)))
+        start = stop
+    y = nodes[at:mid]
+    return results, (whole[at:mid], 2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2 + slope,
+                     whole[mid:])
+
+
+@lru_cache(maxsize=16)
+def _circle(center: complex, radius: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """_ellipse of a circle, made once per (center, radius, nodes), read-only."""
+    z, w = _ellipse(center, radius, radius, nodes)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 def _residue_circle(chi: ChiFunction, center: complex, radius: float) -> tuple:
+    """The circle of the given radius about center, its eta = ln(d / radius)
+    from the distance d to the nearest other pole."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    for pole in chi.pole_locations():
-        if radius * 1e-9 < abs(pole - center) < 1.5 * radius:
-            raise ContourError(f"pole at {pole} within 1.5x radius of contour at {center}")
-    return (*_ellipse(center, radius, radius), True)
+    nearest = min((d for d in (abs(p - center) for p in chi.pole_locations())
+                   if d > radius * 1e-9), default=math.inf)
+    if nearest < 1.5 * radius:
+        raise ContourError(f"a pole {nearest} from {center} is within 1.5x the contour's radius")
+    return (*_circle(center, radius, _node_count(math.log(nearest / radius))), True)
 
 
 def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex:
@@ -199,13 +225,17 @@ def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex
 
 
 def _infinity_circles(chi: ChiFunction) -> list[tuple]:
-    radius = 10.0 * (1.0 + max(abs(p) for p in chi.pole_locations()))
-    return [(*_ellipse(0.0, r, r), True) for r in (radius, 2.0 * radius)]
+    """Circles of radius 10 (1 + max|pole|) and twice that about 0, each
+    with eta = ln(radius / max|pole|)."""
+    far = max(abs(p) for p in chi.pole_locations())
+    radius = 10.0 * (1.0 + far)
+    return [(*_ellipse(0.0, r, r, _node_count(math.log(r / far))), True)
+            for r in (radius, 2.0 * radius)]
 
 
 def _infinity_residue(circles: list[tuple[np.ndarray, complex]]) -> complex:
     for vals, _ in circles:
-        d0 = complex(np.mean(vals))
+        d0 = complex(vals.sum() / vals.size)
         if abs(d0) > _D0_TOL:
             raise NumericError(f"Laurent constant d0 = {d0} exceeds {_D0_TOL}")
     (_, d1), (_, doubled) = circles
@@ -226,8 +256,10 @@ def residue_at_infinity(chi: ChiFunction) -> complex:
 
 
 def _count_ellipse(chi: ChiFunction) -> tuple:
-    max_root = max((abs(r) for r in real_roots(chi.poly)), default=0.0)
-    return (*_ellipse(0.0, 2.0 * (1.0 + max_root) + 1.0, _COUNT_HALF_HEIGHT), False)
+    """The ellipse of count_moving_poles, with eta = atanh(ry / rx)."""
+    rx = 1.0 + max((abs(r) for r in real_roots(chi.poly)), default=0.0)
+    nodes = _node_count(math.atanh(_COUNT_HALF_HEIGHT / rx))
+    return (*_ellipse(0.0, rx, _COUNT_HALF_HEIGHT, nodes), False)
 
 
 def _pole_count(count: complex) -> int:
@@ -241,10 +273,10 @@ def count_moving_poles(chi: ChiFunction) -> int:
     """Number of moving poles on the real axis, by the argument principle
     applied to the polynomial factor alone.
 
-    The ellipse has semi-axes 2 (1 + max|root|) + 1 along the real axis
-    and 1/2 across it: it holds every root and stays clear of the fixed
-    poles (irrelevant for P'/P, but it keeps the contour tied to the
-    singularity layout).
+    The ellipse has semi-axes 1 + max|root| along the real axis and 1/2
+    across it: every root lies on its focal segment, and it stays clear of
+    the fixed poles (irrelevant for P'/P, but it keeps the contour tied to
+    the singularity layout).
     """
     return _pole_count(_sweep(chi, [_count_ellipse(chi)])[0][0][1])
 
@@ -273,9 +305,8 @@ def _probe_grid(chi: ChiFunction) -> np.ndarray:
     probes take the midpoints in theta = arccot y between consecutive
     poles instead, each as far from its two poles as the spacing allows."""
     poles = real_roots(chi.poly)
-    ys = np.linspace(-5.0, 5.0, _PROBE_POINTS)
-    ys = ys[np.all(np.abs(ys[:, None] - np.asarray(poles)) >= 0.06, axis=1)]
-    if ys.size >= _PROBE_POINTS // 4:
+    ys = _PROBE_LINE[np.all(np.abs(_PROBE_LINE[:, None] - np.asarray(poles)) >= 0.06, axis=1)]
+    if ys.size >= _PROBE_LINE.size // 4:
         return ys
     theta = np.arctan2(1.0, np.sort(poles))
     mid = 0.5 * (theta[1:] + theta[:-1])

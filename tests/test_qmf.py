@@ -1,10 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 import scarf
 from scarf import ChiFunction, ContourError, Edge, Parity
 from scarf.polynomials import gegenbauer_ratios
-from scarf.qmf import _FIXED_RADIUS, _probe_grid, chi_parity_defect, log_derivative
+from scarf.qmf import (
+    _FIXED_RADIUS,
+    _PROBE_LINE,
+    _circle,
+    _count_ellipse,
+    _infinity_circles,
+    _probe_grid,
+    _residue_circle,
+    _unit_circle,
+    chi_parity_defect,
+    log_derivative,
+)
 from scarf.spectrum import spectrum_line
 from scarf.verify import _level_checks
 
@@ -303,3 +316,90 @@ class TestOnePass:
             scarf.count_nodes(wf)
             scarf.verify_riccati(ChiFunction.from_wavefunction(wf))
         assert len(recurrence_calls) == 4
+
+
+def _is_node_count(nodes, eta):
+    """nodes is the smallest power of two >= 32 with nodes * eta >= 32."""
+    return (nodes >= 32 and nodes & (nodes - 1) == 0 and nodes * eta >= 32.0
+            and (nodes == 32 or nodes * eta < 64.0))
+
+
+def _chi(s, n, edge):
+    params = scarf.PotentialParams(s=s)
+    return ChiFunction.from_wavefunction(
+        scarf.build_wavefunction(params, spectrum_line(params, n, edge)))
+
+
+class TestNodeRule:
+    """Each contour's N against its clearance rate eta, measured here from
+    the contour's nodes and the state's poles (see the qmf docstring)."""
+
+    @pytest.mark.parametrize("s, edge", [
+        (0.05, Edge.LOWER), (0.05, Edge.UPPER), (0.4, Edge.LOWER), (0.4, Edge.UPPER),
+        (2.0, Edge.NOT_APPLICABLE), (30.0, Edge.NOT_APPLICABLE),
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 12, 100, 500])
+    def test_each_contour_takes_the_smallest_sufficient_power_of_two(self, s, n, edge):
+        chi = _chi(s, n, edge)
+        roots = scarf.real_roots(chi.poly)
+        poles = chi.pole_locations()
+        for center in (1j, -1j):
+            z = _residue_circle(chi, center, _FIXED_RADIUS)[0]
+            nearest = min(abs(p - center) for p in poles if p != center)
+            assert _is_node_count(z.size, math.log(nearest / np.abs(z - center).max()))
+        for z, _, _ in _infinity_circles(chi):
+            eta = math.log(np.abs(z).max() / max(abs(p) for p in poles))
+            assert eta >= math.log(10.0)
+            assert _is_node_count(z.size, eta)
+        z = _count_ellipse(chi)[0]
+        rx, ry = np.abs(z.real).max(), np.abs(z.imag).max()
+        assert _is_node_count(z.size, math.atanh(ry / rx))
+        # the ellipse keeps |Im y| <= 1/2 and holds every root on its focal segment
+        assert ry <= 0.5 * (1.0 + 1e-15)
+        assert max((abs(r) for r in roots), default=0.0) < math.sqrt(rx * rx - ry * ry)
+        assert scarf.count_moving_poles(chi) == n
+
+    @pytest.mark.parametrize("center, radius, nodes", [
+        (0.0, 0.2, 32), (0.0, 0.6, 64), (0.0, 0.66, 128), (1j, 0.3, 32), (1j, 0.6, 64),
+    ])
+    def test_user_radius_reads_the_nearest_pole(self, lower1_chi, monkeypatch,
+                                                center, radius, nodes):
+        # lower1_chi has poles at 0 and +-i, so the nearest other pole is 1
+        # away from either center: eta = ln(1 / radius)
+        sizes, sweep = [], scarf.qmf._sweep
+
+        def spy(chi, contours, *args):
+            sizes.extend(c[0].size for c in contours)
+            return sweep(chi, contours, *args)
+
+        monkeypatch.setattr(scarf.qmf, "_sweep", spy)
+        residue = scarf.contour_residue(lower1_chi, center, radius)
+        assert sizes == [nodes]
+        assert _is_node_count(nodes, math.log(1.0 / radius))
+        expected = 1.0 if center == 0.0 else lower1_chi.b1
+        assert residue == pytest.approx(expected, abs=1e-12)
+
+    def test_contour_nodes_per_state_are_pinned(self):
+        # the sum of contour nodes of residue_report over the eigenstates
+        # benchmark's levels: 51,328 under this rule, 158,976 when every
+        # contour took at least 256 nodes and the ellipse was twice as wide
+        total = 0
+        for s, edges in ((2.0, [Edge.NOT_APPLICABLE]), (0.4, [Edge.LOWER, Edge.UPPER])):
+            for edge in edges:
+                for n in range(25):
+                    total += sum(f.size for f, _ in _chi(s, n, edge).probes[0])
+        assert total <= 51_328
+
+
+class TestSharedGeometry:
+    def test_cached_arrays_are_read_only(self, bound_chi):
+        z, w = _residue_circle(bound_chi, 1j, _FIXED_RADIUS)[:2]
+        for array in (z, w, _unit_circle(64), _PROBE_LINE):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_residue_circles_are_built_once(self, bound_chi, lower1_chi):
+        for chi in (bound_chi, lower1_chi, _chi(2.0, 7, Edge.NOT_APPLICABLE)):
+            z = _residue_circle(chi, -1j, _FIXED_RADIUS)[0]
+            assert z is _circle(-1j, _FIXED_RADIUS, z.size)[0]
+        assert _circle.cache_info().maxsize is not None

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import scarf
 from scarf import ConsistencyError, Edge, Parity
+from scarf.polynomials import gegenbauer_ratios
 from scarf.qmf import chi_parity_defect
 from scarf.spectrum import spectrum_line
 from scarf.verify import _level_checks
+from scarf.wavefunction import _cell_geometry
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +269,82 @@ class TestScaleInvariance:
                 assert abs(got["value"] - want["value"]) <= 1e-15, (got, want)
                 got, want = dict(got, value=None), dict(want, value=None)
             assert got == want
+
+
+def _cell_reference(spec):
+    """spec.cell rebuilt with no cache: the four z-grids joined by
+    np.concatenate, one recurrence pass, and the rows cut back by np.split."""
+    n = spec.line.n
+    nodes = max(512, 8 * (n + 1))
+    half = np.pi * np.arange(1, 129) / 258.0
+    grids = {
+        "residual": np.linspace(1e-3 * np.pi, (1.0 - 1e-3) * np.pi, 200),
+        "nodes": np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
+        "parity": np.concatenate((np.pi / 2.0 - half, np.pi / 2.0 + half)),
+        "exponent": np.geomspace(1e-5 * np.pi / (n + 1), 1e-3 * np.pi / (n + 1), 32),
+    }
+    z = np.concatenate(list(grids.values()))
+    t = np.cos(z)
+    rows = np.stack((z, np.sin(z), t, *gegenbauer_ratios(n, spec.boundary_power, t)))
+    return dict(zip(grids, np.split(rows, np.cumsum([g.size for g in grids.values()])[:-1],
+                                    axis=1)))
+
+
+_CACHE_STATES = [(2.0, 0, Edge.NOT_APPLICABLE), (2.0, 1, Edge.NOT_APPLICABLE),
+                 (2.0, 7, Edge.NOT_APPLICABLE), (0.4, 3, Edge.LOWER), (0.4, 3, Edge.UPPER),
+                 (0.5, 2, Edge.LOWER), (30.0, 120, Edge.NOT_APPLICABLE)]
+
+
+def _spec(s, n, edge):
+    params = scarf.PotentialParams(s=s)
+    return scarf.build_wavefunction(params, spectrum_line(params, n, edge))
+
+
+class TestGeometryCache:
+    """The z-grids, sin z and cos z of the structure probes are built once
+    per degree and shared by every spec of that degree."""
+
+    @pytest.mark.parametrize("s, n, edge", _CACHE_STATES)
+    def test_cell_rows_equal_an_uncached_reference(self, s, n, edge):
+        wf = _spec(s, n, edge)
+        ref = _cell_reference(wf)
+        assert list(wf.cell) == list(ref)
+        for name, rows in ref.items():
+            assert len(wf.cell[name]) == len(rows) == 6
+            for got, want in zip(wf.cell[name], rows):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_cached_arrays_are_read_only(self):
+        for n in (0, 1, 5):
+            wf = _spec(2.0, n, Edge.NOT_APPLICABLE)
+            for rows in wf.cell.values():
+                for row in rows[:3]:
+                    with pytest.raises(ValueError):
+                        row[0] = 0.0
+            for row in _cell_geometry(n)[0]:
+                with pytest.raises(ValueError):
+                    row[0] = 0.0
+
+    def test_cold_and_warm_specs_agree(self):
+        # the same probe values whether a spec builds the shared geometry
+        # or finds it cached
+        for s, n, edge in _CACHE_STATES:
+            params = scarf.PotentialParams(s=s)
+            line = spectrum_line(params, n, edge)
+            _cell_geometry.cache_clear()
+            scarf.qmf._circle.cache_clear()
+            cold = _level_checks(params, line, [], {}, 1e-8, False)
+            assert _cell_geometry.cache_info().currsize == 1
+            warm = _level_checks(params, line, [], {}, 1e-8, False)
+            assert _cell_geometry.cache_info().hits >= 1
+            assert cold == warm
+
+    def test_per_degree_cache_is_bounded(self):
+        maxsize = _cell_geometry.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 100
+        for n in range(maxsize + 8):
+            _cell_geometry(n)
+        assert _cell_geometry.cache_info().currsize == maxsize
 
 
 class TestSampling:
