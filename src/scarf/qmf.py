@@ -25,17 +25,16 @@ contour takes the smallest power of two N >= 32 with N eta >= 32, an error
 near e^-32.  On a residue circle eta = ln(d / r), d being the distance from
 its center to the nearest other pole; the ContourError rule d >= 1.5 r
 floors it at ln 1.5.  The circles at infinity have eta = ln(r / max|pole|)
->= ln 10.  The moving-pole count needs a flat ellipse, with rx = 1 +
-max|root| and ry = 1/2, that holds the real roots and stays clear of +-i;
-its foci lie beyond every root, and a pole on the focal segment sits
+> ln 10, so N = 32.  The moving-pole count needs a flat ellipse, with rx =
+1 + max|root| and ry = 1/2, that holds the real roots and stays clear of
++-i; its foci lie beyond every root, and a pole on the focal segment sits
 atanh(ry / rx) from the contour in theta, the ellipse's confocal rate.  A
-contour with corners would converge only algebraically.  The residue
-circles, the unit-circle nodes and the probe line are built once per
-process, read-only.  Each ChiFunction caches one pass of the recurrence,
-made on first use, over the nodes of the five contours of residue_report
-(two residue circles, two circles at infinity, the moving-pole ellipse)
-and over the probe grid and its mirror; chi' is formed on the probe grid
-alone, and chi's fixed part once over all the nodes.
+contour with corners would converge only algebraically.  Each ChiFunction
+caches one pass of the recurrence, made on first use, over the probe grid
+and its mirror and over the nodes of the five contours of residue_report
+(two residue circles, two circles at infinity, the moving-pole ellipse);
+chi' is formed on the probe grid alone, and chi's fixed part once over it
+and the four whole contours.
 
 Conventions: in the original momentum variable p = -i q the moving-pole
 residue reads -i hbar; after the variable changes used here it is +1, the
@@ -49,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,7 +61,6 @@ _COUNT_TOL = 1e-6
 _FIXED_RADIUS = 0.4  # circles around +-i for b1 and b1'
 _COUNT_HALF_HEIGHT = 0.5  # semi-minor axis of the moving-pole ellipse
 _PROBE_LINE = np.linspace(-5.0, 5.0, 64)
-_PROBE_LINE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -172,35 +171,27 @@ def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndar
 
 
 def _sweep(chi: ChiFunction, contours: list, ys: np.ndarray = np.empty(0)) -> tuple:
-    """One log_derivative pass over the nodes of every contour (z, w, whole)
-    and of a real probe grid ys and its mirror -ys.
+    """One log_derivative pass over a real probe grid ys, its mirror -ys and
+    the nodes of every contour (z, w, whole), in that order.
 
     Returns [(f(z), (1/2 pi i) closed integral of f dz)] per contour, f
     being chi if whole, else P'/P, and (chi(ys), chi'(ys), chi(-ys)), with
-    chi' formed on ys alone.  Elementwise in numpy, so each value is the
-    one a pass per contour or grid gives."""
-    nodes = np.concatenate([c[0] for c in contours] + [ys, -ys], dtype=complex)
-    at = nodes.size - 2 * ys.size
-    mid = at + ys.size
-    value, slope = log_derivative(chi.poly, nodes, slope=slice(at, mid))
-    whole = value + chi.fixed_part(nodes)
-    results, start = [], 0
-    for z, w, is_whole in contours:
-        stop = start + z.size
+    chi' formed on ys alone and chi's fixed part up to the last whole
+    contour.  Elementwise in numpy, so each value is the one a pass per
+    contour or grid gives."""
+    m = ys.size
+    nodes = np.concatenate([ys, -ys] + [c[0] for c in contours], dtype=complex)
+    value, slope = log_derivative(chi.poly, nodes, slope=slice(0, m))
+    stops = list(accumulate([2 * m] + [c[0].size for c in contours]))
+    end = max([2 * m] + [stop for stop, c in zip(stops[1:], contours) if c[2]])
+    whole = value[:end] + chi.fixed_part(nodes[:end])
+    results = []
+    for start, stop, (_, w, is_whole) in zip(stops, stops[1:], contours):
         f = (whole if is_whole else value)[start:stop]
-        results.append((f, complex((f * w).sum() / z.size)))
-        start = stop
-    y = nodes[at:mid]
-    return results, (whole[at:mid], 2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2 + slope,
-                     whole[mid:])
-
-
-@lru_cache(maxsize=16)
-def _circle(center: complex, radius: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """_ellipse of a circle, made once per (center, radius, nodes), read-only."""
-    z, w = _ellipse(center, radius, radius, nodes)
-    z.flags.writeable = w.flags.writeable = False
-    return z, w
+        results.append((f, complex((f * w).sum() / w.size)))
+    y = nodes[:m]
+    return results, (whole[:m], 2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2 + slope,
+                     whole[m:2 * m])
 
 
 def _residue_circle(chi: ChiFunction, center: complex, radius: float) -> tuple:
@@ -212,7 +203,7 @@ def _residue_circle(chi: ChiFunction, center: complex, radius: float) -> tuple:
                    if d > radius * 1e-9), default=math.inf)
     if nearest < 1.5 * radius:
         raise ContourError(f"a pole {nearest} from {center} is within 1.5x the contour's radius")
-    return (*_circle(center, radius, _node_count(math.log(nearest / radius))), True)
+    return (*_ellipse(center, radius, radius, _node_count(math.log(nearest / radius))), True)
 
 
 def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex:
@@ -225,12 +216,11 @@ def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex
 
 
 def _infinity_circles(chi: ChiFunction) -> list[tuple]:
-    """Circles of radius 10 (1 + max|pole|) and twice that about 0, each
-    with eta = ln(radius / max|pole|)."""
-    far = max(abs(p) for p in chi.pole_locations())
-    radius = 10.0 * (1.0 + far)
-    return [(*_ellipse(0.0, r, r, _node_count(math.log(r / far))), True)
-            for r in (radius, 2.0 * radius)]
+    """Circles of radius 10 (1 + max|pole|) and twice that about 0.  Every
+    pole lies within a tenth of their radius, so eta > ln 10 and 32 nodes
+    serve (module docstring)."""
+    radius = 10.0 * (1.0 + max(abs(p) for p in chi.pole_locations()))
+    return [(*_ellipse(0.0, r, r, 32), True) for r in (radius, 2.0 * radius)]
 
 
 def _infinity_residue(circles: list[tuple[np.ndarray, complex]]) -> complex:

@@ -15,9 +15,7 @@ The structure probes work on the unit cell in z = theta, with u = sin^kappa(z)
 R_n(cos z) = psi / norm, so their values depend on (s, n, edge) alone; a and m
 enter only the energies and sample_wavefunction's physical columns.  Each spec
 caches one recurrence pass over the z-grids of all four probes, made on first
-use; the grids with their sin z and cos z do not depend on kappa, so they are
-built once per degree n and kept, read-only, for the last 32 degrees used.
-u_zz reads R_n, R_{n-1} and R_{n-2} of that pass through the contiguous
+use.  u_zz reads R_n, R_{n-1} and R_{n-2} of that pass through the contiguous
 relation (1 - t^2) R_k' = k (R_{k-1} - t R_k).  The node count and boundary
 fit read R and log sin directly, so they neither threshold zeros nor
 underflow in the sin^kappa tails.  The norm of C_n^kappa and Legendre
@@ -33,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,10 +49,12 @@ from .spectrum import SpectrumLine
 
 _PARITY_TOL = 1e-10
 _NODE_SAMPLES = 512
-_PARITY_SAMPLES = 128
 _EXPONENT_POINTS = 32
-_RESIDUAL_POINTS = 200
 _RESIDUAL_MARGIN = 1e-3  # fraction of the cell left out at each wall
+# the z-grids of the residual and parity probes, the same for every state
+_RESIDUAL_GRID = np.linspace(_RESIDUAL_MARGIN * np.pi, (1.0 - _RESIDUAL_MARGIN) * np.pi, 200)
+_PARITY_HALF = np.pi * np.arange(1, 129) / 258.0
+_PARITY_GRID = np.concatenate((np.pi / 2.0 - _PARITY_HALF, np.pi / 2.0 + _PARITY_HALF))
 
 
 class Parity(Enum):
@@ -82,35 +83,22 @@ class WavefunctionSpec:
     def cell(self) -> dict[str, tuple[np.ndarray, ...]]:
         """Rows z, sin z, cos z, R_n, R_{n-1}, R_{n-2} at cos z on the grid of
         each structure probe, from one gegenbauer_ratios pass over all of
-        them, made on first use.  The cache lives and dies with the spec;
-        the first three rows are the degree's shared, read-only geometry."""
+        them, made on first use.  The cache lives and dies with the spec."""
         n = self.line.n
-        geometry, parts = _cell_geometry(n)
-        rows = (*geometry, *gegenbauer_ratios(n, self.boundary_power, geometry[2]))
-        return {name: tuple(row[part] for row in rows) for name, part in parts.items()}
-
-
-@lru_cache(maxsize=32)
-def _cell_geometry(n: int) -> tuple[tuple[np.ndarray, ...], dict[str, slice]]:
-    """(z, sin z, cos z) over the z-grids of the four structure probes of
-    degree n, joined and read-only, and each probe's slice of them."""
-    nodes = max(_NODE_SAMPLES, 8 * (n + 1))
-    half = np.pi * np.arange(1, _PARITY_SAMPLES + 1) / (2.0 * (_PARITY_SAMPLES + 1.0))
-    grids = {
-        "residual": np.linspace(_RESIDUAL_MARGIN * np.pi, (1.0 - _RESIDUAL_MARGIN) * np.pi,
-                                _RESIDUAL_POINTS),
-        "nodes": np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
-        "parity": np.concatenate((np.pi / 2.0 - half, np.pi / 2.0 + half)),
-        "exponent": np.geomspace(1e-5 * np.pi / (n + 1), 1e-3 * np.pi / (n + 1),
-                                 _EXPONENT_POINTS),
-    }
-    z = np.concatenate(list(grids.values()))
-    geometry = (z, np.sin(z), np.cos(z))
-    stops = np.cumsum([0] + [g.size for g in grids.values()]).tolist()
-    parts = {name: slice(a, b) for name, a, b in zip(grids, stops, stops[1:])}
-    for row in geometry:
-        row.flags.writeable = False
-    return geometry, parts
+        nodes = max(_NODE_SAMPLES, 8 * (n + 1))
+        grids = {
+            "residual": _RESIDUAL_GRID,
+            "nodes": np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
+            "parity": _PARITY_GRID,
+            "exponent": np.geomspace(1e-5 * np.pi / (n + 1), 1e-3 * np.pi / (n + 1),
+                                     _EXPONENT_POINTS),
+        }
+        z = np.concatenate(list(grids.values()))
+        t = np.cos(z)
+        rows = (z, np.sin(z), t, *gegenbauer_ratios(n, self.boundary_power, t))
+        stops = [0, *accumulate(g.size for g in grids.values())]
+        return {name: tuple(row[a:b] for row in rows)
+                for name, a, b in zip(grids, stops, stops[1:])}
 
 
 def build_wavefunction(params: PotentialParams, line: SpectrumLine) -> WavefunctionSpec:

@@ -8,13 +8,10 @@ from scarf import ChiFunction, ContourError, Edge, Parity
 from scarf.polynomials import gegenbauer_ratios
 from scarf.qmf import (
     _FIXED_RADIUS,
-    _PROBE_LINE,
-    _circle,
     _count_ellipse,
     _infinity_circles,
     _probe_grid,
     _residue_circle,
-    _unit_circle,
     chi_parity_defect,
     log_derivative,
 )
@@ -49,6 +46,10 @@ class TestContourResidue:
         res = scarf.contour_residue(lower1_chi, 0.0, 0.2)
         assert res.real == pytest.approx(1.0, abs=1e-12)
         assert abs(res.imag) <= 1e-12
+
+    def test_numpy_scalar_center_and_radius(self, lower1_chi):
+        res = scarf.contour_residue(lower1_chi, np.array(0.0), np.array(0.2))
+        assert res == pytest.approx(scarf.contour_residue(lower1_chi, 0.0, 0.2), abs=1e-15)
 
     def test_contour_too_close_to_other_pole(self, lower1_chi):
         # the moving pole at 0 sits within 1.5x of this contour around +i
@@ -390,16 +391,3 @@ class TestNodeRule:
                     total += sum(f.size for f, _ in _chi(s, n, edge).probes[0])
         assert total <= 51_328
 
-
-class TestSharedGeometry:
-    def test_cached_arrays_are_read_only(self, bound_chi):
-        z, w = _residue_circle(bound_chi, 1j, _FIXED_RADIUS)[:2]
-        for array in (z, w, _unit_circle(64), _PROBE_LINE):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-
-    def test_residue_circles_are_built_once(self, bound_chi, lower1_chi):
-        for chi in (bound_chi, lower1_chi, _chi(2.0, 7, Edge.NOT_APPLICABLE)):
-            z = _residue_circle(chi, -1j, _FIXED_RADIUS)[0]
-            assert z is _circle(-1j, _FIXED_RADIUS, z.size)[0]
-        assert _circle.cache_info().maxsize is not None

@@ -14,7 +14,6 @@ from scarf.polynomials import gegenbauer_ratios
 from scarf.qmf import chi_parity_defect
 from scarf.spectrum import spectrum_line
 from scarf.verify import _level_checks
-from scarf.wavefunction import _cell_geometry
 
 
 @pytest.fixture(scope="module")
@@ -272,8 +271,8 @@ class TestScaleInvariance:
 
 
 def _cell_reference(spec):
-    """spec.cell rebuilt with no cache: the four z-grids joined by
-    np.concatenate, one recurrence pass, and the rows cut back by np.split."""
+    """spec.cell rebuilt as np.stack and np.split form it: the four z-grids
+    joined, one recurrence pass, and the stacked rows split back."""
     n = spec.line.n
     nodes = max(512, 8 * (n + 1))
     half = np.pi * np.arange(1, 129) / 258.0
@@ -290,7 +289,7 @@ def _cell_reference(spec):
                                     axis=1)))
 
 
-_CACHE_STATES = [(2.0, 0, Edge.NOT_APPLICABLE), (2.0, 1, Edge.NOT_APPLICABLE),
+_CELL_STATES = [(2.0, 0, Edge.NOT_APPLICABLE), (2.0, 1, Edge.NOT_APPLICABLE),
                  (2.0, 7, Edge.NOT_APPLICABLE), (0.4, 3, Edge.LOWER), (0.4, 3, Edge.UPPER),
                  (0.5, 2, Edge.LOWER), (30.0, 120, Edge.NOT_APPLICABLE)]
 
@@ -300,12 +299,11 @@ def _spec(s, n, edge):
     return scarf.build_wavefunction(params, spectrum_line(params, n, edge))
 
 
-class TestGeometryCache:
-    """The z-grids, sin z and cos z of the structure probes are built once
-    per degree and shared by every spec of that degree."""
+class TestCellRows:
+    """spec.cell cuts its rows by slices, bit for bit as np.split did."""
 
-    @pytest.mark.parametrize("s, n, edge", _CACHE_STATES)
-    def test_cell_rows_equal_an_uncached_reference(self, s, n, edge):
+    @pytest.mark.parametrize("s, n, edge", _CELL_STATES)
+    def test_cell_rows_equal_a_split_reference(self, s, n, edge):
         wf = _spec(s, n, edge)
         ref = _cell_reference(wf)
         assert list(wf.cell) == list(ref)
@@ -313,38 +311,6 @@ class TestGeometryCache:
             assert len(wf.cell[name]) == len(rows) == 6
             for got, want in zip(wf.cell[name], rows):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-
-    def test_cached_arrays_are_read_only(self):
-        for n in (0, 1, 5):
-            wf = _spec(2.0, n, Edge.NOT_APPLICABLE)
-            for rows in wf.cell.values():
-                for row in rows[:3]:
-                    with pytest.raises(ValueError):
-                        row[0] = 0.0
-            for row in _cell_geometry(n)[0]:
-                with pytest.raises(ValueError):
-                    row[0] = 0.0
-
-    def test_cold_and_warm_specs_agree(self):
-        # the same probe values whether a spec builds the shared geometry
-        # or finds it cached
-        for s, n, edge in _CACHE_STATES:
-            params = scarf.PotentialParams(s=s)
-            line = spectrum_line(params, n, edge)
-            _cell_geometry.cache_clear()
-            scarf.qmf._circle.cache_clear()
-            cold = _level_checks(params, line, [], {}, 1e-8, False)
-            assert _cell_geometry.cache_info().currsize == 1
-            warm = _level_checks(params, line, [], {}, 1e-8, False)
-            assert _cell_geometry.cache_info().hits >= 1
-            assert cold == warm
-
-    def test_per_degree_cache_is_bounded(self):
-        maxsize = _cell_geometry.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < 100
-        for n in range(maxsize + 8):
-            _cell_geometry(n)
-        assert _cell_geometry.cache_info().currsize == maxsize
 
 
 class TestSampling:
