@@ -67,8 +67,6 @@ from .qmf import (
     ChiFunction,
     ResidueReport,
     contour_residue,
-    count_moving_poles,
-    residue_at_infinity,
     residue_report,
     verify_riccati,
 )
@@ -89,8 +87,8 @@ __all__ = [
     "sample_wavefunction",
     "ShootingConfig", "OracleResult", "Exponent", "shoot",
     "find_eigen", "scan_spectrum", "collocation_spectrum", "predicted_family",
-    "ChiFunction", "ResidueReport", "contour_residue", "residue_at_infinity",
-    "count_moving_poles", "verify_riccati", "residue_report",
+    "ChiFunction", "ResidueReport", "contour_residue", "verify_riccati",
+    "residue_report",
     "run_verification",
     "ScarfError", "SingularityError", "RegimeError", "DegenerateRegimeError",
     "ConsistencyError", "BracketError", "ContourError", "NumericError",

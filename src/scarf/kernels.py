@@ -8,8 +8,9 @@ with an adaptive Dormand-Prince 8(5,3) stepper (DOP853; Hairer, Norsett
 and Wanner, Solving Ordinary Differential Equations I, 2nd ed., 1993,
 sec. II.5) in plain scalar Python, from a start point near the wall to the
 cell midpoint pi/2.  It also counts the sign changes of u over its
-accepted steps; by Sturm oscillation that count is the number of
-eigenvalues of a shooting family below the trial energy, which the oracle
+accepted steps.  With the end state that count gives the Pruefer phase
+theta of the trial energy, and by Sturm oscillation floor(2 theta / pi) is
+the number of eigenvalues of a shooting family below it, which the oracle
 bisects on to bracket each root.
 """
 

@@ -32,9 +32,11 @@ atanh(ry / rx) from the contour in theta, the ellipse's confocal rate.  A
 contour with corners would converge only algebraically.  Each ChiFunction
 caches one pass of the recurrence, made on first use, over the probe grid
 and its mirror and over the nodes of the five contours of residue_report
-(two residue circles, two circles at infinity, the moving-pole ellipse);
-chi' is formed on the probe grid alone, and chi's fixed part once over it
-and the four whole contours.
+(two residue circles, two circles at infinity, the moving-pole ellipse),
+from one list of the state's poles; chi' is formed on the probe grid
+alone, and chi's fixed part once over it and the four circles.
+residue_report is the one reader of those contours; contour_residue
+integrates chi over a circle of the caller's choice.
 
 Conventions: in the original momentum variable p = -i q the moving-pole
 residue reads -i hbar; after the variable changes used here it is +1, the
@@ -84,26 +86,40 @@ class ChiFunction:
         """2 b1 y / (y^2 + 1), the part of chi with the poles at +-i."""
         return 2.0 * self.b1 * y / (y * y + 1.0)
 
-    def pole_locations(self) -> list[complex]:
-        return [1j, -1j] + [complex(r) for r in real_roots(self.poly)]
-
     @cached_property
     def probes(self) -> tuple[list[tuple[np.ndarray, complex]], np.ndarray, tuple]:
-        """The state's one recurrence pass, made on first use: the contour
-        results of residue_report's five contours, the probe grid ys, and
-        (chi(ys), chi'(ys), chi(-ys)), all from one _sweep.  The cache
-        lives and dies with this object."""
-        ys = _probe_grid(self)
-        contours, grid = _sweep(self, [
-            _residue_circle(self, 1j, _FIXED_RADIUS), _residue_circle(self, -1j, _FIXED_RADIUS),
-            *_infinity_circles(self), _count_ellipse(self)], ys)
-        return contours, ys, grid
+        """The state's one recurrence pass, made on first use, over the probe
+        grid ys, its mirror -ys and the nodes (z, w) of residue_report's five
+        contours, in that order: the residue circles about +i and -i, the
+        two circles at infinity, the moving-pole ellipse.
+
+        Returns [(f(z), (1/2 pi i) closed integral of f dz)] per contour, f
+        being chi on the circles and P'/P on the ellipse, the grid ys, and
+        (chi(ys), chi'(ys), chi(-ys)); chi' is formed on ys alone and chi's
+        fixed part on everything before the ellipse.  Elementwise in numpy,
+        so each value is the one a pass per contour or grid gives.  The
+        state's pole list is built once here, and the cache lives and dies
+        with this object."""
+        roots = real_roots(self.poly)
+        ys = _probe_grid(roots)
+        contours = [_residue_circle(roots, 1j, _FIXED_RADIUS),
+                    _residue_circle(roots, -1j, _FIXED_RADIUS),
+                    *_infinity_circles(roots), _count_ellipse(roots)]
+        m = ys.size
+        nodes = np.concatenate([ys, -ys] + [z for z, _ in contours], dtype=complex)
+        f, slope = log_derivative(self.poly, nodes, slope=slice(0, m))
+        stops = list(accumulate([2 * m] + [z.size for z, _ in contours]))
+        f[:stops[-2]] += self.fixed_part(nodes[:stops[-2]])
+        results = [(f[start:stop], complex((f[start:stop] * w).sum() / w.size))
+                   for start, stop, (_, w) in zip(stops, stops[1:], contours)]
+        y = nodes[:m]
+        return results, ys, (f[:m], 2.0 * self.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2 + slope,
+                             f[m:2 * m])
 
 
-def log_derivative(poly: PolySpec, y, slope: bool | slice = False):
-    """P'(y)/P(y) at complex y from one pass of gegenbauer_ratios, and
-    with slope=True the pair (P'/P, its y-derivative); a slice for slope
-    forms the derivative on y[slope] alone.
+def log_derivative(poly: PolySpec, y, slope: slice | None = None):
+    """P'(y)/P(y) at complex y from one pass of gegenbauer_ratios, and with
+    a slice for slope the pair (P'/P, its y-derivative on y[slope]).
 
     With h = sqrt(1 + y^2), t = y/h, rho = R_{n-1}(t)/R_n(t) and the
     contiguous relation (1 - t^2) R_k' = k (R_{k-1} - t R_k):
@@ -122,10 +138,9 @@ def log_derivative(poly: PolySpec, y, slope: bool | slice = False):
     r, r1, r2 = gegenbauer_ratios(n, poly.lam - n, t)
     rho = r1 / r
     value = n * rho / h
-    if not slope:
+    if slope is None:
         return value
-    k = slice(None) if slope is True else slope
-    y, h, t, r, r1, r2, rho = (v[k] for v in (y, h, t, r, r1, r2, rho))
+    y, h, t, r, r1, r2, rho = (v[slope] for v in (y, h, t, r, r1, r2, rho))
     h2 = h * h
     dr = n * h2 * (r1 - t * r)
     dr1 = (n - 1) * h2 * (r2 - t * r1)
@@ -170,60 +185,43 @@ def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndar
     return center + alpha * e + back, alpha * e - back
 
 
-def _sweep(chi: ChiFunction, contours: list, ys: np.ndarray = np.empty(0)) -> tuple:
-    """One log_derivative pass over a real probe grid ys, its mirror -ys and
-    the nodes of every contour (z, w, whole), in that order.
-
-    Returns [(f(z), (1/2 pi i) closed integral of f dz)] per contour, f
-    being chi if whole, else P'/P, and (chi(ys), chi'(ys), chi(-ys)), with
-    chi' formed on ys alone and chi's fixed part up to the last whole
-    contour.  Elementwise in numpy, so each value is the one a pass per
-    contour or grid gives."""
-    m = ys.size
-    nodes = np.concatenate([ys, -ys] + [c[0] for c in contours], dtype=complex)
-    value, slope = log_derivative(chi.poly, nodes, slope=slice(0, m))
-    stops = list(accumulate([2 * m] + [c[0].size for c in contours]))
-    end = max([2 * m] + [stop for stop, c in zip(stops[1:], contours) if c[2]])
-    whole = value[:end] + chi.fixed_part(nodes[:end])
-    results = []
-    for start, stop, (_, w, is_whole) in zip(stops, stops[1:], contours):
-        f = (whole if is_whole else value)[start:stop]
-        results.append((f, complex((f * w).sum() / w.size)))
-    y = nodes[:m]
-    return results, (whole[:m], 2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2 + slope,
-                     whole[m:2 * m])
-
-
-def _residue_circle(chi: ChiFunction, center: complex, radius: float) -> tuple:
+def _residue_circle(roots: list[float], center: complex, radius: float) -> tuple:
     """The circle of the given radius about center, its eta = ln(d / radius)
-    from the distance d to the nearest other pole."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    nearest = min((d for d in (abs(p - center) for p in chi.pole_locations())
+    from the distance d to the nearest other pole, +-i or a root."""
+    if not (np.isfinite(center) and np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"need a finite center and a finite radius > 0, got {center}, {radius}")
+    nearest = min((d for d in (abs(p - center) for p in (1j, -1j, *roots))
                    if d > radius * 1e-9), default=math.inf)
     if nearest < 1.5 * radius:
         raise ContourError(f"a pole {nearest} from {center} is within 1.5x the contour's radius")
-    return (*_ellipse(center, radius, radius, _node_count(math.log(nearest / radius))), True)
+    return _ellipse(center, radius, radius, _node_count(math.log(nearest / radius)))
 
 
 def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex:
-    """(1/2 pi i) closed circle integral of chi around one pole.
+    """(1/2 pi i) closed circle integral of chi around one pole, for a
+    circle of the caller's choice; residue_report reads its own.
 
     The circle must isolate the target: any other pole within 1.5x the
     radius is a contour error.
     """
-    return _sweep(chi, [_residue_circle(chi, center, radius)])[0][0][1]
+    z, w = _residue_circle(real_roots(chi.poly), center, radius)
+    return complex((chi(z) * w).sum() / w.size)
 
 
-def _infinity_circles(chi: ChiFunction) -> list[tuple]:
+def _infinity_circles(roots: list[float]) -> list[tuple]:
     """Circles of radius 10 (1 + max|pole|) and twice that about 0.  Every
     pole lies within a tenth of their radius, so eta > ln 10 and 32 nodes
     serve (module docstring)."""
-    radius = 10.0 * (1.0 + max(abs(p) for p in chi.pole_locations()))
-    return [(*_ellipse(0.0, r, r, 32), True) for r in (radius, 2.0 * radius)]
+    radius = 10.0 * (1.0 + max([1.0] + [abs(r) for r in roots]))
+    return [_ellipse(0.0, r, r, 32) for r in (radius, 2.0 * radius)]
 
 
 def _infinity_residue(circles: list[tuple[np.ndarray, complex]]) -> complex:
+    """d1, the sum of all finite residues, from the two circles at infinity.
+
+    The circle average, the Laurent constant d0, must vanish to 1e-10 on
+    each, and the doubled circle must reproduce d1 to 1e-9; otherwise the
+    assumed rational structure fails."""
     for vals, _ in circles:
         d0 = complex(vals.sum() / vals.size)
         if abs(d0) > _D0_TOL:
@@ -234,22 +232,14 @@ def _infinity_residue(circles: list[tuple[np.ndarray, complex]]) -> complex:
     return d1
 
 
-def residue_at_infinity(chi: ChiFunction) -> complex:
-    """d1 from a circle of radius 10 (1 + max|pole|), enclosing every
-    finite pole.
-
-    Equals the sum of all finite residues; doubling the radius must
-    reproduce it to 1e-9, and the circle average (the Laurent constant d0)
-    must vanish to 1e-10, otherwise the assumed rational structure fails.
-    """
-    return _infinity_residue(_sweep(chi, _infinity_circles(chi))[0])
-
-
-def _count_ellipse(chi: ChiFunction) -> tuple:
-    """The ellipse of count_moving_poles, with eta = atanh(ry / rx)."""
-    rx = 1.0 + max((abs(r) for r in real_roots(chi.poly)), default=0.0)
+def _count_ellipse(roots: list[float]) -> tuple:
+    """The moving-pole ellipse, with semi-axes 1 + max|root| along the real
+    axis and 1/2 across it, and eta = atanh(ry / rx): every root lies on its
+    focal segment, and it stays clear of +-i (irrelevant for P'/P, but it
+    keeps the contour tied to the singularity layout)."""
+    rx = 1.0 + max((abs(r) for r in roots), default=0.0)
     nodes = _node_count(math.atanh(_COUNT_HALF_HEIGHT / rx))
-    return (*_ellipse(0.0, rx, _COUNT_HALF_HEIGHT, nodes), False)
+    return _ellipse(0.0, rx, _COUNT_HALF_HEIGHT, nodes)
 
 
 def _pole_count(count: complex) -> int:
@@ -257,18 +247,6 @@ def _pole_count(count: complex) -> int:
     if abs(count - nearest) > _COUNT_TOL:
         raise ContourError(f"argument-principle count {count} is not an integer")
     return int(nearest)
-
-
-def count_moving_poles(chi: ChiFunction) -> int:
-    """Number of moving poles on the real axis, by the argument principle
-    applied to the polynomial factor alone.
-
-    The ellipse has semi-axes 1 + max|root| along the real axis and 1/2
-    across it: every root lies on its focal segment, and it stays clear of
-    the fixed poles (irrelevant for P'/P, but it keeps the contour tied to
-    the singularity layout).
-    """
-    return _pole_count(_sweep(chi, [_count_ellipse(chi)])[0][0][1])
 
 
 def verify_riccati(chi: ChiFunction, lam: float | None = None) -> float:
@@ -287,14 +265,13 @@ def verify_riccati(chi: ChiFunction, lam: float | None = None) -> float:
     return float(np.abs(res).max())
 
 
-def _probe_grid(chi: ChiFunction) -> np.ndarray:
+def _probe_grid(poles: list[float]) -> np.ndarray:
     """64 points on [-5, 5], less those within 0.06 of a moving pole.
 
     At high degree the poles thin that grid out (from n = 394 at s = 2 they
     clear it), so when fewer than a quarter of its points are left the
     probes take the midpoints in theta = arccot y between consecutive
     poles instead, each as far from its two poles as the spacing allows."""
-    poles = real_roots(chi.poly)
     ys = _PROBE_LINE[np.all(np.abs(_PROBE_LINE[:, None] - np.asarray(poles)) >= 0.06, axis=1)]
     if ys.size >= _PROBE_LINE.size // 4:
         return ys
@@ -314,7 +291,10 @@ def chi_parity_defect(chi: ChiFunction) -> float:
 
 
 def residue_report(chi: ChiFunction) -> ResidueReport:
-    """Measure all residues of a state and its sum-rule defect from its one pass."""
+    """Measure all residues of a state and its sum-rule defect from its one
+    pass: b1 and b1' on the circles about +-i, d1 on the circles at infinity
+    (_infinity_residue), and the number of moving poles by the argument
+    principle applied to P'/P alone on the moving-pole ellipse."""
     (_, b1), (_, b1p), *infinity, (_, moving) = chi.probes[0]
     d1, count = _infinity_residue(infinity), _pole_count(moving)
     return ResidueReport(b1, b1p, d1, count, float(abs(b1 + b1p + count - d1)))

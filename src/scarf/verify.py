@@ -47,25 +47,20 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     regime = params.regime
     if regime is Regime.UNSUPPORTED:
         raise RegimeError(f"unsupported coupling s = {params.s}")
-    want_shooting = oracle in ("shooting", "both")
-    want_fd = oracle in ("fd", "both")
 
     logger.info("verify: s=%g regime=%s n_max=%d oracle=%s tol=%g",
                 params.s, regime.value, n_max, oracle, tol)
     lines = spectrum_lines(params, n_max)
     e_max = max(ln.energy for ln in lines) * 1.02 + 0.2 * params.energy_unit
-    scan: list[OracleResult] = []
-    if want_shooting:
-        scan = scan_spectrum(params, e_max)
-    collocated: dict[Exponent, list[float]] = {}
-    if want_fd:
-        collocated = collocation_spectrum(params, k_levels=n_max + 1)
+    scan = scan_spectrum(params, e_max) if oracle in ("shooting", "both") else None
+    collocated = (collocation_spectrum(params, k_levels=n_max + 1)
+                  if oracle in ("fd", "both") else None)
 
     checks = []
     for ln in lines:
         if ln.energy <= 0.0:
             continue  # free-particle fold at E=0 has no normalizable state
-        checks.extend(_level_checks(params, ln, scan, collocated, tol, want_shooting))
+        checks.extend(_level_checks(params, ln, scan, collocated, tol))
 
     n_failed = sum(1 for c in checks if not c["pass"])
     report = level_report(params, lines, checks)
@@ -131,10 +126,13 @@ def _check(ln: SpectrumLine, name: str, value: float, threshold: float,
     }
 
 
-def _level_checks(params, ln, scan, collocated, tol, want_shooting) -> list[dict]:
+def _level_checks(params, ln, scan: list[OracleResult] | None,
+                  collocated: dict[Exponent, list[float]] | None, tol) -> list[dict]:
+    """The checks of one level; scan or collocated is None when that oracle
+    did not run."""
     out = []
 
-    if want_shooting:
+    if scan is not None:
         key = (predicted_family(ln), ln.n)
         matched = [r for r in scan if (r.exponent, r.n) == key]
         if len(matched) == 1:
@@ -150,7 +148,7 @@ def _level_checks(params, ln, scan, collocated, tol, want_shooting) -> list[dict
                               float(abs(len(matched) - 1)), 0.0,
                               observed=float(len(matched))))
 
-    if collocated:
+    if collocated is not None:
         level = collocated[predicted_family(ln)][ln.n]
         rel = abs(level - ln.energy) / params.energy_scale(ln.energy)
         out.append(_check(ln, "oracle_fd_rel_err", rel, tol, observed=level))

@@ -156,7 +156,7 @@ class TestRealRoots:
                 # the Gegenbauer P'/P and its slope against the monomial ones
                 p, p1, p2 = (npoly.polyval(_COMPLEX_YS, npoly.polyder(coeffs, k))
                              for k in range(3))
-                value, slope = log_derivative(poly, _COMPLEX_YS, slope=True)
+                value, slope = log_derivative(poly, _COMPLEX_YS, slope=slice(None))
                 for ours, ref in ((value, p1 / p), (slope, (p2 * p - p1 * p1) / (p * p))):
                     assert np.all(np.abs(ours - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 

@@ -10,6 +10,8 @@ from scarf.qmf import (
     _FIXED_RADIUS,
     _count_ellipse,
     _infinity_circles,
+    _infinity_residue,
+    _pole_count,
     _probe_grid,
     _residue_circle,
     chi_parity_defect,
@@ -56,23 +58,32 @@ class TestContourResidue:
         with pytest.raises(ContourError):
             scarf.contour_residue(lower1_chi, 1j, 0.8)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_or_radius_is_a_value_error(self, lower1_chi, bad):
+        with pytest.raises(ValueError):
+            scarf.contour_residue(lower1_chi, bad, 0.2)
+        with pytest.raises(ValueError):
+            scarf.contour_residue(lower1_chi, complex(0.0, bad), 0.2)
+        with pytest.raises(ValueError):
+            scarf.contour_residue(lower1_chi, 1j, bad)
+
 
 class TestResidueAtInfinity:
     def test_bound_ground(self, bound_chi):
-        d1 = scarf.residue_at_infinity(bound_chi)
+        d1 = scarf.residue_report(bound_chi).d1_measured
         assert d1.real == pytest.approx(-1.5, abs=1e-10)
         assert abs(d1.imag) <= 1e-10
 
     def test_band_lower_edge_n0(self, band_params):
         lo = scarf.band_edge_energies(band_params, 0)[0]
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(band_params, lo))
-        assert scarf.residue_at_infinity(chi).real == pytest.approx(0.9, abs=1e-10)
+        assert scarf.residue_report(chi).d1_measured.real == pytest.approx(0.9, abs=1e-10)
 
     def test_band_upper_edge_n1(self, band_params):
         hi = scarf.band_edge_energies(band_params, 1)[1]
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(band_params, hi))
         # d1 = 2 b1 + n = (1 - 1.9) + 1 = 0.1 = (1 - 2s)/2
-        assert scarf.residue_at_infinity(chi).real == pytest.approx(0.1, abs=1e-10)
+        assert scarf.residue_report(chi).d1_measured.real == pytest.approx(0.1, abs=1e-10)
 
 
 class TestMovingPoleCount:
@@ -90,7 +101,7 @@ class TestMovingPoleCount:
             lo, hi = scarf.band_edge_energies(params, n)
             line = lo if edge is Edge.LOWER else hi
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
-        assert scarf.count_moving_poles(chi) == n
+        assert scarf.residue_report(chi).moving_pole_count == n
 
     @pytest.mark.parametrize("s,edge", [
         (0.05, Edge.LOWER), (0.05, Edge.UPPER),
@@ -102,7 +113,8 @@ class TestMovingPoleCount:
         params = scarf.PotentialParams(s=s)
         for n in range(41):
             wf = scarf.build_wavefunction(params, spectrum_line(params, n, edge))
-            assert scarf.count_moving_poles(ChiFunction.from_wavefunction(wf)) == n
+            chi = ChiFunction.from_wavefunction(wf)
+            assert scarf.residue_report(chi).moving_pole_count == n
 
 
 class TestRiccati:
@@ -197,8 +209,8 @@ class TestHighDegree:
         params = scarf.PotentialParams(s=s)
         line = spectrum_line(params, n, edge)
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
-        assert _probe_grid(chi).size == n - 1
-        checks = _level_checks(params, line, [], {}, 1e-8, False)
+        assert _probe_grid(scarf.real_roots(chi.poly)).size == n - 1
+        checks = _level_checks(params, line, None, None, 1e-8)
         assert [c["name"] for c in checks] == [
             "residue_sum_rule_defect", "b1_vs_closed_form", "b1_parity",
             "d1_vs_closed_form", "moving_pole_count_defect", "chi_parity_defect",
@@ -213,12 +225,12 @@ def _chi_per_array(chi, ys):
     y = np.asarray(ys, dtype=complex)
     value = 2.0 * chi.b1 * y / (y * y + 1.0) + log_derivative(chi.poly, y)
     slope = (2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2
-             + log_derivative(chi.poly, y, slope=True)[1])
+             + log_derivative(chi.poly, y, slope=slice(None))[1])
     return value, slope
 
 
 def _riccati_per_array(chi):
-    ys = _probe_grid(chi)
+    ys = _probe_grid(scarf.real_roots(chi.poly))
     val, dval = _chi_per_array(chi, ys)
     res = (val * val + dval + (chi.lam**2 - 1.0) / (ys**2 + 1.0) ** 2
            + (0.25 - chi.s**2) / (ys**2 + 1.0))
@@ -238,8 +250,20 @@ def _probe_grid_per_pole(chi):
     return np.cos(mid) / np.sin(mid)
 
 
+def _contours_per_array(chi):
+    """residue_report's contours as (f(z), integral) pairs, each from its own
+    log_derivative pass: chi on the four circles, P'/P on the ellipse."""
+    roots = scarf.real_roots(chi.poly)
+    circles = [_residue_circle(roots, 1j, _FIXED_RADIUS),
+               _residue_circle(roots, -1j, _FIXED_RADIUS), *_infinity_circles(roots)]
+    out = [(chi(z), w) for z, w in circles]
+    z, w = _count_ellipse(roots)
+    out.append((log_derivative(chi.poly, z), w))
+    return [(f, complex((f * w).sum() / w.size)) for f, w in out]
+
+
 def _chi_parity_per_array(chi):
-    ys = _probe_grid(chi)
+    ys = _probe_grid(scarf.real_roots(chi.poly))
     plus, minus = _chi_per_array(chi, ys)[0], _chi_per_array(chi, -ys)[0]
     scale = np.abs(plus).max()
     return 0.0 if scale == 0.0 else float(np.abs(minus + plus).max() / scale)
@@ -271,11 +295,15 @@ class TestOnePass:
             wf = scarf.build_wavefunction(params, spectrum_line(params, n, edge))
             chi = ChiFunction.from_wavefunction(wf)
             rep = scarf.residue_report(chi)
-            assert rep.b1_measured == scarf.contour_residue(chi, 1j, _FIXED_RADIUS)
+            alone = _contours_per_array(chi)
+            for (f, integral), (f_alone, integral_alone) in zip(chi.probes[0], alone, strict=True):
+                assert np.array_equal(f, f_alone) and integral == integral_alone
+            assert rep.b1_measured == alone[0][1] == scarf.contour_residue(chi, 1j, _FIXED_RADIUS)
+            assert rep.b1_prime_measured == alone[1][1]
             assert rep.b1_prime_measured == scarf.contour_residue(chi, -1j, _FIXED_RADIUS)
-            assert rep.d1_measured == scarf.residue_at_infinity(chi)
-            assert rep.moving_pole_count == scarf.count_moving_poles(chi)
-            assert np.array_equal(_probe_grid(chi), _probe_grid_per_pole(chi))
+            assert rep.d1_measured == _infinity_residue(alone[2:4])
+            assert rep.moving_pole_count == _pole_count(alone[4][1])
+            assert np.array_equal(chi.probes[1], _probe_grid_per_pole(chi))
             assert scarf.verify_riccati(chi) == _riccati_per_array(chi)
             assert chi_parity_defect(chi) == _chi_parity_per_array(chi)
 
@@ -304,9 +332,27 @@ class TestOnePass:
         for probe in (scarf.schrodinger_residual, scarf.count_nodes, scarf.boundary_exponent):
             assert passes(probe, wf) == 0
         calls.clear()
-        checks = _level_checks(params, line, [], {}, 1e-8, False)
+        checks = _level_checks(params, line, None, None, 1e-8)
         assert all(c["pass"] for c in checks)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("s, n, edge", [
+        (2.0, 0, Edge.NOT_APPLICABLE), (2.0, 7, Edge.NOT_APPLICABLE), (0.4, 4, Edge.LOWER),
+    ])
+    def test_one_pole_list_per_state(self, monkeypatch, s, n, edge):
+        # the chi probes build the state's pole list once and share it
+        calls = []
+
+        def counted(poly):
+            calls.append(poly)
+            return scarf.real_roots(poly)
+
+        monkeypatch.setattr(scarf.qmf, "real_roots", counted)
+        chi = _chi(s, n, edge)
+        scarf.residue_report(chi)
+        scarf.verify_riccati(chi)
+        chi_parity_defect(chi)
+        assert calls == [chi.poly]
 
     def test_no_cache_crosses_objects(self, recurrence_calls):
         # two specs of one line, and a chi of each, make a pass apiece
@@ -343,22 +389,22 @@ class TestNodeRule:
     def test_each_contour_takes_the_smallest_sufficient_power_of_two(self, s, n, edge):
         chi = _chi(s, n, edge)
         roots = scarf.real_roots(chi.poly)
-        poles = chi.pole_locations()
+        poles = [1j, -1j, *roots]
         for center in (1j, -1j):
-            z = _residue_circle(chi, center, _FIXED_RADIUS)[0]
+            z = _residue_circle(roots, center, _FIXED_RADIUS)[0]
             nearest = min(abs(p - center) for p in poles if p != center)
             assert _is_node_count(z.size, math.log(nearest / np.abs(z - center).max()))
-        for z, _, _ in _infinity_circles(chi):
+        for z, _ in _infinity_circles(roots):
             eta = math.log(np.abs(z).max() / max(abs(p) for p in poles))
             assert eta >= math.log(10.0)
             assert _is_node_count(z.size, eta)
-        z = _count_ellipse(chi)[0]
+        z = _count_ellipse(roots)[0]
         rx, ry = np.abs(z.real).max(), np.abs(z.imag).max()
         assert _is_node_count(z.size, math.atanh(ry / rx))
         # the ellipse keeps |Im y| <= 1/2 and holds every root on its focal segment
         assert ry <= 0.5 * (1.0 + 1e-15)
         assert max((abs(r) for r in roots), default=0.0) < math.sqrt(rx * rx - ry * ry)
-        assert scarf.count_moving_poles(chi) == n
+        assert scarf.residue_report(chi).moving_pole_count == n
 
     @pytest.mark.parametrize("center, radius, nodes", [
         (0.0, 0.2, 32), (0.0, 0.6, 64), (0.0, 0.66, 128), (1j, 0.3, 32), (1j, 0.6, 64),
@@ -367,13 +413,13 @@ class TestNodeRule:
                                                 center, radius, nodes):
         # lower1_chi has poles at 0 and +-i, so the nearest other pole is 1
         # away from either center: eta = ln(1 / radius)
-        sizes, sweep = [], scarf.qmf._sweep
+        sizes, ellipse = [], scarf.qmf._ellipse
 
-        def spy(chi, contours, *args):
-            sizes.extend(c[0].size for c in contours)
-            return sweep(chi, contours, *args)
+        def spy(center, rx, ry, nodes):
+            sizes.append(nodes)
+            return ellipse(center, rx, ry, nodes)
 
-        monkeypatch.setattr(scarf.qmf, "_sweep", spy)
+        monkeypatch.setattr(scarf.qmf, "_ellipse", spy)
         residue = scarf.contour_residue(lower1_chi, center, radius)
         assert sizes == [nodes]
         assert _is_node_count(nodes, math.log(1.0 / radius))

@@ -244,7 +244,7 @@ class TestProbeMatrix:
 def _probe_checks(s, a=1.0, m=1.0):
     params = scarf.PotentialParams(s, a, m)
     return [c for line in scarf.spectrum_lines(params, 2)
-            for c in _level_checks(params, line, [], {}, 1e-8, False)]
+            for c in _level_checks(params, line, None, None, 1e-8)]
 
 
 class TestScaleInvariance:
