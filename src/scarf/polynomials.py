@@ -71,16 +71,17 @@ def gegenbauer_ratios(n: int, kappa: float, t):
     pass of the recurrence of the module docstring; terms of negative
     degree are 0.
 
-    Each step works in place and multiplies by 1/(k + 2 kappa): numpy
-    divides a complex array by a real scalar as a full complex division."""
+    Each step is four array operations, in place where it can be, with
+    1/(k + 2 kappa) folded into both scalar coefficients: numpy divides a
+    complex array by a real scalar as a full complex division."""
     if n == 0:
         return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
     older, prev, cur = np.zeros_like(t), np.ones_like(t), t
     for k in range(1, n):
+        c = 1.0 / (k + 2.0 * kappa)
         nxt = t * cur
-        nxt *= 2.0 * (k + kappa)
-        nxt -= k * prev
-        nxt *= 1.0 / (k + 2.0 * kappa)
+        nxt *= 2.0 * (k + kappa) * c
+        nxt -= (k * c) * prev
         older, prev, cur = prev, cur, nxt
     return cur, prev, older
 

@@ -180,6 +180,9 @@ def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndar
     docstring and factors w_k = z'(theta_k) / i, so that mean(f(z) * w)
     approximates (1/2 pi i) times the closed integral of f dz."""
     e = _unit_circle(nodes)
+    if rx == ry:  # a circle: beta = 0
+        w = rx * e
+        return center + w, w
     alpha, beta = 0.5 * (rx + ry), 0.5 * (rx - ry)
     back = beta * e.conj()
     return center + alpha * e + back, alpha * e - back
@@ -188,7 +191,8 @@ def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndar
 def _residue_circle(roots: list[float], center: complex, radius: float) -> tuple:
     """The circle of the given radius about center, its eta = ln(d / radius)
     from the distance d to the nearest other pole, +-i or a root."""
-    if not (np.isfinite(center) and np.isfinite(radius) and radius > 0.0):
+    c = complex(center)
+    if not (all(map(math.isfinite, (c.real, c.imag, radius))) and radius > 0.0):
         raise ValueError(f"need a finite center and a finite radius > 0, got {center}, {radius}")
     nearest = min((d for d in (abs(p - center) for p in (1j, -1j, *roots))
                    if d > radius * 1e-9), default=math.inf)
@@ -209,10 +213,10 @@ def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex
 
 
 def _infinity_circles(roots: list[float]) -> list[tuple]:
-    """Circles of radius 10 (1 + max|pole|) and twice that about 0.  Every
-    pole lies within a tenth of their radius, so eta > ln 10 and 32 nodes
-    serve (module docstring)."""
-    radius = 10.0 * (1.0 + max([1.0] + [abs(r) for r in roots]))
+    """Circles of radius 10 (1 + max|pole|) and twice that about 0, with
+    max|root| read off the ends of the ascending roots.  Every pole lies
+    within a tenth of their radius, so eta > ln 10 and 32 nodes serve."""
+    radius = 10.0 * (1.0 + (max(1.0, -roots[0], roots[-1]) if roots else 1.0))
     return [_ellipse(0.0, r, r, 32) for r in (radius, 2.0 * radius)]
 
 
@@ -237,7 +241,7 @@ def _count_ellipse(roots: list[float]) -> tuple:
     axis and 1/2 across it, and eta = atanh(ry / rx): every root lies on its
     focal segment, and it stays clear of +-i (irrelevant for P'/P, but it
     keeps the contour tied to the singularity layout)."""
-    rx = 1.0 + max((abs(r) for r in roots), default=0.0)
+    rx = 1.0 + (max(-roots[0], roots[-1]) if roots else 0.0)
     nodes = _node_count(math.atanh(_COUNT_HALF_HEIGHT / rx))
     return _ellipse(0.0, rx, _COUNT_HALF_HEIGHT, nodes)
 
@@ -266,16 +270,19 @@ def verify_riccati(chi: ChiFunction, lam: float | None = None) -> float:
 
 
 def _probe_grid(poles: list[float]) -> np.ndarray:
-    """64 points on [-5, 5], less those within 0.06 of a moving pole.
+    """64 points on [-5, 5], less those within 0.06 of a moving pole: of
+    the ascending poles, the two that bracket each point.
 
     At high degree the poles thin that grid out (from n = 394 at s = 2 they
     clear it), so when fewer than a quarter of its points are left the
     probes take the midpoints in theta = arccot y between consecutive
     poles instead, each as far from its two poles as the spacing allows."""
-    ys = _PROBE_LINE[np.all(np.abs(_PROBE_LINE[:, None] - np.asarray(poles)) >= 0.06, axis=1)]
+    p = np.concatenate(([-np.inf], poles, [np.inf]))
+    above = np.searchsorted(p, _PROBE_LINE)
+    ys = _PROBE_LINE[(_PROBE_LINE - p[above - 1] >= 0.06) & (p[above] - _PROBE_LINE >= 0.06)]
     if ys.size >= _PROBE_LINE.size // 4:
         return ys
-    theta = np.arctan2(1.0, np.sort(poles))
+    theta = np.arctan2(1.0, p[1:-1])
     mid = 0.5 * (theta[1:] + theta[:-1])
     return np.cos(mid) / np.sin(mid)
 

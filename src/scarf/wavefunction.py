@@ -15,8 +15,10 @@ The structure probes work on the unit cell in z = theta, with u = sin^kappa(z)
 R_n(cos z) = psi / norm, so their values depend on (s, n, edge) alone; a and m
 enter only the energies and sample_wavefunction's physical columns.  Each spec
 caches one recurrence pass over the z-grids of all four probes, made on first
-use.  u_zz reads R_n, R_{n-1} and R_{n-2} of that pass through the contiguous
-relation (1 - t^2) R_k' = k (R_{k-1} - t R_k).  The node count and boundary
+use; the residual and parity grids, with their sin and cos, are module
+constants, and the node and exponent grids are built per spec.  u_zz reads
+R_n, R_{n-1} and R_{n-2} of that pass through the contiguous relation
+(1 - t^2) R_k' = k (R_{k-1} - t R_k).  The node count and boundary
 fit read R and log sin directly, so they neither threshold zeros nor
 underflow in the sin^kappa tails.  The norm of C_n^kappa and Legendre
 duplication give int_0^a psi^2 dx in closed form, finite at kappa = 0:
@@ -32,7 +34,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -51,10 +52,17 @@ _PARITY_TOL = 1e-10
 _NODE_SAMPLES = 512
 _EXPONENT_POINTS = 32
 _RESIDUAL_MARGIN = 1e-3  # fraction of the cell left out at each wall
-# the z-grids of the residual and parity probes, the same for every state
+# the z-grids of the residual and parity probes and their rows z, sin z,
+# cos z, the same for every state; the exponent grid at n = 0
 _RESIDUAL_GRID = np.linspace(_RESIDUAL_MARGIN * np.pi, (1.0 - _RESIDUAL_MARGIN) * np.pi, 200)
 _PARITY_HALF = np.pi * np.arange(1, 129) / 258.0
 _PARITY_GRID = np.concatenate((np.pi / 2.0 - _PARITY_HALF, np.pi / 2.0 + _PARITY_HALF))
+_FIXED_ROWS = {name: (z, np.sin(z), np.cos(z))
+               for name, z in (("residual", _RESIDUAL_GRID), ("parity", _PARITY_GRID))}
+for _row in (row for rows in _FIXED_ROWS.values() for row in rows):
+    _row.flags.writeable = False  # shared by every spec's cell
+_FIXED_COS = np.concatenate([rows[2] for rows in _FIXED_ROWS.values()])
+_EXPONENT_UNIT = np.geomspace(1e-5 * np.pi, 1e-3 * np.pi, _EXPONENT_POINTS)
 
 
 class Parity(Enum):
@@ -83,22 +91,23 @@ class WavefunctionSpec:
     def cell(self) -> dict[str, tuple[np.ndarray, ...]]:
         """Rows z, sin z, cos z, R_n, R_{n-1}, R_{n-2} at cos z on the grid of
         each structure probe, from one gegenbauer_ratios pass over all of
-        them, made on first use.  The cache lives and dies with the spec."""
+        them, made on first use.  The residual and parity grids and their
+        first three rows are module constants; the node grid and the
+        exponent grid, _EXPONENT_UNIT / (n + 1), get one sin and one cos per
+        spec.  The cache lives and dies with the spec."""
         n = self.line.n
         nodes = max(_NODE_SAMPLES, 8 * (n + 1))
-        grids = {
-            "residual": _RESIDUAL_GRID,
-            "nodes": np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
-            "parity": _PARITY_GRID,
-            "exponent": np.geomspace(1e-5 * np.pi / (n + 1), 1e-3 * np.pi / (n + 1),
-                                     _EXPONENT_POINTS),
-        }
-        z = np.concatenate(list(grids.values()))
-        t = np.cos(z)
-        rows = (z, np.sin(z), t, *gegenbauer_ratios(n, self.boundary_power, t))
-        stops = [0, *accumulate(g.size for g in grids.values())]
-        return {name: tuple(row[a:b] for row in rows)
-                for name, a, b in zip(grids, stops, stops[1:])}
+        z = np.concatenate((np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
+                            _EXPONENT_UNIT / (n + 1)))
+        own = (z, np.sin(z), np.cos(z))
+        ratios = gegenbauer_ratios(n, self.boundary_power, np.concatenate((_FIXED_COS, own[2])))
+        cell, start = {}, 0
+        for name, rows in (*_FIXED_ROWS.items(), ("nodes", [v[:nodes] for v in own]),
+                           ("exponent", [v[nodes:] for v in own])):
+            stop = start + rows[0].size
+            cell[name] = (*rows, *(r[start:stop] for r in ratios))
+            start = stop
+        return cell
 
 
 def build_wavefunction(params: PotentialParams, line: SpectrumLine) -> WavefunctionSpec:
@@ -167,9 +176,9 @@ def boundary_exponent(spec: WavefunctionSpec) -> float:
     """
     z, sn, _, r, _, _ = spec.cell["exponent"]
     dz = np.log(z)
-    dz -= dz.mean()
+    dz -= dz.sum() / dz.size
     du = spec.boundary_power * np.log(sn) + np.log(np.abs(r))
-    du -= du.mean()
+    du -= du.sum() / du.size
     return float(np.dot(dz, du) / np.dot(dz, dz))
 
 
@@ -180,7 +189,8 @@ def parity(spec: WavefunctionSpec) -> Parity:
     are compared against 1e-10 max|u| on 128 points each side of z = pi/2.
     """
     _, sn, _, r, _, _ = spec.cell["parity"]
-    left, right = np.split(sn ** spec.boundary_power * r, 2)
+    u = sn ** spec.boundary_power * r
+    left, right = u[:128], u[128:]
     scale = max(np.abs(left).max(), np.abs(right).max())
     even_defect = np.abs(right - left).max()
     odd_defect = np.abs(right + left).max()

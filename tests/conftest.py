@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import scarf
+
+# pyproject's pythonpath reaches the pytest process alone; the tests that
+# run scarf in a child interpreter find it through PYTHONPATH, which every
+# child inherits
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(__file__).resolve().parent.parent / "src"),
+     *filter(None, [os.environ.get("PYTHONPATH")])])
 
 
 @pytest.fixture(scope="session")

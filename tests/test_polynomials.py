@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
+from scipy.special import eval_gegenbauer
 
 import scarf
 from scarf import Edge
 from scarf.potential import Regime
+from scarf.polynomials import gegenbauer_ratios
 from scarf.qmf import log_derivative
 
 from jacobi_reference import (
@@ -176,3 +178,54 @@ def _companion_roots(coeffs):
             r = r - npoly.polyval(r, coeffs) / d
         out.append(r.real)
     return np.sort(out)
+
+
+def _ratios_clongdouble(n, kappa, t):
+    """(R_n, R_{n-1}, R_{n-2}) by the recurrence of the polynomials docstring,
+    each step divided as written, in extended precision."""
+    t, kappa = np.asarray(t, dtype=np.clongdouble), np.longdouble(kappa)
+    rows = [np.zeros_like(t), np.ones_like(t), t]
+    for k in map(np.longdouble, range(1, n)):
+        rows.append((2 * (k + kappa) * t * rows[-1] - k * rows[-2]) / (k + 2 * kappa))
+    return rows[:n + 2][::-1][:3]
+
+
+class TestGegenbauerRatios:
+    """gegenbauer_ratios against independent evaluations of R_k = C_k / C_k(1).
+
+    The bound is 1e-12 up to n = 100 and grows as n^2 beyond: at t = +-1 the
+    recurrence's rounding errors add up like n^(2 - 2 kappa), 2.5e-12 at
+    n = 500, kappa = 0.1, where scipy's own value is further off."""
+
+    _T = np.linspace(-1.0, 1.0, 1001)
+
+    @staticmethod
+    def _bound(n):
+        return 1e-12 * max(1.0, n / 100.0) ** 2
+
+    @pytest.mark.parametrize("n", [1, 2, 24, 100, 500])
+    @pytest.mark.parametrize("kappa", [0.1, 2.5, 30.0])
+    def test_real_t_against_scipy(self, n, kappa):
+        t = self._T
+        for k, got in zip(range(n, n - 3, -1), gegenbauer_ratios(n, kappa, t)):
+            want = (eval_gegenbauer(k, kappa, t) / eval_gegenbauer(k, kappa, 1.0)
+                    if k >= 0 else np.zeros_like(t))
+            assert np.abs(got - want).max() <= self._bound(n), (n, kappa, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 24, 100, 500])
+    def test_chebyshev_at_kappa_zero(self, n):
+        t = self._T
+        for k, got in zip(range(n, n - 3, -1), gegenbauer_ratios(n, 0.0, t)):
+            want = np.cos(k * np.arccos(t)) if k >= 0 else np.zeros_like(t)
+            assert np.abs(got - want).max() <= self._bound(n), (n, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 24, 100, 500])
+    @pytest.mark.parametrize("kappa", [0.0, 0.1, 2.5, 30.0])
+    def test_complex_t_against_extended_precision(self, n, kappa):
+        # scipy's complex eval_gegenbauer is off by O(1) on |t| = 0.6
+        theta = 2.0 * np.pi * np.arange(101) / 101.0
+        t = np.concatenate([r * np.exp(1j * theta) for r in (0.6, 1.5)])
+        got = gegenbauer_ratios(n, kappa, t)
+        for row, want in zip(got, _ratios_clongdouble(n, kappa, t)):
+            assert row.dtype == complex
+            assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

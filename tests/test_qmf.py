@@ -237,12 +237,11 @@ def _riccati_per_array(chi):
     return float(np.abs(res).max())
 
 
-def _probe_grid_per_pole(chi):
-    """The probe grid with its pole filter applied one pole at a time."""
-    poles = scarf.real_roots(chi.poly)
-    ys = np.linspace(-5.0, 5.0, 64)
-    for pole in poles:
-        ys = ys[np.abs(ys - pole) >= 0.06]
+def _probe_grid_matrix(poles):
+    """The probe grid by its distance-matrix rule: the points of the line at
+    least 0.06 from every pole, else the theta-midpoints between poles."""
+    line = np.linspace(-5.0, 5.0, 64)
+    ys = line[np.all(np.abs(line[:, None] - np.asarray(poles)) >= 0.06, axis=1)]
     if ys.size >= 16:
         return ys
     theta = np.arctan2(1.0, np.sort(poles))
@@ -303,7 +302,7 @@ class TestOnePass:
             assert rep.b1_prime_measured == scarf.contour_residue(chi, -1j, _FIXED_RADIUS)
             assert rep.d1_measured == _infinity_residue(alone[2:4])
             assert rep.moving_pole_count == _pole_count(alone[4][1])
-            assert np.array_equal(chi.probes[1], _probe_grid_per_pole(chi))
+            assert np.array_equal(chi.probes[1], _probe_grid_matrix(scarf.real_roots(chi.poly)))
             assert scarf.verify_riccati(chi) == _riccati_per_array(chi)
             assert chi_parity_defect(chi) == _chi_parity_per_array(chi)
 
@@ -437,3 +436,59 @@ class TestNodeRule:
                     total += sum(f.size for f, _ in _chi(s, n, edge).probes[0])
         assert total <= 51_328
 
+
+_GEOMETRY_STATES = [(s, n, edge) for s, edge in ((2.0, Edge.NOT_APPLICABLE),
+                                                 (0.05, Edge.LOWER), (0.4, Edge.UPPER),
+                                                 (30.0, Edge.NOT_APPLICABLE))
+                    for n in (0, 1, 2, 24, 100)]
+
+
+class TestContourGeometry:
+    """The sorted-root geometry against the rules it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("s, n, edge", _GEOMETRY_STATES + [
+        (2.0, 393, Edge.NOT_APPLICABLE), (2.0, 394, Edge.NOT_APPLICABLE),
+        (2.0, 500, Edge.NOT_APPLICABLE), (0.4, 500, Edge.LOWER)])
+    def test_probe_grid_equals_the_distance_matrix_rule(self, s, n, edge):
+        roots = scarf.real_roots(_chi(s, n, edge).poly)
+        ys = _probe_grid(roots)
+        assert ys.dtype == float and np.array_equal(ys, _probe_grid_matrix(roots))
+        if (s, n) == (2.0, 394):  # the first degree on the midpoint fallback
+            assert ys.size == n - 1
+
+    def test_probe_grid_at_a_pole_and_at_the_threshold(self):
+        line = np.linspace(-5.0, 5.0, 64)
+        # poles exactly 0.06 below and above line[30] keep it
+        below, above = line[30] - 0.06, line[30] + 0.06
+        assert line[30] - below == 0.06 == above - line[30]
+        for poles in ([], [line[10]], [below], [above], [below, above],
+                      [-7.0, line[0] + 0.06, line[63] - 0.059, 7.0],
+                      sorted(line[:60] + 1e-3)):
+            assert np.array_equal(_probe_grid(poles), _probe_grid_matrix(poles)), poles
+        assert line[30] in _probe_grid([below, above])
+
+    @pytest.mark.parametrize("s, n, edge", _GEOMETRY_STATES)
+    def test_radii_equal_their_generator_forms(self, monkeypatch, s, n, edge):
+        roots = scarf.real_roots(_chi(s, n, edge).poly)
+        calls, ellipse = [], scarf.qmf._ellipse
+
+        def spy(center, rx, ry, nodes):
+            calls.append((center, rx, ry))
+            return ellipse(center, rx, ry, nodes)
+
+        monkeypatch.setattr(scarf.qmf, "_ellipse", spy)
+        _infinity_circles(roots)
+        _count_ellipse(roots)
+        radius = 10.0 * (1.0 + max([1.0] + [abs(r) for r in roots]))
+        reach = 1.0 + max((abs(r) for r in roots), default=0.0)
+        assert calls == [(0.0, radius, radius), (0.0, 2.0 * radius, 2.0 * radius),
+                         (0.0, reach, 0.5)]
+        if n == 0:
+            assert radius == 20.0 and reach == 1.0
+
+    @pytest.mark.parametrize("rx", [0.4, 20.0, 1e3])
+    def test_circle_nodes_equal_the_ellipse_form(self, rx):
+        # a circle skips the conjugate term, which is zero there
+        z, w = scarf.qmf._ellipse(1j, rx, rx, 64)
+        e = np.exp(1j * (2.0 * np.pi * np.arange(64) / 64))
+        assert np.array_equal(z, 1j + rx * e + 0.0 * e.conj()) and np.array_equal(w, rx * e)

@@ -271,22 +271,21 @@ class TestScaleInvariance:
 
 
 def _cell_reference(spec):
-    """spec.cell rebuilt as np.stack and np.split form it: the four z-grids
-    joined, one recurrence pass, and the stacked rows split back."""
+    """spec.cell rebuilt as np.stack and np.split form it: the residual and
+    parity grids with a sin and a cos each, the node grid and the exponent
+    grid (a unit grid over n + 1) joined with one sin and one cos, one
+    recurrence pass over every cos, and the stacked rows split back."""
     n = spec.line.n
     nodes = max(512, 8 * (n + 1))
     half = np.pi * np.arange(1, 129) / 258.0
-    grids = {
-        "residual": np.linspace(1e-3 * np.pi, (1.0 - 1e-3) * np.pi, 200),
-        "nodes": np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
-        "parity": np.concatenate((np.pi / 2.0 - half, np.pi / 2.0 + half)),
-        "exponent": np.geomspace(1e-5 * np.pi / (n + 1), 1e-3 * np.pi / (n + 1), 32),
-    }
-    z = np.concatenate(list(grids.values()))
-    t = np.cos(z)
-    rows = np.stack((z, np.sin(z), t, *gegenbauer_ratios(n, spec.boundary_power, t)))
-    return dict(zip(grids, np.split(rows, np.cumsum([g.size for g in grids.values()])[:-1],
-                                    axis=1)))
+    fixed = [np.linspace(1e-3 * np.pi, (1.0 - 1e-3) * np.pi, 200),
+             np.concatenate((np.pi / 2.0 - half, np.pi / 2.0 + half))]
+    own = np.concatenate((np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
+                          np.geomspace(1e-5 * np.pi, 1e-3 * np.pi, 32) / (n + 1)))
+    trig = np.hstack([np.stack((z, np.sin(z), np.cos(z))) for z in (*fixed, own)])
+    rows = np.vstack((trig, np.stack(gegenbauer_ratios(n, spec.boundary_power, trig[2]))))
+    return dict(zip(("residual", "parity", "nodes", "exponent"),
+                    np.split(rows, np.cumsum([200, 256, nodes]), axis=1)))
 
 
 _CELL_STATES = [(2.0, 0, Edge.NOT_APPLICABLE), (2.0, 1, Edge.NOT_APPLICABLE),
@@ -300,7 +299,7 @@ def _spec(s, n, edge):
 
 
 class TestCellRows:
-    """spec.cell cuts its rows by slices, bit for bit as np.split did."""
+    """spec.cell cuts its rows by slices, bit for bit as np.split does."""
 
     @pytest.mark.parametrize("s, n, edge", _CELL_STATES)
     def test_cell_rows_equal_a_split_reference(self, s, n, edge):
