@@ -29,13 +29,11 @@ from .spectrum import (
     ResidueSet,
     SpectrumLine,
     admissible_d1,
-    band_edge_energies,
-    bound_energy,
     enumerate_residue_sets,
     fixed_pole_residue_candidates,
-    free_particle_edges,
     infinity_residue_candidates,
     lambda_of_energy,
+    spectrum_line,
     spectrum_lines,
 )
 from .polynomials import (
@@ -79,8 +77,7 @@ __all__ = [
     "cot_map", "inverse_cot_map",
     "Edge", "ResidueSet", "SpectrumLine", "fixed_pole_residue_candidates",
     "infinity_residue_candidates", "admissible_d1", "enumerate_residue_sets",
-    "band_edge_energies", "bound_energy", "free_particle_edges",
-    "lambda_of_energy", "spectrum_lines",
+    "lambda_of_energy", "spectrum_line", "spectrum_lines",
     "PolySpec", "build_poly", "real_roots",
     "WavefunctionSpec", "Parity", "build_wavefunction", "eval_psi",
     "count_nodes", "boundary_exponent", "parity", "schrodinger_residual",

@@ -302,8 +302,8 @@ def scan_spectrum(params: PotentialParams, e_max: float) -> list[OracleResult]:
     when degenerate (the free-particle limit produces coinciding edges
     from distinct families on purpose).
     """
-    if e_max <= 0.0:
-        raise ValueError("e_max must be positive")
+    if not 0.0 < e_max < math.inf:
+        raise ValueError(f"e_max must be positive and finite, got {e_max}")
     ref = _reference(params)
     unit = params.energy_unit
     results: list[OracleResult] = []
@@ -350,7 +350,9 @@ def collocation_spectrum(params: PotentialParams,
     lambda^2 vanishes as s -> 1/2, would be off by about 2e-7 of the
     energy floor at k_levels = 500.
     """
-    if k_levels < 1 or _grid_size(params.s, k_levels) > _COLLOCATION_MAX:
+    if not isinstance(k_levels, int) or isinstance(k_levels, bool) or k_levels < 1:
+        raise ValueError(f"k_levels must be a positive integer, got {k_levels!r}")
+    if _grid_size(params.s, k_levels) > _COLLOCATION_MAX:
         raise ValueError(f"k_levels={k_levels} at s={params.s} needs a collocation "
                          f"grid larger than N={_COLLOCATION_MAX}")
     levels = {}

@@ -35,7 +35,7 @@ from .spectrum import Edge, level_parameters
 
 @dataclass(frozen=True, eq=False)
 class PolySpec:
-    """P_n of one level: its degree, lambda, coupling and edge.
+    """P_n of one level: its degree and lambda.
 
     P_n has exact degree n and the parity of n; its roots are the moving
     poles of the momentum function.
@@ -43,8 +43,6 @@ class PolySpec:
 
     n: int
     lam: float
-    s: float
-    edge: Edge
 
     @cached_property
     def roots(self) -> tuple[float, ...]:
@@ -87,10 +85,9 @@ def gegenbauer_ratios(n: int, kappa: float, t):
 
 
 def build_poly(s: float, n: int, edge: Edge = Edge.NOT_APPLICABLE) -> PolySpec:
-    """P_n of level (s, n, edge), with lambda from spectrum.level_parameters."""
-    if n < 0:
-        raise ValueError("degree n must be non-negative")
-    return PolySpec(n=n, lam=level_parameters(s, n, edge)[0], s=s, edge=edge)
+    """P_n of level (s, n, edge), with lambda from spectrum.level_parameters,
+    which also checks n."""
+    return PolySpec(n=n, lam=level_parameters(s, n, edge)[0])
 
 
 def real_roots(poly: PolySpec) -> list[float]:

@@ -12,6 +12,7 @@ into bands.  At s = 1/2 the potential vanishes identically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,7 +40,8 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class PotentialParams:
-    """Physical configuration of the potential.
+    """Physical configuration of the potential.  s, a and m take any real
+    number but bool, numpy scalars included, and are stored as floats.
 
     Attributes:
         s: dimensionless coupling, must be > 0 (s = 1/2 is the valid
@@ -47,8 +49,7 @@ class PotentialParams:
         a: potential period (length), > 0.
         m: particle mass, > 0.
         v0: derived well-depth coefficient (1/4 - s^2) pi^2 / (2 m a^2),
-            stored so the bound-level formula can be written in terms of
-            the well depth alone.
+            from which well_depth_coupling recovers s.
     """
 
     s: float
@@ -57,7 +58,12 @@ class PotentialParams:
     v0: float = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s > 0.0):
+        for name in ("s", "a", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if classify_regime(self.s) is Regime.UNSUPPORTED:
             raise ValueError(f"coupling s must be a positive finite real, got {self.s}")
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError(f"period a must be a positive finite real, got {self.a}")
@@ -93,8 +99,9 @@ class PotentialParams:
 
 
 def classify_regime(s: float) -> Regime:
-    """Classify the coupling. Total: every float gets exactly one tag."""
-    if not isinstance(s, (int, float)) or not math.isfinite(s) or s <= 0.0:
+    """Classify the coupling. Total: every float gets exactly one tag, and
+    so does every other value (bool and non-reals are UNSUPPORTED)."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Real) or not math.isfinite(s) or s <= 0.0:
         return Regime.UNSUPPORTED
     if s > 0.5:
         return Regime.BOUND_STATES

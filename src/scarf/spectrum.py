@@ -166,7 +166,10 @@ def level_parameters(s: float, n: int, edge: Edge) -> tuple[float, float, float]
         upper edge, bound   : lambda = n + 1/2 + s,  nu = -n - s - 1/2
 
     At s = 1/2 these are the free-particle edges lambda = n and n + 1.
+    This is the one check of n, for spectrum_line and build_poly alike.
     """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"level index n must be a non-negative integer, got {n!r}")
     regime = classify_regime(s)
     if regime is Regime.UNSUPPORTED:
         raise RegimeError(f"unsupported coupling s = {s}")
@@ -183,7 +186,6 @@ def level_parameters(s: float, n: int, edge: Edge) -> tuple[float, float, float]
 def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
     """The closed-form level (n, edge) of params: edge NOT_APPLICABLE in the
     bound regime, LOWER or UPPER in the band and free-particle regimes."""
-    _check_level_index(n)
     lam, nu, d1 = level_parameters(params.s, n, edge)
     energy = math.pi**2 * lam**2 / (2.0 * params.m * params.a**2)
     if not math.isfinite(energy):
@@ -192,32 +194,6 @@ def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
         n=n, regime=params.regime, edge=edge, lam=lam, energy=energy,
         nu1=nu, nu2=nu, b1=(1.0 - lam) / 2.0, d1=d1,
     )
-
-
-def band_edge_energies(params: PotentialParams, n: int) -> tuple[SpectrumLine, SpectrumLine]:
-    """Lower and upper edges of the n-th band, lambda = n + 1/2 -+ s."""
-    if params.regime is not Regime.BANDS:
-        raise RegimeError(f"band edges require 0 < s < 1/2, got s = {params.s}")
-    return spectrum_line(params, n, Edge.LOWER), spectrum_line(params, n, Edge.UPPER)
-
-
-def bound_energy(params: PotentialParams, n: int) -> SpectrumLine:
-    """Bound level n:  lambda = n + 1/2 + s.
-
-    Equivalent well-depth form: E = (pi^2/2ma^2)(1/2 + n + sqrt(1/4 -
-    2 m v0 a^2 / pi^2))^2 with the stored v0.
-    """
-    if params.regime is not Regime.BOUND_STATES:
-        raise RegimeError(f"bound levels require s > 1/2, got s = {params.s}")
-    return spectrum_line(params, n, Edge.NOT_APPLICABLE)
-
-
-def free_particle_edges(params: PotentialParams, n: int) -> tuple[SpectrumLine, SpectrumLine]:
-    """s = 1/2 limit of the band edges: lambda = n and n + 1, so adjacent
-    bands touch (E+_n = E-_{n+1}) and every gap closes."""
-    if params.regime is not Regime.FREE_PARTICLE:
-        raise RegimeError(f"free-particle path requires s = 1/2, got s = {params.s}")
-    return spectrum_line(params, n, Edge.LOWER), spectrum_line(params, n, Edge.UPPER)
 
 
 def lambda_of_energy(params: PotentialParams, energy: float) -> float:
@@ -235,19 +211,10 @@ def spectrum_lines(params: PotentialParams, n_max: int) -> list[SpectrumLine]:
     """All closed-form levels with n = 0..n_max, ordered by energy.
 
     Bound regime: one line per n.  Band and free-particle regimes: both
-    edges per n.
+    edges per n; where two edges share an energy (the free particle's
+    E+_n = E-_{n+1}) the lower edge is listed first.
     """
-    regime = params.regime
-    if regime is Regime.BOUND_STATES:
-        return [bound_energy(params, n) for n in range(n_max + 1)]
-    lines = [spectrum_line(params, n, edge)
-             for n in range(n_max + 1) for edge in (Edge.LOWER, Edge.UPPER)]
-    if regime is Regime.BANDS:
-        return sorted(lines, key=lambda ln: ln.energy)
-    # free particle: E+_n = E-_{n+1}, and the lower edge is listed first
-    return sorted(lines, key=lambda ln: (ln.energy, ln.edge.value))
-
-
-def _check_level_index(n: int) -> None:
-    if not isinstance(n, (int,)) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"level index n must be a non-negative integer, got {n!r}")
+    edges = ((Edge.NOT_APPLICABLE,) if params.regime is Regime.BOUND_STATES
+             else (Edge.LOWER, Edge.UPPER))
+    return sorted((spectrum_line(params, n, edge) for n in range(n_max + 1) for edge in edges),
+                  key=lambda ln: (ln.energy, ln.edge.value))

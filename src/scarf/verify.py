@@ -14,9 +14,9 @@ from __future__ import annotations
 import logging
 import math
 
-from .errors import RegimeError, ScarfError
+from .errors import ScarfError
 from .oracle import Exponent, OracleResult, collocation_spectrum, scan_spectrum
-from .potential import PotentialParams, Regime
+from .potential import PotentialParams
 from .qmf import ChiFunction, chi_parity_defect, residue_report, verify_riccati
 from .spectrum import Edge, SpectrumLine, spectrum_lines
 from .wavefunction import (
@@ -44,12 +44,8 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
         raise ValueError(f"need n_max >= 0 and a finite tol > 0, got {n_max}, {tol}")
     if oracle not in ("shooting", "fd", "both"):
         raise ValueError(f"unknown oracle kind {oracle!r}")
-    regime = params.regime
-    if regime is Regime.UNSUPPORTED:
-        raise RegimeError(f"unsupported coupling s = {params.s}")
-
     logger.info("verify: s=%g regime=%s n_max=%d oracle=%s tol=%g",
-                params.s, regime.value, n_max, oracle, tol)
+                params.s, params.regime.value, n_max, oracle, tol)
     lines = spectrum_lines(params, n_max)
     e_max = max(ln.energy for ln in lines) * 1.02 + 0.2 * params.energy_unit
     scan = scan_spectrum(params, e_max) if oracle in ("shooting", "both") else None

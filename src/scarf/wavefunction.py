@@ -146,6 +146,8 @@ def eval_psi(spec: WavefunctionSpec, x):
     zero at the walls in both regimes (boundary exponent > 0).
     """
     x, a = np.asarray(x, dtype=float), spec.params.a
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     z = np.pi * reduce_to_cell(x, a) / a
     n, kappa = spec.line.n, spec.boundary_power
     out = np.where(is_lattice_point(x, a), 0.0,

@@ -1,0 +1,62 @@
+"""Exit code and stdout sha256 of a fixed set of CLI runs, one line each.
+
+A refactor that must keep the reports byte-identical runs this script on
+the tree before and after the change and diffs the two outputs:
+
+    python tests/cli_digest.py > before.txt   # on the old tree
+    python tests/cli_digest.py > after.txt    # on the new tree
+    diff before.txt after.txt                 # empty when nothing moved
+
+The set runs spectrum, bands, wavefunction, table1 and verify through
+click's CliRunner at s in {0.05, 0.4, 0.4999, 0.5, 2, 2.37, 8}, with both
+output formats and two (a, m) pairs, plus three invalid inputs.  pytest
+does not collect this file (its name has no test_ prefix).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from click.testing import CliRunner  # noqa: E402
+
+from scarf.cli import main  # noqa: E402
+
+COUPLINGS = ("0.05", "0.4", "0.4999", "0.5", "2", "2.37", "8")
+SCALES = (("1", "1"), ("2.5", "0.7"))
+ERRORS = (
+    ["spectrum", "--s", "-1"],
+    ["wavefunction", "--s", "0.4", "--n", "0"],
+    ["spectrum", "--s", "2", "--n-max", "-1"],
+)
+
+
+def cases():
+    """Every argument list of the set, in a fixed order."""
+    for s in COUPLINGS:
+        edges = [[]] if float(s) > 0.5 else [["--edge", "lower"], ["--edge", "upper"]]
+        for a, m in SCALES:
+            for fmt in ("json", "csv"):
+                shared = ["--s", s, "--a", a, "--m", m, "--format", fmt]
+                yield ["spectrum", *shared, "--n-max", "3"]
+                yield ["bands", *shared, "--n-max", "2"]
+                for edge in edges:
+                    yield ["wavefunction", *shared, "--n", "1", "--samples", "16", *edge]
+                    yield ["table1", *shared, "--n", "1", *edge]
+                yield ["verify", *shared, "--n-max", "1"]
+    yield from ERRORS
+
+
+def main_digest() -> None:
+    runner = CliRunner()
+    for args in cases():
+        result = runner.invoke(main, args)
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        print(result.exit_code, digest, " ".join(args))
+
+
+if __name__ == "__main__":
+    main_digest()

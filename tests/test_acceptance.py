@@ -13,7 +13,7 @@ import time
 import pytest
 
 import scarf
-from scarf import ChiFunction, Exponent, ShootingConfig
+from scarf import ChiFunction, Edge, Exponent, ShootingConfig
 from scarf.verify import predicted_family
 from scarf.qmf import chi_parity_defect
 
@@ -45,10 +45,12 @@ def band_scan(band_params):
 @pytest.fixture(scope="module")
 def all_states(bound_params, band_params):
     """Every eigenstate covered by criteria 1 and 2."""
-    states = [scarf.build_wavefunction(bound_params, scarf.bound_energy(bound_params, n))
+    states = [scarf.build_wavefunction(
+                  bound_params, scarf.spectrum_line(bound_params, n, Edge.NOT_APPLICABLE))
               for n in range(4)]
     for n in range(3):
-        for line in scarf.band_edge_energies(band_params, n):
+        for edge in (Edge.LOWER, Edge.UPPER):
+            line = scarf.spectrum_line(band_params, n, edge)
             states.append(scarf.build_wavefunction(band_params, line))
     return states
 
@@ -75,7 +77,8 @@ def test_criterion_2_band_edges_vs_scan(band_params, band_scan):
     worst = 0.0
     worst_colloc = 0.0
     for n in range(3):
-        for line in scarf.band_edge_energies(band_params, n):
+        for edge in (Edge.LOWER, Edge.UPPER):
+            line = scarf.spectrum_line(band_params, n, edge)
             matches = [r for r in scan
                        if abs(r.energy - line.energy) / line.energy <= 1e-8]
             assert len(matches) == 1, f"edge (n={n}, {line.edge.value}) matches {len(matches)}"
@@ -97,7 +100,8 @@ def test_criterion_3_residue_table_reproduction():
     for s in (0.1, 0.25, 0.4):
         params = scarf.PotentialParams(s=s)
         for n in range(3):
-            for line in scarf.band_edge_energies(params, n):
+            for edge in (Edge.LOWER, Edge.UPPER):
+                line = scarf.spectrum_line(params, n, edge)
                 sets = scarf.enumerate_residue_sets(s, line.lam)
                 valid_ids = [rs.set_id for rs in sets if rs.valid]
                 if len(valid_ids) != 1 or valid_ids[0] in (3, 4):
@@ -152,8 +156,8 @@ def test_criterion_6_gap_closure():
     for s in (0.45, 0.49, 0.499):
         params = scarf.PotentialParams(s=s)
         for n in (0, 1):
-            _, upper = scarf.band_edge_energies(params, n)
-            lower_next, _ = scarf.band_edge_energies(params, n + 1)
+            upper = scarf.spectrum_line(params, n, Edge.UPPER)
+            lower_next = scarf.spectrum_line(params, n + 1, Edge.LOWER)
             gap = lower_next.energy - upper.energy
             algebraic = HALF_PI_SQ * (2 * n + 2) * (1.0 - 2.0 * s)
             if abs(gap - algebraic) > 1e-12 * algebraic:
@@ -162,8 +166,8 @@ def test_criterion_6_gap_closure():
     # the shooting oracle must see the near-degeneracy at s = 0.499
     params = scarf.PotentialParams(s=0.499)
     for n in (0, 1):
-        _, upper = scarf.band_edge_energies(params, n)
-        lower_next, _ = scarf.band_edge_energies(params, n + 1)
+        upper = scarf.spectrum_line(params, n, Edge.UPPER)
+        lower_next = scarf.spectrum_line(params, n + 1, Edge.LOWER)
         up_cfg = ShootingConfig(exponent=Exponent.PLUS)
         lo_cfg = ShootingConfig(exponent=Exponent.MINUS)
         e_up = scarf.find_eigen(params, (upper.energy * 0.999, upper.energy * 1.001),
@@ -183,10 +187,11 @@ def test_criterion_6_gap_closure():
 def test_criterion_7_node_parity_exponent(bound_params, band_params):
     ok = True
     details = []
-    lines = [(bound_params, scarf.bound_energy(bound_params, n)) for n in range(6)]
+    lines = [(bound_params, scarf.spectrum_line(bound_params, n, Edge.NOT_APPLICABLE))
+             for n in range(6)]
     for n in range(6):
-        lo, hi = scarf.band_edge_energies(band_params, n)
-        lines += [(band_params, lo), (band_params, hi)]
+        lines += [(band_params, scarf.spectrum_line(band_params, n, edge))
+                  for edge in (Edge.LOWER, Edge.UPPER)]
     for params, line in lines:
         wf = scarf.build_wavefunction(params, line)
         tag = f"(s={params.s}, n={line.n}, {line.edge.value})"

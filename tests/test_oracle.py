@@ -73,7 +73,8 @@ class TestShoot:
     def test_large_coupling_start_is_finite(self):
         # the start state carries no delta^(1/2 + s) factor to underflow
         p = scarf.PotentialParams(s=100.0)
-        val = scarf.shoot(p, scarf.bound_energy(p, 0).energy, ShootingConfig(delta=5e-4))
+        level = scarf.spectrum_line(p, 0, Edge.NOT_APPLICABLE).energy
+        val = scarf.shoot(p, level, ShootingConfig(delta=5e-4))
         assert val == pytest.approx(HALF_PI, abs=1e-8)
 
 
@@ -141,6 +142,12 @@ class TestScanSpectrum:
     def test_rejects_bad_e_max(self, bound_params):
         with pytest.raises(ValueError):
             scarf.scan_spectrum(bound_params, -1.0)
+
+    @pytest.mark.parametrize("e_max", [math.nan, math.inf])
+    def test_rejects_non_finite_e_max(self, bound_params, e_max):
+        # before any shot: the kernel would report a step underflow
+        with pytest.raises(ValueError, match="e_max must be positive and finite"):
+            scarf.scan_spectrum(bound_params, e_max)
 
     @pytest.mark.parametrize("s", [2.0, 0.4, 0.5])
     def test_label_is_the_level(self, s):
@@ -238,7 +245,7 @@ class TestFiniteDifference:
     def test_reference_and_closed_forms(self, s):
         params = scarf.PotentialParams(s=s)
         levels = scarf.collocation_spectrum(params, k_levels=6)[Exponent.PLUS]
-        exact = [scarf.bound_energy(params, n).energy for n in range(6)]
+        exact = [scarf.spectrum_line(params, n, Edge.NOT_APPLICABLE).energy for n in range(6)]
         assert levels == pytest.approx(exact, rel=1e-12)
         assert levels == pytest.approx(fd_bound_spectrum(params, k_levels=6), rel=1e-4)
 
@@ -273,7 +280,8 @@ class TestFiniteDifference:
     def test_regime_and_parameter_guards(self, band_params, bound_params):
         # both regimes: lower band edges carry the 1/2 - s exponent
         levels = scarf.collocation_spectrum(band_params, k_levels=2)
-        lower, upper = zip(*(scarf.band_edge_energies(band_params, n) for n in range(2)))
+        lower, upper = ([scarf.spectrum_line(band_params, n, edge) for n in range(2)]
+                        for edge in (Edge.LOWER, Edge.UPPER))
         assert levels[Exponent.MINUS] == pytest.approx([ln.energy for ln in lower], rel=1e-10)
         assert levels[Exponent.PLUS] == pytest.approx([ln.energy for ln in upper], rel=1e-10)
         with pytest.raises(RegimeError):
@@ -283,16 +291,21 @@ class TestFiniteDifference:
             with pytest.raises(ValueError):
                 scarf.collocation_spectrum(params, k_levels=k_levels)
 
+    @pytest.mark.parametrize("k_levels", [2.5, True, 2.0, "2"])
+    def test_rejects_non_integer_level_count(self, bound_params, k_levels):
+        with pytest.raises(ValueError, match="k_levels must be a positive integer"):
+            scarf.collocation_spectrum(bound_params, k_levels=k_levels)
+
     def test_nontrivial_units_propagate(self):
         # a != 1, m != 1 must thread every 2m and 1/a factor consistently
         p = scarf.PotentialParams(s=1.3, a=0.7, m=2.5)
-        closed = scarf.bound_energy(p, 1).energy
+        closed = scarf.spectrum_line(p, 1, Edge.NOT_APPLICABLE).energy
         res = scarf.find_eigen(p, (closed * 0.9, closed * 1.1), ShootingConfig())
         assert res.energy == pytest.approx(closed, rel=1e-10)
         levels = scarf.collocation_spectrum(p, k_levels=2)[Exponent.PLUS]
         assert levels[1] == pytest.approx(closed, rel=1e-12)
         pb = scarf.PotentialParams(s=0.23, a=1.9, m=0.6)
-        lo = scarf.band_edge_energies(pb, 0)[0]
+        lo = scarf.spectrum_line(pb, 0, Edge.LOWER)
         cfg_lo = ShootingConfig(exponent=Exponent.MINUS)
         res_lo = scarf.find_eigen(pb, (lo.energy * 0.5, lo.energy * 1.5), cfg_lo)
         assert res_lo.energy == pytest.approx(lo.energy, rel=1e-9)

@@ -25,6 +25,14 @@ from jacobi_reference import (
 class TestBuildPoly:
     """P_n's monomial reference, built on the package's levels."""
 
+    @pytest.mark.parametrize("n", [2.0, True, -1])
+    def test_rejects_bad_degree_as_spectrum_line_does(self, n):
+        with pytest.raises(ValueError) as poly_err:
+            scarf.build_poly(2.0, n, Edge.NOT_APPLICABLE)
+        with pytest.raises(ValueError) as line_err:
+            scarf.spectrum_line(scarf.PotentialParams(s=2.0), n, Edge.NOT_APPLICABLE)
+        assert str(poly_err.value) == str(line_err.value)
+
     def test_degree_zero_is_constant(self):
         for s, edge in ((2.0, Edge.NOT_APPLICABLE), (0.4, Edge.LOWER), (0.4, Edge.UPPER)):
             poly = scarf.build_poly(s, 0, edge)

@@ -16,9 +16,12 @@ class TestClassifyRegime:
         assert scarf.classify_regime(2.0) is Regime.BOUND_STATES
         assert scarf.classify_regime(0.4) is Regime.BANDS
         assert scarf.classify_regime(0.5) is Regime.FREE_PARTICLE
+        # numpy scalars are classified as PotentialParams stores them
+        assert scarf.classify_regime(np.int64(2)) is Regime.BOUND_STATES
+        assert scarf.classify_regime(np.float32(0.4)) is Regime.BANDS
 
     def test_unsupported(self):
-        for s in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+        for s in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, "2", None):
             assert scarf.classify_regime(s) is Regime.UNSUPPORTED
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
@@ -50,10 +53,28 @@ class TestParams:
         {"s": 2.0, "a": 1e-200},   # a^2 underflows to 0
         {"s": 1e155},              # v0 = -inf
         {"s": 2.0, "m": 1e-320},   # pi^2/(2 m a^2) = inf
+        {"s": True}, {"s": np.True_}, {"s": "2"}, {"s": None},   # not real numbers
+        {"s": 2.0, "a": True}, {"s": 2.0, "m": "1"}, {"s": 2.0, "a": 1j},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             scarf.PotentialParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"s": np.int64(2)}, {"s": np.float32(0.4)}, {"s": np.float32(0.5)},
+        {"s": 2, "a": np.float32(2.5), "m": np.float32(0.7)},
+        {"s": 0.4, "a": np.float32(0.3), "m": np.int64(4)},
+    ])
+    def test_numpy_scalars_give_the_lines_of_floats(self, kwargs):
+        # numpy scalars are stored as floats: the same regime, the same
+        # lines and float (not float32) energies as the float inputs
+        p = scarf.PotentialParams(**kwargs)
+        ref = scarf.PotentialParams(**{k: float(v) for k, v in kwargs.items()})
+        assert all(type(getattr(p, k)) is float for k in ("s", "a", "m"))
+        assert p.regime is ref.regime is not Regime.UNSUPPORTED
+        lines = scarf.spectrum_lines(p, 3)
+        assert lines == scarf.spectrum_lines(ref, 3)
+        assert all(type(ln.energy) is float for ln in lines)
 
 
 class TestEvaluatePotential:

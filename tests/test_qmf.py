@@ -23,13 +23,14 @@ from scarf.verify import _level_checks
 
 @pytest.fixture(scope="module")
 def bound_chi(bound_params):
-    wf = scarf.build_wavefunction(bound_params, scarf.bound_energy(bound_params, 0))
+    wf = scarf.build_wavefunction(
+        bound_params, scarf.spectrum_line(bound_params, 0, Edge.NOT_APPLICABLE))
     return ChiFunction.from_wavefunction(wf)
 
 
 @pytest.fixture(scope="module")
 def lower1_chi(band_params):
-    lo1 = scarf.band_edge_energies(band_params, 1)[0]
+    lo1 = scarf.spectrum_line(band_params, 1, Edge.LOWER)
     wf = scarf.build_wavefunction(band_params, lo1)
     return ChiFunction.from_wavefunction(wf)
 
@@ -75,12 +76,12 @@ class TestResidueAtInfinity:
         assert abs(d1.imag) <= 1e-10
 
     def test_band_lower_edge_n0(self, band_params):
-        lo = scarf.band_edge_energies(band_params, 0)[0]
+        lo = scarf.spectrum_line(band_params, 0, Edge.LOWER)
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(band_params, lo))
         assert scarf.residue_report(chi).d1_measured.real == pytest.approx(0.9, abs=1e-10)
 
     def test_band_upper_edge_n1(self, band_params):
-        hi = scarf.band_edge_energies(band_params, 1)[1]
+        hi = scarf.spectrum_line(band_params, 1, Edge.UPPER)
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(band_params, hi))
         # d1 = 2 b1 + n = (1 - 1.9) + 1 = 0.1 = (1 - 2s)/2
         assert scarf.residue_report(chi).d1_measured.real == pytest.approx(0.1, abs=1e-10)
@@ -95,11 +96,7 @@ class TestMovingPoleCount:
     ])
     def test_count_matches_degree(self, s, n, edge):
         params = scarf.PotentialParams(s=s)
-        if edge is Edge.NOT_APPLICABLE:
-            line = scarf.bound_energy(params, n)
-        else:
-            lo, hi = scarf.band_edge_energies(params, n)
-            line = lo if edge is Edge.LOWER else hi
+        line = scarf.spectrum_line(params, n, edge)
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
         assert scarf.residue_report(chi).moving_pole_count == n
 
@@ -143,7 +140,7 @@ class TestReport:
     def test_identically_zero_chi_has_zero_parity_defect(self):
         # free-particle lambda = 1 state: b1 = 0 and P = 1, so chi vanishes
         p = scarf.PotentialParams(s=0.5)
-        _, upper = scarf.free_particle_edges(p, 0)
+        upper = scarf.spectrum_line(p, 0, Edge.UPPER)
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(p, upper))
         assert chi_parity_defect(chi) == 0.0
         rep = scarf.residue_report(chi)
@@ -151,8 +148,9 @@ class TestReport:
         assert rep.moving_pole_count == 0
 
     def test_sum_rule_through_n5_both_regimes(self, bound_params, band_params):
-        lines = [scarf.bound_energy(bound_params, 5)]
-        lines.extend(scarf.band_edge_energies(band_params, 5))
+        lines = [scarf.spectrum_line(bound_params, 5, Edge.NOT_APPLICABLE)]
+        lines.extend(scarf.spectrum_line(band_params, 5, edge)
+                     for edge in (Edge.LOWER, Edge.UPPER))
         for line in lines:
             params = bound_params if line.regime.value == "bound_states" else band_params
             chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
@@ -163,7 +161,8 @@ class TestReport:
     def test_measured_b1_is_lower_candidate(self, band_params):
         # the physical residue is always (1 - lambda)/2, never (1 + lambda)/2
         for n in range(3):
-            for line in scarf.band_edge_energies(band_params, n):
+            for edge in (Edge.LOWER, Edge.UPPER):
+                line = scarf.spectrum_line(band_params, n, edge)
                 chi = ChiFunction.from_wavefunction(
                     scarf.build_wavefunction(band_params, line))
                 b1 = scarf.contour_residue(chi, 1j, 0.3)

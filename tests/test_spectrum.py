@@ -98,17 +98,17 @@ class TestEnumerateResidueSets:
 
 class TestClosedFormEnergies:
     def test_bound_examples(self, bound_params):
-        e0 = scarf.bound_energy(bound_params, 0)
+        e0 = scarf.spectrum_line(bound_params, 0, Edge.NOT_APPLICABLE)
         assert e0.energy == HALF_PI_SQ * 2.5**2
         assert e0.energy == pytest.approx(30.8425138, abs=5e-8)
         assert e0.lam == 2.5 and e0.nu1 == -2.5 and e0.nu2 == -2.5
         assert e0.edge is Edge.NOT_APPLICABLE
-        e1 = scarf.bound_energy(bound_params, 1)
+        e1 = scarf.spectrum_line(bound_params, 1, Edge.NOT_APPLICABLE)
         assert e1.energy == pytest.approx(60.4513270, abs=5e-8)
 
     def test_bound_period_scaling(self):
         p = scarf.PotentialParams(s=2.0, a=2.0)
-        e0 = scarf.bound_energy(p, 0)
+        e0 = scarf.spectrum_line(p, 0, Edge.NOT_APPLICABLE)
         assert e0.energy == pytest.approx(30.842513753404244 / 4.0, rel=1e-15)
         assert e0.energy == pytest.approx(7.7106284, abs=1e-7)
 
@@ -119,33 +119,34 @@ class TestClosedFormEnergies:
             lam_from_v0 = 0.5 + n + math.sqrt(
                 0.25 - 2.0 * p.m * p.v0 * p.a**2 / math.pi**2)
             e_v0 = HALF_PI_SQ / (p.m * p.a**2) * lam_from_v0**2
-            assert scarf.bound_energy(p, n).energy == pytest.approx(e_v0, rel=1e-14)
+            line = scarf.spectrum_line(p, n, Edge.NOT_APPLICABLE)
+            assert line.energy == pytest.approx(e_v0, rel=1e-14)
 
     def test_band_examples(self, band_params):
-        lo0, hi0 = scarf.band_edge_energies(band_params, 0)
+        lo0, hi0 = (scarf.spectrum_line(band_params, 0, edge) for edge in (Edge.LOWER, Edge.UPPER))
         assert lo0.energy == pytest.approx(0.0493480, abs=5e-8)
         assert hi0.energy == HALF_PI_SQ * 0.81
         assert (lo0.lam, hi0.lam) == (pytest.approx(0.1), pytest.approx(0.9))
         assert (lo0.edge, hi0.edge) == (Edge.LOWER, Edge.UPPER)
         assert lo0.nu1 == pytest.approx(-0.1) and hi0.nu1 == pytest.approx(-0.9)
-        lo1, hi1 = scarf.band_edge_energies(band_params, 1)
+        lo1, hi1 = (scarf.spectrum_line(band_params, 1, edge) for edge in (Edge.LOWER, Edge.UPPER))
         assert lo1.energy == pytest.approx(5.9711107, abs=5e-8)
         assert hi1.energy == pytest.approx(17.8146359, abs=5e-8)
 
     def test_regime_errors(self, bound_params, band_params):
         with pytest.raises(RegimeError):
-            scarf.band_edge_energies(bound_params, 0)
+            scarf.spectrum_line(bound_params, 0, Edge.LOWER)
         with pytest.raises(RegimeError):
-            scarf.bound_energy(band_params, 0)
+            scarf.spectrum_line(band_params, 0, Edge.NOT_APPLICABLE)
         with pytest.raises(ValueError):
-            scarf.bound_energy(bound_params, -1)
+            scarf.spectrum_line(bound_params, -1, Edge.NOT_APPLICABLE)
 
     def test_gap_closure_at_s_half(self):
         # E+_n = E-_{n+1} = (pi^2/2ma^2)(n+1)^2 in the free-particle limit
         p = scarf.PotentialParams(s=0.5)
         for n in range(3):
-            lo, hi = scarf.free_particle_edges(p, n)
-            lo_next, _ = scarf.free_particle_edges(p, n + 1)
+            lo, hi = (scarf.spectrum_line(p, n, edge) for edge in (Edge.LOWER, Edge.UPPER))
+            lo_next = scarf.spectrum_line(p, n + 1, Edge.LOWER)
             assert hi.energy == lo_next.energy == HALF_PI_SQ * (n + 1) ** 2
 
     def test_positivity(self, bound_params, band_params):
@@ -158,8 +159,8 @@ class TestClosedFormEnergies:
     @settings(max_examples=100)
     def test_band_interleaving_and_widths(self, s, n):
         p = scarf.PotentialParams(s=s)
-        lo, hi = scarf.band_edge_energies(p, n)
-        lo_next, _ = scarf.band_edge_energies(p, n + 1)
+        lo, hi = (scarf.spectrum_line(p, n, edge) for edge in (Edge.LOWER, Edge.UPPER))
+        lo_next = scarf.spectrum_line(p, n + 1, Edge.LOWER)
         assert lo.energy < hi.energy < lo_next.energy
         width = HALF_PI_SQ * 2.0 * s * (2 * n + 1)
         gap = HALF_PI_SQ * (2 * n + 2) * (1.0 - 2.0 * s)
@@ -167,10 +168,10 @@ class TestClosedFormEnergies:
         assert lo_next.energy - hi.energy == pytest.approx(gap, rel=1e-12)
 
     def test_bound_monotonic_in_n_and_s(self):
-        energies = [scarf.bound_energy(scarf.PotentialParams(s=2.0), n).energy
-                    for n in range(6)]
+        p = scarf.PotentialParams(s=2.0)
+        energies = [scarf.spectrum_line(p, n, Edge.NOT_APPLICABLE).energy for n in range(6)]
         assert all(a < b for a, b in zip(energies, energies[1:]))
-        by_s = [scarf.bound_energy(scarf.PotentialParams(s=s), 2).energy
+        by_s = [scarf.spectrum_line(scarf.PotentialParams(s=s), 2, Edge.NOT_APPLICABLE).energy
                 for s in (0.6, 1.0, 2.0, 3.5)]
         assert all(a < b for a, b in zip(by_s, by_s[1:]))
 
@@ -179,9 +180,9 @@ class TestLambdaOfEnergy:
     def test_examples(self, bound_params, band_params):
         assert scarf.lambda_of_energy(bound_params, HALF_PI_SQ) == pytest.approx(1.0, rel=1e-15)
         assert scarf.lambda_of_energy(
-            bound_params, scarf.bound_energy(bound_params, 0).energy
+            bound_params, scarf.spectrum_line(bound_params, 0, Edge.NOT_APPLICABLE).energy
         ) == pytest.approx(2.5, rel=1e-14)
-        lo0 = scarf.band_edge_energies(band_params, 0)[0]
+        lo0 = scarf.spectrum_line(band_params, 0, Edge.LOWER)
         assert scarf.lambda_of_energy(band_params, lo0.energy) == pytest.approx(0.1, rel=1e-14)
 
     def test_rejects_nonpositive_energy(self, bound_params):

@@ -18,13 +18,14 @@ from scarf.verify import _level_checks
 
 @pytest.fixture(scope="module")
 def bound_ground(bound_params):
-    return scarf.build_wavefunction(bound_params, scarf.bound_energy(bound_params, 0))
+    return scarf.build_wavefunction(
+        bound_params, scarf.spectrum_line(bound_params, 0, Edge.NOT_APPLICABLE))
 
 
 @pytest.fixture(scope="module")
 def band_states(band_params):
-    lo, hi = scarf.band_edge_energies(band_params, 0)
-    lo1, hi1 = scarf.band_edge_energies(band_params, 1)
+    lo, hi = (scarf.spectrum_line(band_params, 0, edge) for edge in (Edge.LOWER, Edge.UPPER))
+    lo1, hi1 = (scarf.spectrum_line(band_params, 1, edge) for edge in (Edge.LOWER, Edge.UPPER))
     return {("lower", 0): scarf.build_wavefunction(band_params, lo),
             ("upper", 0): scarf.build_wavefunction(band_params, hi),
             ("lower", 1): scarf.build_wavefunction(band_params, lo1),
@@ -54,6 +55,12 @@ class TestBuildAndEval:
         vals = scarf.eval_psi(bound_ground, np.array([0.0, 0.5, 1.0]))
         assert vals[0] == 0.0 and vals[2] == 0.0 and vals[1] != 0.0
         assert scarf.eval_psi(bound_ground, 0.5) != 0.0
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+    def test_rejects_non_finite_x(self, bound_ground, x):
+        # as evaluate_potential and cot_map do
+        with pytest.raises(ValueError, match="x must be finite"):
+            scarf.eval_psi(bound_ground, x)
 
     def test_matches_scipy_gegenbauer(self):
         # psi = norm sin^kappa C_n^kappa(cos) / C_n^kappa(1), by scipy's own
@@ -91,7 +98,7 @@ class TestBuildAndEval:
             assert abs(total - 1.0) <= 1e-12, (wf.line, total)
 
     def test_consistency_guard(self, bound_params, band_params):
-        line = scarf.bound_energy(bound_params, 0)
+        line = scarf.spectrum_line(bound_params, 0, Edge.NOT_APPLICABLE)
         with pytest.raises(ConsistencyError):
             scarf.build_wavefunction(band_params, line)
         # same regime, different coupling: lambda no longer matches (s, n)
@@ -109,7 +116,8 @@ class TestBuildAndEval:
 
     def test_vanishing_at_walls_bound(self, bound_params):
         for n in range(3):
-            wf = scarf.build_wavefunction(bound_params, scarf.bound_energy(bound_params, n))
+            wf = scarf.build_wavefunction(
+                bound_params, scarf.spectrum_line(bound_params, n, Edge.NOT_APPLICABLE))
             xs = np.linspace(0.01, 0.99, 99)
             peak = np.abs(scarf.eval_psi(wf, xs)).max()
             for x in (1e-8, 1.0 - 1e-8):
@@ -121,17 +129,19 @@ class TestStructure:
         assert scarf.count_nodes(band_states[("upper", 0)]) == 0
         assert scarf.count_nodes(band_states[("lower", 1)]) == 1
         for n in (0, 3):
-            wf = scarf.build_wavefunction(bound_params, scarf.bound_energy(bound_params, n))
+            wf = scarf.build_wavefunction(
+                bound_params, scarf.spectrum_line(bound_params, n, Edge.NOT_APPLICABLE))
             assert scarf.count_nodes(wf) == n
-        lo2, hi2 = scarf.band_edge_energies(scarf.PotentialParams(s=0.4), 2)
+        hi2 = scarf.spectrum_line(scarf.PotentialParams(s=0.4), 2, Edge.UPPER)
         wf2 = scarf.build_wavefunction(scarf.PotentialParams(s=0.4), hi2)
         assert scarf.count_nodes(wf2) == 2
 
     def test_node_count_up_to_n8(self, bound_params, band_params):
         for n in (6, 8):
-            wf = scarf.build_wavefunction(bound_params, scarf.bound_energy(bound_params, n))
+            wf = scarf.build_wavefunction(
+                bound_params, scarf.spectrum_line(bound_params, n, Edge.NOT_APPLICABLE))
             assert scarf.count_nodes(wf) == n
-        lo8, hi8 = scarf.band_edge_energies(band_params, 8)
+        lo8, hi8 = (scarf.spectrum_line(band_params, 8, edge) for edge in (Edge.LOWER, Edge.UPPER))
         assert scarf.count_nodes(scarf.build_wavefunction(band_params, lo8)) == 8
         assert scarf.count_nodes(scarf.build_wavefunction(band_params, hi8)) == 8
 
@@ -144,7 +154,8 @@ class TestStructure:
 
     def test_parity(self, bound_params):
         for n in range(4):
-            wf = scarf.build_wavefunction(bound_params, scarf.bound_energy(bound_params, n))
+            wf = scarf.build_wavefunction(
+                bound_params, scarf.spectrum_line(bound_params, n, Edge.NOT_APPLICABLE))
             expected = Parity.EVEN if n % 2 == 0 else Parity.ODD
             assert scarf.parity(wf) is expected
 
@@ -155,7 +166,8 @@ class TestStructure:
 
     def test_schrodinger_residual(self, bound_params, band_states):
         states = list(band_states.values()) + [
-            scarf.build_wavefunction(bound_params, scarf.bound_energy(bound_params, n))
+            scarf.build_wavefunction(
+                bound_params, scarf.spectrum_line(bound_params, n, Edge.NOT_APPLICABLE))
             for n in range(4)
         ]
         for wf in states:
@@ -226,7 +238,7 @@ class TestProbeMatrix:
         # |E| max|psi| the residual would read 5.4e-5, against the floored
         # energy scale it reads about 5e-10
         params = scarf.PotentialParams(s=0.4999)
-        wf = scarf.build_wavefunction(params, scarf.band_edge_energies(params, 0)[0])
+        wf = scarf.build_wavefunction(params, scarf.spectrum_line(params, 0, Edge.LOWER))
         res, scale = scarf.schrodinger_residual(wf)
         assert res <= 1e-8 * scale
 
@@ -234,7 +246,8 @@ class TestProbeMatrix:
         # lambda^2 >= 0.01 at s = 0.4, above the energy floor: a closed-form
         # energy off by 1e-6 relative still reads 1e-6 on the residual
         for n in range(4):
-            for line in scarf.band_edge_energies(band_params, n):
+            for edge in (Edge.LOWER, Edge.UPPER):
+                line = scarf.spectrum_line(band_params, n, edge)
                 wf = scarf.build_wavefunction(band_params, line)
                 mutant = replace(wf, line=replace(line, energy=line.energy * (1.0 + 1e-6)))
                 res, scale = scarf.schrodinger_residual(mutant)
