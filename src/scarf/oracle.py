@@ -13,7 +13,7 @@ internal calls pass the same coupling at a = pi, m = 1/2, where x is z
 and the unit is 1.  Two independent methods are provided so the
 closed-form spectra can be cross-checked:
 
-* a shooting method that starts just off the inverse-square wall with a
+* a shooting method that starts off the inverse-square wall with a
   Frobenius-series state and reads the Pruefer phase of the solution at
   the cell midpoint (both regimes), and
 * a Chebyshev collocation of the same equation on one cell, solved by
@@ -30,8 +30,21 @@ n is an even state (u'(pi/2) = 0) for even n and an odd one (u(pi/2) =
 0) for odd n, and either way it sits at theta = (n + 1) pi/2; so the
 integer part of 2 theta/pi counts the family's levels below E.
 
+A shot starts where its own series is still exact to rounding (Pryce,
+ch. 5, on series starts at a regular singular endpoint): z0(s,
+lambda^2, mu) is the largest z <= _Z_CAP at which the last series term
+|c_16| z^16 is at most _SERIES_EPS = 1e-17, and never below 1e-3 pi.
+_Z_CAP = 0.152 is where the first csc^2 term the series drops,
+4 z^12/1403325, reaches _SERIES_EPS of the wall term 1/z^2.  The low
+levels of s <= 2 start at the cap and those of s = 30 near 0.1; z0
+shrinks as lambda^2 grows and reaches 1e-3 pi at lambda^2 of about 4e4
+(7e4 at s = 2).  The power-law zone next to the wall, where most RK
+steps went, is thus summed in closed form:
+run_verification(n_max=2, "shooting") takes 2,201 RK steps at s = 2 and
+3,246 at s = 0.4, where a fixed 1e-3 pi start took 5,384 and 8,403.
+
 Each integration is made once per process: _shot caches it on (s,
-exponent, start offset, lambda^2).  Roots are polished by brentq, a port
+exponent, start scale, lambda^2).  Roots are polished by brentq, a port
 of SciPy's Brent solver, so no oracle imports scipy.
 """
 
@@ -47,7 +60,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BracketError, NumericError, RegimeError
-from .potential import PotentialParams, Regime
+from .potential import LAMBDA2_FLOOR, PotentialParams, Regime
 
 logger = logging.getLogger(__name__)
 
@@ -61,12 +74,21 @@ _CSC2_SERIES = (
     1382.0 / 58046625.0,
 )
 
+# The first term the series above drops: csc^2(z) - 1/z^2 - ... = 4 z^12/1403325 + ...
+_CSC2_DROPPED = 4.0 / 1403325.0
+
 _BRENTQ_RTOL = 1e-14          # relative tolerance of the root polish
 _BRENTQ_XTOL = 1e-30          # absolute tolerance of the root polish
 _BRENTQ_ITER = 100            # iteration cap of the root polish
 _REBRACKET = 1e-6             # delta/2 re-solve bracket, in energy scales
 _SHOT_CACHE = 4096            # integrations kept by _shot
 _SERIES_ORDER = 16            # Frobenius start summed through z^16
+_SERIES_EPS = 1e-17           # largest last series term |c_16| z^16 at a start
+_DELTA = 1e-3                 # default start offset over a, and the start's floor
+_Z_FLOOR = _DELTA * math.pi   # the lowest start in z
+# The start's cap, where the dropped csc^2 term, _CSC2_DROPPED z^12, is
+# _SERIES_EPS of the wall term 1/z^2.
+_Z_CAP = (_SERIES_EPS / _CSC2_DROPPED) ** (1.0 / 14.0)
 _COLLOCATION_MAX = 3000       # largest collocation grid size N
 _COLLOCATION_FIRST = 8        # levels of the first collocation grid
 _U_FORM_S = 2.0               # above this s the collocation drops the w-form
@@ -83,10 +105,13 @@ class Exponent(Enum):
 class ShootingConfig:
     """Configuration of one shooting family: its wall exponent.
 
-    delta is the start offset from the wall in x; None resolves to
-    1e-3 * a.  The Frobenius series is summed through z^16, which makes
-    the start state accurate to machine precision at that delta, so
-    halving delta moves reported energies by well under 1e-9 relative.
+    delta scales the start offset from the wall: a shot starts at
+    delta / (1e-3 a) times the series start z0(s, lambda^2, mu) of the
+    module docstring, the largest z in [1e-3 pi, _Z_CAP = 0.152] where
+    the Frobenius series, summed through z^16, is exact to rounding.
+    None resolves to 1e-3 * a, so a shot starts at z0 itself; delta/2
+    starts every shot at exactly z0/2, and moves reported energies by
+    well under 1e-9 relative.  A delta above 1e-3 a starts at z0 too.
     """
 
     exponent: Exponent = Exponent.PLUS
@@ -97,7 +122,7 @@ class ShootingConfig:
             raise ValueError("delta must be positive")
 
     def resolve_delta(self, a: float) -> float:
-        delta = 1e-3 * a if self.delta is None else self.delta
+        delta = _DELTA * a if self.delta is None else self.delta
         if delta >= a / 100.0:
             raise ValueError(f"delta must be < a/100, got {delta} for a={a}")
         return delta
@@ -117,32 +142,47 @@ class OracleResult:
     delta_sensitivity: float
 
 
-def frobenius_start(s: float, lam2: float, mu: float,
-                    delta: float) -> tuple[float, float]:
-    """Series solution u = z^mu sum(c_k z^k) of u_zz = (C/sin^2 z - lam2) u
-    at z = delta, as (u, u_z) divided by delta^mu.
+def frobenius_series(s: float, lam2: float, mu: float) -> list[float]:
+    """The coefficients c_0 = 1, c_2, ..., c_16 of the series solution
+    u = z^mu sum(c_k z^k) of u_zz = (C/sin^2 z - lam2) u.
 
     C/sin^2 z - lam2 = C/z^2 + sum_j w_{2j} z^(2j); the recurrence
     c_k = sum_j w_{2j} c_{k-2-2j} / (k (k + 2 mu - 1)) follows from
-    matching powers.  Truncated at z^16 the start state is exact to
-    machine precision at the default delta and energies well beyond the
-    verification range.  The dropped delta^mu is a common factor, which
-    the shooting value divides out, and it would underflow at large s.
+    matching powers.
     """
     w = [-(0.25 - s * s) * c for c in _CSC2_SERIES]
     w[0] -= lam2
-    coeff = {0: 1.0}
+    coeff = [1.0]
     for k in range(2, _SERIES_ORDER + 1, 2):
         acc = 0.0
-        for j, wj in enumerate(w):
-            kk = k - 2 - 2 * j
-            if kk < 0:
-                break
-            acc += wj * coeff[kk]
-        coeff[k] = acc / (k * (k + 2.0 * mu - 1.0))
-    series = sum(ck * delta**k for k, ck in coeff.items())
-    dseries = sum(ck * (mu + k) * delta ** (k - 1) for k, ck in coeff.items())
-    return series, dseries
+        for j, wj in enumerate(w[:k // 2]):
+            acc += wj * coeff[k // 2 - 1 - j]
+        coeff.append(acc / (k * (k + 2.0 * mu - 1.0)))
+    return coeff
+
+
+def start_offset(series: list[float]) -> float:
+    """z0: the largest z <= _Z_CAP where the last term |c_16| z^16 of the
+    series is at most _SERIES_EPS, and at least _Z_FLOOR = 1e-3 pi."""
+    last = abs(series[-1])
+    if last * _Z_CAP**_SERIES_ORDER <= _SERIES_EPS:
+        return _Z_CAP
+    return max(_Z_FLOOR, (_SERIES_EPS / last) ** (1.0 / _SERIES_ORDER))
+
+
+def frobenius_start(series: list[float], mu: float, z: float) -> tuple[float, float]:
+    """(u, u_z) of the series solution at z, divided by z^mu.
+
+    The dropped z^mu is a common factor, which the shooting value divides
+    out, and it would underflow at large s.
+    """
+    z2 = z * z
+    u = v = 0.0
+    for k in range(_SERIES_ORDER, -1, -2):
+        ck = series[k // 2]
+        u = u * z2 + ck
+        v = v * z2 + ck * (mu + k)
+    return u, v / z
 
 
 def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
@@ -158,19 +198,21 @@ def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
     if params.regime is Regime.BOUND_STATES and cfg.exponent is Exponent.MINUS:
         raise RegimeError("bound regime admits only the 1/2 + s exponent")
     lam2 = energy / params.energy_unit
-    u, v, zeros = _shot(params.s, cfg.exponent, _z_offset(params, cfg), lam2)
+    u, v, zeros = _shot(params.s, cfg.exponent, _start_scale(params, cfg), lam2)
     sigma = -1.0 if zeros % 2 else 1.0
     return math.pi * zeros + math.atan2(abs(u), sigma * v / math.sqrt(max(lam2, 1.0)))
 
 
 @functools.lru_cache(maxsize=_SHOT_CACHE)
-def _shot(s: float, exponent: Exponent, delta: float,
+def _shot(s: float, exponent: Exponent, scale: float,
           lam2: float) -> tuple[float, float, int]:
     """(u, u_z, zeros of u) at z = pi/2 from the Frobenius start at
-    z = delta: one kernel call, made once per process for each argument set."""
+    z = scale z0: one kernel call, made once per process for each argument set."""
     mu = 0.5 + s if exponent is Exponent.PLUS else 0.5 - s
-    u0, v0 = frobenius_start(s, lam2, mu, delta)
-    u, v, _, _, zeros = kernels.shoot_halfcell(-(0.25 - s**2), lam2, delta, u0, v0)
+    series = frobenius_series(s, lam2, mu)
+    z = scale * start_offset(series)
+    u0, v0 = frobenius_start(series, mu, z)
+    u, v, _, _, zeros = kernels.shoot_halfcell(-(0.25 - s**2), lam2, z, u0, v0)
     return u, v, zeros
 
 
@@ -180,12 +222,13 @@ def find_eigen(params: PotentialParams, bracket: tuple[float, float],
 
     Raises BracketError unless the bracket crosses exactly one level
     phase (n + 1) pi/2.  The root is polished by brentq on theta minus
-    that phase to 1e-14 relative in lambda^2, then re-solved with delta/2
-    on a bracket of _REBRACKET energy scales around it, to measure the
-    start-offset sensitivity.
+    that phase to 1e-14 relative in lambda^2, then re-solved with delta/2,
+    which starts every shot at half its offset, on a bracket of
+    _REBRACKET energy scales around it, to measure the start-offset
+    sensitivity.
     """
     ref = _reference(params)
-    ref_cfg = replace(cfg, delta=_z_offset(params, cfg))
+    ref_cfg = replace(cfg, delta=_start_scale(params, cfg) * _Z_FLOOR)
     unit = params.energy_unit
     lo, hi = bracket[0] / unit, bracket[1] / unit
     n = _level_count(ref, lo, ref_cfg)
@@ -207,9 +250,10 @@ def _reference(params: PotentialParams) -> PotentialParams:
     return PotentialParams(params.s, a=math.pi, m=0.5)
 
 
-def _z_offset(params: PotentialParams, cfg: ShootingConfig) -> float:
-    """The start offset of cfg in z."""
-    return cfg.resolve_delta(params.a) * (math.pi / params.a)
+def _start_scale(params: PotentialParams, cfg: ShootingConfig) -> float:
+    """cfg's start over the series start z0: delta over its default 1e-3 a,
+    at most 1, as no start beyond z0 is exact to rounding."""
+    return min(1.0, cfg.resolve_delta(params.a) / (_DELTA * params.a))
 
 
 def _phase(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
@@ -298,7 +342,11 @@ def scan_spectrum(params: PotentialParams, e_max: float) -> list[OracleResult]:
     until each part crosses one level phase (n + 1) pi/2, and find_eigen
     solves each part.  At s = 1/2 the lower edges' family has theta =
     pi/2 at E = 0 exactly, so that free-particle fold lies outside
-    (0, e_max].  Results from different families are kept separate even
+    (0, e_max].  Just below s = 1/2 the lowest lower edge, lambda^2 =
+    (1/2 - s)^2, is below the phase's resolution of about 1e-16: it is
+    bracketed from -LAMBDA2_FLOOR (see _level_cells) and reported at its
+    polished energy, which can land within about 1e-16 energy units of 0
+    on either side.  Results from different families are kept separate even
     when degenerate (the free-particle limit produces coinciding edges
     from distinct families on purpose).
     """
@@ -325,8 +373,15 @@ def scan_spectrum(params: PotentialParams, e_max: float) -> list[OracleResult]:
 
 def _level_cells(params: PotentialParams, cfg: ShootingConfig,
                  e_max: float) -> list[tuple[float, float]]:
-    """Ascending parts (a, b] of (0, e_max] that each hold one level of
-    the family, found by bisection on the level count."""
+    """Ascending parts (a, b], together covering (0, e_max], that each
+    hold one level of the family, found by bisection on the level count.
+
+    Outside the free particle no level lies at or below E = 0, so the
+    count there is 0 unless the lowest level rounds onto it: 2 theta/pi
+    of the lower edges' family reads 1.0 at E = 0 once (1/2 - s)^2 is
+    below about 1e-16.  Bisection then starts at -LAMBDA2_FLOOR, where
+    the count is 0 again.
+    """
     def cells(lo: float, n_lo: int, hi: float, n_hi: int) -> list[tuple[float, float]]:
         if n_hi <= n_lo:
             return []
@@ -336,7 +391,10 @@ def _level_cells(params: PotentialParams, cfg: ShootingConfig,
         n_mid = _level_count(params, mid, cfg)
         return cells(lo, n_lo, mid, n_mid) + cells(mid, n_mid, hi, n_hi)
 
-    return cells(0.0, _level_count(params, 0.0, cfg), e_max, _level_count(params, e_max, cfg))
+    lo, n_lo = 0.0, _level_count(params, 0.0, cfg)
+    if n_lo and params.regime is not Regime.FREE_PARTICLE:
+        lo, n_lo = -LAMBDA2_FLOOR, _level_count(params, -LAMBDA2_FLOOR, cfg)
+    return cells(lo, n_lo, e_max, _level_count(params, e_max, cfg))
 
 
 def collocation_spectrum(params: PotentialParams,

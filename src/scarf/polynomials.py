@@ -87,7 +87,8 @@ def gegenbauer_ratios(n: int, kappa: float, t):
 def build_poly(s: float, n: int, edge: Edge = Edge.NOT_APPLICABLE) -> PolySpec:
     """P_n of level (s, n, edge), with lambda from spectrum.level_parameters,
     which also checks n."""
-    return PolySpec(n=n, lam=level_parameters(s, n, edge)[0])
+    lam = level_parameters(s, n, edge)[0]
+    return PolySpec(n=int(n), lam=lam)
 
 
 def real_roots(poly: PolySpec) -> list[float]:

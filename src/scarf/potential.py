@@ -62,7 +62,10 @@ class PotentialParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:  # an int or Fraction past the float range
+                raise ValueError(f"{name} leaves the float range") from None
         if classify_regime(self.s) is Regime.UNSUPPORTED:
             raise ValueError(f"coupling s must be a positive finite real, got {self.s}")
         if not (math.isfinite(self.a) and self.a > 0.0):

@@ -21,6 +21,7 @@ where lambda^2 = 2 m E a^2 / pi^2 is the dimensionless energy parameter.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -168,8 +169,7 @@ def level_parameters(s: float, n: int, edge: Edge) -> tuple[float, float, float]
     At s = 1/2 these are the free-particle edges lambda = n and n + 1.
     This is the one check of n, for spectrum_line and build_poly alike.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"level index n must be a non-negative integer, got {n!r}")
+    n = _level_index(n)
     regime = classify_regime(s)
     if regime is Regime.UNSUPPORTED:
         raise RegimeError(f"unsupported coupling s = {s}")
@@ -183,6 +183,14 @@ def level_parameters(s: float, n: int, edge: Edge) -> tuple[float, float, float]
     return n + 0.5 + s, -n - s - 0.5, (1.0 - 2.0 * s) / 2.0
 
 
+def _level_index(n) -> int:
+    """n as an int: any integer, numpy integers included, but bool, that
+    is at least 0; ValueError otherwise."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"level index must be a non-negative integer, got {n!r}")
+    return int(n)
+
+
 def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
     """The closed-form level (n, edge) of params: edge NOT_APPLICABLE in the
     bound regime, LOWER or UPPER in the band and free-particle regimes."""
@@ -191,7 +199,7 @@ def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
     if not math.isfinite(energy):
         raise ValueError(f"energy of level (n={n}, {edge.value}) leaves the float range")
     return SpectrumLine(
-        n=n, regime=params.regime, edge=edge, lam=lam, energy=energy,
+        n=int(n), regime=params.regime, edge=edge, lam=lam, energy=energy,
         nu1=nu, nu2=nu, b1=(1.0 - lam) / 2.0, d1=d1,
     )
 
@@ -212,9 +220,11 @@ def spectrum_lines(params: PotentialParams, n_max: int) -> list[SpectrumLine]:
 
     Bound regime: one line per n.  Band and free-particle regimes: both
     edges per n; where two edges share an energy (the free particle's
-    E+_n = E-_{n+1}) the lower edge is listed first.
+    E+_n = E-_{n+1}) the lower edge is listed first.  n_max is checked
+    as a level index.
     """
     edges = ((Edge.NOT_APPLICABLE,) if params.regime is Regime.BOUND_STATES
              else (Edge.LOWER, Edge.UPPER))
-    return sorted((spectrum_line(params, n, edge) for n in range(n_max + 1) for edge in edges),
+    levels = range(_level_index(n_max) + 1)
+    return sorted((spectrum_line(params, n, edge) for n in levels for edge in edges),
                   key=lambda ln: (ln.energy, ln.edge.value))

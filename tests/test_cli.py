@@ -287,6 +287,17 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert json.loads(result.stdout)["summary"]["all_pass"] is True
 
+    @pytest.mark.parametrize("s", ["0.499999999", "0.4999999999"])
+    def test_lowest_edge_near_free_particle(self, runner, s):
+        # the n = 0 lower edge, lambda^2 = (1/2 - s)^2, failed
+        # oracle_shooting_match_count here: the scan never bracketed it
+        result = invoke(runner, ["verify", "--s", s, "--n-max", "0"])
+        assert result.exit_code == 0, result.stderr
+        checks = json.loads(result.stdout)["checks"]
+        assert all(c["pass"] for c in checks)
+        assert {(c["n"], c["edge"]) for c in checks
+                if c["name"] == "oracle_shooting_rel_err"} == {(0, "lower"), (0, "upper")}
+
     def test_probe_error_is_a_failing_check(self):
         # a probe that raises must not stop the report: it is written, with
         # the failure as a check entry

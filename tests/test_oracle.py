@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from scarf.oracle import (
     _BRENTQ_RTOL,
     _BRENTQ_XTOL,
     _exponents,
+    _level_count,
     _shot,
     brentq,
 )
@@ -113,6 +115,16 @@ class TestFindEigen:
             res = scarf.find_eigen(params, bracket, cfg)
             assert res.delta_sensitivity <= 1e-9
 
+    @pytest.mark.parametrize("delta", [0.002, 0.005, 0.009])
+    def test_delta_above_default_starts_at_z0(self, bound_params, band_params, delta):
+        # no start beyond z0 is exact: such a delta acts as the default
+        for params, bracket, exponent in [
+            (bound_params, (25.0, 35.0), Exponent.PLUS),
+            (band_params, (5.5, 6.5), Exponent.MINUS),
+        ]:
+            res = scarf.find_eigen(params, bracket, ShootingConfig(exponent, delta))
+            assert res == scarf.find_eigen(params, bracket, ShootingConfig(exponent))
+
 
 class TestScanSpectrum:
     def test_bound_scan(self, bound_params):
@@ -175,6 +187,23 @@ class TestScanSpectrum:
         assert scan.keys() == swept.keys() and scan
         for key, energy in swept.items():
             assert abs(scan[key] - energy) <= 1e-13 * params.energy_scale(energy), key
+
+    @pytest.mark.parametrize("s", [0.499999999, 0.4999999999])
+    def test_lowest_edge_below_the_phase_resolution(self, s):
+        # the lower edges' level 0 has lambda^2 = (1/2 - s)^2 of 1e-18 and
+        # 1e-20, so 2 theta/pi at E = 0 already reads 1; its bisection
+        # starts at -LAMBDA2_FLOOR, and at E = 0 the level was not found
+        params = scarf.PotentialParams(s=s)
+        assert _level_count(params, 0.0, ShootingConfig(exponent=Exponent.MINUS)) == 1
+        e_max = 20.0
+        closed = {(predicted_family(ln), ln.n): ln.energy
+                  for ln in scarf.spectrum_lines(params, 3) if 0.0 < ln.energy <= e_max}
+        scan = scarf.scan_spectrum(params, e_max)
+        assert {(r.exponent, r.n) for r in scan} == closed.keys()
+        assert len(scan) == len(closed) == 5
+        for res in scan:
+            energy = closed[res.exponent, res.n]
+            assert abs(res.energy - energy) <= 1e-12 * params.energy_scale(energy)
 
     @settings(max_examples=20, deadline=None)
     @given(s=st.floats(min_value=0.05, max_value=10.0), n_max=st.integers(0, 2))
@@ -388,6 +417,86 @@ class TestEnergyFloor:
         assert [c["value"] for c in oracle_checks] == pytest.approx([1e-6] * 16, rel=1e-3)
 
 
+class TestSeriesStart:
+    """Each shot starts at the largest z <= _Z_CAP where the series' last
+    term |c_16| z^16 is at most _SERIES_EPS, and never below 1e-3 pi."""
+
+    Z_FLOOR = 1e-3 * math.pi
+
+    @staticmethod
+    def record_starts(run):
+        """The (lambda^2, start z) of every kernel call that run makes."""
+        starts = []
+
+        def record(pot_coeff, lam2, z, u0, v0):
+            starts.append((lam2, z))
+            return shoot_halfcell(pot_coeff, lam2, z, u0, v0)
+
+        _shot.cache_clear()
+        with mock.patch.object(scarf.kernels, "shoot_halfcell", record):
+            run()
+        return starts
+
+    def test_cap_comes_from_the_first_dropped_csc2_term(self):
+        # csc^2 z - 1/z^2 = sum_n (-1)^(n+1) 2^(2n) (2n - 1) B_2n z^(2n-2) / (2n)!
+        from scipy.special import bernoulli
+        b = bernoulli(14)
+        taylor = [(-1) ** (n + 1) * 2.0 ** (2 * n) * (2 * n - 1) * b[2 * n]
+                  / math.factorial(2 * n) for n in range(1, 8)]
+        assert [*oracle._CSC2_SERIES, oracle._CSC2_DROPPED] == pytest.approx(taylor, rel=1e-14)
+        # at the cap that term is _SERIES_EPS of the wall term 1/z^2
+        assert oracle._CSC2_DROPPED * oracle._Z_CAP**14 == pytest.approx(1e-17, rel=1e-12)
+        assert 0.15 < oracle._Z_CAP < 0.153
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.floats(0.01, 300.0), lam2=st.floats(0.0, 1e6), plus=st.booleans())
+    def test_last_term_is_rounding_at_the_start(self, s, lam2, plus):
+        mu = 0.5 + s if plus or s >= 0.5 else 0.5 - s
+        series = oracle.frobenius_series(s, lam2, mu)
+        z0 = oracle.start_offset(series)
+        assert self.Z_FLOOR <= z0 <= oracle._Z_CAP
+        last = abs(series[-1]) * z0**16
+        if z0 > self.Z_FLOOR:
+            assert last <= 1e-17 * (1.0 + 1e-12)
+        if self.Z_FLOOR < z0 < oracle._Z_CAP:
+            # the largest such z: any further out, the last term exceeds 1e-17
+            assert last == pytest.approx(1e-17, rel=1e-12)
+
+    def test_low_levels_start_at_the_cap_and_high_ones_at_the_floor(self):
+        for s, mu in ((2.0, 2.5), (0.4, 0.1), (30.0, 30.5)):
+            assert oracle.start_offset(oracle.frobenius_series(s, 1.0, mu)) > 0.09
+            assert oracle.start_offset(oracle.frobenius_series(s, 1e6, mu)) == self.Z_FLOOR
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=st.floats(0.01, 50.0), lam2=st.floats(0.0, 1e5), plus=st.booleans())
+    def test_half_delta_halves_every_start(self, s, lam2, plus):
+        exponent = Exponent.PLUS if plus or s > 0.5 else Exponent.MINUS
+        mu = 0.5 + s if exponent is Exponent.PLUS else 0.5 - s
+        z0 = oracle.start_offset(oracle.frobenius_series(s, lam2, mu))
+        ref = scarf.PotentialParams(s, a=math.pi, m=0.5)
+        cfg = ShootingConfig(exponent=exponent)
+        half = replace(cfg, delta=self.Z_FLOOR / 2.0)
+        starts = self.record_starts(lambda: [scarf.shoot(ref, lam2, c) for c in (cfg, half)])
+        assert starts == [(lam2, z0), (lam2, z0 / 2.0)]
+
+    @pytest.mark.parametrize("s, bracket, exponent", [
+        (2.0, (25.0, 35.0), Exponent.PLUS), (0.4, (0.02, 0.2), Exponent.MINUS),
+        (0.4, (5.5, 6.5), Exponent.MINUS), (30.0, (4_500.0, 4_700.0), Exponent.PLUS),
+    ])
+    def test_resolve_starts_at_half_the_primary_start(self, s, bracket, exponent):
+        # find_eigen's polish starts at z0 and its delta/2 re-solve at z0/2
+        params = scarf.PotentialParams(s)
+        mu = 0.5 + s if exponent is Exponent.PLUS else 0.5 - s
+        starts = self.record_starts(
+            lambda: scarf.find_eigen(params, bracket, ShootingConfig(exponent=exponent)))
+        halves = 0
+        for lam2, z in starts:
+            z0 = oracle.start_offset(oracle.frobenius_series(s, lam2, mu))
+            assert z in (z0, z0 / 2.0)
+            halves += z == z0 / 2.0
+        assert 0 < halves < len(starts)
+
+
 class TestShotCache:
     @pytest.mark.parametrize("s", [2.0, 0.4])
     def test_each_integration_runs_once(self, s, monkeypatch):
@@ -405,12 +514,13 @@ class TestShotCache:
         assert seen
         assert len(set(seen)) == len(seen)
 
-    @pytest.mark.parametrize("s, max_calls, max_steps", [(2.0, 38, 5_600), (0.4, 76, 8_800)])
+    @pytest.mark.parametrize("s, max_calls, max_steps", [(2.0, 38, 2_300), (0.4, 70, 3_400)])
     def test_kernel_calls_and_steps_bounded(self, s, max_calls, max_steps, monkeypatch):
-        # the phase bisection makes 37 and 73 calls of 5,384 and 8,403
-        # steps here; the lambda^2 lattice scan made 44 and 106 calls of
-        # 6,374 and 12,201, and with the fifth-order kernel 59,348 and
-        # 74,385 steps
+        # from the series start the phase bisection makes 37 and 69 calls
+        # of 2,201 and 3,246 steps here; from a fixed 1e-3 pi it made 37
+        # and 73 calls of 5,384 and 8,403, the lambda^2 lattice scan 44
+        # and 106 calls of 6,374 and 12,201, and with the fifth-order
+        # kernel 59,348 and 74,385 steps
         _shot.cache_clear()
         steps = []
 
@@ -519,21 +629,23 @@ class TestDop853:
         (0.4, 0.3, Exponent.MINUS), (0.4, 40.7, Exponent.MINUS), (0.4, 40.7, Exponent.PLUS),
     ])
     def test_matches_solve_ivp(self, s, lam2, exponent):
+        # from the fixed start 1e-3 pi and from the series start z0
         from scipy.integrate import solve_ivp
         c = -(0.25 - s * s)
-        z0 = 1e-3 * math.pi
         mu = 0.5 + s if exponent is Exponent.PLUS else 0.5 - s
-        u0, v0 = oracle.frobenius_start(s, lam2, mu, z0)
-        u, v, runmax, steps, zeros = shoot_halfcell(c, lam2, z0, u0, v0)
+        series = oracle.frobenius_series(s, lam2, mu)
 
         def rhs(z, y):
             return [y[1], (c / math.sin(z) ** 2 - lam2) * y[0]]
 
-        ref = solve_ivp(rhs, (z0, math.pi / 2.0), [u0, v0], method="DOP853",
-                        rtol=1e-13, atol=1e-280, dense_output=True)
-        assert ref.success
-        assert abs(u - ref.y[0, -1]) <= 1e-9 * runmax
-        assert abs(v - ref.y[1, -1]) <= 1e-9 * runmax * math.sqrt(1.0 + lam2)
-        dense = ref.sol(np.linspace(z0, math.pi / 2.0, 20_001))[0]
-        assert zeros == np.count_nonzero(np.diff(np.sign(dense)) != 0)
-        assert 0 < steps < 1000
+        for z0 in (1e-3 * math.pi, oracle.start_offset(series)):
+            u0, v0 = oracle.frobenius_start(series, mu, z0)
+            u, v, runmax, steps, zeros = shoot_halfcell(c, lam2, z0, u0, v0)
+            ref = solve_ivp(rhs, (z0, math.pi / 2.0), [u0, v0], method="DOP853",
+                            rtol=1e-13, atol=1e-280, dense_output=True)
+            assert ref.success
+            assert abs(u - ref.y[0, -1]) <= 1e-9 * runmax
+            assert abs(v - ref.y[1, -1]) <= 1e-9 * runmax * math.sqrt(1.0 + lam2)
+            dense = ref.sol(np.linspace(z0, math.pi / 2.0, 20_001))[0]
+            assert zeros == np.count_nonzero(np.diff(np.sign(dense)) != 0)
+            assert 0 < steps < 1000

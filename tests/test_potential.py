@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,9 @@ class TestParams:
         {"s": 2.0, "m": 1e-320},   # pi^2/(2 m a^2) = inf
         {"s": True}, {"s": np.True_}, {"s": "2"}, {"s": None},   # not real numbers
         {"s": 2.0, "a": True}, {"s": 2.0, "m": "1"}, {"s": 2.0, "a": 1j},
+        # past the float range: float() raised OverflowError
+        {"s": 10**400}, {"s": 2.0, "a": 10**400}, {"s": 2.0, "m": -10**400},
+        {"s": Fraction(10**400, 3)},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):

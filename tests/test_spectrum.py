@@ -1,6 +1,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,24 @@ class TestClosedFormEnergies:
             scarf.spectrum_line(band_params, 0, Edge.NOT_APPLICABLE)
         with pytest.raises(ValueError):
             scarf.spectrum_line(bound_params, -1, Edge.NOT_APPLICABLE)
+
+    @pytest.mark.parametrize("n", [np.int64(1), np.uint8(1), np.intp(1)])
+    def test_numpy_level_index(self, bound_params, band_params, n):
+        # numpy integers are level indices, as numpy scalars are couplings
+        for params, edge in ((bound_params, Edge.NOT_APPLICABLE), (band_params, Edge.LOWER)):
+            line = scarf.spectrum_line(params, n, edge)
+            assert line == scarf.spectrum_line(params, 1, edge)
+            assert type(line.n) is int
+            assert scarf.spectrum_lines(params, n) == scarf.spectrum_lines(params, 1)
+        poly = scarf.build_poly(2.0, n)
+        assert (type(poly.n), poly.n, poly.lam) == (int, 1, scarf.build_poly(2.0, 1).lam)
+
+    @pytest.mark.parametrize("n_max", [2.5, -1, True, None, "2"])
+    def test_spectrum_lines_rejects_bad_n_max(self, bound_params, band_params, n_max):
+        # 2.5 ended in a TypeError from range, and -1 returned [] silently
+        for params in (bound_params, band_params):
+            with pytest.raises(ValueError, match="level index"):
+                scarf.spectrum_lines(params, n_max)
 
     def test_gap_closure_at_s_half(self):
         # E+_n = E-_{n+1} = (pi^2/2ma^2)(n+1)^2 in the free-particle limit
