@@ -239,11 +239,9 @@ def spectrum(params, cfg):
     """Closed-form spectrum for n = 0..n_max (both edges in the band
     regime, plus band widths and gaps)."""
     n_max = cfg["n_max"]
-    if n_max < 0:
-        raise ValueError("--n-max must be >= 0")
+    lines = spectrum_lines(params, n_max)
     logger.info("spectrum: s=%g a=%g m=%g regime=%s n_max=%d",
                 params.s, params.a, params.m, params.regime.value, n_max)
-    lines = spectrum_lines(params, n_max)
     payload = level_report(params, lines, [])
     if params.regime in (Regime.BANDS, Regime.FREE_PARTICLE):
         energy = {(ln.n, ln.edge): ln.energy for ln in lines}

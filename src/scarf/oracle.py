@@ -7,11 +7,11 @@ E = lambda^2 pi^2/(2 m a^2), -u''/(2m) + V u = E u becomes
     u_zz = (C / sin^2 z - lambda^2) u,    C = -(1/4 - s^2),
 
 on (0, pi), so only s is left; a and m set the energy unit.  Every public
-entry point takes and returns energies in E (and a start offset in x)
-and converts once; inside, the oracles solve for lambda^2.  Their
-internal calls pass the same coupling at a = pi, m = 1/2, where x is z
-and the unit is 1.  Two independent methods are provided so the
-closed-form spectra can be cross-checked:
+entry point takes and returns energies in E and converts once; inside,
+the oracles solve for lambda^2.  Their internal calls pass the same
+coupling at a = pi, m = 1/2, where x is z and the unit is 1.  Two
+independent methods are provided so the closed-form spectra can be
+cross-checked:
 
 * a shooting method that starts off the inverse-square wall with a
   Frobenius-series state and reads the Pruefer phase of the solution at
@@ -43,9 +43,10 @@ steps went, is thus summed in closed form:
 run_verification(n_max=2, "shooting") takes 2,201 RK steps at s = 2 and
 3,246 at s = 0.4, where a fixed 1e-3 pi start took 5,384 and 8,403.
 
-Each integration is made once per process: _shot caches it on (s,
-exponent, start scale, lambda^2).  Roots are polished by brentq, a port
-of SciPy's Brent solver, so no oracle imports scipy.
+No start depends on a or m, and find_eigen's re-solve starts every
+shot at exactly z0/2.  Each integration is made once per process: _shot
+caches it on (s, exponent, half start, lambda^2).  Roots are polished by
+brentq, a port of SciPy's Brent solver, so no oracle imports scipy.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -84,7 +86,7 @@ _REBRACKET = 1e-6             # delta/2 re-solve bracket, in energy scales
 _SHOT_CACHE = 4096            # integrations kept by _shot
 _SERIES_ORDER = 16            # Frobenius start summed through z^16
 _SERIES_EPS = 1e-17           # largest last series term |c_16| z^16 at a start
-_DELTA = 1e-3                 # default start offset over a, and the start's floor
+_DELTA = 1e-3                 # the start's floor over pi, and resolve_delta's over a
 _Z_FLOOR = _DELTA * math.pi   # the lowest start in z
 # The start's cap, where the dropped csc^2 term, _CSC2_DROPPED z^12, is
 # _SERIES_EPS of the wall term 1/z^2.
@@ -103,37 +105,27 @@ class Exponent(Enum):
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Configuration of one shooting family: its wall exponent.
-
-    delta scales the start offset from the wall: a shot starts at
-    delta / (1e-3 a) times the series start z0(s, lambda^2, mu) of the
-    module docstring, the largest z in [1e-3 pi, _Z_CAP = 0.152] where
-    the Frobenius series, summed through z^16, is exact to rounding.
-    None resolves to 1e-3 * a, so a shot starts at z0 itself; delta/2
-    starts every shot at exactly z0/2, and moves reported energies by
-    well under 1e-9 relative.  A delta above 1e-3 a starts at z0 too.
-    """
+    """Configuration of one shooting family: its wall exponent, and
+    whether its shots start at the series start z0(s, lambda^2, mu) of
+    the module docstring or, with half_start, at exactly z0/2."""
 
     exponent: Exponent = Exponent.PLUS
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.delta is not None and self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+    half_start: bool = False
 
     def resolve_delta(self, a: float) -> float:
-        delta = _DELTA * a if self.delta is None else self.delta
-        if delta >= a / 100.0:
-            raise ValueError(f"delta must be < a/100, got {delta} for a={a}")
-        return delta
+        """1e-3 a, halved with half_start.  No shot reads it; its only reader
+        is the benchmark's span tracer (perfbench/tracer.py), which compares
+        it to tell find_eigen's re-solve shots from its polish shots."""
+        return _DELTA * a / (2.0 if self.half_start else 1.0)
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Level n of one shooting family: the root of theta(E) = (n + 1) pi/2.
 
-    delta_sensitivity is the move of the energy when the start offset is
-    halved, relative to its energy scale (PotentialParams.energy_scale).
+    delta_sensitivity is the move of the energy when every shot starts at
+    half its offset, relative to its energy scale
+    (PotentialParams.energy_scale).
     """
 
     energy: float
@@ -198,19 +190,20 @@ def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
     if params.regime is Regime.BOUND_STATES and cfg.exponent is Exponent.MINUS:
         raise RegimeError("bound regime admits only the 1/2 + s exponent")
     lam2 = energy / params.energy_unit
-    u, v, zeros = _shot(params.s, cfg.exponent, _start_scale(params, cfg), lam2)
+    u, v, zeros = _shot(params.s, cfg.exponent, cfg.half_start, lam2)
     sigma = -1.0 if zeros % 2 else 1.0
     return math.pi * zeros + math.atan2(abs(u), sigma * v / math.sqrt(max(lam2, 1.0)))
 
 
 @functools.lru_cache(maxsize=_SHOT_CACHE)
-def _shot(s: float, exponent: Exponent, scale: float,
+def _shot(s: float, exponent: Exponent, half_start: bool,
           lam2: float) -> tuple[float, float, int]:
-    """(u, u_z, zeros of u) at z = pi/2 from the Frobenius start at
-    z = scale z0: one kernel call, made once per process for each argument set."""
+    """(u, u_z, zeros of u) at z = pi/2 from the Frobenius start at the
+    series start z0, or at z0/2 with half_start: one kernel call, made
+    once per process for each argument set."""
     mu = 0.5 + s if exponent is Exponent.PLUS else 0.5 - s
     series = frobenius_series(s, lam2, mu)
-    z = scale * start_offset(series)
+    z = start_offset(series) / (2.0 if half_start else 1.0)
     u0, v0 = frobenius_start(series, mu, z)
     u, v, _, _, zeros = kernels.shoot_halfcell(-(0.25 - s**2), lam2, z, u0, v0)
     return u, v, zeros
@@ -221,22 +214,22 @@ def find_eigen(params: PotentialParams, bracket: tuple[float, float],
     """The one level of cfg's family inside an energy bracket.
 
     Raises BracketError unless the bracket crosses exactly one level
-    phase (n + 1) pi/2.  The root is polished by brentq on theta minus
-    that phase to 1e-14 relative in lambda^2, then re-solved with delta/2,
-    which starts every shot at half its offset, on a bracket of
-    _REBRACKET energy scales around it, to measure the start-offset
-    sensitivity.
+    phase (n + 1) pi/2.  Only cfg's exponent is read: the root is
+    polished by brentq on theta minus that phase to 1e-14 relative in
+    lambda^2 with every shot at z0, then re-solved with every shot at
+    z0/2, on a bracket of _REBRACKET energy scales around it, to measure
+    the start-offset sensitivity.
     """
     ref = _reference(params)
-    ref_cfg = replace(cfg, delta=_start_scale(params, cfg) * _Z_FLOOR)
+    polish = ShootingConfig(cfg.exponent)
     unit = params.energy_unit
     lo, hi = bracket[0] / unit, bracket[1] / unit
-    n = _level_count(ref, lo, ref_cfg)
-    if _level_count(ref, hi, ref_cfg) != n + 1:
+    n = _level_count(ref, lo, polish)
+    if _level_count(ref, hi, polish) != n + 1:
         raise BracketError(f"bracket {bracket} does not cross exactly one level")
-    lam2 = _crossing(ref, ref_cfg, n, lo, hi)
+    lam2 = _crossing(ref, polish, n, lo, hi)
     width = _REBRACKET * ref.energy_scale(lam2)
-    lam2_half = _crossing(ref, replace(ref_cfg, delta=ref_cfg.delta / 2.0), n,
+    lam2_half = _crossing(ref, ShootingConfig(cfg.exponent, half_start=True), n,
                           lam2 - width, lam2 + width)
     return OracleResult(
         energy=float(lam2 * unit), exponent=cfg.exponent, n=n,
@@ -248,12 +241,6 @@ def _reference(params: PotentialParams) -> PotentialParams:
     """The same coupling at a = pi, m = 1/2, where x is z and the energy
     unit is 1, so E is lambda^2."""
     return PotentialParams(params.s, a=math.pi, m=0.5)
-
-
-def _start_scale(params: PotentialParams, cfg: ShootingConfig) -> float:
-    """cfg's start over the series start z0: delta over its default 1e-3 a,
-    at most 1, as no start beyond z0 is exact to rounding."""
-    return min(1.0, cfg.resolve_delta(params.a) / (_DELTA * params.a))
 
 
 def _phase(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
@@ -408,8 +395,9 @@ def collocation_spectrum(params: PotentialParams,
     lambda^2 vanishes as s -> 1/2, would be off by about 2e-7 of the
     energy floor at k_levels = 500.
     """
-    if not isinstance(k_levels, int) or isinstance(k_levels, bool) or k_levels < 1:
+    if isinstance(k_levels, bool) or not isinstance(k_levels, numbers.Integral) or k_levels < 1:
         raise ValueError(f"k_levels must be a positive integer, got {k_levels!r}")
+    k_levels = int(k_levels)
     if _grid_size(params.s, k_levels) > _COLLOCATION_MAX:
         raise ValueError(f"k_levels={k_levels} at s={params.s} needs a collocation "
                          f"grid larger than N={_COLLOCATION_MAX}")

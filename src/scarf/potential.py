@@ -103,8 +103,12 @@ class PotentialParams:
 
 def classify_regime(s: float) -> Regime:
     """Classify the coupling. Total: every float gets exactly one tag, and
-    so does every other value (bool and non-reals are UNSUPPORTED)."""
-    if isinstance(s, bool) or not isinstance(s, numbers.Real) or not math.isfinite(s) or s <= 0.0:
+    so does every other value (bool, non-reals and reals past the float
+    range are UNSUPPORTED)."""
+    try:
+        if isinstance(s, bool) or not isinstance(s, numbers.Real) or not math.isfinite(s) or s <= 0.0:
+            return Regime.UNSUPPORTED
+    except OverflowError:  # an int or Fraction past the float range
         return Regime.UNSUPPORTED
     if s > 0.5:
         return Regime.BOUND_STATES

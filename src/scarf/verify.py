@@ -40,13 +40,13 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     every regime, and tol is the threshold of both.  Relative energy
     errors are taken against PotentialParams.energy_scale.
     """
-    if n_max < 0 or not (0.0 < tol < math.inf):
-        raise ValueError(f"need n_max >= 0 and a finite tol > 0, got {n_max}, {tol}")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"need a finite tol > 0, got {tol}")
     if oracle not in ("shooting", "fd", "both"):
         raise ValueError(f"unknown oracle kind {oracle!r}")
+    lines = spectrum_lines(params, n_max)
     logger.info("verify: s=%g regime=%s n_max=%d oracle=%s tol=%g",
                 params.s, params.regime.value, n_max, oracle, tol)
-    lines = spectrum_lines(params, n_max)
     e_max = max(ln.energy for ln in lines) * 1.02 + 0.2 * params.energy_unit
     scan = scan_spectrum(params, e_max) if oracle in ("shooting", "both") else None
     collocated = (collocation_spectrum(params, k_levels=n_max + 1)

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -273,6 +274,15 @@ class TestVerifyCommand:
                 assert result.stdout == ""
         with pytest.raises(ValueError):
             run_verification(PotentialParams(s=2.0), 0, tol=math.inf)
+
+    def test_numpy_level_count(self):
+        params = PotentialParams(s=2.0)
+        assert run_verification(params, np.int64(1)) == run_verification(params, 1)
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5, True, None, "2"])
+    def test_rejects_bad_n_max_as_spectrum_lines_does(self, n_max):
+        with pytest.raises(ValueError, match="level index must be a non-negative integer"):
+            run_verification(PotentialParams(s=2.0), n_max)
 
     def test_fd_oracle_runs_in_band_regime(self, runner):
         result = invoke(runner, ["verify", "--s", "0.4", "--oracle", "fd"])

@@ -65,18 +65,11 @@ class TestShoot:
         with pytest.raises(RegimeError):
             scarf.shoot(bound_params, 10.0, cfg)
 
-    def test_config_validation(self, bound_params):
-        with pytest.raises(ValueError):
-            ShootingConfig(delta=-1.0)
-        with pytest.raises(ValueError):
-            # delta must stay below a/100
-            scarf.shoot(bound_params, 10.0, ShootingConfig(delta=0.02))
-
     def test_large_coupling_start_is_finite(self):
-        # the start state carries no delta^(1/2 + s) factor to underflow
+        # the start state carries no z^(1/2 + s) factor to underflow
         p = scarf.PotentialParams(s=100.0)
         level = scarf.spectrum_line(p, 0, Edge.NOT_APPLICABLE).energy
-        val = scarf.shoot(p, level, ShootingConfig(delta=5e-4))
+        val = scarf.shoot(p, level, ShootingConfig(half_start=True))
         assert val == pytest.approx(HALF_PI, abs=1e-8)
 
 
@@ -115,14 +108,13 @@ class TestFindEigen:
             res = scarf.find_eigen(params, bracket, cfg)
             assert res.delta_sensitivity <= 1e-9
 
-    @pytest.mark.parametrize("delta", [0.002, 0.005, 0.009])
-    def test_delta_above_default_starts_at_z0(self, bound_params, band_params, delta):
-        # no start beyond z0 is exact: such a delta acts as the default
+    def test_half_start_config_is_ignored(self, bound_params, band_params):
+        # find_eigen polishes at z0 and re-solves at z0/2 whatever cfg says
         for params, bracket, exponent in [
             (bound_params, (25.0, 35.0), Exponent.PLUS),
             (band_params, (5.5, 6.5), Exponent.MINUS),
         ]:
-            res = scarf.find_eigen(params, bracket, ShootingConfig(exponent, delta))
+            res = scarf.find_eigen(params, bracket, ShootingConfig(exponent, half_start=True))
             assert res == scarf.find_eigen(params, bracket, ShootingConfig(exponent))
 
 
@@ -325,6 +317,11 @@ class TestFiniteDifference:
         with pytest.raises(ValueError, match="k_levels must be a positive integer"):
             scarf.collocation_spectrum(bound_params, k_levels=k_levels)
 
+    def test_numpy_level_count(self, bound_params, band_params):
+        for params in (bound_params, band_params):
+            assert (scarf.collocation_spectrum(params, np.int64(2))
+                    == scarf.collocation_spectrum(params, 2))
+
     def test_nontrivial_units_propagate(self):
         # a != 1, m != 1 must thread every 2m and 1/a factor consistently
         p = scarf.PotentialParams(s=1.3, a=0.7, m=2.5)
@@ -475,7 +472,7 @@ class TestSeriesStart:
         z0 = oracle.start_offset(oracle.frobenius_series(s, lam2, mu))
         ref = scarf.PotentialParams(s, a=math.pi, m=0.5)
         cfg = ShootingConfig(exponent=exponent)
-        half = replace(cfg, delta=self.Z_FLOOR / 2.0)
+        half = replace(cfg, half_start=True)
         starts = self.record_starts(lambda: [scarf.shoot(ref, lam2, c) for c in (cfg, half)])
         assert starts == [(lam2, z0), (lam2, z0 / 2.0)]
 

@@ -6,10 +6,11 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import eval_gegenbauer
 
 import scarf
-from scarf import Edge
+from scarf import Edge, RegimeError
 from scarf.potential import Regime
 from scarf.polynomials import gegenbauer_ratios
 from scarf.qmf import log_derivative
+from scarf.spectrum import level_parameters
 
 from jacobi_reference import (
     jacobi_eval,
@@ -32,6 +33,14 @@ class TestBuildPoly:
         with pytest.raises(ValueError) as line_err:
             scarf.spectrum_line(scarf.PotentialParams(s=2.0), n, Edge.NOT_APPLICABLE)
         assert str(poly_err.value) == str(line_err.value)
+
+    @pytest.mark.parametrize("s", [pytest.param(10**400, id="10**400"), 0.0, float("nan")])
+    def test_rejects_unsupported_coupling(self, s):
+        # a coupling past the float range is unsupported, not an OverflowError
+        with pytest.raises(RegimeError):
+            scarf.build_poly(s, 0)
+        with pytest.raises(RegimeError):
+            level_parameters(s, 0, Edge.NOT_APPLICABLE)
 
     def test_degree_zero_is_constant(self):
         for s, edge in ((2.0, Edge.NOT_APPLICABLE), (0.4, Edge.LOWER), (0.4, Edge.UPPER)):

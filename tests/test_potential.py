@@ -22,7 +22,9 @@ class TestClassifyRegime:
         assert scarf.classify_regime(np.float32(0.4)) is Regime.BANDS
 
     def test_unsupported(self):
-        for s in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, "2", None):
+        # reals past the float range too, where math.isfinite overflows
+        for s in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, "2", None,
+                  10**400, -10**400, Fraction(10**400, 3)):
             assert scarf.classify_regime(s) is Regime.UNSUPPORTED
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
