@@ -117,6 +117,26 @@ class TestFindEigen:
             res = scarf.find_eigen(params, bracket, ShootingConfig(exponent, half_start=True))
             assert res == scarf.find_eigen(params, bracket, ShootingConfig(exponent))
 
+    @pytest.mark.parametrize("delta", [0.002, 0.005, 0.009])
+    def test_delta_above_default_starts_at_z0(self, bound_params, band_params, delta):
+        # a cell of width a = delta/1e-3 has x offset delta, above that of
+        # a = 1; no start depends on a, so its shots still start at z0 and
+        # its levels in energy units are those of a = 1
+        for params, bracket, exponent in [
+            (bound_params, (25.0, 35.0), Exponent.PLUS),
+            (band_params, (5.5, 6.5), Exponent.MINUS),
+        ]:
+            wide = replace(params, a=delta / 1e-3)
+            cfg = ShootingConfig(exponent)
+            assert cfg.resolve_delta(wide.a) == pytest.approx(delta, rel=1e-15)
+            scale = wide.energy_unit / params.energy_unit
+            res = scarf.find_eigen(wide, (bracket[0] * scale, bracket[1] * scale), cfg)
+            ref = scarf.find_eigen(params, bracket, cfg)
+            assert res.energy / wide.energy_unit == pytest.approx(
+                ref.energy / params.energy_unit, rel=1e-13)
+            assert (res.exponent, res.n) == (ref.exponent, ref.n)
+            assert res.delta_sensitivity == pytest.approx(ref.delta_sensitivity, abs=1e-12)
+
 
 class TestScanSpectrum:
     def test_bound_scan(self, bound_params):
