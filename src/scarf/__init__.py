@@ -20,9 +20,7 @@ from .potential import (
     PotentialParams,
     Regime,
     classify_regime,
-    cot_map,
     evaluate_potential,
-    inverse_cot_map,
 )
 from .spectrum import (
     Edge,
@@ -32,7 +30,6 @@ from .spectrum import (
     enumerate_residue_sets,
     fixed_pole_residue_candidates,
     infinity_residue_candidates,
-    lambda_of_energy,
     spectrum_line,
     spectrum_lines,
 )
@@ -74,10 +71,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PotentialParams", "Regime", "classify_regime", "evaluate_potential",
-    "cot_map", "inverse_cot_map",
     "Edge", "ResidueSet", "SpectrumLine", "fixed_pole_residue_candidates",
     "infinity_residue_candidates", "admissible_d1", "enumerate_residue_sets",
-    "lambda_of_energy", "spectrum_line", "spectrum_lines",
+    "spectrum_line", "spectrum_lines",
     "PolySpec", "build_poly", "real_roots",
     "WavefunctionSpec", "Parity", "build_wavefunction", "eval_psi",
     "count_nodes", "boundary_exponent", "parity", "schrodinger_residual",

@@ -114,32 +114,29 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 # --------------------------------------------------------------------------
-# subcommands: shared flags, config-file precedence, emission
+# subcommands: shared flags, the config file, emission
 # --------------------------------------------------------------------------
 
-def resolve_config(ctx: click.Context) -> dict:
-    """The command's parameters after --config: flags > config file >
-    declared defaults.  The config keys are the parameter names."""
-    cfg = dict(ctx.params)
-    config_path = cfg.pop("config")
-    if config_path is None:
-        return cfg
-    with open(config_path) as fh:
+def _load_config(ctx: click.Context, _param, path: str | None) -> None:
+    """Eager --config callback: the file's non-null values become the
+    command's default_map, as the text the flag would take, so click parses
+    them as it parses flags and explicit flags still win.  The keys are the
+    parameter names."""
+    if path is None:
+        return
+    with open(path) as fh:
         try:
             file_cfg = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed config {config_path}: {exc}") from None
+            raise ValueError(f"malformed config {path}: {exc}") from None
     if not isinstance(file_cfg, dict):
-        raise ValueError(f"config {config_path} must hold a JSON object")
-    options = {param.name: param for param in ctx.command.params}
-    for key, file_val in file_cfg.items():
-        if key not in cfg:
+        raise ValueError(f"config {path} must hold a JSON object")
+    names = {param.name for param in ctx.command.params} - {"config"}
+    for key in file_cfg:
+        if key not in names:
             raise ValueError(f"unknown config key {key!r}")
-        if ctx.get_parameter_source(key) is not click.core.ParameterSource.COMMANDLINE:
-            # parsed as the same text given as the flag would be
-            cfg[key] = (None if file_val is None
-                        else options[key].type_cast_value(ctx, str(file_val)))
-    return cfg
+    ctx.default_map = {key: str(value) for key, value in file_cfg.items()
+                       if value is not None}
 
 
 def _line(params: PotentialParams, n: int, edge: str | None):
@@ -186,8 +183,8 @@ def main():
 
 
 _SHARED_OPTIONS = (
-    click.option("--s", type=float, default=None,
-                 help="Coupling parameter (required, here or in --config)."),
+    click.option("--s", type=float, required=True,
+                 help="Coupling parameter (here or in --config)."),
     click.option("--a", type=float, default=1.0, show_default=True,
                  help="Potential period."),
     click.option("--m", type=float, default=1.0, show_default=True,
@@ -196,7 +193,8 @@ _SHARED_OPTIONS = (
                  show_default=True),
     click.option("--out", type=str, default=None,
                  help="Write data to PATH instead of stdout."),
-    click.option("--config", type=str, default=None,
+    click.option("--config", type=str, default=None, is_eager=True, expose_value=False,
+                 callback=_load_config,
                  help="JSON config file; flags override its values."),
 )
 
@@ -205,17 +203,15 @@ def subcommand(*options):
     """Registers body(params, cfg) as a subcommand of main, with the shared
     flags followed by options.
 
-    cfg holds every parameter after --config.  The body returns (payload,
+    cfg holds every parameter but --config, whose file values click has
+    parsed as it parses flags.  The body returns (payload,
     csv_header, csv_rows); the command writes the JSON payload or the CSV
     rows, whichever --format names, to --out or stdout and returns the
     payload.  csv_rows may be lazy: only the CSV format reads it.  body
     itself is returned unchanged, so one body can call another.
     """
     def register(body):
-        def command(**_):
-            cfg = resolve_config(click.get_current_context())
-            if cfg["s"] is None:
-                raise ValueError("--s is required")
+        def command(**cfg):
             params = PotentialParams(s=cfg["s"], a=cfg["a"], m=cfg["m"])
             payload, header, rows = body(params, cfg)
             _emit(json_dumps(payload) + "\n" if cfg["format"] == "json"

@@ -1,4 +1,4 @@
-"""The Scarf potential: parameters, coupling regimes, and coordinate maps.
+"""The Scarf potential: parameters, coupling regimes, and V(x).
 
 V(x) = -(1/4 - s^2) pi^2 / (2 m a^2 sin^2(pi x / a))
 
@@ -48,8 +48,7 @@ class PotentialParams:
            degenerate case where V vanishes).
         a: potential period (length), > 0.
         m: particle mass, > 0.
-        v0: derived well-depth coefficient (1/4 - s^2) pi^2 / (2 m a^2),
-            from which well_depth_coupling recovers s.
+        v0: derived well-depth coefficient (1/4 - s^2) pi^2 / (2 m a^2).
     """
 
     s: float
@@ -95,10 +94,6 @@ class PotentialParams:
         """max(|E|, LAMBDA2_FLOOR energy units): the scale of every relative
         energy check."""
         return max(abs(energy), LAMBDA2_FLOOR * self.energy_unit)
-
-    def well_depth_coupling(self) -> float:
-        """Recover s from the stored v0; must agree with self.s to 1e-12."""
-        return math.sqrt(0.25 - 2.0 * self.m * self.v0 * self.a**2 / math.pi**2)
 
 
 def classify_regime(s: float) -> Regime:
@@ -150,24 +145,3 @@ def evaluate_potential(params: PotentialParams, x):
         raise NumericError(f"V(x) is not finite for a = {params.a!r}, m = {params.m!r}")
     return float(val) if val.ndim == 0 else val
 
-
-def cot_map(x, a: float):
-    """y = cot(pi x / a), the change of variable that rationalizes the
-    momentum function.  Strictly decreasing on each open cell."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    if np.any(is_lattice_point(x, a)):
-        raise SingularityError("cot(pi x / a) diverges at lattice points")
-    r = reduce_to_cell(x, a)
-    z = np.pi * r / a
-    val = np.cos(z) / np.sin(z)
-    return float(val) if val.ndim == 0 else val
-
-
-def inverse_cot_map(y: float, cell_index: int, a: float) -> float:
-    """The unique x in (cell_index * a, (cell_index + 1) * a) with
-    cot(pi x / a) = y.  atan2(1, y) is arccot with range (0, pi)."""
-    if not math.isfinite(y):
-        raise ValueError("y must be finite")
-    return (cell_index + math.atan2(1.0, y) / math.pi) * a

@@ -204,17 +204,6 @@ def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
     )
 
 
-def lambda_of_energy(params: PotentialParams, energy: float) -> float:
-    """Inverse of the energy map: lambda = sqrt(2 m E) a / pi.
-
-    E <= 0 is rejected: lambda would be imaginary and the quantization
-    condition has no solution there.
-    """
-    if not (math.isfinite(energy) and energy > 0.0):
-        raise ValueError(f"energy must be positive, got {energy}")
-    return math.sqrt(2.0 * params.m * energy) * params.a / math.pi
-
-
 def spectrum_lines(params: PotentialParams, n_max: int) -> list[SpectrumLine]:
     """All closed-form levels with n = 0..n_max, ordered by energy.
 

@@ -93,12 +93,14 @@ class WavefunctionSpec:
         each structure probe, from one gegenbauer_ratios pass over all of
         them, made on first use.  The residual and parity grids and their
         first three rows are module constants; the node grid and the
-        exponent grid, _EXPONENT_UNIT / (n + 1), get one sin and one cos per
-        spec.  The cache lives and dies with the spec."""
+        exponent grid, _EXPONENT_UNIT sqrt(500 / max(500, kappa)) / (n + 1),
+        get one sin and one cos per spec.  The cache lives and dies with
+        the spec."""
         n = self.line.n
         nodes = max(_NODE_SAMPLES, 8 * (n + 1))
+        shrink = (n + 1) * math.sqrt(max(1.0, self.boundary_power / 500.0))
         z = np.concatenate((np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
-                            _EXPONENT_UNIT / (n + 1)))
+                            _EXPONENT_UNIT / shrink))
         own = (z, np.sin(z), np.cos(z))
         ratios = gegenbauer_ratios(n, self.boundary_power, np.concatenate((_FIXED_COS, own[2])))
         cell, start = {}, 0
@@ -170,11 +172,12 @@ def count_nodes(spec: WavefunctionSpec) -> int:
 
 def boundary_exponent(spec: WavefunctionSpec) -> float:
     """Least-squares slope of log|u| vs log z at 32 points of z in
-    [1e-5, 1e-3] pi / (n + 1), in closed form.
+    [1e-5, 1e-3] pi sqrt(500 / max(500, kappa)) / (n + 1), in closed form.
 
     log|u| is fitted as kappa log sin z + log|R|, which cannot underflow;
     the window shrinks with n so that R's own curvature stays far below the
-    1e-3 check tolerance.
+    1e-3 check tolerance, and above kappa = 500 with sqrt(kappa) so that the
+    slope's kappa z^2 / 3 bias from sin z != z does too.
     """
     z, sn, _, r, _, _ = spec.cell["exponent"]
     dz = np.log(z)

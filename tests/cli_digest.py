@@ -9,13 +9,17 @@ the tree before and after the change and diffs the two outputs:
 
 The set runs spectrum, bands, wavefunction, table1 and verify through
 click's CliRunner at s in {0.05, 0.4, 0.4999, 0.5, 2, 2.37, 8}, with both
-output formats and two (a, m) pairs, plus three invalid inputs.  pytest
-does not collect this file (its name has no test_ prefix).
+output formats and two (a, m) pairs, plus three invalid inputs.  At each
+s, a spectrum run and a verify run take s, a, m and the format from a
+--config file, and one more run overrides two of its keys by flags; the
+file is written to a temporary directory and its JSON printed with the
+line.  pytest does not collect this file (its name has no test_ prefix).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -32,6 +36,16 @@ ERRORS = (
     ["wavefunction", "--s", "0.4", "--n", "0"],
     ["spectrum", "--s", "2", "--n-max", "-1"],
 )
+
+
+def config_cases():
+    """(argument list, --config file contents) of the config runs."""
+    for s in COUPLINGS:
+        cfg = {"s": float(s), "a": 2.5, "m": 0.7, "format": "csv"}
+        yield ["spectrum", "--config", "config.json"], cfg
+        yield ["verify", "--config", "config.json", "--n-max", "1"], cfg
+        yield (["spectrum", "--config", "config.json", "--format", "json", "--n-max", "1"],
+               {**cfg, "n_max": 3})
 
 
 def cases():
@@ -52,10 +66,17 @@ def cases():
 
 def main_digest() -> None:
     runner = CliRunner()
-    for args in cases():
-        result = runner.invoke(main, args)
-        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
-        print(result.exit_code, digest, " ".join(args))
+    runs = [(args, None) for args in cases()] + list(config_cases())
+    with runner.isolated_filesystem():
+        for args, cfg in runs:
+            label = " ".join(args)
+            if cfg is not None:
+                text = json.dumps(cfg)
+                Path("config.json").write_text(text)
+                label += " " + text
+            result = runner.invoke(main, args)
+            digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+            print(result.exit_code, digest, label)
 
 
 if __name__ == "__main__":

@@ -111,6 +111,7 @@ class TestSpectrumCommand:
     def test_missing_s_exits_2(self, runner):
         result = invoke(runner, ["spectrum"])
         assert result.exit_code == 2
+        assert "Missing option '--s'" in result.stderr
 
     def test_unwritable_out_exits_3(self, runner):
         result = invoke(runner, ["spectrum", "--s", "2",
@@ -172,6 +173,24 @@ class TestSpectrumCommand:
         assert result.output == "" and json.loads(out.read_text())["regime"] == "bound_states"
         result = run("spectrum", {"s": 2.0, "format": "csv"})
         assert result.output.startswith("n,edge,lambda,energy,")
+
+    def test_null_config_value_is_an_absent_key(self, runner, tmp_path):
+        # tol and samples ended in a TypeError traceback (exit 1), and a
+        # null format wrote CSV
+        cfg = tmp_path / "run.json"
+
+        def run(command, values):
+            cfg.write_text(json.dumps(values))
+            return invoke(runner, [command, "--config", str(cfg)])
+
+        assert run("verify", {"s": 2, "n_max": 0, "tol": None}).exit_code == 0
+        assert run("wavefunction", {"s": 0.4, "edge": "lower", "samples": None}).exit_code == 0
+        json.loads(run("spectrum", {"s": 2, "format": None}).stdout)
+        assert (run("spectrum", {"s": 2, "n_max": None}).stdout
+                == invoke(runner, ["spectrum", "--s", "2"]).stdout)
+        result = run("spectrum", {"s": None})
+        assert result.exit_code == 2
+        assert "Missing option '--s'" in result.stderr
 
     @pytest.mark.parametrize("key", ["config", "config_path", "out_path", "fmt",
                                      "level_n", "lam"])
@@ -307,6 +326,12 @@ class TestVerifyCommand:
         assert all(c["pass"] for c in checks)
         assert {(c["n"], c["edge"]) for c in checks
                 if c["name"] == "oracle_shooting_rel_err"} == {(0, "lower"), (0, "upper")}
+
+    @pytest.mark.parametrize("s", ["1e4", "1e5"])
+    def test_boundary_exponent_at_large_coupling(self, runner, s):
+        # boundary_exponent_defect read 0.002 and 0.02 against 1e-3 here
+        result = invoke(runner, ["verify", "--s", s, "--n-max", "0", "--oracle", "fd"])
+        assert result.exit_code == 0, result.stderr
 
     def test_probe_error_is_a_failing_check(self):
         # a probe that raises must not stop the report: it is written, with
@@ -538,20 +563,39 @@ class TestNoTracebacks:
         self.check(args)
         self.check(["verify", *scale, "--oracle", "fd", "--n-max", str(n % 3)], (0, 1, 2))
 
+    CONFIG_KEYS = ["s", "a", "m", "format", "n_max", "n", "edge", "samples", "tol"]
+
+    def check_config(self, command, cfg, nulls, codes=(0, 2)):
+        cfg.update(dict.fromkeys(nulls & cfg.keys(), None))
+        with CliRunner().isolated_filesystem():
+            with open("cfg.json", "w") as fh:
+                json.dump(cfg, fh)  # nan and inf as NaN and Infinity
+            self.check([command, "--config", "cfg.json"], codes)
+
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(command=LEVEL_COMMANDS, s=COUPLINGS, a=SCALES, m=SCALES,
-           n=st.integers(0, 12), edge=EDGES, fmt=st.sampled_from(["json", "csv"]))
-    def test_config_file(self, command, s, a, m, n, edge, fmt):
+           n=st.integers(0, 12), edge=EDGES, fmt=st.sampled_from(["json", "csv"]),
+           nulls=st.sets(st.sampled_from(CONFIG_KEYS)))
+    def test_config_file(self, command, s, a, m, n, edge, fmt, nulls):
         cfg = {"s": s, "a": a, "m": m, "format": fmt}
         if command in ("spectrum", "bands"):
             cfg["n_max"] = n
         else:
             cfg.update(n=n, edge=edge)
-        with CliRunner().isolated_filesystem():
-            with open("cfg.json", "w") as fh:
-                json.dump(cfg, fh)  # nan and inf as NaN and Infinity
-            self.check([command, "--config", "cfg.json"])
+        if command == "wavefunction":
+            cfg["samples"] = 64
+        self.check_config(command, cfg, nulls)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(s=st.sampled_from([2.0, 0.4, 0.5]), a=SCALES, m=SCALES, n_max=st.integers(0, 1),
+           tol=st.floats(allow_nan=True, allow_infinity=True),
+           fmt=st.sampled_from(["json", "csv"]), nulls=st.sets(st.sampled_from(CONFIG_KEYS)))
+    def test_verify_config_file(self, s, a, m, n_max, tol, fmt, nulls):
+        cfg = {"s": s, "a": a, "m": m, "format": fmt, "n_max": n_max, "oracle": "fd",
+               "tol": tol}
+        self.check_config("verify", cfg, nulls, (0, 1, 2))
 
     @settings(max_examples=60, deadline=None)
     @given(s=COUPLINGS, lam=st.floats(allow_nan=True, allow_infinity=True))

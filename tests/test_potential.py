@@ -44,7 +44,8 @@ class TestParams:
     def test_v0_consistency(self):
         for s in (0.1, 0.4, 0.9, 2.0, 7.5):
             p = scarf.PotentialParams(s=s, a=1.5, m=2.0)
-            assert p.well_depth_coupling() == pytest.approx(s, rel=1e-12)
+            assert p.v0 == pytest.approx((0.25 - s * s) * math.pi**2 / (2.0 * 2.0 * 1.5**2),
+                                         rel=1e-15)
 
     def test_degenerate_s_half_is_valid(self):
         p = scarf.PotentialParams(s=0.5)
@@ -140,58 +141,6 @@ class TestEvaluatePotential:
         for x in (1e-3, 1e-4, 1e-5):
             assert scarf.evaluate_potential(bound_params, x) * x * x == pytest.approx(
                 coeff, rel=1e-2)
-
-
-class TestCotMaps:
-    def test_values(self):
-        assert scarf.cot_map(0.5, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert scarf.cot_map(0.25, 1.0) == pytest.approx(1.0, rel=1e-14)
-        direct = math.cos(0.9 * math.pi) / math.sin(0.9 * math.pi)
-        assert scarf.cot_map(0.9, 1.0) == pytest.approx(direct, rel=1e-14)
-        assert scarf.cot_map(0.9, 1.0) == pytest.approx(-3.07768, abs=5e-6)
-
-    def test_lattice_raises(self):
-        with pytest.raises(SingularityError):
-            scarf.cot_map(2.0, 1.0)
-
-    def test_periodicity_dyadic(self):
-        for x in (0.25, 0.625):
-            assert scarf.cot_map(x + 3.0, 1.0) == scarf.cot_map(x, 1.0)
-
-    def test_strictly_decreasing_on_cell(self):
-        xs = np.linspace(0.01, 0.99, 101)
-        ys = scarf.cot_map(xs, 1.0)
-        assert np.all(np.diff(ys) < 0)
-
-    def test_inverse_examples(self):
-        assert scarf.inverse_cot_map(0.0, 0, 1.0) == pytest.approx(0.5, rel=1e-14)
-        assert scarf.inverse_cot_map(1.0, 0, 1.0) == pytest.approx(0.25, rel=1e-14)
-        y = scarf.cot_map(0.9, 1.0)
-        assert scarf.inverse_cot_map(y, 0, 1.0) == pytest.approx(0.9, rel=1e-12)
-
-    @given(st.floats(min_value=-1e6, max_value=1e6),
-           st.integers(min_value=-3, max_value=3))
-    @settings(max_examples=100)
-    def test_round_trip(self, y, k):
-        a = 1.25
-        x = scarf.inverse_cot_map(y, k, a)
-        assert k * a < x < (k + 1) * a
-        # representing x = k*a + tiny in one float truncates the fractional
-        # part, so the attainable round-trip precision degrades like
-        # eps * pi * (|k|+1) * |y| outside the base cell
-        rel = max(1e-12, 2e-15 * (abs(k) + 1.0) * max(1.0, abs(y)))
-        assert scarf.cot_map(x, a) == pytest.approx(y, rel=rel, abs=1e-9)
-
-    def test_round_trip_base_cell_meets_contract(self):
-        for y in (-3077.6, -3.07768, -0.2, 0.7, 12.0, 4096.0):
-            x = scarf.inverse_cot_map(y, 0, 1.0)
-            assert scarf.cot_map(x, 1.0) == pytest.approx(y, rel=1e-12)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            scarf.inverse_cot_map(float("nan"), 0, 1.0)
-        with pytest.raises(ValueError):
-            scarf.cot_map(float("inf"), 1.0)
 
 
 def test_reduce_and_lattice_helpers():

@@ -195,21 +195,6 @@ class TestClosedFormEnergies:
         assert all(a < b for a, b in zip(by_s, by_s[1:]))
 
 
-class TestLambdaOfEnergy:
-    def test_examples(self, bound_params, band_params):
-        assert scarf.lambda_of_energy(bound_params, HALF_PI_SQ) == pytest.approx(1.0, rel=1e-15)
-        assert scarf.lambda_of_energy(
-            bound_params, scarf.spectrum_line(bound_params, 0, Edge.NOT_APPLICABLE).energy
-        ) == pytest.approx(2.5, rel=1e-14)
-        lo0 = scarf.spectrum_line(band_params, 0, Edge.LOWER)
-        assert scarf.lambda_of_energy(band_params, lo0.energy) == pytest.approx(0.1, rel=1e-14)
-
-    def test_rejects_nonpositive_energy(self, bound_params):
-        for e in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                scarf.lambda_of_energy(bound_params, e)
-
-
 @functools.cache
 def oracle_levels(s, a=1.0, m=1.0):
     """E m a^2 of the shooting roots through n = 2, keyed by (exponent,

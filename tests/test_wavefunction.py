@@ -58,7 +58,7 @@ class TestBuildAndEval:
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
     def test_rejects_non_finite_x(self, bound_ground, x):
-        # as evaluate_potential and cot_map do
+        # as evaluate_potential does
         with pytest.raises(ValueError, match="x must be finite"):
             scarf.eval_psi(bound_ground, x)
 
@@ -163,6 +163,15 @@ class TestStructure:
         assert scarf.boundary_exponent(bound_ground) == pytest.approx(2.5, abs=1e-3)
         assert scarf.boundary_exponent(band_states[("lower", 0)]) == pytest.approx(0.1, abs=1e-3)
         assert scarf.boundary_exponent(band_states[("upper", 0)]) == pytest.approx(0.9, abs=1e-3)
+
+    @pytest.mark.parametrize("s", [1e4, 1e5])
+    def test_boundary_exponent_at_large_coupling(self, s):
+        # the fit's kappa z^2 / 3 bias from sin z != z reached 0.002 and
+        # 0.02 at n = 0 before the window shrank with sqrt(kappa)
+        params = scarf.PotentialParams(s=s)
+        for n in range(3):
+            wf = scarf.build_wavefunction(params, spectrum_line(params, n, Edge.NOT_APPLICABLE))
+            assert abs(scarf.boundary_exponent(wf) - wf.boundary_power) <= 1e-4, n
 
     def test_schrodinger_residual(self, bound_params, band_states):
         states = list(band_states.values()) + [
