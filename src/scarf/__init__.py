@@ -53,9 +53,8 @@ from .oracle import (
     Exponent,
     OracleResult,
     ShootingConfig,
+    certify,
     collocation_spectrum,
-    find_eigen,
-    scan_spectrum,
     shoot,
 )
 from .qmf import (
@@ -78,8 +77,8 @@ __all__ = [
     "WavefunctionSpec", "Parity", "build_wavefunction", "eval_psi",
     "count_nodes", "boundary_exponent", "parity", "schrodinger_residual",
     "sample_wavefunction",
-    "ShootingConfig", "OracleResult", "Exponent", "shoot",
-    "find_eigen", "scan_spectrum", "collocation_spectrum", "predicted_family",
+    "ShootingConfig", "OracleResult", "Exponent", "shoot", "certify",
+    "collocation_spectrum", "predicted_family",
     "ChiFunction", "ResidueReport", "contour_residue", "verify_riccati",
     "residue_report",
     "run_verification",

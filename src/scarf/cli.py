@@ -280,7 +280,9 @@ def wavefunction(params, cfg):
                  default="both", show_default=True,
                  help="fd is the Chebyshev-collocation oracle."),
     click.option("--tol", type=float, default=1e-8, show_default=True,
-                 help="Relative tolerance for oracle-energy agreement."),
+                 help="Relative tolerance for oracle-energy agreement.  A level "
+                      "that the shooting oracle cannot certify within 1e-10 "
+                      "fails at any tol."),
 )
 def verify(params, cfg):
     """Run every closed-form level through the oracles and structural

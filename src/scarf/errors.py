@@ -22,7 +22,7 @@ class ConsistencyError(ScarfError):
 
 
 class BracketError(ScarfError):
-    """Matching function does not change sign on the supplied bracket."""
+    """The shooting level counts do not place a level alone in its window."""
 
 
 class ContourError(ScarfError):

@@ -11,7 +11,7 @@ cell midpoint pi/2.  It also counts the sign changes of u over its
 accepted steps.  With the end state that count gives the Pruefer phase
 theta of the trial energy, and by Sturm oscillation floor(2 theta / pi) is
 the number of eigenvalues of a shooting family below it, which the oracle
-bisects on to bracket each root.
+reads on each side of a closed-form level to certify it.
 """
 
 from __future__ import annotations

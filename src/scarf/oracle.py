@@ -30,6 +30,12 @@ n is an even state (u'(pi/2) = 0) for even n and an odd one (u(pi/2) =
 0) for odd n, and either way it sits at theta = (n + 1) pi/2; so the
 integer part of 2 theta/pi counts the family's levels below E.
 
+The shooting oracle does not search: certify is told where level n of a
+family should be and proves it with two shots, one each side of it,
+whose counts read n and n + 1.  The counts are integers computed from V
+alone, so the closed forms choose where the oracle looks, never what it
+finds.
+
 A shot starts where its own series is still exact to rounding (Pryce,
 ch. 5, on series starts at a regular singular endpoint): z0(s,
 lambda^2, mu) is the largest z <= _Z_CAP at which the last series term
@@ -39,32 +45,22 @@ _Z_CAP = 0.152 is where the first csc^2 term the series drops,
 levels of s <= 2 start at the cap and those of s = 30 near 0.1; z0
 shrinks as lambda^2 grows and reaches 1e-3 pi at lambda^2 of about 4e4
 (7e4 at s = 2).  The power-law zone next to the wall, where most RK
-steps went, is thus summed in closed form:
-run_verification(n_max=2, "shooting") takes 2,201 RK steps at s = 2 and
-3,246 at s = 0.4, where a fixed 1e-3 pi start took 5,384 and 8,403.
-
-No start depends on a or m, and find_eigen's re-solve starts every
-shot at exactly z0/2.  Each integration is made once per process: _shot
-caches it on (s, exponent, half start, lambda^2).  Roots are polished by
-brentq, a port of SciPy's Brent solver, so no oracle imports scipy.
+steps went, is thus summed in closed form.  No start depends on a or m,
+and a half_start shot starts at exactly z0/2.
 """
 
 from __future__ import annotations
 
-import functools
-import logging
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import kernels
-from .errors import BracketError, NumericError, RegimeError
-from .potential import LAMBDA2_FLOOR, PotentialParams, Regime
-
-logger = logging.getLogger(__name__)
+from .errors import BracketError, RegimeError
+from .potential import PotentialParams, Regime
 
 # Even Taylor coefficients of csc^2(z) - 1/z^2 = 1/3 + z^2/15 + ...
 _CSC2_SERIES = (
@@ -79,15 +75,10 @@ _CSC2_SERIES = (
 # The first term the series above drops: csc^2(z) - 1/z^2 - ... = 4 z^12/1403325 + ...
 _CSC2_DROPPED = 4.0 / 1403325.0
 
-_BRENTQ_RTOL = 1e-14          # relative tolerance of the root polish
-_BRENTQ_XTOL = 1e-30          # absolute tolerance of the root polish
-_BRENTQ_ITER = 100            # iteration cap of the root polish
-_REBRACKET = 1e-6             # delta/2 re-solve bracket, in energy scales
-_SHOT_CACHE = 4096            # integrations kept by _shot
+_ETA = 1e-10                  # half-width of a certificate window, in energy scales
 _SERIES_ORDER = 16            # Frobenius start summed through z^16
 _SERIES_EPS = 1e-17           # largest last series term |c_16| z^16 at a start
-_DELTA = 1e-3                 # the start's floor over pi, and resolve_delta's over a
-_Z_FLOOR = _DELTA * math.pi   # the lowest start in z
+_Z_FLOOR = 1e-3 * math.pi     # the lowest start in z
 # The start's cap, where the dropped csc^2 term, _CSC2_DROPPED z^12, is
 # _SERIES_EPS of the wall term 1/z^2.
 _Z_CAP = (_SERIES_EPS / _CSC2_DROPPED) ** (1.0 / 14.0)
@@ -111,12 +102,6 @@ class ShootingConfig:
 
     exponent: Exponent = Exponent.PLUS
     half_start: bool = False
-
-    def resolve_delta(self, a: float) -> float:
-        """1e-3 a, halved with half_start.  No shot reads it; its only reader
-        is the benchmark's span tracer (perfbench/tracer.py), which compares
-        it to tell find_eigen's re-solve shots from its polish shots."""
-        return _DELTA * a / (2.0 if self.half_start else 1.0)
 
 
 @dataclass(frozen=True)
@@ -180,208 +165,61 @@ def frobenius_start(series: list[float], mu: float, z: float) -> tuple[float, fl
 def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
     """Pruefer phase theta of one shooting family at trial energy E.
 
-    Integrates from the start offset to the cell midpoint and reads the
-    angle of (u, u_z/S), S = max(lambda, 1), from the end state and the
-    count of zeros of u on the way: theta = pi zeros + atan2(|u|, sigma
-    u_z/S), sigma = (-1)^zeros.  atan2 of |u| is in [0, pi], so a zero
-    of u at exactly pi/2, which the kernel does not count, still gives
-    theta its full pi.
+    Integrates, in one kernel call, from the start offset to the cell
+    midpoint and reads the angle of (u, u_z/S), S = max(lambda, 1), from
+    the end state and the count of zeros of u on the way: theta = pi zeros
+    + atan2(|u|, sigma u_z/S), sigma = (-1)^zeros.  atan2 of |u| is in
+    [0, pi], so a zero of u at exactly pi/2, which the kernel does not
+    count, still gives theta its full pi.  The integer part of 2 theta/pi
+    is the number of the family's levels at or below E.
     """
     if params.regime is Regime.BOUND_STATES and cfg.exponent is Exponent.MINUS:
         raise RegimeError("bound regime admits only the 1/2 + s exponent")
-    lam2 = energy / params.energy_unit
-    u, v, zeros = _shot(params.s, cfg.exponent, cfg.half_start, lam2)
+    s, lam2 = params.s, energy / params.energy_unit
+    mu = 0.5 + s if cfg.exponent is Exponent.PLUS else 0.5 - s
+    series = frobenius_series(s, lam2, mu)
+    z = start_offset(series) / (2.0 if cfg.half_start else 1.0)
+    u0, v0 = frobenius_start(series, mu, z)
+    u, v, _, _, zeros = kernels.shoot_halfcell(-(0.25 - s**2), lam2, z, u0, v0)
     sigma = -1.0 if zeros % 2 else 1.0
     return math.pi * zeros + math.atan2(abs(u), sigma * v / math.sqrt(max(lam2, 1.0)))
 
 
-@functools.lru_cache(maxsize=_SHOT_CACHE)
-def _shot(s: float, exponent: Exponent, half_start: bool,
-          lam2: float) -> tuple[float, float, int]:
-    """(u, u_z, zeros of u) at z = pi/2 from the Frobenius start at the
-    series start z0, or at z0/2 with half_start: one kernel call, made
-    once per process for each argument set."""
-    mu = 0.5 + s if exponent is Exponent.PLUS else 0.5 - s
-    series = frobenius_series(s, lam2, mu)
-    z = start_offset(series) / (2.0 if half_start else 1.0)
-    u0, v0 = frobenius_start(series, mu, z)
-    u, v, _, _, zeros = kernels.shoot_halfcell(-(0.25 - s**2), lam2, z, u0, v0)
-    return u, v, zeros
+def certify(params: PotentialParams, energy: float, n: int,
+            exponent: Exponent) -> OracleResult:
+    """Prove that level n of the exponent's family, and no other level,
+    lies within _ETA energy scales of E, and measure it.
 
-
-def find_eigen(params: PotentialParams, bracket: tuple[float, float],
-               cfg: ShootingConfig) -> OracleResult:
-    """The one level of cfg's family inside an energy bracket.
-
-    Raises BracketError unless the bracket crosses exactly one level
-    phase (n + 1) pi/2.  Only cfg's exponent is read: the root is
-    polished by brentq on theta minus that phase to 1e-14 relative in
-    lambda^2 with every shot at z0, then re-solved with every shot at
-    z0/2, on a bracket of _REBRACKET energy scales around it, to measure
-    the start-offset sensitivity.
+    The window is lambda^2 +- eta, eta = _ETA max(|lambda^2|,
+    LAMBDA2_FLOOR).  Both ends are shot from z0 and again from z0/2: four
+    kernel calls and no search.  BracketError is raised unless each
+    start's level counts read n at the lower end and n + 1 at the upper
+    one.  Those integer counts prove that level n is the one level of the
+    family in the window, and that the family has n + 1 levels at or
+    below its upper end.  The secant through the z0 phases gives the
+    energy, and the one through the z0/2 phases its delta_sensitivity.
     """
-    ref = _reference(params)
-    polish = ShootingConfig(cfg.exponent)
-    unit = params.energy_unit
-    lo, hi = bracket[0] / unit, bracket[1] / unit
-    n = _level_count(ref, lo, polish)
-    if _level_count(ref, hi, polish) != n + 1:
-        raise BracketError(f"bracket {bracket} does not cross exactly one level")
-    lam2 = _crossing(ref, polish, n, lo, hi)
-    width = _REBRACKET * ref.energy_scale(lam2)
-    lam2_half = _crossing(ref, ShootingConfig(cfg.exponent, half_start=True), n,
-                          lam2 - width, lam2 + width)
+    ref = PotentialParams(params.s, a=math.pi, m=0.5)   # x is z and E is lambda^2
+    lam2 = energy / params.energy_unit
+    eta = _ETA * ref.energy_scale(lam2)
+    roots = []
+    for half_start in (False, True):
+        cfg = ShootingConfig(exponent, half_start)
+        lo, hi = (2.0 * shoot(ref, lam2 + d, cfg) / math.pi - (n + 1) for d in (-eta, eta))
+        if not -1.0 <= lo < 0.0 <= hi < 1.0:
+            raise BracketError(f"level {n} of the {exponent.value} family is not "
+                               f"alone in [{lam2 - eta!r}, {lam2 + eta!r}] lambda^2")
+        roots.append(lam2 + eta * (lo + hi) / (lo - hi))
     return OracleResult(
-        energy=float(lam2 * unit), exponent=cfg.exponent, n=n,
-        delta_sensitivity=float(abs(lam2 - lam2_half) / ref.energy_scale(lam2)),
+        energy=float(roots[0] * params.energy_unit), exponent=exponent, n=n,
+        delta_sensitivity=float(abs(roots[0] - roots[1]) / ref.energy_scale(roots[0])),
     )
-
-
-def _reference(params: PotentialParams) -> PotentialParams:
-    """The same coupling at a = pi, m = 1/2, where x is z and the energy
-    unit is 1, so E is lambda^2."""
-    return PotentialParams(params.s, a=math.pi, m=0.5)
-
-
-def _phase(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
-    """2 theta / pi: level n of the family sits where it equals n + 1."""
-    return 2.0 * shoot(params, energy, cfg) / math.pi
-
-
-def _level_count(params: PotentialParams, energy: float, cfg: ShootingConfig) -> int:
-    """The number of the family's levels at or below E."""
-    return math.floor(_phase(params, energy, cfg))
-
-
-def _crossing(params: PotentialParams, cfg: ShootingConfig, n: int,
-              lo: float, hi: float) -> float:
-    """The energy in [lo, hi] where the family's phase reaches level n, by
-    brentq; BracketError unless lo is below that level and hi not."""
-    def mismatch(energy: float) -> float:
-        return _phase(params, energy, cfg) - (n + 1)
-
-    f_lo, f_hi = mismatch(lo), mismatch(hi)
-    if not f_lo < 0.0 <= f_hi:
-        raise BracketError(f"level {n} is not crossed on [{lo}, {hi}]")
-    return brentq(mismatch, lo, hi, f_lo, f_hi)
-
-
-def brentq(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Root of f in [lo, hi], where f(lo) = f_lo and f(hi) = f_hi differ
-    in sign, by Brent's method (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4).
-
-    A line-for-line port of SciPy's brentq.c, so roots agree with
-    scipy.optimize.brentq bit for bit: secant or inverse quadratic steps
-    while they shrink the bracket fast enough, bisection otherwise, until
-    the bracket is below 2 delta, delta = (xtol + rtol |x|)/2.  Raises
-    NumericError on a NaN value or after _BRENTQ_ITER iterations.
-    """
-    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    for _ in range(_BRENTQ_ITER):
-        if math.isnan(fcur) or math.isnan(fpre):
-            raise NumericError(f"NaN matching value near E={xcur}")
-        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENTQ_XTOL + _BRENTQ_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)          # interpolate
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)                  # extrapolate
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry                               # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-    raise NumericError(f"Brent polish did not converge in {_BRENTQ_ITER} iterations")
 
 
 def _exponents(regime: Regime) -> list[Exponent]:
     if regime is Regime.BOUND_STATES:
         return [Exponent.PLUS]
     return [Exponent.PLUS, Exponent.MINUS]
-
-
-def scan_spectrum(params: PotentialParams, e_max: float) -> list[OracleResult]:
-    """Every shooting level with 0 < E <= e_max, across the families of
-    the regime, sorted by energy.
-
-    Per family, bisection in lambda^2 on [0, e_max] splits the range
-    until each part crosses one level phase (n + 1) pi/2, and find_eigen
-    solves each part.  At s = 1/2 the lower edges' family has theta =
-    pi/2 at E = 0 exactly, so that free-particle fold lies outside
-    (0, e_max].  Just below s = 1/2 the lowest lower edge, lambda^2 =
-    (1/2 - s)^2, is below the phase's resolution of about 1e-16: it is
-    bracketed from -LAMBDA2_FLOOR (see _level_cells) and reported at its
-    polished energy, which can land within about 1e-16 energy units of 0
-    on either side.  Results from different families are kept separate even
-    when degenerate (the free-particle limit produces coinciding edges
-    from distinct families on purpose).
-    """
-    if not 0.0 < e_max < math.inf:
-        raise ValueError(f"e_max must be positive and finite, got {e_max}")
-    ref = _reference(params)
-    unit = params.energy_unit
-    results: list[OracleResult] = []
-    for exponent in _exponents(params.regime):
-        cfg = ShootingConfig(exponent=exponent)
-        cells = _level_cells(ref, cfg, e_max / unit)
-        logger.debug("family %s: %d levels in (0, %g]", exponent.value, len(cells), e_max)
-        for lo, hi in cells:
-            try:
-                res = find_eigen(ref, (lo, hi), cfg)
-            except (BracketError, NumericError) as exc:
-                logger.warning("family %s failed on bracket (%g, %g): %s",
-                               exponent.value, lo, hi, exc)
-                continue
-            results.append(replace(res, energy=res.energy * unit))
-    results.sort(key=lambda r: r.energy)
-    return results
-
-
-def _level_cells(params: PotentialParams, cfg: ShootingConfig,
-                 e_max: float) -> list[tuple[float, float]]:
-    """Ascending parts (a, b], together covering (0, e_max], that each
-    hold one level of the family, found by bisection on the level count.
-
-    Outside the free particle no level lies at or below E = 0, so the
-    count there is 0 unless the lowest level rounds onto it: 2 theta/pi
-    of the lower edges' family reads 1.0 at E = 0 once (1/2 - s)^2 is
-    below about 1e-16.  Bisection then starts at -LAMBDA2_FLOOR, where
-    the count is 0 again.
-    """
-    def cells(lo: float, n_lo: int, hi: float, n_hi: int) -> list[tuple[float, float]]:
-        if n_hi <= n_lo:
-            return []
-        if n_hi == n_lo + 1:
-            return [(lo, hi)]
-        mid = 0.5 * (lo + hi)
-        n_mid = _level_count(params, mid, cfg)
-        return cells(lo, n_lo, mid, n_mid) + cells(mid, n_mid, hi, n_hi)
-
-    lo, n_lo = 0.0, _level_count(params, 0.0, cfg)
-    if n_lo and params.regime is not Regime.FREE_PARTICLE:
-        lo, n_lo = -LAMBDA2_FLOOR, _level_count(params, -LAMBDA2_FLOOR, cfg)
-    return cells(lo, n_lo, e_max, _level_count(params, e_max, cfg))
 
 
 def collocation_spectrum(params: PotentialParams,

@@ -1,7 +1,8 @@
 """End-to-end verification: closed forms vs oracles vs structural checks.
 
 Builds the machine-readable report behind `scarf verify`.  Every level up
-to n_max is checked on five fronts: oracle energies (shooting and
+to n_max is checked on five fronts: oracle energies (a shooting
+certificate of each level's window, with each family's level count, and
 Chebyshev collocation), contour-measured residues and the sum
 rule, the Riccati residual of the momentum function, the Schrodinger
 residual of the assembled eigenfunction, and the node/parity/boundary
@@ -14,8 +15,8 @@ from __future__ import annotations
 import logging
 import math
 
-from .errors import ScarfError
-from .oracle import Exponent, OracleResult, collocation_spectrum, scan_spectrum
+from .errors import BracketError, NumericError, ScarfError
+from .oracle import Exponent, certify, collocation_spectrum
 from .potential import PotentialParams
 from .qmf import ChiFunction, chi_parity_defect, residue_report, verify_riccati
 from .spectrum import Edge, SpectrumLine, spectrum_lines
@@ -47,8 +48,7 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     lines = spectrum_lines(params, n_max)
     logger.info("verify: s=%g regime=%s n_max=%d oracle=%s tol=%g",
                 params.s, params.regime.value, n_max, oracle, tol)
-    e_max = max(ln.energy for ln in lines) * 1.02 + 0.2 * params.energy_unit
-    scan = scan_spectrum(params, e_max) if oracle in ("shooting", "both") else None
+    shooting = oracle in ("shooting", "both")
     collocated = (collocation_spectrum(params, k_levels=n_max + 1)
                   if oracle in ("fd", "both") else None)
 
@@ -56,7 +56,8 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     for ln in lines:
         if ln.energy <= 0.0:
             continue  # free-particle fold at E=0 has no normalizable state
-        checks.extend(_level_checks(params, ln, scan, collocated, tol))
+        checks.extend(_level_checks(params, ln, lines if shooting else None,
+                                    collocated, tol))
 
     n_failed = sum(1 for c in checks if not c["pass"])
     report = level_report(params, lines, checks)
@@ -122,27 +123,12 @@ def _check(ln: SpectrumLine, name: str, value: float, threshold: float,
     }
 
 
-def _level_checks(params, ln, scan: list[OracleResult] | None,
+def _level_checks(params, ln, lines: list[SpectrumLine] | None,
                   collocated: dict[Exponent, list[float]] | None, tol) -> list[dict]:
-    """The checks of one level; scan or collocated is None when that oracle
-    did not run."""
-    out = []
-
-    if scan is not None:
-        key = (predicted_family(ln), ln.n)
-        matched = [r for r in scan if (r.exponent, r.n) == key]
-        if len(matched) == 1:
-            rel = abs(matched[0].energy - ln.energy) / params.energy_scale(ln.energy)
-            out.append(_check(ln, "oracle_shooting_rel_err", rel, tol,
-                              observed=matched[0].energy))
-            out.append(_check(ln, "oracle_delta_sensitivity",
-                              matched[0].delta_sensitivity, 1e-9))
-        else:
-            logger.warning("level (n=%d, %s) matched %d scan results",
-                           ln.n, ln.edge.value, len(matched))
-            out.append(_check(ln, "oracle_shooting_match_count",
-                              float(abs(len(matched) - 1)), 0.0,
-                              observed=float(len(matched))))
+    """The checks of one level; lines (all the levels of the report, for
+    the shooting checks) or collocated is None when that oracle did not
+    run."""
+    out = [] if lines is None else _shooting_checks(params, ln, lines, tol)
 
     if collocated is not None:
         level = collocated[predicted_family(ln)][ln.n]
@@ -155,6 +141,32 @@ def _level_checks(params, ln, scan: list[OracleResult] | None,
         logger.error("level (n=%d, %s): probe raised %s: %s",
                      ln.n, ln.edge.value, type(exc).__name__, exc)
         out.append(_check(ln, "probe_error", 1.0, 0.0))
+    return out
+
+
+def _shooting_checks(params, ln, lines: list[SpectrumLine], tol) -> list[dict]:
+    """The shooting oracle's certificate of one level and, on the top level
+    of its family, the family's completeness.
+
+    A level that certify cannot place in its window fails
+    oracle_shooting_match_count whatever tol is.  A certified window's
+    upper count, n + 1, is the number of the family's levels at or below
+    it, so on the family's top level it must equal the family's number of
+    lines, the E = 0 fold of s = 1/2 included."""
+    exponent = predicted_family(ln)
+    family = [other for other in lines if predicted_family(other) is exponent]
+    try:
+        res = certify(params, ln.energy, ln.n, exponent)
+    except (BracketError, NumericError) as exc:
+        logger.warning("level (n=%d, %s) not certified: %s", ln.n, ln.edge.value, exc)
+        return [_check(ln, "oracle_shooting_match_count", 1.0, 0.0, observed=0.0)]
+    rel = abs(res.energy - ln.energy) / params.energy_scale(ln.energy)
+    out = [_check(ln, "oracle_shooting_rel_err", rel, tol, observed=res.energy),
+           _check(ln, "oracle_delta_sensitivity", res.delta_sensitivity, 1e-9)]
+    if ln is max(family, key=lambda other: other.energy):
+        out.append(_check(ln, "oracle_shooting_completeness",
+                          float(abs(res.n + 1 - len(family))), 0.0,
+                          observed=float(res.n + 1)))
     return out
 
 

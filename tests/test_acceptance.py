@@ -2,7 +2,7 @@
 
 Each test prints a single PASS/FAIL line (visible with pytest -s; the -v
 test names mirror the criteria).  Criteria 1 and 2 also assert a runtime
-budget for their shooting scans.
+budget for their oracles.
 """
 
 import math
@@ -13,7 +13,7 @@ import time
 import pytest
 
 import scarf
-from scarf import ChiFunction, Edge, Exponent, ShootingConfig
+from scarf import ChiFunction, Edge, Exponent
 from scarf.verify import predicted_family
 from scarf.qmf import chi_parity_defect
 
@@ -26,20 +26,32 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
+def certify_lines(params, n_max):
+    """{(n, edge): certify result} of every closed-form level to n_max, and
+    the number of each family's levels at or below its top window."""
+    lines = scarf.spectrum_lines(params, n_max)
+    shots = {(ln.n, ln.edge): scarf.certify(params, ln.energy, ln.n, predicted_family(ln))
+             for ln in lines}
+    counts = {}
+    for res in shots.values():
+        counts[res.exponent] = max(counts.get(res.exponent, 0), res.n + 1)
+    return shots, counts
+
+
 @pytest.fixture(scope="module")
-def bound_scan(bound_params):
+def bound_oracles(bound_params):
     t0 = time.perf_counter()
-    scan = scarf.scan_spectrum(bound_params, 155.0)
+    shots, counts = certify_lines(bound_params, 3)
     collocated = scarf.collocation_spectrum(bound_params, k_levels=4)[Exponent.PLUS]
-    return scan, collocated, time.perf_counter() - t0
+    return shots, counts, collocated, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def band_scan(band_params):
+def band_oracles(band_params):
     t0 = time.perf_counter()
-    scan = scarf.scan_spectrum(band_params, 42.0)
+    shots, counts = certify_lines(band_params, 2)
     collocated = scarf.collocation_spectrum(band_params, k_levels=3)
-    return scan, collocated, time.perf_counter() - t0
+    return shots, counts, collocated, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -55,16 +67,17 @@ def all_states(bound_params, band_params):
     return states
 
 
-def test_criterion_1_bound_spectrum_vs_oracles(bound_params, bound_scan):
-    scan, collocated, elapsed = bound_scan
+def test_criterion_1_bound_spectrum_vs_oracles(bound_params, bound_oracles):
+    # each level is certified as level n of the one shooting family, whose
+    # count at the top window is the four levels
+    shots, counts, collocated, elapsed = bound_oracles
+    assert counts == {Exponent.PLUS: 4}
     worst_shoot = 0.0
     worst_colloc = 0.0
     for n in range(4):
         exact = HALF_PI_SQ * (n + 2.5) ** 2
-        matches = [r for r in scan
-                   if abs(r.energy - exact) / exact <= 1e-8]
-        assert len(matches) == 1, f"level {n}: {len(matches)} scan matches"
-        worst_shoot = max(worst_shoot, abs(matches[0].energy - exact) / exact)
+        res = shots[n, Edge.NOT_APPLICABLE]
+        worst_shoot = max(worst_shoot, abs(res.energy - exact) / exact)
         worst_colloc = max(worst_colloc, abs(collocated[n] - exact) / exact)
     ok = worst_shoot <= 1e-8 and worst_colloc <= 1e-10
     report("1 (bound spectrum, s=2)", ok,
@@ -72,17 +85,17 @@ def test_criterion_1_bound_spectrum_vs_oracles(bound_params, bound_scan):
     assert elapsed < 10.0
 
 
-def test_criterion_2_band_edges_vs_scan(band_params, band_scan):
-    scan, collocated, elapsed = band_scan
+def test_criterion_2_band_edges_vs_scan(band_params, band_oracles):
+    # each edge is certified as level n of its exponent's family, and each
+    # family counts its three edges at its top window
+    shots, counts, collocated, elapsed = band_oracles
+    assert counts == {Exponent.PLUS: 3, Exponent.MINUS: 3}
     worst = 0.0
     worst_colloc = 0.0
     for n in range(3):
         for edge in (Edge.LOWER, Edge.UPPER):
             line = scarf.spectrum_line(band_params, n, edge)
-            matches = [r for r in scan
-                       if abs(r.energy - line.energy) / line.energy <= 1e-8]
-            assert len(matches) == 1, f"edge (n={n}, {line.edge.value}) matches {len(matches)}"
-            res = matches[0]
+            res = shots[n, edge]
             assert (res.exponent, res.n) == (predicted_family(line), line.n), \
                 f"label mismatch for (n={n}, {line.edge.value})"
             worst = max(worst, abs(res.energy - line.energy) / line.energy)
@@ -168,13 +181,8 @@ def test_criterion_6_gap_closure():
     for n in (0, 1):
         upper = scarf.spectrum_line(params, n, Edge.UPPER)
         lower_next = scarf.spectrum_line(params, n + 1, Edge.LOWER)
-        up_cfg = ShootingConfig(exponent=Exponent.PLUS)
-        lo_cfg = ShootingConfig(exponent=Exponent.MINUS)
-        e_up = scarf.find_eigen(params, (upper.energy * 0.999, upper.energy * 1.001),
-                                up_cfg).energy
-        e_lo = scarf.find_eigen(params, (lower_next.energy * 0.999,
-                                         lower_next.energy * 1.001),
-                                lo_cfg).energy
+        e_up = scarf.certify(params, upper.energy, n, Exponent.PLUS).energy
+        e_lo = scarf.certify(params, lower_next.energy, n + 1, Exponent.MINUS).energy
         measured_gap = e_lo - e_up
         exact_gap = lower_next.energy - upper.energy
         if abs(measured_gap - exact_gap) > 1e-6:

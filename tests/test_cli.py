@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -5,13 +6,15 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+import scarf.oracle
 from scarf import NumericError, PotentialParams, run_verification
 from scarf.cli import format_float, json_dumps, main
 
@@ -318,8 +321,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("s", ["0.499999999", "0.4999999999"])
     def test_lowest_edge_near_free_particle(self, runner, s):
-        # the n = 0 lower edge, lambda^2 = (1/2 - s)^2, failed
-        # oracle_shooting_match_count here: the scan never bracketed it
+        # the n = 0 lower edge, lambda^2 = (1/2 - s)^2, once failed
+        # oracle_shooting_match_count here, when a blind scan from E = 0
+        # never bracketed it; its certificate window straddles E = 0
         result = invoke(runner, ["verify", "--s", s, "--n-max", "0"])
         assert result.exit_code == 0, result.stderr
         checks = json.loads(result.stdout)["checks"]
@@ -527,12 +531,16 @@ class TestNoTracebacks:
         st.floats(allow_nan=True, allow_infinity=True),
     )
     LEVEL_COMMANDS = st.sampled_from(["spectrum", "bands", "wavefunction", "table1"])
+    VALID_COUPLINGS = st.one_of(st.sampled_from([2.0, 0.4, 0.5]),
+                                st.floats(0.05, 0.45), st.floats(0.55, 10.0))
+    VALID_SCALES = st.floats(0.1, 10.0)
 
     @staticmethod
     def check(args, codes=(0, 2)):
         result = CliRunner().invoke(main, args)
         assert result.exit_code in codes, (args, result.output, result.exception)
         assert result.exception is None or isinstance(result.exception, SystemExit)
+        return result
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -570,22 +578,30 @@ class TestNoTracebacks:
         with CliRunner().isolated_filesystem():
             with open("cfg.json", "w") as fh:
                 json.dump(cfg, fh)  # nan and inf as NaN and Infinity
-            self.check([command, "--config", "cfg.json"], codes)
+            return self.check([command, "--config", "cfg.json"], codes)
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(command=LEVEL_COMMANDS, s=COUPLINGS, a=SCALES, m=SCALES,
+    @given(command=LEVEL_COMMANDS, s=VALID_COUPLINGS, a=VALID_SCALES, m=VALID_SCALES,
            n=st.integers(0, 12), edge=EDGES, fmt=st.sampled_from(["json", "csv"]),
-           nulls=st.sets(st.sampled_from(CONFIG_KEYS)))
-    def test_config_file(self, command, s, a, m, n, edge, fmt, nulls):
+           nulls=st.sets(st.sampled_from(CONFIG_KEYS), max_size=2),
+           wild=st.sampled_from([None, None, None, "s", "a", "m", "edge"]),
+           wild_value=st.one_of(COUPLINGS, SCALES))
+    def test_config_file(self, command, s, a, m, n, edge, fmt, nulls, wild, wild_value):
+        # s, a, m and the edge are valid unless wild names one of them, which
+        # then takes any value, so most examples run the command
         cfg = {"s": s, "a": a, "m": m, "format": fmt}
         if command in ("spectrum", "bands"):
             cfg["n_max"] = n
         else:
-            cfg.update(n=n, edge=edge)
+            cfg.update(n=n, edge="lower" if s <= 0.5 else None)
+        if wild == "edge":
+            cfg["edge"] = edge
+        elif wild is not None:
+            cfg[wild] = wild_value
         if command == "wavefunction":
             cfg["samples"] = 64
-        self.check_config(command, cfg, nulls)
+        event(f"exit {self.check_config(command, cfg, nulls).exit_code}")
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -596,6 +612,26 @@ class TestNoTracebacks:
         cfg = {"s": s, "a": a, "m": m, "format": fmt, "n_max": n_max, "oracle": "fd",
                "tol": tol}
         self.check_config("verify", cfg, nulls, (0, 1, 2))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(s=st.one_of(st.floats(0.05, 10.0), st.sampled_from([0.499999999, 0.5])),
+           n_max=st.integers(0, 1),
+           tol=st.one_of(st.just(1e-300), st.floats(allow_nan=True, allow_infinity=True)),
+           nan_shot=st.booleans())
+    @example(s=2.0, n_max=0, tol=1e-8, nan_shot=True)
+    def test_verify_shooting(self, s, n_max, tol, nan_shot):
+        # shooting verify ends in a report or a typed error; a shot that
+        # reads NaN certifies no level and fails its match count
+        args = ["verify", f"--s={s!r}", "--n-max", str(n_max), "--oracle", "shooting",
+                f"--tol={tol!r}"]
+        nan = mock.patch.object(scarf.oracle, "shoot", lambda params, energy, cfg: math.nan)
+        with nan if nan_shot else contextlib.nullcontext():
+            result = self.check(args, (0, 1, 2))
+        if nan_shot and result.exit_code != 2:
+            names = {c["name"]: c["pass"] for c in json.loads(result.stdout)["checks"]
+                     if c["name"].startswith("oracle")}
+            assert names == {"oracle_shooting_match_count": False}
 
     @settings(max_examples=60, deadline=None)
     @given(s=COUPLINGS, lam=st.floats(allow_nan=True, allow_infinity=True))

@@ -18,14 +18,8 @@ from scarf import (
 )
 from scarf import Edge, kernels, oracle
 from scarf.kernels import shoot_halfcell
-from scarf.oracle import (
-    _BRENTQ_RTOL,
-    _BRENTQ_XTOL,
-    _exponents,
-    _level_count,
-    _shot,
-    brentq,
-)
+from scarf.oracle import _exponents
+from scarf.potential import LAMBDA2_FLOOR
 from scarf.spectrum import spectrum_line
 from scarf.verify import predicted_family
 
@@ -73,180 +67,191 @@ class TestShoot:
         assert val == pytest.approx(HALF_PI, abs=1e-8)
 
 
+def certify_line(params, line):
+    """certify of a closed-form level, as verify calls it."""
+    return scarf.certify(params, line.energy, line.n, predicted_family(line))
+
+
 class TestFindEigen:
+    """certify finds each closed-form level in its two-shot window."""
+
     def test_bound_ground(self, bound_params):
-        res = scarf.find_eigen(bound_params, (25.0, 35.0), ShootingConfig())
+        res = scarf.certify(bound_params, HALF_PI_SQ * 6.25, 0, Exponent.PLUS)
         assert res.energy == pytest.approx(30.8425138, abs=5e-8)
-        assert res.energy == pytest.approx(HALF_PI_SQ * 6.25, rel=1e-10)
+        assert res.energy == pytest.approx(HALF_PI_SQ * 6.25, rel=1e-12)
         assert (res.exponent, res.n) == (Exponent.PLUS, 0)
         assert res.delta_sensitivity <= 1e-9
 
     def test_band_upper_even(self, band_params):
-        cfg = ShootingConfig(exponent=Exponent.PLUS)
-        res = scarf.find_eigen(band_params, (3.5, 4.5), cfg)
-        assert res.energy == pytest.approx(HALF_PI_SQ * 0.81, rel=1e-8)
+        res = scarf.certify(band_params, HALF_PI_SQ * 0.81, 0, Exponent.PLUS)
+        assert res.energy == pytest.approx(HALF_PI_SQ * 0.81, rel=1e-12)
         assert res.n == 0
 
     def test_band_lower_odd(self, band_params):
-        cfg = ShootingConfig(exponent=Exponent.MINUS)
-        res = scarf.find_eigen(band_params, (5.5, 6.5), cfg)
+        line = spectrum_line(band_params, 1, Edge.LOWER)
+        res = scarf.certify(band_params, line.energy, 1, Exponent.MINUS)
         assert res.energy == pytest.approx(5.9711107, abs=5e-8)
         assert res.n == 1
 
     def test_no_sign_change_raises(self, bound_params):
-        # a bracket must cross exactly one level: none and two both raise
-        for bracket in ((40.0, 50.0), (25.0, 65.0)):
+        # a window must hold level n of the family and nothing else: no
+        # level (E = 45), another level's index, and a level 1e-9 outside
+        # the window, 1e-10 of E wide, all raise
+        ground = HALF_PI_SQ * 6.25
+        for energy, n in ((45.0, 0), (45.0, 1), (ground, 1), (ground * (1.0 + 1e-9), 0),
+                          (ground * (1.0 - 1e-9), 0)):
             with pytest.raises(BracketError):
-                scarf.find_eigen(bound_params, bracket, ShootingConfig())
+                scarf.certify(bound_params, energy, n, Exponent.PLUS)
+
+    def test_nan_phase_raises(self, bound_params, monkeypatch):
+        # a NaN phase reads no level count
+        monkeypatch.setattr(scarf.oracle, "shoot", lambda params, energy, cfg: math.nan)
+        with pytest.raises(BracketError):
+            scarf.certify(bound_params, HALF_PI_SQ * 6.25, 0, Exponent.PLUS)
 
     def test_delta_robustness(self, bound_params, band_params):
         # halving the start offset moves energies by under 1e-9 relative
-        for params, bracket, cfg in [
-            (bound_params, (25.0, 35.0), ShootingConfig()),
-            (band_params, (0.02, 0.2), ShootingConfig(exponent=Exponent.MINUS)),
+        for params, energy, exponent in [
+            (bound_params, HALF_PI_SQ * 6.25, Exponent.PLUS),
+            (band_params, HALF_PI_SQ * 0.01, Exponent.MINUS),
         ]:
-            res = scarf.find_eigen(params, bracket, cfg)
+            res = scarf.certify(params, energy, 0, exponent)
             assert res.delta_sensitivity <= 1e-9
-
-    def test_half_start_config_is_ignored(self, bound_params, band_params):
-        # find_eigen polishes at z0 and re-solves at z0/2 whatever cfg says
-        for params, bracket, exponent in [
-            (bound_params, (25.0, 35.0), Exponent.PLUS),
-            (band_params, (5.5, 6.5), Exponent.MINUS),
-        ]:
-            res = scarf.find_eigen(params, bracket, ShootingConfig(exponent, half_start=True))
-            assert res == scarf.find_eigen(params, bracket, ShootingConfig(exponent))
 
     @pytest.mark.parametrize("delta", [0.002, 0.005, 0.009])
     def test_delta_above_default_starts_at_z0(self, bound_params, band_params, delta):
-        # a cell of width a = delta/1e-3 has x offset delta, above that of
-        # a = 1; no start depends on a, so its shots still start at z0 and
-        # its levels in energy units are those of a = 1
-        for params, bracket, exponent in [
-            (bound_params, (25.0, 35.0), Exponent.PLUS),
-            (band_params, (5.5, 6.5), Exponent.MINUS),
-        ]:
+        # a cell of width a = delta/1e-3 once had the x offset delta, above
+        # that of a = 1; no start depends on a, so its shots still start at
+        # z0 and its levels in energy units are those of a = 1
+        for params, n, edge in [(bound_params, 0, Edge.NOT_APPLICABLE),
+                                (band_params, 1, Edge.LOWER)]:
             wide = replace(params, a=delta / 1e-3)
-            cfg = ShootingConfig(exponent)
-            assert cfg.resolve_delta(wide.a) == pytest.approx(delta, rel=1e-15)
-            scale = wide.energy_unit / params.energy_unit
-            res = scarf.find_eigen(wide, (bracket[0] * scale, bracket[1] * scale), cfg)
-            ref = scarf.find_eigen(params, bracket, cfg)
+            res = certify_line(wide, spectrum_line(wide, n, edge))
+            ref = certify_line(params, spectrum_line(params, n, edge))
             assert res.energy / wide.energy_unit == pytest.approx(
                 ref.energy / params.energy_unit, rel=1e-13)
             assert (res.exponent, res.n) == (ref.exponent, ref.n)
             assert res.delta_sensitivity == pytest.approx(ref.delta_sensitivity, abs=1e-12)
 
 
+def level_count(params, energy, exponent):
+    """floor(2 theta/pi): the number of the family's levels at or below E."""
+    return math.floor(2.0 * scarf.shoot(params, energy, ShootingConfig(exponent)) / math.pi)
+
+
+def sweep_scan(params, e_max, lo=0.0):
+    """Blind reference scan: the level count of every family on a lattice
+    with step 0.05 in lambda^2 from lo to e_max.  Each cell where the
+    count steps up by one holds one level; cells keyed by (exponent, n)."""
+    step = 0.05 * params.energy_unit
+    grid = np.arange(lo, e_max + step, step)
+    grid[-1] = min(grid[-1], e_max)
+    cells = {}
+    for exponent in _exponents(params.regime):
+        counts = [level_count(params, float(e), exponent) for e in grid]
+        for i in range(len(grid) - 1):
+            for n in range(counts[i], counts[i + 1]):
+                assert counts[i + 1] == counts[i] + 1, "two levels in one lattice cell"
+                cells[exponent, n] = (float(grid[i]), float(grid[i + 1]))
+    return cells
+
+
 class TestScanSpectrum:
+    """A blind scan of the level count (sweep_scan) finds exactly the
+    closed-form levels that certify proves, each in its own lattice cell
+    and with its own index."""
+
+    @staticmethod
+    def certified(params, e_max, n_max=4):
+        """{(exponent, n): (line, certify result)} of the closed-form levels
+        in (0, e_max]."""
+        return {(predicted_family(ln), ln.n): (ln, certify_line(params, ln))
+                for ln in scarf.spectrum_lines(params, n_max) if 0.0 < ln.energy <= e_max}
+
     def test_bound_scan(self, bound_params):
-        scan = scarf.scan_spectrum(bound_params, 120.0)
-        energies = [r.energy for r in scan]
-        assert energies == pytest.approx(
-            [HALF_PI_SQ * 6.25, HALF_PI_SQ * 12.25, HALF_PI_SQ * 20.25], rel=1e-9)
-        assert [r.n for r in scan] == [0, 1, 2]
+        found = self.certified(bound_params, 120.0)
+        assert sweep_scan(bound_params, 120.0).keys() == found.keys()
+        assert [res.energy for _, res in found.values()] == pytest.approx(
+            [HALF_PI_SQ * 6.25, HALF_PI_SQ * 12.25, HALF_PI_SQ * 20.25], rel=1e-12)
+        assert [res.n for _, res in found.values()] == [0, 1, 2]
 
     def test_band_scan_and_family_disjointness(self, band_params):
-        scan = scarf.scan_spectrum(band_params, 20.0)
-        assert [r.energy for r in scan] == pytest.approx(
+        found = self.certified(band_params, 20.0)
+        assert sweep_scan(band_params, 20.0).keys() == found.keys()
+        assert [res.energy for _, res in found.values()] == pytest.approx(
             [0.04934802, 3.99718978, 5.97111066, 17.81463594], abs=5e-7)
-        assert [(r.exponent, r.n) for r in scan] == [
+        assert list(found) == [
             (Exponent.MINUS, 0), (Exponent.PLUS, 0), (Exponent.MINUS, 1), (Exponent.PLUS, 1)]
 
     def test_free_particle_degenerate_pairs(self):
         p = scarf.PotentialParams(s=0.5)
-        scan = scarf.scan_spectrum(p, 20.0)
-        energies = [round(r.energy / HALF_PI_SQ, 6) for r in scan]
+        found = self.certified(p, 20.0)
+        energies = [round(res.energy / HALF_PI_SQ, 6) for _, res in found.values()]
         assert energies == [1.0, 1.0, 4.0, 4.0]
         # (0, upper), (1, lower), (1, upper) and (2, lower); the lower
         # edges' theta is pi/2 at E = 0, so their level 0 is not in (0, e_max]
-        assert {(r.exponent, r.n) for r in scan} == {
+        assert found.keys() == {
             (Exponent.PLUS, 0), (Exponent.MINUS, 1), (Exponent.PLUS, 1), (Exponent.MINUS, 2)}
-
-    def test_rejects_bad_e_max(self, bound_params):
-        with pytest.raises(ValueError):
-            scarf.scan_spectrum(bound_params, -1.0)
-
-    @pytest.mark.parametrize("e_max", [math.nan, math.inf])
-    def test_rejects_non_finite_e_max(self, bound_params, e_max):
-        # before any shot: the kernel would report a step underflow
-        with pytest.raises(ValueError, match="e_max must be positive and finite"):
-            scarf.scan_spectrum(bound_params, e_max)
+        assert level_count(p, 0.0, Exponent.MINUS) == 1
+        assert sweep_scan(p, 20.0).keys() == found.keys()
 
     @pytest.mark.parametrize("s", [2.0, 0.4, 0.5])
     def test_label_is_the_level(self, s):
         # a level (n, edge) is level n of its exponent's family, also at
         # s = 1/2, where the lower edges' level 0 sits at E = 0
         params = scarf.PotentialParams(s=s)
-        lines = [ln for ln in scarf.spectrum_lines(params, 4) if 0.0 < ln.energy <= 110.0]
-        scan = scarf.scan_spectrum(params, 110.0)
-        assert len(scan) == len(lines)
-        for res in scan:
-            line, = [ln for ln in lines
-                     if predicted_family(ln) is res.exponent
-                     and abs(res.energy - ln.energy) <= 1e-8 * ln.energy]
+        found = self.certified(params, 110.0)
+        cells = sweep_scan(params, 110.0)
+        assert cells.keys() == found.keys()
+        for key, (line, res) in found.items():
+            lo, hi = cells[key]
+            # a level on a lattice point may count on either side of it
+            assert lo <= line.energy <= hi and lo <= res.energy <= hi, key
             assert res.n == line.n
 
     @pytest.mark.parametrize("s", [2.0, 0.4, 0.5])
     def test_equals_full_sign_sweep(self, s):
-        # the bisection finds the same levels as a sweep of the whole
-        # lattice; each solves its own bracket, so Brent stops at a
-        # different point inside its 1e-14 tolerance
+        # each family's completeness entry counts what a sweep of the whole
+        # lattice finds at or below its top level, the E = 0 fold included
         params = scarf.PotentialParams(s=s)
-        e_max = 60.0
-        scan = {(r.exponent, r.n): r.energy for r in scarf.scan_spectrum(params, e_max)}
-        swept = sweep_scan(params, e_max)
-        assert scan.keys() == swept.keys() and scan
-        for key, energy in swept.items():
-            assert abs(scan[key] - energy) <= 1e-13 * params.energy_scale(energy), key
+        report = scarf.run_verification(params, 3, oracle="shooting")
+        complete = [c for c in report["checks"] if c["name"] == "oracle_shooting_completeness"]
+        assert len(complete) == len(_exponents(params.regime)) and all(c["pass"] for c in complete)
+        for entry in complete:
+            edge = Edge(entry["edge"] or "none")
+            top = spectrum_line(params, entry["n"], edge)
+            swept = sweep_scan(params, top.energy * (1.0 + 1e-10), lo=-1e-3 * params.energy_unit)
+            family = [key for key in swept if key[0] is predicted_family(top)]
+            assert entry["observed"] == len(family) == entry["n"] + 1
 
     @pytest.mark.parametrize("s", [0.499999999, 0.4999999999])
     def test_lowest_edge_below_the_phase_resolution(self, s):
         # the lower edges' level 0 has lambda^2 = (1/2 - s)^2 of 1e-18 and
-        # 1e-20, so 2 theta/pi at E = 0 already reads 1; its bisection
-        # starts at -LAMBDA2_FLOOR, and at E = 0 the level was not found
+        # 1e-20, so 2 theta/pi at E = 0 already reads 1, and at
+        # -LAMBDA2_FLOOR 0; its window, 1e-13 wide, has 0 below and 1 above
         params = scarf.PotentialParams(s=s)
-        assert _level_count(params, 0.0, ShootingConfig(exponent=Exponent.MINUS)) == 1
-        e_max = 20.0
-        closed = {(predicted_family(ln), ln.n): ln.energy
-                  for ln in scarf.spectrum_lines(params, 3) if 0.0 < ln.energy <= e_max}
-        scan = scarf.scan_spectrum(params, e_max)
-        assert {(r.exponent, r.n) for r in scan} == closed.keys()
-        assert len(scan) == len(closed) == 5
-        for res in scan:
-            energy = closed[res.exponent, res.n]
-            assert abs(res.energy - energy) <= 1e-12 * params.energy_scale(energy)
+        assert level_count(params, 0.0, Exponent.MINUS) == 1
+        assert level_count(params, -LAMBDA2_FLOOR * params.energy_unit, Exponent.MINUS) == 0
+        found = self.certified(params, 20.0, n_max=3)
+        assert len(found) == 5
+        for line, res in found.values():
+            assert (res.exponent, res.n) == (predicted_family(line), line.n)
+            assert abs(res.energy - line.energy) <= 1e-12 * params.energy_scale(line.energy)
 
     @settings(max_examples=20, deadline=None)
     @given(s=st.floats(min_value=0.05, max_value=10.0), n_max=st.integers(0, 2))
     def test_one_result_per_closed_form_level(self, s, n_max):
+        # every level certifies with its own index and with no other
         params = scarf.PotentialParams(s=s)
-        e_max = 1.02 * max(ln.energy for ln in scarf.spectrum_lines(params, n_max))
-        closed = {(predicted_family(ln), ln.n): ln.energy
-                  for ln in scarf.spectrum_lines(params, n_max + 2) if 0.0 < ln.energy <= e_max}
-        scan = scarf.scan_spectrum(params, e_max)
-        assert len(scan) == len(closed)
-        for res in scan:
-            energy = closed[res.exponent, res.n]
-            assert abs(res.energy - energy) <= 1e-10 * params.energy_scale(energy)
-
-
-def sweep_scan(params, e_max):
-    """Reference scan: shoot theta at every point of a lattice with step
-    0.05 in lambda^2 and solve each cell where floor(2 theta/pi), the
-    family's level count, steps up.  Energies keyed by (exponent, n)."""
-    step = 0.05 * params.energy_unit
-    grid = np.arange(0.0, e_max + step, step)
-    grid[-1] = min(grid[-1], e_max)
-    levels = {}
-    for exponent in _exponents(params.regime):
-        cfg = ShootingConfig(exponent=exponent)
-        counts = [math.floor(2.0 * scarf.shoot(params, float(e), cfg) / math.pi) for e in grid]
-        for i in range(len(grid) - 1):
-            if counts[i + 1] > counts[i]:
-                res = scarf.find_eigen(params, (float(grid[i]), float(grid[i + 1])), cfg)
-                levels[exponent, res.n] = res.energy
-    return levels
+        for line in scarf.spectrum_lines(params, n_max):
+            if line.energy <= 0.0:
+                continue
+            res = certify_line(params, line)
+            assert res.n == line.n
+            assert abs(res.energy - line.energy) <= 1e-10 * params.energy_scale(line.energy)
+            for wrong in (line.n - 1, line.n + 1):
+                with pytest.raises(BracketError):
+                    scarf.certify(params, line.energy, wrong, predicted_family(line))
 
 
 class TestNodeCount:
@@ -346,23 +351,22 @@ class TestFiniteDifference:
         # a != 1, m != 1 must thread every 2m and 1/a factor consistently
         p = scarf.PotentialParams(s=1.3, a=0.7, m=2.5)
         closed = scarf.spectrum_line(p, 1, Edge.NOT_APPLICABLE).energy
-        res = scarf.find_eigen(p, (closed * 0.9, closed * 1.1), ShootingConfig())
-        assert res.energy == pytest.approx(closed, rel=1e-10)
+        res = scarf.certify(p, closed, 1, Exponent.PLUS)
+        assert res.energy == pytest.approx(closed, rel=1e-12)
         levels = scarf.collocation_spectrum(p, k_levels=2)[Exponent.PLUS]
         assert levels[1] == pytest.approx(closed, rel=1e-12)
         pb = scarf.PotentialParams(s=0.23, a=1.9, m=0.6)
         lo = scarf.spectrum_line(pb, 0, Edge.LOWER)
-        cfg_lo = ShootingConfig(exponent=Exponent.MINUS)
-        res_lo = scarf.find_eigen(pb, (lo.energy * 0.5, lo.energy * 1.5), cfg_lo)
-        assert res_lo.energy == pytest.approx(lo.energy, rel=1e-9)
+        res_lo = scarf.certify(pb, lo.energy, 0, Exponent.MINUS)
+        assert res_lo.energy == pytest.approx(lo.energy, rel=1e-12)
         level_lo = scarf.collocation_spectrum(pb, k_levels=1)[Exponent.MINUS][0]
         assert level_lo == pytest.approx(lo.energy, rel=1e-10)
 
     def test_cross_consistency_with_shooting(self, bound_params):
+        # each collocation level is certified as the shooting family's level n
         levels = scarf.collocation_spectrum(bound_params, k_levels=2)[Exponent.PLUS]
-        brackets = [(25.0, 35.0), (55.0, 65.0)]
-        for level, bracket in zip(levels, brackets):
-            shot = scarf.find_eigen(bound_params, bracket, ShootingConfig())
+        for n, level in enumerate(levels):
+            shot = scarf.certify(bound_params, level, n, Exponent.PLUS)
             assert abs(shot.energy - level) / shot.energy <= 1e-10
 
 
@@ -411,8 +415,8 @@ class TestEnergyFloor:
 
     @pytest.mark.parametrize("a, m", [(1.0, 1.0), (2.5, 0.7), (0.3, 4.0)])
     def test_vanishing_lower_edge_passes(self, a, m):
-        # lambda^2 of the lowest lower edge is 1e-8, 1e-14 and 1e-16; the
-        # delta/2 re-solve brackets it in units of the energy scale
+        # lambda^2 of the lowest lower edge is 1e-8, 1e-14 and 1e-16; its
+        # certificate window is 1e-10 of the energy floor wide
         for s in (0.4999, 0.4999999, 0.49999999):
             report = scarf.run_verification(scarf.PotentialParams(s, a, m), 2)
             assert report["summary"]["all_pass"], \
@@ -420,18 +424,102 @@ class TestEnergyFloor:
 
     def test_energy_mutants_still_fail(self, band_params, monkeypatch):
         # lambda^2 >= 0.01 at s = 0.4, above the floor: a 1e-6 error in a
-        # closed-form energy still reads 1e-6 on both oracle checks of every
-        # level
+        # closed-form energy reads 1e-6 on the collocation check of every
+        # level, and puts every level outside its shooting window
         honest = scarf.verify.spectrum_lines
         monkeypatch.setattr(scarf.verify, "spectrum_lines", lambda params, n_max: [
             replace(ln, energy=ln.energy * (1.0 + 1e-6)) for ln in honest(params, n_max)])
         monkeypatch.setattr(scarf.verify, "_probe_checks", lambda params, ln, out: None)
         checks = scarf.run_verification(band_params, 3)["checks"]
-        oracle_checks = [c for c in checks
-                         if c["name"] in ("oracle_shooting_rel_err", "oracle_fd_rel_err")]
-        assert len(oracle_checks) == 16
-        assert not any(c["pass"] for c in oracle_checks)
-        assert [c["value"] for c in oracle_checks] == pytest.approx([1e-6] * 16, rel=1e-3)
+        assert [c["name"] for c in checks] == [
+            "oracle_shooting_match_count", "oracle_fd_rel_err"] * 8
+        assert not any(c["pass"] for c in checks)
+        assert [c["value"] for c in checks[1::2]] == pytest.approx([1e-6] * 8, rel=1e-3)
+
+
+def shooting_checks(params, n_max, spectrum_lines=None):
+    """(n, edge, name, pass) of the shooting entries of a verify run, with
+    spectrum_lines in place of the closed forms when given."""
+    with mock.patch.object(scarf.verify, "_probe_checks", lambda params, ln, out: None):
+        if spectrum_lines is None:
+            report = scarf.run_verification(params, n_max, oracle="shooting")
+        else:
+            with mock.patch.object(scarf.verify, "spectrum_lines", spectrum_lines):
+                report = scarf.run_verification(params, n_max, oracle="shooting")
+    return [(c["n"], c["edge"], c["name"], c["pass"]) for c in report["checks"]]
+
+
+class TestSpectrumMutants:
+    """Each mutation of the closed-form lines fails a shooting check,
+    whatever the tolerance."""
+
+    @staticmethod
+    def failing(params, mutate):
+        honest = scarf.spectrum_lines
+
+        def mutated(params, n_max):
+            return mutate(honest(params, n_max))
+
+        checks = shooting_checks(params, 2, mutated)
+        return [(n, edge, name) for n, edge, name, ok in checks if not ok]
+
+    @pytest.mark.parametrize("s", [2.0, 0.4])
+    def test_honest_lines_pass(self, s):
+        checks = shooting_checks(scarf.PotentialParams(s), 2)
+        assert checks and all(ok for *_, ok in checks)
+        completeness = [c for c in checks if c[2] == "oracle_shooting_completeness"]
+        assert len(completeness) == (1 if s > 0.5 else 2)
+
+    @pytest.mark.parametrize("s", [2.0, 0.4])
+    def test_energy_scaled_by_1e9(self, s):
+        # 1e-9 is under the default tol of 1e-8, but outside the window
+        params = scarf.PotentialParams(s)
+
+        def scale(lines):
+            lines[1] = replace(lines[1], energy=lines[1].energy * (1.0 + 1e-9))
+            return lines
+
+        line = scarf.spectrum_lines(params, 2)[1]
+        assert self.failing(params, scale) == [
+            (line.n, line.edge.value if s < 0.5 else None, "oracle_shooting_match_count")]
+
+    @pytest.mark.parametrize("s", [2.0, 0.4])
+    def test_relabelled_n_plus_1(self, s):
+        params = scarf.PotentialParams(s)
+
+        def relabel(lines):
+            lines[0] = replace(lines[0], n=lines[0].n + 1)
+            return lines
+
+        failing = self.failing(params, relabel)
+        assert (1, "lower" if s < 0.5 else None, "oracle_shooting_match_count") in failing
+
+    @pytest.mark.parametrize("s", [2.0, 0.4])
+    def test_line_dropped(self, s):
+        # a dropped level below the family's top leaves its completeness
+        # count one above the family's lines
+        params = scarf.PotentialParams(s)
+
+        def drop(lines):
+            del lines[0]
+            return lines
+
+        assert self.failing(params, drop) == [
+            (2, "lower" if s < 0.5 else None, "oracle_shooting_completeness")]
+
+    @pytest.mark.parametrize("s", [2.0, 0.4])
+    def test_line_added_between_levels(self, s):
+        params = scarf.PotentialParams(s)
+
+        def add(lines):
+            first = lines[0]
+            next_in_family = [ln for ln in lines if ln.edge is first.edge][1]
+            middle = 0.5 * (first.energy + next_in_family.energy)
+            return lines + [replace(first, n=1, energy=middle)]
+
+        failing = self.failing(params, add)
+        assert (1, "lower" if s < 0.5 else None, "oracle_shooting_match_count") in failing
+        assert [name for *_, name in failing].count("oracle_shooting_completeness") == 1
 
 
 class TestSeriesStart:
@@ -449,7 +537,6 @@ class TestSeriesStart:
             starts.append((lam2, z))
             return shoot_halfcell(pot_coeff, lam2, z, u0, v0)
 
-        _shot.cache_clear()
         with mock.patch.object(scarf.kernels, "shoot_halfcell", record):
             run()
         return starts
@@ -501,25 +588,23 @@ class TestSeriesStart:
         (0.4, (5.5, 6.5), Exponent.MINUS), (30.0, (4_500.0, 4_700.0), Exponent.PLUS),
     ])
     def test_resolve_starts_at_half_the_primary_start(self, s, bracket, exponent):
-        # find_eigen's polish starts at z0 and its delta/2 re-solve at z0/2
+        # certify shoots the window's ends from z0, then from z0/2, for the
+        # one closed-form level of the family inside the bracket
         params = scarf.PotentialParams(s)
         mu = 0.5 + s if exponent is Exponent.PLUS else 0.5 - s
-        starts = self.record_starts(
-            lambda: scarf.find_eigen(params, bracket, ShootingConfig(exponent=exponent)))
-        halves = 0
-        for lam2, z in starts:
-            z0 = oracle.start_offset(oracle.frobenius_series(s, lam2, mu))
-            assert z in (z0, z0 / 2.0)
-            halves += z == z0 / 2.0
-        assert 0 < halves < len(starts)
+        line, = [ln for ln in scarf.spectrum_lines(params, 3)
+                 if predicted_family(ln) is exponent and bracket[0] < ln.energy < bracket[1]]
+        starts = self.record_starts(lambda: certify_line(params, line))
+        z0 = [oracle.start_offset(oracle.frobenius_series(s, lam2, mu)) for lam2, _ in starts]
+        assert [z for _, z in starts] == [z0[0], z0[1], z0[2] / 2.0, z0[3] / 2.0]
+        assert starts[0][0] == starts[2][0] < starts[1][0] == starts[3][0]
 
 
 class TestShotCache:
+    """No shot needs a cache: certify's four shots per level are distinct."""
+
     @pytest.mark.parametrize("s", [2.0, 0.4])
     def test_each_integration_runs_once(self, s, monkeypatch):
-        # the phase bisection, the bracket end checks, Brent's end values and
-        # the delta/2 re-solve share every integration of a verify run
-        _shot.cache_clear()
         seen = []
 
         def record(*args):
@@ -533,12 +618,9 @@ class TestShotCache:
 
     @pytest.mark.parametrize("s, max_calls, max_steps", [(2.0, 38, 2_300), (0.4, 70, 3_400)])
     def test_kernel_calls_and_steps_bounded(self, s, max_calls, max_steps, monkeypatch):
-        # from the series start the phase bisection makes 37 and 69 calls
-        # of 2,201 and 3,246 steps here; from a fixed 1e-3 pi it made 37
-        # and 73 calls of 5,384 and 8,403, the lambda^2 lattice scan 44
-        # and 106 calls of 6,374 and 12,201, and with the fifth-order
-        # kernel 59,348 and 74,385 steps
-        _shot.cache_clear()
+        # four kernel calls per level, 12 of 734 steps at s = 2 and 24 of
+        # 1,160 at s = 0.4; max_calls and max_steps bound the blind phase
+        # bisection, with its Brent polish and re-solve, that they replaced
         steps = []
 
         def record(*args):
@@ -547,61 +629,30 @@ class TestShotCache:
             return out
 
         monkeypatch.setattr(scarf.kernels, "shoot_halfcell", record)
-        scarf.run_verification(scarf.PotentialParams(s), 2)
-        assert 0 < len(steps) <= max_calls
+        params = scarf.PotentialParams(s)
+        scarf.run_verification(params, 2)
+        assert len(steps) == 4 * len(scarf.spectrum_lines(params, 2)) <= max_calls
         assert sum(steps) <= max_steps
 
 
-def scipy_brentq(f, lo, hi):
-    """The reference the port follows, used only by the tests."""
-    from scipy.optimize import brentq as reference
-    return reference(f, lo, hi, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL)
-
-
 class TestBrent:
+    """certify's secant roots against SciPy's Brent solver, a test-only
+    reference, run on the same phase over each certificate window."""
+
     @pytest.mark.parametrize("s", [0.05, 0.4, 0.4999, 2.0, 8.0])
-    def test_scan_brackets_match_scipy(self, s, monkeypatch):
-        # every polish of a scan, the delta/2 re-solves included, lands on
-        # scipy's root bit for bit
-        polished = []
+    def test_scan_brackets_match_scipy(self, s):
+        from scipy.optimize import brentq
+        params = scarf.PotentialParams(s)
+        for line in scarf.spectrum_lines(params, 3):
+            cfg = ShootingConfig(predicted_family(line))
 
-        def both(f, lo, hi, f_lo, f_hi):
-            root = brentq(f, lo, hi, f_lo, f_hi)
-            polished.append((root, scipy_brentq(f, lo, hi)))
-            return root
+            def mismatch(energy):
+                return 2.0 * scarf.shoot(params, energy, cfg) / math.pi - (line.n + 1)
 
-        monkeypatch.setattr(scarf.oracle, "brentq", both)
-        p = scarf.PotentialParams(s)
-        scan = scarf.scan_spectrum(p, (s + 3.0) ** 2 * p.energy_unit)
-        assert len(polished) >= 2 * len(scan) > 0
-        assert all(root == ref for root, ref in polished)
-
-    @pytest.mark.parametrize("f, lo, hi", [
-        (lambda x: x * x - 1.0, 0.0, 2.0),                 # interpolate and extrapolate
-        (lambda x: math.tan(x) - x, 4.4, 4.6),             # steep, near the pole at 3 pi/2
-        (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0),  # a step: bisection only
-    ])
-    def test_analytic_functions_match_scipy(self, f, lo, hi):
-        assert brentq(f, lo, hi, f(lo), f(hi)) == scipy_brentq(f, lo, hi)
-
-    def test_zero_endpoint_is_the_root(self):
-        def never(x):
-            raise AssertionError("no evaluation needed")
-
-        assert brentq(never, 1.0, 2.0, 0.0, 3.0) == 1.0
-        assert brentq(never, 1.0, 2.0, -3.0, 0.0) == 2.0
-
-    def test_nan_value_is_numeric_error(self):
-        with pytest.raises(NumericError, match="NaN"):
-            brentq(lambda x: math.nan, 0.0, 2.0, -1.0, 1.0)
-
-    def test_iteration_cap_fails_the_level(self, monkeypatch):
-        # a polish that runs out of iterations is a failing check, not a traceback
-        monkeypatch.setattr(scarf.oracle, "_BRENTQ_ITER", 2)
-        report = scarf.run_verification(scarf.PotentialParams(2.0), 0)
-        failed = [c for c in report["checks"] if not c["pass"]]
-        assert [c["name"] for c in failed] == ["oracle_shooting_match_count"]
-        assert not report["summary"]["all_pass"]
+            eta = 1e-10 * params.energy_scale(line.energy)
+            root = brentq(mismatch, line.energy - eta, line.energy + eta, xtol=1e-30, rtol=1e-15)
+            res = certify_line(params, line)
+            assert abs(res.energy - root) <= 1e-13 * params.energy_scale(root), line
 
 
 class TestKernelPaths:

@@ -197,12 +197,13 @@ class TestClosedFormEnergies:
 
 @functools.cache
 def oracle_levels(s, a=1.0, m=1.0):
-    """E m a^2 of the shooting roots through n = 2, keyed by (exponent,
-    n), and of the collocation levels, keyed by exponent."""
+    """E m a^2 of the certified shooting roots through n = 2, keyed by
+    (exponent, n), and of the collocation levels, keyed by exponent."""
     params = scarf.PotentialParams(s=s, a=a, m=m)
-    e_max = 1.02 * max(ln.energy for ln in scarf.spectrum_lines(params, 2))
-    shot = {(r.exponent, r.n): r.energy * m * a**2
-            for r in scarf.scan_spectrum(params, e_max)}
+    shot = {}
+    for ln in scarf.spectrum_lines(params, 2):
+        r = scarf.certify(params, ln.energy, ln.n, scarf.predicted_family(ln))
+        shot[r.exponent, r.n] = r.energy * m * a**2
     collocated = {ex: [e * m * a**2 for e in levels]
                   for ex, levels in scarf.collocation_spectrum(params, k_levels=3).items()}
     return shot, collocated
@@ -220,7 +221,7 @@ class TestScaling:
             assert ln.energy * m * a**2 == pytest.approx(ref[ln.n, ln.edge], rel=1e-14)
         ref_shot, ref_collocated = oracle_levels(s)
         shot, collocated = oracle_levels(s, a, m)
-        # at unit scale the shooting oracle finds every level, labelled n
+        # at unit scale the shooting oracle certifies every level as its n
         closed = {(scarf.predicted_family(ln), ln.n): ln.energy for ln in unit_lines}
         assert ref_shot.keys() == closed.keys()
         for key, energy in ref_shot.items():

@@ -1,9 +1,8 @@
 """The benchmark's span tracer still reads the package.
 
-perfbench/tracer.py wraps module attributes of scarf by name and tells
-find_eigen's re-solve shots from its polish shots by
-ShootingConfig.resolve_delta.  A change to scarf that breaks either shows
-here, not first in a benchmark run.
+perfbench/tracer.py wraps module attributes of scarf by name and labels
+each shot by the find_eigen call around it, if any.  A change to scarf
+that breaks either shows here, not first in a benchmark run.
 """
 
 import importlib.util
@@ -11,7 +10,6 @@ from pathlib import Path
 
 import scarf
 import scarf.verify
-from scarf import oracle
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -25,18 +23,19 @@ def load_tracer():
 
 def test_traced_band_verify():
     tracer = load_tracer().Tracer()
-    oracle._shot.cache_clear()
     tracer.install()
     try:
         scarf.verify.run_verification(scarf.PotentialParams(0.4), 2)
     finally:
         tracer.uninstall()
     summary = tracer.summary()
-    assert summary["self_s"]["oracle.polish"] > 0.0
-    assert summary["self_s"]["oracle.rebracket"] > 0.0
     counts = summary["counts"]
-    assert (counts["kernels.calls"], counts["kernels.rk_steps"]) == (69, 3_246)
-    assert counts["oracle.brackets_found"] == 6
-    assert counts.get("oracle.brackets_failed", 0) == 0
-    assert set(tracer.missing) <= {"scarf.verify.fd_bound_spectrum",
-                                   "scarf.wavefunction.quad"}
+    # certify shoots each of the six edges four times, and no shot runs
+    # inside a find_eigen span, so every one samples the oracle grid
+    assert (counts["kernels.calls"], counts["kernels.rk_steps"]) == (24, 1_160)
+    assert counts["oracle.grid_shoot_calls"] == 24
+    assert {span[0] for span in tracer.spans if span[0].startswith("oracle.")} == {"oracle.grid"}
+    # the hooks of the deleted blind scan, and two that were already dead
+    assert sorted(tracer.missing) == [
+        "scarf.oracle.brentq", "scarf.oracle.find_eigen", "scarf.verify.fd_bound_spectrum",
+        "scarf.verify.scan_spectrum", "scarf.wavefunction.quad"]
