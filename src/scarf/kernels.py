@@ -131,25 +131,26 @@ def shoot_halfcell(pot_coeff, lam2, x0, u0, v0):
 
     Returns
     -------
-    (u_end, v_end, running_max_abs_u, steps_taken, sign_changes)
-        The state is renormalized in flight if |u| grows past 1e250, so
-        callers must read only its scale-free quantities, such as the
-        angle of (u, u') or u relative to running_max_abs_u.
-        sign_changes counts the accepted steps across which u changes
-        sign, i.e. the zeros of u on (x0, pi/2].
+    (u_end, v_end, sign_changes, steps_taken)
+        At each accepted step where |u| exceeds 1e250, (u, u') is divided
+        by |u|, so callers must read only the state's scale-free
+        quantities, such as the angle of (u, u').  sign_changes counts the accepted steps
+        across which u changes sign, i.e. the zeros of u on (x0, pi/2].
 
     Each step takes the 12 stages of DOP853; the 13th, the derivative at
     the new point, is the next step's first, so its sin is stage 12's.
     The step error is SciPy's DOP853 norm, which blends the 5th- and
     3rd-order estimates, and the step size follows it with exponent -1/8.
 
-    Raises NumericError at the step cap, on step-size underflow (where a
-    NaN state ends within a few dozen steps) or when u is identically zero.
+    Raises NumericError on a zero start (u0 = v0 = 0, which stays zero),
+    before any step; at the step cap; and on step-size underflow, where a
+    NaN state ends within a few dozen steps.
     """
+    if u0 == 0.0 and v0 == 0.0:
+        raise NumericError("degenerate trajectory: psi identically zero")
     x = x0
     u = u0
     v = v0
-    runmax = abs(u)
     span = _Z_END - x0
     h = span * 1e-3
     if h > 0.1 * x0:
@@ -275,12 +276,9 @@ def shoot_halfcell(pot_coeff, lam2, x0, u0, v0):
             v = vn
             g = g12
             au = abs(u)
-            if au > runmax:
-                runmax = au
-            if runmax > 1e250:
-                u /= runmax
-                v /= runmax
-                runmax = 1.0
+            if au > 1e250:
+                u /= au
+                v /= au
             if final:
                 break
 
@@ -299,6 +297,4 @@ def shoot_halfcell(pot_coeff, lam2, x0, u0, v0):
             raise NumericError(
                 f"integrator step underflow after {nstep} steps at lam2={lam2}")
         nstep += 1
-    if runmax == 0.0:
-        raise NumericError("degenerate trajectory: psi identically zero")
-    return u, v, runmax, nstep, sign_changes
+    return u, v, sign_changes, nstep

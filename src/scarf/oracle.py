@@ -166,12 +166,13 @@ def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
     """Pruefer phase theta of one shooting family at trial energy E.
 
     Integrates, in one kernel call, from the start offset to the cell
-    midpoint and reads the angle of (u, u_z/S), S = max(lambda, 1), from
-    the end state and the count of zeros of u on the way: theta = pi zeros
-    + atan2(|u|, sigma u_z/S), sigma = (-1)^zeros.  atan2 of |u| is in
-    [0, pi], so a zero of u at exactly pi/2, which the kernel does not
-    count, still gives theta its full pi.  The integer part of 2 theta/pi
-    is the number of the family's levels at or below E.
+    midpoint and reads the angle of (u, u_z/S), S = max(lambda, 1), of the
+    end state (the kernel may divide its scale out) and the zeros of u on
+    the way: theta = pi zeros + atan2(|u|, sigma u_z/S), sigma =
+    (-1)^zeros.  atan2 of |u| is in [0, pi], so a zero of u at exactly
+    pi/2, which the kernel does not count, still gives theta its full pi.
+    The integer part of 2 theta/pi is the number of the family's levels
+    at or below E.
     """
     if params.regime is Regime.BOUND_STATES and cfg.exponent is Exponent.MINUS:
         raise RegimeError("bound regime admits only the 1/2 + s exponent")
@@ -180,7 +181,7 @@ def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
     series = frobenius_series(s, lam2, mu)
     z = start_offset(series) / (2.0 if cfg.half_start else 1.0)
     u0, v0 = frobenius_start(series, mu, z)
-    u, v, _, _, zeros = kernels.shoot_halfcell(-(0.25 - s**2), lam2, z, u0, v0)
+    u, v, zeros, _ = kernels.shoot_halfcell(-(0.25 - s**2), lam2, z, u0, v0)
     sigma = -1.0 if zeros % 2 else 1.0
     return math.pi * zeros + math.atan2(abs(u), sigma * v / math.sqrt(max(lam2, 1.0)))
 

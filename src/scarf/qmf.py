@@ -253,18 +253,17 @@ def _pole_count(count: complex) -> int:
     return int(nearest)
 
 
-def verify_riccati(chi: ChiFunction, lam: float | None = None) -> float:
+def verify_riccati(chi: ChiFunction) -> float:
     """Max |chi^2 + chi' + (lam^2-1)/(y^2+1)^2 + (1/4-s^2)/(y^2+1)| on the
-    probe grid.
+    probe grid, with lam = chi.lam.
 
-    chi' is differentiated analytically (no numerical step).  Passing a
-    different lam than the state's own is the intended negative control:
-    the residual then reports the eigenvalue mismatch instead of vanishing.
+    chi' is differentiated analytically (no numerical step).  A ChiFunction
+    with another lam than its state's, replace(chi, lam=...), is the
+    negative control: the residual then reports the mismatch, not 0.
     """
-    lam = chi.lam if lam is None else lam
     _, ys, (val, dval, _) = chi.probes
     res = (val * val + dval
-           + (lam**2 - 1.0) / (ys**2 + 1.0) ** 2
+           + (chi.lam**2 - 1.0) / (ys**2 + 1.0) ** 2
            + (0.25 - chi.s**2) / (ys**2 + 1.0))
     return float(np.abs(res).max())
 

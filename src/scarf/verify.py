@@ -48,7 +48,8 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     lines = spectrum_lines(params, n_max)
     logger.info("verify: s=%g regime=%s n_max=%d oracle=%s tol=%g",
                 params.s, params.regime.value, n_max, oracle, tol)
-    shooting = oracle in ("shooting", "both")
+    families = ({e: [ln for ln in lines if predicted_family(ln) is e] for e in Exponent}
+                if oracle in ("shooting", "both") else None)
     collocated = (collocation_spectrum(params, k_levels=n_max + 1)
                   if oracle in ("fd", "both") else None)
 
@@ -56,8 +57,7 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     for ln in lines:
         if ln.energy <= 0.0:
             continue  # free-particle fold at E=0 has no normalizable state
-        checks.extend(_level_checks(params, ln, lines if shooting else None,
-                                    collocated, tol))
+        checks.extend(_level_checks(params, ln, families, collocated, tol, n_max))
 
     n_failed = sum(1 for c in checks if not c["pass"])
     report = level_report(params, lines, checks)
@@ -123,12 +123,13 @@ def _check(ln: SpectrumLine, name: str, value: float, threshold: float,
     }
 
 
-def _level_checks(params, ln, lines: list[SpectrumLine] | None,
-                  collocated: dict[Exponent, list[float]] | None, tol) -> list[dict]:
-    """The checks of one level; lines (all the levels of the report, for
-    the shooting checks) or collocated is None when that oracle did not
-    run."""
-    out = [] if lines is None else _shooting_checks(params, ln, lines, tol)
+def _level_checks(params, ln, families: dict[Exponent, list[SpectrumLine]] | None,
+                  collocated: dict[Exponent, list[float]] | None, tol, n_max=None) -> list[dict]:
+    """The checks of one level; families (the report's levels of each
+    family, which the shooting checks count against n_max) or collocated
+    is None when that oracle did not run."""
+    out = ([] if families is None else
+           _shooting_checks(params, ln, families[predicted_family(ln)], n_max, tol))
 
     if collocated is not None:
         level = collocated[predicted_family(ln)][ln.n]
@@ -144,19 +145,17 @@ def _level_checks(params, ln, lines: list[SpectrumLine] | None,
     return out
 
 
-def _shooting_checks(params, ln, lines: list[SpectrumLine], tol) -> list[dict]:
+def _shooting_checks(params, ln, family: list[SpectrumLine], n_max, tol) -> list[dict]:
     """The shooting oracle's certificate of one level and, on the top level
     of its family, the family's completeness.
 
     A level that certify cannot place in its window fails
     oracle_shooting_match_count whatever tol is.  A certified window's
     upper count, n + 1, is the number of the family's levels at or below
-    it, so on the family's top level it must equal the family's number of
-    lines, the E = 0 fold of s = 1/2 included."""
-    exponent = predicted_family(ln)
-    family = [other for other in lines if predicted_family(other) is exponent]
+    it, so on the family's highest level it must equal both the family's
+    number of lines (the E = 0 fold of s = 1/2 included) and n_max + 1."""
     try:
-        res = certify(params, ln.energy, ln.n, exponent)
+        res = certify(params, ln.energy, ln.n, predicted_family(ln))
     except (BracketError, NumericError) as exc:
         logger.warning("level (n=%d, %s) not certified: %s", ln.n, ln.edge.value, exc)
         return [_check(ln, "oracle_shooting_match_count", 1.0, 0.0, observed=0.0)]
@@ -165,7 +164,7 @@ def _shooting_checks(params, ln, lines: list[SpectrumLine], tol) -> list[dict]:
            _check(ln, "oracle_delta_sensitivity", res.delta_sensitivity, 1e-9)]
     if ln is max(family, key=lambda other: other.energy):
         out.append(_check(ln, "oracle_shooting_completeness",
-                          float(abs(res.n + 1 - len(family))), 0.0,
+                          float(abs(res.n + 1 - len(family)) + abs(len(family) - n_max - 1)), 0.0,
                           observed=float(res.n + 1)))
     return out
 

@@ -11,7 +11,8 @@ The set runs spectrum, bands, wavefunction, table1 and verify through
 click's CliRunner at s in {0.05, 0.4, 0.4999, 0.5, 2, 2.37, 8}, with both
 output formats and two (a, m) pairs, plus three invalid inputs.  Shooting
 verify runs at s in {0.499999999, 0.5} and at --tol 1e-15 pin the pass or
-fail of each level's certificate window.  At each
+fail of each level's certificate window, and those at s in {200, 300} pin
+shots whose state the kernel renormalizes in flight.  At each
 s, a spectrum run and a verify run take s, a, m and the format from a
 --config file, and one more run overrides two of its keys by flags; the
 file is written to a temporary directory and its JSON printed with the
@@ -39,6 +40,8 @@ SHOOTING = (
     ["verify", "--s", "0.5", "--n-max", "0", "--oracle", "shooting", "--format", "csv"],
     ["verify", "--s", "0.4", "--n-max", "1", "--oracle", "shooting", "--tol", "1e-15"],
     ["verify", "--s", "2", "--n-max", "2", "--oracle", "shooting", "--tol", "1e-15"],
+    ["verify", "--s", "200", "--n-max", "0", "--oracle", "shooting"],
+    ["verify", "--s", "300", "--n-max", "0", "--oracle", "shooting"],
 )
 ERRORS = (
     ["spectrum", "--s", "-1"],

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -155,8 +156,9 @@ def test_criterion_5_riccati_and_schrodinger_residuals(all_states):
         res, scale = scarf.schrodinger_residual(wf)
         worst_schrod = max(worst_schrod, res / scale)
         assert chi_parity_defect(chi) <= 1e-12
-    control_chi = ChiFunction.from_wavefunction(all_states[0])
-    control = scarf.verify_riccati(control_chi, lam=all_states[0].line.lam + 0.1)
+    control_chi = replace(ChiFunction.from_wavefunction(all_states[0]),
+                          lam=all_states[0].line.lam + 0.1)
+    control = scarf.verify_riccati(control_chi)
     ok = worst_riccati <= 1.0 and worst_schrod <= 1e-8 and control >= 1e-3
     report("5 (equation residuals)", ok,
            f"riccati within {worst_riccati:.2f}x budget, schrodinger<= "

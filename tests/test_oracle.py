@@ -508,6 +508,28 @@ class TestSpectrumMutants:
             (2, "lower" if s < 0.5 else None, "oracle_shooting_completeness")]
 
     @pytest.mark.parametrize("s", [2.0, 0.4])
+    def test_top_line_dropped(self, s):
+        # the family keeps n_max lines, all certified, one short of n_max + 1
+        params = scarf.PotentialParams(s)
+
+        def drop_top(lines):
+            lines.remove(max(lines, key=lambda ln: ln.energy))
+            return lines
+
+        assert self.failing(params, drop_top) == [
+            (1, "upper" if s < 0.5 else None, "oracle_shooting_completeness")]
+
+    @pytest.mark.parametrize("s", [2.0, 0.4])
+    @pytest.mark.parametrize("n_max", [1, 3])
+    def test_lines_of_another_n_max(self, s, n_max):
+        # a complete, certified spectrum of n_max in a report of n_max = 2
+        params = scarf.PotentialParams(s)
+        lines = scarf.spectrum_lines(params, n_max)
+        assert self.failing(params, lambda _: lines) == [
+            (n_max, edge, "oracle_shooting_completeness")
+            for edge in (["lower", "upper"] if s < 0.5 else [None])]
+
+    @pytest.mark.parametrize("s", [2.0, 0.4])
     def test_line_added_between_levels(self, s):
         params = scarf.PotentialParams(s)
 
@@ -656,6 +678,16 @@ class TestBrent:
 
 
 class TestKernelPaths:
+    def test_zero_start_raises_before_any_step(self, monkeypatch):
+        # a linear ODE started from (0, 0) stays at 0: no stage is evaluated
+        spy = mock.Mock(wraps=math)
+        monkeypatch.setattr(kernels, "math", spy)
+        with pytest.raises(NumericError, match="identically zero"):
+            shoot_halfcell(3.75, 10.0, 0.1, 0.0, 0.0)
+        assert spy.sin.call_count == 0
+        shoot_halfcell(3.75, 10.0, 0.1, 0.0, 1.0)
+        assert spy.sin.call_count > 0
+
     def test_non_finite_energy_terminates(self):
         # NaN propagation must end in step underflow, never a spin to the cap
         with pytest.raises(NumericError, match=r"step underflow after \d{1,3} steps") as err:
@@ -708,12 +740,15 @@ class TestDop853:
 
         for z0 in (1e-3 * math.pi, oracle.start_offset(series)):
             u0, v0 = oracle.frobenius_start(series, mu, z0)
-            u, v, runmax, steps, zeros = shoot_halfcell(c, lam2, z0, u0, v0)
+            u, v, zeros, steps = shoot_halfcell(c, lam2, z0, u0, v0)
             ref = solve_ivp(rhs, (z0, math.pi / 2.0), [u0, v0], method="DOP853",
                             rtol=1e-13, atol=1e-280, dense_output=True)
             assert ref.success
-            assert abs(u - ref.y[0, -1]) <= 1e-9 * runmax
-            assert abs(v - ref.y[1, -1]) <= 1e-9 * runmax * math.sqrt(1.0 + lam2)
+            # scaled by the largest |u| on a dense grid; no shot here grows
+            # past the kernel's renormalization at |u| = 1e250
             dense = ref.sol(np.linspace(z0, math.pi / 2.0, 20_001))[0]
+            umax = np.abs(dense).max()
+            assert abs(u - ref.y[0, -1]) <= 5e-10 * umax
+            assert abs(v - ref.y[1, -1]) <= 5e-10 * umax * math.sqrt(1.0 + lam2)
             assert zeros == np.count_nonzero(np.diff(np.sign(dense)) != 0)
             assert 0 < steps < 1000

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ class TestRiccati:
 
     def test_perturbed_lambda_is_visible(self, bound_chi):
         # negative control: a wrong eigenvalue must light up the residual
-        assert scarf.verify_riccati(bound_chi, lam=2.6) >= 1e-3
+        assert scarf.verify_riccati(replace(bound_chi, lam=2.6)) >= 1e-3
 
 
 class TestReport:
