@@ -287,7 +287,11 @@ def _probe_grid(poles: list[float]) -> np.ndarray:
 
 
 def chi_parity_defect(chi: ChiFunction) -> float:
-    """max |chi(-y) + chi(y)| / max |chi| on the probe grid (chi is odd)."""
+    """max |chi(-y) + chi(y)| / max |chi| on the probe grid (chi is odd),
+    exactly 0 for a correct evaluator: at -y, y^2 and h keep their bits and t
+    turns to -t, and each rounded step of the recurrence and of the fixed
+    part maps negated inputs to the negated result, so chi(-y) is -chi(y)
+    bit for bit.  A nonzero value flags an evaluator that lost that symmetry."""
     _, _, (plus, _, minus) = chi.probes
     scale = np.abs(plus).max()
     if scale == 0.0:

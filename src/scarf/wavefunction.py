@@ -14,10 +14,10 @@ from polynomials.gegenbauer_ratios, the normalised three-term recurrence
 The structure probes work on the unit cell in z = theta, with u = sin^kappa(z)
 R_n(cos z) = psi / norm, so their values depend on (s, n, edge) alone; a and m
 enter only the energies and sample_wavefunction's physical columns.  Each spec
-caches one recurrence pass over the z-grids of all four probes, made on first
-use; the residual and parity grids, with their sin and cos, are module
-constants, and the node and exponent grids are built per spec.  u_zz reads
-R_n, R_{n-1} and R_{n-2} of that pass through the contiguous relation
+caches one recurrence pass over the probes' three z-grids (parity shares the
+node grid), made on first use; the residual grid, with its sin and cos, is a
+module constant, and the node and exponent grids are built per spec.  u_zz
+reads R_n, R_{n-1} and R_{n-2} of that pass through the contiguous relation
 (1 - t^2) R_k' = k (R_{k-1} - t R_k).  The node count and boundary
 fit read R and log sin directly, so they neither threshold zeros nor
 underflow in the sin^kappa tails.  The norm of C_n^kappa and Legendre
@@ -52,16 +52,11 @@ _PARITY_TOL = 1e-10
 _NODE_SAMPLES = 512
 _EXPONENT_POINTS = 32
 _RESIDUAL_MARGIN = 1e-3  # fraction of the cell left out at each wall
-# the z-grids of the residual and parity probes and their rows z, sin z,
-# cos z, the same for every state; the exponent grid at n = 0
+# rows z, sin z, cos z of the residual probe's grid; the exponent grid at n = 0
 _RESIDUAL_GRID = np.linspace(_RESIDUAL_MARGIN * np.pi, (1.0 - _RESIDUAL_MARGIN) * np.pi, 200)
-_PARITY_HALF = np.pi * np.arange(1, 129) / 258.0
-_PARITY_GRID = np.concatenate((np.pi / 2.0 - _PARITY_HALF, np.pi / 2.0 + _PARITY_HALF))
-_FIXED_ROWS = {name: (z, np.sin(z), np.cos(z))
-               for name, z in (("residual", _RESIDUAL_GRID), ("parity", _PARITY_GRID))}
-for _row in (row for rows in _FIXED_ROWS.values() for row in rows):
+_RESIDUAL_ROWS = (_RESIDUAL_GRID, np.sin(_RESIDUAL_GRID), np.cos(_RESIDUAL_GRID))
+for _row in _RESIDUAL_ROWS:
     _row.flags.writeable = False  # shared by every spec's cell
-_FIXED_COS = np.concatenate([rows[2] for rows in _FIXED_ROWS.values()])
 _EXPONENT_UNIT = np.geomspace(1e-5 * np.pi, 1e-3 * np.pi, _EXPONENT_POINTS)
 
 
@@ -91,20 +86,20 @@ class WavefunctionSpec:
     def cell(self) -> dict[str, tuple[np.ndarray, ...]]:
         """Rows z, sin z, cos z, R_n, R_{n-1}, R_{n-2} at cos z on the grid of
         each structure probe, from one gegenbauer_ratios pass over all of
-        them, made on first use.  The residual and parity grids and their
-        first three rows are module constants; the node grid and the
-        exponent grid, _EXPONENT_UNIT sqrt(500 / max(500, kappa)) / (n + 1),
-        get one sin and one cos per spec.  The cache lives and dies with
-        the spec."""
+        them, made on first use.  The residual grid and its first three
+        rows are module constants; the node grid, which parity shares, and
+        the exponent grid, _EXPONENT_UNIT sqrt(500 / max(500, kappa)) /
+        (n + 1), get one sin and one cos per spec.  The cache lives and
+        dies with the spec."""
         n = self.line.n
         nodes = max(_NODE_SAMPLES, 8 * (n + 1))
         shrink = (n + 1) * math.sqrt(max(1.0, self.boundary_power / 500.0))
         z = np.concatenate((np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
                             _EXPONENT_UNIT / shrink))
         own = (z, np.sin(z), np.cos(z))
-        ratios = gegenbauer_ratios(n, self.boundary_power, np.concatenate((_FIXED_COS, own[2])))
+        ratios = gegenbauer_ratios(n, self.boundary_power, np.append(_RESIDUAL_ROWS[2], own[2]))
         cell, start = {}, 0
-        for name, rows in (*_FIXED_ROWS.items(), ("nodes", [v[:nodes] for v in own]),
+        for name, rows in (("residual", _RESIDUAL_ROWS), ("nodes", [v[:nodes] for v in own]),
                            ("exponent", [v[nodes:] for v in own])):
             stop = start + rows[0].size
             cell[name] = (*rows, *(r[start:stop] for r in ratios))
@@ -191,14 +186,14 @@ def parity(spec: WavefunctionSpec) -> Parity:
     """Parity about the cell midpoint; Even iff n is even.
 
     Measured, not assumed: the symmetric and antisymmetric defects of u
-    are compared against 1e-10 max|u| on 128 points each side of z = pi/2.
+    are compared against 1e-10 max|u| over the N/2 mirror pairs z_k,
+    z_(N+1-k) = pi - z_k of count_nodes' grid z_k = pi k / (N + 1), N even.
     """
-    _, sn, _, r, _, _ = spec.cell["parity"]
+    _, sn, _, r, _, _ = spec.cell["nodes"]
     u = sn ** spec.boundary_power * r
-    left, right = u[:128], u[128:]
-    scale = max(np.abs(left).max(), np.abs(right).max())
-    even_defect = np.abs(right - left).max()
-    odd_defect = np.abs(right + left).max()
+    scale = np.abs(u).max()
+    even_defect = np.abs(u - u[::-1]).max()
+    odd_defect = np.abs(u + u[::-1]).max()
     if even_defect <= _PARITY_TOL * scale and even_defect <= odd_defect:
         return Parity.EVEN
     if odd_defect <= _PARITY_TOL * scale:

@@ -293,21 +293,19 @@ class TestScaleInvariance:
 
 
 def _cell_reference(spec):
-    """spec.cell rebuilt as np.stack and np.split form it: the residual and
-    parity grids with a sin and a cos each, the node grid and the exponent
-    grid (a unit grid over n + 1) joined with one sin and one cos, one
-    recurrence pass over every cos, and the stacked rows split back."""
+    """spec.cell rebuilt as np.stack and np.split form it: the residual grid
+    with a sin and a cos, the node grid and the exponent grid (a unit grid
+    over n + 1) joined with one sin and one cos, one recurrence pass over
+    every cos, and the stacked rows split back."""
     n = spec.line.n
     nodes = max(512, 8 * (n + 1))
-    half = np.pi * np.arange(1, 129) / 258.0
-    fixed = [np.linspace(1e-3 * np.pi, (1.0 - 1e-3) * np.pi, 200),
-             np.concatenate((np.pi / 2.0 - half, np.pi / 2.0 + half))]
+    residual = np.linspace(1e-3 * np.pi, (1.0 - 1e-3) * np.pi, 200)
     own = np.concatenate((np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
                           np.geomspace(1e-5 * np.pi, 1e-3 * np.pi, 32) / (n + 1)))
-    trig = np.hstack([np.stack((z, np.sin(z), np.cos(z))) for z in (*fixed, own)])
+    trig = np.hstack([np.stack((z, np.sin(z), np.cos(z))) for z in (residual, own)])
     rows = np.vstack((trig, np.stack(gegenbauer_ratios(n, spec.boundary_power, trig[2]))))
-    return dict(zip(("residual", "parity", "nodes", "exponent"),
-                    np.split(rows, np.cumsum([200, 256, nodes]), axis=1)))
+    return dict(zip(("residual", "nodes", "exponent"),
+                    np.split(rows, np.cumsum([200, nodes]), axis=1)))
 
 
 _CELL_STATES = [(2.0, 0, Edge.NOT_APPLICABLE), (2.0, 1, Edge.NOT_APPLICABLE),
@@ -318,6 +316,50 @@ _CELL_STATES = [(2.0, 0, Edge.NOT_APPLICABLE), (2.0, 1, Edge.NOT_APPLICABLE),
 def _spec(s, n, edge):
     params = scarf.PotentialParams(s=s)
     return scarf.build_wavefunction(params, spectrum_line(params, n, edge))
+
+
+_BAND_COUPLINGS = (0.05, 0.2, 0.4, 0.45, 0.5)
+_PARITY_SET_COUPLINGS = _BAND_COUPLINGS + (0.7, 2.0, 8.0, 30.0, 100.0)
+_PARITY_SET_DEGREES = (*range(41), 100, 200, 500)
+
+
+def _midpoint_grid_parity(spec):
+    """parity's rule on a 256-point grid of its own, pi/2 -+ pi k / 258 for
+    k = 1..128, from a recurrence pass of its own; None where neither
+    defect is within 1e-10 max|u|."""
+    half = np.pi * np.arange(1, 129) / 258.0
+    z = np.concatenate((np.pi / 2.0 - half, np.pi / 2.0 + half))
+    kappa = spec.boundary_power
+    u = np.sin(z) ** kappa * gegenbauer_ratios(spec.line.n, kappa, np.cos(z))[0]
+    left, right = u[:128], u[128:]
+    scale = np.abs(u).max()
+    even, odd = np.abs(right - left).max(), np.abs(right + left).max()
+    if even <= 1e-10 * scale and even <= odd:
+        return Parity.EVEN
+    return Parity.ODD if odd <= 1e-10 * scale else None
+
+
+class TestParityOnNodeGrid:
+    """parity, on the mirror pairs of count_nodes' grid, gives the verdict
+    of a separate grid about pi/2 over the 660-state set: n = 0-40, 100, 200
+    and 500, both edges in the band regime (659 states; the E = 0 fold at
+    s = 1/2 has no wavefunction)."""
+
+    @pytest.mark.parametrize("s", _PARITY_SET_COUPLINGS)
+    def test_verdict_equals_a_midpoint_grid(self, s):
+        params = scarf.PotentialParams(s=s)
+        edges = (Edge.LOWER, Edge.UPPER) if s in _BAND_COUPLINGS else (Edge.NOT_APPLICABLE,)
+        lines = [spectrum_line(params, n, edge) for n in _PARITY_SET_DEGREES for edge in edges]
+        states = [scarf.build_wavefunction(params, line) for line in lines if line.energy > 0.0]
+        assert len(states) == len(lines) - (s == 0.5)
+        for wf in states:
+            got = scarf.parity(wf)  # raises NumericError on no definite parity
+            assert got is _midpoint_grid_parity(wf), wf.line
+            assert got is (Parity.EVEN if wf.line.n % 2 == 0 else Parity.ODD), wf.line
+            _, sn, _, r, _, _ = wf.cell["nodes"]
+            u = sn ** wf.boundary_power * r
+            mirror = u[::-1] if got is Parity.EVEN else -u[::-1]
+            assert np.abs(u - mirror).max() <= 1e-11 * np.abs(u).max(), wf.line
 
 
 class TestCellRows:
