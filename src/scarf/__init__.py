@@ -33,19 +33,17 @@ from .spectrum import (
     spectrum_line,
     spectrum_lines,
 )
-from .polynomials import (
-    PolySpec,
-    build_poly,
-    real_roots,
-)
 from .wavefunction import (
     Parity,
+    PolySpec,
     WavefunctionSpec,
     boundary_exponent,
+    build_poly,
     build_wavefunction,
     count_nodes,
     eval_psi,
     parity,
+    real_roots,
     sample_wavefunction,
     schrodinger_residual,
 )

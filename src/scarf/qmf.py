@@ -6,7 +6,7 @@ For a constructed eigenstate the momentum function in the cot variable is
 
 with simple poles at y = +-i (residue b1 each) and at the n real roots of
 P (residue +1 each).  P'/P and its slope come from the Gegenbauer form of
-P, by the recurrence psi uses (polynomials.gegenbauer_ratios): monomial
+P, by the recurrence psi uses (wavefunction.gegenbauer_ratios): monomial
 coefficients would fail the Riccati check from n of about 40 and overflow
 by n = 500.  This module measures those residues numerically by
 contour integration and checks the structural claims the closed forms rest
@@ -55,8 +55,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ContourError, NumericError
-from .polynomials import PolySpec, gegenbauer_ratios, real_roots
-from .wavefunction import WavefunctionSpec
+from .wavefunction import PolySpec, WavefunctionSpec, gegenbauer_ratios, real_roots
 
 _D0_TOL = 1e-10
 _COUNT_TOL = 1e-6

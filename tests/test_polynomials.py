@@ -8,9 +8,9 @@ from scipy.special import eval_gegenbauer
 import scarf
 from scarf import Edge, RegimeError
 from scarf.potential import Regime
-from scarf.polynomials import gegenbauer_ratios
 from scarf.qmf import log_derivative
 from scarf.spectrum import level_parameters
+from scarf.wavefunction import gegenbauer_ratios
 
 from jacobi_reference import (
     jacobi_eval,
@@ -198,7 +198,7 @@ def _companion_roots(coeffs):
 
 
 def _ratios_clongdouble(n, kappa, t):
-    """(R_n, R_{n-1}, R_{n-2}) by the recurrence of the polynomials docstring,
+    """(R_n, R_{n-1}, R_{n-2}) by the recurrence of the wavefunction docstring,
     each step divided as written, in extended precision."""
     t, kappa = np.asarray(t, dtype=np.clongdouble), np.longdouble(kappa)
     rows = [np.zeros_like(t), np.ones_like(t), t]

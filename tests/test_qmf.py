@@ -6,7 +6,6 @@ import pytest
 
 import scarf
 from scarf import ChiFunction, ContourError, Edge, Parity
-from scarf.polynomials import gegenbauer_ratios
 from scarf.qmf import (
     _FIXED_RADIUS,
     _count_ellipse,
@@ -20,6 +19,7 @@ from scarf.qmf import (
 )
 from scarf.spectrum import spectrum_line
 from scarf.verify import _level_checks
+from scarf.wavefunction import gegenbauer_ratios
 
 
 @pytest.fixture(scope="module")

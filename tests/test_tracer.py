@@ -1,17 +1,24 @@
-"""The benchmark's span tracer still reads the package.
+"""The benchmark still reads the package.
 
 perfbench/tracer.py wraps module attributes of scarf by name and labels
-each shot by the find_eigen call around it, if any.  A change to scarf
-that breaks either shows here, not first in a benchmark run.
+each shot by the find_eigen call around it, if any; perfbench/child.py
+probe times `import scarf` and samples the host's speed while it runs.  A
+change to scarf that breaks either shows here, not first in a benchmark
+run.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import scarf
+import scarf.cli  # the tracer hooks only modules already loaded
 import scarf.verify
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -22,7 +29,9 @@ def load_tracer():
 
 
 def test_traced_band_verify():
-    tracer = load_tracer().Tracer()
+    module = load_tracer()
+    assert {hook[0] for hook in module.SPAN_HOOKS} <= sys.modules.keys()
+    tracer = module.Tracer()
     tracer.install()
     try:
         scarf.verify.run_verification(scarf.PotentialParams(0.4), 2)
@@ -39,3 +48,14 @@ def test_traced_band_verify():
     assert sorted(tracer.missing) == [
         "scarf.oracle.brentq", "scarf.oracle.find_eigen", "scarf.verify.fd_bound_spectrum",
         "scarf.verify.scan_spectrum", "scarf.wavefunction.quad"]
+
+
+def test_import_probe():
+    """`run.py setup` takes the median of the probe's speed samples, which
+    are drawn only while `import scarf` runs."""
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), "probe"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert Path(probe["scarf_file"]).resolve().is_relative_to(ROOT / "src")
+    assert len(probe["cal"]) >= 1

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 import scarf
 from scarf import ConsistencyError, Edge, Parity
-from scarf.polynomials import gegenbauer_ratios
 from scarf.qmf import chi_parity_defect
 from scarf.spectrum import spectrum_line
 from scarf.verify import _level_checks
+from scarf.wavefunction import gegenbauer_ratios
 
 
 @pytest.fixture(scope="module")
