@@ -24,19 +24,29 @@ eta the clearance rate of the contour from its nearest pole, so every
 contour takes the smallest power of two N >= 32 with N eta >= 32, an error
 near e^-32.  On a residue circle eta = ln(d / r), d being the distance from
 its center to the nearest other pole; the ContourError rule d >= 1.5 r
-floors it at ln 1.5.  The circles at infinity have eta = ln(r / max|pole|)
-> ln 10, so N = 32.  The moving-pole count needs a flat ellipse, with rx =
-1 + max|root| and ry = 1/2, that holds the real roots and stays clear of
-+-i; its foci lie beyond every root, and a pole on the focal segment sits
-atanh(ry / rx) from the contour in theta, the ellipse's confocal rate.  A
-contour with corners would converge only algebraically.  Each ChiFunction
-caches one pass of the recurrence, made on first use, over the probe grid
-and its mirror and over the nodes of the five contours of residue_report
-(two residue circles, two circles at infinity, the moving-pole ellipse),
-from one list of the state's poles; chi' is formed on the probe grid
-alone, and chi's fixed part once over it and the four circles.
-residue_report is the one reader of those contours; contour_residue
-integrates chi over a circle of the caller's choice.
+floors it at ln 1.5.
+
+No contour of residue_report, and no probe point, depends on where the
+state's roots are, so the verify path solves for none of them:
+- The circles of radius 0.4 about +-i are fixed: every real root lies at
+  least 1 from either center and the other fixed pole 2, so d / r >= 2.5,
+  eta >= ln 2.5 and N = 64, and the ContourError rule cannot fire on them.
+- The circles at infinity have radius r = 10 (1 + max(1, sqrt(n (n - 1) /
+  (2 kappa + 1)))) and 2r: P's ODE fixes the sum of its roots' squares at
+  n (n - 1) / (2 kappa + 1), which bounds the largest, so every pole lies
+  within r / 10, eta > ln 10 and N = 32.
+- The moving poles are counted in t = cos theta = y / sqrt(1 + y^2),
+  which maps the real y axis one-to-one onto (-1, 1), where they are the n
+  zeros of R_n^kappa: the argument principle on R_n'/R_n over the
+  Bernstein ellipse with foci +-1 and rho = 1.5 (semi-axes 13/12 and
+  5/12), whose confocal rate from the focal segment is ln rho, so N = 128.
+- The Riccati and parity probes read chi on the line Im y = 1/2, 64 points
+  with Re y in [-5, 5], and on its mirror -y: each point lies at least 1/2
+  from every pole.
+Each ChiFunction caches one pass of the recurrence over all of these
+nodes, made on first use; residue_report is the one reader of the
+contours, and contour_residue integrates chi over a circle of the
+caller's choice, checked against the state's roots.
 
 Conventions: in the original momentum variable p = -i q the moving-pole
 residue reads -i hbar; after the variable changes used here it is +1, the
@@ -60,8 +70,8 @@ from .wavefunction import PolySpec, WavefunctionSpec, gegenbauer_ratios, real_ro
 _D0_TOL = 1e-10
 _COUNT_TOL = 1e-6
 _FIXED_RADIUS = 0.4  # circles around +-i for b1 and b1'
-_COUNT_HALF_HEIGHT = 0.5  # semi-minor axis of the moving-pole ellipse
-_PROBE_LINE = np.linspace(-5.0, 5.0, 64)
+_PROBE_LINE = np.linspace(-5.0, 5.0, 64) + 0.5j
+_NO_NODES = np.empty(0, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -79,71 +89,65 @@ class ChiFunction:
 
     def __call__(self, y):
         y = np.asarray(y, dtype=complex)
-        return self.fixed_part(y) + log_derivative(self.poly, y)
+        return self.fixed_part(y) + log_derivative(self.poly, y)[0]
 
     def fixed_part(self, y):
         """2 b1 y / (y^2 + 1), the part of chi with the poles at +-i."""
         return 2.0 * self.b1 * y / (y * y + 1.0)
 
     @cached_property
-    def probes(self) -> tuple[list[tuple[np.ndarray, complex]], np.ndarray, tuple]:
+    def probes(self) -> tuple[list[tuple[np.ndarray, complex]], tuple]:
         """The state's one recurrence pass, made on first use, over the probe
-        grid ys, its mirror -ys and the nodes (z, w) of residue_report's five
-        contours, in that order: the residue circles about +i and -i, the
-        two circles at infinity, the moving-pole ellipse.
+        line, its mirror and the nodes of residue_report's five contours, in
+        that order: the residue circles about +i and -i, the two circles at
+        infinity, the t-ellipse.
 
-        Returns [(f(z), (1/2 pi i) closed integral of f dz)] per contour, f
-        being chi on the circles and P'/P on the ellipse, the grid ys, and
-        (chi(ys), chi'(ys), chi(-ys)); chi' is formed on ys alone and chi's
-        fixed part on everything before the ellipse.  Elementwise in numpy,
-        so each value is the one a pass per contour or grid gives.  The
-        state's pole list is built once here, and the cache lives and dies
-        with this object."""
-        roots = real_roots(self.poly)
-        ys = _probe_grid(roots)
-        contours = [_residue_circle(roots, 1j, _FIXED_RADIUS),
-                    _residue_circle(roots, -1j, _FIXED_RADIUS),
-                    *_infinity_circles(roots), _count_ellipse(roots)]
-        m = ys.size
-        nodes = np.concatenate([ys, -ys] + [z for z, _ in contours], dtype=complex)
-        f, slope = log_derivative(self.poly, nodes, slope=slice(0, m))
+        Returns [(f, (1/2 pi i) closed integral of f)] per contour, f being
+        chi on the circles and R_n'/R_n on the t-ellipse, and (chi, chi',
+        chi at the mirror) on the probe line; chi' is formed on the line
+        alone.  Elementwise in numpy, so each value is the one a pass per
+        contour or line gives.  The cache lives and dies with this object."""
+        contours = [*_RESIDUE_CIRCLES, *_infinity_circles(self.poly)]
+        m = _PROBE_LINE.size
+        y = np.concatenate([_PROBE_LINE, -_PROBE_LINE] + [z for z, _ in contours])
+        f, slope, dlog_r = log_derivative(self.poly, y, slice(0, m), _COUNT_ELLIPSE[0])
+        f += self.fixed_part(y)
         stops = list(accumulate([2 * m] + [z.size for z, _ in contours]))
-        f[:stops[-2]] += self.fixed_part(nodes[:stops[-2]])
-        results = [(f[start:stop], complex((f[start:stop] * w).sum() / w.size))
-                   for start, stop, (_, w) in zip(stops, stops[1:], contours)]
-        y = nodes[:m]
-        return results, ys, (f[:m], 2.0 * self.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2 + slope,
-                             f[m:2 * m])
+        values = [f[start:stop] for start, stop in zip(stops, stops[1:])] + [dlog_r]
+        results = [(v, complex((v * w).sum() / w.size))
+                   for v, (_, w) in zip(values, contours + [_COUNT_ELLIPSE], strict=True)]
+        y2 = _PROBE_LINE * _PROBE_LINE
+        return results, (f[:m], 2.0 * self.b1 * (1.0 - y2) / (y2 + 1.0) ** 2 + slope, f[m:2 * m])
 
 
-def log_derivative(poly: PolySpec, y, slope: slice | None = None):
-    """P'(y)/P(y) at complex y from one pass of gegenbauer_ratios, and with
-    a slice for slope the pair (P'/P, its y-derivative on y[slope]).
+def log_derivative(poly: PolySpec, y: np.ndarray, slope: slice = slice(0),
+                   t: np.ndarray = _NO_NODES):
+    """(P'/P at complex y, its y-derivative on y[slope], R_n'/R_n at complex
+    t) from one pass of gegenbauer_ratios over y / sqrt(1 + y^2) and t.
 
     With h = sqrt(1 + y^2), t = y/h, rho = R_{n-1}(t)/R_n(t) and the
     contiguous relation (1 - t^2) R_k' = k (R_{k-1} - t R_k):
 
+        R_n'/R_n = n (rho - t) / ((1 - t)(1 + t)),
         P'/P     = n rho / h,
         (P'/P)'  = n [(R'_{n-1} - rho R'_n) / (R_n h^4) - rho y / h^3].
 
-    Both are even in h, so either branch of the root serves, and t stays
-    bounded on every contour here.  The slope comes from the contiguous
-    relation, not from the ODE that P solves, so the Riccati residual
-    stays an independent check.
+    The y forms are even in h, so either branch of the root serves, and t
+    stays bounded on every contour here.  The slope comes from the
+    contiguous relation, not from the ODE that P solves, so the Riccati
+    residual stays an independent check.
     """
     n = poly.n
     h = np.sqrt(1.0 + y * y)
-    t = y / h
-    r, r1, r2 = gegenbauer_ratios(n, poly.lam - n, t)
+    m, ty = h.size, y / h
+    r, r1, r2 = gegenbauer_ratios(n, poly.lam - n, np.concatenate((ty, t)))
     rho = r1 / r
-    value = n * rho / h
-    if slope is None:
-        return value
-    y, h, t, r, r1, r2, rho = (v[slope] for v in (y, h, t, r, r1, r2, rho))
+    value, dlog_r = n * rho[:m] / h, n * (rho[m:] - t) / ((1.0 - t) * (1.0 + t))
+    y, h, ty, r, r1, r2, rho = (v[slice(*slope.indices(m))] for v in (y, h, ty, r, r1, r2, rho))
     h2 = h * h
-    dr = n * h2 * (r1 - t * r)
-    dr1 = (n - 1) * h2 * (r2 - t * r1)
-    return value, n * ((dr1 - rho * dr) / (r * h2 * h2) - rho * y / (h2 * h))
+    dr = n * h2 * (r1 - ty * r)
+    dr1 = (n - 1) * h2 * (r2 - ty * r1)
+    return value, n * ((dr1 - rho * dr) / (r * h2 * h2) - rho * y / (h2 * h)), dlog_r
 
 
 @dataclass(frozen=True)
@@ -187,6 +191,12 @@ def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndar
     return center + alpha * e + back, alpha * e - back
 
 
+# the contours that no state changes (module docstring)
+_RESIDUE_CIRCLES = [_ellipse(c, _FIXED_RADIUS, _FIXED_RADIUS,
+                             _node_count(math.log(1.0 / _FIXED_RADIUS))) for c in (1j, -1j)]
+_COUNT_ELLIPSE = _ellipse(0.0, 13.0 / 12.0, 5.0 / 12.0, _node_count(math.log(1.5)))
+
+
 def _residue_circle(roots: list[float], center: complex, radius: float) -> tuple:
     """The circle of the given radius about center, its eta = ln(d / radius)
     from the distance d to the nearest other pole, +-i or a root."""
@@ -211,11 +221,12 @@ def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex
     return complex((chi(z) * w).sum() / w.size)
 
 
-def _infinity_circles(roots: list[float]) -> list[tuple]:
-    """Circles of radius 10 (1 + max|pole|) and twice that about 0, with
-    max|root| read off the ends of the ascending roots.  Every pole lies
-    within a tenth of their radius, so eta > ln 10 and 32 nodes serve."""
-    radius = 10.0 * (1.0 + (max(1.0, -roots[0], roots[-1]) if roots else 1.0))
+def _infinity_circles(poly: PolySpec) -> list[tuple]:
+    """Circles of radius r = 10 (1 + max(1, sqrt(n (n - 1) / (2 kappa + 1))))
+    and 2r about 0, from the sum of the roots' squares (module docstring).
+    Every pole lies within r / 10, so eta > ln 10 and 32 nodes serve."""
+    n = poly.n
+    radius = 10.0 * (1.0 + max(1.0, math.sqrt(n * (n - 1) / (2.0 * (poly.lam - n) + 1.0))))
     return [_ellipse(0.0, r, r, 32) for r in (radius, 2.0 * radius)]
 
 
@@ -235,16 +246,6 @@ def _infinity_residue(circles: list[tuple[np.ndarray, complex]]) -> complex:
     return d1
 
 
-def _count_ellipse(roots: list[float]) -> tuple:
-    """The moving-pole ellipse, with semi-axes 1 + max|root| along the real
-    axis and 1/2 across it, and eta = atanh(ry / rx): every root lies on its
-    focal segment, and it stays clear of +-i (irrelevant for P'/P, but it
-    keeps the contour tied to the singularity layout)."""
-    rx = 1.0 + (max(-roots[0], roots[-1]) if roots else 0.0)
-    nodes = _node_count(math.atanh(_COUNT_HALF_HEIGHT / rx))
-    return _ellipse(0.0, rx, _COUNT_HALF_HEIGHT, nodes)
-
-
 def _pole_count(count: complex) -> int:
     nearest = round(count.real)
     if abs(count - nearest) > _COUNT_TOL:
@@ -254,44 +255,27 @@ def _pole_count(count: complex) -> int:
 
 def verify_riccati(chi: ChiFunction) -> float:
     """Max |chi^2 + chi' + (lam^2-1)/(y^2+1)^2 + (1/4-s^2)/(y^2+1)| on the
-    probe grid, with lam = chi.lam.
+    probe line, with lam = chi.lam.
 
     chi' is differentiated analytically (no numerical step).  A ChiFunction
     with another lam than its state's, replace(chi, lam=...), is the
     negative control: the residual then reports the mismatch, not 0.
     """
-    _, ys, (val, dval, _) = chi.probes
+    val, dval, _ = chi.probes[1]
+    ys = _PROBE_LINE
     res = (val * val + dval
            + (chi.lam**2 - 1.0) / (ys**2 + 1.0) ** 2
            + (0.25 - chi.s**2) / (ys**2 + 1.0))
     return float(np.abs(res).max())
 
 
-def _probe_grid(poles: list[float]) -> np.ndarray:
-    """64 points on [-5, 5], less those within 0.06 of a moving pole: of
-    the ascending poles, the two that bracket each point.
-
-    At high degree the poles thin that grid out (from n = 394 at s = 2 they
-    clear it), so when fewer than a quarter of its points are left the
-    probes take the midpoints in theta = arccot y between consecutive
-    poles instead, each as far from its two poles as the spacing allows."""
-    p = np.concatenate(([-np.inf], poles, [np.inf]))
-    above = np.searchsorted(p, _PROBE_LINE)
-    ys = _PROBE_LINE[(_PROBE_LINE - p[above - 1] >= 0.06) & (p[above] - _PROBE_LINE >= 0.06)]
-    if ys.size >= _PROBE_LINE.size // 4:
-        return ys
-    theta = np.arctan2(1.0, p[1:-1])
-    mid = 0.5 * (theta[1:] + theta[:-1])
-    return np.cos(mid) / np.sin(mid)
-
-
 def chi_parity_defect(chi: ChiFunction) -> float:
-    """max |chi(-y) + chi(y)| / max |chi| on the probe grid (chi is odd),
+    """max |chi(-y) + chi(y)| / max |chi| on the probe line (chi is odd),
     exactly 0 for a correct evaluator: at -y, y^2 and h keep their bits and t
     turns to -t, and each rounded step of the recurrence and of the fixed
     part maps negated inputs to the negated result, so chi(-y) is -chi(y)
     bit for bit.  A nonzero value flags an evaluator that lost that symmetry."""
-    _, _, (plus, _, minus) = chi.probes
+    plus, _, minus = chi.probes[1]
     scale = np.abs(plus).max()
     if scale == 0.0:
         # chi vanishes identically for the free-particle lambda = 1 state
@@ -303,7 +287,7 @@ def residue_report(chi: ChiFunction) -> ResidueReport:
     """Measure all residues of a state and its sum-rule defect from its one
     pass: b1 and b1' on the circles about +-i, d1 on the circles at infinity
     (_infinity_residue), and the number of moving poles by the argument
-    principle applied to P'/P alone on the moving-pole ellipse."""
+    principle applied to R_n'/R_n alone on the t-ellipse."""
     (_, b1), (_, b1p), *infinity, (_, moving) = chi.probes[0]
     d1, count = _infinity_residue(infinity), _pole_count(moving)
     return ResidueReport(b1, b1p, d1, count, float(abs(b1 + b1p + count - d1)))

@@ -91,7 +91,9 @@ class PolySpec:
 
     @cached_property
     def roots(self) -> tuple[float, ...]:
-        """The n real roots, ascending, solved once on first use.
+        """The n real roots, ascending, solved once on first use.  No probe
+        needs them (qmf's contours and probe line keep clear of every root
+        without knowing where it is); real_roots and contour_residue do.
 
         The roots are y_k = t_k / sqrt(1 - t_k^2) over the zeros t_k of
         C_n^kappa: the eigenvalues of its Jacobi matrix (Golub-Welsch),

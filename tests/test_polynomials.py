@@ -175,9 +175,15 @@ class TestRealRoots:
                 # the Gegenbauer P'/P and its slope against the monomial ones
                 p, p1, p2 = (npoly.polyval(_COMPLEX_YS, npoly.polyder(coeffs, k))
                              for k in range(3))
-                value, slope = log_derivative(poly, _COMPLEX_YS, slope=slice(None))
+                value, slope, _ = log_derivative(poly, _COMPLEX_YS, slope=slice(None))
                 for ours, ref in ((value, p1 / p), (slope, (p2 * p - p1 * p1) / (p * p))):
                     assert np.all(np.abs(ours - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+                # R_n'/R_n at t = y / h, from P'/P = n t / h + (R_n'/R_n) / h^3
+                h = np.sqrt(1.0 + _COMPLEX_YS**2)
+                scaled = h**3 * (p1 / p)
+                ours = log_derivative(poly, _COMPLEX_YS[:0], t=_COMPLEX_YS / h)[2]
+                assert np.all(np.abs(ours - (scaled - n * _COMPLEX_YS * h))
+                              <= 1e-12 * np.maximum(1.0, np.abs(scaled)))
 
 
 # off the real axis, at +-i's distance and beyond, in all four quadrants

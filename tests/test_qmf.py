@@ -7,13 +7,15 @@ import pytest
 import scarf
 from scarf import ChiFunction, ContourError, Edge, Parity
 from scarf.qmf import (
+    _COUNT_ELLIPSE,
     _FIXED_RADIUS,
-    _count_ellipse,
+    _NO_NODES,
+    _PROBE_LINE,
+    _RESIDUE_CIRCLES,
     _infinity_circles,
     _infinity_residue,
+    _node_count,
     _pole_count,
-    _probe_grid,
-    _residue_circle,
     chi_parity_defect,
     log_derivative,
 )
@@ -203,13 +205,14 @@ class TestHighDegree:
         (2.0, 500, Edge.NOT_APPLICABLE), (0.4, 500, Edge.LOWER), (30.0, 500, Edge.NOT_APPLICABLE),
     ])
     def test_probe_grid_keeps_points_at_high_degree(self, s, n, edge):
-        # the moving poles clear the fixed real grid here (none of its 64
-        # points is left at s = 2, n = 394 and 500); the probes move to the
-        # theta-midpoints between poles and pass at verify's thresholds
+        # the moving poles crowd the real axis here (the real line [-5, 5]
+        # kept none of 64 points 0.06 clear of them at s = 2, n = 394 and
+        # 500); the line Im y = 1/2 keeps all 64 and the probes pass at
+        # verify's thresholds
         params = scarf.PotentialParams(s=s)
         line = spectrum_line(params, n, edge)
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
-        assert _probe_grid(scarf.real_roots(chi.poly)).size == n - 1
+        assert all(v.size == _PROBE_LINE.size == 64 for v in chi.probes[1])
         checks = _level_checks(params, line, None, None, 1e-8)
         assert [c["name"] for c in checks] == [
             "residue_sum_rule_defect", "b1_vs_closed_form", "b1_parity",
@@ -220,50 +223,59 @@ class TestHighDegree:
         assert all(c["pass"] for c in probes), probes
 
 
+_STATE_SET = [(s, Edge.LOWER) for s in (0.05, 0.2, 0.4, 0.45, 0.5)] + [
+    (s, Edge.UPPER) for s in (0.05, 0.2, 0.4, 0.45, 0.5)] + [
+    (s, Edge.NOT_APPLICABLE) for s in (0.7, 2.0, 8.0, 30.0, 100.0)]
+
+
+@pytest.mark.parametrize("s, edge", _STATE_SET)
+def test_state_set_probes(s, edge):
+    # the 660-state set, 66 levels per family: n = 0-40, 100, 200 and 500
+    params = scarf.PotentialParams(s=s)
+    for n in [*range(41), 100, 200, 500]:
+        line = spectrum_line(params, n, edge)
+        chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
+        rep = scarf.residue_report(chi)
+        assert rep.moving_pole_count == n and abs(chi.probes[0][-1][1] - n) <= 1e-12
+        assert abs(rep.d1_measured - line.d1) <= 3e-11 and rep.sum_rule_defect <= 3e-11
+        assert scarf.verify_riccati(chi) <= 1e-12 * (1.0 + line.lam**2)
+        assert chi_parity_defect(chi) == 0.0
+        if n >= 2:
+            roots = np.array(scarf.real_roots(chi.poly))
+            radius = np.abs(_infinity_circles(chi.poly)[0][0]).max()
+            assert radius >= 10.0 * (1.0 + np.abs(roots).max())
+            kappa = line.lam - n
+            assert np.sum(roots**2) == pytest.approx(n * (n - 1) / (2.0 * kappa + 1.0), rel=1e-9)
+
+
 def _chi_per_array(chi, ys):
     """chi and chi' on one array, each from its own log_derivative pass."""
     y = np.asarray(ys, dtype=complex)
-    value = 2.0 * chi.b1 * y / (y * y + 1.0) + log_derivative(chi.poly, y)
+    value = 2.0 * chi.b1 * y / (y * y + 1.0) + log_derivative(chi.poly, y)[0]
     slope = (2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2
              + log_derivative(chi.poly, y, slope=slice(None))[1])
     return value, slope
 
 
 def _riccati_per_array(chi):
-    ys = _probe_grid(scarf.real_roots(chi.poly))
+    ys = _PROBE_LINE
     val, dval = _chi_per_array(chi, ys)
     res = (val * val + dval + (chi.lam**2 - 1.0) / (ys**2 + 1.0) ** 2
            + (0.25 - chi.s**2) / (ys**2 + 1.0))
     return float(np.abs(res).max())
 
 
-def _probe_grid_matrix(poles):
-    """The probe grid by its distance-matrix rule: the points of the line at
-    least 0.06 from every pole, else the theta-midpoints between poles."""
-    line = np.linspace(-5.0, 5.0, 64)
-    ys = line[np.all(np.abs(line[:, None] - np.asarray(poles)) >= 0.06, axis=1)]
-    if ys.size >= 16:
-        return ys
-    theta = np.arctan2(1.0, np.sort(poles))
-    mid = 0.5 * (theta[1:] + theta[:-1])
-    return np.cos(mid) / np.sin(mid)
-
-
 def _contours_per_array(chi):
     """residue_report's contours as (f(z), integral) pairs, each from its own
-    log_derivative pass: chi on the four circles, P'/P on the ellipse."""
-    roots = scarf.real_roots(chi.poly)
-    circles = [_residue_circle(roots, 1j, _FIXED_RADIUS),
-               _residue_circle(roots, -1j, _FIXED_RADIUS), *_infinity_circles(roots)]
-    out = [(chi(z), w) for z, w in circles]
-    z, w = _count_ellipse(roots)
-    out.append((log_derivative(chi.poly, z), w))
+    log_derivative pass: chi on the four circles, R_n'/R_n on the t-ellipse."""
+    out = [(chi(z), w) for z, w in [*_RESIDUE_CIRCLES, *_infinity_circles(chi.poly)]]
+    t, w = _COUNT_ELLIPSE
+    out.append((log_derivative(chi.poly, _NO_NODES, t=t)[2], w))
     return [(f, complex((f * w).sum() / w.size)) for f, w in out]
 
 
 def _chi_parity_per_array(chi):
-    ys = _probe_grid(scarf.real_roots(chi.poly))
-    plus, minus = _chi_per_array(chi, ys)[0], _chi_per_array(chi, -ys)[0]
+    plus, minus = _chi_per_array(chi, _PROBE_LINE)[0], _chi_per_array(chi, -_PROBE_LINE)[0]
     scale = np.abs(plus).max()
     return 0.0 if scale == 0.0 else float(np.abs(minus + plus).max() / scale)
 
@@ -297,12 +309,14 @@ class TestOnePass:
             alone = _contours_per_array(chi)
             for (f, integral), (f_alone, integral_alone) in zip(chi.probes[0], alone, strict=True):
                 assert np.array_equal(f, f_alone) and integral == integral_alone
-            assert rep.b1_measured == alone[0][1] == scarf.contour_residue(chi, 1j, _FIXED_RADIUS)
+            assert rep.b1_measured == alone[0][1]
             assert rep.b1_prime_measured == alone[1][1]
-            assert rep.b1_prime_measured == scarf.contour_residue(chi, -1j, _FIXED_RADIUS)
             assert rep.d1_measured == _infinity_residue(alone[2:4])
             assert rep.moving_pole_count == _pole_count(alone[4][1])
-            assert np.array_equal(chi.probes[1], _probe_grid_matrix(scarf.real_roots(chi.poly)))
+            # contour_residue lays its circle around the roots, so its N may differ
+            for center, measured in ((1j, rep.b1_measured), (-1j, rep.b1_prime_measured)):
+                assert scarf.contour_residue(chi, center, _FIXED_RADIUS) == pytest.approx(
+                    measured, abs=1e-13)
             assert scarf.verify_riccati(chi) == _riccati_per_array(chi)
             assert chi_parity_defect(chi) == _chi_parity_per_array(chi)
 
@@ -338,20 +352,25 @@ class TestOnePass:
     @pytest.mark.parametrize("s, n, edge", [
         (2.0, 0, Edge.NOT_APPLICABLE), (2.0, 7, Edge.NOT_APPLICABLE), (0.4, 4, Edge.LOWER),
     ])
-    def test_one_pole_list_per_state(self, monkeypatch, s, n, edge):
-        # the chi probes build the state's pole list once and share it
+    def test_no_root_solve_per_state(self, monkeypatch, s, n, edge):
+        # the chi probes' contours and probe line need none of the state's roots
         calls = []
 
-        def counted(poly):
-            calls.append(poly)
-            return scarf.real_roots(poly)
+        def spy(name, function):
+            def counted(*args):
+                calls.append(name)
+                return function(*args)
+            return counted
 
-        monkeypatch.setattr(scarf.qmf, "real_roots", counted)
         chi = _chi(s, n, edge)
+        monkeypatch.setattr(scarf.qmf, "real_roots", spy("real_roots", scarf.real_roots))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
         scarf.residue_report(chi)
         scarf.verify_riccati(chi)
         chi_parity_defect(chi)
-        assert calls == [chi.poly]
+        assert calls == [] and "roots" not in vars(chi.poly)
+        scarf.contour_residue(chi, 1j, _FIXED_RADIUS)
+        assert calls == ["real_roots"] + ["eigvalsh"] * (n > 0)
 
     def test_no_cache_crosses_objects(self, recurrence_calls):
         # two specs of one line, and a chi of each, make a pass apiece
@@ -386,23 +405,27 @@ class TestNodeRule:
     ])
     @pytest.mark.parametrize("n", [0, 1, 12, 100, 500])
     def test_each_contour_takes_the_smallest_sufficient_power_of_two(self, s, n, edge):
+        # the three constant contours take the N of the clearance they have
+        # at every state, which each state's own poles meet
         chi = _chi(s, n, edge)
         roots = scarf.real_roots(chi.poly)
         poles = [1j, -1j, *roots]
-        for center in (1j, -1j):
-            z = _residue_circle(roots, center, _FIXED_RADIUS)[0]
+        guaranteed = math.log(1.0 / _FIXED_RADIUS)
+        for (z, _), center in zip(_RESIDUE_CIRCLES, (1j, -1j), strict=True):
+            assert z.size == _node_count(guaranteed) == 64
             nearest = min(abs(p - center) for p in poles if p != center)
-            assert _is_node_count(z.size, math.log(nearest / np.abs(z - center).max()))
-        for z, _ in _infinity_circles(roots):
+            assert math.log(nearest / np.abs(z - center).max()) >= guaranteed - 1e-15
+        t = _COUNT_ELLIPSE[0]
+        rx, ry = np.abs(t.real).max(), np.abs(t.imag).max()
+        assert t.size == _node_count(math.log(1.5)) == 128
+        assert rx == pytest.approx(13 / 12, rel=1e-15) and ry == pytest.approx(5 / 12, rel=1e-15)
+        assert _is_node_count(t.size, math.atanh(ry / rx))
+        # foci at +-1, and every root maps into (-1, 1) under t = y / sqrt(1 + y^2)
+        assert rx * rx - ry * ry == pytest.approx(1.0, rel=1e-15)
+        assert all(abs(y / math.sqrt(1.0 + y * y)) < 1.0 for y in roots)
+        for z, _ in _infinity_circles(chi.poly):
             eta = math.log(np.abs(z).max() / max(abs(p) for p in poles))
-            assert eta >= math.log(10.0)
-            assert _is_node_count(z.size, eta)
-        z = _count_ellipse(roots)[0]
-        rx, ry = np.abs(z.real).max(), np.abs(z.imag).max()
-        assert _is_node_count(z.size, math.atanh(ry / rx))
-        # the ellipse keeps |Im y| <= 1/2 and holds every root on its focal segment
-        assert ry <= 0.5 * (1.0 + 1e-15)
-        assert max((abs(r) for r in roots), default=0.0) < math.sqrt(rx * rx - ry * ry)
+            assert eta >= math.log(10.0) and _is_node_count(z.size, eta)
         assert scarf.residue_report(chi).moving_pole_count == n
 
     @pytest.mark.parametrize("center, radius, nodes", [
@@ -427,14 +450,14 @@ class TestNodeRule:
 
     def test_contour_nodes_per_state_are_pinned(self):
         # the sum of contour nodes of residue_report over the eigenstates
-        # benchmark's levels: 51,328 under this rule, 158,976 when every
-        # contour took at least 256 nodes and the ellipse was twice as wide
+        # benchmark's levels: 64 + 64 + 32 + 32 + 128 per state; 51,328 when
+        # the circles and the ellipse were laid around each state's roots
         total = 0
         for s, edges in ((2.0, [Edge.NOT_APPLICABLE]), (0.4, [Edge.LOWER, Edge.UPPER])):
             for edge in edges:
                 for n in range(25):
                     total += sum(f.size for f, _ in _chi(s, n, edge).probes[0])
-        assert total <= 51_328
+        assert total == 75 * 320
 
 
 _GEOMETRY_STATES = [(s, n, edge) for s, edge in ((2.0, Edge.NOT_APPLICABLE),
@@ -444,32 +467,27 @@ _GEOMETRY_STATES = [(s, n, edge) for s, edge in ((2.0, Edge.NOT_APPLICABLE),
 
 
 class TestContourGeometry:
-    """The sorted-root geometry against the rules it replaced, bit for bit."""
+    """The state-free geometry against the state's own roots."""
 
     @pytest.mark.parametrize("s, n, edge", _GEOMETRY_STATES + [
         (2.0, 393, Edge.NOT_APPLICABLE), (2.0, 394, Edge.NOT_APPLICABLE),
         (2.0, 500, Edge.NOT_APPLICABLE), (0.4, 500, Edge.LOWER)])
     def test_probe_grid_equals_the_distance_matrix_rule(self, s, n, edge):
-        roots = scarf.real_roots(_chi(s, n, edge).poly)
-        ys = _probe_grid(roots)
-        assert ys.dtype == float and np.array_equal(ys, _probe_grid_matrix(roots))
-        if (s, n) == (2.0, 394):  # the first degree on the midpoint fallback
-            assert ys.size == n - 1
-
-    def test_probe_grid_at_a_pole_and_at_the_threshold(self):
-        line = np.linspace(-5.0, 5.0, 64)
-        # poles exactly 0.06 below and above line[30] keep it
-        below, above = line[30] - 0.06, line[30] + 0.06
-        assert line[30] - below == 0.06 == above - line[30]
-        for poles in ([], [line[10]], [below], [above], [below, above],
-                      [-7.0, line[0] + 0.06, line[63] - 0.059, 7.0],
-                      sorted(line[:60] + 1e-3)):
-            assert np.array_equal(_probe_grid(poles), _probe_grid_matrix(poles)), poles
-        assert line[30] in _probe_grid([below, above])
+        # every point of the line and of its mirror is 1/2 clear of every
+        # pole by the distance matrix, so none is dropped at any n
+        chi = _chi(s, n, edge)
+        poles = np.array([1j, -1j, *scarf.real_roots(chi.poly)])
+        for ys in (_PROBE_LINE, -_PROBE_LINE):
+            kept = ys[np.all(np.abs(ys[:, None] - poles) >= 0.5, axis=1)]
+            assert np.array_equal(kept, ys) and np.all(ys.imag == np.sign(ys.imag[0]) * 0.5)
+        assert all(v.size == 64 for v in chi.probes[1])
 
     @pytest.mark.parametrize("s, n, edge", _GEOMETRY_STATES)
     def test_radii_equal_their_generator_forms(self, monkeypatch, s, n, edge):
-        roots = scarf.real_roots(_chi(s, n, edge).poly)
+        # the closed-form radius at infinity equals its form from the roots'
+        # squares, and lies at least ten times beyond the farthest pole
+        poly = _chi(s, n, edge).poly
+        roots = scarf.real_roots(poly)
         calls, ellipse = [], scarf.qmf._ellipse
 
         def spy(center, rx, ry, nodes):
@@ -477,14 +495,14 @@ class TestContourGeometry:
             return ellipse(center, rx, ry, nodes)
 
         monkeypatch.setattr(scarf.qmf, "_ellipse", spy)
-        _infinity_circles(roots)
-        _count_ellipse(roots)
-        radius = 10.0 * (1.0 + max([1.0] + [abs(r) for r in roots]))
-        reach = 1.0 + max((abs(r) for r in roots), default=0.0)
-        assert calls == [(0.0, radius, radius), (0.0, 2.0 * radius, 2.0 * radius),
-                         (0.0, reach, 0.5)]
-        if n == 0:
-            assert radius == 20.0 and reach == 1.0
+        _infinity_circles(poly)
+        radius = calls[0][1]
+        assert calls == [(0.0, radius, radius), (0.0, 2.0 * radius, 2.0 * radius)]
+        assert radius == pytest.approx(
+            10.0 * (1.0 + max(1.0, math.sqrt(sum(r * r for r in roots)))), rel=1e-12)
+        assert radius >= 10.0 * (1.0 + max([1.0] + [abs(r) for r in roots]))
+        if n <= 1:
+            assert radius == 20.0
 
     @pytest.mark.parametrize("rx", [0.4, 20.0, 1e3])
     def test_circle_nodes_equal_the_ellipse_form(self, rx):
