@@ -35,10 +35,8 @@ from .spectrum import (
 )
 from .wavefunction import (
     Parity,
-    PolySpec,
     WavefunctionSpec,
     boundary_exponent,
-    build_poly,
     build_wavefunction,
     count_nodes,
     eval_psi,
@@ -71,7 +69,7 @@ __all__ = [
     "Edge", "ResidueSet", "SpectrumLine", "fixed_pole_residue_candidates",
     "infinity_residue_candidates", "admissible_d1", "enumerate_residue_sets",
     "spectrum_line", "spectrum_lines",
-    "PolySpec", "build_poly", "real_roots",
+    "real_roots",
     "WavefunctionSpec", "Parity", "build_wavefunction", "eval_psi",
     "count_nodes", "boundary_exponent", "parity", "schrodinger_residual",
     "sample_wavefunction",

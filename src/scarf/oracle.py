@@ -106,7 +106,9 @@ class ShootingConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Level n of one shooting family: the root of theta(E) = (n + 1) pi/2.
+    """certify's measurement of the level it was asked for: the root of
+    theta(E) = (n + 1) pi/2 in the family's window.  The level's n and
+    exponent stay with the caller, who passed them.
 
     delta_sensitivity is the move of the energy when every shot starts at
     half its offset, relative to its energy scale
@@ -114,8 +116,6 @@ class OracleResult:
     """
 
     energy: float
-    exponent: Exponent
-    n: int
     delta_sensitivity: float
 
 
@@ -212,7 +212,7 @@ def certify(params: PotentialParams, energy: float, n: int,
                                f"alone in [{lam2 - eta!r}, {lam2 + eta!r}] lambda^2")
         roots.append(lam2 + eta * (lo + hi) / (lo - hi))
     return OracleResult(
-        energy=float(roots[0] * params.energy_unit), exponent=exponent, n=n,
+        energy=float(roots[0] * params.energy_unit),
         delta_sensitivity=float(abs(roots[0] - roots[1]) / ref.energy_scale(roots[0])),
     )
 

@@ -5,13 +5,14 @@ For a constructed eigenstate the momentum function in the cot variable is
     chi(y) = 2 b1 y / (y^2 + 1) + P'(y) / P(y)
 
 with simple poles at y = +-i (residue b1 each) and at the n real roots of
-P (residue +1 each).  P'/P and its slope come from the Gegenbauer form of
-P, by the recurrence psi uses (wavefunction.gegenbauer_ratios): monomial
-coefficients would fail the Riccati check from n of about 40 and overflow
-by n = 500.  This module measures those residues numerically by
-contour integration and checks the structural claims the closed forms rest
-on: the sum rule b1 + b1' + n = d1, vanishing analytic part, odd parity of
-chi, and the Riccati equation
+P (residue +1 each); n, lambda and b1 = (1 - lambda)/2 are those of the
+state's SpectrumLine, the one record of the level.  P'/P and its slope
+come from the Gegenbauer form of P, by the recurrence psi uses
+(wavefunction.gegenbauer_ratios): monomial coefficients would fail the
+Riccati check from n of about 40 and overflow by n = 500.  This module
+measures those residues numerically by contour integration and checks
+the structural claims the closed forms rest on: the sum rule b1 + b1' + n
+= d1, vanishing analytic part, odd parity of chi, and the Riccati equation
 
     chi^2 + chi' + (lambda^2 - 1)/(y^2+1)^2 + (1/4 - s^2)/(y^2+1) = 0.
 
@@ -65,7 +66,8 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ContourError, NumericError
-from .wavefunction import PolySpec, WavefunctionSpec, gegenbauer_ratios, real_roots
+from .spectrum import SpectrumLine
+from .wavefunction import WavefunctionSpec, gegenbauer_ratios, real_roots
 
 _D0_TOL = 1e-10
 _COUNT_TOL = 1e-6
@@ -76,24 +78,27 @@ _NO_NODES = np.empty(0, dtype=complex)
 
 @dataclass(frozen=True)
 class ChiFunction:
-    """chi and its analytic derivative for one eigenstate."""
+    """chi and its analytic derivative for one eigenstate.
 
-    b1: float
-    poly: PolySpec
+    P'/P, b1 and the radius at infinity read n and lambda from line; lam
+    and s enter only the Riccati equation, so replace(chi, lam=...) moves
+    that equation and nothing else."""
+
+    line: SpectrumLine
     lam: float
     s: float
 
     @classmethod
     def from_wavefunction(cls, spec: WavefunctionSpec) -> "ChiFunction":
-        return cls(b1=spec.line.b1, poly=spec.poly, lam=spec.line.lam, s=spec.params.s)
+        return cls(line=spec.line, lam=spec.line.lam, s=spec.params.s)
 
     def __call__(self, y):
         y = np.asarray(y, dtype=complex)
-        return self.fixed_part(y) + log_derivative(self.poly, y)[0]
+        return self.fixed_part(y) + log_derivative(self.line, y)[0]
 
     def fixed_part(self, y):
         """2 b1 y / (y^2 + 1), the part of chi with the poles at +-i."""
-        return 2.0 * self.b1 * y / (y * y + 1.0)
+        return 2.0 * self.line.b1 * y / (y * y + 1.0)
 
     @cached_property
     def probes(self) -> tuple[list[tuple[np.ndarray, complex]], tuple]:
@@ -107,20 +112,21 @@ class ChiFunction:
         chi at the mirror) on the probe line; chi' is formed on the line
         alone.  Elementwise in numpy, so each value is the one a pass per
         contour or line gives.  The cache lives and dies with this object."""
-        contours = [*_RESIDUE_CIRCLES, *_infinity_circles(self.poly)]
+        contours = [*_RESIDUE_CIRCLES, *_infinity_circles(self.line)]
         m = _PROBE_LINE.size
         y = np.concatenate([_PROBE_LINE, -_PROBE_LINE] + [z for z, _ in contours])
-        f, slope, dlog_r = log_derivative(self.poly, y, slice(0, m), _COUNT_ELLIPSE[0])
+        f, slope, dlog_r = log_derivative(self.line, y, slice(0, m), _COUNT_ELLIPSE[0])
         f += self.fixed_part(y)
         stops = list(accumulate([2 * m] + [z.size for z, _ in contours]))
         values = [f[start:stop] for start, stop in zip(stops, stops[1:])] + [dlog_r]
         results = [(v, complex((v * w).sum() / w.size))
                    for v, (_, w) in zip(values, contours + [_COUNT_ELLIPSE], strict=True)]
         y2 = _PROBE_LINE * _PROBE_LINE
-        return results, (f[:m], 2.0 * self.b1 * (1.0 - y2) / (y2 + 1.0) ** 2 + slope, f[m:2 * m])
+        slope += 2.0 * self.line.b1 * (1.0 - y2) / (y2 + 1.0) ** 2
+        return results, (f[:m], slope, f[m:2 * m])
 
 
-def log_derivative(poly: PolySpec, y: np.ndarray, slope: slice = slice(0),
+def log_derivative(line: SpectrumLine, y: np.ndarray, slope: slice = slice(0),
                    t: np.ndarray = _NO_NODES):
     """(P'/P at complex y, its y-derivative on y[slope], R_n'/R_n at complex
     t) from one pass of gegenbauer_ratios over y / sqrt(1 + y^2) and t.
@@ -137,10 +143,10 @@ def log_derivative(poly: PolySpec, y: np.ndarray, slope: slice = slice(0),
     contiguous relation, not from the ODE that P solves, so the Riccati
     residual stays an independent check.
     """
-    n = poly.n
+    n = line.n
     h = np.sqrt(1.0 + y * y)
     m, ty = h.size, y / h
-    r, r1, r2 = gegenbauer_ratios(n, poly.lam - n, np.concatenate((ty, t)))
+    r, r1, r2 = gegenbauer_ratios(n, line.lam - n, np.concatenate((ty, t)))
     rho = r1 / r
     value, dlog_r = n * rho[:m] / h, n * (rho[m:] - t) / ((1.0 - t) * (1.0 + t))
     y, h, ty, r, r1, r2, rho = (v[slice(*slope.indices(m))] for v in (y, h, ty, r, r1, r2, rho))
@@ -217,16 +223,16 @@ def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex
     The circle must isolate the target: any other pole within 1.5x the
     radius is a contour error.
     """
-    z, w = _residue_circle(real_roots(chi.poly), center, radius)
+    z, w = _residue_circle(real_roots(chi.line), center, radius)
     return complex((chi(z) * w).sum() / w.size)
 
 
-def _infinity_circles(poly: PolySpec) -> list[tuple]:
+def _infinity_circles(line: SpectrumLine) -> list[tuple]:
     """Circles of radius r = 10 (1 + max(1, sqrt(n (n - 1) / (2 kappa + 1))))
     and 2r about 0, from the sum of the roots' squares (module docstring).
     Every pole lies within r / 10, so eta > ln 10 and 32 nodes serve."""
-    n = poly.n
-    radius = 10.0 * (1.0 + max(1.0, math.sqrt(n * (n - 1) / (2.0 * (poly.lam - n) + 1.0))))
+    n = line.n
+    radius = 10.0 * (1.0 + max(1.0, math.sqrt(n * (n - 1) / (2.0 * (line.lam - n) + 1.0))))
     return [_ellipse(0.0, r, r, 32) for r in (radius, 2.0 * radius)]
 
 

@@ -16,6 +16,9 @@ admissible combinations yields the band-edge and bound-level energies
                                      lambda = n + 1/2 + s   (bound levels)
 
 where lambda^2 = 2 m E a^2 / pi^2 is the dimensionless energy parameter.
+One lambda fixes the whole level: a SpectrumLine stores n, lambda, E and
+d1, and derives b1 = (1 - lambda)/2 and the Jacobi parameter nu = -lambda
+of P_n from lambda, so no second copy of either can disagree with it.
 """
 
 from __future__ import annotations
@@ -51,21 +54,23 @@ class ResidueSet:
 
     set_id: int
     b1: float
-    b1_prime: float
     d1: float
     n_value: float
     lam: float
     valid: bool
     rejection_reason: str | None = None
 
-    def __post_init__(self):
-        if self.b1 != self.b1_prime:
-            raise ValueError("parity requires b1 == b1'")
+    @property
+    def b1_prime(self) -> float:
+        """The residue at y = -i, which parity makes b1."""
+        return self.b1
 
 
 @dataclass(frozen=True)
 class SpectrumLine:
-    """A single eigenlevel: band edge or bound level.
+    """A single eigenlevel: band edge or bound level, and the one record of
+    it.  P_n, the momentum function and the oracles' checks read n and
+    lambda from here; b1 and nu derive from lambda.
 
     energy is pi^2 lam^2 / (2 m a^2) exactly (units hbar^2/(m a^2), hbar=1)
     and is strictly positive in the bound and band regimes.  The free
@@ -78,10 +83,20 @@ class SpectrumLine:
     edge: Edge
     lam: float
     energy: float
-    nu1: float
-    nu2: float
-    b1: float
     d1: float
+
+    @property
+    def b1(self) -> float:
+        """The residue (1 - lambda)/2 of chi at y = +i and at y = -i."""
+        return (1.0 - self.lam) / 2.0
+
+    @property
+    def nu1(self) -> float:
+        """nu = -lambda of P_n = i^n P_n^(nu,nu)(-iy) up to a constant;
+        0.0 - lambda keeps +0.0 at the s = 1/2 fold, where -lambda is -0.0."""
+        return 0.0 - self.lam
+
+    nu2 = nu1
 
 
 def fixed_pole_residue_candidates(lam: float) -> tuple[float, float]:
@@ -134,10 +149,9 @@ def enumerate_residue_sets(s: float, lam: float) -> list[ResidueSet]:
         for d1 in d1_values:
             set_id += 1
             n_value = d1 - 2.0 * b1
-            n_rounded = round(n_value)
             if n_value < -N_INTEGER_TOL:
                 valid, reason = False, "n negative"
-            elif abs(n_value - n_rounded) > N_INTEGER_TOL or n_rounded < 0:
+            elif abs(n_value - round(n_value)) > N_INTEGER_TOL:
                 valid, reason = False, "n not a non-negative integer"
             else:
                 valid, reason = True, None
@@ -145,7 +159,6 @@ def enumerate_residue_sets(s: float, lam: float) -> list[ResidueSet]:
                 ResidueSet(
                     set_id=set_id,
                     b1=b1,
-                    b1_prime=b1,
                     d1=d1,
                     n_value=n_value,
                     lam=lam,
@@ -156,18 +169,19 @@ def enumerate_residue_sets(s: float, lam: float) -> list[ResidueSet]:
     return sets
 
 
-def level_parameters(s: float, n: int, edge: Edge) -> tuple[float, float, float]:
-    """(lambda, nu, d1) of level (n, edge) in the regime implied by s.
+def level_parameters(s: float, n: int, edge: Edge) -> tuple[float, float]:
+    """(lambda, d1) of level (n, edge) in the regime implied by s.
 
     Bound levels (edge NOT_APPLICABLE) and upper band edges take the
     d1 = (1 - 2s)/2 branch, lower band edges d1 = (1 + 2s)/2; the sum rule
     with b1 = b1' = (1 - lambda)/2 then gives
 
-        lower edge          : lambda = n + 1/2 - s,  nu = -n + s - 1/2
-        upper edge, bound   : lambda = n + 1/2 + s,  nu = -n - s - 1/2
+        lower edge          : lambda = n + 1/2 - s
+        upper edge, bound   : lambda = n + 1/2 + s
 
     At s = 1/2 these are the free-particle edges lambda = n and n + 1.
-    This is the one check of n, for spectrum_line and build_poly alike.
+    This is the one check of n, for spectrum_line and build_wavefunction
+    alike.
     """
     n = _level_index(n)
     regime = classify_regime(s)
@@ -179,8 +193,8 @@ def level_parameters(s: float, n: int, edge: Edge) -> tuple[float, float, float]
     elif edge is Edge.NOT_APPLICABLE:
         raise RegimeError("band levels need edge=LOWER or edge=UPPER")
     if edge is Edge.LOWER:
-        return n + 0.5 - s, -n + s - 0.5, (1.0 + 2.0 * s) / 2.0
-    return n + 0.5 + s, -n - s - 0.5, (1.0 - 2.0 * s) / 2.0
+        return n + 0.5 - s, (1.0 + 2.0 * s) / 2.0
+    return n + 0.5 + s, (1.0 - 2.0 * s) / 2.0
 
 
 def _level_index(n) -> int:
@@ -194,14 +208,11 @@ def _level_index(n) -> int:
 def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
     """The closed-form level (n, edge) of params: edge NOT_APPLICABLE in the
     bound regime, LOWER or UPPER in the band and free-particle regimes."""
-    lam, nu, d1 = level_parameters(params.s, n, edge)
+    lam, d1 = level_parameters(params.s, n, edge)
     energy = math.pi**2 * lam**2 / (2.0 * params.m * params.a**2)
     if not math.isfinite(energy):
         raise ValueError(f"energy of level (n={n}, {edge.value}) leaves the float range")
-    return SpectrumLine(
-        n=int(n), regime=params.regime, edge=edge, lam=lam, energy=energy,
-        nu1=nu, nu2=nu, b1=(1.0 - lam) / 2.0, d1=d1,
-    )
+    return SpectrumLine(n=int(n), regime=params.regime, edge=edge, lam=lam, energy=energy, d1=d1)
 
 
 def spectrum_lines(params: PotentialParams, n_max: int) -> list[SpectrumLine]:

@@ -164,8 +164,8 @@ def _shooting_checks(params, ln, family: list[SpectrumLine], n_max, tol) -> list
            _check(ln, "oracle_delta_sensitivity", res.delta_sensitivity, 1e-9)]
     if ln is max(family, key=lambda other: other.energy):
         out.append(_check(ln, "oracle_shooting_completeness",
-                          float(abs(res.n + 1 - len(family)) + abs(len(family) - n_max - 1)), 0.0,
-                          observed=float(res.n + 1)))
+                          float(abs(ln.n + 1 - len(family)) + abs(len(family) - n_max - 1)), 0.0,
+                          observed=float(ln.n + 1)))
     return out
 
 

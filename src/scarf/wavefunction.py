@@ -7,9 +7,10 @@ b1 = (1 - lambda)/2.  P_n solves
     (y^2 + 1) P'' + (2 - 2 lambda) y P' + n (2 lambda - n - 1) P = 0,
 
 which covers both band-edge cases (lambda = n + 1/2 -+ s) and the bound
-case (lambda = n + 1/2 + s); its n real roots are psi's nodes and the
-moving poles of the momentum function (qmf).  With P_n monic, t =
-cos(theta) and kappa = lambda - n,
+case (lambda = n + 1/2 + s); its n real roots, real_roots(line), are
+psi's nodes and the moving poles of the momentum function (qmf).  P_n has
+no record of its own: every reader takes n and lambda from the level's
+SpectrumLine.  With P_n monic, t = cos(theta) and kappa = lambda - n,
 
     sin^n(theta) P_n(cot theta) = C_n^kappa(t) / C_n^kappa(1) = R_n^kappa(t)
 
@@ -64,7 +65,7 @@ from .potential import (
     is_lattice_point,
     reduce_to_cell,
 )
-from .spectrum import Edge, SpectrumLine, level_parameters
+from .spectrum import SpectrumLine, level_parameters
 
 _PARITY_TOL = 1e-10
 _NODE_SAMPLES = 512
@@ -76,39 +77,6 @@ _RESIDUAL_ROWS = (_RESIDUAL_GRID, np.sin(_RESIDUAL_GRID), np.cos(_RESIDUAL_GRID)
 for _row in _RESIDUAL_ROWS:
     _row.flags.writeable = False  # shared by every spec's cell
 _EXPONENT_UNIT = np.geomspace(1e-5 * np.pi, 1e-3 * np.pi, _EXPONENT_POINTS)
-
-
-@dataclass(frozen=True, eq=False)
-class PolySpec:
-    """P_n of one level: its degree and lambda.
-
-    P_n has exact degree n and the parity of n; its roots are the moving
-    poles of the momentum function.
-    """
-
-    n: int
-    lam: float
-
-    @cached_property
-    def roots(self) -> tuple[float, ...]:
-        """The n real roots, ascending, solved once on first use.  No probe
-        needs them (qmf's contours and probe line keep clear of every root
-        without knowing where it is); real_roots and contour_residue do.
-
-        The roots are y_k = t_k / sqrt(1 - t_k^2) over the zeros t_k of
-        C_n^kappa: the eigenvalues of its Jacobi matrix (Golub-Welsch),
-        written in a form that stays finite at kappa = 0, from numpy's
-        dense symmetric solver (which reads the lower triangle).
-        """
-        if self.n == 0:
-            return ()
-        kappa = self.lam - self.n
-        k = np.arange(2.0, self.n)
-        off = np.sqrt(np.concatenate((
-            [0.5 / (1.0 + kappa)],
-            k * (k + 2.0 * kappa - 1.0) / (4.0 * (k + kappa) * (k + kappa - 1.0)))))
-        t = np.linalg.eigvalsh(np.diag(off[: self.n - 1], -1))
-        return tuple(float(y) for y in t / np.sqrt((1.0 - t) * (1.0 + t)))
 
 
 def gegenbauer_ratios(n: int, kappa: float, t):
@@ -131,16 +99,26 @@ def gegenbauer_ratios(n: int, kappa: float, t):
     return cur, prev, older
 
 
-def build_poly(s: float, n: int, edge: Edge = Edge.NOT_APPLICABLE) -> PolySpec:
-    """P_n of level (s, n, edge), with lambda from spectrum.level_parameters,
-    which also checks n."""
-    lam = level_parameters(s, n, edge)[0]
-    return PolySpec(n=int(n), lam=lam)
+def real_roots(line: SpectrumLine) -> list[float]:
+    """The n real roots of P_n of a level, ascending: the moving poles.
+    No probe needs them (qmf's contours and probe line keep clear of every
+    root without knowing where it is); contour_residue and the tests do.
 
-
-def real_roots(poly: PolySpec) -> list[float]:
-    """All real roots of P_n, ascending: the n moving poles."""
-    return list(poly.roots)
+    The roots are y_k = t_k / sqrt(1 - t_k^2) over the zeros t_k of
+    C_n^kappa: the eigenvalues of its Jacobi matrix (Golub-Welsch),
+    written in a form that stays finite at kappa = 0, from numpy's dense
+    symmetric solver (which reads the lower triangle).
+    """
+    n = line.n
+    if n == 0:
+        return []
+    kappa = line.lam - n
+    k = np.arange(2.0, n)
+    off = np.sqrt(np.concatenate((
+        [0.5 / (1.0 + kappa)],
+        k * (k + 2.0 * kappa - 1.0) / (4.0 * (k + kappa) * (k + kappa - 1.0)))))
+    t = np.linalg.eigvalsh(np.diag(off[: n - 1], -1))
+    return (t / np.sqrt((1.0 - t) * (1.0 + t))).tolist()
 
 
 class Parity(Enum):
@@ -156,7 +134,6 @@ class WavefunctionSpec:
     """
 
     line: SpectrumLine
-    poly: PolySpec
     params: PotentialParams
     norm: float
 
@@ -203,11 +180,11 @@ def build_wavefunction(params: PotentialParams, line: SpectrumLine) -> Wavefunct
     expected_energy = math.pi**2 * line.lam**2 / (2.0 * params.m * params.a**2)
     if line.energy > 0 and abs(line.energy - expected_energy) > 1e-12 * line.energy:
         raise ConsistencyError("line energy inconsistent with its lambda for these params")
-    poly = build_poly(params.s, line.n, line.edge)
-    if abs(poly.lam - line.lam) > 1e-12 * max(1.0, line.lam):
+    lam = level_parameters(params.s, line.n, line.edge)[0]
+    if abs(lam - line.lam) > 1e-12 * max(1.0, line.lam):
         raise ConsistencyError("line lambda inconsistent with (s, n, edge)")
     norm = 1.0 / math.sqrt(_raw_norm_sq(params.a, line.n, line.lam - line.n))
-    return WavefunctionSpec(line=line, poly=poly, params=params, norm=norm)
+    return WavefunctionSpec(line=line, params=params, norm=norm)
 
 
 def _raw_norm_sq(a: float, n: int, kappa: float) -> float:

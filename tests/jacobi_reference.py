@@ -1,7 +1,8 @@
 """Independent references for P_n, used only by the tests.
 
-The package evaluates P_n only in its Gegenbauer form.  Here P_n is built
-instead from its monomial coefficients (monomial_coeffs, the two-term
+The package evaluates P_n only in its Gegenbauer form.  Here P_n of a
+level, given as its SpectrumLine (n and lambda), is built instead from
+its monomial coefficients (monomial_coeffs, the two-term
 recurrence of its ODE), and is, up to a constant, i^n P_n^(nu,nu)(-iy),
 the symmetric Jacobi polynomial with nu = -lambda.  The Jacobi degree
 recurrence and the defining ODE residual below check the monomial form
@@ -15,14 +16,14 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg import eigvalsh_tridiagonal
 
-from scarf import Edge, PolySpec, Regime, RegimeError, ScarfError
+from scarf import Edge, Regime, RegimeError, ScarfError, SpectrumLine
 
 
 class JacobiDegeneracyError(ScarfError):
     """Jacobi three-term recurrence degenerated for exceptional parameters."""
 
 
-def monomial_coeffs(poly: PolySpec) -> np.ndarray:
+def monomial_coeffs(line: SpectrumLine) -> np.ndarray:
     """Ascending monomial coefficients of P_n, monic, by the downward
     two-term recurrence of its ODE:
 
@@ -33,7 +34,7 @@ def monomial_coeffs(poly: PolySpec) -> np.ndarray:
     small n only: P'/P evaluated from these coefficients fails the
     Riccati check from n of about 40 and overflows at n = 500.
     """
-    n, lam = poly.n, poly.lam
+    n, lam = line.n, line.lam
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     for k in range(n - 2, -1, -2):
@@ -101,34 +102,34 @@ _RESIDUAL_GRID = 5.0 * np.cos(np.pi * (np.arange(64) + 0.5) / 64.0)  # Chebyshev
 _RESIDUAL_GRID.setflags(write=False)
 
 
-def ode_residual(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
+def ode_residual(line: SpectrumLine, ys=_RESIDUAL_GRID) -> float:
     """Max absolute residual of the defining ODE on a Chebyshev grid,
     normalized by nothing (caller compares against max |P| on the grid)."""
     ys = np.asarray(ys, dtype=float)
-    c = monomial_coeffs(poly)
+    c = monomial_coeffs(line)
     p, p1, p2 = (npoly.polyval(ys, npoly.polyder(c, k)) for k in range(3))
-    lam, n = poly.lam, poly.n
+    lam, n = line.lam, line.n
     res = (ys**2 + 1.0) * p2 + (2.0 - 2.0 * lam) * ys * p1 + n * (2.0 * lam - n - 1.0) * p
     return float(np.abs(res).max())
 
 
-def poly_scale(poly: PolySpec, ys=_RESIDUAL_GRID) -> float:
+def poly_scale(line: SpectrumLine, ys=_RESIDUAL_GRID) -> float:
     """max |P| on the residual grid, the natural residual normalization."""
-    return float(np.abs(npoly.polyval(np.asarray(ys, dtype=float), monomial_coeffs(poly))).max())
+    return float(np.abs(npoly.polyval(np.asarray(ys, dtype=float), monomial_coeffs(line))).max())
 
 
-def tridiagonal_roots(poly: PolySpec) -> np.ndarray:
+def tridiagonal_roots(line: SpectrumLine) -> np.ndarray:
     """Roots y = t / sqrt(1 - t^2) of P_n over the zeros t of C_n^kappa,
     kappa = lam - n: the eigenvalues of the monic Gegenbauer Jacobi matrix,
     whose squared couplings are k (k + 2 kappa - 1) / (4 (k + kappa) (k +
     kappa - 1)), with k = 1 taken as its limit 1 / (2 (1 + kappa)), which
     holds at kappa = 0 too."""
-    if poly.n == 0:
+    if line.n == 0:
         return np.zeros(0)
-    kappa = poly.lam - poly.n
-    k = np.arange(2.0, poly.n)
+    kappa = line.lam - line.n
+    k = np.arange(2.0, line.n)
     beta = np.concatenate((
         [0.5 / (1.0 + kappa)],
         k * (k + 2.0 * kappa - 1.0) / (4.0 * (k + kappa) * (k + kappa - 1.0))))
-    t = eigvalsh_tridiagonal(np.zeros(poly.n), np.sqrt(beta[: poly.n - 1]))
+    t = eigvalsh_tridiagonal(np.zeros(line.n), np.sqrt(beta[: line.n - 1]))
     return t / np.sqrt((1.0 - t) * (1.0 + t))

@@ -23,13 +23,18 @@ from jacobi_reference import (
 )
 
 
+def _line(s, n, edge=Edge.NOT_APPLICABLE):
+    """The closed-form level (s, n, edge), whose n and lambda fix P_n."""
+    return scarf.spectrum_line(scarf.PotentialParams(s=s), n, edge)
+
+
 class TestBuildPoly:
     """P_n's monomial reference, built on the package's levels."""
 
     @pytest.mark.parametrize("n", [2.0, True, -1])
     def test_rejects_bad_degree_as_spectrum_line_does(self, n):
         with pytest.raises(ValueError) as poly_err:
-            scarf.build_poly(2.0, n, Edge.NOT_APPLICABLE)
+            level_parameters(2.0, n, Edge.NOT_APPLICABLE)
         with pytest.raises(ValueError) as line_err:
             scarf.spectrum_line(scarf.PotentialParams(s=2.0), n, Edge.NOT_APPLICABLE)
         assert str(poly_err.value) == str(line_err.value)
@@ -38,23 +43,21 @@ class TestBuildPoly:
     def test_rejects_unsupported_coupling(self, s):
         # a coupling past the float range is unsupported, not an OverflowError
         with pytest.raises(RegimeError):
-            scarf.build_poly(s, 0)
-        with pytest.raises(RegimeError):
             level_parameters(s, 0, Edge.NOT_APPLICABLE)
 
     def test_degree_zero_is_constant(self):
         for s, edge in ((2.0, Edge.NOT_APPLICABLE), (0.4, Edge.LOWER), (0.4, Edge.UPPER)):
-            poly = scarf.build_poly(s, 0, edge)
-            assert list(monomial_coeffs(poly)) == [1.0]
+            line = _line(s, 0, edge)
+            assert list(monomial_coeffs(line)) == [1.0]
 
     def test_degree_one_is_y(self):
         for s, edge in ((2.0, Edge.NOT_APPLICABLE), (0.4, Edge.LOWER), (0.4, Edge.UPPER)):
-            poly = scarf.build_poly(s, 1, edge)
-            assert list(monomial_coeffs(poly)) == [0.0, 1.0]
+            line = _line(s, 1, edge)
+            assert list(monomial_coeffs(line)) == [0.0, 1.0]
 
     def test_degree_two_upper_edge_constant(self):
         # downward recurrence gives c0 = -1/(2(1+s))
-        coeffs = monomial_coeffs(scarf.build_poly(0.4, 2, Edge.UPPER))
+        coeffs = monomial_coeffs(_line(0.4, 2, Edge.UPPER))
         assert coeffs[0] == pytest.approx(-1.0 / 2.8, rel=1e-15)
         assert coeffs[1] == 0.0
         assert coeffs[2] == 1.0
@@ -63,23 +66,23 @@ class TestBuildPoly:
            st.sampled_from([Edge.LOWER, Edge.UPPER]))
     @settings(max_examples=60)
     def test_band_poly_structure(self, s, n, edge):
-        poly = scarf.build_poly(s, n, edge)
-        coeffs = monomial_coeffs(poly)
+        line = _line(s, n, edge)
+        coeffs = monomial_coeffs(line)
         assert coeffs[n] == 1.0  # monic
         for k in range(n + 1):
             if (n - k) % 2 == 1:
                 assert coeffs[k] == 0.0  # definite parity
-        assert ode_residual(poly) <= 1e-10 * poly_scale(poly)
+        assert ode_residual(line) <= 1e-10 * poly_scale(line)
 
     @given(st.floats(min_value=0.55, max_value=4.0), st.integers(0, 8))
     @settings(max_examples=60)
     def test_bound_poly_structure(self, s, n):
-        poly = scarf.build_poly(s, n, Edge.NOT_APPLICABLE)
-        assert monomial_coeffs(poly)[n] == 1.0
-        assert ode_residual(poly) <= 1e-10 * poly_scale(poly)
+        line = _line(s, n, Edge.NOT_APPLICABLE)
+        assert monomial_coeffs(line)[n] == 1.0
+        assert ode_residual(line) <= 1e-10 * poly_scale(line)
 
     def test_parity_identity(self):
-        coeffs = monomial_coeffs(scarf.build_poly(2.0, 5, Edge.NOT_APPLICABLE))
+        coeffs = monomial_coeffs(_line(2.0, 5, Edge.NOT_APPLICABLE))
         ys = np.linspace(-3, 3, 13)
         assert np.allclose(npoly.polyval(-ys, coeffs), (-1) ** 5 * npoly.polyval(ys, coeffs),
                            rtol=0, atol=0)
@@ -111,7 +114,7 @@ class TestJacobiEval:
                 (alpha + 1.0) * t, rel=1e-14)
 
     def test_proportional_to_recurrence_poly(self):
-        # i^n P_n^(nu,nu)(-iy) must match build_poly up to one constant
+        # i^n P_n^(nu,nu)(-iy) must match the line's P_n up to one constant
         cases = [
             (0.4, 2, Edge.UPPER, Regime.BANDS),
             (0.4, 2, Edge.LOWER, Regime.BANDS),
@@ -120,10 +123,10 @@ class TestJacobiEval:
             (2.0, 6, Edge.NOT_APPLICABLE, Regime.BOUND_STATES),
         ]
         for s, n, edge, regime in cases:
-            poly = scarf.build_poly(s, n, edge)
+            line = _line(s, n, edge)
             nu, _ = jacobi_parameters(s, n, regime, edge)
             ys = np.array([0.5, 1.0, 2.0])
-            ours = npoly.polyval(ys, monomial_coeffs(poly))
+            ours = npoly.polyval(ys, monomial_coeffs(line))
             jac = phase_stripped_jacobi(n, nu, ys)
             ratios = ours / jac
             assert np.allclose(ratios, ratios[0], rtol=1e-10)
@@ -138,11 +141,11 @@ class TestJacobiEval:
 
 class TestRealRoots:
     def test_trivial_degrees(self):
-        assert scarf.real_roots(scarf.build_poly(2.0, 0, Edge.NOT_APPLICABLE)) == []
-        assert scarf.real_roots(scarf.build_poly(2.0, 1, Edge.NOT_APPLICABLE)) == [0.0]
+        assert scarf.real_roots(_line(2.0, 0, Edge.NOT_APPLICABLE)) == []
+        assert scarf.real_roots(_line(2.0, 1, Edge.NOT_APPLICABLE)) == [0.0]
 
     def test_degree_two_upper(self):
-        roots = scarf.real_roots(scarf.build_poly(0.4, 2, Edge.UPPER))
+        roots = scarf.real_roots(_line(0.4, 2, Edge.UPPER))
         expected = (1.0 / 2.8) ** 0.5
         assert roots == [pytest.approx(-expected, rel=1e-12),
                          pytest.approx(expected, rel=1e-12)]
@@ -159,15 +162,15 @@ class TestRealRoots:
     ])
     def test_root_count_equals_degree(self, s, edge):
         for n in range(101):
-            poly = scarf.build_poly(s, n, edge)
-            roots = scarf.real_roots(poly)
+            line = _line(s, n, edge)
+            roots = scarf.real_roots(line)
             assert len(roots) == n
             assert all(np.isfinite(roots)) and roots == sorted(roots)
             # the dense solver agrees with scipy's tridiagonal one
-            ref = tridiagonal_roots(poly)
+            ref = tridiagonal_roots(line)
             assert np.all(np.abs(np.array(roots) - ref) <= 1e-14 * np.abs(ref))
             if n <= 12:
-                coeffs = monomial_coeffs(poly)
+                coeffs = monomial_coeffs(line)
                 if n >= 2:
                     ref = _companion_roots(coeffs)
                     assert np.all(np.abs(np.array(roots) - ref)
@@ -175,13 +178,13 @@ class TestRealRoots:
                 # the Gegenbauer P'/P and its slope against the monomial ones
                 p, p1, p2 = (npoly.polyval(_COMPLEX_YS, npoly.polyder(coeffs, k))
                              for k in range(3))
-                value, slope, _ = log_derivative(poly, _COMPLEX_YS, slope=slice(None))
+                value, slope, _ = log_derivative(line, _COMPLEX_YS, slope=slice(None))
                 for ours, ref in ((value, p1 / p), (slope, (p2 * p - p1 * p1) / (p * p))):
                     assert np.all(np.abs(ours - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
                 # R_n'/R_n at t = y / h, from P'/P = n t / h + (R_n'/R_n) / h^3
                 h = np.sqrt(1.0 + _COMPLEX_YS**2)
                 scaled = h**3 * (p1 / p)
-                ours = log_derivative(poly, _COMPLEX_YS[:0], t=_COMPLEX_YS / h)[2]
+                ours = log_derivative(line, _COMPLEX_YS[:0], t=_COMPLEX_YS / h)[2]
                 assert np.all(np.abs(ours - (scaled - n * _COMPLEX_YS * h))
                               <= 1e-12 * np.maximum(1.0, np.abs(scaled)))
 

@@ -241,8 +241,8 @@ def test_state_set_probes(s, edge):
         assert scarf.verify_riccati(chi) <= 1e-12 * (1.0 + line.lam**2)
         assert chi_parity_defect(chi) == 0.0
         if n >= 2:
-            roots = np.array(scarf.real_roots(chi.poly))
-            radius = np.abs(_infinity_circles(chi.poly)[0][0]).max()
+            roots = np.array(scarf.real_roots(chi.line))
+            radius = np.abs(_infinity_circles(chi.line)[0][0]).max()
             assert radius >= 10.0 * (1.0 + np.abs(roots).max())
             kappa = line.lam - n
             assert np.sum(roots**2) == pytest.approx(n * (n - 1) / (2.0 * kappa + 1.0), rel=1e-9)
@@ -251,9 +251,9 @@ def test_state_set_probes(s, edge):
 def _chi_per_array(chi, ys):
     """chi and chi' on one array, each from its own log_derivative pass."""
     y = np.asarray(ys, dtype=complex)
-    value = 2.0 * chi.b1 * y / (y * y + 1.0) + log_derivative(chi.poly, y)[0]
-    slope = (2.0 * chi.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2
-             + log_derivative(chi.poly, y, slope=slice(None))[1])
+    value = 2.0 * chi.line.b1 * y / (y * y + 1.0) + log_derivative(chi.line, y)[0]
+    slope = (2.0 * chi.line.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2
+             + log_derivative(chi.line, y, slope=slice(None))[1])
     return value, slope
 
 
@@ -268,9 +268,9 @@ def _riccati_per_array(chi):
 def _contours_per_array(chi):
     """residue_report's contours as (f(z), integral) pairs, each from its own
     log_derivative pass: chi on the four circles, R_n'/R_n on the t-ellipse."""
-    out = [(chi(z), w) for z, w in [*_RESIDUE_CIRCLES, *_infinity_circles(chi.poly)]]
+    out = [(chi(z), w) for z, w in [*_RESIDUE_CIRCLES, *_infinity_circles(chi.line)]]
     t, w = _COUNT_ELLIPSE
-    out.append((log_derivative(chi.poly, _NO_NODES, t=t)[2], w))
+    out.append((log_derivative(chi.line, _NO_NODES, t=t)[2], w))
     return [(f, complex((f * w).sum() / w.size)) for f, w in out]
 
 
@@ -368,7 +368,7 @@ class TestOnePass:
         scarf.residue_report(chi)
         scarf.verify_riccati(chi)
         chi_parity_defect(chi)
-        assert calls == [] and "roots" not in vars(chi.poly)
+        assert calls == []
         scarf.contour_residue(chi, 1j, _FIXED_RADIUS)
         assert calls == ["real_roots"] + ["eigvalsh"] * (n > 0)
 
@@ -408,7 +408,7 @@ class TestNodeRule:
         # the three constant contours take the N of the clearance they have
         # at every state, which each state's own poles meet
         chi = _chi(s, n, edge)
-        roots = scarf.real_roots(chi.poly)
+        roots = scarf.real_roots(chi.line)
         poles = [1j, -1j, *roots]
         guaranteed = math.log(1.0 / _FIXED_RADIUS)
         for (z, _), center in zip(_RESIDUE_CIRCLES, (1j, -1j), strict=True):
@@ -423,7 +423,7 @@ class TestNodeRule:
         # foci at +-1, and every root maps into (-1, 1) under t = y / sqrt(1 + y^2)
         assert rx * rx - ry * ry == pytest.approx(1.0, rel=1e-15)
         assert all(abs(y / math.sqrt(1.0 + y * y)) < 1.0 for y in roots)
-        for z, _ in _infinity_circles(chi.poly):
+        for z, _ in _infinity_circles(chi.line):
             eta = math.log(np.abs(z).max() / max(abs(p) for p in poles))
             assert eta >= math.log(10.0) and _is_node_count(z.size, eta)
         assert scarf.residue_report(chi).moving_pole_count == n
@@ -445,7 +445,7 @@ class TestNodeRule:
         residue = scarf.contour_residue(lower1_chi, center, radius)
         assert sizes == [nodes]
         assert _is_node_count(nodes, math.log(1.0 / radius))
-        expected = 1.0 if center == 0.0 else lower1_chi.b1
+        expected = 1.0 if center == 0.0 else lower1_chi.line.b1
         assert residue == pytest.approx(expected, abs=1e-12)
 
     def test_contour_nodes_per_state_are_pinned(self):
@@ -476,7 +476,7 @@ class TestContourGeometry:
         # every point of the line and of its mirror is 1/2 clear of every
         # pole by the distance matrix, so none is dropped at any n
         chi = _chi(s, n, edge)
-        poles = np.array([1j, -1j, *scarf.real_roots(chi.poly)])
+        poles = np.array([1j, -1j, *scarf.real_roots(chi.line)])
         for ys in (_PROBE_LINE, -_PROBE_LINE):
             kept = ys[np.all(np.abs(ys[:, None] - poles) >= 0.5, axis=1)]
             assert np.array_equal(kept, ys) and np.all(ys.imag == np.sign(ys.imag[0]) * 0.5)
@@ -486,8 +486,8 @@ class TestContourGeometry:
     def test_radii_equal_their_generator_forms(self, monkeypatch, s, n, edge):
         # the closed-form radius at infinity equals its form from the roots'
         # squares, and lies at least ten times beyond the farthest pole
-        poly = _chi(s, n, edge).poly
-        roots = scarf.real_roots(poly)
+        line = _chi(s, n, edge).line
+        roots = scarf.real_roots(line)
         calls, ellipse = [], scarf.qmf._ellipse
 
         def spy(center, rx, ry, nodes):
@@ -495,7 +495,7 @@ class TestContourGeometry:
             return ellipse(center, rx, ry, nodes)
 
         monkeypatch.setattr(scarf.qmf, "_ellipse", spy)
-        _infinity_circles(poly)
+        _infinity_circles(line)
         radius = calls[0][1]
         assert calls == [(0.0, radius, radius), (0.0, 2.0 * radius, 2.0 * radius)]
         assert radius == pytest.approx(

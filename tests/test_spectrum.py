@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import scarf
 from scarf import DegenerateRegimeError, Edge, RegimeError
+from scarf.spectrum import level_parameters
 
 HALF_PI_SQ = math.pi**2 / 2.0
 
@@ -150,8 +151,8 @@ class TestClosedFormEnergies:
             assert line == scarf.spectrum_line(params, 1, edge)
             assert type(line.n) is int
             assert scarf.spectrum_lines(params, n) == scarf.spectrum_lines(params, 1)
-        poly = scarf.build_poly(2.0, n)
-        assert (type(poly.n), poly.n, poly.lam) == (int, 1, scarf.build_poly(2.0, 1).lam)
+        assert level_parameters(2.0, n, Edge.NOT_APPLICABLE) == level_parameters(
+            2.0, 1, Edge.NOT_APPLICABLE)
 
     @pytest.mark.parametrize("n_max", [2.5, -1, True, None, "2"])
     def test_spectrum_lines_rejects_bad_n_max(self, bound_params, band_params, n_max):
@@ -195,6 +196,48 @@ class TestClosedFormEnergies:
         assert all(a < b for a, b in zip(by_s, by_s[1:]))
 
 
+# the couplings of the 96-configuration set, each with its three (a, m)
+_COUPLINGS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49, 0.5, 0.6, 1.0, 1.5, 2.0, 3.0, 5.0,
+              10.0, 30.0)
+_SCALES = ((1.0, 1.0), (2.5, 0.7), (0.3, 4.0))
+
+
+class TestOneSource:
+    """b1 and nu are functions of lambda, bit for bit: a level stores no
+    second copy that could disagree with it."""
+
+    @staticmethod
+    def _assert_derived(line):
+        lam = line.lam
+        assert line.nu1.hex() == line.nu2.hex() == (0.0 - lam).hex(), line
+        assert line.b1.hex() == ((1.0 - lam) / 2.0).hex(), line
+
+    @pytest.mark.parametrize("s", _COUPLINGS)
+    def test_every_line_to_n_max_60(self, s):
+        for a, m in _SCALES:
+            for line in scarf.spectrum_lines(scarf.PotentialParams(s=s, a=a, m=m), 60):
+                self._assert_derived(line)
+
+    def test_lower_edge_where_the_old_nu_lost_its_last_bit(self):
+        # -n + s - 1/2 rounds to -16.009999999999998 here; lambda is 16.01
+        line = scarf.spectrum_line(scarf.PotentialParams(s=0.49), 16, Edge.LOWER)
+        assert line.lam == 16.01
+        self._assert_derived(line)
+        assert line.nu1 == -16.01
+
+    def test_fold_nu_is_positive_zero(self):
+        # -lambda would print -0 at the s = 1/2 fold, lambda = 0
+        fold = scarf.spectrum_line(scarf.PotentialParams(s=0.5), 0, Edge.LOWER)
+        assert fold.lam == 0.0
+        for nu in (fold.nu1, fold.nu2):
+            assert nu == 0.0 and math.copysign(1.0, nu) == 1.0
+
+    def test_residue_set_b1_prime_is_b1(self):
+        for s, lam in ((0.4, 0.9), (0.4, 2.1), (2.0, 4.5), (0.25, 1.75)):
+            for rs in scarf.enumerate_residue_sets(s, lam):
+                assert rs.b1_prime.hex() == rs.b1.hex()
+
+
 @functools.cache
 def oracle_levels(s, a=1.0, m=1.0):
     """E m a^2 of the certified shooting roots through n = 2, keyed by
@@ -202,8 +245,8 @@ def oracle_levels(s, a=1.0, m=1.0):
     params = scarf.PotentialParams(s=s, a=a, m=m)
     shot = {}
     for ln in scarf.spectrum_lines(params, 2):
-        r = scarf.certify(params, ln.energy, ln.n, scarf.predicted_family(ln))
-        shot[r.exponent, r.n] = r.energy * m * a**2
+        family = scarf.predicted_family(ln)
+        shot[family, ln.n] = scarf.certify(params, ln.energy, ln.n, family).energy * m * a**2
     collocated = {ex: [e * m * a**2 for e in levels]
                   for ex, levels in scarf.collocation_spectrum(params, k_levels=3).items()}
     return shot, collocated

@@ -44,10 +44,12 @@ def test_traced_band_verify():
     assert (counts["kernels.calls"], counts["kernels.rk_steps"]) == (24, 1_160)
     assert counts["oracle.grid_shoot_calls"] == 24
     assert {span[0] for span in tracer.spans if span[0].startswith("oracle.")} == {"oracle.grid"}
-    # the hooks of the deleted blind scan, and two that were already dead
+    # the hooks of the deleted blind scan and of the deleted P_n builder,
+    # and two that were already dead
     assert sorted(tracer.missing) == [
         "scarf.oracle.brentq", "scarf.oracle.find_eigen", "scarf.verify.fd_bound_spectrum",
-        "scarf.verify.scan_spectrum", "scarf.wavefunction.quad"]
+        "scarf.verify.scan_spectrum", "scarf.wavefunction.build_poly",
+        "scarf.wavefunction.quad"]
 
 
 def test_import_probe():
