@@ -79,8 +79,6 @@ def json_dumps(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{json_dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if hasattr(obj, "item"):  # numpy scalar
-        return json_dumps(obj.item(), indent)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 

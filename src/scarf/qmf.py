@@ -146,7 +146,7 @@ def log_derivative(line: SpectrumLine, y: np.ndarray, slope: slice = slice(0),
     n = line.n
     h = np.sqrt(1.0 + y * y)
     m, ty = h.size, y / h
-    r, r1, r2 = gegenbauer_ratios(n, line.lam - n, np.concatenate((ty, t)))
+    r, r1, r2 = gegenbauer_ratios(n, line.kappa, np.concatenate((ty, t)))
     rho = r1 / r
     value, dlog_r = n * rho[:m] / h, n * (rho[m:] - t) / ((1.0 - t) * (1.0 + t))
     y, h, ty, r, r1, r2, rho = (v[slice(*slope.indices(m))] for v in (y, h, ty, r, r1, r2, rho))
@@ -232,7 +232,7 @@ def _infinity_circles(line: SpectrumLine) -> list[tuple]:
     and 2r about 0, from the sum of the roots' squares (module docstring).
     Every pole lies within r / 10, so eta > ln 10 and 32 nodes serve."""
     n = line.n
-    radius = 10.0 * (1.0 + max(1.0, math.sqrt(n * (n - 1) / (2.0 * (line.lam - n) + 1.0))))
+    radius = 10.0 * (1.0 + max(1.0, math.sqrt(n * (n - 1) / (2.0 * line.kappa + 1.0))))
     return [_ellipse(0.0, r, r, 32) for r in (radius, 2.0 * radius)]
 
 

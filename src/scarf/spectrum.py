@@ -17,8 +17,9 @@ admissible combinations yields the band-edge and bound-level energies
 
 where lambda^2 = 2 m E a^2 / pi^2 is the dimensionless energy parameter.
 One lambda fixes the whole level: a SpectrumLine stores n, lambda, E and
-d1, and derives b1 = (1 - lambda)/2 and the Jacobi parameter nu = -lambda
-of P_n from lambda, so no second copy of either can disagree with it.
+d1, and derives b1 = (1 - lambda)/2, nu = -lambda of P_n and the wall
+exponent kappa = lambda - n of psi from lambda, so no second copy of any
+of them can disagree with it.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class ResidueSet:
 @dataclass(frozen=True)
 class SpectrumLine:
     """A single eigenlevel: band edge or bound level, and the one record of
-    it.  P_n, the momentum function and the oracles' checks read n and
-    lambda from here; b1 and nu derive from lambda.
+    it.  P_n, psi, the momentum function and the oracles' checks read n and
+    lambda from here; b1, nu and kappa derive from lambda.
 
     energy is pi^2 lam^2 / (2 m a^2) exactly (units hbar^2/(m a^2), hbar=1)
     and is strictly positive in the bound and band regimes.  The free
@@ -97,6 +98,11 @@ class SpectrumLine:
         return 0.0 - self.lam
 
     nu2 = nu1
+
+    @property
+    def kappa(self) -> float:
+        """The exponent lambda - n of psi ~ sin^kappa(pi x / a) at the walls."""
+        return self.lam - self.n
 
 
 def fixed_pole_residue_candidates(lam: float) -> tuple[float, float]:

@@ -201,4 +201,4 @@ def _probe_checks(params, ln, out: list[dict]) -> None:
                       0.0 if parity(wf) is expected_parity else 1.0, 0.0))
     exponent = boundary_exponent(wf)
     out.append(_check(ln, "boundary_exponent_defect",
-                      abs(exponent - wf.boundary_power), 1e-3, observed=exponent))
+                      abs(exponent - ln.kappa), 1e-3, observed=exponent))

@@ -9,8 +9,8 @@ b1 = (1 - lambda)/2.  P_n solves
 which covers both band-edge cases (lambda = n + 1/2 -+ s) and the bound
 case (lambda = n + 1/2 + s); its n real roots, real_roots(line), are
 psi's nodes and the moving poles of the momentum function (qmf).  P_n has
-no record of its own: every reader takes n and lambda from the level's
-SpectrumLine.  With P_n monic, t = cos(theta) and kappa = lambda - n,
+no record of its own: every reader takes n, lambda and kappa = lambda - n
+from the level's SpectrumLine.  With P_n monic and t = cos(theta),
 
     sin^n(theta) P_n(cot theta) = C_n^kappa(t) / C_n^kappa(1) = R_n^kappa(t)
 
@@ -19,9 +19,10 @@ SpectrumLine.  With P_n monic, t = cos(theta) and kappa = lambda - n,
     psi(x) = sin^kappa(theta) R_n^kappa(cos theta).
 
 The boundary exponent kappa equals 1/2 + s for bound and upper-edge states
-and 1/2 - s for lower edges, so psi -> 0 at every lattice point in both
-regimes.  The package evaluates P_n only through R, by the normalised
-three-term recurrence (DLMF 18.9.1)
+and 1/2 - s for lower edges, so psi -> 0 at every lattice point where kappa
+> 0; the s = 1/2 lower edges (kappa = 0) are the free waves cos(n pi x / a).
+The package evaluates P_n only through R, by the normalised recurrence
+(DLMF 18.9.1)
 
     R_0 = 1,  R_1 = t,  R_{k+1} = (2 (k + kappa) t R_k - k R_{k-1}) / (k + 2 kappa),
 
@@ -57,7 +58,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyError, NumericError
+from .errors import ConsistencyError, NumericError, RegimeError
 from .potential import (
     LAMBDA2_FLOOR,
     PotentialParams,
@@ -65,7 +66,7 @@ from .potential import (
     is_lattice_point,
     reduce_to_cell,
 )
-from .spectrum import SpectrumLine, level_parameters
+from .spectrum import SpectrumLine, spectrum_line
 
 _PARITY_TOL = 1e-10
 _NODE_SAMPLES = 512
@@ -112,7 +113,7 @@ def real_roots(line: SpectrumLine) -> list[float]:
     n = line.n
     if n == 0:
         return []
-    kappa = line.lam - n
+    kappa = line.kappa
     k = np.arange(2.0, n)
     off = np.sqrt(np.concatenate((
         [0.5 / (1.0 + kappa)],
@@ -137,11 +138,6 @@ class WavefunctionSpec:
     params: PotentialParams
     norm: float
 
-    @property
-    def boundary_power(self) -> float:
-        """Exponent of psi ~ x^mu at the cell walls: lambda - n."""
-        return self.line.lam - self.line.n
-
     @cached_property
     def cell(self) -> dict[str, tuple[np.ndarray, ...]]:
         """Rows z, sin z, cos z, R_n, R_{n-1}, R_{n-2} at cos z on the grid of
@@ -151,13 +147,13 @@ class WavefunctionSpec:
         the exponent grid, _EXPONENT_UNIT sqrt(500 / max(500, kappa)) /
         (n + 1), get one sin and one cos per spec.  The cache lives and
         dies with the spec."""
-        n = self.line.n
+        n, kappa = self.line.n, self.line.kappa
         nodes = max(_NODE_SAMPLES, 8 * (n + 1))
-        shrink = (n + 1) * math.sqrt(max(1.0, self.boundary_power / 500.0))
+        shrink = (n + 1) * math.sqrt(max(1.0, kappa / 500.0))
         z = np.concatenate((np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
                             _EXPONENT_UNIT / shrink))
         own = (z, np.sin(z), np.cos(z))
-        ratios = gegenbauer_ratios(n, self.boundary_power, np.append(_RESIDUAL_ROWS[2], own[2]))
+        ratios = gegenbauer_ratios(n, kappa, np.append(_RESIDUAL_ROWS[2], own[2]))
         cell, start = {}, 0
         for name, rows in (("residual", _RESIDUAL_ROWS), ("nodes", [v[:nodes] for v in own]),
                            ("exponent", [v[nodes:] for v in own])):
@@ -170,20 +166,16 @@ class WavefunctionSpec:
 def build_wavefunction(params: PotentialParams, line: SpectrumLine) -> WavefunctionSpec:
     """Assemble and L2-normalize the eigenfunction of a spectrum line.
 
-    The line must have been produced for the same params: regime, lambda,
-    and energy are re-derived and checked before anything is evaluated.
+    The line must equal spectrum_line(params, line.n, line.edge) field for
+    field, else ConsistencyError (also where that call raises RegimeError).
     """
-    if line.regime is not params.regime:
-        raise ConsistencyError(
-            f"line regime {line.regime} does not match params regime {params.regime}"
-        )
-    expected_energy = math.pi**2 * line.lam**2 / (2.0 * params.m * params.a**2)
-    if line.energy > 0 and abs(line.energy - expected_energy) > 1e-12 * line.energy:
-        raise ConsistencyError("line energy inconsistent with its lambda for these params")
-    lam = level_parameters(params.s, line.n, line.edge)[0]
-    if abs(lam - line.lam) > 1e-12 * max(1.0, line.lam):
-        raise ConsistencyError("line lambda inconsistent with (s, n, edge)")
-    norm = 1.0 / math.sqrt(_raw_norm_sq(params.a, line.n, line.lam - line.n))
+    try:
+        rebuilt = spectrum_line(params, line.n, line.edge)
+    except RegimeError:
+        rebuilt = None
+    if line != rebuilt:
+        raise ConsistencyError(f"line (n={line.n}, {line.edge.value}) is not a level of {params}")
+    norm = 1.0 / math.sqrt(_raw_norm_sq(params.a, line.n, line.kappa))
     return WavefunctionSpec(line=line, params=params, norm=norm)
 
 
@@ -199,15 +191,15 @@ def _raw_norm_sq(a: float, n: int, kappa: float) -> float:
 def eval_psi(spec: WavefunctionSpec, x):
     """Normalized psi(x); scalar in, scalar out (arrays likewise).
 
-    Lattice points evaluate to exactly 0.0: psi extends continuously to
-    zero at the walls in both regimes (boundary exponent > 0).
+    Lattice points evaluate to exactly 0.0, psi's limit there, where kappa >
+    0; at kappa = 0 (s = 1/2, lower edges) psi(k a) = norm R_n(1) = norm.
     """
     x, a = np.asarray(x, dtype=float), spec.params.a
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
     z = np.pi * reduce_to_cell(x, a) / a
-    n, kappa = spec.line.n, spec.boundary_power
-    out = np.where(is_lattice_point(x, a), 0.0,
+    n, kappa = spec.line.n, spec.line.kappa
+    out = np.where(is_lattice_point(x, a) & (kappa > 0), 0.0,
                    spec.norm * np.sin(z) ** kappa * gegenbauer_ratios(n, kappa, np.cos(z))[0])
     return float(out) if out.ndim == 0 else out
 
@@ -237,7 +229,7 @@ def boundary_exponent(spec: WavefunctionSpec) -> float:
     z, sn, _, r, _, _ = spec.cell["exponent"]
     dz = np.log(z)
     dz -= dz.sum() / dz.size
-    du = spec.boundary_power * np.log(sn) + np.log(np.abs(r))
+    du = spec.line.kappa * np.log(sn) + np.log(np.abs(r))
     du -= du.sum() / du.size
     return float(np.dot(dz, du) / np.dot(dz, dz))
 
@@ -250,7 +242,7 @@ def parity(spec: WavefunctionSpec) -> Parity:
     z_(N+1-k) = pi - z_k of count_nodes' grid z_k = pi k / (N + 1), N even.
     """
     _, sn, _, r, _, _ = spec.cell["nodes"]
-    u = sn ** spec.boundary_power * r
+    u = sn ** spec.line.kappa * r
     scale = np.abs(u).max()
     even_defect = np.abs(u - u[::-1]).max()
     odd_defect = np.abs(u + u[::-1]).max()
@@ -280,7 +272,7 @@ def _curvature(spec: WavefunctionSpec) -> tuple[np.ndarray, ...]:
     kappa < 2; the residual grid keeps 1e-3 pi away.
     """
     _, sn, t, r, r1, r2 = spec.cell["residual"]
-    n, k = spec.line.n, spec.boundary_power
+    n, k = spec.line.n, spec.line.kappa
     s2 = (1.0 - t) * (1.0 + t)
     d1 = n * (r1 - t * r)
     d2 = n * ((n - 1) * (r2 - t * r1) - s2 * r - t * d1) + 2.0 * t * d1
@@ -298,7 +290,7 @@ def schrodinger_residual(spec: WavefunctionSpec) -> tuple[float, float]:
     LAMBDA2_FLOOR) max|u| on that grid, the energy scale of
     PotentialParams.energy_scale in energy units.
     """
-    p, k = spec.params, spec.boundary_power
+    p, k = spec.params, spec.line.kappa
     e = spec.line.energy / p.energy_unit
     sk2, s2, r, d = _curvature(spec)
     res = sk2 * ((p.s * p.s - 0.25 - k * (k - 1.0)) * r + d - e * s2 * r)

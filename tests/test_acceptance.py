@@ -211,7 +211,7 @@ def test_criterion_7_node_parity_exponent(bound_params, band_params):
         if scarf.parity(wf) is not expected:
             ok = False
             details.append(f"parity {tag}")
-        if abs(scarf.boundary_exponent(wf) - wf.boundary_power) > 1e-3:
+        if abs(scarf.boundary_exponent(wf) - wf.line.kappa) > 1e-3:
             ok = False
             details.append(f"exponent {tag}")
     report("7 (node/parity/exponent, n<=5)", ok, "; ".join(details) or

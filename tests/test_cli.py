@@ -57,10 +57,17 @@ class TestSerialization:
             format_float(float("nan"))
 
     def test_json_round_trips(self):
-        payload = {"a": 1, "b": [0.1, True, None], "c": {"d": "x"}, "e": []}
+        payload = {"a": 1, "b": [0.1, True, None], "c": {"d": "x"}, "e": [], "f": {}}
         text = json_dumps(payload)
         assert json.loads(text) == {"a": 1, "b": [0.1, True, None],
-                                    "c": {"d": "x"}, "e": []}
+                                    "c": {"d": "x"}, "e": [], "f": {}}
+
+    def test_only_python_scalars_serialize(self):
+        # np.float64 is a float; other numpy scalars are not Python scalars
+        assert json_dumps(np.float64(0.1)) == "0.10000000000000001"
+        for obj in (object(), np.int64(1)):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                json_dumps(obj)
 
 
 class TestSpectrumCommand:
@@ -135,6 +142,12 @@ class TestSpectrumCommand:
         # explicit flag beats the config file
         result = invoke(runner, ["spectrum", "--config", str(cfg), "--n-max", "0"])
         assert len(json.loads(result.output)["levels"]) == 1
+
+    def test_malformed_config_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"s": 2.0,')
+        result = runner.invoke(main, ["spectrum", "--config", str(cfg)])
+        assert result.exit_code == 2 and "malformed config" in result.stderr
 
     def test_unknown_config_key_exits_2(self, runner, tmp_path):
         cfg = tmp_path / "run.json"
@@ -286,6 +299,10 @@ class TestVerifyCommand:
         failing = [c for c in payload["checks"] if not c["pass"]]
         assert failing and all("value" in c for c in failing)
         assert "FAILED" in result.stderr
+
+    def test_unknown_oracle_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown oracle kind 'x'"):
+            run_verification(PotentialParams(s=2.0), 0, oracle="x")
 
     def test_non_finite_tol_exits_2(self, runner):
         for bad in ("inf", "nan"):
@@ -441,6 +458,10 @@ class TestTable1Command:
 
     def test_degenerate_s_exits_2(self, runner):
         assert invoke(runner, ["table1", "--s", "0.5", "--lambda", "1"]).exit_code == 2
+
+    def test_neither_lambda_nor_n_exits_2(self, runner):
+        result = runner.invoke(main, ["table1", "--s", "0.4"])
+        assert result.exit_code == 2 and "give --lambda or --n" in result.stderr
 
 
 class TestLogging:

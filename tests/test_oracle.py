@@ -681,6 +681,30 @@ class TestKernelPaths:
         shoot_halfcell(3.75, 10.0, 0.1, 0.0, 1.0)
         assert spy.sin.call_count > 0
 
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_MAX_STEPS", 5)
+        with pytest.raises(NumericError, match="exceeded 5 steps"):
+            shoot_halfcell(-3.75, 10.0, 1e-3 * math.pi, 1.0, 800.0)
+
+    def test_renormalization_keeps_steps_zeros_and_phase(self):
+        # s = 300, n = 0: u grows past 1e250 on the way to pi/2, so the
+        # kernel divides (u, u_z) by |u| in flight.  The start scaled by
+        # 2^-200 renormalizes at other steps; without any renormalization
+        # both end states would differ by exactly 2^200.
+        params = scarf.PotentialParams(s=300.0)
+        line = spectrum_line(params, 0, Edge.NOT_APPLICABLE)
+        s, lam2, mu = params.s, line.energy / params.energy_unit, 300.5
+        series = oracle.frobenius_series(s, lam2, mu)
+        z = oracle.start_offset(series)
+        u0, v0 = oracle.frobenius_start(series, mu, z)
+        shots = [shoot_halfcell(-(0.25 - s * s), lam2, z, u0 * f, v0 * f)
+                 for f in (1.0, 2.0**-200)]
+        (u, v, zeros, steps), (us, vs, zeros_s, steps_s) = shots
+        assert u / us != 2.0**200
+        assert zeros == zeros_s == 0 and steps == steps_s
+        theta = [math.atan2(abs(a), b / math.sqrt(lam2)) for a, b in ((u, v), (us, vs))]
+        assert abs(theta[0] - theta[1]) <= 1e-12
+
     def test_non_finite_energy_terminates(self):
         # NaN propagation must end in step underflow, never a spin to the cap
         with pytest.raises(NumericError, match=r"step underflow after \d{1,3} steps") as err:

@@ -110,6 +110,11 @@ class TestEvaluatePotential:
             with pytest.raises(SingularityError):
                 scarf.evaluate_potential(bound_params, x)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, [0.5, -math.inf]])
+    def test_non_finite_x_is_a_value_error(self, bound_params, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            scarf.evaluate_potential(bound_params, x)
+
     def test_overflow_raises_without_warning(self):
         # near the walls V overflows at m = 1e-305; the midpoint stays finite
         p = scarf.PotentialParams(s=2.0, m=1e-305)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import scarf
-from scarf import ChiFunction, ContourError, Edge, Parity
+from scarf import ChiFunction, ContourError, Edge, NumericError, Parity
 from scarf.qmf import (
     _COUNT_ELLIPSE,
     _FIXED_RADIUS,
@@ -88,6 +88,31 @@ class TestResidueAtInfinity:
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(band_params, hi))
         # d1 = 2 b1 + n = (1 - 1.9) + 1 = 0.1 = (1 - 2s)/2
         assert scarf.residue_report(chi).d1_measured.real == pytest.approx(0.1, abs=1e-10)
+
+
+class TestRationalStructureErrors:
+    """The NumericError and ContourError paths, on crafted contour values."""
+
+    @staticmethod
+    def circle(d1, d0=0.0):
+        # values whose mean is the Laurent constant d0, integral d1
+        return np.array([d0 + 1.0, d0 - 1.0]), complex(d1)
+
+    def test_consistent_circles_give_d1(self):
+        assert _infinity_residue([self.circle(0.1), self.circle(0.1)]) == 0.1
+
+    def test_nonzero_laurent_constant_raises(self):
+        with pytest.raises(NumericError, match="Laurent constant"):
+            _infinity_residue([self.circle(0.1, d0=1e-6), self.circle(0.1)])
+
+    def test_unconverged_residue_at_infinity_raises(self):
+        with pytest.raises(NumericError, match="did not converge"):
+            _infinity_residue([self.circle(0.1), self.circle(0.1 + 1e-6)])
+
+    def test_non_integer_pole_count_raises(self):
+        assert _pole_count(3.0 + 1e-9j) == 3
+        with pytest.raises(ContourError, match="not an integer"):
+            _pole_count(2.5 + 0j)
 
 
 class TestMovingPoleCount:
@@ -198,7 +223,7 @@ class TestHighDegree:
         assert scarf.verify_riccati(chi) <= 1e-10 * (1.0 + line.lam**2)
         assert scarf.count_nodes(wf) == n
         assert scarf.parity(wf) is (Parity.EVEN if n % 2 == 0 else Parity.ODD)
-        assert abs(scarf.boundary_exponent(wf) - wf.boundary_power) <= 1e-3
+        assert abs(scarf.boundary_exponent(wf) - wf.line.kappa) <= 1e-3
 
     @pytest.mark.parametrize("s, n, edge", [
         (2.0, 393, Edge.NOT_APPLICABLE), (2.0, 394, Edge.NOT_APPLICABLE),

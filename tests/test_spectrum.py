@@ -31,6 +31,11 @@ class TestResidueCandidates:
         lo, hi = scarf.infinity_residue_candidates(0.4)
         assert (lo, hi) == (pytest.approx(0.1), pytest.approx(0.9))
 
+    def test_infinity_rejects_nonpositive(self):
+        for s in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="s must be positive"):
+                scarf.infinity_residue_candidates(s)
+
     @given(st.floats(min_value=0.01, max_value=10.0))
     @settings(max_examples=100)
     def test_candidate_closure(self, s):

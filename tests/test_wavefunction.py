@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scarf
-from scarf import ConsistencyError, Edge, Parity
+from scarf import ConsistencyError, Edge, NumericError, Parity, wavefunction
 from scarf.qmf import chi_parity_defect
 from scarf.spectrum import spectrum_line
 from scarf.verify import _level_checks
@@ -56,6 +56,25 @@ class TestBuildAndEval:
         assert vals[0] == 0.0 and vals[2] == 0.0 and vals[1] != 0.0
         assert scarf.eval_psi(bound_ground, 0.5) != 0.0
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_free_wave_lattice_points_evaluate_to_norm(self, n):
+        # s = 1/2, lower edge: kappa = 0 and psi = norm cos(n pi x / a), which
+        # does not vanish at the walls: psi(k a) = norm R_n(1) = norm
+        params = scarf.PotentialParams(s=0.5)
+        wf = scarf.build_wavefunction(params, scarf.spectrum_line(params, n, Edge.LOWER))
+        assert wf.line.kappa == 0.0 and wf.norm == pytest.approx(1.0 if n == 0 else math.sqrt(2.0))
+        for x in (0.0, params.a, 2.0 * params.a):
+            assert scarf.eval_psi(wf, x) == wf.norm
+            assert scarf.eval_psi(wf, x + 1e-9) == pytest.approx(wf.norm, rel=1e-12)
+        assert scarf.eval_psi(wf, np.array([0.0, params.a])).tolist() == [wf.norm] * 2
+
+    def test_inexact_lattice_point_evaluates_to_zero(self):
+        # 0.9 / 0.3 is not exactly 3 in floats; the lattice rule still holds
+        params = scarf.PotentialParams(s=0.45, a=0.3)
+        for edge in (Edge.LOWER, Edge.UPPER):
+            wf = scarf.build_wavefunction(params, scarf.spectrum_line(params, 1, edge))
+            assert scarf.eval_psi(wf, 0.9) == 0.0
+
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
     def test_rejects_non_finite_x(self, bound_ground, x):
         # as evaluate_potential does
@@ -72,7 +91,7 @@ class TestBuildAndEval:
             params = scarf.PotentialParams(s=s)
             for line in scarf.spectrum_lines(params, 30):
                 wf = scarf.build_wavefunction(params, line)
-                kappa = wf.boundary_power
+                kappa = wf.line.kappa
                 assert kappa > 0.0
                 ref = (wf.norm * np.sin(z) ** kappa * eval_gegenbauer(line.n, kappa, np.cos(z))
                        / eval_gegenbauer(line.n, kappa, 1.0))
@@ -105,6 +124,10 @@ class TestBuildAndEval:
         other = scarf.PotentialParams(s=3.0)
         with pytest.raises(ConsistencyError):
             scarf.build_wavefunction(other, line)
+        # same s and lambda, another a: the energy no longer matches
+        wide = scarf.spectrum_line(scarf.PotentialParams(s=2.0, a=2.5), 0, Edge.NOT_APPLICABLE)
+        with pytest.raises(ConsistencyError):
+            scarf.build_wavefunction(bound_params, wide)
 
     def test_periodicity_band_states(self, band_states):
         wf = band_states[("upper", 0)]
@@ -159,6 +182,20 @@ class TestStructure:
             expected = Parity.EVEN if n % 2 == 0 else Parity.ODD
             assert scarf.parity(wf) is expected
 
+    def test_no_definite_parity_raises(self, bound_params, monkeypatch):
+        # u = sin^kappa z (R_0 + cos z / 2) is neither even nor odd about pi/2
+        real = wavefunction.gegenbauer_ratios
+
+        def skewed(n, kappa, t):
+            r, *older = real(n, kappa, t)
+            return (r + 0.5 * t, *older)
+
+        monkeypatch.setattr(wavefunction, "gegenbauer_ratios", skewed)
+        wf = scarf.build_wavefunction(
+            bound_params, scarf.spectrum_line(bound_params, 0, Edge.NOT_APPLICABLE))
+        with pytest.raises(NumericError, match="no definite parity"):
+            scarf.parity(wf)
+
     def test_boundary_exponents(self, bound_ground, band_states):
         assert scarf.boundary_exponent(bound_ground) == pytest.approx(2.5, abs=1e-3)
         assert scarf.boundary_exponent(band_states[("lower", 0)]) == pytest.approx(0.1, abs=1e-3)
@@ -171,7 +208,7 @@ class TestStructure:
         params = scarf.PotentialParams(s=s)
         for n in range(3):
             wf = scarf.build_wavefunction(params, spectrum_line(params, n, Edge.NOT_APPLICABLE))
-            assert abs(scarf.boundary_exponent(wf) - wf.boundary_power) <= 1e-4, n
+            assert abs(scarf.boundary_exponent(wf) - wf.line.kappa) <= 1e-4, n
 
     def test_schrodinger_residual(self, bound_params, band_states):
         states = list(band_states.values()) + [
@@ -193,7 +230,7 @@ class TestStructure:
             params = scarf.PotentialParams(s=s)
             wf = scarf.build_wavefunction(params, spectrum_line(params, n, edge))
             sk2, s2, r, d = _curvature(wf)
-            k = wf.boundary_power
+            k = wf.line.kappa
             u, u_zz = sk2 * s2 * r, sk2 * (k * (k - 1.0) * r - d)
             z = wf.cell["residual"][0]
             for i in (40, 74, 100, 161):  # x near 0.2, 0.37, 0.5, 0.81
@@ -228,7 +265,7 @@ class TestProbeMatrix:
             assert scarf.count_nodes(wf) == line.n, line
             expected = Parity.EVEN if line.n % 2 == 0 else Parity.ODD
             assert scarf.parity(wf) is expected, line
-            assert abs(scarf.boundary_exponent(wf) - wf.boundary_power) <= 1e-3, line
+            assert abs(scarf.boundary_exponent(wf) - wf.line.kappa) <= 1e-3, line
             chi = scarf.ChiFunction.from_wavefunction(wf)
             rep = scarf.residue_report(chi)
             assert rep.sum_rule_defect <= 1e-9, line
@@ -303,7 +340,7 @@ def _cell_reference(spec):
     own = np.concatenate((np.pi * np.arange(1, nodes + 1) / (nodes + 1.0),
                           np.geomspace(1e-5 * np.pi, 1e-3 * np.pi, 32) / (n + 1)))
     trig = np.hstack([np.stack((z, np.sin(z), np.cos(z))) for z in (residual, own)])
-    rows = np.vstack((trig, np.stack(gegenbauer_ratios(n, spec.boundary_power, trig[2]))))
+    rows = np.vstack((trig, np.stack(gegenbauer_ratios(n, spec.line.kappa, trig[2]))))
     return dict(zip(("residual", "nodes", "exponent"),
                     np.split(rows, np.cumsum([200, nodes]), axis=1)))
 
@@ -329,7 +366,7 @@ def _midpoint_grid_parity(spec):
     defect is within 1e-10 max|u|."""
     half = np.pi * np.arange(1, 129) / 258.0
     z = np.concatenate((np.pi / 2.0 - half, np.pi / 2.0 + half))
-    kappa = spec.boundary_power
+    kappa = spec.line.kappa
     u = np.sin(z) ** kappa * gegenbauer_ratios(spec.line.n, kappa, np.cos(z))[0]
     left, right = u[:128], u[128:]
     scale = np.abs(u).max()
@@ -357,7 +394,7 @@ class TestParityOnNodeGrid:
             assert got is _midpoint_grid_parity(wf), wf.line
             assert got is (Parity.EVEN if wf.line.n % 2 == 0 else Parity.ODD), wf.line
             _, sn, _, r, _, _ = wf.cell["nodes"]
-            u = sn ** wf.boundary_power * r
+            u = sn ** wf.line.kappa * r
             mirror = u[::-1] if got is Parity.EVEN else -u[::-1]
             assert np.abs(u - mirror).max() <= 1e-11 * np.abs(u).max(), wf.line
 
@@ -387,6 +424,10 @@ class TestSampling:
         assert np.allclose(cols["psi_squared"], cols["psi"] ** 2)
         peak = np.argmax(cols["psi"])
         assert cols["x"][peak] == pytest.approx(0.5, abs=2e-3)
+
+    def test_one_sample_is_a_value_error(self, bound_ground):
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            scarf.sample_wavefunction(bound_ground, 1)
 
 
 class TestImport:
