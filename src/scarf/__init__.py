@@ -19,7 +19,6 @@ from .errors import (
 from .potential import (
     PotentialParams,
     Regime,
-    classify_regime,
     evaluate_potential,
 )
 from .spectrum import (
@@ -65,7 +64,7 @@ from .verify import predicted_family, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "PotentialParams", "Regime", "classify_regime", "evaluate_potential",
+    "PotentialParams", "Regime", "evaluate_potential",
     "Edge", "ResidueSet", "SpectrumLine", "fixed_pole_residue_candidates",
     "infinity_residue_candidates", "admissible_d1", "enumerate_residue_sets",
     "spectrum_line", "spectrum_lines",

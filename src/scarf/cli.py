@@ -307,7 +307,7 @@ def table1(params, cfg):
     rows = [{"set": rs.set_id, "b1": rs.b1, "b1_prime": rs.b1_prime, "d1": rs.d1,
              "n": rs.n_value, "valid": rs.valid,
              "remark": "valid" if rs.valid else f"not valid ({rs.rejection_reason})"}
-            for rs in enumerate_residue_sets(params.s, lam)]
+            for rs in enumerate_residue_sets(params, lam)]
     payload = {"params": params_entry(params), "regime": params.regime.value,
                "lambda": lam, "sets": rows}
     return payload, ["set", "b1", "b1_prime", "d1", "n", "valid", "remark"], rows

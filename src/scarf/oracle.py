@@ -174,7 +174,7 @@ def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
     The integer part of 2 theta/pi is the number of the family's levels
     at or below E.
     """
-    if params.regime is Regime.BOUND_STATES and cfg.exponent is Exponent.MINUS:
+    if cfg.exponent not in _exponents(params.regime):
         raise RegimeError("bound regime admits only the 1/2 + s exponent")
     s, lam2 = params.s, energy / params.energy_unit
     mu = 0.5 + s if cfg.exponent is Exponent.PLUS else 0.5 - s

@@ -30,12 +30,11 @@ LAMBDA2_FLOOR = 1e-3
 
 
 class Regime(Enum):
-    """Coupling regime, a total function of s."""
+    """Coupling regime of a PotentialParams: one tag for each s > 0."""
 
     BOUND_STATES = "bound_states"   # s > 1/2
     BANDS = "bands"                 # 0 < s < 1/2
     FREE_PARTICLE = "free_particle" # s = 1/2 exactly
-    UNSUPPORTED = "unsupported"     # s <= 0 or non-finite
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class PotentialParams:
                 object.__setattr__(self, name, float(value))
             except OverflowError:  # an int or Fraction past the float range
                 raise ValueError(f"{name} leaves the float range") from None
-        if classify_regime(self.s) is Regime.UNSUPPORTED:
+        if not (math.isfinite(self.s) and self.s > 0.0):
             raise ValueError(f"coupling s must be a positive finite real, got {self.s}")
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError(f"period a must be a positive finite real, got {self.a}")
@@ -83,7 +82,9 @@ class PotentialParams:
 
     @property
     def regime(self) -> Regime:
-        return classify_regime(self.s)
+        if self.s > 0.5:
+            return Regime.BOUND_STATES
+        return Regime.BANDS if self.s < 0.5 else Regime.FREE_PARTICLE
 
     @property
     def energy_unit(self) -> float:
@@ -94,22 +95,6 @@ class PotentialParams:
         """max(|E|, LAMBDA2_FLOOR energy units): the scale of every relative
         energy check."""
         return max(abs(energy), LAMBDA2_FLOOR * self.energy_unit)
-
-
-def classify_regime(s: float) -> Regime:
-    """Classify the coupling. Total: every float gets exactly one tag, and
-    so does every other value (bool, non-reals and reals past the float
-    range are UNSUPPORTED)."""
-    try:
-        if isinstance(s, bool) or not isinstance(s, numbers.Real) or not math.isfinite(s) or s <= 0.0:
-            return Regime.UNSUPPORTED
-    except OverflowError:  # an int or Fraction past the float range
-        return Regime.UNSUPPORTED
-    if s > 0.5:
-        return Regime.BOUND_STATES
-    if s < 0.5:
-        return Regime.BANDS
-    return Regime.FREE_PARTICLE
 
 
 def reduce_to_cell(x, a: float):

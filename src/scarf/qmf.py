@@ -80,17 +80,15 @@ _NO_NODES = np.empty(0, dtype=complex)
 class ChiFunction:
     """chi and its analytic derivative for one eigenstate.
 
-    P'/P, b1 and the radius at infinity read n and lambda from line; lam
-    and s enter only the Riccati equation, so replace(chi, lam=...) moves
-    that equation and nothing else."""
+    P'/P, b1, the radius at infinity and the Riccati equation read n and
+    lambda from line; s enters only the Riccati equation."""
 
     line: SpectrumLine
-    lam: float
     s: float
 
     @classmethod
     def from_wavefunction(cls, spec: WavefunctionSpec) -> "ChiFunction":
-        return cls(line=spec.line, lam=spec.line.lam, s=spec.params.s)
+        return cls(line=spec.line, s=spec.params.s)
 
     def __call__(self, y):
         y = np.asarray(y, dtype=complex)
@@ -261,16 +259,17 @@ def _pole_count(count: complex) -> int:
 
 def verify_riccati(chi: ChiFunction) -> float:
     """Max |chi^2 + chi' + (lam^2-1)/(y^2+1)^2 + (1/4-s^2)/(y^2+1)| on the
-    probe line, with lam = chi.lam.
+    probe line, with lam = chi.line.lam.
 
     chi' is differentiated analytically (no numerical step).  A ChiFunction
-    with another lam than its state's, replace(chi, lam=...), is the
-    negative control: the residual then reports the mismatch, not 0.
+    on a line of a wrong lambda, replace(chi, line=replace(chi.line,
+    lam=...)), is the negative control: chi and the equation then read the
+    same wrong lambda, and the residual reports it, not 0.
     """
     val, dval, _ = chi.probes[1]
     ys = _PROBE_LINE
     res = (val * val + dval
-           + (chi.lam**2 - 1.0) / (ys**2 + 1.0) ** 2
+           + (chi.line.lam**2 - 1.0) / (ys**2 + 1.0) ** 2
            + (0.25 - chi.s**2) / (ys**2 + 1.0))
     return float(np.abs(res).max())
 

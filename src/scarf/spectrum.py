@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateRegimeError, RegimeError
-from .potential import PotentialParams, Regime, classify_regime
+from .potential import PotentialParams, Regime
 
 # |n - round(n)| below this counts as an integer degree.  Loose enough for
 # lambdas recovered from numerical oracles, far below the level spacing.
@@ -57,7 +58,6 @@ class ResidueSet:
     b1: float
     d1: float
     n_value: float
-    lam: float
     valid: bool
     rejection_reason: str | None = None
 
@@ -74,13 +74,12 @@ class SpectrumLine:
     lambda from here; b1, nu and kappa derive from lambda.
 
     energy is pi^2 lam^2 / (2 m a^2) exactly (units hbar^2/(m a^2), hbar=1)
-    and is strictly positive in the bound and band regimes.  The free
-    particle limit s = 1/2 is the one exception: its lowest lower edge
-    folds down to lambda = 0, E = 0.
+    and is a normal float, at least sys.float_info.min, in the bound and
+    band regimes.  The free particle limit s = 1/2 is the one exception:
+    its lowest lower edge folds down to lambda = 0, E = 0.
     """
 
     n: int
-    regime: Regime
     edge: Edge
     lam: float
     energy: float
@@ -113,32 +112,28 @@ def fixed_pole_residue_candidates(lam: float) -> tuple[float, float]:
     return ((1.0 - lam) / 2.0, (1.0 + lam) / 2.0)
 
 
-def infinity_residue_candidates(s: float) -> tuple[float, float]:
+def infinity_residue_candidates(params: PotentialParams) -> tuple[float, float]:
     """Roots (1 - 2s)/2, (1 + 2s)/2 of d1^2 - d1 + (1/4 - s^2) = 0."""
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"s must be positive, got {s}")
-    return ((1.0 - 2.0 * s) / 2.0, (1.0 + 2.0 * s) / 2.0)
+    return ((1.0 - 2.0 * params.s) / 2.0, (1.0 + 2.0 * params.s) / 2.0)
 
 
-def admissible_d1(s: float) -> list[float]:
+def admissible_d1(params: PotentialParams) -> list[float]:
     """Residues at infinity compatible with a finite wavefunction at the
     lattice points: both candidates for bands, only (1 - 2s)/2 for the
     bound regime (the boundary exponent 1/2 - d1 + ... must keep psi from
     diverging as y -> infinity)."""
-    regime = classify_regime(s)
+    regime = params.regime
     if regime is Regime.FREE_PARTICLE:
         raise DegenerateRegimeError(
             "s = 1/2: residue branches coincide; use the free-particle limit"
         )
-    if regime is Regime.UNSUPPORTED:
-        raise RegimeError(f"no residue analysis for s = {s}")
-    lo, hi = infinity_residue_candidates(s)
+    lo, hi = infinity_residue_candidates(params)
     if regime is Regime.BANDS:
         return [lo, hi]
     return [lo]
 
 
-def enumerate_residue_sets(s: float, lam: float) -> list[ResidueSet]:
+def enumerate_residue_sets(params: PotentialParams, lam: float) -> list[ResidueSet]:
     """All (b1, d1) combinations with b1 = b1', each scored by whether
     n = d1 - 2 b1 is a non-negative integer.
 
@@ -148,7 +143,7 @@ def enumerate_residue_sets(s: float, lam: float) -> list[ResidueSet]:
     single d1, hence two rows.
     """
     b1_candidates = fixed_pole_residue_candidates(lam)
-    d1_values = admissible_d1(s)
+    d1_values = admissible_d1(params)
     sets = []
     set_id = 0
     for b1 in b1_candidates:
@@ -167,7 +162,6 @@ def enumerate_residue_sets(s: float, lam: float) -> list[ResidueSet]:
                     b1=b1,
                     d1=d1,
                     n_value=n_value,
-                    lam=lam,
                     valid=valid,
                     rejection_reason=reason,
                 )
@@ -175,8 +169,8 @@ def enumerate_residue_sets(s: float, lam: float) -> list[ResidueSet]:
     return sets
 
 
-def level_parameters(s: float, n: int, edge: Edge) -> tuple[float, float]:
-    """(lambda, d1) of level (n, edge) in the regime implied by s.
+def level_parameters(params: PotentialParams, n: int, edge: Edge) -> tuple[float, float]:
+    """(lambda, d1) of level (n, edge) in the regime of params.
 
     Bound levels (edge NOT_APPLICABLE) and upper band edges take the
     d1 = (1 - 2s)/2 branch, lower band edges d1 = (1 + 2s)/2; the sum rule
@@ -189,11 +183,8 @@ def level_parameters(s: float, n: int, edge: Edge) -> tuple[float, float]:
     This is the one check of n, for spectrum_line and build_wavefunction
     alike.
     """
-    n = _level_index(n)
-    regime = classify_regime(s)
-    if regime is Regime.UNSUPPORTED:
-        raise RegimeError(f"unsupported coupling s = {s}")
-    if regime is Regime.BOUND_STATES:
+    n, s = _level_index(n), params.s
+    if params.regime is Regime.BOUND_STATES:
         if edge is not Edge.NOT_APPLICABLE:
             raise RegimeError("bound levels carry no edge tag")
     elif edge is Edge.NOT_APPLICABLE:
@@ -214,11 +205,11 @@ def _level_index(n) -> int:
 def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
     """The closed-form level (n, edge) of params: edge NOT_APPLICABLE in the
     bound regime, LOWER or UPPER in the band and free-particle regimes."""
-    lam, d1 = level_parameters(params.s, n, edge)
+    lam, d1 = level_parameters(params, n, edge)
     energy = math.pi**2 * lam**2 / (2.0 * params.m * params.a**2)
-    if not math.isfinite(energy):
+    if not (math.isfinite(energy) and (energy >= sys.float_info.min or lam == 0.0)):
         raise ValueError(f"energy of level (n={n}, {edge.value}) leaves the float range")
-    return SpectrumLine(n=int(n), regime=params.regime, edge=edge, lam=lam, energy=energy, d1=d1)
+    return SpectrumLine(n=int(n), edge=edge, lam=lam, energy=energy, d1=d1)
 
 
 def spectrum_lines(params: PotentialParams, n_max: int) -> list[SpectrumLine]:

@@ -55,7 +55,7 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
 
     checks = []
     for ln in lines:
-        if ln.energy <= 0.0:
+        if ln.lam == 0.0:
             continue  # free-particle fold at E=0 has no normalizable state
         checks.extend(_level_checks(params, ln, families, collocated, tol, n_max))
 

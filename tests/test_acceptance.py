@@ -115,7 +115,7 @@ def test_criterion_3_residue_table_reproduction():
         for n in range(3):
             for edge in (Edge.LOWER, Edge.UPPER):
                 line = scarf.spectrum_line(params, n, edge)
-                sets = scarf.enumerate_residue_sets(s, line.lam)
+                sets = scarf.enumerate_residue_sets(params, line.lam)
                 valid_ids = [rs.set_id for rs in sets if rs.valid]
                 if len(valid_ids) != 1 or valid_ids[0] in (3, 4):
                     ok = False
@@ -155,8 +155,11 @@ def test_criterion_5_riccati_and_schrodinger_residuals(all_states):
         res, scale = scarf.schrodinger_residual(wf)
         worst_schrod = max(worst_schrod, res / scale)
         assert chi_parity_defect(chi) <= 1e-12
-    control_chi = replace(ChiFunction.from_wavefunction(all_states[0]),
-                          lam=all_states[0].line.lam + 0.1)
+    # chi on a line of a wrong lambda (2.6 for 2.5 at s = 2, n = 0): chi and
+    # the equation read the same lambda, as with a wrong closed form
+    control_chi = ChiFunction.from_wavefunction(all_states[0])
+    control_chi = replace(control_chi, line=replace(control_chi.line,
+                                                    lam=control_chi.line.lam + 0.1))
     control = scarf.verify_riccati(control_chi)
     ok = worst_riccati <= 1.0 and worst_schrod <= 1e-8 and control >= 1e-3
     report("5 (equation residuals)", ok,

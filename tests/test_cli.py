@@ -300,6 +300,16 @@ class TestVerifyCommand:
         assert failing and all("value" in c for c in failing)
         assert "FAILED" in result.stderr
 
+    def test_underflowing_level_is_an_error_not_a_skip(self, runner):
+        # the n = 0 lower edge has lambda = 1e-11 and E = 0.0: it was skipped
+        # as the s = 1/2 fold, and the report passed on the other lines
+        args = ["--s", "0.49999999999", "--a", "10389", "--m", "7.403817524776147e+299"]
+        with pytest.raises(ValueError, match="leaves the float range"):
+            run_verification(PotentialParams(*map(float, args[1::2])), 0)
+        result = runner.invoke(main, ["verify", *args, "--n-max", "0"])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert "level (n=0, lower)" in result.stderr
+
     def test_unknown_oracle_is_a_value_error(self):
         with pytest.raises(ValueError, match="unknown oracle kind 'x'"):
             run_verification(PotentialParams(s=2.0), 0, oracle="x")

@@ -6,7 +6,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import eval_gegenbauer
 
 import scarf
-from scarf import Edge, RegimeError
+from scarf import Edge
 from scarf.potential import Regime
 from scarf.qmf import log_derivative
 from scarf.spectrum import level_parameters
@@ -34,16 +34,17 @@ class TestBuildPoly:
     @pytest.mark.parametrize("n", [2.0, True, -1])
     def test_rejects_bad_degree_as_spectrum_line_does(self, n):
         with pytest.raises(ValueError) as poly_err:
-            level_parameters(2.0, n, Edge.NOT_APPLICABLE)
+            level_parameters(scarf.PotentialParams(s=2.0), n, Edge.NOT_APPLICABLE)
         with pytest.raises(ValueError) as line_err:
             scarf.spectrum_line(scarf.PotentialParams(s=2.0), n, Edge.NOT_APPLICABLE)
         assert str(poly_err.value) == str(line_err.value)
 
     @pytest.mark.parametrize("s", [pytest.param(10**400, id="10**400"), 0.0, float("nan")])
     def test_rejects_unsupported_coupling(self, s):
-        # a coupling past the float range is unsupported, not an OverflowError
-        with pytest.raises(RegimeError):
-            level_parameters(s, 0, Edge.NOT_APPLICABLE)
+        # PotentialParams is the one check of s: a coupling past the float
+        # range is a ValueError there, not an OverflowError
+        with pytest.raises(ValueError, match="s"):
+            level_parameters(scarf.PotentialParams(s=s), 0, Edge.NOT_APPLICABLE)
 
     def test_degree_zero_is_constant(self):
         for s, edge in ((2.0, Edge.NOT_APPLICABLE), (0.4, Edge.LOWER), (0.4, Edge.UPPER)):
@@ -100,7 +101,7 @@ class TestJacobiParameters:
     def test_matches_spectrum_lines(self, bound_params, band_params):
         for params in (bound_params, band_params):
             for ln in scarf.spectrum_lines(params, 3):
-                nu1, nu2 = jacobi_parameters(params.s, ln.n, ln.regime, ln.edge)
+                nu1, nu2 = jacobi_parameters(params.s, ln.n, params.regime, ln.edge)
                 assert (nu1, nu2) == (pytest.approx(ln.nu1), pytest.approx(ln.nu2))
 
 

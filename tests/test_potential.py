@@ -14,25 +14,31 @@ from scarf.potential import is_lattice_point, reduce_to_cell
 
 class TestClassifyRegime:
     def test_examples(self):
-        assert scarf.classify_regime(2.0) is Regime.BOUND_STATES
-        assert scarf.classify_regime(0.4) is Regime.BANDS
-        assert scarf.classify_regime(0.5) is Regime.FREE_PARTICLE
+        assert scarf.PotentialParams(2.0).regime is Regime.BOUND_STATES
+        assert scarf.PotentialParams(0.4).regime is Regime.BANDS
+        assert scarf.PotentialParams(0.5).regime is Regime.FREE_PARTICLE
         # numpy scalars are classified as PotentialParams stores them
-        assert scarf.classify_regime(np.int64(2)) is Regime.BOUND_STATES
-        assert scarf.classify_regime(np.float32(0.4)) is Regime.BANDS
+        assert scarf.PotentialParams(np.int64(2)).regime is Regime.BOUND_STATES
+        assert scarf.PotentialParams(np.float32(0.4)).regime is Regime.BANDS
 
     def test_unsupported(self):
-        # reals past the float range too, where math.isfinite overflows
+        # PotentialParams is the one check of s: no value outside s > 0 gets a
+        # regime, reals past the float range included
         for s in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, "2", None,
                   10**400, -10**400, Fraction(10**400, 3)):
-            assert scarf.classify_regime(s) is Regime.UNSUPPORTED
+            with pytest.raises(ValueError):
+                scarf.PotentialParams(s)
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
     def test_total_function(self, s):
-        tag = scarf.classify_regime(s)
-        if not math.isfinite(s) or s <= 0:
-            assert tag is Regime.UNSUPPORTED
-        elif s > 0.5:
+        # every float is either refused or gets exactly one regime; a huge s
+        # is refused because v0 = (1/4 - s^2) pi^2 / 2 leaves the float range
+        if not math.isfinite(s) or s <= 0 or not math.isfinite((0.25 - s * s) * math.pi**2 / 2.0):
+            with pytest.raises(ValueError):
+                scarf.PotentialParams(s)
+            return
+        tag = scarf.PotentialParams(s).regime
+        if s > 0.5:
             assert tag is Regime.BOUND_STATES
         elif s < 0.5:
             assert tag is Regime.BANDS
@@ -78,7 +84,7 @@ class TestParams:
         p = scarf.PotentialParams(**kwargs)
         ref = scarf.PotentialParams(**{k: float(v) for k, v in kwargs.items()})
         assert all(type(getattr(p, k)) is float for k in ("s", "a", "m"))
-        assert p.regime is ref.regime is not Regime.UNSUPPORTED
+        assert p.regime is ref.regime
         lines = scarf.spectrum_lines(p, 3)
         assert lines == scarf.spectrum_lines(ref, 3)
         assert all(type(ln.energy) is float for ln in lines)

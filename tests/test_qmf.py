@@ -148,8 +148,10 @@ class TestRiccati:
         assert scarf.verify_riccati(lower1_chi) <= 1e-10 * (1.0 + 1.1**2)
 
     def test_perturbed_lambda_is_visible(self, bound_chi):
-        # negative control: a wrong eigenvalue must light up the residual
-        assert scarf.verify_riccati(replace(bound_chi, lam=2.6)) >= 1e-3
+        # negative control: chi built on a wrong eigenvalue (2.6 for 2.5)
+        # must light up the residual
+        wrong = replace(bound_chi, line=replace(bound_chi.line, lam=2.6))
+        assert scarf.verify_riccati(wrong) >= 1e-3
 
 
 class TestReport:
@@ -180,7 +182,7 @@ class TestReport:
         lines.extend(scarf.spectrum_line(band_params, 5, edge)
                      for edge in (Edge.LOWER, Edge.UPPER))
         for line in lines:
-            params = bound_params if line.regime.value == "bound_states" else band_params
+            params = bound_params if line.edge is Edge.NOT_APPLICABLE else band_params
             chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
             rep = scarf.residue_report(chi)
             assert rep.sum_rule_defect <= 1e-9
@@ -285,7 +287,7 @@ def _chi_per_array(chi, ys):
 def _riccati_per_array(chi):
     ys = _PROBE_LINE
     val, dval = _chi_per_array(chi, ys)
-    res = (val * val + dval + (chi.lam**2 - 1.0) / (ys**2 + 1.0) ** 2
+    res = (val * val + dval + (chi.line.lam**2 - 1.0) / (ys**2 + 1.0) ** 2
            + (0.25 - chi.s**2) / (ys**2 + 1.0))
     return float(np.abs(res).max())
 

@@ -26,36 +26,38 @@ class TestResidueCandidates:
                 scarf.fixed_pole_residue_candidates(lam)
 
     def test_infinity_examples(self):
-        assert scarf.infinity_residue_candidates(2.0) == (-1.5, 2.5)
-        assert scarf.infinity_residue_candidates(0.5) == (0.0, 1.0)
-        lo, hi = scarf.infinity_residue_candidates(0.4)
+        assert scarf.infinity_residue_candidates(scarf.PotentialParams(2.0)) == (-1.5, 2.5)
+        assert scarf.infinity_residue_candidates(scarf.PotentialParams(0.5)) == (0.0, 1.0)
+        lo, hi = scarf.infinity_residue_candidates(scarf.PotentialParams(0.4))
         assert (lo, hi) == (pytest.approx(0.1), pytest.approx(0.9))
 
     def test_infinity_rejects_nonpositive(self):
+        # the check of s is PotentialParams's, made before any residue
         for s in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="s must be positive"):
-                scarf.infinity_residue_candidates(s)
+            with pytest.raises(ValueError, match="s must be a positive"):
+                scarf.infinity_residue_candidates(scarf.PotentialParams(s))
 
     @given(st.floats(min_value=0.01, max_value=10.0))
     @settings(max_examples=100)
     def test_candidate_closure(self, s):
         # both roots satisfy d1^2 - d1 + (1/4 - s^2) = 0
-        for d1 in scarf.infinity_residue_candidates(s):
+        for d1 in scarf.infinity_residue_candidates(scarf.PotentialParams(s)):
             assert abs(d1 * d1 - d1 + (0.25 - s * s)) <= 1e-14 * max(1.0, s * s)
 
     def test_admissible_d1(self):
-        assert scarf.admissible_d1(0.4) == [pytest.approx(0.1), pytest.approx(0.9)]
-        assert scarf.admissible_d1(2.0) == [-1.5]
-        assert scarf.admissible_d1(0.9) == [pytest.approx(-0.4)]
+        P = scarf.PotentialParams
+        assert scarf.admissible_d1(P(0.4)) == [pytest.approx(0.1), pytest.approx(0.9)]
+        assert scarf.admissible_d1(P(2.0)) == [-1.5]
+        assert scarf.admissible_d1(P(0.9)) == [pytest.approx(-0.4)]
         with pytest.raises(DegenerateRegimeError):
-            scarf.admissible_d1(0.5)
-        with pytest.raises(RegimeError):
-            scarf.admissible_d1(-1.0)
+            scarf.admissible_d1(P(0.5))
+        with pytest.raises(ValueError):
+            scarf.admissible_d1(P(-1.0))
 
 
 class TestEnumerateResidueSets:
     def test_band_upper_edge_n0(self):
-        sets = scarf.enumerate_residue_sets(0.4, 0.9)
+        sets = scarf.enumerate_residue_sets(scarf.PotentialParams(0.4), 0.9)
         assert len(sets) == 4
         by_id = {rs.set_id: rs for rs in sets}
         assert by_id[1].valid and by_id[1].n_value == pytest.approx(0.0, abs=1e-12)
@@ -67,7 +69,7 @@ class TestEnumerateResidueSets:
         assert not by_id[4].valid and by_id[4].n_value < 0
 
     def test_band_lower_edge_n0(self):
-        sets = scarf.enumerate_residue_sets(0.4, 0.1)
+        sets = scarf.enumerate_residue_sets(scarf.PotentialParams(0.4), 0.1)
         by_id = {rs.set_id: rs for rs in sets}
         assert by_id[2].valid
         assert by_id[2].b1 == pytest.approx(0.45)
@@ -75,7 +77,7 @@ class TestEnumerateResidueSets:
         assert by_id[2].n_value == pytest.approx(0.0, abs=1e-12)
 
     def test_bound_regime_two_rows(self):
-        sets = scarf.enumerate_residue_sets(2.0, 2.5)
+        sets = scarf.enumerate_residue_sets(scarf.PotentialParams(2.0), 2.5)
         assert len(sets) == 2
         valid = [rs for rs in sets if rs.valid]
         assert len(valid) == 1
@@ -85,7 +87,7 @@ class TestEnumerateResidueSets:
 
     def test_sum_rule_holds_for_valid_sets(self):
         for s, lam in ((0.4, 0.9), (0.4, 2.1), (2.0, 4.5), (0.25, 1.75)):
-            for rs in scarf.enumerate_residue_sets(s, lam):
+            for rs in scarf.enumerate_residue_sets(scarf.PotentialParams(s), lam):
                 if rs.valid:
                     n = round(rs.n_value)
                     assert rs.b1 + rs.b1_prime + n - rs.d1 == pytest.approx(0.0, abs=1e-9)
@@ -96,7 +98,7 @@ class TestEnumerateResidueSets:
     def test_large_lambda_rules_out_plus_branch(self, s, offset):
         # whenever lambda > s + 1/2, rows with b1 = (1 + lambda)/2 give n < 0
         lam = s + 0.5 + offset + 1e-6
-        sets = scarf.enumerate_residue_sets(s, lam)
+        sets = scarf.enumerate_residue_sets(scarf.PotentialParams(s), lam)
         for rs in sets:
             if rs.b1 == (1.0 + lam) / 2.0:
                 assert not rs.valid
@@ -140,6 +142,16 @@ class TestClosedFormEnergies:
         assert lo1.energy == pytest.approx(5.9711107, abs=5e-8)
         assert hi1.energy == pytest.approx(17.8146359, abs=5e-8)
 
+    def test_subnormal_energy_leaves_the_float_range(self):
+        # E = 6.2e-310 is subnormal: E / unit read 0.010000000000000014
+        # against lambda^2 = 0.01, so the level is refused, not rounded
+        p = scarf.PotentialParams(s=0.4, a=10389.0, m=7.403817524776147e+299)
+        with pytest.raises(ValueError, match=r"level \(n=0, lower\) leaves the float range"):
+            scarf.spectrum_line(p, 0, Edge.LOWER)
+        # the s = 1/2 fold's E = 0 is the one level below the normal range
+        fold = scarf.spectrum_line(scarf.PotentialParams(s=0.5, a=10389.0, m=1e299), 0, Edge.LOWER)
+        assert fold.lam == fold.energy == 0.0
+
     def test_regime_errors(self, bound_params, band_params):
         with pytest.raises(RegimeError):
             scarf.spectrum_line(bound_params, 0, Edge.LOWER)
@@ -156,8 +168,8 @@ class TestClosedFormEnergies:
             assert line == scarf.spectrum_line(params, 1, edge)
             assert type(line.n) is int
             assert scarf.spectrum_lines(params, n) == scarf.spectrum_lines(params, 1)
-        assert level_parameters(2.0, n, Edge.NOT_APPLICABLE) == level_parameters(
-            2.0, 1, Edge.NOT_APPLICABLE)
+        assert level_parameters(bound_params, n, Edge.NOT_APPLICABLE) == level_parameters(
+            bound_params, 1, Edge.NOT_APPLICABLE)
 
     @pytest.mark.parametrize("n_max", [2.5, -1, True, None, "2"])
     def test_spectrum_lines_rejects_bad_n_max(self, bound_params, band_params, n_max):
@@ -239,7 +251,7 @@ class TestOneSource:
 
     def test_residue_set_b1_prime_is_b1(self):
         for s, lam in ((0.4, 0.9), (0.4, 2.1), (2.0, 4.5), (0.25, 1.75)):
-            for rs in scarf.enumerate_residue_sets(s, lam):
+            for rs in scarf.enumerate_residue_sets(scarf.PotentialParams(s), lam):
                 assert rs.b1_prime.hex() == rs.b1.hex()
 
 
