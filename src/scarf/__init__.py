@@ -40,7 +40,6 @@ from .wavefunction import (
     count_nodes,
     eval_psi,
     parity,
-    real_roots,
     sample_wavefunction,
     schrodinger_residual,
 )
@@ -55,7 +54,6 @@ from .oracle import (
 from .qmf import (
     ChiFunction,
     ResidueReport,
-    contour_residue,
     residue_report,
     verify_riccati,
 )
@@ -68,14 +66,12 @@ __all__ = [
     "Edge", "ResidueSet", "SpectrumLine", "fixed_pole_residue_candidates",
     "infinity_residue_candidates", "admissible_d1", "enumerate_residue_sets",
     "spectrum_line", "spectrum_lines",
-    "real_roots",
     "WavefunctionSpec", "Parity", "build_wavefunction", "eval_psi",
     "count_nodes", "boundary_exponent", "parity", "schrodinger_residual",
     "sample_wavefunction",
     "ShootingConfig", "OracleResult", "Exponent", "shoot", "certify",
     "collocation_spectrum", "predicted_family",
-    "ChiFunction", "ResidueReport", "contour_residue", "verify_riccati",
-    "residue_report",
+    "ChiFunction", "ResidueReport", "verify_riccati", "residue_report",
     "run_verification",
     "ScarfError", "SingularityError", "RegimeError", "DegenerateRegimeError",
     "ConsistencyError", "BracketError", "ContourError", "NumericError",

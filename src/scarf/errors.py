@@ -26,7 +26,7 @@ class BracketError(ScarfError):
 
 
 class ContourError(ScarfError):
-    """Contour placement or sampling is inadequate for the requested residue."""
+    """An argument-principle count of the moving poles is not an integer."""
 
 
 class NumericError(ScarfError):

@@ -24,14 +24,13 @@ theta.  For these analytic integrands that rule converges geometrically
 eta the clearance rate of the contour from its nearest pole, so every
 contour takes the smallest power of two N >= 32 with N eta >= 32, an error
 near e^-32.  On a residue circle eta = ln(d / r), d being the distance from
-its center to the nearest other pole; the ContourError rule d >= 1.5 r
-floors it at ln 1.5.
+its center to the nearest other pole.
 
 No contour of residue_report, and no probe point, depends on where the
 state's roots are, so the verify path solves for none of them:
 - The circles of radius 0.4 about +-i are fixed: every real root lies at
   least 1 from either center and the other fixed pole 2, so d / r >= 2.5,
-  eta >= ln 2.5 and N = 64, and the ContourError rule cannot fire on them.
+  eta >= ln 2.5 and N = 64.
 - The circles at infinity have radius r = 10 (1 + max(1, sqrt(n (n - 1) /
   (2 kappa + 1)))) and 2r: P's ODE fixes the sum of its roots' squares at
   n (n - 1) / (2 kappa + 1), which bounds the largest, so every pole lies
@@ -46,8 +45,7 @@ state's roots are, so the verify path solves for none of them:
   from every pole.
 Each ChiFunction caches one pass of the recurrence over all of these
 nodes, made on first use; residue_report is the one reader of the
-contours, and contour_residue integrates chi over a circle of the
-caller's choice, checked against the state's roots.
+contours.
 
 Conventions: in the original momentum variable p = -i q the moving-pole
 residue reads -i hbar; after the variable changes used here it is +1, the
@@ -67,7 +65,7 @@ import numpy as np
 
 from .errors import ContourError, NumericError
 from .spectrum import SpectrumLine
-from .wavefunction import WavefunctionSpec, gegenbauer_ratios, real_roots
+from .wavefunction import WavefunctionSpec, gegenbauer_ratios
 
 _D0_TOL = 1e-10
 _COUNT_TOL = 1e-6
@@ -89,10 +87,6 @@ class ChiFunction:
     @classmethod
     def from_wavefunction(cls, spec: WavefunctionSpec) -> "ChiFunction":
         return cls(line=spec.line, s=spec.params.s)
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=complex)
-        return self.fixed_part(y) + log_derivative(self.line, y)[0]
 
     def fixed_part(self, y):
         """2 b1 y / (y^2 + 1), the part of chi with the poles at +-i."""
@@ -199,30 +193,6 @@ def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndar
 _RESIDUE_CIRCLES = [_ellipse(c, _FIXED_RADIUS, _FIXED_RADIUS,
                              _node_count(math.log(1.0 / _FIXED_RADIUS))) for c in (1j, -1j)]
 _COUNT_ELLIPSE = _ellipse(0.0, 13.0 / 12.0, 5.0 / 12.0, _node_count(math.log(1.5)))
-
-
-def _residue_circle(roots: list[float], center: complex, radius: float) -> tuple:
-    """The circle of the given radius about center, its eta = ln(d / radius)
-    from the distance d to the nearest other pole, +-i or a root."""
-    c = complex(center)
-    if not (all(map(math.isfinite, (c.real, c.imag, radius))) and radius > 0.0):
-        raise ValueError(f"need a finite center and a finite radius > 0, got {center}, {radius}")
-    nearest = min((d for d in (abs(p - center) for p in (1j, -1j, *roots))
-                   if d > radius * 1e-9), default=math.inf)
-    if nearest < 1.5 * radius:
-        raise ContourError(f"a pole {nearest} from {center} is within 1.5x the contour's radius")
-    return _ellipse(center, radius, radius, _node_count(math.log(nearest / radius)))
-
-
-def contour_residue(chi: ChiFunction, center: complex, radius: float) -> complex:
-    """(1/2 pi i) closed circle integral of chi around one pole, for a
-    circle of the caller's choice; residue_report reads its own.
-
-    The circle must isolate the target: any other pole within 1.5x the
-    radius is a contour error.
-    """
-    z, w = _residue_circle(real_roots(chi.line), center, radius)
-    return complex((chi(z) * w).sum() / w.size)
 
 
 def _infinity_circles(line: SpectrumLine) -> list[tuple]:

@@ -1,4 +1,4 @@
-"""Eigenfunctions of the Scarf potential: P_n, its roots, and psi.
+"""Eigenfunctions of the Scarf potential: P_n and psi.
 
 In the cot variable y = cot(theta), theta = pi x / a, every eigenfunction
 factors as psi = (y^2+1)^(b1 - 1/2) P_n(y) = sin^lambda(theta) P_n(y) with
@@ -7,10 +7,11 @@ b1 = (1 - lambda)/2.  P_n solves
     (y^2 + 1) P'' + (2 - 2 lambda) y P' + n (2 lambda - n - 1) P = 0,
 
 which covers both band-edge cases (lambda = n + 1/2 -+ s) and the bound
-case (lambda = n + 1/2 + s); its n real roots, real_roots(line), are
-psi's nodes and the moving poles of the momentum function (qmf).  P_n has
-no record of its own: every reader takes n, lambda and kappa = lambda - n
-from the level's SpectrumLine.  With P_n monic and t = cos(theta),
+case (lambda = n + 1/2 + s); its n real roots are psi's nodes and the
+moving poles of the momentum function, which qmf counts without solving
+for them.  P_n has no record of its own: every reader takes n, lambda
+and kappa = lambda - n from the level's SpectrumLine.  With P_n monic and
+t = cos(theta),
 
     sin^n(theta) P_n(cot theta) = C_n^kappa(t) / C_n^kappa(1) = R_n^kappa(t)
 
@@ -98,28 +99,6 @@ def gegenbauer_ratios(n: int, kappa: float, t):
         nxt -= (k * c) * prev
         older, prev, cur = prev, cur, nxt
     return cur, prev, older
-
-
-def real_roots(line: SpectrumLine) -> list[float]:
-    """The n real roots of P_n of a level, ascending: the moving poles.
-    No probe needs them (qmf's contours and probe line keep clear of every
-    root without knowing where it is); contour_residue and the tests do.
-
-    The roots are y_k = t_k / sqrt(1 - t_k^2) over the zeros t_k of
-    C_n^kappa: the eigenvalues of its Jacobi matrix (Golub-Welsch),
-    written in a form that stays finite at kappa = 0, from numpy's dense
-    symmetric solver (which reads the lower triangle).
-    """
-    n = line.n
-    if n == 0:
-        return []
-    kappa = line.kappa
-    k = np.arange(2.0, n)
-    off = np.sqrt(np.concatenate((
-        [0.5 / (1.0 + kappa)],
-        k * (k + 2.0 * kappa - 1.0) / (4.0 * (k + kappa) * (k + kappa - 1.0)))))
-    t = np.linalg.eigvalsh(np.diag(off[: n - 1], -1))
-    return (t / np.sqrt((1.0 - t) * (1.0 + t))).tolist()
 
 
 class Parity(Enum):

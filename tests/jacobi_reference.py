@@ -6,8 +6,8 @@ its monomial coefficients (monomial_coeffs, the two-term
 recurrence of its ODE), and is, up to a constant, i^n P_n^(nu,nu)(-iy),
 the symmetric Jacobi polynomial with nu = -lambda.  The Jacobi degree
 recurrence and the defining ODE residual below check the monomial form
-from outside it, and tridiagonal_roots takes P_n's roots from scipy's
-tridiagonal eigensolver where the package uses numpy's dense one.
+from outside it, and tridiagonal_roots takes P_n's roots, which the
+package never solves for, from scipy's tridiagonal eigensolver.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from scarf import NumericError, Regime, SingularityError
 from scarf.potential import is_lattice_point, reduce_to_cell
 
 
-class TestClassifyRegime:
+class TestRegime:
     def test_examples(self):
         assert scarf.PotentialParams(2.0).regime is Regime.BOUND_STATES
         assert scarf.PotentialParams(0.4).regime is Regime.BANDS

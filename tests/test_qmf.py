@@ -12,6 +12,7 @@ from scarf.qmf import (
     _NO_NODES,
     _PROBE_LINE,
     _RESIDUE_CIRCLES,
+    _ellipse,
     _infinity_circles,
     _infinity_residue,
     _node_count,
@@ -22,6 +23,8 @@ from scarf.qmf import (
 from scarf.spectrum import spectrum_line
 from scarf.verify import _level_checks
 from scarf.wavefunction import gegenbauer_ratios
+
+from jacobi_reference import tridiagonal_roots
 
 
 @pytest.fixture(scope="module")
@@ -38,38 +41,30 @@ def lower1_chi(band_params):
     return ChiFunction.from_wavefunction(wf)
 
 
-class TestContourResidue:
-    def test_fixed_pole_plus_i(self, bound_chi):
-        res = scarf.contour_residue(bound_chi, 1j, 0.3)
-        assert res.real == pytest.approx(-0.75, abs=1e-12)
-        assert abs(res.imag) <= 1e-12
+def _circle_residue(chi, center, radius, nodes):
+    """(1/2 pi i) closed integral of chi over a circle laid here, with the
+    package's trapezoid nodes (_ellipse) and chi from _chi_per_array."""
+    z, w = _ellipse(center, radius, radius, nodes)
+    return complex((_chi_per_array(chi, z)[0] * w).sum() / w.size)
 
-    def test_fixed_pole_minus_i_parity(self, bound_chi):
-        res = scarf.contour_residue(bound_chi, -1j, 0.3)
-        assert res == pytest.approx(scarf.contour_residue(bound_chi, 1j, 0.3), abs=1e-12)
 
-    def test_moving_pole_residue_is_one(self, lower1_chi):
-        res = scarf.contour_residue(lower1_chi, 0.0, 0.2)
-        assert res.real == pytest.approx(1.0, abs=1e-12)
-        assert abs(res.imag) <= 1e-12
-
-    def test_numpy_scalar_center_and_radius(self, lower1_chi):
-        res = scarf.contour_residue(lower1_chi, np.array(0.0), np.array(0.2))
-        assert res == pytest.approx(scarf.contour_residue(lower1_chi, 0.0, 0.2), abs=1e-15)
-
-    def test_contour_too_close_to_other_pole(self, lower1_chi):
-        # the moving pole at 0 sits within 1.5x of this contour around +i
-        with pytest.raises(ContourError):
-            scarf.contour_residue(lower1_chi, 1j, 0.8)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_center_or_radius_is_a_value_error(self, lower1_chi, bad):
-        with pytest.raises(ValueError):
-            scarf.contour_residue(lower1_chi, bad, 0.2)
-        with pytest.raises(ValueError):
-            scarf.contour_residue(lower1_chi, complex(0.0, bad), 0.2)
-        with pytest.raises(ValueError):
-            scarf.contour_residue(lower1_chi, 1j, bad)
+class TestMovingPoleResidue:
+    @pytest.mark.parametrize("s, edge", [
+        (s, edge) for s in (0.05, 0.4, 0.4999, 0.5) for edge in (Edge.LOWER, Edge.UPPER)] + [
+        (s, Edge.NOT_APPLICABLE) for s in (2.0, 8.0, 30.0, 100.0)])
+    def test_residue_is_one_at_every_root(self, s, edge):
+        # chi's residue is +1 at every root of P_n, n <= 12, at the
+        # probe-matrix couplings: a circle about each root, from
+        # tridiagonal_roots, of half the distance to its nearest other pole
+        for n in range(13):
+            chi = _chi(s, n, edge)
+            roots = tridiagonal_roots(chi.line)
+            assert roots.size == n
+            poles = [1j, -1j, *roots]
+            for root in roots:
+                nearest = min(abs(p - root) for p in poles if p != root)
+                residue = _circle_residue(chi, root, 0.5 * nearest, _node_count(math.log(2.0)))
+                assert abs(residue - 1.0) <= 1e-10, (n, root, residue)
 
 
 class TestResidueAtInfinity:
@@ -195,7 +190,7 @@ class TestReport:
                 line = scarf.spectrum_line(band_params, n, edge)
                 chi = ChiFunction.from_wavefunction(
                     scarf.build_wavefunction(band_params, line))
-                b1 = scarf.contour_residue(chi, 1j, 0.3)
+                b1 = scarf.residue_report(chi).b1_measured
                 lo, hi = scarf.fixed_pole_residue_candidates(line.lam)
                 assert b1.real == pytest.approx(lo, abs=1e-10)
                 assert abs(b1.real - hi) > 0.01
@@ -268,7 +263,7 @@ def test_state_set_probes(s, edge):
         assert scarf.verify_riccati(chi) <= 1e-12 * (1.0 + line.lam**2)
         assert chi_parity_defect(chi) == 0.0
         if n >= 2:
-            roots = np.array(scarf.real_roots(chi.line))
+            roots = tridiagonal_roots(chi.line)
             radius = np.abs(_infinity_circles(chi.line)[0][0]).max()
             assert radius >= 10.0 * (1.0 + np.abs(roots).max())
             kappa = line.lam - n
@@ -295,7 +290,8 @@ def _riccati_per_array(chi):
 def _contours_per_array(chi):
     """residue_report's contours as (f(z), integral) pairs, each from its own
     log_derivative pass: chi on the four circles, R_n'/R_n on the t-ellipse."""
-    out = [(chi(z), w) for z, w in [*_RESIDUE_CIRCLES, *_infinity_circles(chi.line)]]
+    out = [(_chi_per_array(chi, z)[0], w)
+           for z, w in [*_RESIDUE_CIRCLES, *_infinity_circles(chi.line)]]
     t, w = _COUNT_ELLIPSE
     out.append((log_derivative(chi.line, _NO_NODES, t=t)[2], w))
     return [(f, complex((f * w).sum() / w.size)) for f, w in out]
@@ -340,10 +336,6 @@ class TestOnePass:
             assert rep.b1_prime_measured == alone[1][1]
             assert rep.d1_measured == _infinity_residue(alone[2:4])
             assert rep.moving_pole_count == _pole_count(alone[4][1])
-            # contour_residue lays its circle around the roots, so its N may differ
-            for center, measured in ((1j, rep.b1_measured), (-1j, rep.b1_prime_measured)):
-                assert scarf.contour_residue(chi, center, _FIXED_RADIUS) == pytest.approx(
-                    measured, abs=1e-13)
             assert scarf.verify_riccati(chi) == _riccati_per_array(chi)
             assert chi_parity_defect(chi) == _chi_parity_per_array(chi)
 
@@ -380,24 +372,33 @@ class TestOnePass:
         (2.0, 0, Edge.NOT_APPLICABLE), (2.0, 7, Edge.NOT_APPLICABLE), (0.4, 4, Edge.LOWER),
     ])
     def test_no_root_solve_per_state(self, monkeypatch, s, n, edge):
-        # the chi probes' contours and probe line need none of the state's roots
+        # one state's build and full probe set call no numpy.linalg solver:
+        # the chi probes' contours and probe line need none of the state's
+        # roots, and the psi probes read R on fixed grids
         calls = []
 
-        def spy(name, function):
-            def counted(*args):
+        def spy(name):
+            function = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
                 calls.append(name)
-                return function(*args)
+                return function(*args, **kwargs)
             return counted
 
-        chi = _chi(s, n, edge)
-        monkeypatch.setattr(scarf.qmf, "real_roots", spy("real_roots", scarf.real_roots))
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
-        scarf.residue_report(chi)
-        scarf.verify_riccati(chi)
-        chi_parity_defect(chi)
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        params = scarf.PotentialParams(s=s)
+        wf = scarf.build_wavefunction(params, spectrum_line(params, n, edge))
+        chi = ChiFunction.from_wavefunction(wf)
+        for probe in (scarf.residue_report, scarf.verify_riccati, chi_parity_defect):
+            probe(chi)
+        for probe in (scarf.schrodinger_residual, scarf.count_nodes, scarf.parity,
+                      scarf.boundary_exponent):
+            probe(wf)
         assert calls == []
-        scarf.contour_residue(chi, 1j, _FIXED_RADIUS)
-        assert calls == ["real_roots"] + ["eigvalsh"] * (n > 0)
+        # the spies see a call made through numpy.linalg
+        np.linalg.eigvalsh(np.eye(2))
+        assert calls == ["eigvalsh"]
 
     def test_no_cache_crosses_objects(self, recurrence_calls):
         # two specs of one line, and a chi of each, make a pass apiece
@@ -435,7 +436,7 @@ class TestNodeRule:
         # the three constant contours take the N of the clearance they have
         # at every state, which each state's own poles meet
         chi = _chi(s, n, edge)
-        roots = scarf.real_roots(chi.line)
+        roots = tridiagonal_roots(chi.line)
         poles = [1j, -1j, *roots]
         guaranteed = math.log(1.0 / _FIXED_RADIUS)
         for (z, _), center in zip(_RESIDUE_CIRCLES, (1j, -1j), strict=True):
@@ -458,22 +459,18 @@ class TestNodeRule:
     @pytest.mark.parametrize("center, radius, nodes", [
         (0.0, 0.2, 32), (0.0, 0.6, 64), (0.0, 0.66, 128), (1j, 0.3, 32), (1j, 0.6, 64),
     ])
-    def test_user_radius_reads_the_nearest_pole(self, lower1_chi, monkeypatch,
-                                                center, radius, nodes):
+    def test_user_radius_reads_the_nearest_pole(self, lower1_chi, center, radius, nodes):
         # lower1_chi has poles at 0 and +-i, so the nearest other pole is 1
-        # away from either center: eta = ln(1 / radius)
-        sizes, ellipse = [], scarf.qmf._ellipse
-
-        def spy(center, rx, ry, nodes):
-            sizes.append(nodes)
-            return ellipse(center, rx, ry, nodes)
-
-        monkeypatch.setattr(scarf.qmf, "_ellipse", spy)
-        residue = scarf.contour_residue(lower1_chi, center, radius)
-        assert sizes == [nodes]
+        # away from either center: eta = ln(1 / radius), and a circle of
+        # that N reads the pole's residue
+        poles = [1j, -1j, *tridiagonal_roots(lower1_chi.line)]
+        nearest = min(abs(p - center) for p in poles if p != center)
+        assert nearest == 1.0
+        assert _node_count(math.log(nearest / radius)) == nodes
         assert _is_node_count(nodes, math.log(1.0 / radius))
         expected = 1.0 if center == 0.0 else lower1_chi.line.b1
-        assert residue == pytest.approx(expected, abs=1e-12)
+        assert _circle_residue(lower1_chi, center, radius, nodes) == pytest.approx(
+            expected, abs=1e-12)
 
     def test_contour_nodes_per_state_are_pinned(self):
         # the sum of contour nodes of residue_report over the eigenstates
@@ -503,7 +500,7 @@ class TestContourGeometry:
         # every point of the line and of its mirror is 1/2 clear of every
         # pole by the distance matrix, so none is dropped at any n
         chi = _chi(s, n, edge)
-        poles = np.array([1j, -1j, *scarf.real_roots(chi.line)])
+        poles = np.array([1j, -1j, *tridiagonal_roots(chi.line)])
         for ys in (_PROBE_LINE, -_PROBE_LINE):
             kept = ys[np.all(np.abs(ys[:, None] - poles) >= 0.5, axis=1)]
             assert np.array_equal(kept, ys) and np.all(ys.imag == np.sign(ys.imag[0]) * 0.5)
@@ -514,7 +511,7 @@ class TestContourGeometry:
         # the closed-form radius at infinity equals its form from the roots'
         # squares, and lies at least ten times beyond the farthest pole
         line = _chi(s, n, edge).line
-        roots = scarf.real_roots(line)
+        roots = tridiagonal_roots(line)
         calls, ellipse = [], scarf.qmf._ellipse
 
         def spy(center, rx, ry, nodes):
