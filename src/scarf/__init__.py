@@ -25,10 +25,7 @@ from .spectrum import (
     Edge,
     ResidueSet,
     SpectrumLine,
-    admissible_d1,
     enumerate_residue_sets,
-    fixed_pole_residue_candidates,
-    infinity_residue_candidates,
     spectrum_line,
     spectrum_lines,
 )
@@ -63,9 +60,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PotentialParams", "Regime", "evaluate_potential",
-    "Edge", "ResidueSet", "SpectrumLine", "fixed_pole_residue_candidates",
-    "infinity_residue_candidates", "admissible_d1", "enumerate_residue_sets",
-    "spectrum_line", "spectrum_lines",
+    "Edge", "ResidueSet", "SpectrumLine", "enumerate_residue_sets", "spectrum_line",
+    "spectrum_lines",
     "WavefunctionSpec", "Parity", "build_wavefunction", "eval_psi",
     "count_nodes", "boundary_exponent", "parity", "schrodinger_residual",
     "sample_wavefunction",

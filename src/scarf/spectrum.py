@@ -34,7 +34,7 @@ from .errors import DegenerateRegimeError, RegimeError
 from .potential import PotentialParams, Regime
 
 # |n - round(n)| below this counts as an integer degree.  Loose enough for
-# lambdas recovered from numerical oracles, far below the level spacing.
+# the rounding of a closed-form or a typed --lambda, far below the level spacing.
 N_INTEGER_TOL = 1e-9
 
 
@@ -104,51 +104,42 @@ class SpectrumLine:
         return self.lam - self.n
 
 
-def fixed_pole_residue_candidates(lam: float) -> tuple[float, float]:
-    """Both residue candidates (1 - lam)/2, (1 + lam)/2 at the fixed pole
-    y = +i.  The identical pair applies at y = -i."""
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lambda must be positive and real, got {lam}")
-    return ((1.0 - lam) / 2.0, (1.0 + lam) / 2.0)
+def _edges(params: PotentialParams) -> tuple[Edge, ...]:
+    """The edge tags of the regime's levels: none for bound levels, both
+    band edges otherwise, in the residue table's order of d1."""
+    return ((Edge.NOT_APPLICABLE,) if params.regime is Regime.BOUND_STATES
+            else (Edge.UPPER, Edge.LOWER))
 
 
-def infinity_residue_candidates(params: PotentialParams) -> tuple[float, float]:
-    """Roots (1 - 2s)/2, (1 + 2s)/2 of d1^2 - d1 + (1/4 - s^2) = 0."""
-    return ((1.0 - 2.0 * params.s) / 2.0, (1.0 + 2.0 * params.s) / 2.0)
-
-
-def admissible_d1(params: PotentialParams) -> list[float]:
-    """Residues at infinity compatible with a finite wavefunction at the
-    lattice points: both candidates for bands, only (1 - 2s)/2 for the
-    bound regime (the boundary exponent 1/2 - d1 + ... must keep psi from
-    diverging as y -> infinity)."""
-    regime = params.regime
-    if regime is Regime.FREE_PARTICLE:
-        raise DegenerateRegimeError(
-            "s = 1/2: residue branches coincide; use the free-particle limit"
-        )
-    lo, hi = infinity_residue_candidates(params)
-    if regime is Regime.BANDS:
-        return [lo, hi]
-    return [lo]
+def _d1(s: float, edge: Edge) -> float:
+    """The residue at infinity of the edge's family: (1 + 2s)/2 for lower
+    band edges, (1 - 2s)/2 for upper band edges and bound levels."""
+    return (1.0 + 2.0 * s) / 2.0 if edge is Edge.LOWER else (1.0 - 2.0 * s) / 2.0
 
 
 def enumerate_residue_sets(params: PotentialParams, lam: float) -> list[ResidueSet]:
     """All (b1, d1) combinations with b1 = b1', each scored by whether
     n = d1 - 2 b1 is a non-negative integer.
 
-    In the band regime this reproduces the four-row table: rows 1 and 2
-    carry b1 = (1 - lambda)/2 against d1 = (1 -+ 2s)/2, rows 3 and 4 carry
-    b1 = (1 + lambda)/2 and always fail (n < 0).  The bound regime admits a
-    single d1, hence two rows.
+    b1 runs over the pair (1 -+ lambda)/2 of the fixed pole y = +i (and
+    y = -i), d1 over the d1 of each of the regime's edges, the roots of
+    d1^2 - d1 + (1/4 - s^2) = 0 that keep psi finite at the lattice points:
+    both in a band, only (1 - 2s)/2 in the bound regime, where the boundary
+    exponent 1/2 - d1 + ... must keep psi from diverging as y -> infinity.
+    A band's four rows: rows 1 and 2 carry b1 = (1 - lambda)/2 against
+    d1 = (1 -+ 2s)/2, rows 3 and 4 b1 = (1 + lambda)/2 and always fail
+    (n < 0).  ValueError unless lambda is finite and positive, then
+    DegenerateRegimeError at s = 1/2, where the two roots coincide.
     """
-    b1_candidates = fixed_pole_residue_candidates(lam)
-    d1_values = admissible_d1(params)
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lambda must be positive and real, got {lam}")
+    if params.regime is Regime.FREE_PARTICLE:
+        raise DegenerateRegimeError(
+            "s = 1/2: residue branches coincide; use the free-particle limit")
+    d1_values = [_d1(params.s, edge) for edge in _edges(params)]
     sets = []
-    set_id = 0
-    for b1 in b1_candidates:
+    for b1 in ((1.0 - lam) / 2.0, (1.0 + lam) / 2.0):
         for d1 in d1_values:
-            set_id += 1
             n_value = d1 - 2.0 * b1
             if n_value < -N_INTEGER_TOL:
                 valid, reason = False, "n negative"
@@ -156,25 +147,16 @@ def enumerate_residue_sets(params: PotentialParams, lam: float) -> list[ResidueS
                 valid, reason = False, "n not a non-negative integer"
             else:
                 valid, reason = True, None
-            sets.append(
-                ResidueSet(
-                    set_id=set_id,
-                    b1=b1,
-                    d1=d1,
-                    n_value=n_value,
-                    valid=valid,
-                    rejection_reason=reason,
-                )
-            )
+            sets.append(ResidueSet(set_id=len(sets) + 1, b1=b1, d1=d1, n_value=n_value,
+                                   valid=valid, rejection_reason=reason))
     return sets
 
 
 def level_parameters(params: PotentialParams, n: int, edge: Edge) -> tuple[float, float]:
     """(lambda, d1) of level (n, edge) in the regime of params.
 
-    Bound levels (edge NOT_APPLICABLE) and upper band edges take the
-    d1 = (1 - 2s)/2 branch, lower band edges d1 = (1 + 2s)/2; the sum rule
-    with b1 = b1' = (1 - lambda)/2 then gives
+    d1 is the edge's residue at infinity by _d1; the sum rule with
+    b1 = b1' = (1 - lambda)/2 then gives
 
         lower edge          : lambda = n + 1/2 - s
         upper edge, bound   : lambda = n + 1/2 + s
@@ -184,14 +166,10 @@ def level_parameters(params: PotentialParams, n: int, edge: Edge) -> tuple[float
     alike.
     """
     n, s = _level_index(n), params.s
-    if params.regime is Regime.BOUND_STATES:
-        if edge is not Edge.NOT_APPLICABLE:
-            raise RegimeError("bound levels carry no edge tag")
-    elif edge is Edge.NOT_APPLICABLE:
-        raise RegimeError("band levels need edge=LOWER or edge=UPPER")
-    if edge is Edge.LOWER:
-        return n + 0.5 - s, (1.0 + 2.0 * s) / 2.0
-    return n + 0.5 + s, (1.0 - 2.0 * s) / 2.0
+    if edge not in _edges(params):
+        raise RegimeError("band levels need edge=LOWER or edge=UPPER"
+                          if edge is Edge.NOT_APPLICABLE else "bound levels carry no edge tag")
+    return (n + 0.5 - s if edge is Edge.LOWER else n + 0.5 + s), _d1(s, edge)
 
 
 def _level_index(n) -> int:
@@ -220,8 +198,6 @@ def spectrum_lines(params: PotentialParams, n_max: int) -> list[SpectrumLine]:
     E+_n = E-_{n+1}) the lower edge is listed first.  n_max is checked
     as a level index.
     """
-    edges = ((Edge.NOT_APPLICABLE,) if params.regime is Regime.BOUND_STATES
-             else (Edge.LOWER, Edge.UPPER))
     levels = range(_level_index(n_max) + 1)
-    return sorted((spectrum_line(params, n, edge) for n in levels for edge in edges),
+    return sorted((spectrum_line(params, n, edge) for n in levels for edge in _edges(params)),
                   key=lambda ln: (ln.energy, ln.edge.value))

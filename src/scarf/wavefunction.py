@@ -170,8 +170,10 @@ def _raw_norm_sq(a: float, n: int, kappa: float) -> float:
 def eval_psi(spec: WavefunctionSpec, x):
     """Normalized psi(x); scalar in, scalar out (arrays likewise).
 
-    Lattice points evaluate to exactly 0.0, psi's limit there, where kappa >
-    0; at kappa = 0 (s = 1/2, lower edges) psi(k a) = norm R_n(1) = norm.
+    Where kappa > 0, psi is a-periodic and lattice points evaluate to exactly
+    0.0, psi's limit there.  At kappa = 0 (s = 1/2, lower edges) psi is the
+    free wave norm cos(n pi x / a): the cell [0, a)'s value times
+    (-1)^(n floor(x/a)), so psi(k a) = norm (-1)^(n k).
     """
     x, a = np.asarray(x, dtype=float), spec.params.a
     if not np.all(np.isfinite(x)):
@@ -180,6 +182,8 @@ def eval_psi(spec: WavefunctionSpec, x):
     n, kappa = spec.line.n, spec.line.kappa
     out = np.where(is_lattice_point(x, a) & (kappa > 0), 0.0,
                    spec.norm * np.sin(z) ** kappa * gegenbauer_ratios(n, kappa, np.cos(z))[0])
+    if kappa == 0.0 and n % 2:
+        out = np.where(np.fmod(np.floor(x / a), 2.0) != 0.0, -out, out)
     return float(out) if out.ndim == 0 else out
 
 

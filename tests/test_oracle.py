@@ -72,7 +72,7 @@ def certify_line(params, line):
     return scarf.certify(params, line.energy, line.n, predicted_family(line))
 
 
-class TestFindEigen:
+class TestCertify:
     """certify finds each closed-form level in its two-shot window."""
 
     def test_bound_ground(self, bound_params):
@@ -602,7 +602,7 @@ class TestSeriesStart:
         (2.0, (25.0, 35.0), Exponent.PLUS), (0.4, (0.02, 0.2), Exponent.MINUS),
         (0.4, (5.5, 6.5), Exponent.MINUS), (30.0, (4_500.0, 4_700.0), Exponent.PLUS),
     ])
-    def test_resolve_starts_at_half_the_primary_start(self, s, bracket, exponent):
+    def test_half_start_shots_start_at_half_z0(self, s, bracket, exponent):
         # certify shoots the window's ends from z0, then from z0/2, for the
         # one closed-form level of the family inside the bracket
         params = scarf.PotentialParams(s)

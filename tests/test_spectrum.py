@@ -8,51 +8,76 @@ from hypothesis import strategies as st
 
 import scarf
 from scarf import DegenerateRegimeError, Edge, RegimeError
-from scarf.spectrum import level_parameters
+from scarf.spectrum import _d1, level_parameters
 
 HALF_PI_SQ = math.pi**2 / 2.0
 
 
+def _table_b1(params, lam):
+    """The two b1 of the residue table at lambda, (1 - lambda)/2 first."""
+    sets = scarf.enumerate_residue_sets(params, lam)
+    return sets[0].b1, sets[-1].b1
+
+
+def _table_d1(params, lam=1.0):
+    """The d1 of the residue table's rows, one per edge of the regime."""
+    sets = scarf.enumerate_residue_sets(params, lam)
+    return [rs.d1 for rs in sets if rs.b1 == sets[0].b1]
+
+
+def _edge_d1(s):
+    """Both roots (1 -+ 2s)/2 by the edge -> d1 rule that the table and the
+    levels read, also where neither shows both: the bound regime and s = 1/2."""
+    return _d1(s, Edge.UPPER), _d1(s, Edge.LOWER)
+
+
 class TestResidueCandidates:
     def test_fixed_pole_examples(self):
-        assert scarf.fixed_pole_residue_candidates(2.5) == (-0.75, 1.75)
-        assert scarf.fixed_pole_residue_candidates(1.0) == (0.0, 1.0)
-        lo, hi = scarf.fixed_pole_residue_candidates(0.1)
+        assert _table_b1(scarf.PotentialParams(2.0), 2.5) == (-0.75, 1.75)
+        assert _table_b1(scarf.PotentialParams(0.4), 1.0) == (0.0, 1.0)
+        lo, hi = _table_b1(scarf.PotentialParams(0.4), 0.1)
         assert (lo, hi) == (pytest.approx(0.45), pytest.approx(0.55))
 
     def test_fixed_pole_rejects_nonpositive(self):
-        for lam in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError):
-                scarf.fixed_pole_residue_candidates(lam)
+        # the check of lambda comes first, also at s = 1/2
+        for s in (0.4, 2.0, 0.5):
+            for lam in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match="lambda must be positive"):
+                    scarf.enumerate_residue_sets(scarf.PotentialParams(s), lam)
 
     def test_infinity_examples(self):
-        assert scarf.infinity_residue_candidates(scarf.PotentialParams(2.0)) == (-1.5, 2.5)
-        assert scarf.infinity_residue_candidates(scarf.PotentialParams(0.5)) == (0.0, 1.0)
-        lo, hi = scarf.infinity_residue_candidates(scarf.PotentialParams(0.4))
+        assert _table_d1(scarf.PotentialParams(2.0)) == [-1.5]
+        assert _edge_d1(2.0) == (-1.5, 2.5)
+        # the table refuses s = 1/2; the free particle's two edges carry the roots
+        p = scarf.PotentialParams(0.5)
+        assert tuple(scarf.spectrum_line(p, 0, edge).d1
+                     for edge in (Edge.UPPER, Edge.LOWER)) == (0.0, 1.0) == _edge_d1(0.5)
+        lo, hi = _table_d1(scarf.PotentialParams(0.4))
         assert (lo, hi) == (pytest.approx(0.1), pytest.approx(0.9))
+        assert (lo, hi) == _edge_d1(0.4)
 
     def test_infinity_rejects_nonpositive(self):
         # the check of s is PotentialParams's, made before any residue
         for s in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="s must be a positive"):
-                scarf.infinity_residue_candidates(scarf.PotentialParams(s))
+                scarf.enumerate_residue_sets(scarf.PotentialParams(s), 1.0)
 
     @given(st.floats(min_value=0.01, max_value=10.0))
     @settings(max_examples=100)
     def test_candidate_closure(self, s):
         # both roots satisfy d1^2 - d1 + (1/4 - s^2) = 0
-        for d1 in scarf.infinity_residue_candidates(scarf.PotentialParams(s)):
+        for d1 in _edge_d1(s):
             assert abs(d1 * d1 - d1 + (0.25 - s * s)) <= 1e-14 * max(1.0, s * s)
 
     def test_admissible_d1(self):
         P = scarf.PotentialParams
-        assert scarf.admissible_d1(P(0.4)) == [pytest.approx(0.1), pytest.approx(0.9)]
-        assert scarf.admissible_d1(P(2.0)) == [-1.5]
-        assert scarf.admissible_d1(P(0.9)) == [pytest.approx(-0.4)]
+        assert _table_d1(P(0.4)) == [pytest.approx(0.1), pytest.approx(0.9)]
+        assert _table_d1(P(2.0)) == [-1.5]
+        assert _table_d1(P(0.9)) == [pytest.approx(-0.4)]
         with pytest.raises(DegenerateRegimeError):
-            scarf.admissible_d1(P(0.5))
+            _table_d1(P(0.5))
         with pytest.raises(ValueError):
-            scarf.admissible_d1(P(-1.0))
+            _table_d1(P(-1.0))
 
 
 class TestEnumerateResidueSets:
@@ -248,6 +273,19 @@ class TestOneSource:
         assert fold.lam == 0.0
         for nu in (fold.nu1, fold.nu2):
             assert nu == 0.0 and math.copysign(1.0, nu) == 1.0
+
+    @pytest.mark.parametrize("s", [s for s in _COUPLINGS if s != 0.5])
+    def test_one_valid_row_per_level(self, s):
+        # the table and the levels read one residue algebra: each level's
+        # lambda has exactly one valid row, and it is the level's b1 and d1
+        params = scarf.PotentialParams(s=s)
+        for line in scarf.spectrum_lines(params, 40):
+            valid = [rs for rs in scarf.enumerate_residue_sets(params, line.lam) if rs.valid]
+            assert len(valid) == 1, line
+            row = valid[0]
+            assert row.set_id in (1, 2), line
+            assert (row.b1.hex(), row.d1.hex()) == (line.b1.hex(), line.d1.hex()), line
+            assert round(row.n_value) == line.n, line
 
     def test_residue_set_b1_prime_is_b1(self):
         for s, lam in ((0.4, 0.9), (0.4, 2.1), (2.0, 4.5), (0.25, 1.75)):

@@ -59,14 +59,30 @@ class TestBuildAndEval:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_free_wave_lattice_points_evaluate_to_norm(self, n):
         # s = 1/2, lower edge: kappa = 0 and psi = norm cos(n pi x / a), which
-        # does not vanish at the walls: psi(k a) = norm R_n(1) = norm
+        # does not vanish at the walls: psi(k a) = norm (-1)^(n k)
         params = scarf.PotentialParams(s=0.5)
         wf = scarf.build_wavefunction(params, scarf.spectrum_line(params, n, Edge.LOWER))
         assert wf.line.kappa == 0.0 and wf.norm == pytest.approx(1.0 if n == 0 else math.sqrt(2.0))
-        for x in (0.0, params.a, 2.0 * params.a):
-            assert scarf.eval_psi(wf, x) == wf.norm
-            assert scarf.eval_psi(wf, x + 1e-9) == pytest.approx(wf.norm, rel=1e-12)
-        assert scarf.eval_psi(wf, np.array([0.0, params.a])).tolist() == [wf.norm] * 2
+        for k in (0, 1, 2):
+            value = (-1) ** (n * k) * wf.norm
+            assert scarf.eval_psi(wf, k * params.a) == value
+            assert scarf.eval_psi(wf, k * params.a + 1e-9) == pytest.approx(value, rel=1e-12)
+        assert scarf.eval_psi(wf, np.array([0.0, params.a])).tolist() == [wf.norm,
+                                                                           (-1) ** n * wf.norm]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_free_wave_is_cos_in_every_cell(self, n):
+        # psi(x + a) = (-1)^n psi(x): odd free waves change sign from cell to
+        # cell, with no jump at the lattice points
+        for a in (0.3, 1.0):
+            params = scarf.PotentialParams(s=0.5, a=a)
+            wf = scarf.build_wavefunction(params, scarf.spectrum_line(params, n, Edge.LOWER))
+            xs = np.append(np.linspace(-2.0 * a, 3.0 * a, 1001), [a - 1e-9, a, 1e-9 - a])
+            want = [wf.norm * math.cos(n * math.pi * x / a) for x in xs]
+            assert scarf.eval_psi(wf, xs) == pytest.approx(want, abs=1e-12)
+        # at a = 1 a dyadic x moves by one cell exactly
+        xs = np.arange(-128, 128) / 64.0
+        assert (scarf.eval_psi(wf, xs + 1.0) == (-1) ** n * scarf.eval_psi(wf, xs)).all()
 
     def test_inexact_lattice_point_evaluates_to_zero(self):
         # 0.9 / 0.3 is not exactly 3 in floats; the lattice rule still holds
