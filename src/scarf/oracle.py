@@ -93,6 +93,10 @@ class Exponent(Enum):
     PLUS = "plus"
     MINUS = "minus"
 
+    def mu(self, s: float) -> float:
+        """The family's indicial exponent mu at the wall, 1/2 + s or 1/2 - s."""
+        return 0.5 + s if self is Exponent.PLUS else 0.5 - s
+
 
 @dataclass(frozen=True)
 class ShootingConfig:
@@ -177,7 +181,7 @@ def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
     if cfg.exponent not in _exponents(params.regime):
         raise RegimeError("bound regime admits only the 1/2 + s exponent")
     s, lam2 = params.s, energy / params.energy_unit
-    mu = 0.5 + s if cfg.exponent is Exponent.PLUS else 0.5 - s
+    mu = cfg.exponent.mu(s)
     series = frobenius_series(s, lam2, mu)
     z = start_offset(series) / (2.0 if cfg.half_start else 1.0)
     u0, v0 = frobenius_start(series, mu, z)
@@ -218,9 +222,7 @@ def certify(params: PotentialParams, energy: float, n: int,
 
 
 def _exponents(regime: Regime) -> list[Exponent]:
-    if regime is Regime.BOUND_STATES:
-        return [Exponent.PLUS]
-    return [Exponent.PLUS, Exponent.MINUS]
+    return [Exponent.PLUS] if regime is Regime.BOUND_STATES else list(Exponent)
 
 
 def collocation_spectrum(params: PotentialParams,
@@ -242,7 +244,7 @@ def collocation_spectrum(params: PotentialParams,
                          f"grid larger than N={_COLLOCATION_MAX}")
     levels = {}
     for exponent in _exponents(params.regime):
-        mu = 0.5 + params.s if exponent is Exponent.PLUS else 0.5 - params.s
+        mu = exponent.mu(params.s)
         lam2: list[float] = []
         while len(lam2) < k_levels:
             want = min(k_levels, max(_COLLOCATION_FIRST, 2 * len(lam2)))

@@ -181,9 +181,6 @@ def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndar
     docstring and factors w_k = z'(theta_k) / i, so that mean(f(z) * w)
     approximates (1/2 pi i) times the closed integral of f dz."""
     e = _unit_circle(nodes)
-    if rx == ry:  # a circle: beta = 0
-        w = rx * e
-        return center + w, w
     alpha, beta = 0.5 * (rx + ry), 0.5 * (rx - ry)
     back = beta * e.conj()
     return center + alpha * e + back, alpha * e - back

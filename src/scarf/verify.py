@@ -2,8 +2,8 @@
 
 Builds the machine-readable report behind `scarf verify`.  Every level up
 to n_max is checked on five fronts: oracle energies (a shooting
-certificate of each level's window, with each family's level count, and
-Chebyshev collocation), contour-measured residues and the sum
+certificate of each level's window and Chebyshev collocation, each with
+each family's level count), contour-measured residues and the sum
 rule, the Riccati residual of the momentum function, the Schrodinger
 residual of the assembled eigenfunction, and the node/parity/boundary
 structure.  Check entries carry (value, threshold, pass) so a report is
@@ -48,8 +48,8 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     lines = spectrum_lines(params, n_max)
     logger.info("verify: s=%g regime=%s n_max=%d oracle=%s tol=%g",
                 params.s, params.regime.value, n_max, oracle, tol)
-    families = ({e: [ln for ln in lines if predicted_family(ln) is e] for e in Exponent}
-                if oracle in ("shooting", "both") else None)
+    members = {e: [ln for ln in lines if predicted_family(ln) is e] for e in Exponent}
+    families = {e: (len(f), max(f, key=lambda ln: ln.energy)) for e, f in members.items() if f}
     collocated = (collocation_spectrum(params, k_levels=n_max + 1)
                   if oracle in ("fd", "both") else None)
 
@@ -57,7 +57,8 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     for ln in lines:
         if ln.lam == 0.0:
             continue  # free-particle fold at E=0 has no normalizable state
-        checks.extend(_level_checks(params, ln, families, collocated, tol, n_max))
+        checks.extend(_level_checks(params, ln, families, collocated, tol, n_max,
+                                    shooting=oracle != "fd"))
 
     n_failed = sum(1 for c in checks if not c["pass"])
     report = level_report(params, lines, checks)
@@ -123,18 +124,25 @@ def _check(ln: SpectrumLine, name: str, value: float, threshold: float,
     }
 
 
-def _level_checks(params, ln, families: dict[Exponent, list[SpectrumLine]] | None,
-                  collocated: dict[Exponent, list[float]] | None, tol, n_max=None) -> list[dict]:
-    """The checks of one level; families (the report's levels of each
-    family, which the shooting checks count against n_max) or collocated
-    is None when that oracle did not run."""
-    out = ([] if families is None else
-           _shooting_checks(params, ln, families[predicted_family(ln)], n_max, tol))
+def _level_checks(params, ln, families: dict[Exponent, tuple[int, SpectrumLine]] | None,
+                  collocated: dict[Exponent, list[float]] | None, tol, n_max=None,
+                  shooting: bool = False) -> list[dict]:
+    """The checks of one level.  families maps each family to its number of
+    lines (the E = 0 fold of s = 1/2 included) and its top line, the first
+    of highest energy, or is None for the probes alone; collocated is None,
+    or shooting False, where that oracle did not run."""
+    exponent = predicted_family(ln)
+    size, top = (families or {}).get(exponent, (0, None))
+    out = _shooting_checks(params, ln, exponent, size, ln is top, n_max, tol) if shooting else []
 
     if collocated is not None:
-        level = collocated[predicted_family(ln)][ln.n]
-        rel = abs(level - ln.energy) / params.energy_scale(ln.energy)
-        out.append(_check(ln, "oracle_fd_rel_err", rel, tol, observed=level))
+        levels = collocated[exponent]
+        rel = abs(levels[ln.n] - ln.energy) / params.energy_scale(ln.energy)
+        out.append(_check(ln, "oracle_fd_rel_err", rel, tol, observed=levels[ln.n]))
+        if ln is top:  # the family's collocated levels up to tol energy scales above it
+            count = sum(lv <= ln.energy + tol * params.energy_scale(ln.energy) for lv in levels)
+            out.append(_check(ln, "oracle_fd_completeness", float(abs(count - size)), 0.0,
+                              observed=float(count)))
 
     try:
         _probe_checks(params, ln, out)
@@ -145,26 +153,25 @@ def _level_checks(params, ln, families: dict[Exponent, list[SpectrumLine]] | Non
     return out
 
 
-def _shooting_checks(params, ln, family: list[SpectrumLine], n_max, tol) -> list[dict]:
-    """The shooting oracle's certificate of one level and, on the top level
-    of its family, the family's completeness.
+def _shooting_checks(params, ln, exponent, size: int, top: bool, n_max, tol) -> list[dict]:
+    """The shooting oracle's certificate of one level of the exponent's
+    family and, on the family's top line (top), the family's completeness.
 
     A level that certify cannot place in its window fails
     oracle_shooting_match_count whatever tol is.  A certified window's
     upper count, n + 1, is the number of the family's levels at or below
-    it, so on the family's highest level it must equal both the family's
-    number of lines (the E = 0 fold of s = 1/2 included) and n_max + 1."""
+    it, so on the top line it must equal both size and n_max + 1."""
     try:
-        res = certify(params, ln.energy, ln.n, predicted_family(ln))
+        res = certify(params, ln.energy, ln.n, exponent)
     except (BracketError, NumericError) as exc:
         logger.warning("level (n=%d, %s) not certified: %s", ln.n, ln.edge.value, exc)
         return [_check(ln, "oracle_shooting_match_count", 1.0, 0.0, observed=0.0)]
     rel = abs(res.energy - ln.energy) / params.energy_scale(ln.energy)
     out = [_check(ln, "oracle_shooting_rel_err", rel, tol, observed=res.energy),
            _check(ln, "oracle_delta_sensitivity", res.delta_sensitivity, 1e-9)]
-    if ln is max(family, key=lambda other: other.energy):
+    if top:
         out.append(_check(ln, "oracle_shooting_completeness",
-                          float(abs(ln.n + 1 - len(family)) + abs(len(family) - n_max - 1)), 0.0,
+                          float(abs(ln.n + 1 - size) + abs(size - n_max - 1)), 0.0,
                           observed=float(ln.n + 1)))
     return out
 
@@ -199,6 +206,6 @@ def _probe_checks(params, ln, out: list[dict]) -> None:
     expected_parity = Parity.EVEN if ln.n % 2 == 0 else Parity.ODD
     out.append(_check(ln, "parity_defect",
                       0.0 if parity(wf) is expected_parity else 1.0, 0.0))
-    exponent = boundary_exponent(wf)
+    fit = boundary_exponent(wf)
     out.append(_check(ln, "boundary_exponent_defect",
-                      abs(exponent - ln.kappa), 1e-3, observed=exponent))
+                      abs(fit - predicted_family(ln).mu(params.s)), 1e-3, observed=fit))

@@ -35,15 +35,16 @@ FAMILIES = ([(s, scarf.Edge.LOWER) for s in (0.05, 0.2, 0.4, 0.45, 0.5)]
 LEVELS = (*range(41), 100, 200, 500)
 
 
-def probe_values(params: scarf.PotentialParams, line: scarf.SpectrumLine) -> tuple:
-    """The values `scarf verify` measures on one state, oracles excluded."""
-    wf = scarf.build_wavefunction(params, line)
-    chi = scarf.ChiFunction.from_wavefunction(wf)
-    rep = scarf.residue_report(chi)
+def probe_values(params, line, pkg=scarf) -> tuple:
+    """The values `scarf verify` measures on one state, oracles excluded,
+    by the package pkg (probe_ab.py passes each of the two it loads)."""
+    wf = pkg.build_wavefunction(params, line)
+    chi = pkg.ChiFunction.from_wavefunction(wf)
+    rep = pkg.residue_report(chi)
     return (rep.b1_measured, rep.b1_prime_measured, rep.d1_measured, rep.moving_pole_count,
-            rep.sum_rule_defect, scarf.verify_riccati(chi), scarf.qmf.chi_parity_defect(chi),
-            scarf.schrodinger_residual(wf), scarf.count_nodes(wf), scarf.parity(wf).value,
-            scarf.boundary_exponent(wf))
+            rep.sum_rule_defect, pkg.verify_riccati(chi), pkg.qmf.chi_parity_defect(chi),
+            pkg.schrodinger_residual(wf), pkg.count_nodes(wf), pkg.parity(wf).value,
+            pkg.boundary_exponent(wf))
 
 
 def main_digest() -> None:

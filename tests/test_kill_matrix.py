@@ -3,13 +3,16 @@ forms must fail a named set of `run_verification` checks, at a bound
 coupling (s = 2) and a band coupling (s = 0.4).
 
 Faults are injected by monkeypatching scarf.spectrum.level_parameters,
-scarf.spectrum.spectrum_line or SpectrumLine.kappa with wrappers that pass
-their arguments through by position, so the matrix does not depend on how
-those functions take the coupling.  spectrum_line reads level_parameters, and
-build_wavefunction's rebuild of a line reads spectrum_line from its own
-import, so a fault in lambda or d1 reaches every layer alike while a fault
-in E reaches only the report's lines.  A fault that fails no check is a
-survivor; the known ones are recorded at the end.
+scarf.spectrum.spectrum_line, SpectrumLine.kappa or Exponent.mu with
+wrappers that pass their arguments through by position, so the matrix does
+not depend on how those functions take the coupling.  spectrum_line reads
+level_parameters, and build_wavefunction's rebuild of a line reads
+spectrum_line from its own import, so a fault in lambda or d1 reaches every
+layer alike while a fault in E reaches only the report's lines.  Exponent.mu
+is the one wall-exponent rule of the shooting start, the collocation and the
+boundary-exponent check, so a fault in it reaches all three.  A fault that
+fails no check is a survivor.  The last test drops a level from the report,
+which each oracle's completeness entry catches.
 """
 
 from dataclasses import replace
@@ -19,10 +22,12 @@ import pytest
 import scarf
 import scarf.spectrum
 import scarf.verify
-from scarf import Edge, SpectrumLine
+from scarf import Edge, Exponent, SpectrumLine
 
 D1 = "d1_vs_closed_form"
+EXPONENT = "boundary_exponent_defect"
 FD = "oracle_fd_rel_err"
+FD_COMPLETE = "oracle_fd_completeness"
 MATCH = "oracle_shooting_match_count"
 RICCATI = "riccati_residual"
 SCHRODINGER = "schrodinger_rel_residual"
@@ -74,15 +79,25 @@ def kappa_one(monkeypatch):
     _patch_kappa(monkeypatch, 1.0)
 
 
+def mu_sign_minus(monkeypatch):
+    # the MINUS family's wall exponent reads 1/2 + s, the PLUS family's
+    orig = Exponent.mu
+    monkeypatch.setattr(Exponent, "mu",
+                        lambda e, s: orig(e, -s if e is Exponent.MINUS else s))
+
+
 # fault -> (failing checks at s = 2, failing checks at s = 0.4)
 MATRIX = {
     lam_relative: ({D1, MATCH, RICCATI}, {D1, MATCH, RICCATI, SCHRODINGER}),
-    lam_plus_one: ({D1, FD, MATCH, RICCATI, SCHRODINGER},) * 2,
+    lam_plus_one: ({D1, EXPONENT, FD, MATCH, RICCATI, SCHRODINGER},) * 2,
     d1_shift: ({D1},) * 2,
-    edges_swapped: (set(), {FD, MATCH}),  # no-op at s = 2: bound levels have no edge
+    # a no-op at s = 2: bound levels have no edge
+    edges_swapped: (set(), {EXPONENT, FD, FD_COMPLETE, MATCH}),
     energy_relative: ({MATCH, PROBE},) * 2,
-    kappa_small: ({RICCATI, SCHRODINGER},) * 2,
-    kappa_one: ({RICCATI, SCHRODINGER},) * 2,
+    kappa_small: ({EXPONENT, RICCATI, SCHRODINGER},) * 2,
+    kappa_one: ({EXPONENT, RICCATI, SCHRODINGER},) * 2,
+    # a no-op at s = 2: the bound regime has no MINUS family
+    mu_sign_minus: (set(), {EXPONENT, FD, FD_COMPLETE, MATCH}),
 }
 
 
@@ -99,14 +114,14 @@ def test_fault_fails_its_checks(monkeypatch, fault):
 
 
 @pytest.mark.parametrize("s", [2.0, 0.4])
-def test_survivor_dropped_level_under_fd_oracle(monkeypatch, s):
-    # the collocation oracle checks each listed level but not the count of
-    # levels, so a report that lost its n = 1 lines still passes; the
-    # shooting oracle's completeness entry catches the same fault
+def test_dropped_level_fails_under_fd_oracle(monkeypatch, s):
+    # a report that lost its n = 1 lines fails each family's collocation
+    # completeness entry on its top line, as it fails the shooting one
     orig = scarf.verify.spectrum_lines
     monkeypatch.setattr(scarf.verify, "spectrum_lines",
                         lambda *args: [ln for ln in orig(*args) if ln.n != 1])
     report = scarf.run_verification(scarf.PotentialParams(s=s), 2, "fd")
-    assert report["summary"]["all_pass"]
     assert {ln["n"] for ln in report["levels"]} == {0, 2}
+    failing = [(c["n"], c["name"], c["observed"]) for c in report["checks"] if not c["pass"]]
+    assert failing == [(2, FD_COMPLETE, 3.0)] * (1 if s > 0.5 else 2)
     assert "oracle_shooting_completeness" in _failing(s, "shooting")

@@ -67,6 +67,13 @@ class TestShoot:
         assert val == pytest.approx(HALF_PI, abs=1e-8)
 
 
+class TestExponent:
+    @pytest.mark.parametrize("s", [0.05, 0.1, 1.0 / 3.0, 0.4999, 0.5, 0.7, 2.0, 2.37, 30.0])
+    def test_mu_is_half_plus_or_minus_s_bit_for_bit(self, s):
+        assert Exponent.PLUS.mu(s).hex() == (0.5 + s).hex()
+        assert Exponent.MINUS.mu(s).hex() == (0.5 - s).hex()
+
+
 def certify_line(params, line):
     """certify of a closed-form level, as verify calls it."""
     return scarf.certify(params, line.energy, line.n, predicted_family(line))
@@ -418,12 +425,16 @@ class TestEnergyFloor:
     def test_energy_mutants_still_fail(self, band_params, monkeypatch):
         # lambda^2 >= 0.01 at s = 0.4, above the floor: a 1e-6 error in a
         # closed-form energy reads 1e-6 on the collocation check of every
-        # level, and puts every level outside its shooting window
+        # level, and puts every level outside its shooting window; it moves
+        # no level across another, so each family's collocated count holds
         honest = scarf.verify.spectrum_lines
         monkeypatch.setattr(scarf.verify, "spectrum_lines", lambda params, n_max: [
             replace(ln, energy=ln.energy * (1.0 + 1e-6)) for ln in honest(params, n_max)])
         monkeypatch.setattr(scarf.verify, "_probe_checks", lambda params, ln, out: None)
         checks = scarf.run_verification(band_params, 3)["checks"]
+        counts = [c for c in checks if c["name"] == "oracle_fd_completeness"]
+        assert [(c["n"], c["pass"], c["observed"]) for c in counts] == [(3, True, 4.0)] * 2
+        checks = [c for c in checks if c not in counts]
         assert [c["name"] for c in checks] == [
             "oracle_shooting_match_count", "oracle_fd_rel_err"] * 8
         assert not any(c["pass"] for c in checks)
@@ -655,7 +666,7 @@ class TestBrent:
     reference, run on the same phase over each certificate window."""
 
     @pytest.mark.parametrize("s", [0.05, 0.4, 0.4999, 2.0, 8.0])
-    def test_scan_brackets_match_scipy(self, s):
+    def test_secant_root_matches_brentq(self, s):
         from scipy.optimize import brentq
         params = scarf.PotentialParams(s)
         for line in scarf.spectrum_lines(params, 3):

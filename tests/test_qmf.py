@@ -531,7 +531,8 @@ class TestContourGeometry:
 
     @pytest.mark.parametrize("rx", [0.4, 20.0, 1e3])
     def test_circle_nodes_equal_the_ellipse_form(self, rx):
-        # a circle skips the conjugate term, which is zero there
+        # on a circle the general form's conjugate term is zero, so the
+        # nodes and factors are those of the circle's own form
         z, w = scarf.qmf._ellipse(1j, rx, rx, 64)
         e = np.exp(1j * (2.0 * np.pi * np.arange(64) / 64))
         assert np.array_equal(z, 1j + rx * e + 0.0 * e.conj()) and np.array_equal(w, rx * e)
