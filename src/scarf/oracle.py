@@ -4,7 +4,7 @@ These oracles know nothing of the residue algebra or its closed forms:
 they integrate the Schrodinger equation itself.  With z = pi x / a and
 E = lambda^2 pi^2/(2 m a^2), -u''/(2m) + V u = E u becomes
 
-    u_zz = (C / sin^2 z - lambda^2) u,    C = -(1/4 - s^2),
+    u_zz = (C / sin^2 z - lambda^2) u,    C = s^2 - 1/4 (wall_coefficient),
 
 on (0, pi), so only s is left; a and m set the energy unit.  Every public
 entry point takes and returns energies in E and converts once; inside,
@@ -60,7 +60,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BracketError, RegimeError
-from .potential import PotentialParams, Regime
+from .potential import PotentialParams, Regime, wall_coefficient
 
 # Even Taylor coefficients of csc^2(z) - 1/z^2 = 1/3 + z^2/15 + ...
 _CSC2_SERIES = (
@@ -131,7 +131,7 @@ def frobenius_series(s: float, lam2: float, mu: float) -> list[float]:
     c_k = sum_j w_{2j} c_{k-2-2j} / (k (k + 2 mu - 1)) follows from
     matching powers.
     """
-    w = [-(0.25 - s * s) * c for c in _CSC2_SERIES]
+    w = [wall_coefficient(s) * c for c in _CSC2_SERIES]
     w[0] -= lam2
     coeff = [1.0]
     for k in range(2, _SERIES_ORDER + 1, 2):
@@ -185,7 +185,7 @@ def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
     series = frobenius_series(s, lam2, mu)
     z = start_offset(series) / (2.0 if cfg.half_start else 1.0)
     u0, v0 = frobenius_start(series, mu, z)
-    u, v, zeros, _ = kernels.shoot_halfcell(-(0.25 - s**2), lam2, z, u0, v0)
+    u, v, zeros, _ = kernels.shoot_halfcell(wall_coefficient(s), lam2, z, u0, v0)
     sigma = -1.0 if zeros % 2 else 1.0
     return math.pi * zeros + math.atan2(abs(u), sigma * v / math.sqrt(max(lam2, 1.0)))
 
@@ -271,7 +271,7 @@ def _collocate(s: float, mu: float, k: int) -> list[float]:
     inner = slice(1, n)
     if s > _U_FORM_S:
         op = -d2[inner, inner]
-        op[np.diag_indices(n - 1)] += (s * s - 0.25) / np.sin(z[inner]) ** 2
+        op[np.diag_indices(n - 1)] += wall_coefficient(s) / np.sin(z[inner]) ** 2
         shift = 0.0
     else:
         walls = [0, n]

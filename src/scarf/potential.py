@@ -1,9 +1,9 @@
 """The Scarf potential: parameters, coupling regimes, and V(x).
 
-V(x) = -(1/4 - s^2) pi^2 / (2 m a^2 sin^2(pi x / a))
+V(x) = C pi^2 / (2 m a^2 sin^2(pi x / a)),    C = s^2 - 1/4,
 
 with period a and dimensionless coupling s (hbar = 1 throughout).  For
-s > 1/2 the coefficient is negative, so V is an array of repulsive
+s > 1/2 the wall strength C is positive, so V is an array of repulsive
 inverse-square walls confining a particle to one cell (discrete levels).
 For 0 < s < 1/2 the wells are attractive dips and the spectrum organizes
 into bands.  At s = 1/2 the potential vanishes identically.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,6 +27,12 @@ LATTICE_TOL = 1e-12
 # vanishes on the lowest lower band edge as s -> 1/2, and a relative check
 # taken against it would measure rounding, not the level.
 LAMBDA2_FLOOR = 1e-3
+
+
+def wall_coefficient(s: float) -> float:
+    """C = s^2 - 1/4 of the walls C / sin^2 z, whose roots of mu (mu - 1) =
+    C are the wall exponents 1/2 +- s; as -(1/4 - s * s), -0.0 at s = 1/2."""
+    return -(0.25 - s * s)
 
 
 class Regime(Enum):
@@ -47,13 +53,11 @@ class PotentialParams:
            degenerate case where V vanishes).
         a: potential period (length), > 0.
         m: particle mass, > 0.
-        v0: derived well-depth coefficient (1/4 - s^2) pi^2 / (2 m a^2).
     """
 
     s: float
     a: float = 1.0
     m: float = 1.0
-    v0: float = field(init=False)
 
     def __post_init__(self):
         for name in ("s", "a", "m"):
@@ -71,20 +75,23 @@ class PotentialParams:
         if not (math.isfinite(self.m) and self.m > 0.0):
             raise ValueError(f"mass m must be a positive finite real, got {self.m}")
         try:
-            unit = self.energy_unit
-            v0 = (0.25 - self.s * self.s) * math.pi**2 / (2.0 * self.m * self.a**2)
+            unit, v0 = self.energy_unit, self.v0
         except ArithmeticError:  # a**2 overflows, or 2 m a^2 underflows to 0
             unit = v0 = math.nan
         if not (0.0 < unit < math.inf and math.isfinite(v0)):
             raise ValueError(f"s={self.s}, a={self.a}, m={self.m}: pi^2/(2 m a^2) "
                              "or v0 leaves the float range")
-        object.__setattr__(self, "v0", v0)
 
     @property
     def regime(self) -> Regime:
         if self.s > 0.5:
             return Regime.BOUND_STATES
         return Regime.BANDS if self.s < 0.5 else Regime.FREE_PARTICLE
+
+    @property
+    def v0(self) -> float:
+        """The well depth (1/4 - s^2) pi^2 / (2 m a^2), -C in energy units."""
+        return -wall_coefficient(self.s) * math.pi**2 / (2.0 * self.m * self.a**2)
 
     @property
     def energy_unit(self) -> float:
@@ -125,7 +132,7 @@ def evaluate_potential(params: PotentialParams, x):
     r = reduce_to_cell(x, params.a)
     sn = np.sin(np.pi * r / params.a)
     with np.errstate(all="ignore"):
-        val = -(0.25 - params.s**2) * np.pi**2 / (2.0 * params.m * params.a**2 * sn * sn)
+        val = wall_coefficient(params.s) * np.pi**2 / (2.0 * params.m * params.a**2 * sn * sn)
     if not np.all(np.isfinite(val)):
         raise NumericError(f"V(x) is not finite for a = {params.a!r}, m = {params.m!r}")
     return float(val) if val.ndim == 0 else val

@@ -64,6 +64,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ContourError, NumericError
+from .potential import wall_coefficient
 from .spectrum import SpectrumLine
 from .wavefunction import WavefunctionSpec, gegenbauer_ratios
 
@@ -237,7 +238,7 @@ def verify_riccati(chi: ChiFunction) -> float:
     ys = _PROBE_LINE
     res = (val * val + dval
            + (chi.line.lam**2 - 1.0) / (ys**2 + 1.0) ** 2
-           + (0.25 - chi.s**2) / (ys**2 + 1.0))
+           - wall_coefficient(chi.s) / (ys**2 + 1.0))
     return float(np.abs(res).max())
 
 

@@ -66,8 +66,9 @@ from .potential import (
     evaluate_potential,
     is_lattice_point,
     reduce_to_cell,
+    wall_coefficient,
 )
-from .spectrum import SpectrumLine, spectrum_line
+from .spectrum import Edge, SpectrumLine, spectrum_line
 
 _PARITY_TOL = 1e-10
 _NODE_SAMPLES = 512
@@ -170,20 +171,21 @@ def _raw_norm_sq(a: float, n: int, kappa: float) -> float:
 def eval_psi(spec: WavefunctionSpec, x):
     """Normalized psi(x); scalar in, scalar out (arrays likewise).
 
-    Where kappa > 0, psi is a-periodic and lattice points evaluate to exactly
-    0.0, psi's limit there.  At kappa = 0 (s = 1/2, lower edges) psi is the
-    free wave norm cos(n pi x / a): the cell [0, a)'s value times
-    (-1)^(n floor(x/a)), so psi(k a) = norm (-1)^(n k).
+    The cell [0, a)'s value times a Bloch sign per cell: a band runs from
+    k = 0 to pi / a, and as in the free limit s = 1/2 its lower edge n
+    carries (-1)^n and its upper edge (-1)^(n+1), the free waves cos(n pi x
+    / a) and sin((n + 1) pi x / a); bound levels, whose walls decouple the
+    cells, carry +1.  Where kappa > 0 lattice points evaluate to exactly 0.0.
     """
     x, a = np.asarray(x, dtype=float), spec.params.a
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
     z = np.pi * reduce_to_cell(x, a) / a
-    n, kappa = spec.line.n, spec.line.kappa
-    out = np.where(is_lattice_point(x, a) & (kappa > 0), 0.0,
-                   spec.norm * np.sin(z) ** kappa * gegenbauer_ratios(n, kappa, np.cos(z))[0])
-    if kappa == 0.0 and n % 2:
+    n, kappa, edge = spec.line.n, spec.line.kappa, spec.line.edge
+    out = spec.norm * np.sin(z) ** kappa * gegenbauer_ratios(n, kappa, np.cos(z))[0]
+    if edge is not Edge.NOT_APPLICABLE and (n + (edge is Edge.UPPER)) % 2:
         out = np.where(np.fmod(np.floor(x / a), 2.0) != 0.0, -out, out)
+    out = np.where(is_lattice_point(x, a) & (kappa > 0), 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -266,8 +268,8 @@ def schrodinger_residual(spec: WavefunctionSpec) -> tuple[float, float]:
     """(max residual, tolerance scale) of the Schrodinger equation in z.
 
     With e = E / (pi^2 / (2 m a^2)) the equation for u reads
-    -u_zz + ((s^2 - 1/4) / sin^2 z - e) u = 0, evaluated as
-    S^(k-2) [(s^2 - 1/4 - k (k-1)) R + D - e S^2 R] so that the two wall
+    -u_zz + (C / sin^2 z - e) u = 0, C = s^2 - 1/4, evaluated as
+    S^(k-2) [(C - k (k-1)) R + D - e S^2 R] so that the two wall
     terms, each of order S^(k-2), cancel before rounding.  The residual is
     taken on 200 points of z in [1e-3, 1 - 1e-3] pi; scale is max(|e|,
     LAMBDA2_FLOOR) max|u| on that grid, the energy scale of
@@ -276,7 +278,7 @@ def schrodinger_residual(spec: WavefunctionSpec) -> tuple[float, float]:
     p, k = spec.params, spec.line.kappa
     e = spec.line.energy / p.energy_unit
     sk2, s2, r, d = _curvature(spec)
-    res = sk2 * ((p.s * p.s - 0.25 - k * (k - 1.0)) * r + d - e * s2 * r)
+    res = sk2 * ((wall_coefficient(p.s) - k * (k - 1.0)) * r + d - e * s2 * r)
     scale = max(abs(e), LAMBDA2_FLOOR) * np.abs(sk2 * s2 * r).max()
     return float(np.abs(res).max()), float(scale)
 

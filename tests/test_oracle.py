@@ -59,6 +59,21 @@ class TestShoot:
         with pytest.raises(RegimeError):
             scarf.shoot(bound_params, 10.0, cfg)
 
+    @pytest.mark.parametrize("s", [1.0204, 0.3176])
+    def test_kernel_reads_the_one_wall_coefficient(self, s):
+        # s**2 and s * s differ in the last bit at these couplings: the
+        # kernel and the Frobenius start must integrate one C, -(1/4 - s s)
+        coeffs = []
+
+        def record(pot_coeff, *args):
+            coeffs.append(pot_coeff)
+            return shoot_halfcell(pot_coeff, *args)
+
+        assert s**2 != s * s
+        with mock.patch.object(scarf.kernels, "shoot_halfcell", record):
+            scarf.shoot(scarf.PotentialParams(s), 10.0, ShootingConfig())
+        assert [c.hex() for c in coeffs] == [(-(0.25 - s * s)).hex()]
+
     def test_large_coupling_start_is_finite(self):
         # the start state carries no z^(1/2 + s) factor to underflow
         p = scarf.PotentialParams(s=100.0)
@@ -626,8 +641,8 @@ class TestSeriesStart:
         assert starts[0][0] == starts[2][0] < starts[1][0] == starts[3][0]
 
 
-class TestShotCache:
-    """No shot needs a cache: certify's four shots per level are distinct."""
+class TestShotsPerLevel:
+    """certify makes four distinct shots per level, none of them repeated."""
 
     @pytest.mark.parametrize("s", [2.0, 0.4])
     def test_each_integration_runs_once(self, s, monkeypatch):

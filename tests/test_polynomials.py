@@ -28,7 +28,7 @@ def _line(s, n, edge=Edge.NOT_APPLICABLE):
     return scarf.spectrum_line(scarf.PotentialParams(s=s), n, edge)
 
 
-class TestBuildPoly:
+class TestMonomialReference:
     """P_n's monomial reference, built on the package's levels."""
 
     @pytest.mark.parametrize("n", [2.0, True, -1])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import scarf
 from scarf import NumericError, Regime, SingularityError
-from scarf.potential import is_lattice_point, reduce_to_cell
+from scarf.potential import is_lattice_point, reduce_to_cell, wall_coefficient
 
 
 class TestRegime:
@@ -54,8 +55,18 @@ class TestParams:
                                          rel=1e-15)
 
     def test_degenerate_s_half_is_valid(self):
+        # C = -(1/4 - s s) is -0.0 at s = 1/2: v0 reads +0.0 and V -0.0
         p = scarf.PotentialParams(s=0.5)
         assert p.v0 == 0.0
+        assert math.copysign(1.0, wall_coefficient(0.5)) == -1.0
+        assert math.copysign(1.0, p.v0) == 1.0
+        assert math.copysign(1.0, scarf.evaluate_potential(p, 0.3)) == -1.0
+
+    def test_stores_only_s_a_m(self):
+        # v0 is derived from the one wall coefficient, not stored
+        assert [f.name for f in fields(scarf.PotentialParams)] == ["s", "a", "m"]
+        p = scarf.PotentialParams(s=1.0204, a=1.5, m=2.0)
+        assert p.v0 == -wall_coefficient(1.0204) * math.pi**2 / (2.0 * 2.0 * 1.5**2)
 
     @pytest.mark.parametrize("kwargs", [
         {"s": 0.0}, {"s": -2.0}, {"s": float("nan")},

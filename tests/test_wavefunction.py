@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -84,6 +85,40 @@ class TestBuildAndEval:
         xs = np.arange(-128, 128) / 64.0
         assert (scarf.eval_psi(wf, xs + 1.0) == (-1) ** n * scarf.eval_psi(wf, xs)).all()
 
+    def test_upper_edges_at_s_half_are_sines(self):
+        # s = 1/2, upper edge: kappa = 1 and psi = norm sin((n + 1) pi x / a) / (n + 1),
+        # antiperiodic for even n
+        for n, a in itertools.product(range(4), (0.3, 1.0)):
+            params = scarf.PotentialParams(s=0.5, a=a)
+            wf = scarf.build_wavefunction(params, scarf.spectrum_line(params, n, Edge.UPPER))
+            xs = np.append(np.linspace(-2.0 * a, 3.0 * a, 1001), [a - 1e-9, a + 1e-9, 1e-9 - a])
+            want = [wf.norm * math.sin((n + 1) * math.pi * x / a) / (n + 1) for x in xs]
+            assert scarf.eval_psi(wf, xs) == pytest.approx(want, abs=1e-12)
+
+    def test_edge_states_are_continuous_across_s_half(self):
+        # the free waves of s = 1/2 are the limit of the band edges from below,
+        # in the next cell as in the first
+        xs = np.linspace(1.01, 1.99, 99)
+        for edge in (Edge.LOWER, Edge.UPPER):
+            for n in range(4):
+                free, near = (scarf.build_wavefunction(p, scarf.spectrum_line(p, n, edge))
+                              for p in map(scarf.PotentialParams, (0.5, 0.5 - 1e-7)))
+                assert scarf.eval_psi(near, xs) == pytest.approx(scarf.eval_psi(free, xs),
+                                                                 abs=1e-5)
+
+    @pytest.mark.parametrize("s", [0.05, 0.2, 0.4, 0.45])
+    def test_band_edges_carry_opposite_bloch_signs(self, s):
+        # lower edge n: psi(x + a) = (-1)^n psi(x); upper edge n: (-1)^(n+1);
+        # bound levels stay a-periodic
+        xs = np.arange(-128, 128) / 64.0 + 1.0 / 128.0  # dyadic: x + 1 is exact
+        for p, edge, sign in ((scarf.PotentialParams(s), Edge.LOWER, 1),
+                              (scarf.PotentialParams(s), Edge.UPPER, -1),
+                              (scarf.PotentialParams(1.0 + s), Edge.NOT_APPLICABLE, None)):
+            for n in range(4):
+                wf = scarf.build_wavefunction(p, scarf.spectrum_line(p, n, edge))
+                bloch = 1 if sign is None else sign * (-1) ** n
+                assert (scarf.eval_psi(wf, xs + 1.0) == bloch * scarf.eval_psi(wf, xs)).all()
+
     def test_inexact_lattice_point_evaluates_to_zero(self):
         # 0.9 / 0.3 is not exactly 3 in floats; the lattice rule still holds
         params = scarf.PotentialParams(s=0.45, a=0.3)
@@ -146,9 +181,10 @@ class TestBuildAndEval:
             scarf.build_wavefunction(bound_params, wide)
 
     def test_periodicity_band_states(self, band_states):
+        # the upper edge of the lowest band sits at k = pi / a
         wf = band_states[("upper", 0)]
         for x in (0.125, 0.25, 0.625):  # dyadic keeps x+1 exact
-            assert scarf.eval_psi(wf, x + 1.0) == scarf.eval_psi(wf, x)
+            assert scarf.eval_psi(wf, x + 1.0) == -scarf.eval_psi(wf, x)
         eps = 1e-9
         assert abs(scarf.eval_psi(wf, 1.0 - eps)) < 1e-6
         assert abs(scarf.eval_psi(wf, 1.0 + eps)) < 1e-6
