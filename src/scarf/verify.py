@@ -168,7 +168,7 @@ def _shooting_checks(params, ln, exponent, size: int, top: bool, n_max, tol) -> 
         return [_check(ln, "oracle_shooting_match_count", 1.0, 0.0, observed=0.0)]
     rel = abs(res.energy - ln.energy) / params.energy_scale(ln.energy)
     out = [_check(ln, "oracle_shooting_rel_err", rel, tol, observed=res.energy),
-           _check(ln, "oracle_delta_sensitivity", res.delta_sensitivity, 1e-9)]
+           _check(ln, "oracle_delta_sensitivity", res.delta_sensitivity, 1e-11)]
     if top:
         out.append(_check(ln, "oracle_shooting_completeness",
                           float(abs(ln.n + 1 - size) + abs(size - n_max - 1)), 0.0,

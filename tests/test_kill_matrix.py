@@ -15,12 +15,13 @@ boundary-exponent check, so a fault in it reaches all three.
 The probe faults patch the name in each module that reads it:
 wall_coefficient, the one source of C, in every module that imports it;
 the kernel's own coefficient by wrapping kernels.shoot_halfcell; the
-Frobenius series in scarf.oracle; the Gegenbauer recurrence in
-scarf.wavefunction (psi's pass) or scarf.qmf (chi's pass), each of which
-binds it on import; and the contours in scarf.qmf, rebuilt with half
-their nodes.  A fault that fails no check at a coupling is a survivor
-there, named with its reason beside its row.  The last test drops a level
-from the report, which each oracle's completeness entry catches.
+Frobenius series and the slope of its start in scarf.oracle; the
+Gegenbauer recurrence in scarf.wavefunction (psi's pass) or scarf.qmf
+(chi's pass), each of which binds it on import; and the contours in
+scarf.qmf, rebuilt with half their nodes.  A fault that fails no check
+at a coupling is a survivor there, named with its reason beside its row.
+The last test drops a level from the report, which each oracle's
+completeness entry catches.
 """
 
 from dataclasses import replace
@@ -38,6 +39,7 @@ import scarf.wavefunction
 from scarf import Edge, Exponent, SpectrumLine
 
 D1 = "d1_vs_closed_form"
+DELTA = "oracle_delta_sensitivity"
 EXPONENT = "boundary_exponent_defect"
 FD = "oracle_fd_rel_err"
 FD_COMPLETE = "oracle_fd_completeness"
@@ -126,6 +128,17 @@ def series_c2(monkeypatch):
     monkeypatch.setattr(scarf.oracle, "frobenius_series", faulty)
 
 
+def start_slope(monkeypatch):
+    # the slope u_z of the Frobenius start at every shot's start offset
+    orig = scarf.oracle.frobenius_start
+
+    def faulty(*args):
+        u, v = orig(*args)
+        return u, v * (1.0 + 1e-12)
+
+    monkeypatch.setattr(scarf.oracle, "frobenius_start", faulty)
+
+
 def _patch_recurrence(monkeypatch, modules, fault):
     orig = scarf.wavefunction.gegenbauer_ratios
     for module in modules:
@@ -176,14 +189,20 @@ MATRIX = {
     kappa_one: ({EXPONENT, RICCATI, SCHRODINGER},) * 2,
     # a no-op at s = 2: the bound regime has no MINUS family
     mu_sign_minus: (set(), {EXPONENT, FD, FD_COMPLETE, MATCH}),
-    # the collocation reads C only above s = 2, so FD does not see it
-    wall_relative: ({MATCH, RICCATI}, {MATCH, RICCATI, SCHRODINGER}),
-    kernel_coefficient: ({MATCH},) * 2,
-    # a survivor at s = 2: there it moves the phase at n = 0 and 2 by 4e-12
-    # and 3.1e-10, less than half the certificate window's phase span of
-    # 2.7e-10 and 6.4e-10; at s = 0.4 by 1.5e-9 to 3.5e-9, past windows of
-    # 2.8e-12 (lower n = 0) to 1.3e-10 (upper n = 0)
-    series_c2: (set(), {MATCH}),
+    # the collocation reads C only above s = 2, so FD does not see it; at
+    # s = 0.4 the one level still certified reads delta_sensitivity 1.2e-11
+    wall_relative: ({MATCH, RICCATI}, {DELTA, MATCH, RICCATI, SCHRODINGER}),
+    # at s = 0.4 the one level still certified reads 1.2e-11, as above
+    kernel_coefficient: ({MATCH}, {DELTA, MATCH}),
+    # at s = 2 it moves the phase at n = 0 and 2 by 4e-12 and 3.1e-10, less
+    # than half the certificate window's phase span of 2.7e-10 and 6.4e-10,
+    # but the z0 and z0/2 starts apart, to a delta_sensitivity of 9.6e-11;
+    # at s = 0.4 by 1.5e-9 to 3.5e-9, past windows of 2.8e-12 (lower n = 0)
+    # to 1.3e-10 (upper n = 0)
+    series_c2: ({DELTA}, {MATCH}),
+    # a survivor at s = 2, where it moves delta_sensitivity to 3e-15 against
+    # 1e-11; at s = 0.4 to 2.4e-11, as the z0 and z0/2 starts move apart
+    start_slope: (set(), {DELTA}),
     psi_recurrence_kappa: ({SCHRODINGER},) * 2,
     chi_recurrence_kappa: ({RICCATI},) * 2,
     recurrence_step_dropped: ({D1, NODES, PARITY, RICCATI, SCHRODINGER, SUM_RULE},) * 2,

@@ -101,7 +101,7 @@ class TestCertify:
         res = scarf.certify(bound_params, HALF_PI_SQ * 6.25, 0, Exponent.PLUS)
         assert res.energy == pytest.approx(30.8425138, abs=5e-8)
         assert res.energy == pytest.approx(HALF_PI_SQ * 6.25, rel=1e-12)
-        assert res.delta_sensitivity <= 1e-9
+        assert res.delta_sensitivity <= 1e-11
 
     def test_band_upper_even(self, band_params):
         res = scarf.certify(band_params, HALF_PI_SQ * 0.81, 0, Exponent.PLUS)
@@ -129,13 +129,14 @@ class TestCertify:
             scarf.certify(bound_params, HALF_PI_SQ * 6.25, 0, Exponent.PLUS)
 
     def test_delta_robustness(self, bound_params, band_params):
-        # halving the start offset moves energies by under 1e-9 relative
+        # halving the start offset moves energies by under 1e-11 relative,
+        # the threshold of the report's oracle_delta_sensitivity
         for params, energy, exponent in [
             (bound_params, HALF_PI_SQ * 6.25, Exponent.PLUS),
             (band_params, HALF_PI_SQ * 0.01, Exponent.MINUS),
         ]:
             res = scarf.certify(params, energy, 0, exponent)
-            assert res.delta_sensitivity <= 1e-9
+            assert res.delta_sensitivity <= 1e-11
 
     @pytest.mark.parametrize("delta", [0.002, 0.005, 0.009])
     def test_delta_above_default_starts_at_z0(self, bound_params, band_params, delta):

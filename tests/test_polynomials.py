@@ -140,7 +140,7 @@ class TestJacobiEval:
             assert np.abs(val.imag).max() <= 1e-12 * max(1.0, np.abs(val.real).max())
 
 
-class TestRealRoots:
+class TestTridiagonalRoots:
     def test_trivial_degrees(self):
         assert tridiagonal_roots(_line(2.0, 0, Edge.NOT_APPLICABLE)).tolist() == []
         assert tridiagonal_roots(_line(2.0, 1, Edge.NOT_APPLICABLE)).tolist() == [0.0]

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scarf
@@ -358,20 +358,25 @@ def _probe_checks(s, a=1.0, m=1.0):
             for c in _level_checks(params, line, None, None, 1e-8)]
 
 
+def _decades(bound):
+    """Powers of ten from 1e-bound to 1e+bound."""
+    return st.integers(-bound, bound).map(lambda k: 10.0**k)
+
+
 class TestScaleInvariance:
     """The probes work in z = pi x / a and y = cot z, so a and m reach them
-    only through E / (pi^2 / (2 m a^2)), which the residual alone reads."""
+    only through E / (pi^2 / (2 m a^2)), which the residual alone reads.
+
+    a and m are drawn as powers of ten with m a^2 in [1e-300, 1e300], so
+    PotentialParams accepts every draw; the examples reach the corners."""
 
     @settings(max_examples=60, deadline=None)
-    @given(s=st.sampled_from([2.0, 0.4]), a=st.floats(1e-320, 1e300), m=st.floats(1e-320, 1e300))
+    @given(s=st.sampled_from([2.0, 0.4]), a=_decades(75), m=_decades(150))
     @example(s=2.0, a=1e-140, m=1.0)
     @example(s=2.0, a=1e140, m=1.0)
     @example(s=2.0, a=1e150, m=1e-300)
     def test_probe_values_depend_on_s_alone(self, s, a, m):
-        try:
-            checks = _probe_checks(s, a, m)
-        except ValueError:  # a and m the input checks refuse
-            assume(False)
+        checks = _probe_checks(s, a, m)
         reference = _probe_checks(s)
         assert [c["name"] for c in checks] == [c["name"] for c in reference]
         for got, want in zip(checks, reference):
