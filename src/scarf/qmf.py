@@ -5,14 +5,15 @@ For a constructed eigenstate the momentum function in the cot variable is
     chi(y) = 2 b1 y / (y^2 + 1) + P'(y) / P(y)
 
 with simple poles at y = +-i (residue b1 each) and at the n real roots of
-P (residue +1 each); n, lambda and b1 = (1 - lambda)/2 are those of the
-state's SpectrumLine, the one record of the level.  P'/P and its slope
-come from the Gegenbauer form of P, by the recurrence psi uses
-(wavefunction.gegenbauer_ratios): monomial coefficients would fail the
-Riccati check from n of about 40 and overflow by n = 500.  This module
-measures those residues numerically by contour integration and checks
-the structural claims the closed forms rest on: the sum rule b1 + b1' + n
-= d1, vanishing analytic part, odd parity of chi, and the Riccati equation
+P (residue +1 each); n and lambda are those of the state's SpectrumLine,
+the one record of the level, and b1 = (1 - n - kappa)/2 reads kappa as P
+does.  P'/P and its slope come from the Gegenbauer form of P, by the
+recurrence psi uses (wavefunction.gegenbauer_ratios): monomial
+coefficients would fail the Riccati check from n of about 40 and overflow
+by n = 500.  This module measures those residues numerically by contour
+integration and checks the structural claims the closed forms rest on:
+the sum rule b1 + b1' + n = d1, vanishing analytic part, odd parity of
+chi, and the Riccati equation
 
     chi^2 + chi' + (lambda^2 - 1)/(y^2+1)^2 + (1/4 - s^2)/(y^2+1) = 0.
 
@@ -89,9 +90,10 @@ class ChiFunction:
     def from_wavefunction(cls, spec: WavefunctionSpec) -> "ChiFunction":
         return cls(line=spec.line, s=spec.params.s)
 
-    def fixed_part(self, y):
-        """2 b1 y / (y^2 + 1), the part of chi with the poles at +-i."""
-        return 2.0 * self.line.b1 * y / (y * y + 1.0)
+    @property
+    def b1(self) -> float:
+        """The residue at +-i from n and kappa, not the line's (1 - lambda)/2."""
+        return (1.0 - self.line.n - self.line.kappa) / 2.0
 
     @cached_property
     def probes(self) -> tuple[list[tuple[np.ndarray, complex]], tuple]:
@@ -109,13 +111,13 @@ class ChiFunction:
         m = _PROBE_LINE.size
         y = np.concatenate([_PROBE_LINE, -_PROBE_LINE] + [z for z, _ in contours])
         f, slope, dlog_r = log_derivative(self.line, y, slice(0, m), _COUNT_ELLIPSE[0])
-        f += self.fixed_part(y)
+        f += 2.0 * self.b1 * y / (y * y + 1.0)  # the part with the poles at +-i
         stops = list(accumulate([2 * m] + [z.size for z, _ in contours]))
         values = [f[start:stop] for start, stop in zip(stops, stops[1:])] + [dlog_r]
         results = [(v, complex((v * w).sum() / w.size))
                    for v, (_, w) in zip(values, contours + [_COUNT_ELLIPSE], strict=True)]
         y2 = _PROBE_LINE * _PROBE_LINE
-        slope += 2.0 * self.line.b1 * (1.0 - y2) / (y2 + 1.0) ** 2
+        slope += 2.0 * self.b1 * (1.0 - y2) / (y2 + 1.0) ** 2
         return results, (f[:m], slope, f[m:2 * m])
 
 

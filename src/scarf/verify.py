@@ -50,15 +50,27 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
                 params.s, params.regime.value, n_max, oracle, tol)
     members = {e: [ln for ln in lines if predicted_family(ln) is e] for e in Exponent}
     families = {e: (len(f), max(f, key=lambda ln: ln.energy)) for e, f in members.items() if f}
-    collocated = (collocation_spectrum(params, k_levels=n_max + 1)
-                  if oracle in ("fd", "both") else None)
+    shooting, collocation = oracle != "fd", oracle != "shooting"
+    if collocation:  # every level the report holds, so each line has its collocated level
+        collocated = collocation_spectrum(params, k_levels=max(ln.n for ln in lines) + 1)
 
     checks = []
     for ln in lines:
         if ln.lam == 0.0:
             continue  # free-particle fold at E=0 has no normalizable state
-        checks.extend(_level_checks(params, ln, families, collocated, tol, n_max,
-                                    shooting=oracle != "fd"))
+        exponent = predicted_family(ln)
+        size, top = families[exponent]
+        if shooting:
+            checks.extend(_shooting_checks(params, ln, exponent, size, ln is top, n_max, tol))
+        if collocation:
+            levels = collocated[exponent]
+            rel = abs(levels[ln.n] - ln.energy) / params.energy_scale(ln.energy)
+            checks.append(_check(ln, "oracle_fd_rel_err", rel, tol, observed=levels[ln.n]))
+            if ln is top:  # the family's collocated levels up to tol energy scales above it
+                count = sum(lv <= ln.energy + tol * params.energy_scale(ln.energy)
+                            for lv in levels)
+                checks.append(_completeness(ln, "oracle_fd_completeness", count, size, n_max))
+        checks.extend(_probe_checks(params, ln))
 
     n_failed = sum(1 for c in checks if not c["pass"])
     report = level_report(params, lines, checks)
@@ -124,35 +136,6 @@ def _check(ln: SpectrumLine, name: str, value: float, threshold: float,
     }
 
 
-def _level_checks(params, ln, families: dict[Exponent, tuple[int, SpectrumLine]] | None,
-                  collocated: dict[Exponent, list[float]] | None, tol, n_max=None,
-                  shooting: bool = False) -> list[dict]:
-    """The checks of one level.  families maps each family to its number of
-    lines (the E = 0 fold of s = 1/2 included) and its top line, the first
-    of highest energy, or is None for the probes alone; collocated is None,
-    or shooting False, where that oracle did not run."""
-    exponent = predicted_family(ln)
-    size, top = (families or {}).get(exponent, (0, None))
-    out = _shooting_checks(params, ln, exponent, size, ln is top, n_max, tol) if shooting else []
-
-    if collocated is not None:
-        levels = collocated[exponent]
-        rel = abs(levels[ln.n] - ln.energy) / params.energy_scale(ln.energy)
-        out.append(_check(ln, "oracle_fd_rel_err", rel, tol, observed=levels[ln.n]))
-        if ln is top:  # the family's collocated levels up to tol energy scales above it
-            count = sum(lv <= ln.energy + tol * params.energy_scale(ln.energy) for lv in levels)
-            out.append(_check(ln, "oracle_fd_completeness", float(abs(count - size)), 0.0,
-                              observed=float(count)))
-
-    try:
-        _probe_checks(params, ln, out)
-    except ScarfError as exc:
-        logger.error("level (n=%d, %s): probe raised %s: %s",
-                     ln.n, ln.edge.value, type(exc).__name__, exc)
-        out.append(_check(ln, "probe_error", 1.0, 0.0))
-    return out
-
-
 def _shooting_checks(params, ln, exponent, size: int, top: bool, n_max, tol) -> list[dict]:
     """The shooting oracle's certificate of one level of the exponent's
     family and, on the family's top line (top), the family's completeness.
@@ -160,7 +143,7 @@ def _shooting_checks(params, ln, exponent, size: int, top: bool, n_max, tol) -> 
     A level that certify cannot place in its window fails
     oracle_shooting_match_count whatever tol is.  A certified window's
     upper count, n + 1, is the number of the family's levels at or below
-    it, so on the top line it must equal both size and n_max + 1."""
+    it: the count of the family's completeness entry."""
     try:
         res = certify(params, ln.energy, ln.n, exponent)
     except (BracketError, NumericError) as exc:
@@ -170,42 +153,55 @@ def _shooting_checks(params, ln, exponent, size: int, top: bool, n_max, tol) -> 
     out = [_check(ln, "oracle_shooting_rel_err", rel, tol, observed=res.energy),
            _check(ln, "oracle_delta_sensitivity", res.delta_sensitivity, 1e-11)]
     if top:
-        out.append(_check(ln, "oracle_shooting_completeness",
-                          float(abs(ln.n + 1 - size) + abs(size - n_max - 1)), 0.0,
-                          observed=float(ln.n + 1)))
+        out.append(_completeness(ln, "oracle_shooting_completeness", ln.n + 1, size, n_max))
     return out
 
 
-def _probe_checks(params, ln, out: list[dict]) -> None:
-    """Append the residue, residual and structure checks of one level.
+def _completeness(ln, name: str, count: int, size: int, n_max: int) -> dict:
+    """One oracle's completeness entry on a family's top line ln: count,
+    the family's levels that oracle finds at or below ln, must equal both
+    size, the family's lines in the report, and n_max + 1."""
+    return _check(ln, name, float(abs(count - size) + abs(size - (n_max + 1))), 0.0,
+                  observed=float(count))
 
-    Entries are appended as they are measured, so those taken before a
-    probe raises stay in the report."""
-    wf = build_wavefunction(params, ln)
-    chi = ChiFunction.from_wavefunction(wf)
 
-    rep = residue_report(chi)
-    out.append(_check(ln, "residue_sum_rule_defect", rep.sum_rule_defect, 1e-9))
-    out.append(_check(ln, "b1_vs_closed_form", abs(rep.b1_measured - ln.b1), 1e-10,
-                      observed=rep.b1_measured.real))
-    out.append(_check(ln, "b1_parity", abs(rep.b1_measured - rep.b1_prime_measured), 1e-10))
-    out.append(_check(ln, "d1_vs_closed_form", abs(rep.d1_measured - ln.d1), 1e-10,
-                      observed=rep.d1_measured.real))
-    out.append(_check(ln, "moving_pole_count_defect",
-                      float(abs(rep.moving_pole_count - ln.n)), 0.0,
-                      observed=float(rep.moving_pole_count)))
-    out.append(_check(ln, "chi_parity_defect", chi_parity_defect(chi), 1e-12))
-    out.append(_check(ln, "riccati_residual", verify_riccati(chi),
-                      1e-10 * (1.0 + ln.lam**2)))
+def _probe_checks(params, ln) -> list[dict]:
+    """The residue, residual and structure checks of one level.
 
-    res, scale = schrodinger_residual(wf)
-    out.append(_check(ln, "schrodinger_rel_residual", res / scale, 1e-8))
-    nodes = count_nodes(wf)
-    out.append(_check(ln, "node_count_defect", float(abs(nodes - ln.n)), 0.0,
-                      observed=float(nodes)))
-    expected_parity = Parity.EVEN if ln.n % 2 == 0 else Parity.ODD
-    out.append(_check(ln, "parity_defect",
-                      0.0 if parity(wf) is expected_parity else 1.0, 0.0))
-    fit = boundary_exponent(wf)
-    out.append(_check(ln, "boundary_exponent_defect",
-                      abs(fit - predicted_family(ln).mu(params.s)), 1e-3, observed=fit))
+    Entries are taken in order, so where a probe raises a ScarfError those
+    taken before it stay, followed by a probe_error entry."""
+    out = []
+    try:
+        wf = build_wavefunction(params, ln)
+        chi = ChiFunction.from_wavefunction(wf)
+
+        rep = residue_report(chi)
+        out.append(_check(ln, "residue_sum_rule_defect", rep.sum_rule_defect, 1e-9))
+        out.append(_check(ln, "b1_vs_closed_form", abs(rep.b1_measured - ln.b1), 1e-10,
+                          observed=rep.b1_measured.real))
+        out.append(_check(ln, "b1_parity", abs(rep.b1_measured - rep.b1_prime_measured), 1e-10))
+        out.append(_check(ln, "d1_vs_closed_form", abs(rep.d1_measured - ln.d1), 1e-10,
+                          observed=rep.d1_measured.real))
+        out.append(_check(ln, "moving_pole_count_defect",
+                          float(abs(rep.moving_pole_count - ln.n)), 0.0,
+                          observed=float(rep.moving_pole_count)))
+        out.append(_check(ln, "chi_parity_defect", chi_parity_defect(chi), 1e-12))
+        out.append(_check(ln, "riccati_residual", verify_riccati(chi),
+                          1e-10 * (1.0 + ln.lam**2)))
+
+        res, scale = schrodinger_residual(wf)
+        out.append(_check(ln, "schrodinger_rel_residual", res / scale, 1e-8))
+        nodes = count_nodes(wf)
+        out.append(_check(ln, "node_count_defect", float(abs(nodes - ln.n)), 0.0,
+                          observed=float(nodes)))
+        expected_parity = Parity.EVEN if ln.n % 2 == 0 else Parity.ODD
+        out.append(_check(ln, "parity_defect",
+                          0.0 if parity(wf) is expected_parity else 1.0, 0.0))
+        fit = boundary_exponent(wf)
+        out.append(_check(ln, "boundary_exponent_defect",
+                          abs(fit - predicted_family(ln).mu(params.s)), 1e-3, observed=fit))
+    except ScarfError as exc:
+        logger.error("level (n=%d, %s): probe raised %s: %s",
+                     ln.n, ln.edge.value, type(exc).__name__, exc)
+        out.append(_check(ln, "probe_error", 1.0, 0.0))
+    return out

@@ -17,6 +17,11 @@ s, a spectrum run and a verify run take s, a, m and the format from a
 --config file, and one more run overrides two of its keys by flags; the
 file is written to a temporary directory and its JSON printed with the
 line.  pytest does not collect this file (its name has no test_ prefix).
+
+A line starts with the run's exit code, or with traceback:<type> where the
+run raised an uncaught exception, which CliRunner would report as exit
+code 1, the code of a failed verification.  The script exits 1 after the
+full listing when a run raised, else 0.
 """
 
 from __future__ import annotations
@@ -77,9 +82,11 @@ def cases():
     yield from ERRORS
 
 
-def main_digest() -> None:
+def main_digest() -> int:
+    """Print the set's lines; 1 when a run raised, else 0."""
     runner = CliRunner()
     runs = [(args, None) for args in cases()] + list(config_cases())
+    raised = False
     with runner.isolated_filesystem():
         for args, cfg in runs:
             label = " ".join(args)
@@ -89,8 +96,12 @@ def main_digest() -> None:
                 label += " " + text
             result = runner.invoke(main, args)
             digest = hashlib.sha256(result.stdout_bytes).hexdigest()
-            print(result.exit_code, digest, label)
+            code = result.exit_code
+            if result.exception is not None and not isinstance(result.exception, SystemExit):
+                code, raised = f"traceback:{type(result.exception).__name__}", True
+            print(code, digest, label)
+    return 1 if raised else 0
 
 
 if __name__ == "__main__":
-    main_digest()
+    sys.exit(main_digest())

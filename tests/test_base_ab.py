@@ -24,6 +24,12 @@ class TestCliRule:
         assert base_ab.cli_rule(before, after)
         assert "verify --s 0.4 --tol 1e-15 (exit code 0 -> 1)" in capsys.readouterr().out
 
+    def test_traceback_in_place_of_a_failed_verdict_fails(self, capsys):
+        before = _cli((1, DIGEST, "verify --s 0.4 --tol 1e-15"))
+        after = _cli(("traceback:RuntimeError", DIGEST, "verify --s 0.4 --tol 1e-15"))
+        assert base_ab.cli_rule(before, after)
+        assert "(exit code 1 -> traceback:RuntimeError)" in capsys.readouterr().out
+
     def test_runs_in_one_tree_only_pass(self, capsys):
         before = _cli((0, DIGEST, "bands --s 2"))
         after = _cli((1, DIGEST, "table1 --s 2"))

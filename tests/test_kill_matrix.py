@@ -3,14 +3,17 @@ must fail a named set of `run_verification` checks, at a bound coupling
 (s = 2) and a band coupling (s = 0.4).
 
 Faults are injected by monkeypatching scarf.spectrum.level_parameters,
-scarf.spectrum.spectrum_line, SpectrumLine.kappa or Exponent.mu with
-wrappers that pass their arguments through by position, so the matrix does
-not depend on how those functions take the coupling.  spectrum_line reads
-level_parameters, and build_wavefunction's rebuild of a line reads
-spectrum_line from its own import, so a fault in lambda or d1 reaches every
-layer alike while a fault in E reaches only the report's lines.  Exponent.mu
-is the one wall-exponent rule of the shooting start, the collocation and the
-boundary-exponent check, so a fault in it reaches all three.
+scarf.spectrum.spectrum_line, scarf.spectrum._edges, SpectrumLine.kappa or
+Exponent.mu with wrappers that pass their arguments through by position, so
+the matrix does not depend on how those functions take the coupling.
+spectrum_line reads level_parameters, and build_wavefunction's rebuild of a
+line reads spectrum_line from its own import, so a fault in lambda or d1
+reaches every layer alike while a fault in E reaches only the report's
+lines.  chi reads b1 from n and kappa, so a fault in SpectrumLine.b1
+reaches the closed form that b1_vs_closed_form compares with alone.
+Exponent.mu is the one wall-exponent rule of the shooting start, the
+collocation and the boundary-exponent check, so a fault in it reaches all
+three.
 
 The probe faults patch the name in each module that reads it:
 wall_coefficient, the one source of C, in every module that imports it;
@@ -38,6 +41,7 @@ import scarf.verify
 import scarf.wavefunction
 from scarf import Edge, Exponent, SpectrumLine
 
+B1 = "b1_vs_closed_form"
 D1 = "d1_vs_closed_form"
 DELTA = "oracle_delta_sensitivity"
 EXPONENT = "boundary_exponent_defect"
@@ -177,6 +181,13 @@ def b1_shift(monkeypatch):
     monkeypatch.setattr(SpectrumLine, "b1", property(lambda ln: orig.fget(ln) + 1e-6))
 
 
+def lower_edges_dropped(monkeypatch):
+    # the band regime's lines are the upper edges alone
+    orig = scarf.spectrum._edges
+    monkeypatch.setattr(scarf.spectrum, "_edges", lambda *args: tuple(
+        edge for edge in orig(*args) if edge is not Edge.LOWER))
+
+
 # fault -> (failing checks at s = 2, failing checks at s = 0.4)
 MATRIX = {
     lam_relative: ({D1, MATCH, RICCATI}, {D1, MATCH, RICCATI, SCHRODINGER}),
@@ -185,8 +196,8 @@ MATRIX = {
     # a no-op at s = 2: bound levels have no edge
     edges_swapped: (set(), {EXPONENT, FD, FD_COMPLETE, MATCH}),
     energy_relative: ({MATCH, PROBE},) * 2,
-    kappa_small: ({EXPONENT, RICCATI, SCHRODINGER},) * 2,
-    kappa_one: ({EXPONENT, RICCATI, SCHRODINGER},) * 2,
+    kappa_small: ({B1, D1, EXPONENT, RICCATI, SCHRODINGER},) * 2,
+    kappa_one: ({B1, D1, EXPONENT, RICCATI, SCHRODINGER},) * 2,
     # a no-op at s = 2: the bound regime has no MINUS family
     mu_sign_minus: (set(), {EXPONENT, FD, FD_COMPLETE, MATCH}),
     # the collocation reads C only above s = 2, so FD does not see it; at
@@ -210,9 +221,10 @@ MATRIX = {
     # near e^-32, and at half N the measured residues move by at most 2e-13
     # (b1, b1', d1) and 2e-11 (the pole count), against 1e-10 and 1e-6
     contour_nodes_halved: (set(), set()),
-    # b1_vs_closed_form survives a fault in b1: chi is built from line.b1, so
-    # its contour measures the faulty b1 and compares it with itself
-    b1_shift: ({D1, RICCATI},) * 2,
+    b1_shift: ({B1},) * 2,
+    # a survivor at s = 0.4 and a no-op at s = 2: the completeness entries
+    # sit on a family's top line, and a family with no lines has no top line
+    lower_edges_dropped: (set(), set()),
 }
 
 

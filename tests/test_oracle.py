@@ -446,7 +446,7 @@ class TestEnergyFloor:
         honest = scarf.verify.spectrum_lines
         monkeypatch.setattr(scarf.verify, "spectrum_lines", lambda params, n_max: [
             replace(ln, energy=ln.energy * (1.0 + 1e-6)) for ln in honest(params, n_max)])
-        monkeypatch.setattr(scarf.verify, "_probe_checks", lambda params, ln, out: None)
+        monkeypatch.setattr(scarf.verify, "_probe_checks", lambda params, ln: [])
         checks = scarf.run_verification(band_params, 3)["checks"]
         counts = [c for c in checks if c["name"] == "oracle_fd_completeness"]
         assert [(c["n"], c["pass"], c["observed"]) for c in counts] == [(3, True, 4.0)] * 2
@@ -457,35 +457,44 @@ class TestEnergyFloor:
         assert [c["value"] for c in checks[1::2]] == pytest.approx([1e-6] * 8, rel=1e-3)
 
 
-def shooting_checks(params, n_max, spectrum_lines=None):
-    """(n, edge, name, pass) of the shooting entries of a verify run, with
+def oracle_checks(params, n_max, oracle="shooting", spectrum_lines=None):
+    """(n, edge, name, pass) of the oracle entries of a verify run, with
     spectrum_lines in place of the closed forms when given."""
-    with mock.patch.object(scarf.verify, "_probe_checks", lambda params, ln, out: None):
+    with mock.patch.object(scarf.verify, "_probe_checks", lambda params, ln: []):
         if spectrum_lines is None:
-            report = scarf.run_verification(params, n_max, oracle="shooting")
+            report = scarf.run_verification(params, n_max, oracle=oracle)
         else:
             with mock.patch.object(scarf.verify, "spectrum_lines", spectrum_lines):
-                report = scarf.run_verification(params, n_max, oracle="shooting")
+                report = scarf.run_verification(params, n_max, oracle=oracle)
     return [(c["n"], c["edge"], c["name"], c["pass"]) for c in report["checks"]]
+
+
+# (s, oracle) of the completeness mutants; a shooting case's ID is s alone
+COMPLETENESS_CASES = [
+    pytest.param(s, oracle, id=str(s) if oracle == "shooting" else f"{oracle}-{s}")
+    for oracle in ("shooting", "fd") for s in (2.0, 0.4)]
+COMPLETENESS = {"shooting": "oracle_shooting_completeness", "fd": "oracle_fd_completeness"}
 
 
 class TestSpectrumMutants:
     """Each mutation of the closed-form lines fails a shooting check,
-    whatever the tolerance."""
+    whatever the tolerance; a mutation of the family's level count fails
+    each oracle's completeness entry on the same line, and raises under
+    neither."""
 
     @staticmethod
-    def failing(params, mutate):
+    def failing(params, mutate, oracle="shooting"):
         honest = scarf.spectrum_lines
 
         def mutated(params, n_max):
             return mutate(honest(params, n_max))
 
-        checks = shooting_checks(params, 2, mutated)
+        checks = oracle_checks(params, 2, oracle, mutated)
         return [(n, edge, name) for n, edge, name, ok in checks if not ok]
 
     @pytest.mark.parametrize("s", [2.0, 0.4])
     def test_honest_lines_pass(self, s):
-        checks = shooting_checks(scarf.PotentialParams(s), 2)
+        checks = oracle_checks(scarf.PotentialParams(s), 2)
         assert checks and all(ok for *_, ok in checks)
         completeness = [c for c in checks if c[2] == "oracle_shooting_completeness"]
         assert len(completeness) == (1 if s > 0.5 else 2)
@@ -514,8 +523,8 @@ class TestSpectrumMutants:
         failing = self.failing(params, relabel)
         assert (1, "lower" if s < 0.5 else None, "oracle_shooting_match_count") in failing
 
-    @pytest.mark.parametrize("s", [2.0, 0.4])
-    def test_line_dropped(self, s):
+    @pytest.mark.parametrize("s, oracle", COMPLETENESS_CASES)
+    def test_line_dropped(self, s, oracle):
         # a dropped level below the family's top leaves its completeness
         # count one above the family's lines
         params = scarf.PotentialParams(s)
@@ -524,29 +533,30 @@ class TestSpectrumMutants:
             del lines[0]
             return lines
 
-        assert self.failing(params, drop) == [
-            (2, "lower" if s < 0.5 else None, "oracle_shooting_completeness")]
+        assert self.failing(params, drop, oracle) == [
+            (2, "lower" if s < 0.5 else None, COMPLETENESS[oracle])]
 
-    @pytest.mark.parametrize("s", [2.0, 0.4])
-    def test_top_line_dropped(self, s):
-        # the family keeps n_max lines, all certified, one short of n_max + 1
+    @pytest.mark.parametrize("s, oracle", COMPLETENESS_CASES)
+    def test_top_line_dropped(self, s, oracle):
+        # the family keeps n_max lines, all found, one short of n_max + 1
         params = scarf.PotentialParams(s)
 
         def drop_top(lines):
             lines.remove(max(lines, key=lambda ln: ln.energy))
             return lines
 
-        assert self.failing(params, drop_top) == [
-            (1, "upper" if s < 0.5 else None, "oracle_shooting_completeness")]
+        assert self.failing(params, drop_top, oracle) == [
+            (1, "upper" if s < 0.5 else None, COMPLETENESS[oracle])]
 
-    @pytest.mark.parametrize("s", [2.0, 0.4])
+    @pytest.mark.parametrize("s, oracle", COMPLETENESS_CASES)
     @pytest.mark.parametrize("n_max", [1, 3])
-    def test_lines_of_another_n_max(self, s, n_max):
-        # a complete, certified spectrum of n_max in a report of n_max = 2
+    def test_lines_of_another_n_max(self, s, oracle, n_max):
+        # a complete spectrum of n_max, each level found, in a report of
+        # n_max = 2; the collocation is asked for n_max + 1 levels
         params = scarf.PotentialParams(s)
         lines = scarf.spectrum_lines(params, n_max)
-        assert self.failing(params, lambda _: lines) == [
-            (n_max, edge, "oracle_shooting_completeness")
+        assert self.failing(params, lambda _: lines, oracle) == [
+            (n_max, edge, COMPLETENESS[oracle])
             for edge in (["lower", "upper"] if s < 0.5 else [None])]
 
     @pytest.mark.parametrize("s", [2.0, 0.4])

@@ -21,7 +21,7 @@ from scarf.qmf import (
     log_derivative,
 )
 from scarf.spectrum import spectrum_line
-from scarf.verify import _level_checks
+from scarf.verify import _probe_checks
 from scarf.wavefunction import gegenbauer_ratios
 
 from jacobi_reference import tridiagonal_roots
@@ -236,7 +236,7 @@ class TestHighDegree:
         line = spectrum_line(params, n, edge)
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
         assert all(v.size == _PROBE_LINE.size == 64 for v in chi.probes[1])
-        checks = _level_checks(params, line, None, None, 1e-8)
+        checks = _probe_checks(params, line)
         assert [c["name"] for c in checks] == [
             "residue_sum_rule_defect", "b1_vs_closed_form", "b1_parity",
             "d1_vs_closed_form", "moving_pole_count_defect", "chi_parity_defect",
@@ -365,7 +365,7 @@ class TestOnePass:
         for probe in (scarf.schrodinger_residual, scarf.count_nodes, scarf.boundary_exponent):
             assert passes(probe, wf) == 0
         calls.clear()
-        checks = _level_checks(params, line, None, None, 1e-8)
+        checks = _probe_checks(params, line)
         assert all(c["pass"] for c in checks)
         assert len(calls) == 2
 

@@ -13,7 +13,7 @@ import scarf
 from scarf import ConsistencyError, Edge, NumericError, Parity, wavefunction
 from scarf.qmf import chi_parity_defect
 from scarf.spectrum import spectrum_line
-from scarf.verify import _level_checks
+from scarf.verify import _probe_checks
 from scarf.wavefunction import gegenbauer_ratios
 
 
@@ -352,10 +352,9 @@ class TestProbeMatrix:
                 assert res / scale == pytest.approx(1e-6, rel=0.05), line
 
 
-def _probe_checks(s, a=1.0, m=1.0):
+def _probe_entries(s, a=1.0, m=1.0):
     params = scarf.PotentialParams(s, a, m)
-    return [c for line in scarf.spectrum_lines(params, 2)
-            for c in _level_checks(params, line, None, None, 1e-8)]
+    return [c for line in scarf.spectrum_lines(params, 2) for c in _probe_checks(params, line)]
 
 
 def _decades(bound):
@@ -376,8 +375,8 @@ class TestScaleInvariance:
     @example(s=2.0, a=1e140, m=1.0)
     @example(s=2.0, a=1e150, m=1e-300)
     def test_probe_values_depend_on_s_alone(self, s, a, m):
-        checks = _probe_checks(s, a, m)
-        reference = _probe_checks(s)
+        checks = _probe_entries(s, a, m)
+        reference = _probe_entries(s)
         assert [c["name"] for c in checks] == [c["name"] for c in reference]
         for got, want in zip(checks, reference):
             if got["name"] == "schrodinger_rel_residual":
