@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -162,14 +162,6 @@ class ResidueReport:
     sum_rule_defect: float
 
 
-@lru_cache(maxsize=None)
-def _unit_circle(nodes: int) -> np.ndarray:
-    """e^(i theta_k) at the N trapezoid nodes, made once per N, read-only."""
-    e = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
-    e.flags.writeable = False
-    return e
-
-
 def _node_count(eta: float) -> int:
     """The smallest power of two N >= 32 with N eta >= 32, for a contour
     of clearance rate eta > 0 (module docstring)."""
@@ -183,7 +175,7 @@ def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndar
     """The N = nodes trapezoid nodes z_k on the ellipse of the module
     docstring and factors w_k = z'(theta_k) / i, so that mean(f(z) * w)
     approximates (1/2 pi i) times the closed integral of f dz."""
-    e = _unit_circle(nodes)
+    e = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
     alpha, beta = 0.5 * (rx + ry), 0.5 * (rx - ry)
     back = beta * e.conj()
     return center + alpha * e + back, alpha * e - back
@@ -193,6 +185,7 @@ def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndar
 _RESIDUE_CIRCLES = [_ellipse(c, _FIXED_RADIUS, _FIXED_RADIUS,
                              _node_count(math.log(1.0 / _FIXED_RADIUS))) for c in (1j, -1j)]
 _COUNT_ELLIPSE = _ellipse(0.0, 13.0 / 12.0, 5.0 / 12.0, _node_count(math.log(1.5)))
+_UNIT_CIRCLE = _ellipse(0.0, 1.0, 1.0, 32)[0]  # the circles at infinity are r times it
 
 
 def _infinity_circles(line: SpectrumLine) -> list[tuple]:
@@ -201,7 +194,7 @@ def _infinity_circles(line: SpectrumLine) -> list[tuple]:
     Every pole lies within r / 10, so eta > ln 10 and 32 nodes serve."""
     n = line.n
     radius = 10.0 * (1.0 + max(1.0, math.sqrt(n * (n - 1) / (2.0 * line.kappa + 1.0))))
-    return [_ellipse(0.0, r, r, 32) for r in (radius, 2.0 * radius)]
+    return [(r * _UNIT_CIRCLE,) * 2 for r in (radius, 2.0 * radius)]
 
 
 def _infinity_residue(circles: list[tuple[np.ndarray, complex]]) -> complex:

@@ -16,8 +16,8 @@ import logging
 import math
 
 from .errors import BracketError, NumericError, ScarfError
-from .oracle import Exponent, certify, collocation_spectrum
-from .potential import PotentialParams
+from .oracle import Exponent, _exponents, certify, collocation_spectrum
+from .potential import PotentialParams, Regime
 from .qmf import ChiFunction, chi_parity_defect, residue_report, verify_riccati
 from .spectrum import Edge, SpectrumLine, spectrum_lines
 from .wavefunction import (
@@ -39,7 +39,8 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     oracle is one of "shooting", "fd" (the collocation oracle, whose
     entries keep the name oracle_fd_rel_err), "both".  Both oracles run in
     every regime, and tol is the threshold of both.  Relative energy
-    errors are taken against PotentialParams.energy_scale.
+    errors are taken against PotentialParams.energy_scale.  A family the
+    oracles admit and no line holds fails each oracle's completeness.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"need a finite tol > 0, got {tol}")
@@ -56,8 +57,6 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
 
     checks = []
     for ln in lines:
-        if ln.lam == 0.0:
-            continue  # free-particle fold at E=0 has no normalizable state
         exponent = predicted_family(ln)
         size, top = families[exponent]
         if shooting:
@@ -71,6 +70,13 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
                             for lv in levels)
                 checks.append(_completeness(ln, "oracle_fd_completeness", count, size, n_max))
         checks.extend(_probe_checks(params, ln))
+    for exponent in _exponents(params.regime):  # a family the oracles admit and no line holds
+        if exponent not in families:
+            edge = Edge.LOWER if exponent is Exponent.MINUS else (
+                Edge.NOT_APPLICABLE if params.regime is Regime.BOUND_STATES else Edge.UPPER)
+            lost = SpectrumLine(n_max, edge, math.nan, math.nan, math.nan)  # its top line
+            checks += [_completeness(lost, f"oracle_{name}_completeness", 0, 0, n_max)
+                       for name, used in (("shooting", shooting), ("fd", collocation)) if used]
 
     n_failed = sum(1 for c in checks if not c["pass"])
     report = level_report(params, lines, checks)
@@ -158,9 +164,9 @@ def _shooting_checks(params, ln, exponent, size: int, top: bool, n_max, tol) -> 
 
 
 def _completeness(ln, name: str, count: int, size: int, n_max: int) -> dict:
-    """One oracle's completeness entry on a family's top line ln: count,
-    the family's levels that oracle finds at or below ln, must equal both
-    size, the family's lines in the report, and n_max + 1."""
+    """One oracle's completeness entry on a family's top line ln (a stand-in
+    at n_max if it has none): count, the family's levels that oracle finds
+    at or below ln, must equal both size, its lines in the report, and n_max + 1."""
     return _check(ln, name, float(abs(count - size) + abs(size - (n_max + 1))), 0.0,
                   observed=float(count))
 

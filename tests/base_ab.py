@@ -25,8 +25,11 @@ and prints what moved in each:
   collects fewer tests, or when a vanished ID, with its [...] part
   dropped, is not named in the head's CHANGES.md.
 - Work: kernel calls and RK steps (index 3 of kernels.shoot_halfcell's
-  result) of run_verification at the WORK configurations, on each tree,
-  their ratio base / head, and whether the two reports are identical.
+  result), recurrence point-steps (n times the size of t, summed over the
+  gegenbauer_ratios calls of wavefunction and qmf) and the grid size N of
+  each oracle._collocate call of run_verification at the WORK
+  configurations, on each tree, their ratio base / head, and whether the
+  two reports are identical.
 
 Exits 1 when the CLI, probe or test-ID rule fails, else 0.  Timings, size
 and work counts inform; they never fail the run.  pytest does not collect
@@ -55,7 +58,8 @@ LEVELS = (*range(41), 100, 200, 500)
 HIGH = (100, 200, 500)
 ROUNDS = 3
 # (s, n_max, oracle) of each run_verification the work ledger counts
-WORK = ((0.4, 2, "both"), (2.0, 2, "both"), (30.0, 2, "both"), (2.0, 100, "shooting"))
+WORK = ((0.4, 2, "both"), (2.0, 2, "both"), (30.0, 2, "both"), (2.0, 100, "shooting"),
+        (1000.0, 2, "shooting"), (2.0, 500, "fd"))
 
 
 def base_tree(base: str, scratch: str) -> Path:
@@ -181,23 +185,40 @@ def probe_ab(trees: dict) -> tuple[dict, dict]:
     return records, times
 
 
-def work(pkg, s: float, n_max: int, oracle: str) -> tuple[int, int, str]:
-    """(kernel calls, RK steps, repr of the report) of one run_verification."""
-    kernels, counts = pkg.kernels, [0, 0]
-    orig = kernels.shoot_halfcell
+def work(pkg, s: float, n_max: int, oracle: str) -> tuple[int, int, int, list[int], str]:
+    """(kernel calls, RK steps, recurrence point-steps, collocation grid
+    sizes, repr of the report) of one run_verification."""
+    counts, grids = [0, 0, 0], []
+    shoot, ratios, collocate = (pkg.kernels.shoot_halfcell, pkg.wavefunction.gegenbauer_ratios,
+                                pkg.oracle._collocate)
 
-    def counted(*args):
-        out = orig(*args)
+    def counted_shoot(*args):
+        out = shoot(*args)
         counts[0] += 1
         counts[1] += out[3]
         return out
 
-    kernels.shoot_halfcell = counted
+    def counted_ratios(n, kappa, t):
+        counts[2] += n * t.size
+        return ratios(n, kappa, t)
+
+    def counted_collocate(s, mu, k):
+        grids.append(pkg.oracle._grid_size(s, k))
+        return collocate(s, mu, k)
+
+    patches = [(pkg.kernels, "shoot_halfcell", counted_shoot),
+               (pkg.wavefunction, "gegenbauer_ratios", counted_ratios),
+               (pkg.qmf, "gegenbauer_ratios", counted_ratios),
+               (pkg.oracle, "_collocate", counted_collocate)]
+    saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
+    for module, name, wrapper in patches:
+        setattr(module, name, wrapper)
     try:
         report = pkg.run_verification(pkg.PotentialParams(s=s), n_max, oracle)
     finally:
-        kernels.shoot_halfcell = orig
-    return counts[0], counts[1], repr(report)
+        for module, name, orig in saved:
+            setattr(module, name, orig)
+    return (*counts, grids, repr(report))
 
 
 def ratio(base: float, head: float) -> str:
@@ -243,12 +264,13 @@ def main(base: str) -> int:
 
         print("== work")
         for s, n_max, oracle in WORK:
-            (calls_b, steps_b, rep_b), (calls_h, steps_h, rep_h) = (
-                work(pkg, s, n_max, oracle) for pkg in trees.values())
-            print(f"s={s} n_max={n_max} {oracle}: kernel calls {calls_b} base, {calls_h} head "
-                  f"(ratio {ratio(calls_b, calls_h)}); RK steps {steps_b} base, {steps_h} head "
-                  f"(ratio {ratio(steps_b, steps_h)}); reports "
-                  + ("identical" if rep_b == rep_h else "differ"))
+            base_w, head_w = (work(pkg, s, n_max, oracle) for pkg in trees.values())
+            counted = "; ".join(f"{what} {b} base, {h} head (ratio {ratio(b, h)})" for what, b, h in
+                                zip(("kernel calls", "RK steps", "recurrence point-steps"),
+                                    base_w, head_w))
+            print(f"s={s} n_max={n_max} {oracle}: {counted}; collocation grids N "
+                  f"{base_w[3]} base, {head_w[3]} head; reports "
+                  + ("identical" if base_w[4] == head_w[4] else "differ"))
 
     print("FAILED: " + "; ".join(failed) if failed else "every rule holds")
     return 1 if failed else 0

@@ -12,7 +12,9 @@ click's CliRunner at s in {0.05, 0.4, 0.4999, 0.5, 2, 2.37, 8}, with both
 output formats and two (a, m) pairs, plus three invalid inputs.  Shooting
 verify runs at s in {0.499999999, 0.5} and at --tol 1e-15 pin the pass or
 fail of each level's certificate window, and those at s in {200, 300} pin
-shots whose state the kernel renormalizes in flight.  At each
+shots whose state the kernel renormalizes in flight.  At s = 0.5 and
+--n-max 0 a verify run under each oracle pins the E = 0 fold, alone in its
+family, with that family's completeness entries.  At each
 s, a spectrum run and a verify run take s, a, m and the format from a
 --config file, and one more run overrides two of its keys by flags; the
 file is written to a temporary directory and its JSON printed with the
@@ -39,10 +41,12 @@ from scarf.cli import main  # noqa: E402
 
 COUPLINGS = ("0.05", "0.4", "0.4999", "0.5", "2", "2.37", "8")
 SCALES = (("1", "1"), ("2.5", "0.7"))
-SHOOTING = (
+ORACLES = (
     ["verify", "--s", "0.499999999", "--n-max", "2", "--oracle", "shooting"],
     ["verify", "--s", "0.5", "--n-max", "2", "--oracle", "shooting"],
     ["verify", "--s", "0.5", "--n-max", "0", "--oracle", "shooting", "--format", "csv"],
+    ["verify", "--s", "0.5", "--n-max", "0", "--oracle", "fd"],
+    ["verify", "--s", "0.5", "--n-max", "0", "--oracle", "both"],
     ["verify", "--s", "0.4", "--n-max", "1", "--oracle", "shooting", "--tol", "1e-15"],
     ["verify", "--s", "2", "--n-max", "2", "--oracle", "shooting", "--tol", "1e-15"],
     ["verify", "--s", "200", "--n-max", "0", "--oracle", "shooting"],
@@ -78,7 +82,7 @@ def cases():
                     yield ["wavefunction", *shared, "--n", "1", "--samples", "16", *edge]
                     yield ["table1", *shared, "--n", "1", *edge]
                 yield ["verify", *shared, "--n-max", "1"]
-    yield from SHOOTING
+    yield from ORACLES
     yield from ERRORS
 
 

@@ -23,8 +23,9 @@ Gegenbauer recurrence in scarf.wavefunction (psi's pass) or scarf.qmf
 (chi's pass), each of which binds it on import; and the contours in
 scarf.qmf, rebuilt with half their nodes.  A fault that fails no check
 at a coupling is a survivor there, named with its reason beside its row.
-The last test drops a level from the report, which each oracle's
-completeness entry catches.
+The last tests drop a level or a whole family from the report, which each
+oracle's completeness entry catches, and check that the s = 1/2 fold
+completes its family.
 """
 
 from dataclasses import replace
@@ -222,9 +223,8 @@ MATRIX = {
     # (b1, b1', d1) and 2e-11 (the pole count), against 1e-10 and 1e-6
     contour_nodes_halved: (set(), set()),
     b1_shift: ({B1},) * 2,
-    # a survivor at s = 0.4 and a no-op at s = 2: the completeness entries
-    # sit on a family's top line, and a family with no lines has no top line
-    lower_edges_dropped: (set(), set()),
+    # a no-op at s = 2: the bound regime has no lower edges
+    lower_edges_dropped: (set(), {"oracle_shooting_completeness", FD_COMPLETE}),
 }
 
 
@@ -252,3 +252,28 @@ def test_dropped_level_fails_under_fd_oracle(monkeypatch, s):
     failing = [(c["n"], c["name"], c["observed"]) for c in report["checks"] if not c["pass"]]
     assert failing == [(2, FD_COMPLETE, 3.0)] * (1 if s > 0.5 else 2)
     assert "oracle_shooting_completeness" in _failing(s, "shooting")
+
+
+@pytest.mark.parametrize("oracle", ["shooting", "fd", "both"])
+def test_dropped_family_fails_each_oracle_completeness(monkeypatch, oracle):
+    # a family the oracles admit and no line holds fails one completeness
+    # entry per oracle in use, on the n_max and edge its top line would carry
+    lower_edges_dropped(monkeypatch)
+    report = scarf.run_verification(scarf.PotentialParams(s=0.4), 2, oracle)
+    failing = [(c["n"], c["edge"], c["name"], c["value"], c["observed"])
+               for c in report["checks"] if not c["pass"]]
+    names = [f"oracle_{name}_completeness" for name in ("shooting", "fd")
+             if oracle in (name, "both")]
+    assert failing == [(2, "lower", name, 3.0, 0.0) for name in names]
+
+
+@pytest.mark.parametrize("oracle", ["shooting", "fd", "both"])
+def test_fold_completes_its_family(oracle):
+    # at s = 1/2 and n_max = 0 the lower family is the E = 0 fold alone,
+    # and it carries that family's completeness entries like any top line
+    report = scarf.run_verification(scarf.PotentialParams(s=0.5), 0, oracle)
+    assert report["levels"][0]["lambda"] == 0.0 and report["summary"]["all_pass"]
+    complete = [(c["edge"], c["name"]) for c in report["checks"] if "completeness" in c["name"]]
+    names = [f"oracle_{name}_completeness" for name in ("shooting", "fd")
+             if oracle in (name, "both")]
+    assert sorted(complete) == sorted((edge, name) for edge in ("lower", "upper") for name in names)

@@ -508,21 +508,17 @@ class TestContourGeometry:
         assert all(v.size == 64 for v in chi.probes[1])
 
     @pytest.mark.parametrize("s, n, edge", _GEOMETRY_STATES)
-    def test_radii_equal_their_generator_forms(self, monkeypatch, s, n, edge):
+    def test_radii_equal_their_generator_forms(self, s, n, edge):
         # the closed-form radius at infinity equals its form from the roots'
-        # squares, and lies at least ten times beyond the farthest pole
+        # squares, and lies at least ten times beyond the farthest pole; the
+        # circles are the 32-node trapezoid circles of radius r and 2r
         line = _chi(s, n, edge).line
         roots = tridiagonal_roots(line)
-        calls, ellipse = [], scarf.qmf._ellipse
-
-        def spy(center, rx, ry, nodes):
-            calls.append((center, rx, ry))
-            return ellipse(center, rx, ry, nodes)
-
-        monkeypatch.setattr(scarf.qmf, "_ellipse", spy)
-        _infinity_circles(line)
-        radius = calls[0][1]
-        assert calls == [(0.0, radius, radius), (0.0, 2.0 * radius, 2.0 * radius)]
+        circles = _infinity_circles(line)
+        radius = circles[0][0][0].real  # node 0 lies on the positive real axis
+        for (z, w), r in zip(circles, (radius, 2.0 * radius), strict=True):
+            want = _ellipse(0.0, r, r, 32)
+            assert z.tobytes() == want[0].tobytes() and w.tobytes() == want[1].tobytes()
         assert radius == pytest.approx(
             10.0 * (1.0 + max(1.0, math.sqrt(sum(r * r for r in roots)))), rel=1e-12)
         assert radius >= 10.0 * (1.0 + max([1.0] + [abs(r) for r in roots]))

@@ -435,17 +435,16 @@ def _midpoint_grid_parity(spec):
 class TestParityOnNodeGrid:
     """parity, on the mirror pairs of count_nodes' grid, gives the verdict
     of a separate grid about pi/2 over the 660-state set: n = 0-40, 100, 200
-    and 500, both edges in the band regime (659 states; the E = 0 fold at
-    s = 1/2 has no wavefunction)."""
+    and 500, both edges in the band regime, the E = 0 fold at s = 1/2 (psi
+    = 1/sqrt(a), even, no nodes) included."""
 
     @pytest.mark.parametrize("s", _PARITY_SET_COUPLINGS)
     def test_verdict_equals_a_midpoint_grid(self, s):
         params = scarf.PotentialParams(s=s)
         edges = (Edge.LOWER, Edge.UPPER) if s in _BAND_COUPLINGS else (Edge.NOT_APPLICABLE,)
         lines = [spectrum_line(params, n, edge) for n in _PARITY_SET_DEGREES for edge in edges]
-        states = [scarf.build_wavefunction(params, line) for line in lines if line.energy > 0.0]
-        assert len(states) == len(lines) - (s == 0.5)
-        for wf in states:
+        for line in lines:
+            wf = scarf.build_wavefunction(params, line)
             got = scarf.parity(wf)  # raises NumericError on no definite parity
             assert got is _midpoint_grid_parity(wf), wf.line
             assert got is (Parity.EVEN if wf.line.n % 2 == 0 else Parity.ODD), wf.line
