@@ -90,12 +90,13 @@ class PotentialParams:
 
     @property
     def v0(self) -> float:
-        """The well depth (1/4 - s^2) pi^2 / (2 m a^2), -C in energy units."""
-        return -wall_coefficient(self.s) * math.pi**2 / (2.0 * self.m * self.a**2)
+        """The well depth (1/4 - s^2) pi^2 / (2 m a^2): -C energy units."""
+        return -wall_coefficient(self.s) * self.energy_unit
 
     @property
     def energy_unit(self) -> float:
-        """pi^2/(2 m a^2): a level of parameter lambda has E = lambda^2 times this."""
+        """pi^2/(2 m a^2), the one way a and m reach an energy: a level's E
+        is lambda^2 times this, and V and v0 are C times it."""
         return math.pi**2 / (2.0 * self.m * self.a**2)
 
     def energy_scale(self, energy: float) -> float:
@@ -110,30 +111,31 @@ def reduce_to_cell(x, a: float):
     return x - a * np.floor(x / a)
 
 
-def is_lattice_point(x, a: float) -> bool | np.ndarray:
-    """True where x is within LATTICE_TOL * a of an integer multiple of a."""
+def cell_map(x, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x as a float array, z = pi r / a with r = x reduced to [0, a) once,
+    the mask min(r, a - r) <= LATTICE_TOL * a of the lattice points): the one
+    map from x to the cell, for V and psi.  ValueError unless x is finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     r = reduce_to_cell(x, a)
-    return np.minimum(r, a - r) <= LATTICE_TOL * a
+    return x, np.pi * r / a, np.minimum(r, a - r) <= LATTICE_TOL * a
 
 
 def evaluate_potential(params: PotentialParams, x):
-    """Evaluate V(x). Accepts a scalar or an ndarray.
+    """Evaluate V(x) = C energy_unit / sin^2 z. Accepts a scalar or an ndarray.
 
     Raises SingularityError if any point is within LATTICE_TOL * a of a
     lattice point: the potential diverges there and callers that need
     grids must offset, never clamp.  Raises NumericError if V overflows
     elsewhere (extreme a and m), without a numpy warning.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    if np.any(is_lattice_point(x, params.a)):
+    _, z, lattice = cell_map(x, params.a)
+    if np.any(lattice):
         raise SingularityError("potential diverges at lattice points x = k*a")
-    r = reduce_to_cell(x, params.a)
-    sn = np.sin(np.pi * r / params.a)
+    sn = np.sin(z)
     with np.errstate(all="ignore"):
-        val = wall_coefficient(params.s) * np.pi**2 / (2.0 * params.m * params.a**2 * sn * sn)
+        val = wall_coefficient(params.s) * params.energy_unit / (sn * sn)
     if not np.all(np.isfinite(val)):
         raise NumericError(f"V(x) is not finite for a = {params.a!r}, m = {params.m!r}")
     return float(val) if val.ndim == 0 else val
-

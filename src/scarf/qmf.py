@@ -73,7 +73,6 @@ _D0_TOL = 1e-10
 _COUNT_TOL = 1e-6
 _FIXED_RADIUS = 0.4  # circles around +-i for b1 and b1'
 _PROBE_LINE = np.linspace(-5.0, 5.0, 64) + 0.5j
-_NO_NODES = np.empty(0, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,7 @@ class ChiFunction:
         return results, (f[:m], slope, f[m:2 * m])
 
 
-def log_derivative(line: SpectrumLine, y: np.ndarray, slope: slice = slice(0),
-                   t: np.ndarray = _NO_NODES):
+def log_derivative(line: SpectrumLine, y: np.ndarray, slope: slice, t: np.ndarray):
     """(P'/P at complex y, its y-derivative on y[slope], R_n'/R_n at complex
     t) from one pass of gegenbauer_ratios over y / sqrt(1 + y^2) and t.
 

@@ -184,7 +184,7 @@ def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
     """The closed-form level (n, edge) of params: edge NOT_APPLICABLE in the
     bound regime, LOWER or UPPER in the band and free-particle regimes."""
     lam, d1 = level_parameters(params, n, edge)
-    energy = math.pi**2 * lam**2 / (2.0 * params.m * params.a**2)
+    energy = lam**2 * params.energy_unit
     if not (math.isfinite(energy) and (energy >= sys.float_info.min or lam == 0.0)):
         raise ValueError(f"energy of level (n={n}, {edge.value}) leaves the float range")
     return SpectrumLine(n=int(n), edge=edge, lam=lam, energy=energy, d1=d1)

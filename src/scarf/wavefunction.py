@@ -63,9 +63,8 @@ from .errors import ConsistencyError, NumericError, RegimeError
 from .potential import (
     LAMBDA2_FLOOR,
     PotentialParams,
+    cell_map,
     evaluate_potential,
-    is_lattice_point,
-    reduce_to_cell,
     wall_coefficient,
 )
 from .spectrum import Edge, SpectrumLine, spectrum_line
@@ -177,15 +176,13 @@ def eval_psi(spec: WavefunctionSpec, x):
     / a) and sin((n + 1) pi x / a); bound levels, whose walls decouple the
     cells, carry +1.  Where kappa > 0 lattice points evaluate to exactly 0.0.
     """
-    x, a = np.asarray(x, dtype=float), spec.params.a
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    z = np.pi * reduce_to_cell(x, a) / a
+    a = spec.params.a
+    x, z, lattice = cell_map(x, a)
     n, kappa, edge = spec.line.n, spec.line.kappa, spec.line.edge
     out = spec.norm * np.sin(z) ** kappa * gegenbauer_ratios(n, kappa, np.cos(z))[0]
     if edge is not Edge.NOT_APPLICABLE and (n + (edge is Edge.UPPER)) % 2:
         out = np.where(np.fmod(np.floor(x / a), 2.0) != 0.0, -out, out)
-    out = np.where(is_lattice_point(x, a) & (kappa > 0), 0.0, out)
+    out = np.where(lattice & (kappa > 0), 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -27,7 +27,8 @@ and prints what moved in each:
 - Work: kernel calls and RK steps (index 3 of kernels.shoot_halfcell's
   result), recurrence point-steps (n times the size of t, summed over the
   gegenbauer_ratios calls of wavefunction and qmf) and the grid size N of
-  each oracle._collocate call of run_verification at the WORK
+  each oracle._collocate call (one dense eigvals call each, so the list
+  also counts the dense-solver calls) of run_verification at the WORK
   configurations, on each tree, their ratio base / head, and whether the
   two reports are identical.
 
@@ -58,7 +59,8 @@ LEVELS = (*range(41), 100, 200, 500)
 HIGH = (100, 200, 500)
 ROUNDS = 3
 # (s, n_max, oracle) of each run_verification the work ledger counts
-WORK = ((0.4, 2, "both"), (2.0, 2, "both"), (30.0, 2, "both"), (2.0, 100, "shooting"),
+WORK = ((0.4, 2, "both"), (2.0, 2, "both"), (30.0, 2, "both"), (0.4, 100, "both"),
+        (2.0, 100, "both"), (30.0, 100, "both"), (2.0, 100, "shooting"),
         (1000.0, 2, "shooting"), (2.0, 500, "fd"))
 
 

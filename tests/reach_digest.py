@@ -3,8 +3,10 @@
 Runs the CLI set of cli_digest.py in process under a call-level
 sys.setprofile hook, from before `import scarf`, and prints each `def`
 (methods and nested functions included) whose code object never received
-a call, as "path:line qualified.name".  Exits 1 if it printed any, so a
-function that only the tests call shows up in CI:
+a call, as "path:line qualified.name", and the digest's "traceback:" line
+of each run that raised.  Exits 1 if it printed any, so a function that
+only the tests call, or a CLI run that ends in a traceback, shows up in
+CI:
 
     python tests/reach_digest.py   # silent, exit 0, when every def is reached
 
@@ -57,14 +59,17 @@ def main() -> int:
     try:
         import cli_digest  # this script's directory; it puts src/ on the path
 
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli_digest.main_digest()
+        with contextlib.redirect_stdout(io.StringIO()) as digest:
+            raised = cli_digest.main_digest()
     finally:
         sys.setprofile(None)
+    for line in digest.getvalue().splitlines():
+        if line.startswith("traceback:"):
+            print(line)
     missed = sorted(item for item in defined_functions().items() if item[0] not in entered)
     for (path, line), name in missed:
         print(f"{Path(path).relative_to(ROOT)}:{line} {name}")
-    return 1 if missed else 0
+    return 1 if missed or raised else 0
 
 
 if __name__ == "__main__":

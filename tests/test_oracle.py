@@ -139,7 +139,7 @@ class TestCertify:
             assert res.delta_sensitivity <= 1e-11
 
     @pytest.mark.parametrize("delta", [0.002, 0.005, 0.009])
-    def test_delta_above_default_starts_at_z0(self, bound_params, band_params, delta):
+    def test_wide_cell_starts_at_z0(self, bound_params, band_params, delta):
         # a cell of width a = delta/1e-3 once had the x offset delta, above
         # that of a = 1; no start depends on a, so its shots still start at
         # z0 and its levels in energy units are those of a = 1
@@ -175,7 +175,7 @@ def sweep_scan(params, e_max, lo=0.0):
     return cells
 
 
-class TestScanSpectrum:
+class TestBlindSweep:
     """A blind scan of the level count (sweep_scan) finds exactly the
     closed-form levels that certify proves, each in its own lattice cell
     and with its own index."""

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scarf
 from scarf import NumericError, Regime, SingularityError
-from scarf.potential import is_lattice_point, reduce_to_cell, wall_coefficient
+from scarf.potential import cell_map, reduce_to_cell, wall_coefficient
 
 
 class TestRegime:
@@ -33,8 +33,8 @@ class TestRegime:
     @given(st.floats(allow_nan=True, allow_infinity=True))
     def test_total_function(self, s):
         # every float is either refused or gets exactly one regime; a huge s
-        # is refused because v0 = (1/4 - s^2) pi^2 / 2 leaves the float range
-        if not math.isfinite(s) or s <= 0 or not math.isfinite((0.25 - s * s) * math.pi**2 / 2.0):
+        # is refused because v0 = (1/4 - s^2) (pi^2 / 2) leaves the float range
+        if not math.isfinite(s) or s <= 0 or not math.isfinite((0.25 - s * s) * (math.pi**2 / 2.0)):
             with pytest.raises(ValueError):
                 scarf.PotentialParams(s)
             return
@@ -63,10 +63,11 @@ class TestParams:
         assert math.copysign(1.0, scarf.evaluate_potential(p, 0.3)) == -1.0
 
     def test_stores_only_s_a_m(self):
-        # v0 is derived from the one wall coefficient, not stored
+        # v0 is derived from the one wall coefficient and the one energy unit,
+        # not stored
         assert [f.name for f in fields(scarf.PotentialParams)] == ["s", "a", "m"]
         p = scarf.PotentialParams(s=1.0204, a=1.5, m=2.0)
-        assert p.v0 == -wall_coefficient(1.0204) * math.pi**2 / (2.0 * 2.0 * 1.5**2)
+        assert p.v0 == -wall_coefficient(1.0204) * p.energy_unit
 
     @pytest.mark.parametrize("kwargs", [
         {"s": 0.0}, {"s": -2.0}, {"s": float("nan")},
@@ -168,6 +169,26 @@ class TestEvaluatePotential:
 def test_reduce_and_lattice_helpers():
     assert reduce_to_cell(2.25, 1.0) == 0.25
     assert reduce_to_cell(-0.75, 1.0) == 0.25
-    assert is_lattice_point(3.0, 1.0)
-    assert not is_lattice_point(0.5, 1.0)
-    assert bool(np.all(is_lattice_point(np.array([0.0, 1.0, 2.0]), 1.0)))
+    assert cell_map(3.0, 1.0)[2]
+    assert not cell_map(0.5, 1.0)[2]
+    assert bool(np.all(cell_map(np.array([0.0, 1.0, 2.0]), 1.0)[2]))
+
+
+class TestTwoMaps:
+    """a and m reach the numbers through two maps only: the energy unit
+    pi^2/(2 m a^2) for E, v0 and V, and the cell map for V's z."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.floats(1e-3, 1e3), a=st.floats(1e-3, 1e3), m=st.floats(1e-3, 1e3),
+           n=st.integers(0, 200), upper=st.booleans(), x=st.floats(-1e3, 1e3))
+    def test_every_energy_is_a_multiple_of_the_unit(self, s, a, m, n, upper, x):
+        p = scarf.PotentialParams(s, a, m)
+        edge = (scarf.Edge.NOT_APPLICABLE if p.regime is Regime.BOUND_STATES
+                else scarf.Edge.UPPER if upper else scarf.Edge.LOWER)
+        line = scarf.spectrum_line(p, n, edge)
+        assert line.energy == line.lam**2 * p.energy_unit
+        assert p.v0 == -wall_coefficient(s) * p.energy_unit
+        _, z, lattice = cell_map(x, a)
+        assume(not lattice)
+        sn = np.sin(z)
+        assert scarf.evaluate_potential(p, x) == wall_coefficient(s) * p.energy_unit / (sn * sn)

@@ -9,7 +9,6 @@ from scarf import ChiFunction, ContourError, Edge, NumericError, Parity
 from scarf.qmf import (
     _COUNT_ELLIPSE,
     _FIXED_RADIUS,
-    _NO_NODES,
     _PROBE_LINE,
     _RESIDUE_CIRCLES,
     _ellipse,
@@ -274,9 +273,10 @@ def test_state_set_probes(s, edge):
 def _chi_per_array(chi, ys):
     """chi and chi' on one array, each from its own log_derivative pass."""
     y = np.asarray(ys, dtype=complex)
-    value = 2.0 * chi.line.b1 * y / (y * y + 1.0) + log_derivative(chi.line, y)[0]
+    value = (2.0 * chi.line.b1 * y / (y * y + 1.0)
+             + log_derivative(chi.line, y, slice(0), np.empty(0, dtype=complex))[0])
     slope = (2.0 * chi.line.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2
-             + log_derivative(chi.line, y, slope=slice(None))[1])
+             + log_derivative(chi.line, y, slice(None), np.empty(0, dtype=complex))[1])
     return value, slope
 
 
@@ -294,7 +294,7 @@ def _contours_per_array(chi):
     out = [(_chi_per_array(chi, z)[0], w)
            for z, w in [*_RESIDUE_CIRCLES, *_infinity_circles(chi.line)]]
     t, w = _COUNT_ELLIPSE
-    out.append((log_derivative(chi.line, _NO_NODES, t=t)[2], w))
+    out.append((log_derivative(chi.line, np.empty(0, dtype=complex), slice(0), t)[2], w))
     return [(f, complex((f * w).sum() / w.size)) for f, w in out]
 
 
