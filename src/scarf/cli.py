@@ -6,10 +6,12 @@ go to stderr only, at the level selected by SCARF_LOG={error,info,debug}.
 
 Output is reproducible byte for byte: JSON uses a fixed field order and
 fixed 17-significant-digit floats, CSV uses shortest round-trip floats,
-comma separators, and LF line endings.
+comma separators, and LF line endings.  A report is written while it is
+produced, each record whole and each sequence element by element.
 
 Exit codes: 0 success, 1 verification found failing checks, 2 invalid
-configuration or parameters, 3 I/O failure.
+configuration or parameters, or a size that memory cannot hold, 3 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -96,19 +98,52 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def csv_lines(fieldnames: list[str], rows: list[dict]) -> str:
-    lines = [",".join(fieldnames)]
+def json_pieces(obj, indent: int = 0):
+    """Yields json_dumps(obj, indent) in pieces: a dict field by field, and a
+    list, a tuple or a numpy column element by element, each element (a
+    level, a check entry, one sample) rendered whole by json_dumps.  A
+    column becomes Python floats by its tolist(), one column at a time."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if getattr(obj, "ndim", 0) == 1:
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        sep = "{\n"
+        for key, value in obj.items():
+            yield f"{sep}{inner}{json.dumps(str(key))}: "
+            yield from json_pieces(value, indent + 1)
+            sep = ",\n"
+        yield f"\n{pad}}}" if obj else "{}"
+    elif isinstance(obj, (list, tuple)):
+        sep = "[\n"
+        for item in obj:
+            yield f"{sep}{inner}{json_dumps(item, indent + 1)}"
+            sep = ",\n"
+        yield f"\n{pad}]" if obj else "[]"
+    else:
+        yield json_dumps(obj, indent)
+
+
+def csv_lines(fieldnames: list[str], rows):
+    """Yields the CSV report line by line: the header, then one line per row."""
+    yield ",".join(fieldnames) + "\n"
     for row in rows:
-        lines.append(",".join(_csv_cell(row.get(name)) for name in fieldnames))
-    return "\n".join(lines) + "\n"
+        yield ",".join(_csv_cell(row.get(name)) for name in fieldnames) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    with open(out_path, "w", newline="") as fh:
-        fh.write(text)
+def _emit(pieces, out_path: str | None, end: str = "") -> None:
+    """Writes the pieces, then end, to out_path or stdout, 1,024 at a time."""
+    fh = sys.stdout if out_path is None else open(out_path, "w", newline="")
+    try:
+        batch = []
+        for piece in pieces:
+            batch.append(piece)
+            if len(batch) == 1024:
+                fh.write("".join(batch))
+                batch.clear()
+        fh.write("".join(batch) + end)
+    finally:
+        if out_path is not None:
+            fh.close()
 
 
 # --------------------------------------------------------------------------
@@ -145,13 +180,14 @@ def _line(params: PotentialParams, n: int, edge: str | None):
 class _Group(click.Group):
     """Maps outcomes to exit codes, once for every subcommand: a written
     verify report with failing checks exits 1; I/O failures exit 3;
-    invalid parameters, configurations and levels exit 2, and so does
-    arithmetic that leaves the float range for the given parameters."""
+    invalid parameters, configurations and levels exit 2, and so do
+    arithmetic that leaves the float range for the given parameters and
+    an array that cannot be allocated."""
 
     def invoke(self, ctx):
         try:
             payload = super().invoke(ctx)
-        except (OSError, ScarfError, ValueError, ArithmeticError) as exc:
+        except (OSError, ScarfError, ValueError, ArithmeticError, MemoryError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_IO if isinstance(exc, OSError) else EXIT_BAD_CONFIG)
         summary = payload.get("summary")
@@ -205,15 +241,18 @@ def subcommand(*options):
     parsed as it parses flags.  The body returns (payload,
     csv_header, csv_rows); the command writes the JSON payload or the CSV
     rows, whichever --format names, to --out or stdout and returns the
-    payload.  csv_rows may be lazy: only the CSV format reads it.  body
-    itself is returned unchanged, so one body can call another.
+    payload.  csv_rows may be lazy: only the CSV format reads it, and the
+    payload may hold numpy columns.  body itself is returned unchanged, so
+    one body can call another.
     """
     def register(body):
         def command(**cfg):
             params = PotentialParams(s=cfg["s"], a=cfg["a"], m=cfg["m"])
             payload, header, rows = body(params, cfg)
-            _emit(json_dumps(payload) + "\n" if cfg["format"] == "json"
-                  else csv_lines(header, rows), cfg["out"])
+            if cfg["format"] == "json":
+                _emit(json_pieces(payload), cfg["out"], "\n")
+            else:
+                _emit(csv_lines(header, rows), cfg["out"])
             return payload
 
         for option in reversed(_SHARED_OPTIONS + options):
@@ -268,8 +307,8 @@ def wavefunction(params, cfg):
     line = _line(params, cfg["n"], cfg["edge"])
     cols = sample_wavefunction(build_wavefunction(params, line), cfg["samples"])
     payload = level_report(params, [line], [])
-    samples = payload["samples"] = {name: list(map(float, arr)) for name, arr in cols.items()}
-    return payload, list(samples), (dict(zip(samples, row)) for row in zip(*samples.values()))
+    payload["samples"] = cols
+    return payload, list(cols), (dict(zip(cols, row)) for row in zip(*cols.values()))
 
 
 @subcommand(

@@ -282,11 +282,16 @@ def schrodinger_residual(spec: WavefunctionSpec) -> tuple[float, float]:
 
 def sample_wavefunction(spec: WavefunctionSpec, samples: int) -> dict[str, np.ndarray]:
     """Plot-ready columns (x, V, psi, psi_squared) on a uniform grid offset
-    from the lattice endpoints by a/(10*samples)."""
+    from the lattice endpoints by a/(10*samples).  Raises NumericError if a
+    column holds a non-finite value, so no report of them starts."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     p = spec.params
     offset = p.a / (10.0 * samples)
     xs = np.linspace(offset, p.a - offset, samples)
     psi = eval_psi(spec, xs)
-    return {"x": xs, "V": evaluate_potential(p, xs), "psi": psi, "psi_squared": psi**2}
+    cols = {"x": xs, "V": evaluate_potential(p, xs), "psi": psi, "psi_squared": psi**2}
+    for name, col in cols.items():
+        if not np.all(np.isfinite(col)):
+            raise NumericError(f"{name} is not finite for a = {p.a!r}, m = {p.m!r}")
+    return cols

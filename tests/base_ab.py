@@ -4,9 +4,13 @@
 
 BASE is a directory that holds the base tree, or a git revision of this
 repository, which is extracted whole with git archive into a temporary
-directory.  The script compares that tree with this one in five parts
+directory.  The script compares that tree with this one in six parts
 and prints what moved in each:
 
+- Memory: the peak RSS (ru_maxrss from os.wait4) of a fresh
+  `python -m scarf.cli` process of each tree at each MEMORY run, its
+  stdout discarded.  It runs first, while this process is small: a
+  forked child's ru_maxrss starts at its parent's RSS.
 - CLI: each tree's own tests/cli_digest.py runs in a subprocess, whatever
   its exit code.  Prints the runs whose line moved.  Fails when the exit
   code of a run that both trees make moved: a report may change, a verdict
@@ -32,9 +36,9 @@ and prints what moved in each:
   configurations, on each tree, their ratio base / head, and whether the
   two reports are identical.
 
-Exits 1 when the CLI, probe or test-ID rule fails, else 0.  Timings, size
-and work counts inform; they never fail the run.  pytest does not collect
-this file (its name has no test_ prefix).
+Exits 1 when the CLI, probe or test-ID rule fails, else 0.  Memory,
+timings, size and work counts inform; they never fail the run.  pytest
+does not collect this file (its name has no test_ prefix).
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ ROUNDS = 3
 WORK = ((0.4, 2, "both"), (2.0, 2, "both"), (30.0, 2, "both"), (0.4, 100, "both"),
         (2.0, 100, "both"), (30.0, 100, "both"), (2.0, 100, "shooting"),
         (1000.0, 2, "shooting"), (2.0, 500, "fd"))
+# the CLI runs whose peak RSS the memory ledger prints
+MEMORY = ("wavefunction --s 2 --samples 100000", "wavefunction --s 2 --samples 100000 --format csv",
+          "spectrum --s 2 --n-max 20000", "verify --s 2 --n-max 2")
 
 
 def base_tree(base: str, scratch: str) -> Path:
@@ -81,6 +88,17 @@ def python(tree: Path, *args: str, check: bool = True) -> list[str]:
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True,
                           text=True, check=check).stdout.splitlines()
+
+
+def peak_rss_mb(tree: Path, args: str) -> float:
+    """Peak RSS in MB of a fresh `python -m scarf.cli args` in tree, with
+    PYTHONPATH=src and its output discarded."""
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.Popen([sys.executable, "-m", "scarf.cli", *args.split()], cwd=tree,
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return usage.ru_maxrss / 1024
 
 
 def load(name: str, src: Path):
@@ -231,6 +249,11 @@ def main(base: str) -> int:
     failed = []
     with tempfile.TemporaryDirectory() as scratch:
         roots = {"base": base_tree(base, scratch), "head": HEAD}
+
+        print("== memory")
+        for args in MEMORY:
+            base_mb, head_mb = (peak_rss_mb(root, args) for root in roots.values())
+            print(f"{args}: peak RSS {base_mb:.1f} MB base, {head_mb:.1f} MB head")
 
         print("== CLI digest")
         if cli_rule(*(python(root, "tests/cli_digest.py", check=False)

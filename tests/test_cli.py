@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import scarf.oracle
+import scarf.wavefunction
 from scarf import NumericError, PotentialParams, run_verification
-from scarf.cli import format_float, json_dumps, main
+from scarf.cli import format_float, json_dumps, json_pieces, main
 
 
 # Runs the CLI with scarf.verify's node-count probe replaced by one that
@@ -68,6 +70,24 @@ class TestSerialization:
         for obj in (object(), np.int64(1)):
             with pytest.raises(TypeError, match="cannot serialize"):
                 json_dumps(obj)
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), {"a": {}, "b": [], "c": ()},
+        {"params": {"s": 2.0, "a": 1.0}, "levels": [{"n": 0, "edge": None, "energy": 0.1},
+                                                    {"n": 1, "edge": "upper", "energy": 2.5}]},
+        {"t": (1, (2.0, [None, True]), {"x": [False]})}, [[], {}, [[0.1]]], "x", 3, None,
+    ])
+    def test_pieces_join_to_json_dumps(self, payload):
+        assert "".join(json_pieces(payload)) == json_dumps(payload)
+
+    def test_numpy_columns_stream_as_their_lists(self):
+        cols = {"x": np.linspace(0.1, 0.9, 7), "psi": np.sin(np.arange(5.0)),
+                "empty": np.empty(0)}
+        text = "".join(json_pieces({"levels": [{"n": 0}], "samples": cols}))
+        listed = {"levels": [{"n": 0}], "samples": {k: v.tolist() for k, v in cols.items()}}
+        assert text == json_dumps(listed)
+        for col in cols.values():
+            assert "".join(json_pieces(col, 2)) == json_dumps(col.tolist(), 2)
 
 
 class TestSpectrumCommand:
@@ -265,6 +285,51 @@ class TestWavefunctionCommand:
         lines = run.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
         assert "not finite" in lines[0]
+
+    def test_unallocatable_samples_exit_2(self, runner):
+        # 10**17 float64 samples exceed any 64-bit address space, so the grid
+        # fails to allocate whatever the host's overcommit policy
+        result = runner.invoke(main, ["wavefunction", "--s", "2", "--samples", str(10**17)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: Unable to allocate")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_psi_exits_2_before_writing(self, runner, monkeypatch, tmp_path, fmt):
+        def nan_psi(spec, x):
+            psi = np.ones_like(x)
+            psi[len(psi) // 2] = np.nan
+            return psi
+
+        monkeypatch.setattr(scarf.wavefunction, "eval_psi", nan_psi)
+        args = ["wavefunction", "--s", "2", "--samples", "64", "--format", fmt]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr == "error: psi is not finite for a = 1.0, m = 1.0\n"
+        out = tmp_path / "psi.out"
+        assert runner.invoke(main, [*args, "--out", str(out)]).exit_code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_large_report_streams(self, runner, tmp_path, fmt):
+        # 200,000 samples: built whole as one string, the report's traced
+        # peak is about 90 MB (JSON) and 83 MB (CSV); streamed, about 13 MB
+        out = tmp_path / "psi.out"
+        args = ["wavefunction", "--s", "2", "--n", "3", "--samples", "200000",
+                "--format", fmt, "--out", str(out)]
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert peak < 30e6, peak
+        text = out.read_text()
+        if fmt == "csv":
+            assert text.count("\n") == 200001
+        else:
+            assert len(json.loads(text)["samples"]["psi"]) == 200000
 
     def test_json_samples(self, runner):
         result = invoke(runner, ["wavefunction", "--s", "0.4", "--n", "0",
