@@ -7,7 +7,7 @@ go to stderr only, at the level selected by SCARF_LOG={error,info,debug}.
 Output is reproducible byte for byte: JSON uses a fixed field order and
 fixed 17-significant-digit floats, CSV uses shortest round-trip floats,
 comma separators, and LF line endings.  A report is written while it is
-produced, each record whole and each sequence element by element.
+produced, each record field by field and each sequence element by element.
 
 Exit codes: 0 success, 1 verification found failing checks, 2 invalid
 configuration or parameters, or a size that memory cannot hold, 3 I/O
@@ -16,11 +16,13 @@ failure.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
 import os
 import sys
+from itertools import chain, islice, repeat
 
 import click
 
@@ -50,14 +52,9 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def json_dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-order fields, fixed float format.
-
-    The stdlib encoder formats floats via repr (shortest round trip); this
-    hand emitter pins the 17-digit convention instead.
-    """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _json_leaf(obj) -> str:
+    """One JSON scalar: null, true, false, an int, a float in the fixed
+    17-digit form or a string."""
     if obj is None:
         return "null"
     if obj is True:
@@ -70,17 +67,6 @@ def json_dumps(obj, indent: int = 0) -> str:
         return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {json_dumps(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{json_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -99,28 +85,32 @@ def _csv_cell(value) -> str:
 
 
 def json_pieces(obj, indent: int = 0):
-    """Yields json_dumps(obj, indent) in pieces: a dict field by field, and a
-    list, a tuple or a numpy column element by element, each element (a
-    level, a check entry, one sample) rendered whole by json_dumps.  A
-    column becomes Python floats by its tolist(), one column at a time."""
-    pad, inner = "  " * indent, "  " * (indent + 1)
+    """Deterministic JSON, yielded in pieces: insertion-order fields, fixed
+    float format, two-space indent.  A dict comes field by field and a
+    list, a tuple or a 1-D numpy column element by element, a column as
+    Python floats by its tolist(), one column at a time.
+
+    The stdlib encoder formats floats via repr (shortest round trip); this
+    hand emitter pins the 17-digit convention instead.
+    """
     if getattr(obj, "ndim", 0) == 1:
         obj = obj.tolist()
     if isinstance(obj, dict):
-        sep = "{\n"
-        for key, value in obj.items():
-            yield f"{sep}{inner}{json.dumps(str(key))}: "
-            yield from json_pieces(value, indent + 1)
-            sep = ",\n"
-        yield f"\n{pad}}}" if obj else "{}"
+        brackets, keys, values = "{}", [f"{json.dumps(str(k))}: " for k in obj], obj.values()
     elif isinstance(obj, (list, tuple)):
-        sep = "[\n"
-        for item in obj:
-            yield f"{sep}{inner}{json_dumps(item, indent + 1)}"
-            sep = ",\n"
-        yield f"\n{pad}]" if obj else "[]"
+        brackets, keys, values = "[]", repeat(""), obj
     else:
-        yield json_dumps(obj, indent)
+        yield _json_leaf(obj)
+        return
+    sep, inner = f"{brackets[0]}\n", "  " * (indent + 1)
+    for key, value in zip(keys, values):
+        if value is None or isinstance(value, (str, int, float)):
+            yield f"{sep}{inner}{key}{_json_leaf(value)}"
+        else:
+            yield f"{sep}{inner}{key}"
+            yield from json_pieces(value, indent + 1)
+        sep = ",\n"
+    yield f"\n{'  ' * indent}{brackets[1]}" if obj else brackets
 
 
 def csv_lines(fieldnames: list[str], rows):
@@ -130,20 +120,13 @@ def csv_lines(fieldnames: list[str], rows):
         yield ",".join(_csv_cell(row.get(name)) for name in fieldnames) + "\n"
 
 
-def _emit(pieces, out_path: str | None, end: str = "") -> None:
-    """Writes the pieces, then end, to out_path or stdout, 1,024 at a time."""
-    fh = sys.stdout if out_path is None else open(out_path, "w", newline="")
-    try:
-        batch = []
-        for piece in pieces:
-            batch.append(piece)
-            if len(batch) == 1024:
-                fh.write("".join(batch))
-                batch.clear()
-        fh.write("".join(batch) + end)
-    finally:
-        if out_path is not None:
-            fh.close()
+def _emit(pieces, out_path: str | None) -> None:
+    """Writes the pieces, none of them empty, to out_path or stdout, 1,024
+    at a time."""
+    with (contextlib.nullcontext(sys.stdout) if out_path is None
+          else open(out_path, "w", newline="")) as fh:
+        while batch := "".join(islice(pieces, 1024)):
+            fh.write(batch)
 
 
 # --------------------------------------------------------------------------
@@ -239,10 +222,10 @@ def subcommand(*options):
 
     cfg holds every parameter but --config, whose file values click has
     parsed as it parses flags.  The body returns (payload,
-    csv_header, csv_rows); the command writes the JSON payload or the CSV
-    rows, whichever --format names, to --out or stdout and returns the
-    payload.  csv_rows may be lazy: only the CSV format reads it, and the
-    payload may hold numpy columns.  body itself is returned unchanged, so
+    csv_header, csv_rows); the command writes the JSON payload field by
+    field or the CSV rows line by line, whichever --format names, to --out
+    or stdout and returns the payload.  csv_rows may be lazy: only the CSV
+    format reads it, and the payload may hold numpy columns.  body itself is returned unchanged, so
     one body can call another.
     """
     def register(body):
@@ -250,7 +233,7 @@ def subcommand(*options):
             params = PotentialParams(s=cfg["s"], a=cfg["a"], m=cfg["m"])
             payload, header, rows = body(params, cfg)
             if cfg["format"] == "json":
-                _emit(json_pieces(payload), cfg["out"], "\n")
+                _emit(chain(json_pieces(payload), ["\n"]), cfg["out"])
             else:
                 _emit(csv_lines(header, rows), cfg["out"])
             return payload

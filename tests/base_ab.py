@@ -9,8 +9,12 @@ and prints what moved in each:
 
 - Memory: the peak RSS (ru_maxrss from os.wait4) of a fresh
   `python -m scarf.cli` process of each tree at each MEMORY run, its
-  stdout discarded.  It runs first, while this process is small: a
-  forked child's ru_maxrss starts at its parent's RSS.
+  stdout discarded, RSS_ROUNDS times a side, the trees alternating;
+  prints the median and range.  Peak RSS moves with the length of the
+  directory a process runs from, so each tree's src/ is copied first to
+  rss/base and rss/head in the temporary directory, two paths of equal
+  length.  It runs first, while this process is small: a forked child's
+  ru_maxrss starts at its parent's RSS.
 - CLI: each tree's own tests/cli_digest.py runs in a subprocess, whatever
   its exit code.  Prints the runs whose line moved.  Fails when the exit
   code of a run that both trees make moved: a report may change, a verdict
@@ -46,6 +50,7 @@ from __future__ import annotations
 import importlib.util
 import io
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,6 +67,7 @@ FAMILIES = ([(s, "lower") for s in (0.05, 0.2, 0.4, 0.45, 0.5)]
 LEVELS = (*range(41), 100, 200, 500)
 HIGH = (100, 200, 500)
 ROUNDS = 3
+RSS_ROUNDS = 3
 # (s, n_max, oracle) of each run_verification the work ledger counts
 WORK = ((0.4, 2, "both"), (2.0, 2, "both"), (30.0, 2, "both"), (0.4, 100, "both"),
         (2.0, 100, "both"), (30.0, 100, "both"), (2.0, 100, "shooting"),
@@ -99,6 +105,30 @@ def peak_rss_mb(tree: Path, args: str) -> float:
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return usage.ru_maxrss / 1024
+
+
+def ledger_roots(roots: dict, scratch: Path) -> dict:
+    """name -> scratch/rss/name, a copy of that tree's src/: the memory
+    ledger's roots, whose paths have equal length for names of equal
+    length."""
+    ledger = {name: scratch / "rss" / name for name in roots}
+    for name, root in roots.items():
+        shutil.copytree(root / "src", ledger[name] / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return ledger
+
+
+def memory_ledger(roots: dict) -> None:
+    """Print the median and range of each tree's peak RSS at each MEMORY
+    run, the tree that goes first alternating."""
+    for args in MEMORY:
+        peaks = {name: [] for name in roots}
+        for r in range(RSS_ROUNDS):
+            for name in sorted(roots, reverse=r % 2 == 1):
+                peaks[name].append(peak_rss_mb(roots[name], args))
+        print(f"{args}: peak RSS " + ", ".join(
+            f"{statistics.median(mb):.1f} MB {name} [{min(mb):.1f}-{max(mb):.1f}]"
+            for name, mb in peaks.items()))
 
 
 def load(name: str, src: Path):
@@ -248,12 +278,10 @@ def ratio(base: float, head: float) -> str:
 def main(base: str) -> int:
     failed = []
     with tempfile.TemporaryDirectory() as scratch:
-        roots = {"base": base_tree(base, scratch), "head": HEAD}
+        roots = {"base": base_tree(base, str(Path(scratch) / "tree")), "head": HEAD}
 
         print("== memory")
-        for args in MEMORY:
-            base_mb, head_mb = (peak_rss_mb(root, args) for root in roots.values())
-            print(f"{args}: peak RSS {base_mb:.1f} MB base, {head_mb:.1f} MB head")
+        memory_ledger(ledger_roots(roots, Path(scratch)))
 
         print("== CLI digest")
         if cli_rule(*(python(root, "tests/cli_digest.py", check=False)

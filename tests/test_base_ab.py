@@ -1,6 +1,6 @@
 """The three failing rules of tests/base_ab.py, on synthetic inputs: a CLI
 exit code that moved, a probe state whose raising flipped, and a test ID
-that vanished unnamed in CHANGES.md."""
+that vanished unnamed in CHANGES.md; and the memory ledger's roots."""
 
 import base_ab
 
@@ -78,3 +78,15 @@ class TestIdRule:
     def test_fewer_tests_fail_even_when_named(self):
         after = self.IDS - {"tests/test_a.py::test_y"}
         assert base_ab.id_rule(self.IDS, after, "deleted tests/test_a.py::test_y")
+
+
+class TestLedgerRoots:
+    def test_equal_length_copies_of_each_src(self, tmp_path):
+        roots = {"base": tmp_path / "b", "head": tmp_path / "a-much-longer-checkout"}
+        for name, root in roots.items():
+            (root / "src" / "scarf").mkdir(parents=True)
+            (root / "src" / "scarf" / "__init__.py").write_text(f"TREE = {name!r}\n")
+        ledger = base_ab.ledger_roots(roots, tmp_path / "scratch")
+        assert len(str(ledger["base"])) == len(str(ledger["head"]))
+        for name, root in ledger.items():
+            assert (root / "src" / "scarf" / "__init__.py").read_text() == f"TREE = {name!r}\n"

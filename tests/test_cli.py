@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 import scarf.oracle
 import scarf.wavefunction
 from scarf import NumericError, PotentialParams, run_verification
-from scarf.cli import format_float, json_dumps, json_pieces, main
+from scarf.cli import format_float, json_pieces, main
+
+from json_reference import json_dumps
 
 
 # Runs the CLI with scarf.verify's node-count probe replaced by one that
@@ -60,16 +62,16 @@ class TestSerialization:
 
     def test_json_round_trips(self):
         payload = {"a": 1, "b": [0.1, True, None], "c": {"d": "x"}, "e": [], "f": {}}
-        text = json_dumps(payload)
+        text = "".join(json_pieces(payload))
         assert json.loads(text) == {"a": 1, "b": [0.1, True, None],
                                     "c": {"d": "x"}, "e": [], "f": {}}
 
     def test_only_python_scalars_serialize(self):
         # np.float64 is a float; other numpy scalars are not Python scalars
-        assert json_dumps(np.float64(0.1)) == "0.10000000000000001"
-        for obj in (object(), np.int64(1)):
+        assert "".join(json_pieces(np.float64(0.1))) == "0.10000000000000001"
+        for obj in (object(), np.int64(1), [np.int64(1)], {"a": object()}):
             with pytest.raises(TypeError, match="cannot serialize"):
-                json_dumps(obj)
+                "".join(json_pieces(obj))
 
     @pytest.mark.parametrize("payload", [
         {}, [], (), {"a": {}, "b": [], "c": ()},
@@ -374,6 +376,28 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", *args, "--n-max", "0"])
         assert result.exit_code == 2 and result.stdout == ""
         assert "level (n=0, lower)" in result.stderr
+
+    @pytest.mark.parametrize("out", [None, "report.json"], ids=["stdout", "out"])
+    def test_report_failing_part_way_exits_2(self, runner, monkeypatch, tmp_path, out):
+        # 1,200 check entries, the last with a NaN observed value: the report
+        # raises only after more than one batch of pieces has been written
+        report = run_verification(PotentialParams(s=2.0), 0, "fd")
+        report["checks"] = [dict(report["checks"][0]) for _ in range(1200)]
+        report["checks"][-1]["observed"] = float("nan")
+        monkeypatch.setattr("scarf.cli.run_verification", lambda *args: report)
+        args = ["verify", "--s", "2", "--n-max", "0"]
+        if out is not None:
+            args += ["--out", str(tmp_path / out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: non-finite value nan cannot be serialized\n"
+        if out is not None:
+            assert result.stdout == ""
+        written = result.stdout if out is None else (tmp_path / out).read_text()
+        report["checks"][-1]["observed"] = 0.0
+        complete = json_dumps(report) + "\n"
+        assert written and complete.startswith(written) and len(written) < len(complete)
 
     def test_unknown_oracle_is_a_value_error(self):
         with pytest.raises(ValueError, match="unknown oracle kind 'x'"):
