@@ -42,7 +42,6 @@ from .wavefunction import (
 )
 from .oracle import (
     Exponent,
-    OracleResult,
     ShootingConfig,
     certify,
     collocation_spectrum,
@@ -65,7 +64,7 @@ __all__ = [
     "WavefunctionSpec", "Parity", "build_wavefunction", "eval_psi",
     "count_nodes", "boundary_exponent", "parity", "schrodinger_residual",
     "sample_wavefunction",
-    "ShootingConfig", "OracleResult", "Exponent", "shoot", "certify",
+    "ShootingConfig", "Exponent", "shoot", "certify",
     "collocation_spectrum", "predicted_family",
     "ChiFunction", "ResidueReport", "verify_riccati", "residue_report",
     "run_verification",

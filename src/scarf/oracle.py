@@ -108,21 +108,6 @@ class ShootingConfig:
     half_start: bool = False
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """certify's measurement of the level it was asked for: the root of
-    theta(E) = (n + 1) pi/2 in the family's window.  The level's n and
-    exponent stay with the caller, who passed them.
-
-    delta_sensitivity is the move of the energy when every shot starts at
-    half its offset, relative to its energy scale
-    (PotentialParams.energy_scale).
-    """
-
-    energy: float
-    delta_sensitivity: float
-
-
 def frobenius_series(s: float, lam2: float, mu: float) -> list[float]:
     """The coefficients c_0 = 1, c_2, ..., c_16 of the series solution
     u = z^mu sum(c_k z^k) of u_zz = (C/sin^2 z - lam2) u.
@@ -191,7 +176,7 @@ def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
 
 
 def certify(params: PotentialParams, energy: float, n: int,
-            exponent: Exponent) -> OracleResult:
+            exponent: Exponent) -> tuple[float, float]:
     """Prove that level n of the exponent's family, and no other level,
     lies within _ETA energy scales of E, and measure it.
 
@@ -201,8 +186,10 @@ def certify(params: PotentialParams, energy: float, n: int,
     start's level counts read n at the lower end and n + 1 at the upper
     one.  Those integer counts prove that level n is the one level of the
     family in the window, and that the family has n + 1 levels at or
-    below its upper end.  The secant through the z0 phases gives the
-    energy, and the one through the z0/2 phases its delta_sensitivity.
+    below its upper end.  Returns (energy, delta_sensitivity): the root
+    of theta(E) = (n + 1) pi/2 on the secant through the z0 phases, and
+    the move of that root when every shot starts at z0/2 (the secant
+    through the z0/2 phases), relative to PotentialParams.energy_scale.
     """
     ref = PotentialParams(params.s, a=math.pi, m=0.5)   # x is z and E is lambda^2
     lam2 = energy / params.energy_unit
@@ -215,10 +202,8 @@ def certify(params: PotentialParams, energy: float, n: int,
             raise BracketError(f"level {n} of the {exponent.value} family is not "
                                f"alone in [{lam2 - eta!r}, {lam2 + eta!r}] lambda^2")
         roots.append(lam2 + eta * (lo + hi) / (lo - hi))
-    return OracleResult(
-        energy=float(roots[0] * params.energy_unit),
-        delta_sensitivity=float(abs(roots[0] - roots[1]) / ref.energy_scale(roots[0])),
-    )
+    return (float(roots[0] * params.energy_unit),
+            float(abs(roots[0] - roots[1]) / ref.energy_scale(roots[0])))
 
 
 def _exponents(regime: Regime) -> list[Exponent]:

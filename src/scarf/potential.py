@@ -60,20 +60,17 @@ class PotentialParams:
     m: float = 1.0
 
     def __post_init__(self):
-        for name in ("s", "a", "m"):
+        for what, name in (("coupling", "s"), ("period", "a"), ("mass", "m")):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             try:
-                object.__setattr__(self, name, float(value))
+                value = float(value)
             except OverflowError:  # an int or Fraction past the float range
                 raise ValueError(f"{name} leaves the float range") from None
-        if not (math.isfinite(self.s) and self.s > 0.0):
-            raise ValueError(f"coupling s must be a positive finite real, got {self.s}")
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"period a must be a positive finite real, got {self.a}")
-        if not (math.isfinite(self.m) and self.m > 0.0):
-            raise ValueError(f"mass m must be a positive finite real, got {self.m}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{what} {name} must be a positive finite real, got {value}")
+            object.__setattr__(self, name, value)
         try:
             unit, v0 = self.energy_unit, self.v0
         except ArithmeticError:  # a**2 overflows, or 2 m a^2 underflows to 0
@@ -105,20 +102,15 @@ class PotentialParams:
         return max(abs(energy), LAMBDA2_FLOOR * self.energy_unit)
 
 
-def reduce_to_cell(x, a: float):
-    """Map x to the fundamental cell [0, a) so trig evaluation is periodic
-    bit-for-bit regardless of which cell x lies in."""
-    return x - a * np.floor(x / a)
-
-
 def cell_map(x, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x as a float array, z = pi r / a with r = x reduced to [0, a) once,
     the mask min(r, a - r) <= LATTICE_TOL * a of the lattice points): the one
-    map from x to the cell, for V and psi.  ValueError unless x is finite."""
+    map from x to the cell, for V and psi, so their trig is periodic
+    bit-for-bit whichever cell x lies in.  ValueError unless x is finite."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    r = reduce_to_cell(x, a)
+    r = x - a * np.floor(x / a)
     return x, np.pi * r / a, np.minimum(r, a - r) <= LATTICE_TOL * a
 
 

@@ -151,13 +151,13 @@ def _shooting_checks(params, ln, exponent, size: int, top: bool, n_max, tol) -> 
     upper count, n + 1, is the number of the family's levels at or below
     it: the count of the family's completeness entry."""
     try:
-        res = certify(params, ln.energy, ln.n, exponent)
+        energy, sensitivity = certify(params, ln.energy, ln.n, exponent)
     except (BracketError, NumericError) as exc:
         logger.warning("level (n=%d, %s) not certified: %s", ln.n, ln.edge.value, exc)
         return [_check(ln, "oracle_shooting_match_count", 1.0, 0.0, observed=0.0)]
-    rel = abs(res.energy - ln.energy) / params.energy_scale(ln.energy)
-    out = [_check(ln, "oracle_shooting_rel_err", rel, tol, observed=res.energy),
-           _check(ln, "oracle_delta_sensitivity", res.delta_sensitivity, 1e-11)]
+    rel = abs(energy - ln.energy) / params.energy_scale(ln.energy)
+    out = [_check(ln, "oracle_shooting_rel_err", rel, tol, observed=energy),
+           _check(ln, "oracle_delta_sensitivity", sensitivity, 1e-11)]
     if top:
         out.append(_completeness(ln, "oracle_shooting_completeness", ln.n + 1, size, n_max))
     return out

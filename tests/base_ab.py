@@ -10,11 +10,12 @@ and prints what moved in each:
 - Memory: the peak RSS (ru_maxrss from os.wait4) of a fresh
   `python -m scarf.cli` process of each tree at each MEMORY run, its
   stdout discarded, RSS_ROUNDS times a side, the trees alternating;
-  prints the median and range.  Peak RSS moves with the length of the
+  prints the median and range.  Peak RSS moves with the name of the
   directory a process runs from, so each tree's src/ is copied first to
-  rss/base and rss/head in the temporary directory, two paths of equal
-  length.  It runs first, while this process is small: a forked child's
-  ru_maxrss starts at its parent's RSS.
+  rss/base and rss/head in the temporary directory, and each run renames
+  its tree's copy to rss/run and back: every run uses one path.  It runs
+  first, while this process is small: a forked child's ru_maxrss starts
+  at its parent's RSS.
 - CLI: each tree's own tests/cli_digest.py runs in a subprocess, whatever
   its exit code.  Prints the runs whose line moved.  Fails when the exit
   code of a run that both trees make moved: a report may change, a verdict
@@ -110,7 +111,7 @@ def peak_rss_mb(tree: Path, args: str) -> float:
 def ledger_roots(roots: dict, scratch: Path) -> dict:
     """name -> scratch/rss/name, a copy of that tree's src/: the memory
     ledger's roots, whose paths have equal length for names of equal
-    length."""
+    length, and which memory_ledger renames to scratch/rss/run in turn."""
     ledger = {name: scratch / "rss" / name for name in roots}
     for name, root in roots.items():
         shutil.copytree(root / "src", ledger[name] / "src",
@@ -120,12 +121,17 @@ def ledger_roots(roots: dict, scratch: Path) -> dict:
 
 def memory_ledger(roots: dict) -> None:
     """Print the median and range of each tree's peak RSS at each MEMORY
-    run, the tree that goes first alternating."""
+    run, the tree that goes first alternating.  roots are ledger_roots'
+    copies: each run renames its tree's copy to run, next to it, and back."""
     for args in MEMORY:
         peaks = {name: [] for name in roots}
         for r in range(RSS_ROUNDS):
             for name in sorted(roots, reverse=r % 2 == 1):
-                peaks[name].append(peak_rss_mb(roots[name], args))
+                run = roots[name].rename(roots[name].with_name("run"))
+                try:
+                    peaks[name].append(peak_rss_mb(run, args))
+                finally:
+                    run.rename(roots[name])
         print(f"{args}: peak RSS " + ", ".join(
             f"{statistics.median(mb):.1f} MB {name} [{min(mb):.1f}-{max(mb):.1f}]"
             for name, mb in peaks.items()))

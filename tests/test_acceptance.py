@@ -28,7 +28,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def certify_lines(params, n_max):
-    """{(n, edge): certify result} of every closed-form level to n_max, and
+    """{(n, edge): certify's (energy, delta_sensitivity)} of every closed-form level to n_max, and
     the number of each family's levels at or below its top window."""
     lines = scarf.spectrum_lines(params, n_max)
     shots = {(ln.n, ln.edge): scarf.certify(params, ln.energy, ln.n, predicted_family(ln))
@@ -78,8 +78,8 @@ def test_criterion_1_bound_spectrum_vs_oracles(bound_params, bound_oracles):
     worst_colloc = 0.0
     for n in range(4):
         exact = HALF_PI_SQ * (n + 2.5) ** 2
-        res = shots[n, Edge.NOT_APPLICABLE]
-        worst_shoot = max(worst_shoot, abs(res.energy - exact) / exact)
+        energy, _ = shots[n, Edge.NOT_APPLICABLE]
+        worst_shoot = max(worst_shoot, abs(energy - exact) / exact)
         worst_colloc = max(worst_colloc, abs(collocated[n] - exact) / exact)
     ok = worst_shoot <= 1e-8 and worst_colloc <= 1e-10
     report("1 (bound spectrum, s=2)", ok,
@@ -97,8 +97,8 @@ def test_criterion_2_band_edges_vs_scan(band_params, band_oracles):
     for n in range(3):
         for edge in (Edge.LOWER, Edge.UPPER):
             line = scarf.spectrum_line(band_params, n, edge)
-            res = shots[n, edge]
-            worst = max(worst, abs(res.energy - line.energy) / line.energy)
+            energy, _ = shots[n, edge]
+            worst = max(worst, abs(energy - line.energy) / line.energy)
             level = collocated[predicted_family(line)][n]
             worst_colloc = max(worst_colloc, abs(level - line.energy) / line.energy)
     report("2 (band edges, s=0.4)", worst <= 1e-8 and worst_colloc <= 1e-10,
@@ -185,8 +185,8 @@ def test_criterion_6_gap_closure():
     for n in (0, 1):
         upper = scarf.spectrum_line(params, n, Edge.UPPER)
         lower_next = scarf.spectrum_line(params, n + 1, Edge.LOWER)
-        e_up = scarf.certify(params, upper.energy, n, Exponent.PLUS).energy
-        e_lo = scarf.certify(params, lower_next.energy, n + 1, Exponent.MINUS).energy
+        e_up, _ = scarf.certify(params, upper.energy, n, Exponent.PLUS)
+        e_lo, _ = scarf.certify(params, lower_next.energy, n + 1, Exponent.MINUS)
         measured_gap = e_lo - e_up
         exact_gap = lower_next.energy - upper.energy
         if abs(measured_gap - exact_gap) > 1e-6:

@@ -1,6 +1,7 @@
 """The three failing rules of tests/base_ab.py, on synthetic inputs: a CLI
 exit code that moved, a probe state whose raising flipped, and a test ID
-that vanished unnamed in CHANGES.md; and the memory ledger's roots."""
+that vanished unnamed in CHANGES.md; and the memory ledger's roots and
+the one path it runs each tree from."""
 
 import base_ab
 
@@ -80,13 +81,48 @@ class TestIdRule:
         assert base_ab.id_rule(self.IDS, after, "deleted tests/test_a.py::test_y")
 
 
+def _trees(tmp_path):
+    """Two trees whose src/scarf/__init__.py holds the tree's name, under
+    paths of different length."""
+    roots = {"base": tmp_path / "b", "head": tmp_path / "a-much-longer-checkout"}
+    for name, root in roots.items():
+        (root / "src" / "scarf").mkdir(parents=True)
+        (root / "src" / "scarf" / "__init__.py").write_text(name)
+    return roots
+
+
+def _tree_name(root):
+    return (root / "src" / "scarf" / "__init__.py").read_text()
+
+
 class TestLedgerRoots:
     def test_equal_length_copies_of_each_src(self, tmp_path):
-        roots = {"base": tmp_path / "b", "head": tmp_path / "a-much-longer-checkout"}
-        for name, root in roots.items():
-            (root / "src" / "scarf").mkdir(parents=True)
-            (root / "src" / "scarf" / "__init__.py").write_text(f"TREE = {name!r}\n")
-        ledger = base_ab.ledger_roots(roots, tmp_path / "scratch")
+        ledger = base_ab.ledger_roots(_trees(tmp_path), tmp_path / "scratch")
         assert len(str(ledger["base"])) == len(str(ledger["head"]))
         for name, root in ledger.items():
-            assert (root / "src" / "scarf" / "__init__.py").read_text() == f"TREE = {name!r}\n"
+            assert _tree_name(root) == name
+
+    def test_every_run_uses_one_path_and_sees_its_own_tree(self, tmp_path, monkeypatch, capsys):
+        ledger = base_ab.ledger_roots(_trees(tmp_path), tmp_path / "scratch")
+        runs = []
+
+        def peak_rss_mb(tree, args):
+            name = _tree_name(tree)
+            runs.append((tree, name, args))
+            return {"base": 10.0, "head": 20.0}[name]
+
+        monkeypatch.setattr(base_ab, "peak_rss_mb", peak_rss_mb)
+        base_ab.memory_ledger(ledger)
+        # every run is made from rss/run, the trees alternating which goes
+        # first, RSS_ROUNDS runs a side per MEMORY run
+        order = [name for r in range(base_ab.RSS_ROUNDS)
+                 for name in (("head", "base") if r % 2 else ("base", "head"))]
+        assert runs == [(tmp_path / "scratch" / "rss" / "run", name, args)
+                        for args in base_ab.MEMORY for name in order]
+        # each measurement is printed against the tree that run saw
+        out = capsys.readouterr().out
+        assert out.count("10.0 MB base [10.0-10.0], 20.0 MB head [20.0-20.0]") == len(base_ab.MEMORY)
+        # and each copy is back at its own root
+        assert not (tmp_path / "scratch" / "rss" / "run").exists()
+        for name, root in ledger.items():
+            assert _tree_name(root) == name

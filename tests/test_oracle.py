@@ -98,19 +98,19 @@ class TestCertify:
     """certify finds each closed-form level in its two-shot window."""
 
     def test_bound_ground(self, bound_params):
-        res = scarf.certify(bound_params, HALF_PI_SQ * 6.25, 0, Exponent.PLUS)
-        assert res.energy == pytest.approx(30.8425138, abs=5e-8)
-        assert res.energy == pytest.approx(HALF_PI_SQ * 6.25, rel=1e-12)
-        assert res.delta_sensitivity <= 1e-11
+        energy, sensitivity = scarf.certify(bound_params, HALF_PI_SQ * 6.25, 0, Exponent.PLUS)
+        assert energy == pytest.approx(30.8425138, abs=5e-8)
+        assert energy == pytest.approx(HALF_PI_SQ * 6.25, rel=1e-12)
+        assert sensitivity <= 1e-11
 
     def test_band_upper_even(self, band_params):
-        res = scarf.certify(band_params, HALF_PI_SQ * 0.81, 0, Exponent.PLUS)
-        assert res.energy == pytest.approx(HALF_PI_SQ * 0.81, rel=1e-12)
+        energy, _ = scarf.certify(band_params, HALF_PI_SQ * 0.81, 0, Exponent.PLUS)
+        assert energy == pytest.approx(HALF_PI_SQ * 0.81, rel=1e-12)
 
     def test_band_lower_odd(self, band_params):
         line = spectrum_line(band_params, 1, Edge.LOWER)
-        res = scarf.certify(band_params, line.energy, 1, Exponent.MINUS)
-        assert res.energy == pytest.approx(5.9711107, abs=5e-8)
+        energy, _ = scarf.certify(band_params, line.energy, 1, Exponent.MINUS)
+        assert energy == pytest.approx(5.9711107, abs=5e-8)
 
     def test_no_sign_change_raises(self, bound_params):
         # a window must hold level n of the family and nothing else: no
@@ -135,8 +135,8 @@ class TestCertify:
             (bound_params, HALF_PI_SQ * 6.25, Exponent.PLUS),
             (band_params, HALF_PI_SQ * 0.01, Exponent.MINUS),
         ]:
-            res = scarf.certify(params, energy, 0, exponent)
-            assert res.delta_sensitivity <= 1e-11
+            _, sensitivity = scarf.certify(params, energy, 0, exponent)
+            assert sensitivity <= 1e-11
 
     @pytest.mark.parametrize("delta", [0.002, 0.005, 0.009])
     def test_wide_cell_starts_at_z0(self, bound_params, band_params, delta):
@@ -146,11 +146,11 @@ class TestCertify:
         for params, n, edge in [(bound_params, 0, Edge.NOT_APPLICABLE),
                                 (band_params, 1, Edge.LOWER)]:
             wide = replace(params, a=delta / 1e-3)
-            res = certify_line(wide, spectrum_line(wide, n, edge))
-            ref = certify_line(params, spectrum_line(params, n, edge))
-            assert res.energy / wide.energy_unit == pytest.approx(
-                ref.energy / params.energy_unit, rel=1e-13)
-            assert res.delta_sensitivity == pytest.approx(ref.delta_sensitivity, abs=1e-12)
+            energy, sensitivity = certify_line(wide, spectrum_line(wide, n, edge))
+            ref_energy, ref_sensitivity = certify_line(params, spectrum_line(params, n, edge))
+            assert energy / wide.energy_unit == pytest.approx(
+                ref_energy / params.energy_unit, rel=1e-13)
+            assert sensitivity == pytest.approx(ref_sensitivity, abs=1e-12)
 
 
 def level_count(params, energy, exponent):
@@ -182,22 +182,22 @@ class TestBlindSweep:
 
     @staticmethod
     def certified(params, e_max, n_max=4):
-        """{(exponent, n): (line, certify result)} of the closed-form levels
-        in (0, e_max]."""
-        return {(predicted_family(ln), ln.n): (ln, certify_line(params, ln))
+        """{(exponent, n): (line, certified energy)} of the closed-form
+        levels in (0, e_max]."""
+        return {(predicted_family(ln), ln.n): (ln, certify_line(params, ln)[0])
                 for ln in scarf.spectrum_lines(params, n_max) if 0.0 < ln.energy <= e_max}
 
     def test_bound_scan(self, bound_params):
         found = self.certified(bound_params, 120.0)
         assert sweep_scan(bound_params, 120.0).keys() == found.keys()
-        assert [res.energy for _, res in found.values()] == pytest.approx(
+        assert [energy for _, energy in found.values()] == pytest.approx(
             [HALF_PI_SQ * 6.25, HALF_PI_SQ * 12.25, HALF_PI_SQ * 20.25], rel=1e-12)
         assert [line.n for line, _ in found.values()] == [0, 1, 2]
 
     def test_band_scan_and_family_disjointness(self, band_params):
         found = self.certified(band_params, 20.0)
         assert sweep_scan(band_params, 20.0).keys() == found.keys()
-        assert [res.energy for _, res in found.values()] == pytest.approx(
+        assert [energy for _, energy in found.values()] == pytest.approx(
             [0.04934802, 3.99718978, 5.97111066, 17.81463594], abs=5e-7)
         assert list(found) == [
             (Exponent.MINUS, 0), (Exponent.PLUS, 0), (Exponent.MINUS, 1), (Exponent.PLUS, 1)]
@@ -205,7 +205,7 @@ class TestBlindSweep:
     def test_free_particle_degenerate_pairs(self):
         p = scarf.PotentialParams(s=0.5)
         found = self.certified(p, 20.0)
-        energies = [round(res.energy / HALF_PI_SQ, 6) for _, res in found.values()]
+        energies = [round(energy / HALF_PI_SQ, 6) for _, energy in found.values()]
         assert energies == [1.0, 1.0, 4.0, 4.0]
         # (0, upper), (1, lower), (1, upper) and (2, lower); the lower
         # edges' theta is pi/2 at E = 0, so their level 0 is not in (0, e_max]
@@ -222,10 +222,10 @@ class TestBlindSweep:
         found = self.certified(params, 110.0)
         cells = sweep_scan(params, 110.0)
         assert cells.keys() == found.keys()
-        for key, (line, res) in found.items():
+        for key, (line, energy) in found.items():
             lo, hi = cells[key]
             # a level on a lattice point may count on either side of it
-            assert lo <= line.energy <= hi and lo <= res.energy <= hi, key
+            assert lo <= line.energy <= hi and lo <= energy <= hi, key
 
     @pytest.mark.parametrize("s", [2.0, 0.4, 0.5])
     def test_equals_full_sign_sweep(self, s):
@@ -252,8 +252,8 @@ class TestBlindSweep:
         assert level_count(params, -LAMBDA2_FLOOR * params.energy_unit, Exponent.MINUS) == 0
         found = self.certified(params, 20.0, n_max=3)
         assert len(found) == 5
-        for line, res in found.values():
-            assert abs(res.energy - line.energy) <= 1e-12 * params.energy_scale(line.energy)
+        for line, energy in found.values():
+            assert abs(energy - line.energy) <= 1e-12 * params.energy_scale(line.energy)
 
     @settings(max_examples=20, deadline=None)
     @given(s=st.floats(min_value=0.05, max_value=10.0), n_max=st.integers(0, 2))
@@ -263,8 +263,8 @@ class TestBlindSweep:
         for line in scarf.spectrum_lines(params, n_max):
             if line.energy <= 0.0:
                 continue
-            res = certify_line(params, line)
-            assert abs(res.energy - line.energy) <= 1e-10 * params.energy_scale(line.energy)
+            energy, _ = certify_line(params, line)
+            assert abs(energy - line.energy) <= 1e-10 * params.energy_scale(line.energy)
             for wrong in (line.n - 1, line.n + 1):
                 with pytest.raises(BracketError):
                     scarf.certify(params, line.energy, wrong, predicted_family(line))
@@ -367,14 +367,14 @@ class TestFiniteDifference:
         # a != 1, m != 1 must thread every 2m and 1/a factor consistently
         p = scarf.PotentialParams(s=1.3, a=0.7, m=2.5)
         closed = scarf.spectrum_line(p, 1, Edge.NOT_APPLICABLE).energy
-        res = scarf.certify(p, closed, 1, Exponent.PLUS)
-        assert res.energy == pytest.approx(closed, rel=1e-12)
+        energy, _ = scarf.certify(p, closed, 1, Exponent.PLUS)
+        assert energy == pytest.approx(closed, rel=1e-12)
         levels = scarf.collocation_spectrum(p, k_levels=2)[Exponent.PLUS]
         assert levels[1] == pytest.approx(closed, rel=1e-12)
         pb = scarf.PotentialParams(s=0.23, a=1.9, m=0.6)
         lo = scarf.spectrum_line(pb, 0, Edge.LOWER)
-        res_lo = scarf.certify(pb, lo.energy, 0, Exponent.MINUS)
-        assert res_lo.energy == pytest.approx(lo.energy, rel=1e-12)
+        energy_lo, _ = scarf.certify(pb, lo.energy, 0, Exponent.MINUS)
+        assert energy_lo == pytest.approx(lo.energy, rel=1e-12)
         level_lo = scarf.collocation_spectrum(pb, k_levels=1)[Exponent.MINUS][0]
         assert level_lo == pytest.approx(lo.energy, rel=1e-10)
 
@@ -382,8 +382,8 @@ class TestFiniteDifference:
         # each collocation level is certified as the shooting family's level n
         levels = scarf.collocation_spectrum(bound_params, k_levels=2)[Exponent.PLUS]
         for n, level in enumerate(levels):
-            shot = scarf.certify(bound_params, level, n, Exponent.PLUS)
-            assert abs(shot.energy - level) / shot.energy <= 1e-10
+            shot, _ = scarf.certify(bound_params, level, n, Exponent.PLUS)
+            assert abs(shot - level) / shot <= 1e-10
 
 
 def collocation_entries(params, n_max=2):
@@ -703,8 +703,8 @@ class TestBrent:
 
             eta = 1e-10 * params.energy_scale(line.energy)
             root = brentq(mismatch, line.energy - eta, line.energy + eta, xtol=1e-30, rtol=1e-15)
-            res = certify_line(params, line)
-            assert abs(res.energy - root) <= 1e-13 * params.energy_scale(root), line
+            energy, _ = certify_line(params, line)
+            assert abs(energy - root) <= 1e-13 * params.energy_scale(root), line
 
 
 class TestKernelPaths:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import fields
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import scarf
 from scarf import NumericError, Regime, SingularityError
-from scarf.potential import cell_map, reduce_to_cell, wall_coefficient
+from scarf.potential import cell_map, wall_coefficient
 
 
 class TestRegime:
@@ -83,6 +84,16 @@ class TestParams:
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
+            scarf.PotentialParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"s": -1.0, "a": True}, "coupling s must be a positive finite real, got -1.0"),
+        ({"s": 2.0, "a": 0.0, "m": "x"}, "period a must be a positive finite real, got 0.0"),
+    ], ids=["s_before_a", "a_before_m"])
+    def test_each_parameter_is_checked_whole_before_the_next(self, kwargs, message):
+        # s, a and m are checked in turn, each for type, float range and
+        # sign, so the first bad one in that order names the error
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             scarf.PotentialParams(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
@@ -167,8 +178,7 @@ class TestEvaluatePotential:
 
 
 def test_reduce_and_lattice_helpers():
-    assert reduce_to_cell(2.25, 1.0) == 0.25
-    assert reduce_to_cell(-0.75, 1.0) == 0.25
+    assert cell_map(2.25, 1.0)[1] == cell_map(-0.75, 1.0)[1] == np.pi * 0.25
     assert cell_map(3.0, 1.0)[2]
     assert not cell_map(0.5, 1.0)[2]
     assert bool(np.all(cell_map(np.array([0.0, 1.0, 2.0]), 1.0)[2]))

@@ -301,7 +301,8 @@ def oracle_levels(s, a=1.0, m=1.0):
     shot = {}
     for ln in scarf.spectrum_lines(params, 2):
         family = scarf.predicted_family(ln)
-        shot[family, ln.n] = scarf.certify(params, ln.energy, ln.n, family).energy * m * a**2
+        energy, _ = scarf.certify(params, ln.energy, ln.n, family)
+        shot[family, ln.n] = energy * m * a**2
     collocated = {ex: [e * m * a**2 for e in levels]
                   for ex, levels in scarf.collocation_spectrum(params, k_levels=3).items()}
     return shot, collocated
