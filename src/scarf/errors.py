@@ -26,7 +26,7 @@ class BracketError(ScarfError):
 
 
 class ContourError(ScarfError):
-    """An argument-principle count of the moving poles is not an integer."""
+    """The moving poles' residue sum is not an integer."""
 
 
 class NumericError(ScarfError):

@@ -36,17 +36,14 @@ state's roots are, so the verify path solves for none of them:
   (2 kappa + 1)))) and 2r: P's ODE fixes the sum of its roots' squares at
   n (n - 1) / (2 kappa + 1), which bounds the largest, so every pole lies
   within r / 10, eta > ln 10 and N = 32.
-- The moving poles are counted in t = cos theta = y / sqrt(1 + y^2),
-  which maps the real y axis one-to-one onto (-1, 1), where they are the n
-  zeros of R_n^kappa: the argument principle on R_n'/R_n over the
-  Bernstein ellipse with foci +-1 and rho = 1.5 (semi-axes 13/12 and
-  5/12), whose confocal rate from the focal segment is ln rho, so N = 128.
 - The Riccati and parity probes read chi on the line Im y = 1/2, 64 points
   with Re y in [-5, 5], and on its mirror -y: each point lies at least 1/2
   from every pole.
 Each ChiFunction caches one pass of the recurrence over all of these
 nodes, made on first use; residue_report is the one reader of the
-contours.
+contours.  It counts the moving poles by the residue theorem: each has
+residue +1, so they number d1 - b1 - b1', what the fixed poles leave of
+d1, the sum of all finite residues.
 
 Conventions: in the original momentum variable p = -i q the moving-pole
 residue reads -i hbar; after the variable changes used here it is +1, the
@@ -97,61 +94,62 @@ class ChiFunction:
     @cached_property
     def probes(self) -> tuple[list[tuple[np.ndarray, complex]], tuple]:
         """The state's one recurrence pass, made on first use, over the probe
-        line, its mirror and the nodes of residue_report's five contours, in
-        that order: the residue circles about +i and -i, the two circles at
-        infinity, the t-ellipse.
+        line, its mirror and the nodes of residue_report's four circles, in
+        that order: the residue circles about +i and -i and the two circles
+        at infinity.
 
-        Returns [(f, (1/2 pi i) closed integral of f)] per contour, f being
-        chi on the circles and R_n'/R_n on the t-ellipse, and (chi, chi',
-        chi at the mirror) on the probe line; chi' is formed on the line
-        alone.  Elementwise in numpy, so each value is the one a pass per
-        contour or line gives.  The cache lives and dies with this object."""
+        Returns [(chi, (1/2 pi i) closed integral of chi)] per circle, and
+        (chi, chi', chi at the mirror) on the probe line; chi' is formed on
+        the line alone.  Elementwise in numpy, so each value is the one a
+        pass per circle or line gives.  The cache lives and dies with this
+        object."""
         contours = [*_RESIDUE_CIRCLES, *_infinity_circles(self.line)]
         m = _PROBE_LINE.size
         y = np.concatenate([_PROBE_LINE, -_PROBE_LINE] + [z for z, _ in contours])
-        f, slope, dlog_r = log_derivative(self.line, y, slice(0, m), _COUNT_ELLIPSE[0])
+        f, slope = log_derivative(self.line, y, slice(0, m))
         f += 2.0 * self.b1 * y / (y * y + 1.0)  # the part with the poles at +-i
         stops = list(accumulate([2 * m] + [z.size for z, _ in contours]))
-        values = [f[start:stop] for start, stop in zip(stops, stops[1:])] + [dlog_r]
+        values = [f[start:stop] for start, stop in zip(stops, stops[1:])]
         results = [(v, complex((v * w).sum() / w.size))
-                   for v, (_, w) in zip(values, contours + [_COUNT_ELLIPSE], strict=True)]
+                   for v, (_, w) in zip(values, contours, strict=True)]
         y2 = _PROBE_LINE * _PROBE_LINE
         slope += 2.0 * self.b1 * (1.0 - y2) / (y2 + 1.0) ** 2
         return results, (f[:m], slope, f[m:2 * m])
 
 
-def log_derivative(line: SpectrumLine, y: np.ndarray, slope: slice, t: np.ndarray):
-    """(P'/P at complex y, its y-derivative on y[slope], R_n'/R_n at complex
-    t) from one pass of gegenbauer_ratios over y / sqrt(1 + y^2) and t.
+def log_derivative(line: SpectrumLine, y: np.ndarray, slope: slice):
+    """(P'/P at complex y, its y-derivative on y[slope]) from one pass of
+    gegenbauer_ratios over t = y / sqrt(1 + y^2).
 
-    With h = sqrt(1 + y^2), t = y/h, rho = R_{n-1}(t)/R_n(t) and the
-    contiguous relation (1 - t^2) R_k' = k (R_{k-1} - t R_k):
+    With h = sqrt(1 + y^2), rho = R_{n-1}(t)/R_n(t) and the contiguous
+    relation (1 - t^2) R_k' = k (R_{k-1} - t R_k):
 
-        R_n'/R_n = n (rho - t) / ((1 - t)(1 + t)),
         P'/P     = n rho / h,
         (P'/P)'  = n [(R'_{n-1} - rho R'_n) / (R_n h^4) - rho y / h^3].
 
-    The y forms are even in h, so either branch of the root serves, and t
-    stays bounded on every contour here.  The slope comes from the
-    contiguous relation, not from the ODE that P solves, so the Riccati
-    residual stays an independent check.
+    Both are even in h, so either branch of the root serves.  The slope
+    comes from the contiguous relation, not from the ODE that P solves, so
+    the Riccati residual stays an independent check.
     """
     n = line.n
     h = np.sqrt(1.0 + y * y)
-    m, ty = h.size, y / h
-    r, r1, r2 = gegenbauer_ratios(n, line.kappa, np.concatenate((ty, t)))
+    ty = y / h
+    r, r1, r2 = gegenbauer_ratios(n, line.kappa, ty)
     rho = r1 / r
-    value, dlog_r = n * rho[:m] / h, n * (rho[m:] - t) / ((1.0 - t) * (1.0 + t))
-    y, h, ty, r, r1, r2, rho = (v[slice(*slope.indices(m))] for v in (y, h, ty, r, r1, r2, rho))
+    value = n * rho / h
+    y, h, ty, r, r1, r2, rho = (v[slope] for v in (y, h, ty, r, r1, r2, rho))
     h2 = h * h
     dr = n * h2 * (r1 - ty * r)
     dr1 = (n - 1) * h2 * (r2 - ty * r1)
-    return value, n * ((dr1 - rho * dr) / (r * h2 * h2) - rho * y / (h2 * h)), dlog_r
+    return value, n * ((dr1 - rho * dr) / (r * h2 * h2) - rho * y / (h2 * h))
 
 
 @dataclass(frozen=True)
 class ResidueReport:
-    """Contour-measured singularity data for one state."""
+    """Contour-measured singularity data for one state.
+
+    moving_pole_count is d1 - b1 - b1' rounded to an integer, the moving
+    poles' residue sum (module docstring)."""
 
     b1_measured: complex
     b1_prime_measured: complex
@@ -182,7 +180,6 @@ def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndar
 # the contours that no state changes (module docstring)
 _RESIDUE_CIRCLES = [_ellipse(c, _FIXED_RADIUS, _FIXED_RADIUS,
                              _node_count(math.log(1.0 / _FIXED_RADIUS))) for c in (1j, -1j)]
-_COUNT_ELLIPSE = _ellipse(0.0, 13.0 / 12.0, 5.0 / 12.0, _node_count(math.log(1.5)))
 _UNIT_CIRCLE = _ellipse(0.0, 1.0, 1.0, 32)[0]  # the circles at infinity are r times it
 
 
@@ -214,7 +211,7 @@ def _infinity_residue(circles: list[tuple[np.ndarray, complex]]) -> complex:
 def _pole_count(count: complex) -> int:
     nearest = round(count.real)
     if abs(count - nearest) > _COUNT_TOL:
-        raise ContourError(f"argument-principle count {count} is not an integer")
+        raise ContourError(f"the moving poles' residue sum {count} is not an integer")
     return int(nearest)
 
 
@@ -251,9 +248,11 @@ def chi_parity_defect(chi: ChiFunction) -> float:
 
 def residue_report(chi: ChiFunction) -> ResidueReport:
     """Measure all residues of a state and its sum-rule defect from its one
-    pass: b1 and b1' on the circles about +-i, d1 on the circles at infinity
-    (_infinity_residue), and the number of moving poles by the argument
-    principle applied to R_n'/R_n alone on the t-ellipse."""
-    (_, b1), (_, b1p), *infinity, (_, moving) = chi.probes[0]
-    d1, count = _infinity_residue(infinity), _pole_count(moving)
-    return ResidueReport(b1, b1p, d1, count, float(abs(b1 + b1p + count - d1)))
+    pass: b1 and b1' on the circles about +-i and d1 on the circles at
+    infinity (_infinity_residue).  The moving poles number d1 - b1 - b1' by
+    the residue theorem, and the sum rule b1 + b1' + n = d1 reads the
+    line's n."""
+    (_, b1), (_, b1p), *infinity = chi.probes[0]
+    d1 = _infinity_residue(infinity)
+    return ResidueReport(b1, b1p, d1, _pole_count(d1 - b1 - b1p),
+                         float(abs(b1 + b1p + chi.line.n - d1)))

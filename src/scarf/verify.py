@@ -185,12 +185,8 @@ def _probe_checks(params, ln) -> list[dict]:
         out.append(_check(ln, "residue_sum_rule_defect", rep.sum_rule_defect, 1e-9))
         out.append(_check(ln, "b1_vs_closed_form", abs(rep.b1_measured - ln.b1), 1e-10,
                           observed=rep.b1_measured.real))
-        out.append(_check(ln, "b1_parity", abs(rep.b1_measured - rep.b1_prime_measured), 1e-10))
         out.append(_check(ln, "d1_vs_closed_form", abs(rep.d1_measured - ln.d1), 1e-10,
                           observed=rep.d1_measured.real))
-        out.append(_check(ln, "moving_pole_count_defect",
-                          float(abs(rep.moving_pole_count - ln.n)), 0.0,
-                          observed=float(rep.moving_pole_count)))
         out.append(_check(ln, "chi_parity_defect", chi_parity_defect(chi), 1e-12))
         out.append(_check(ln, "riccati_residual", verify_riccati(chi),
                           1e-10 * (1.0 + ln.lam**2)))

@@ -60,12 +60,9 @@ import tempfile
 import time
 from pathlib import Path
 
+from fixed_sets import STATE_FAMILIES, STATE_LEVELS
+
 HEAD = Path(__file__).resolve().parents[1]
-# the 660-state set: (s, edge) families, each at every level of LEVELS
-FAMILIES = ([(s, "lower") for s in (0.05, 0.2, 0.4, 0.45, 0.5)]
-            + [(s, "upper") for s in (0.05, 0.2, 0.4, 0.45, 0.5)]
-            + [(s, "none") for s in (0.7, 2.0, 8.0, 30.0, 100.0)])
-LEVELS = (*range(41), 100, 200, 500)
 HIGH = (100, 200, 500)
 ROUNDS = 3
 RSS_ROUNDS = 3
@@ -225,7 +222,8 @@ def probe_ab(trees: dict) -> tuple[dict, dict]:
     off the clock; where spectrum_line raises, its error is the record."""
     records = {name: {} for name in trees}
     times = {(name, group): [] for name in trees for group in ("low", "high")}
-    for i, ((s, edge), n) in enumerate((family, n) for family in FAMILIES for n in LEVELS):
+    for i, ((s, edge), n) in enumerate((family, n) for family in STATE_FAMILIES
+                                       for n in STATE_LEVELS):
         label = f"s={s!r} edge={edge} n={n}"
         states = {}
         for name, pkg in trees.items():

@@ -7,7 +7,6 @@ import pytest
 import scarf
 from scarf import ChiFunction, ContourError, Edge, NumericError, Parity
 from scarf.qmf import (
-    _COUNT_ELLIPSE,
     _FIXED_RADIUS,
     _PROBE_LINE,
     _RESIDUE_CIRCLES,
@@ -23,6 +22,7 @@ from scarf.spectrum import spectrum_line
 from scarf.verify import _probe_checks
 from scarf.wavefunction import gegenbauer_ratios
 
+from fixed_sets import STATE_FAMILIES, STATE_LEVELS
 from jacobi_reference import tridiagonal_roots
 
 
@@ -135,6 +135,16 @@ class TestMovingPoleCount:
             chi = ChiFunction.from_wavefunction(wf)
             assert scarf.residue_report(chi).moving_pole_count == n
 
+    @pytest.mark.parametrize("s, edge", [
+        (2.0, Edge.NOT_APPLICABLE), (0.4, Edge.LOWER), (0.4, Edge.UPPER)])
+    def test_count_reads_a_dropped_step(self, monkeypatch, s, edge):
+        # chi's pass stops one step short, so at n = 1 P'/P is 0 and chi
+        # keeps only its fixed poles: their residues leave none of d1
+        monkeypatch.setattr(scarf.qmf, "gegenbauer_ratios",
+                            lambda n, kappa, t: gegenbauer_ratios(n - 1, kappa, t))
+        chi = _chi(s, 1, edge)
+        assert scarf.residue_report(chi).moving_pole_count == 0
+
 
 class TestRiccati:
     def test_valid_states_null_the_equation(self, bound_chi, lower1_chi):
@@ -237,28 +247,22 @@ class TestHighDegree:
         assert all(v.size == _PROBE_LINE.size == 64 for v in chi.probes[1])
         checks = _probe_checks(params, line)
         assert [c["name"] for c in checks] == [
-            "residue_sum_rule_defect", "b1_vs_closed_form", "b1_parity",
-            "d1_vs_closed_form", "moving_pole_count_defect", "chi_parity_defect",
-            "riccati_residual", "schrodinger_rel_residual", "node_count_defect",
-            "parity_defect", "boundary_exponent_defect"]
+            "residue_sum_rule_defect", "b1_vs_closed_form", "d1_vs_closed_form",
+            "chi_parity_defect", "riccati_residual", "schrodinger_rel_residual",
+            "node_count_defect", "parity_defect", "boundary_exponent_defect"]
         probes = [c for c in checks if c["name"] in ("chi_parity_defect", "riccati_residual")]
         assert all(c["pass"] for c in probes), probes
 
 
-_STATE_SET = [(s, Edge.LOWER) for s in (0.05, 0.2, 0.4, 0.45, 0.5)] + [
-    (s, Edge.UPPER) for s in (0.05, 0.2, 0.4, 0.45, 0.5)] + [
-    (s, Edge.NOT_APPLICABLE) for s in (0.7, 2.0, 8.0, 30.0, 100.0)]
-
-
-@pytest.mark.parametrize("s, edge", _STATE_SET)
+@pytest.mark.parametrize("s, edge", [(s, Edge(edge)) for s, edge in STATE_FAMILIES])
 def test_state_set_probes(s, edge):
-    # the 660-state set, 66 levels per family: n = 0-40, 100, 200 and 500
+    # the 660-state set, 44 levels per family: n = 0-40, 100, 200 and 500
     params = scarf.PotentialParams(s=s)
-    for n in [*range(41), 100, 200, 500]:
+    for n in STATE_LEVELS:
         line = spectrum_line(params, n, edge)
         chi = ChiFunction.from_wavefunction(scarf.build_wavefunction(params, line))
         rep = scarf.residue_report(chi)
-        assert rep.moving_pole_count == n and abs(chi.probes[0][-1][1] - n) <= 1e-12
+        assert rep.moving_pole_count == n
         assert abs(rep.d1_measured - line.d1) <= 3e-11 and rep.sum_rule_defect <= 3e-11
         assert scarf.verify_riccati(chi) <= 1e-12 * (1.0 + line.lam**2)
         assert chi_parity_defect(chi) == 0.0
@@ -273,10 +277,9 @@ def test_state_set_probes(s, edge):
 def _chi_per_array(chi, ys):
     """chi and chi' on one array, each from its own log_derivative pass."""
     y = np.asarray(ys, dtype=complex)
-    value = (2.0 * chi.line.b1 * y / (y * y + 1.0)
-             + log_derivative(chi.line, y, slice(0), np.empty(0, dtype=complex))[0])
+    value = 2.0 * chi.line.b1 * y / (y * y + 1.0) + log_derivative(chi.line, y, slice(0))[0]
     slope = (2.0 * chi.line.b1 * (1.0 - y * y) / (y * y + 1.0) ** 2
-             + log_derivative(chi.line, y, slice(None), np.empty(0, dtype=complex))[1])
+             + log_derivative(chi.line, y, slice(None))[1])
     return value, slope
 
 
@@ -289,12 +292,10 @@ def _riccati_per_array(chi):
 
 
 def _contours_per_array(chi):
-    """residue_report's contours as (f(z), integral) pairs, each from its own
-    log_derivative pass: chi on the four circles, R_n'/R_n on the t-ellipse."""
+    """residue_report's four circles as (chi(z), integral) pairs, each from
+    its own log_derivative pass."""
     out = [(_chi_per_array(chi, z)[0], w)
            for z, w in [*_RESIDUE_CIRCLES, *_infinity_circles(chi.line)]]
-    t, w = _COUNT_ELLIPSE
-    out.append((log_derivative(chi.line, np.empty(0, dtype=complex), slice(0), t)[2], w))
     return [(f, complex((f * w).sum() / w.size)) for f, w in out]
 
 
@@ -336,7 +337,6 @@ class TestOnePass:
             assert rep.b1_measured == alone[0][1]
             assert rep.b1_prime_measured == alone[1][1]
             assert rep.d1_measured == _infinity_residue(alone[2:4])
-            assert rep.moving_pole_count == _pole_count(alone[4][1])
             assert scarf.verify_riccati(chi) == _riccati_per_array(chi)
             assert chi_parity_defect(chi) == _chi_parity_per_array(chi)
 
@@ -434,8 +434,8 @@ class TestNodeRule:
     ])
     @pytest.mark.parametrize("n", [0, 1, 12, 100, 500])
     def test_each_contour_takes_the_smallest_sufficient_power_of_two(self, s, n, edge):
-        # the three constant contours take the N of the clearance they have
-        # at every state, which each state's own poles meet
+        # the two residue circles take the N of the clearance they have at
+        # every state, which each state's own poles meet
         chi = _chi(s, n, edge)
         roots = tridiagonal_roots(chi.line)
         poles = [1j, -1j, *roots]
@@ -444,14 +444,6 @@ class TestNodeRule:
             assert z.size == _node_count(guaranteed) == 64
             nearest = min(abs(p - center) for p in poles if p != center)
             assert math.log(nearest / np.abs(z - center).max()) >= guaranteed - 1e-15
-        t = _COUNT_ELLIPSE[0]
-        rx, ry = np.abs(t.real).max(), np.abs(t.imag).max()
-        assert t.size == _node_count(math.log(1.5)) == 128
-        assert rx == pytest.approx(13 / 12, rel=1e-15) and ry == pytest.approx(5 / 12, rel=1e-15)
-        assert _is_node_count(t.size, math.atanh(ry / rx))
-        # foci at +-1, and every root maps into (-1, 1) under t = y / sqrt(1 + y^2)
-        assert rx * rx - ry * ry == pytest.approx(1.0, rel=1e-15)
-        assert all(abs(y / math.sqrt(1.0 + y * y)) < 1.0 for y in roots)
         for z, _ in _infinity_circles(chi.line):
             eta = math.log(np.abs(z).max() / max(abs(p) for p in poles))
             assert eta >= math.log(10.0) and _is_node_count(z.size, eta)
@@ -475,14 +467,13 @@ class TestNodeRule:
 
     def test_contour_nodes_per_state_are_pinned(self):
         # the sum of contour nodes of residue_report over the eigenstates
-        # benchmark's levels: 64 + 64 + 32 + 32 + 128 per state; 51,328 when
-        # the circles and the ellipse were laid around each state's roots
+        # benchmark's levels: 64 + 64 + 32 + 32 per state
         total = 0
         for s, edges in ((2.0, [Edge.NOT_APPLICABLE]), (0.4, [Edge.LOWER, Edge.UPPER])):
             for edge in edges:
                 for n in range(25):
                     total += sum(f.size for f, _ in _chi(s, n, edge).probes[0])
-        assert total == 75 * 320
+        assert total == 75 * 192
 
 
 _GEOMETRY_STATES = [(s, n, edge) for s, edge in ((2.0, Edge.NOT_APPLICABLE),

@@ -10,6 +10,8 @@ import scarf
 from scarf import DegenerateRegimeError, Edge, RegimeError
 from scarf.spectrum import _d1, level_parameters
 
+from fixed_sets import COUPLINGS, SCALES
+
 HALF_PI_SQ = math.pi**2 / 2.0
 
 
@@ -238,12 +240,6 @@ class TestClosedFormEnergies:
         assert all(a < b for a, b in zip(by_s, by_s[1:]))
 
 
-# the couplings of the 96-configuration set, each with its three (a, m)
-_COUPLINGS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49, 0.5, 0.6, 1.0, 1.5, 2.0, 3.0, 5.0,
-              10.0, 30.0)
-_SCALES = ((1.0, 1.0), (2.5, 0.7), (0.3, 4.0))
-
-
 class TestOneSource:
     """b1 and nu are functions of lambda, bit for bit: a level stores no
     second copy that could disagree with it."""
@@ -254,9 +250,9 @@ class TestOneSource:
         assert line.nu1.hex() == line.nu2.hex() == (0.0 - lam).hex(), line
         assert line.b1.hex() == ((1.0 - lam) / 2.0).hex(), line
 
-    @pytest.mark.parametrize("s", _COUPLINGS)
+    @pytest.mark.parametrize("s", COUPLINGS)
     def test_every_line_to_n_max_60(self, s):
-        for a, m in _SCALES:
+        for a, m in SCALES:
             for line in scarf.spectrum_lines(scarf.PotentialParams(s=s, a=a, m=m), 60):
                 self._assert_derived(line)
 
@@ -274,7 +270,7 @@ class TestOneSource:
         for nu in (fold.nu1, fold.nu2):
             assert nu == 0.0 and math.copysign(1.0, nu) == 1.0
 
-    @pytest.mark.parametrize("s", [s for s in _COUPLINGS if s != 0.5])
+    @pytest.mark.parametrize("s", [s for s in COUPLINGS if s != 0.5])
     def test_one_valid_row_per_level(self, s):
         # the table and the levels read one residue algebra: each level's
         # lambda has exactly one valid row, and it is the level's b1 and d1

@@ -16,6 +16,8 @@ from scarf.spectrum import spectrum_line
 from scarf.verify import _probe_checks
 from scarf.wavefunction import gegenbauer_ratios
 
+from fixed_sets import BAND_COUPLINGS, BOUND_COUPLINGS, STATE_LEVELS
+
 
 @pytest.fixture(scope="module")
 def bound_ground(bound_params):
@@ -411,11 +413,6 @@ def _spec(s, n, edge):
     return scarf.build_wavefunction(params, spectrum_line(params, n, edge))
 
 
-_BAND_COUPLINGS = (0.05, 0.2, 0.4, 0.45, 0.5)
-_PARITY_SET_COUPLINGS = _BAND_COUPLINGS + (0.7, 2.0, 8.0, 30.0, 100.0)
-_PARITY_SET_DEGREES = (*range(41), 100, 200, 500)
-
-
 def _midpoint_grid_parity(spec):
     """parity's rule on a 256-point grid of its own, pi/2 -+ pi k / 258 for
     k = 1..128, from a recurrence pass of its own; None where neither
@@ -438,11 +435,11 @@ class TestParityOnNodeGrid:
     and 500, both edges in the band regime, the E = 0 fold at s = 1/2 (psi
     = 1/sqrt(a), even, no nodes) included."""
 
-    @pytest.mark.parametrize("s", _PARITY_SET_COUPLINGS)
+    @pytest.mark.parametrize("s", BAND_COUPLINGS + BOUND_COUPLINGS)
     def test_verdict_equals_a_midpoint_grid(self, s):
         params = scarf.PotentialParams(s=s)
-        edges = (Edge.LOWER, Edge.UPPER) if s in _BAND_COUPLINGS else (Edge.NOT_APPLICABLE,)
-        lines = [spectrum_line(params, n, edge) for n in _PARITY_SET_DEGREES for edge in edges]
+        edges = (Edge.LOWER, Edge.UPPER) if s in BAND_COUPLINGS else (Edge.NOT_APPLICABLE,)
+        lines = [spectrum_line(params, n, edge) for n in STATE_LEVELS for edge in edges]
         for line in lines:
             wf = scarf.build_wavefunction(params, line)
             got = scarf.parity(wf)  # raises NumericError on no definite parity
