@@ -17,15 +17,13 @@ chi, and the Riccati equation
 
     chi^2 + chi' + (lambda^2 - 1)/(y^2+1)^2 + (1/4 - s^2)/(y^2+1) = 0.
 
-Every contour is an ellipse z(theta) = c + alpha e^(i theta) + beta
-e^(-i theta), with semi-axes rx = alpha + beta along the real axis and
-ry = alpha - beta across it, sampled by the N-point trapezoid rule in
-theta.  For these analytic integrands that rule converges geometrically
-(Trefethen and Weideman, SIAM Review 56 (2014) 385), as e^(-N eta) with
-eta the clearance rate of the contour from its nearest pole, so every
-contour takes the smallest power of two N >= 32 with N eta >= 32, an error
-near e^-32.  On a residue circle eta = ln(d / r), d being the distance from
-its center to the nearest other pole.
+Every contour is a circle z(theta) = c + r e^(i theta), sampled by the
+N-point trapezoid rule in theta.  For these analytic integrands that rule
+converges geometrically (Trefethen and Weideman, SIAM Review 56 (2014) 385),
+as e^(-N eta), so every contour takes the smallest power of two N >= 32 with
+N eta >= 32, an error near e^-32.  The clearance rate eta is ln(d / r) on a
+circle about a pole whose nearest other pole is d away, and ln(r / d) on a
+circle about 0 with every pole within d.
 
 No contour of residue_report, and no probe point, depends on where the
 state's roots are, so the verify path solves for none of them:
@@ -167,26 +165,23 @@ def _node_count(eta: float) -> int:
     return nodes
 
 
-def _ellipse(center: complex, rx: float, ry: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The N = nodes trapezoid nodes z_k on the ellipse of the module
-    docstring and factors w_k = z'(theta_k) / i, so that mean(f(z) * w)
-    approximates (1/2 pi i) times the closed integral of f dz."""
-    e = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
-    alpha, beta = 0.5 * (rx + ry), 0.5 * (rx - ry)
-    back = beta * e.conj()
-    return center + alpha * e + back, alpha * e - back
+def _circle(center: complex, radius: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The N = nodes trapezoid nodes z_k and factors w_k = z'(theta_k) / i, so
+    that mean(f(z) * w) approximates (1/2 pi i) times the closed integral of f dz."""
+    w = radius * np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
+    return center + w, w
 
 
 # the contours that no state changes (module docstring)
-_RESIDUE_CIRCLES = [_ellipse(c, _FIXED_RADIUS, _FIXED_RADIUS,
-                             _node_count(math.log(1.0 / _FIXED_RADIUS))) for c in (1j, -1j)]
-_UNIT_CIRCLE = _ellipse(0.0, 1.0, 1.0, 32)[0]  # the circles at infinity are r times it
+_RESIDUE_CIRCLES = [_circle(c, _FIXED_RADIUS, _node_count(math.log(1.0 / _FIXED_RADIUS)))
+                    for c in (1j, -1j)]
+_UNIT_CIRCLE = _circle(0.0, 1.0, _node_count(math.log(10.0)))[0]  # scaled by r at infinity
 
 
 def _infinity_circles(line: SpectrumLine) -> list[tuple]:
     """Circles of radius r = 10 (1 + max(1, sqrt(n (n - 1) / (2 kappa + 1))))
-    and 2r about 0, from the sum of the roots' squares (module docstring).
-    Every pole lies within r / 10, so eta > ln 10 and 32 nodes serve."""
+    and 2r about 0, from the sum of the roots' squares (module docstring):
+    every pole lies within r / 10, so eta > ln 10 and _UNIT_CIRCLE's N serves."""
     n = line.n
     radius = 10.0 * (1.0 + max(1.0, math.sqrt(n * (n - 1) / (2.0 * line.kappa + 1.0))))
     return [(r * _UNIT_CIRCLE,) * 2 for r in (radius, 2.0 * radius)]

@@ -174,12 +174,12 @@ def chi_recurrence_step_dropped(monkeypatch):
 def contour_nodes_halved(monkeypatch):
     qmf = scarf.qmf
     monkeypatch.setattr(qmf, "_RESIDUE_CIRCLES", [
-        qmf._ellipse(c, qmf._FIXED_RADIUS, qmf._FIXED_RADIUS, z.size // 2)
+        qmf._circle(c, qmf._FIXED_RADIUS, z.size // 2)
         for c, (z, _) in zip((1j, -1j), qmf._RESIDUE_CIRCLES, strict=True)])
     orig = qmf._infinity_circles
     # z[0] = r: each circle at infinity starts on the positive real axis
     monkeypatch.setattr(qmf, "_infinity_circles", lambda line: [
-        qmf._ellipse(0.0, z[0].real, z[0].real, z.size // 2) for z, _ in orig(line)])
+        qmf._circle(0.0, z[0].real, z.size // 2) for z, _ in orig(line)])
 
 
 def b1_shift(monkeypatch):

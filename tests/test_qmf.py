@@ -10,7 +10,7 @@ from scarf.qmf import (
     _FIXED_RADIUS,
     _PROBE_LINE,
     _RESIDUE_CIRCLES,
-    _ellipse,
+    _circle,
     _infinity_circles,
     _infinity_residue,
     _node_count,
@@ -42,8 +42,8 @@ def lower1_chi(band_params):
 
 def _circle_residue(chi, center, radius, nodes):
     """(1/2 pi i) closed integral of chi over a circle laid here, with the
-    package's trapezoid nodes (_ellipse) and chi from _chi_per_array."""
-    z, w = _ellipse(center, radius, radius, nodes)
+    package's trapezoid nodes (_circle) and chi from _chi_per_array."""
+    z, w = _circle(center, radius, nodes)
     return complex((_chi_per_array(chi, z)[0] * w).sum() / w.size)
 
 
@@ -508,7 +508,7 @@ class TestContourGeometry:
         circles = _infinity_circles(line)
         radius = circles[0][0][0].real  # node 0 lies on the positive real axis
         for (z, w), r in zip(circles, (radius, 2.0 * radius), strict=True):
-            want = _ellipse(0.0, r, r, 32)
+            want = _circle(0.0, r, 32)
             assert z.tobytes() == want[0].tobytes() and w.tobytes() == want[1].tobytes()
         assert radius == pytest.approx(
             10.0 * (1.0 + max(1.0, math.sqrt(sum(r * r for r in roots)))), rel=1e-12)
@@ -516,10 +516,12 @@ class TestContourGeometry:
         if n <= 1:
             assert radius == 20.0
 
-    @pytest.mark.parametrize("rx", [0.4, 20.0, 1e3])
-    def test_circle_nodes_equal_the_ellipse_form(self, rx):
-        # on a circle the general form's conjugate term is zero, so the
-        # nodes and factors are those of the circle's own form
-        z, w = scarf.qmf._ellipse(1j, rx, rx, 64)
+    @pytest.mark.parametrize("radius", [0.4, 20.0, 1e3])
+    @pytest.mark.parametrize("center", [1j, -1j, 0.0], ids=["+i", "-i", "0"])
+    def test_circle_nodes_equal_the_closed_form(self, center, radius):
+        # the nodes are c + r e^(i theta_k) and the factors r e^(i theta_k),
+        # theta_k = 2 pi k / N, bit for bit
+        z, w = _circle(center, radius, 64)
         e = np.exp(1j * (2.0 * np.pi * np.arange(64) / 64))
-        assert np.array_equal(z, 1j + rx * e + 0.0 * e.conj()) and np.array_equal(w, rx * e)
+        assert z.tobytes() == (center + radius * e).tobytes()
+        assert w.tobytes() == (radius * e).tobytes()
