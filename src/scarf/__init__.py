@@ -7,10 +7,7 @@ integration probe verify every result numerically.
 """
 
 from .errors import (
-    BracketError,
     ConsistencyError,
-    ContourError,
-    DegenerateRegimeError,
     NumericError,
     RegimeError,
     ScarfError,
@@ -68,6 +65,5 @@ __all__ = [
     "collocation_spectrum", "predicted_family",
     "ChiFunction", "ResidueReport", "verify_riccati", "residue_report",
     "run_verification",
-    "ScarfError", "SingularityError", "RegimeError", "DegenerateRegimeError",
-    "ConsistencyError", "BracketError", "ContourError", "NumericError",
+    "ScarfError", "SingularityError", "RegimeError", "ConsistencyError", "NumericError",
 ]

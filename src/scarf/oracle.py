@@ -59,7 +59,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .errors import BracketError, RegimeError
+from .errors import NumericError, RegimeError
 from .potential import PotentialParams, Regime, wall_coefficient
 
 # Even Taylor coefficients of csc^2(z) - 1/z^2 = 1/3 + z^2/15 + ...
@@ -182,7 +182,7 @@ def certify(params: PotentialParams, energy: float, n: int,
 
     The window is lambda^2 +- eta, eta = _ETA max(|lambda^2|,
     LAMBDA2_FLOOR).  Both ends are shot from z0 and again from z0/2: four
-    kernel calls and no search.  BracketError is raised unless each
+    kernel calls and no search.  NumericError is raised unless each
     start's level counts read n at the lower end and n + 1 at the upper
     one.  Those integer counts prove that level n is the one level of the
     family in the window, and that the family has n + 1 levels at or
@@ -199,7 +199,7 @@ def certify(params: PotentialParams, energy: float, n: int,
         cfg = ShootingConfig(exponent, half_start)
         lo, hi = (2.0 * shoot(ref, lam2 + d, cfg) / math.pi - (n + 1) for d in (-eta, eta))
         if not -1.0 <= lo < 0.0 <= hi < 1.0:
-            raise BracketError(f"level {n} of the {exponent.value} family is not "
+            raise NumericError(f"level {n} of the {exponent.value} family is not "
                                f"alone in [{lam2 - eta!r}, {lam2 + eta!r}] lambda^2")
         roots.append(lam2 + eta * (lo + hi) / (lo - hi))
     return (float(roots[0] * params.energy_unit),

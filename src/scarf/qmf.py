@@ -59,7 +59,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ContourError, NumericError
+from .errors import NumericError
 from .potential import wall_coefficient
 from .spectrum import SpectrumLine
 from .wavefunction import WavefunctionSpec, gegenbauer_ratios
@@ -206,7 +206,7 @@ def _infinity_residue(circles: list[tuple[np.ndarray, complex]]) -> complex:
 def _pole_count(count: complex) -> int:
     nearest = round(count.real)
     if abs(count - nearest) > _COUNT_TOL:
-        raise ContourError(f"the moving poles' residue sum {count} is not an integer")
+        raise NumericError(f"the moving poles' residue sum {count} is not an integer")
     return int(nearest)
 
 

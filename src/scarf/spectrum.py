@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateRegimeError, RegimeError
+from .errors import RegimeError
 from .potential import PotentialParams, Regime
 
 # |n - round(n)| below this counts as an integer degree.  Loose enough for
@@ -129,13 +129,12 @@ def enumerate_residue_sets(params: PotentialParams, lam: float) -> list[ResidueS
     A band's four rows: rows 1 and 2 carry b1 = (1 - lambda)/2 against
     d1 = (1 -+ 2s)/2, rows 3 and 4 b1 = (1 + lambda)/2 and always fail
     (n < 0).  ValueError unless lambda is finite and positive, then
-    DegenerateRegimeError at s = 1/2, where the two roots coincide.
+    RegimeError at s = 1/2, where the two roots coincide.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lambda must be positive and real, got {lam}")
     if params.regime is Regime.FREE_PARTICLE:
-        raise DegenerateRegimeError(
-            "s = 1/2: residue branches coincide; use the free-particle limit")
+        raise RegimeError("s = 1/2: residue branches coincide; use the free-particle limit")
     d1_values = [_d1(params.s, edge) for edge in _edges(params)]
     sets = []
     for b1 in ((1.0 - lam) / 2.0, (1.0 + lam) / 2.0):
@@ -182,9 +181,13 @@ def _level_index(n) -> int:
 
 def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
     """The closed-form level (n, edge) of params: edge NOT_APPLICABLE in the
-    bound regime, LOWER or UPPER in the band and free-particle regimes."""
-    lam, d1 = level_parameters(params, n, edge)
-    energy = lam**2 * params.energy_unit
+    bound regime, LOWER or UPPER in the band and free-particle regimes.
+    ValueError where the level's energy leaves the float range."""
+    try:
+        lam, d1 = level_parameters(params, n, edge)
+        energy = lam**2 * params.energy_unit
+    except OverflowError:  # n + 1/2 +- s, or lambda^2, past the float range
+        lam = energy = math.inf
     if not (math.isfinite(energy) and (energy >= sys.float_info.min or lam == 0.0)):
         raise ValueError(f"energy of level (n={n}, {edge.value}) leaves the float range")
     return SpectrumLine(n=int(n), edge=edge, lam=lam, energy=energy, d1=d1)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 
-from .errors import BracketError, NumericError, ScarfError
+from .errors import NumericError, ScarfError
 from .oracle import Exponent, _exponents, certify, collocation_spectrum
 from .potential import PotentialParams, Regime
 from .qmf import ChiFunction, chi_parity_defect, residue_report, verify_riccati
@@ -42,7 +43,7 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     errors are taken against PotentialParams.energy_scale.  A family the
     oracles admit and no line holds fails each oracle's completeness.
     """
-    if not (0.0 < tol < math.inf):
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
         raise ValueError(f"need a finite tol > 0, got {tol}")
     if oracle not in ("shooting", "fd", "both"):
         raise ValueError(f"unknown oracle kind {oracle!r}")
@@ -152,7 +153,7 @@ def _shooting_checks(params, ln, exponent, size: int, top: bool, n_max, tol) -> 
     it: the count of the family's completeness entry."""
     try:
         energy, sensitivity = certify(params, ln.energy, ln.n, exponent)
-    except (BracketError, NumericError) as exc:
+    except NumericError as exc:
         logger.warning("level (n=%d, %s) not certified: %s", ln.n, ln.edge.value, exc)
         return [_check(ln, "oracle_shooting_match_count", 1.0, 0.0, observed=0.0)]
     rel = abs(energy - ln.energy) / params.energy_scale(ln.energy)

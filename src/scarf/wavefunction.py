@@ -53,6 +53,7 @@ for n >= 1, and a Gamma(kappa + 1/2) / (sqrt(pi) Gamma(kappa + 1)) for n = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -284,8 +285,8 @@ def sample_wavefunction(spec: WavefunctionSpec, samples: int) -> dict[str, np.nd
     """Plot-ready columns (x, V, psi, psi_squared) on a uniform grid offset
     from the lattice endpoints by a/(10*samples).  Raises NumericError if a
     column holds a non-finite value, so no report of them starts."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError(f"samples must be >= 2 and an integer, got {samples!r}")
     p = spec.params
     offset = p.a / (10.0 * samples)
     xs = np.linspace(offset, p.a - offset, samples)

@@ -272,6 +272,15 @@ class TestWavefunctionCommand:
         flips = sum(1 for p, q in zip(psis, psis[1:]) if p * q < 0)
         assert flips == 2
 
+    @pytest.mark.parametrize("command", ["table1", "wavefunction"])
+    @pytest.mark.parametrize("n", [10**200, 10**400], ids=["1e200", "1e400"])
+    def test_huge_level_index_exits_2(self, runner, command, n):
+        # the error line printed the OverflowError's text
+        result = invoke(runner, [command, "--s", "2", "--n", str(n)])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: energy of level")
+        assert "leaves the float range" in result.stderr
+
     def test_band_needs_edge(self, runner):
         assert invoke(runner, ["wavefunction", "--s", "0.4", "--n", "0"]).exit_code == 2
 
@@ -410,8 +419,10 @@ class TestVerifyCommand:
                                               "--tol", bad, "--format", fmt])
                 assert result.exit_code == 2, (bad, fmt, result.output)
                 assert result.stdout == ""
-        with pytest.raises(ValueError):
-            run_verification(PotentialParams(s=2.0), 0, tol=math.inf)
+        # "x" ended in a TypeError, and True ran as tol = 1.0
+        for bad in (math.inf, "x", True, None, 1j):
+            with pytest.raises(ValueError, match="need a finite tol > 0"):
+                run_verification(PotentialParams(s=2.0), 0, tol=bad)
 
     def test_numpy_level_count(self):
         params = PotentialParams(s=2.0)

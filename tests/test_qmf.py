@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import scarf
-from scarf import ChiFunction, ContourError, Edge, NumericError, Parity
+from scarf import ChiFunction, Edge, NumericError, Parity
 from scarf.qmf import (
     _FIXED_RADIUS,
     _PROBE_LINE,
@@ -85,7 +85,7 @@ class TestResidueAtInfinity:
 
 
 class TestRationalStructureErrors:
-    """The NumericError and ContourError paths, on crafted contour values."""
+    """The NumericError paths, on crafted contour values."""
 
     @staticmethod
     def circle(d1, d0=0.0):
@@ -105,7 +105,7 @@ class TestRationalStructureErrors:
 
     def test_non_integer_pole_count_raises(self):
         assert _pole_count(3.0 + 1e-9j) == 3
-        with pytest.raises(ContourError, match="not an integer"):
+        with pytest.raises(NumericError, match="not an integer"):
             _pole_count(2.5 + 0j)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scarf
-from scarf import DegenerateRegimeError, Edge, RegimeError
+from scarf import Edge, RegimeError
 from scarf.spectrum import _d1, level_parameters
 
 from fixed_sets import COUPLINGS, SCALES
@@ -76,7 +76,7 @@ class TestResidueCandidates:
         assert _table_d1(P(0.4)) == [pytest.approx(0.1), pytest.approx(0.9)]
         assert _table_d1(P(2.0)) == [-1.5]
         assert _table_d1(P(0.9)) == [pytest.approx(-0.4)]
-        with pytest.raises(DegenerateRegimeError):
+        with pytest.raises(RegimeError, match="branches coincide"):
             _table_d1(P(0.5))
         with pytest.raises(ValueError):
             _table_d1(P(-1.0))
@@ -178,6 +178,16 @@ class TestClosedFormEnergies:
         # the s = 1/2 fold's E = 0 is the one level below the normal range
         fold = scarf.spectrum_line(scarf.PotentialParams(s=0.5, a=10389.0, m=1e299), 0, Edge.LOWER)
         assert fold.lam == fold.energy == 0.0
+
+    @pytest.mark.parametrize("n", [10**200, 10**400], ids=["1e200", "1e400"])
+    def test_huge_level_index_leaves_the_float_range(self, bound_params, band_params, n):
+        # lambda^2 overflowed at 1e200 and n + 1/2 +- s at 1e400, each as
+        # a bare OverflowError
+        for params, edge in ((bound_params, Edge.NOT_APPLICABLE),
+                             (band_params, Edge.LOWER), (band_params, Edge.UPPER)):
+            match = rf"\(n={n}, {edge.value}\) leaves the float range"
+            with pytest.raises(ValueError, match=match):
+                scarf.spectrum_line(params, n, edge)
 
     def test_regime_errors(self, bound_params, band_params):
         with pytest.raises(RegimeError):

@@ -478,8 +478,10 @@ class TestSampling:
         assert cols["x"][peak] == pytest.approx(0.5, abs=2e-3)
 
     def test_one_sample_is_a_value_error(self, bound_ground):
-        with pytest.raises(ValueError, match="samples must be >= 2"):
-            scarf.sample_wavefunction(bound_ground, 1)
+        # so is a count that is no integer: 2.5 ended in a TypeError from linspace
+        for samples in (1, 2.5, True, "16", None):
+            with pytest.raises(ValueError, match="samples must be >= 2"):
+                scarf.sample_wavefunction(bound_ground, samples)
 
 
 class TestImport:
