@@ -52,7 +52,6 @@ and a half_start shot starts at exactly z0/2.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,7 +59,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NumericError, RegimeError
-from .potential import PotentialParams, Regime, wall_coefficient
+from .potential import PotentialParams, Regime, integer, positive_real, wall_coefficient
 
 # Even Taylor coefficients of csc^2(z) - 1/z^2 = 1/3 + z^2/15 + ...
 _CSC2_SERIES = (
@@ -191,13 +190,15 @@ def certify(params: PotentialParams, energy: float, n: int,
     the move of that root when every shot starts at z0/2 (the secant
     through the z0/2 phases), relative to PotentialParams.energy_scale.
     """
+    n = integer("level index", n, 0)
+    count = positive_real("level index", n + 1)  # ValueError past the float range
     ref = PotentialParams(params.s, a=math.pi, m=0.5)   # x is z and E is lambda^2
     lam2 = energy / params.energy_unit
     eta = _ETA * ref.energy_scale(lam2)
     roots = []
     for half_start in (False, True):
         cfg = ShootingConfig(exponent, half_start)
-        lo, hi = (2.0 * shoot(ref, lam2 + d, cfg) / math.pi - (n + 1) for d in (-eta, eta))
+        lo, hi = (2.0 * shoot(ref, lam2 + d, cfg) / math.pi - count for d in (-eta, eta))
         if not -1.0 <= lo < 0.0 <= hi < 1.0:
             raise NumericError(f"level {n} of the {exponent.value} family is not "
                                f"alone in [{lam2 - eta!r}, {lam2 + eta!r}] lambda^2")
@@ -221,10 +222,9 @@ def collocation_spectrum(params: PotentialParams,
     lambda^2 vanishes as s -> 1/2, would be off by about 2e-7 of the
     energy floor at k_levels = 500.
     """
-    if isinstance(k_levels, bool) or not isinstance(k_levels, numbers.Integral) or k_levels < 1:
-        raise ValueError(f"k_levels must be a positive integer, got {k_levels!r}")
-    k_levels = int(k_levels)
-    if _grid_size(params.s, k_levels) > _COLLOCATION_MAX:
+    k_levels = integer("k_levels", k_levels, 1)
+    # N >= 33 + 2k at any s, so a k past the cap is refused before any float overflows
+    if 33 + 2 * k_levels > _COLLOCATION_MAX or _grid_size(params.s, k_levels) > _COLLOCATION_MAX:
         raise ValueError(f"k_levels={k_levels} at s={params.s} needs a collocation "
                          f"grid larger than N={_COLLOCATION_MAX}")
     levels = {}

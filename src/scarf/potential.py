@@ -43,6 +43,28 @@ class Regime(Enum):
     FREE_PARTICLE = "free_particle" # s = 1/2 exactly
 
 
+def positive_real(name: str, value) -> float:
+    """value as a float: any real number but bool, numpy scalars included,
+    that is finite and > 0; ValueError naming the argument otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int or Fraction past the float range
+        raise ValueError(f"{name} leaves the float range") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a positive finite real, got {value}")
+    return value
+
+
+def integer(name: str, value, least: int) -> int:
+    """value as an int: any integer but bool, numpy integers included, that
+    is at least least; ValueError naming the argument otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PotentialParams:
     """Physical configuration of the potential.  s, a and m take any real
@@ -61,16 +83,7 @@ class PotentialParams:
 
     def __post_init__(self):
         for what, name in (("coupling", "s"), ("period", "a"), ("mass", "m")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:  # an int or Fraction past the float range
-                raise ValueError(f"{name} leaves the float range") from None
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{what} {name} must be a positive finite real, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, positive_real(f"{what} {name}", getattr(self, name)))
         try:
             unit, v0 = self.energy_unit, self.v0
         except ArithmeticError:  # a**2 overflows, or 2 m a^2 underflows to 0
@@ -107,7 +120,10 @@ def cell_map(x, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the mask min(r, a - r) <= LATTICE_TOL * a of the lattice points): the one
     map from x to the cell, for V and psi, so their trig is periodic
     bit-for-bit whichever cell x lies in.  ValueError unless x is finite."""
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValueError("x must be finite") from None
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
     r = x - a * np.floor(x / a)

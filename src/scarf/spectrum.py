@@ -25,13 +25,12 @@ of them can disagree with it.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import RegimeError
-from .potential import PotentialParams, Regime
+from .potential import PotentialParams, Regime, integer, positive_real
 
 # |n - round(n)| below this counts as an integer degree.  Loose enough for
 # the rounding of a closed-form or a typed --lambda, far below the level spacing.
@@ -131,8 +130,7 @@ def enumerate_residue_sets(params: PotentialParams, lam: float) -> list[ResidueS
     (n < 0).  ValueError unless lambda is finite and positive, then
     RegimeError at s = 1/2, where the two roots coincide.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lambda must be positive and real, got {lam}")
+    lam = positive_real("lambda", lam)
     if params.regime is Regime.FREE_PARTICLE:
         raise RegimeError("s = 1/2: residue branches coincide; use the free-particle limit")
     d1_values = [_d1(params.s, edge) for edge in _edges(params)]
@@ -164,19 +162,11 @@ def level_parameters(params: PotentialParams, n: int, edge: Edge) -> tuple[float
     This is the one check of n, for spectrum_line and build_wavefunction
     alike.
     """
-    n, s = _level_index(n), params.s
+    n, s = integer("level index", n, 0), params.s
     if edge not in _edges(params):
         raise RegimeError("band levels need edge=LOWER or edge=UPPER"
                           if edge is Edge.NOT_APPLICABLE else "bound levels carry no edge tag")
     return (n + 0.5 - s if edge is Edge.LOWER else n + 0.5 + s), _d1(s, edge)
-
-
-def _level_index(n) -> int:
-    """n as an int: any integer, numpy integers included, but bool, that
-    is at least 0; ValueError otherwise."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"level index must be a non-negative integer, got {n!r}")
-    return int(n)
 
 
 def spectrum_line(params: PotentialParams, n: int, edge: Edge) -> SpectrumLine:
@@ -201,6 +191,6 @@ def spectrum_lines(params: PotentialParams, n_max: int) -> list[SpectrumLine]:
     E+_n = E-_{n+1}) the lower edge is listed first.  n_max is checked
     as a level index.
     """
-    levels = range(_level_index(n_max) + 1)
+    levels = range(integer("level index", n_max, 0) + 1)
     return sorted((spectrum_line(params, n, edge) for n in levels for edge in _edges(params)),
                   key=lambda ln: (ln.energy, ln.edge.value))

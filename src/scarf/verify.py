@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 
 from .errors import NumericError, ScarfError
 from .oracle import Exponent, _exponents, certify, collocation_spectrum
-from .potential import PotentialParams, Regime
+from .potential import PotentialParams, Regime, positive_real
 from .qmf import ChiFunction, chi_parity_defect, residue_report, verify_riccati
 from .spectrum import Edge, SpectrumLine, spectrum_lines
 from .wavefunction import (
@@ -43,8 +42,7 @@ def run_verification(params: PotentialParams, n_max: int, oracle: str = "both",
     errors are taken against PotentialParams.energy_scale.  A family the
     oracles admit and no line holds fails each oracle's completeness.
     """
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-        raise ValueError(f"need a finite tol > 0, got {tol}")
+    tol = positive_real("tol", tol)
     if oracle not in ("shooting", "fd", "both"):
         raise ValueError(f"unknown oracle kind {oracle!r}")
     lines = spectrum_lines(params, n_max)

@@ -53,7 +53,6 @@ for n >= 1, and a Gamma(kappa + 1/2) / (sqrt(pi) Gamma(kappa + 1)) for n = 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -66,6 +65,8 @@ from .potential import (
     PotentialParams,
     cell_map,
     evaluate_potential,
+    integer,
+    positive_real,
     wall_coefficient,
 )
 from .spectrum import Edge, SpectrumLine, spectrum_line
@@ -285,10 +286,9 @@ def sample_wavefunction(spec: WavefunctionSpec, samples: int) -> dict[str, np.nd
     """Plot-ready columns (x, V, psi, psi_squared) on a uniform grid offset
     from the lattice endpoints by a/(10*samples).  Raises NumericError if a
     column holds a non-finite value, so no report of them starts."""
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 2:
-        raise ValueError(f"samples must be >= 2 and an integer, got {samples!r}")
+    samples = integer("samples", samples, 2)
     p = spec.params
-    offset = p.a / (10.0 * samples)
+    offset = p.a / (10.0 * positive_real("samples", samples))  # ValueError past the float range
     xs = np.linspace(offset, p.a - offset, samples)
     psi = eval_psi(spec, xs)
     cols = {"x": xs, "V": evaluate_potential(p, xs), "psi": psi, "psi_squared": psi**2}

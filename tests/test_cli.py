@@ -421,7 +421,7 @@ class TestVerifyCommand:
                 assert result.stdout == ""
         # "x" ended in a TypeError, and True ran as tol = 1.0
         for bad in (math.inf, "x", True, None, 1j):
-            with pytest.raises(ValueError, match="need a finite tol > 0"):
+            with pytest.raises(ValueError, match="^tol must be a (real number|positive finite real), got"):
                 run_verification(PotentialParams(s=2.0), 0, tol=bad)
 
     def test_numpy_level_count(self):
@@ -430,7 +430,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("n_max", [-1, 2.5, True, None, "2"])
     def test_rejects_bad_n_max_as_spectrum_lines_does(self, n_max):
-        with pytest.raises(ValueError, match="level index must be a non-negative integer"):
+        with pytest.raises(ValueError, match="^level index must be an integer >= 0, got"):
             run_verification(PotentialParams(s=2.0), n_max)
 
     def test_fd_oracle_runs_in_band_regime(self, runner):

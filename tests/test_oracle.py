@@ -121,6 +121,16 @@ class TestCertify:
             with pytest.raises(NumericError, match="is not alone in"):
                 scarf.certify(bound_params, energy, n, Exponent.PLUS)
 
+    @pytest.mark.parametrize("n", [-1, 1.5, True], ids=["-1", "1.5", "True"])
+    def test_rejects_bad_level_index(self, bound_params, n):
+        # -1 and 1.5 read as a level that is not alone, and True certified level 1
+        with pytest.raises(ValueError, match="^level index must be an integer >= 0, got"):
+            scarf.certify(bound_params, HALF_PI_SQ * 12.25, n, Exponent.PLUS)
+
+    def test_numpy_level_index(self, bound_params):
+        assert (scarf.certify(bound_params, HALF_PI_SQ * 12.25, np.int64(1), Exponent.PLUS)
+                == scarf.certify(bound_params, HALF_PI_SQ * 12.25, 1, Exponent.PLUS))
+
     def test_nan_phase_raises(self, bound_params, monkeypatch):
         # a NaN phase reads no level count
         monkeypatch.setattr(scarf.oracle, "shoot", lambda params, energy, cfg: math.nan)
@@ -257,7 +267,8 @@ class TestBlindSweep:
     @settings(max_examples=20, deadline=None)
     @given(s=st.floats(min_value=0.05, max_value=10.0), n_max=st.integers(0, 2))
     def test_one_result_per_closed_form_level(self, s, n_max):
-        # every level certifies with its own index and with no other
+        # every level certifies with its own index and with no other; the
+        # index -1 below level 0 is no level index at all
         params = scarf.PotentialParams(s=s)
         for line in scarf.spectrum_lines(params, n_max):
             if line.energy <= 0.0:
@@ -265,7 +276,9 @@ class TestBlindSweep:
             energy, _ = certify_line(params, line)
             assert abs(energy - line.energy) <= 1e-10 * params.energy_scale(line.energy)
             for wrong in (line.n - 1, line.n + 1):
-                with pytest.raises(NumericError, match="is not alone in"):
+                error, match = ((ValueError, "^level index must be an integer >= 0, got -1$")
+                                if wrong < 0 else (NumericError, "is not alone in"))
+                with pytest.raises(error, match=match):
                     scarf.certify(params, line.energy, wrong, predicted_family(line))
 
 
@@ -354,8 +367,16 @@ class TestFiniteDifference:
 
     @pytest.mark.parametrize("k_levels", [2.5, True, 2.0, "2"])
     def test_rejects_non_integer_level_count(self, bound_params, k_levels):
-        with pytest.raises(ValueError, match="k_levels must be a positive integer"):
+        with pytest.raises(ValueError, match="^k_levels must be an integer >= 1, got"):
             scarf.collocation_spectrum(bound_params, k_levels=k_levels)
+
+    @pytest.mark.parametrize("k_levels", [10**20, 10**400], ids=["1e20", "1e400"])
+    def test_huge_level_count_meets_the_grid_cap(self, k_levels):
+        # N >= 33 + 2k at any s; at 1e400 the float product of the grid
+        # size raised OverflowError before the cap was reached
+        for s in (0.4, 2.0, 1e150):
+            with pytest.raises(ValueError, match="needs a collocation grid larger than N=3000"):
+                scarf.collocation_spectrum(scarf.PotentialParams(s), k_levels=k_levels)
 
     def test_numpy_level_count(self, bound_params, band_params):
         for params in (bound_params, band_params):

@@ -1,5 +1,7 @@
+import logging
 import math
 import re
+import sys
 import warnings
 from dataclasses import fields
 from fractions import Fraction
@@ -10,8 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scarf
-from scarf import NumericError, Regime, SingularityError
-from scarf.potential import cell_map, wall_coefficient
+from scarf import Edge, Exponent, NumericError, Regime, SingularityError
+from scarf.potential import cell_map, integer, positive_real, wall_coefficient
 
 
 class TestRegime:
@@ -144,6 +146,15 @@ class TestEvaluatePotential:
         with pytest.raises(ValueError, match="x must be finite"):
             scarf.evaluate_potential(bound_params, x)
 
+    @pytest.mark.parametrize("x", [10**400, [0.5, -10**400]], ids=["scalar", "list"])
+    def test_int_past_the_float_range_is_not_finite(self, bound_params, x):
+        # np.asarray(x, dtype=float) raised OverflowError for V and psi alike
+        wf = scarf.build_wavefunction(bound_params, scarf.spectrum_line(
+            bound_params, 0, Edge.NOT_APPLICABLE))
+        for call in (scarf.evaluate_potential, scarf.eval_psi):
+            with pytest.raises(ValueError, match="^x must be finite$"):
+                call(bound_params if call is scarf.evaluate_potential else wf, x)
+
     def test_overflow_raises_without_warning(self):
         # near the walls V overflows at m = 1e-305; the midpoint stays finite
         p = scarf.PotentialParams(s=2.0, m=1e-305)
@@ -202,3 +213,118 @@ class TestTwoMaps:
         assume(not lattice)
         sn = np.sin(z)
         assert scarf.evaluate_potential(p, x) == wall_coefficient(s) * p.energy_unit / (sn * sn)
+
+
+BOUND = scarf.PotentialParams(2.0)
+GROUND = math.pi**2 / 2.0 * 6.25   # level 0 of BOUND
+
+
+def _ground_wavefunction():
+    return scarf.build_wavefunction(BOUND, scarf.spectrum_line(BOUND, 0, Edge.NOT_APPLICABLE))
+
+
+# each argument check: the argument's name in its messages, a call that
+# reaches the check, and the least value of a count (None for a real)
+SITES = {
+    "s": ("coupling s", lambda v: scarf.PotentialParams(v), None),
+    "a": ("period a", lambda v: scarf.PotentialParams(2.0, a=v), None),
+    "m": ("mass m", lambda v: scarf.PotentialParams(2.0, m=v), None),
+    "lambda": ("lambda", lambda v: scarf.enumerate_residue_sets(BOUND, v), None),
+    "tol": ("tol", lambda v: scarf.run_verification(BOUND, 0, tol=v), None),
+    "spectrum_line": ("level index",
+                      lambda v: scarf.spectrum_line(BOUND, v, Edge.NOT_APPLICABLE), 0),
+    "spectrum_lines": ("level index", lambda v: scarf.spectrum_lines(BOUND, v), 0),
+    "certify": ("level index", lambda v: scarf.certify(BOUND, GROUND, v, Exponent.PLUS), 0),
+    "samples": ("samples", lambda v: scarf.sample_wavefunction(_ground_wavefunction(), v), 2),
+    "k_levels": ("k_levels", lambda v: scarf.collocation_spectrum(BOUND, v), 1),
+}
+# 10**400 is an integer: each count site refuses it by its own limit, named.
+# spectrum_lines has none yet and builds lines toward n = 10**400 (ROADMAP
+# item 7), so it is left out of that row.
+HUGE_COUNTS = {
+    "spectrum_line": rf"^energy of level \(n={10**400}, none\) leaves the float range$",
+    "certify": "^level index leaves the float range$",
+    "samples": "^samples leaves the float range$",
+    "k_levels": rf"^k_levels={10**400} at s=2\.0 needs a collocation grid larger than N=3000$",
+}
+NOT_REAL = {"True": True, "str": "2", "None": None, "1j": 1j}
+NOT_POSITIVE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _bad_arguments():
+    """(site, value, pattern of the ValueError's whole message) of every
+    bad value at every site."""
+    for site, (name, _, least) in SITES.items():
+        cases = {**NOT_REAL, **NOT_POSITIVE}
+        if least is None:
+            cases["0"] = 0
+            for label, value in cases.items():
+                rule = "a real number" if label in NOT_REAL else "a positive finite real"
+                shown = repr(value) if label in NOT_REAL else float(value)
+                yield pytest.param(site, value, f"^{name} must be {rule}, got {re.escape(str(shown))}$",
+                                   id=f"{site}-{label}")
+            yield pytest.param(site, 10**400, f"^{name} leaves the float range$",
+                               id=f"{site}-1e400")
+            continue
+        cases.update({"below_least": least - 1, "2.5": 2.5})
+        for label, value in cases.items():
+            yield pytest.param(
+                site, value, f"^{name} must be an integer >= {least}, got {re.escape(repr(value))}$",
+                id=f"{site}-{label}")
+        if site in HUGE_COUNTS:
+            yield pytest.param(site, 10**400, HUGE_COUNTS[site], id=f"{site}-1e400")
+
+
+def _same(a, b) -> bool:
+    """a == b, with arrays compared element by element."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class TestArgumentRules:
+    """positive_real and integer are the one rule of a real argument and of
+    a count: every site refuses each bad value with a ValueError that names
+    the argument, and takes numpy scalars as the Python numbers they equal."""
+
+    @pytest.mark.parametrize("site, value, message", _bad_arguments())
+    def test_bad_value_is_a_named_value_error(self, site, value, message):
+        with pytest.raises(ValueError, match=message):
+            SITES[site][1](value)
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_numpy_scalars_are_converted(self, site):
+        _, call, least = SITES[site]
+        pairs = ([(np.float32(0.75), 0.75), (np.int64(3), 3.0)] if least is None
+                 else [(np.int64(least), least), (np.uint8(least), least)])
+        for numpy_value, value in pairs:
+            assert _same(call(numpy_value), call(value))
+
+    def test_helpers_return_python_numbers(self):
+        for value in (np.float32(0.75), np.int64(3), Fraction(3, 4), 3):
+            assert type(positive_real("x", value)) is float
+            assert positive_real("x", value) == float(value)
+        for value in (np.int64(3), np.uint8(3), 3):
+            assert type(integer("n", value, 0)) is int and integer("n", value, 0) == 3
+
+    def test_huge_tol_is_refused_before_the_log_line(self, capsys):
+        # 10**400 passed the old check, and the INFO line's %g of it failed
+        # as a "--- Logging error ---" on stderr; tol = 1 stood as an int
+        logger = logging.getLogger("scarf.verify")
+        handler, level = logging.StreamHandler(sys.stderr), logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+        try:
+            with pytest.raises(ValueError, match="^tol leaves the float range$"):
+                scarf.run_verification(BOUND, 0, tol=10**400)
+            report = scarf.run_verification(BOUND, 0, tol=1)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        err = capsys.readouterr().err
+        assert "Logging error" not in err and err.endswith(" tol=1\n")
+        thresholds = [c["threshold"] for c in report["checks"]
+                      if c["name"] in ("oracle_shooting_rel_err", "oracle_fd_rel_err")]
+        assert thresholds and all(type(t) is float and t == 1.0 for t in thresholds)

@@ -44,7 +44,7 @@ class TestResidueCandidates:
         # the check of lambda comes first, also at s = 1/2
         for s in (0.4, 2.0, 0.5):
             for lam in (0.0, -1.0, float("nan")):
-                with pytest.raises(ValueError, match="lambda must be positive"):
+                with pytest.raises(ValueError, match="^lambda must be a positive finite real, got"):
                     scarf.enumerate_residue_sets(scarf.PotentialParams(s), lam)
 
     def test_infinity_examples(self):

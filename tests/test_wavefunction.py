@@ -480,7 +480,7 @@ class TestSampling:
     def test_one_sample_is_a_value_error(self, bound_ground):
         # so is a count that is no integer: 2.5 ended in a TypeError from linspace
         for samples in (1, 2.5, True, "16", None):
-            with pytest.raises(ValueError, match="samples must be >= 2"):
+            with pytest.raises(ValueError, match="^samples must be an integer >= 2, got"):
                 scarf.sample_wavefunction(bound_ground, samples)
 
 
