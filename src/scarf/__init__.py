@@ -20,7 +20,6 @@ from .potential import (
 )
 from .spectrum import (
     Edge,
-    ResidueSet,
     SpectrumLine,
     enumerate_residue_sets,
     spectrum_line,
@@ -56,8 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PotentialParams", "Regime", "evaluate_potential",
-    "Edge", "ResidueSet", "SpectrumLine", "enumerate_residue_sets", "spectrum_line",
-    "spectrum_lines",
+    "Edge", "SpectrumLine", "enumerate_residue_sets", "spectrum_line", "spectrum_lines",
     "WavefunctionSpec", "Parity", "build_wavefunction", "eval_psi",
     "count_nodes", "boundary_exponent", "parity", "schrodinger_residual",
     "sample_wavefunction",

@@ -325,10 +325,7 @@ def table1(params, cfg):
         if cfg["n"] is None:
             raise ValueError("give --lambda or --n (with --edge in the band regime)")
         lam = _line(params, cfg["n"], cfg["edge"]).lam
-    rows = [{"set": rs.set_id, "b1": rs.b1, "b1_prime": rs.b1_prime, "d1": rs.d1,
-             "n": rs.n_value, "valid": rs.valid,
-             "remark": "valid" if rs.valid else f"not valid ({rs.rejection_reason})"}
-            for rs in enumerate_residue_sets(params, lam)]
+    rows = enumerate_residue_sets(params, lam)
     payload = {"params": params_entry(params), "regime": params.regime.value,
                "lambda": lam, "sets": rows}
     return payload, list(rows[0]), rows

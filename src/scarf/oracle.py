@@ -59,7 +59,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NumericError, RegimeError
-from .potential import PotentialParams, Regime, integer, positive_real, wall_coefficient
+from .potential import PotentialParams, Regime, finite_real, integer, wall_coefficient
 
 # Even Taylor coefficients of csc^2(z) - 1/z^2 = 1/3 + z^2/15 + ...
 _CSC2_SERIES = (
@@ -160,11 +160,14 @@ def shoot(params: PotentialParams, energy: float, cfg: ShootingConfig) -> float:
     (-1)^zeros.  atan2 of |u| is in [0, pi], so a zero of u at exactly
     pi/2, which the kernel does not count, still gives theta its full pi.
     The integer part of 2 theta/pi is the number of the family's levels
-    at or below E.
+    at or below E.  ValueError unless E is a finite real and the exponent
+    an Exponent, then RegimeError unless the regime has that exponent.
     """
+    if not isinstance(cfg.exponent, Exponent):
+        raise ValueError(f"exponent must be an Exponent, got {cfg.exponent!r}")
     if cfg.exponent not in _exponents(params.regime):
         raise RegimeError("bound regime admits only the 1/2 + s exponent")
-    s, lam2 = params.s, energy / params.energy_unit
+    s, lam2 = params.s, finite_real("energy", energy) / params.energy_unit
     mu = cfg.exponent.mu(s)
     series = frobenius_series(s, lam2, mu)
     z = start_offset(series) / (2.0 if cfg.half_start else 1.0)
@@ -189,11 +192,12 @@ def certify(params: PotentialParams, energy: float, n: int,
     of theta(E) = (n + 1) pi/2 on the secant through the z0 phases, and
     the move of that root when every shot starts at z0/2 (the secant
     through the z0/2 phases), relative to PotentialParams.energy_scale.
+    E, n and the exponent follow shoot's rules and the level index's.
     """
     n = integer("level index", n, 0)
-    count = positive_real("level index", n + 1)  # ValueError past the float range
+    count = finite_real("level index", n + 1)  # ValueError past the float range
     ref = PotentialParams(params.s, a=math.pi, m=0.5)   # x is z and E is lambda^2
-    lam2 = energy / params.energy_unit
+    lam2 = finite_real("energy", energy) / params.energy_unit
     eta = _ETA * ref.energy_scale(lam2)
     roots = []
     for half_start in (False, True):

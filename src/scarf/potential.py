@@ -43,18 +43,28 @@ class Regime(Enum):
     FREE_PARTICLE = "free_particle" # s = 1/2 exactly
 
 
-def positive_real(name: str, value) -> float:
-    """value as a float: any real number but bool, numpy scalars included,
-    that is finite and > 0; ValueError naming the argument otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+def _is_real(value) -> bool:
+    """Any real number but bool, numpy scalars included."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def finite_real(name: str, value, positive: bool = False) -> float:
+    """value as a float: a real number by _is_real that is finite, and > 0
+    if positive; ValueError naming the argument otherwise."""
+    if not _is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)
     except OverflowError:  # an int or Fraction past the float range
         raise ValueError(f"{name} leaves the float range") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be a positive finite real, got {value}")
+    if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        raise ValueError(f"{name} must be a {'positive ' * positive}finite real, got {value}")
     return value
+
+
+def positive_real(name: str, value) -> float:
+    """finite_real(name, value) that is > 0."""
+    return finite_real(name, value, positive=True)
 
 
 def integer(name: str, value, least: int) -> int:
@@ -119,7 +129,12 @@ def cell_map(x, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x as a float array, z = pi r / a with r = x reduced to [0, a) once,
     the mask min(r, a - r) <= LATTICE_TOL * a of the lattice points): the one
     map from x to the cell, for V and psi, so their trig is periodic
-    bit-for-bit whichever cell x lies in.  ValueError unless x is finite."""
+    bit-for-bit whichever cell x lies in.  ValueError unless every entry of
+    x is a real number by _is_real and finite."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
+        for value in np.asarray(x, dtype=object).flat:
+            if not _is_real(value):
+                raise ValueError(f"x must be a real number, got {value!r}")
     try:
         x = np.asarray(x, dtype=float)
     except OverflowError:  # an int past the float range

@@ -44,29 +44,6 @@ class Edge(Enum):
 
 
 @dataclass(frozen=True)
-class ResidueSet:
-    """One row of the residue-combination table.
-
-    n_value is d1 - b1 - b1' for the given lambda; the combination is
-    valid only when that is a non-negative integer (the polynomial degree).
-    No row carries the analytic part of chi: it is a constant, and parity
-    forces it to zero (C = d0 = 0).
-    """
-
-    set_id: int
-    b1: float
-    d1: float
-    n_value: float
-    valid: bool
-    rejection_reason: str | None = None
-
-    @property
-    def b1_prime(self) -> float:
-        """The residue at y = -i, which parity makes b1."""
-        return self.b1
-
-
-@dataclass(frozen=True)
 class SpectrumLine:
     """A single eigenlevel: band edge or bound level, and the one record of
     it.  P_n, psi, the momentum function and the oracles' checks read n and
@@ -116,15 +93,20 @@ def _d1(s: float, edge: Edge) -> float:
     return (1.0 + 2.0 * s) / 2.0 if edge is Edge.LOWER else (1.0 - 2.0 * s) / 2.0
 
 
-def enumerate_residue_sets(params: PotentialParams, lam: float) -> list[ResidueSet]:
-    """All (b1, d1) combinations with b1 = b1', each scored by whether
-    n = d1 - 2 b1 is a non-negative integer.
+def enumerate_residue_sets(params: PotentialParams, lam: float) -> list[dict]:
+    """The rows of the residue-combination table at lambda, as table1
+    prints them: {"set", "b1", "b1_prime", "d1", "n", "valid", "remark"}.
 
-    b1 runs over the pair (1 -+ lambda)/2 of the fixed pole y = +i (and
-    y = -i), d1 over the d1 of each of the regime's edges, the roots of
-    d1^2 - d1 + (1/4 - s^2) = 0 that keep psi finite at the lattice points:
-    both in a band, only (1 - 2s)/2 in the bound regime, where the boundary
-    exponent 1/2 - d1 + ... must keep psi from diverging as y -> infinity.
+    b1 runs over the pair (1 -+ lambda)/2 of the fixed pole y = +i, and
+    parity makes the residue b1' at y = -i equal to b1.  d1 runs over the
+    d1 of each of the regime's edges, the roots of d1^2 - d1 + (1/4 - s^2)
+    = 0 that keep psi finite at the lattice points: both in a band, only
+    (1 - 2s)/2 in the bound regime, where the boundary exponent 1/2 - d1 +
+    ... must keep psi from diverging as y -> infinity.  n = d1 - b1 - b1'
+    is the polynomial degree; a row is valid only when n is a non-negative
+    integer, and its remark is "valid", "not valid (n negative)" or "not
+    valid (n not a non-negative integer)".  No row carries the analytic
+    part of chi: it is a constant, and parity sets it to 0 (C = d0 = 0).
     A band's four rows: rows 1 and 2 carry b1 = (1 - lambda)/2 against
     d1 = (1 -+ 2s)/2, rows 3 and 4 b1 = (1 + lambda)/2 and always fail
     (n < 0).  ValueError unless lambda is finite and positive, then
@@ -134,19 +116,17 @@ def enumerate_residue_sets(params: PotentialParams, lam: float) -> list[ResidueS
     if params.regime is Regime.FREE_PARTICLE:
         raise RegimeError("s = 1/2: residue branches coincide; use the free-particle limit")
     d1_values = [_d1(params.s, edge) for edge in _edges(params)]
-    sets = []
+    rows = []
     for b1 in ((1.0 - lam) / 2.0, (1.0 + lam) / 2.0):
         for d1 in d1_values:
-            n_value = d1 - 2.0 * b1
-            if n_value < -N_INTEGER_TOL:
-                valid, reason = False, "n negative"
-            elif abs(n_value - round(n_value)) > N_INTEGER_TOL:
-                valid, reason = False, "n not a non-negative integer"
-            else:
-                valid, reason = True, None
-            sets.append(ResidueSet(set_id=len(sets) + 1, b1=b1, d1=d1, n_value=n_value,
-                                   valid=valid, rejection_reason=reason))
-    return sets
+            n = d1 - 2.0 * b1
+            fault = ("n negative" if n < -N_INTEGER_TOL
+                     else "n not a non-negative integer" if abs(n - round(n)) > N_INTEGER_TOL
+                     else None)
+            rows.append({"set": len(rows) + 1, "b1": b1, "b1_prime": b1, "d1": d1, "n": n,
+                         "valid": fault is None,
+                         "remark": f"not valid ({fault})" if fault else "valid"})
+    return rows
 
 
 def level_parameters(params: PotentialParams, n: int, edge: Edge) -> tuple[float, float]:
@@ -159,10 +139,13 @@ def level_parameters(params: PotentialParams, n: int, edge: Edge) -> tuple[float
         upper edge, bound   : lambda = n + 1/2 + s
 
     At s = 1/2 these are the free-particle edges lambda = n and n + 1.
-    This is the one check of n, for spectrum_line and build_wavefunction
-    alike.
+    This is the one check of n and edge, for spectrum_line and
+    build_wavefunction alike: ValueError unless edge is an Edge, then
+    RegimeError unless it is one of the regime's edges.
     """
     n, s = integer("level index", n, 0), params.s
+    if not isinstance(edge, Edge):
+        raise ValueError(f"edge must be an Edge, got {edge!r}")
     if edge not in _edges(params):
         raise RegimeError("band levels need edge=LOWER or edge=UPPER"
                           if edge is Edge.NOT_APPLICABLE else "bound levels carry no edge tag")
@@ -189,8 +172,10 @@ def spectrum_lines(params: PotentialParams, n_max: int) -> list[SpectrumLine]:
     Bound regime: one line per n.  Band and free-particle regimes: both
     edges per n; where two edges share an energy (the free particle's
     E+_n = E-_{n+1}) the lower edge is listed first.  n_max is checked
-    as a level index.
+    as a level index and its lines are built first, so one past the float
+    range raises spectrum_line's ValueError before the others are built.
     """
-    levels = range(integer("level index", n_max, 0) + 1)
-    return sorted((spectrum_line(params, n, edge) for n in levels for edge in _edges(params)),
-                  key=lambda ln: (ln.energy, ln.edge.value))
+    top, edges = integer("level index", n_max, 0), _edges(params)
+    lines = [spectrum_line(params, top, edge) for edge in edges]
+    lines += (spectrum_line(params, n, edge) for n in range(top) for edge in edges)
+    return sorted(lines, key=lambda ln: (ln.energy, ln.edge.value))

@@ -65,8 +65,8 @@ from .potential import (
     PotentialParams,
     cell_map,
     evaluate_potential,
+    finite_real,
     integer,
-    positive_real,
     wall_coefficient,
 )
 from .spectrum import Edge, SpectrumLine, spectrum_line
@@ -288,7 +288,7 @@ def sample_wavefunction(spec: WavefunctionSpec, samples: int) -> dict[str, np.nd
     column holds a non-finite value, so no report of them starts."""
     samples = integer("samples", samples, 2)
     p = spec.params
-    offset = p.a / (10.0 * positive_real("samples", samples))  # ValueError past the float range
+    offset = p.a / (10.0 * finite_real("samples", samples))  # ValueError past the float range
     xs = np.linspace(offset, p.a - offset, samples)
     psi = eval_psi(spec, xs)
     cols = {"x": xs, "V": evaluate_potential(p, xs), "psi": psi, "psi_squared": psi**2}

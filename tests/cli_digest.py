@@ -9,7 +9,7 @@ the tree before and after the change and diffs the two outputs:
 
 The set runs spectrum, bands, wavefunction, table1 and verify through
 click's CliRunner at s in {0.05, 0.4, 0.4999, 0.5, 2, 2.37, 8}, with both
-output formats and two (a, m) pairs, plus six invalid inputs.  Shooting
+output formats and two (a, m) pairs, plus seven invalid inputs.  Shooting
 verify runs at s in {0.499999999, 0.5} and at --tol 1e-15 pin the pass or
 fail of each level's certificate window, and those at s in {200, 300} pin
 shots whose state the kernel renormalizes in flight.  At s = 0.5 and
@@ -59,6 +59,7 @@ ERRORS = (
     ["table1", "--s", "2", "--n", "1" + "0" * 200],
     ["wavefunction", "--s", "2", "--samples", "1"],
     ["verify", "--s", "2", "--n-max", "0", "--tol", "0"],
+    ["spectrum", "--s", "2", "--n-max", "1" + "0" * 400],
 )
 
 

@@ -115,12 +115,12 @@ def test_criterion_3_residue_table_reproduction():
         for n in range(3):
             for edge in (Edge.LOWER, Edge.UPPER):
                 line = scarf.spectrum_line(params, n, edge)
-                sets = scarf.enumerate_residue_sets(params, line.lam)
-                valid_ids = [rs.set_id for rs in sets if rs.valid]
+                rows = scarf.enumerate_residue_sets(params, line.lam)
+                valid_ids = [row["set"] for row in rows if row["valid"]]
                 if len(valid_ids) != 1 or valid_ids[0] in (3, 4):
                     ok = False
                     detail.append(f"s={s}, n={n}, {line.edge.value}: {valid_ids}")
-                if any(rs.valid for rs in sets if rs.set_id in (3, 4)):
+                if any(row["valid"] for row in rows if row["set"] in (3, 4)):
                     ok = False
     report("3 (residue table)", ok, "; ".join(detail) or
            "one valid set per edge, sets 3 and 4 never valid")

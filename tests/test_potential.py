@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scarf
-from scarf import Edge, Exponent, NumericError, Regime, SingularityError
+from scarf import (Edge, Exponent, NumericError, Regime, RegimeError, ShootingConfig,
+                   SingularityError)
 from scarf.potential import cell_map, integer, positive_real, wall_coefficient
 
 
@@ -216,6 +217,7 @@ class TestTwoMaps:
 
 
 BOUND = scarf.PotentialParams(2.0)
+BAND = scarf.PotentialParams(0.4)
 GROUND = math.pi**2 / 2.0 * 6.25   # level 0 of BOUND
 
 
@@ -224,7 +226,9 @@ def _ground_wavefunction():
 
 
 # each argument check: the argument's name in its messages, a call that
-# reaches the check, and the least value of a count (None for a real)
+# reaches the check, and its rule: None for a positive real, "real" for a
+# finite real of either sign, "x" for the entries of x, the Enum whose
+# members it takes, or the least value of a count
 SITES = {
     "s": ("coupling s", lambda v: scarf.PotentialParams(v), None),
     "a": ("period a", lambda v: scarf.PotentialParams(2.0, a=v), None),
@@ -237,12 +241,16 @@ SITES = {
     "certify": ("level index", lambda v: scarf.certify(BOUND, GROUND, v, Exponent.PLUS), 0),
     "samples": ("samples", lambda v: scarf.sample_wavefunction(_ground_wavefunction(), v), 2),
     "k_levels": ("k_levels", lambda v: scarf.collocation_spectrum(BOUND, v), 1),
+    "energy": ("energy", lambda v: scarf.shoot(BOUND, v, ShootingConfig()), "real"),
+    "x": ("x", lambda v: scarf.eval_psi(_ground_wavefunction(), v), "x"),
+    "edge": ("edge", lambda v: scarf.spectrum_line(BAND, 0, v), Edge),
+    "exponent": ("exponent", lambda v: scarf.shoot(BAND, GROUND, ShootingConfig(v)), Exponent),
 }
-# 10**400 is an integer: each count site refuses it by its own limit, named.
-# spectrum_lines has none yet and builds lines toward n = 10**400 (ROADMAP
-# item 7), so it is left out of that row.
+# 10**400 is an integer: each count site refuses it by its own limit, named;
+# spectrum_lines by its top line's energy, before it builds any line
 HUGE_COUNTS = {
     "spectrum_line": rf"^energy of level \(n={10**400}, none\) leaves the float range$",
+    "spectrum_lines": rf"^energy of level \(n={10**400}, none\) leaves the float range$",
     "certify": "^level index leaves the float range$",
     "samples": "^samples leaves the float range$",
     "k_levels": rf"^k_levels={10**400} at s=2\.0 needs a collocation grid larger than N=3000$",
@@ -254,22 +262,33 @@ NOT_POSITIVE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 def _bad_arguments():
     """(site, value, pattern of the ValueError's whole message) of every
     bad value at every site."""
-    for site, (name, _, least) in SITES.items():
+    for site, (name, _, rule) in SITES.items():
         cases = {**NOT_REAL, **NOT_POSITIVE}
-        if least is None:
-            cases["0"] = 0
-            for label, value in cases.items():
-                rule = "a real number" if label in NOT_REAL else "a positive finite real"
-                shown = repr(value) if label in NOT_REAL else float(value)
-                yield pytest.param(site, value, f"^{name} must be {rule}, got {re.escape(str(shown))}$",
-                                   id=f"{site}-{label}")
-            yield pytest.param(site, 10**400, f"^{name} leaves the float range$",
-                               id=f"{site}-1e400")
+        if isinstance(rule, type):
+            # a member's value and every other non-member
+            for label, value in {"value": next(iter(rule)).value, **NOT_REAL}.items():
+                message = f"{name} must be an {rule.__name__}, got {re.escape(repr(value))}"
+                yield pytest.param(site, value, f"^{message}$", id=f"{site}-{label}")
             continue
-        cases.update({"below_least": least - 1, "2.5": 2.5})
+        if rule in (None, "real", "x"):
+            if rule is None:
+                cases["0"] = 0
+            for label, value in cases.items():
+                if label in NOT_REAL:
+                    message = f"{name} must be a real number, got {re.escape(repr(value))}"
+                elif rule == "x":
+                    message = "x must be finite"
+                else:
+                    rule_text = "a positive finite real" if rule is None else "a finite real"
+                    message = f"{name} must be {rule_text}, got {re.escape(str(float(value)))}"
+                yield pytest.param(site, value, f"^{message}$", id=f"{site}-{label}")
+            huge = "x must be finite" if rule == "x" else f"{name} leaves the float range"
+            yield pytest.param(site, 10**400, f"^{huge}$", id=f"{site}-1e400")
+            continue
+        cases.update({"below_least": rule - 1, "2.5": 2.5})
         for label, value in cases.items():
             yield pytest.param(
-                site, value, f"^{name} must be an integer >= {least}, got {re.escape(repr(value))}$",
+                site, value, f"^{name} must be an integer >= {rule}, got {re.escape(repr(value))}$",
                 id=f"{site}-{label}")
         if site in HUGE_COUNTS:
             yield pytest.param(site, 10**400, HUGE_COUNTS[site], id=f"{site}-1e400")
@@ -294,13 +313,69 @@ class TestArgumentRules:
         with pytest.raises(ValueError, match=message):
             SITES[site][1](value)
 
-    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("site", [site for site, (_, _, rule) in SITES.items()
+                                      if not isinstance(rule, type)])
     def test_numpy_scalars_are_converted(self, site):
-        _, call, least = SITES[site]
-        pairs = ([(np.float32(0.75), 0.75), (np.int64(3), 3.0)] if least is None
-                 else [(np.int64(least), least), (np.uint8(least), least)])
+        _, call, rule = SITES[site]
+        pairs = ([(np.int64(rule), rule), (np.uint8(rule), rule)] if isinstance(rule, int)
+                 else [(np.float32(0.75), 0.75), (np.int64(3), 3.0)])
         for numpy_value, value in pairs:
             assert _same(call(numpy_value), call(value))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: scarf.evaluate_potential(BAND, "0.25"), "x must be a real number, got '0.25'"),
+        (lambda: scarf.evaluate_potential(BAND, [True, 0.25]), "x must be a real number, got True"),
+        (lambda: scarf.evaluate_potential(BAND, np.array([0.5, True], dtype=object)),
+         "x must be a real number, got True"),
+        (lambda: scarf.evaluate_potential(BAND, np.array([True])),
+         "x must be a real number, got True"),
+        (lambda: scarf.evaluate_potential(BAND, np.array(["0.25"])),
+         "x must be a real number, got '0.25'"),
+        (lambda: scarf.evaluate_potential(BAND, [0.25, None]), "x must be a real number, got None"),
+        (lambda: scarf.eval_psi(_ground_wavefunction(), 0.5 + 1j),
+         r"x must be a real number, got \(0.5\+1j\)"),
+        (lambda: scarf.evaluate_potential(BAND, np.array([0.5, -10**400], dtype=object)),
+         "x must be finite"),
+        (lambda: scarf.shoot(BAND, -math.inf, ShootingConfig()),
+         "energy must be a finite real, got -inf"),
+        (lambda: scarf.certify(BAND, math.nan, 0, Exponent.PLUS),
+         "energy must be a finite real, got nan"),
+        (lambda: scarf.certify(BAND, True, 0, Exponent.PLUS),
+         "energy must be a real number, got True"),
+        (lambda: scarf.certify(BAND, "1", 0, Exponent.PLUS),
+         "energy must be a real number, got '1'"),
+        (lambda: scarf.certify(BAND, 1.0, 0, "minus"),
+         "exponent must be an Exponent, got 'minus'"),
+    ], ids=["str", "bool-in-list", "bool-in-object-array", "bool-array", "str-array",
+            "None-in-list", "complex", "huge-in-object-array", "shoot-inf", "certify-nan",
+            "certify-True", "certify-str", "certify-exponent"])
+    def test_x_energy_and_exponent_at_each_entry(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    def test_numeric_x_and_energy_keep_every_bit(self):
+        # lists and object arrays of reals give the float array's V, an int
+        # x or E is read as its float, and energies below 0 still shoot
+        xs = np.array([0.25, 2.5, 0.75])
+        for x in ([0.25, 2.5, 0.75], np.array([0.25, 2.5, 0.75], dtype=object)):
+            assert np.array_equal(scarf.evaluate_potential(BAND, x),
+                                  scarf.evaluate_potential(BAND, xs))
+        assert scarf.eval_psi(_ground_wavefunction(), 3) == 0.0
+        below = scarf.shoot(BAND, -5.0, ShootingConfig())
+        assert math.isfinite(below) and scarf.shoot(BAND, -5, ShootingConfig()) == below
+
+    def test_a_member_the_regime_lacks_is_a_regime_error(self):
+        # a real Edge or Exponent keeps the regime's own error and message
+        only_plus = r"^bound regime admits only the 1/2 \+ s exponent$"
+        for call, message in (
+                (lambda: scarf.spectrum_line(BOUND, 0, Edge.LOWER),
+                 "^bound levels carry no edge tag$"),
+                (lambda: scarf.spectrum_line(BAND, 0, Edge.NOT_APPLICABLE),
+                 "^band levels need edge=LOWER or edge=UPPER$"),
+                (lambda: scarf.shoot(BOUND, GROUND, ShootingConfig(Exponent.MINUS)), only_plus),
+                (lambda: scarf.certify(BOUND, GROUND, 0, Exponent.MINUS), only_plus)):
+            with pytest.raises(RegimeError, match=message):
+                call()
 
     def test_helpers_return_python_numbers(self):
         for value in (np.float32(0.75), np.int64(3), Fraction(3, 4), 3):

@@ -200,8 +200,8 @@ class TestReport:
                 chi = ChiFunction.from_wavefunction(
                     scarf.build_wavefunction(band_params, line))
                 b1 = scarf.residue_report(chi).b1_measured
-                sets = scarf.enumerate_residue_sets(band_params, line.lam)
-                lo, hi = sets[0].b1, sets[-1].b1
+                rows = scarf.enumerate_residue_sets(band_params, line.lam)
+                lo, hi = rows[0]["b1"], rows[-1]["b1"]
                 assert b1.real == pytest.approx(lo, abs=1e-10)
                 assert abs(b1.real - hi) > 0.01
 

@@ -17,14 +17,14 @@ HALF_PI_SQ = math.pi**2 / 2.0
 
 def _table_b1(params, lam):
     """The two b1 of the residue table at lambda, (1 - lambda)/2 first."""
-    sets = scarf.enumerate_residue_sets(params, lam)
-    return sets[0].b1, sets[-1].b1
+    rows = scarf.enumerate_residue_sets(params, lam)
+    return rows[0]["b1"], rows[-1]["b1"]
 
 
 def _table_d1(params, lam=1.0):
     """The d1 of the residue table's rows, one per edge of the regime."""
-    sets = scarf.enumerate_residue_sets(params, lam)
-    return [rs.d1 for rs in sets if rs.b1 == sets[0].b1]
+    rows = scarf.enumerate_residue_sets(params, lam)
+    return [row["d1"] for row in rows if row["b1"] == rows[0]["b1"]]
 
 
 def _edge_d1(s):
@@ -84,40 +84,50 @@ class TestResidueCandidates:
 
 class TestEnumerateResidueSets:
     def test_band_upper_edge_n0(self):
-        sets = scarf.enumerate_residue_sets(scarf.PotentialParams(0.4), 0.9)
-        assert len(sets) == 4
-        by_id = {rs.set_id: rs for rs in sets}
-        assert by_id[1].valid and by_id[1].n_value == pytest.approx(0.0, abs=1e-12)
-        assert by_id[1].b1 == pytest.approx(0.05)
-        assert by_id[1].d1 == pytest.approx(0.1)
-        assert not by_id[2].valid  # n = 0.8, not an integer
-        assert by_id[2].n_value == pytest.approx(0.8)
-        assert not by_id[3].valid and by_id[3].n_value < 0
-        assert not by_id[4].valid and by_id[4].n_value < 0
+        rows = scarf.enumerate_residue_sets(scarf.PotentialParams(0.4), 0.9)
+        assert len(rows) == 4
+        by_id = {row["set"]: row for row in rows}
+        assert by_id[1]["valid"] and by_id[1]["n"] == pytest.approx(0.0, abs=1e-12)
+        assert by_id[1]["b1"] == pytest.approx(0.05)
+        assert by_id[1]["d1"] == pytest.approx(0.1)
+        assert not by_id[2]["valid"]  # n = 0.8, not an integer
+        assert by_id[2]["n"] == pytest.approx(0.8)
+        assert not by_id[3]["valid"] and by_id[3]["n"] < 0
+        assert not by_id[4]["valid"] and by_id[4]["n"] < 0
 
     def test_band_lower_edge_n0(self):
-        sets = scarf.enumerate_residue_sets(scarf.PotentialParams(0.4), 0.1)
-        by_id = {rs.set_id: rs for rs in sets}
-        assert by_id[2].valid
-        assert by_id[2].b1 == pytest.approx(0.45)
-        assert by_id[2].d1 == pytest.approx(0.9)
-        assert by_id[2].n_value == pytest.approx(0.0, abs=1e-12)
+        rows = scarf.enumerate_residue_sets(scarf.PotentialParams(0.4), 0.1)
+        by_id = {row["set"]: row for row in rows}
+        assert by_id[2]["valid"]
+        assert by_id[2]["b1"] == pytest.approx(0.45)
+        assert by_id[2]["d1"] == pytest.approx(0.9)
+        assert by_id[2]["n"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_rows_are_table1s_rows(self):
+        # the seven keys in table1's column order, and the three remarks
+        rows = scarf.enumerate_residue_sets(scarf.PotentialParams(0.4), 0.9)
+        assert all(list(row) == ["set", "b1", "b1_prime", "d1", "n", "valid", "remark"]
+                   for row in rows)
+        assert [row["remark"] for row in rows] == [
+            "valid", "not valid (n not a non-negative integer)",
+            "not valid (n negative)", "not valid (n negative)"]
 
     def test_bound_regime_two_rows(self):
-        sets = scarf.enumerate_residue_sets(scarf.PotentialParams(2.0), 2.5)
-        assert len(sets) == 2
-        valid = [rs for rs in sets if rs.valid]
+        rows = scarf.enumerate_residue_sets(scarf.PotentialParams(2.0), 2.5)
+        assert len(rows) == 2
+        valid = [row for row in rows if row["valid"]]
         assert len(valid) == 1
-        assert valid[0].b1 == pytest.approx(-0.75)
-        assert valid[0].d1 == pytest.approx(-1.5)
-        assert valid[0].n_value == pytest.approx(0.0, abs=1e-12)
+        assert valid[0]["b1"] == pytest.approx(-0.75)
+        assert valid[0]["d1"] == pytest.approx(-1.5)
+        assert valid[0]["n"] == pytest.approx(0.0, abs=1e-12)
 
     def test_sum_rule_holds_for_valid_sets(self):
         for s, lam in ((0.4, 0.9), (0.4, 2.1), (2.0, 4.5), (0.25, 1.75)):
-            for rs in scarf.enumerate_residue_sets(scarf.PotentialParams(s), lam):
-                if rs.valid:
-                    n = round(rs.n_value)
-                    assert rs.b1 + rs.b1_prime + n - rs.d1 == pytest.approx(0.0, abs=1e-9)
+            for row in scarf.enumerate_residue_sets(scarf.PotentialParams(s), lam):
+                if row["valid"]:
+                    n = round(row["n"])
+                    defect = row["b1"] + row["b1_prime"] + n - row["d1"]
+                    assert defect == pytest.approx(0.0, abs=1e-9)
 
     @given(st.floats(min_value=0.01, max_value=0.49),
            st.floats(min_value=0.0, max_value=20.0))
@@ -125,11 +135,11 @@ class TestEnumerateResidueSets:
     def test_large_lambda_rules_out_plus_branch(self, s, offset):
         # whenever lambda > s + 1/2, rows with b1 = (1 + lambda)/2 give n < 0
         lam = s + 0.5 + offset + 1e-6
-        sets = scarf.enumerate_residue_sets(scarf.PotentialParams(s), lam)
-        for rs in sets:
-            if rs.b1 == (1.0 + lam) / 2.0:
-                assert not rs.valid
-                assert rs.n_value < 0
+        rows = scarf.enumerate_residue_sets(scarf.PotentialParams(s), lam)
+        for row in rows:
+            if row["b1"] == (1.0 + lam) / 2.0:
+                assert not row["valid"]
+                assert row["n"] < 0
 
 
 class TestClosedFormEnergies:
@@ -286,17 +296,17 @@ class TestOneSource:
         # lambda has exactly one valid row, and it is the level's b1 and d1
         params = scarf.PotentialParams(s=s)
         for line in scarf.spectrum_lines(params, 40):
-            valid = [rs for rs in scarf.enumerate_residue_sets(params, line.lam) if rs.valid]
+            valid = [row for row in scarf.enumerate_residue_sets(params, line.lam) if row["valid"]]
             assert len(valid) == 1, line
             row = valid[0]
-            assert row.set_id in (1, 2), line
-            assert (row.b1.hex(), row.d1.hex()) == (line.b1.hex(), line.d1.hex()), line
-            assert round(row.n_value) == line.n, line
+            assert row["set"] in (1, 2), line
+            assert (row["b1"].hex(), row["d1"].hex()) == (line.b1.hex(), line.d1.hex()), line
+            assert round(row["n"]) == line.n, line
 
     def test_residue_set_b1_prime_is_b1(self):
         for s, lam in ((0.4, 0.9), (0.4, 2.1), (2.0, 4.5), (0.25, 1.75)):
-            for rs in scarf.enumerate_residue_sets(scarf.PotentialParams(s), lam):
-                assert rs.b1_prime.hex() == rs.b1.hex()
+            for row in scarf.enumerate_residue_sets(scarf.PotentialParams(s), lam):
+                assert row["b1_prime"].hex() == row["b1"].hex()
 
 
 @functools.cache
